@@ -207,17 +207,6 @@ def cmd_sixpoints(args):
 # -- the aggregated replay --------------------------------------------------
 
 
-def _checks_from_report(rep: VerificationReport, anchor_prefix, checks):
-    for c in rep.checks:
-        checks.append({
-            "name": c.name,
-            "paper_anchor": anchor_prefix,
-            "pass": c.passed,
-            "details": (c.flagged or c.witness or
-                        (f"{c.lhs} vs {c.rhs}" if not c.passed else "")),
-        })
-
-
 def run_verify_paper(seed=0, progress=None):
     """Every identity and census the source text states, replayed.
 
@@ -234,6 +223,13 @@ def run_verify_paper(seed=0, progress=None):
         if progress:
             progress(checks[-1])
 
+    def note_report(rep: VerificationReport, anchor):
+        for c in rep.checks:
+            note(c.name, anchor, c.passed,
+                 c.flagged or c.witness
+                 or (f"{c.lhs} vs {c.rhs}" if not c.passed else ""))
+        findings.extend(rep.flags)
+
     F7, F5, F3, F2 = (make_field(7), make_field(5), make_field(3),
                       make_field(2))
     QQ = make_field(0, 1)
@@ -244,10 +240,8 @@ def run_verify_paper(seed=0, progress=None):
             quadric, linear, a = sample_admissible_completion(field, rng)
             nf = nodal_surface_form(field, quadric, linear, a)
             rep = verify_xi_eta(nf)
-            _checks_from_report(
-                rep, "xi.f = -U^2 V^2; eta.f = -U^4 V - U V^4; "
-                     "d3 f(h) = Q(-U^3-V^3, U^2 V, U V^2)", checks)
-            findings.extend(rep.flags)
+            note_report(rep, "xi.f = -U^2 V^2; eta.f = -U^4 V - U V^4; "
+                             "d3 f(h) = Q(-U^3-V^3, U^2 V, U V^2)")
 
     # nodal splitting and very-freeness
     for field in (F7, F5, QQ):
@@ -263,9 +257,7 @@ def run_verify_paper(seed=0, progress=None):
     # cuspidal splitting
     for field, alpha in ((F7, 0), (QQ, 0), (F3, 1), (F3, 2)):
         rep = verify_cuspidal_delta(field, alpha)
-        _checks_from_report(rep, "h* T_X = O(3) + O; delta section",
-                            checks)
-        findings.extend(rep.flags)
+        note_report(rep, "h* T_X = O(3) + O; delta section")
 
     # characteristic-2 Fermat explicit curve
     fermat2 = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F2))
@@ -402,15 +394,12 @@ def run_verify_paper(seed=0, progress=None):
 
 
 def cmd_verify_paper(args):
-    shown = []
-
     def progress(check):
-        if not getattr(args, "json", False):
-            mark = "PASS" if check["pass"] else "FAIL"
-            print(f"[{mark}] {check['name']}")
+        mark = "PASS" if check["pass"] else "FAIL"
+        print(f"[{mark}] {check['name']}", file=sys.stderr, flush=True)
 
     passed, checks, findings = run_verify_paper(seed=args.seed,
-                                                progress=None)
+                                                progress=progress)
     result = {"pass": passed, "findings": findings,
               "checks_total": len(checks),
               "checks_failed": sum(1 for c in checks if not c["pass"])}
@@ -544,6 +533,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(list(argv)))
     try:
+        if getattr(args, "ext_cap", 1) < 1:
+            raise ValueError(f"--ext-cap must be at least 1, "
+                             f"got {args.ext_cap}")
         return args.func(args)
     except (ParseError, FieldError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -291,13 +291,6 @@ class FieldSpec:
     def from_raw(self, raw) -> "Scalar":
         return Scalar(self, raw)
 
-    def from_vector(self, vec) -> "Scalar":
-        if self.is_rational:
-            raise FieldError("no coefficient vectors over Q")
-        if len(vec) != self.k:
-            raise FieldError(f"vector length {len(vec)} != {self.k}")
-        return Scalar(self, self.index_of(vec))
-
     @property
     def zero(self):
         return Scalar(self, self.rzero)
@@ -681,9 +674,6 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def scalar_coeffs(self):
-        return [Scalar(self.field, c) for c in self.coeffs]
-
     def __eq__(self, other):
         return (isinstance(other, UPoly) and self.field is other.field
                 and self.coeffs == other.coeffs)
@@ -837,10 +827,6 @@ def find_roots(f: UPoly, max_ext: int,
             remaining -= mult
         by_level[j] = here
     return found
-
-
-def frobenius(x: Scalar, times: int = 1) -> Scalar:
-    return x ** (x.field.p ** times)
 
 
 def cube_root(x: Scalar, allow_extension: bool = True):

@@ -20,7 +20,8 @@ from .fields import FieldSpec, Scalar, UPoly, embed, find_roots, join_field, \
     DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    gcd_bin, is_unit_ideal, linear_substitute,
-                   partial_derivative, resultant_bin, substitute_linear_map)
+                   partial_derivative, resultant_bin, substitute_linear_map,
+                   sylvester_rows)
 
 DEFAULT_EXT_CAP = 6
 DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
@@ -146,10 +147,6 @@ class LineP3:
         for t in F.elements():
             yield self.point_at(F.one, Scalar(F, t))
         yield self.point_at(F.zero, F.one)
-
-    def contains_point(self, pt: ProjPoint) -> bool:
-        raw = [list(r) for r in self.raw_rows()] + [list(pt.raw())]
-        return linalg.rank(self.field, raw) == 2
 
     def raw_rows(self):
         return [[c.raw for c in r] for r in self.rows]
@@ -549,16 +546,7 @@ def _upoly_det(field, mat):
 def _resultant_y(field, a_coeffs, b_coeffs):
     """Resultant in the second variable of two bivariate polys given by
     their UPoly-in-x coefficient lists (low y-power first)."""
-    m, n = len(a_coeffs) - 1, len(b_coeffs) - 1
-    size = m + n
-    zero = UPoly.zero(field)
-    arow = list(reversed(a_coeffs))
-    brow = list(reversed(b_coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + arow + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + brow + [zero] * (size - n - 1 - i))
+    rows = sylvester_rows(a_coeffs[::-1], b_coeffs[::-1], UPoly.zero(field))
     return _upoly_det(field, rows)
 
 

@@ -1,15 +1,12 @@
-"""Exact Gaussian elimination over a FieldSpec.
+"""Exact Gauss-Jordan elimination over a FieldSpec.
 
 Matrices are lists of rows of raw field values (int indices over finite
 fields, Fractions over Q).  No pivoting heuristics: the first row with a
 nonzero entry in the current column is used, so results are
-deterministic and exact.
+deterministic and exact.  `_gauss_jordan` holds the only row-operation
+loop; every public routine here reads its answer off that one reduction.
 """
 from __future__ import annotations
-
-
-def mat_copy(rows):
-    return [list(r) for r in rows]
 
 
 def identity(field, n):
@@ -17,67 +14,49 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def mat_mul(field, a, b):
-    n, m, l = len(a), len(b), len(b[0]) if b else 0
+def _gauss_jordan(field, rows):
+    """Reduce a copy of `rows`; returns (rref_rows, pivot_columns, det).
+
+    `det` is the product of the pivots met, negated once per row swap:
+    the determinant when `rows` is square with a pivot in every column.
+    Row operations run over the nonzero support of the pivot row only.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
     z = field.rzero
-    out = [[z] * l for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(m):
-            c = ai[t]
-            if c == z:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(l):
-                oi[j] = field.radd(oi[j], field.rmul(c, bt[j]))
-    return out
-
-
-def mat_vec(field, a, v):
-    z = field.rzero
-    out = []
-    for row in a:
-        acc = z
-        for c, x in zip(row, v):
-            if c != z and x != z:
-                acc = field.radd(acc, field.rmul(c, x))
-        out.append(acc)
-    return out
-
-
-def transpose(rows):
-    return [list(c) for c in zip(*rows)]
+    rmul, rsub = field.rmul, field.rsub
+    det, odd = field.rone, False
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if m[i][col] != z), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            odd = not odd
+        prow = m[r]
+        det = rmul(det, prow[col])
+        inv = field.rinv(prow[col])
+        support = [j for j in range(col, ncols) if prow[j] != z]
+        for j in support:
+            prow[j] = rmul(inv, prow[j])
+        for i in range(nrows):
+            row = m[i]
+            c = row[col]
+            if i != r and c != z:
+                for j in support:
+                    row[j] = rsub(row[j], rmul(c, prow[j]))
+        pivots.append(col)
+    return m, pivots, (field.rneg(det) if odd else det)
 
 
 def rref(field, rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = mat_copy(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    z = field.rzero
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][col] != z:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = field.rinv(m[r][col])
-        m[r] = [field.rmul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != z:
-                c = m[i][col]
-                m[i] = [field.rsub(x, field.rmul(c, y))
-                        for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    m, pivots, _ = _gauss_jordan(field, rows)
     return m, pivots
 
 
@@ -96,8 +75,7 @@ def kernel(field, rows, ncols=None):
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows:
-        return [[field.rone if i == j else field.rzero for i in range(ncols)]
-                for j in range(ncols)]
+        return identity(field, ncols)
     m, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
@@ -112,25 +90,6 @@ def kernel(field, rows, ncols=None):
     return basis
 
 
-def solve(field, rows, rhs):
-    """One solution of rows . x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(field, aug)
-    z = field.rzero
-    for r in range(len(m)):
-        if all(m[r][j] == z for j in range(ncols)) and m[r][ncols] != z:
-            return None
-    x = [z] * ncols
-    for r, pcol in enumerate(pivots):
-        if pcol == ncols:
-            return None
-        x[pcol] = m[r][ncols]
-    return x
-
-
 def inverse(field, rows):
     """Matrix inverse, or None if singular."""
     n = len(rows)
@@ -142,51 +101,29 @@ def inverse(field, rows):
 
 
 def det(field, rows):
-    """Determinant by fraction-preserving Gaussian elimination."""
-    n = len(rows)
-    m = mat_copy(rows)
-    z = field.rzero
-    acc = field.rone
-    sign_flip = False
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if m[i][col] != z:
-                sel = i
-                break
-        if sel is None:
-            return z
-        if sel != col:
-            m[col], m[sel] = m[sel], m[col]
-            sign_flip = not sign_flip
-        piv = m[col][col]
-        acc = field.rmul(acc, piv)
-        inv = field.rinv(piv)
-        for i in range(col + 1, n):
-            if m[i][col] != z:
-                c = field.rmul(m[i][col], inv)
-                m[i] = [field.rsub(x, field.rmul(c, y))
-                        for x, y in zip(m[i], m[col])]
-    return field.rneg(acc) if sign_flip else acc
+    """Determinant: the signed pivot product of one Gauss-Jordan pass."""
+    _, pivots, d = _gauss_jordan(field, rows)
+    return d if len(pivots) == len(rows) else field.rzero
 
 
 class Solver:
     """Repeated consistent solves against a fixed column family.
 
     Columns are vectors in F^dim; `express(w)` returns coefficients x
-    with columns . x = w, or None.  The echelon factorization is done
-    once at construction.
+    with columns . x = w, or None.  `pivots` lists the greedy
+    left-to-right basis of the columns' span (each column independent
+    of those before it); x is supported on these columns.  The
+    elimination of [columns | I] is done once at construction.
     """
 
     def __init__(self, field, columns, dim):
         self.field = field
         self.ncols = len(columns)
         self.dim = dim
-        rows = [[col[i] for col in columns] for i in range(dim)]
-        aug = [r + ident_row
-               for r, ident_row in zip(rows, identity(field, dim))]
+        aug = [[col[i] for col in columns] + ident_row
+               for i, ident_row in enumerate(identity(field, dim))]
         self._m, pivots = rref(field, aug)
-        self._pivots = [p for p in pivots if p < self.ncols]
+        self.pivots = [p for p in pivots if p < self.ncols]
 
     def express(self, w):
         field = self.field
@@ -200,8 +137,8 @@ class Solver:
                 c = row[n + j]
                 if c != z and w[j] != z:
                     acc = field.radd(acc, field.rmul(c, w[j]))
-            if r < len(self._pivots):
-                x[self._pivots[r]] = acc
+            if r < len(self.pivots):
+                x[self.pivots[r]] = acc
             elif acc != z:
                 return None
         return x

@@ -595,12 +595,6 @@ class BinaryForm:
                 return j
         return self.degree
 
-    def u_content(self):
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[j]:
-                return self.degree - j
-        return self.degree
-
     def dehomogenize(self):
         """b(u, 1) as a univariate polynomial (loses roots at (1:0))."""
         return UPoly(self.field,
@@ -651,16 +645,17 @@ def resultant_bin(q: BinaryForm, c: BinaryForm) -> Scalar:
         const = (q.coeffs[0] if m == 0 else c.coeffs[0])
         other = n if m == 0 else m
         return const**other
-    size = m + n
-    rows = []
-    qrow = [x.raw for x in q.coeffs]
-    crow = [x.raw for x in c.coeffs]
-    z = F.rzero
-    for i in range(n):
-        rows.append([z] * i + qrow + [z] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([z] * i + crow + [z] * (size - n - 1 - i))
+    rows = sylvester_rows([x.raw for x in q.coeffs],
+                          [x.raw for x in c.coeffs], F.rzero)
     return Scalar(F, linalg.det(F, rows))
+
+
+def sylvester_rows(arow, brow, zero):
+    """Rows of the Sylvester matrix of two coefficient lists (leading
+    coefficient first); entries are raw scalars or UPolys alike."""
+    m, n = len(arow) - 1, len(brow) - 1
+    return ([[zero] * i + arow + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + brow + [zero] * (m - 1 - i) for i in range(m)])
 
 
 def gcd_bin(a: BinaryForm, b: BinaryForm) -> BinaryForm:

@@ -193,13 +193,13 @@ def _form_dim(d):
 
 
 class _Piece:
-    __slots__ = ("dim", "reps", "solver", "n_amb")
+    __slots__ = ("dim", "reps", "solver", "tcols")
 
-    def __init__(self, dim, reps, solver, n_amb):
+    def __init__(self, dim, reps, solver, tcols):
         self.dim = dim
         self.reps = reps       # T-basis representatives as W-vectors
-        self.solver = solver   # expresses W-vectors over [A-cols | reps]
-        self.n_amb = n_amb     # number of ambient A-columns in the solver
+        self.solver = solver   # expresses W-vectors over [A-cols | Z-basis]
+        self.tcols = tcols     # solver columns holding the reps
 
 
 class _Cohomology:
@@ -230,25 +230,20 @@ class _Cohomology:
         m = self.m
         sizes, offsets, wdim = self._w_layout(deg)
         z = F.rzero
-        # kernel of beta
+        # kernel of beta (all of W when beta or its target piece is absent)
+        rows = []
         if m.beta is not None and wdim > 0:
-            cdim = _form_dim(m.c + deg)
-            if cdim > 0:
-                rows = [[z] * wdim for _ in range(cdim)]
-                for i, (bi, be) in enumerate(zip(m.b, m.beta)):
-                    if sizes[i] == 0 or be.is_zero():
+            rows = [[z] * wdim for _ in range(_form_dim(m.c + deg))]
+            for i, (bi, be) in enumerate(zip(m.b, m.beta)):
+                if sizes[i] == 0 or be.is_zero():
+                    continue
+                for t, coeff in enumerate(be.coeffs):
+                    if not coeff:
                         continue
-                    for t, coeff in enumerate(be.coeffs):
-                        if not coeff:
-                            continue
-                        for j in range(sizes[i]):
-                            rows[t + j][offsets[i] + j] = F.radd(
-                                rows[t + j][offsets[i] + j], coeff.raw)
-                zbasis = linalg.kernel(F, rows, wdim)
-            else:
-                zbasis = _identity_basis(F, wdim)
-        else:
-            zbasis = _identity_basis(F, wdim)
+                    for j in range(sizes[i]):
+                        rows[t + j][offsets[i] + j] = F.radd(
+                            rows[t + j][offsets[i] + j], coeff.raw)
+        zbasis = linalg.kernel(F, rows, wdim)
         # image of alpha
         acols = []
         if m.alpha is not None:
@@ -263,16 +258,14 @@ class _Cohomology:
                             col[offsets[i] + t + s] = F.radd(
                                 col[offsets[i] + t + s], coeff.raw)
                 acols.append(col)
-        # T basis: Z vectors independent modulo span(acols)
-        reps = []
-        echelon = []   # rows in echelon form spanning acols + chosen reps
-        for col in acols:
-            _echelon_insert(F, echelon, list(col))
-        for v in zbasis:
-            if _echelon_insert(F, echelon, list(v)):
-                reps.append(v)
-        solver = linalg.Solver(F, acols + reps, wdim) if wdim else None
-        piece = _Piece(len(reps), reps, solver, len(acols))
+        # T basis: the Z vectors among the solver's pivot columns, each
+        # independent modulo span(acols) and the Z vectors before it
+        # (the acols, independent since alpha is injective, all pivot)
+        n_amb = len(acols)
+        solver = linalg.Solver(F, acols + zbasis, wdim) if wdim else None
+        tcols = [p for p in solver.pivots if p >= n_amb] if solver else []
+        reps = [zbasis[p - n_amb] for p in tcols]
+        piece = _Piece(len(reps), reps, solver, tcols)
         self._pieces[deg] = piece
         return piece
 
@@ -286,7 +279,7 @@ class _Cohomology:
         coords = piece.solver.express(w)
         if coords is None:
             raise IntegrityError("vector not in ker(beta) + im(alpha)")
-        return coords[piece.n_amb:]
+        return [coords[p] for p in piece.tcols]
 
     def mul_matrices(self, deg):
         """(MU, MV): matrices of U,V: T_deg -> T_{deg+1}, columns = images."""
@@ -351,27 +344,6 @@ def _cohomology(m: MonadP1) -> _Cohomology:
         if len(_COHOMOLOGY_CACHE) > 64:
             _COHOMOLOGY_CACHE.pop(next(iter(_COHOMOLOGY_CACHE)))
     return coh
-
-
-def _identity_basis(field, n):
-    z, o = field.rzero, field.rone
-    return [[o if i == j else z for i in range(n)] for j in range(n)]
-
-
-def _echelon_insert(field, echelon, v):
-    """Reduce v against echelon rows; insert if independent. True if new."""
-    z = field.rzero
-    for row in echelon:
-        piv = next(i for i, x in enumerate(row) if x != z)
-        if v[piv] != z:
-            c = v[piv]
-            v[:] = [field.rsub(x, field.rmul(c, y)) for x, y in zip(v, row)]
-    piv = next((i for i, x in enumerate(v) if x != z), None)
-    if piv is None:
-        return False
-    inv = field.rinv(v[piv])
-    echelon.append([field.rmul(inv, x) for x in v])
-    return True
 
 
 # -- public operations ----------------------------------------------------

@@ -1,14 +1,22 @@
+import hashlib
 import json
+import os
 
 from veryfree.cli import main
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                      "golden", "verify_paper.json")
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out
+    return run_err(capsys, *argv)[:2]
 
 
 def test_splitting_example(capsys):
@@ -40,6 +48,10 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code = main(["smooth", "--field", "7", "--poly", "X0+X1^2"])
     assert code == 2
+    for cap in ("-1", "0"):
+        code, _, err = run_err(capsys, "construct", "--field", "7",
+                               "--surface", FERMAT, "--ext-cap", cap)
+        assert code == 2 and "--ext-cap" in err
 
 
 def test_budget_exit_code(capsys):
@@ -107,10 +119,16 @@ def test_json_determinism(capsys):
 
 def test_verify_paper_json_schema_and_determinism(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    code, out = run(capsys, "verify-paper", "--json",
-                    "--out", str(out_path))
+    code, out, err = run_err(capsys, "verify-paper", "--json",
+                             "--out", str(out_path))
     assert code == 0
     payload = json.loads(out)
+    # progress streams to stderr only; stdout keeps the recorded bytes
+    assert err.splitlines() == [f"[PASS] {c['name']}"
+                                for c in payload["checks"]]
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)["0"]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
     assert payload["command"] == "verify-paper"
     assert payload["result"]["pass"] is True
     assert payload["checks"], "expected a populated checks array"
@@ -124,6 +142,21 @@ def test_verify_paper_json_schema_and_determinism(tmp_path, capsys):
     # same seed, byte-identical output
     code2, out2 = run(capsys, "verify-paper", "--json")
     assert out2 == out
+
+
+def test_verify_paper_text_progress_on_stderr(capsys):
+    code, out, err = run_err(capsys, "verify-paper")
+    assert code == 0
+    progress = err.splitlines()
+    assert progress and all(line.startswith("[PASS] ") for line in progress)
+    names = [line[len("[PASS] "):] for line in progress]
+    lines = out.splitlines()
+    # stdout: one padded row per check, the notes, then the summary
+    for name, line in zip(names, lines):
+        assert line.startswith(f"[PASS] {name} ")
+    assert all(ln.startswith("[NOTE] ") for ln in lines[len(names):-1])
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
+    assert not set(progress) & set(lines)
 
 
 def test_build_threefold_cli(capsys):

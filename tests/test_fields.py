@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from veryfree import fields
 from veryfree.errors import FieldError, ScanBudgetExceeded
 from veryfree.fields import (QQ, UPoly, cube_root, embed,
                              find_roots, join_field, make_field,
@@ -208,3 +209,26 @@ def test_cube_root_everywhere():
             r = cube_root(a)
             target = a if r.field is field else embed(a, r.field)
             assert r ** 3 == target
+
+
+@pytest.mark.parametrize("p,k", [(7, 4), (2, 8), (3, 5)])
+def test_vector_fallback_matches_zech_tables(monkeypatch, p, k):
+    table = make_field(p, k)
+    table._ensure_tables()
+    assert table._exp is not None
+    monkeypatch.setattr(fields, "_TABLE_CAP", 16)
+    vector = fields.FieldSpec(p, k, table.modulus)
+    rng = random.Random(p * 100 + k)
+    samples = [0, 1, table.size - 1] + [rng.randrange(table.size)
+                                        for _ in range(300)]
+    for a in samples:
+        b = rng.randrange(table.size)
+        for op in ("radd", "rsub", "rmul"):
+            assert getattr(vector, op)(a, b) == getattr(table, op)(a, b)
+        assert vector.rneg(a) == table.rneg(a)
+        e = rng.randrange(-3, 2 * table.size)
+        if a:
+            assert vector.rinv(a) == table.rinv(a)
+        if a or e >= 0:
+            assert vector.rpow(a, e) == table.rpow(a, e)
+    assert vector._exp is None

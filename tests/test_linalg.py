@@ -1,0 +1,156 @@
+"""Direct checks of the Gauss-Jordan routines against independent oracles:
+the Leibniz formula, matrix products and membership by rank."""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from veryfree import linalg
+from veryfree.fields import make_field
+
+from helpers import F7, QQ
+
+F16 = make_field(2, 4)
+F7_6 = make_field(7, 6)   # above the Zech-table cap: vector fallback
+
+FIELDS = [QQ, F7, F16, F7_6]
+
+
+def rand_elt(field, rng):
+    if field.is_rational:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(field.size)
+
+
+def rand_matrix(field, nrows, ncols, rng):
+    return [[rand_elt(field, rng) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def mat_mul(field, a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = field.rzero
+            for t, x in enumerate(row):
+                acc = field.radd(acc, field.rmul(x, b[t][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def leibniz_det(field, m):
+    n = len(m)
+    total = field.rzero
+    for perm in itertools.permutations(range(n)):
+        term = field.rone
+        for i, j in enumerate(perm):
+            term = field.rmul(term, m[i][j])
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        total = (field.rsub(total, term) if inversions % 2
+                 else field.radd(total, term))
+    return total
+
+
+def combine(field, rows, coeffs):
+    """The linear combination sum coeffs[i] * rows[i]."""
+    out = [field.rzero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.radd(x, field.rmul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_matches_leibniz(field):
+    rng = random.Random(101)
+    assert linalg.det(field, []) == field.rone
+    for n in range(1, 5):
+        for _ in range(4):
+            m = rand_matrix(field, n, n, rng)
+            m[0][0] = field.rzero            # forces a row swap
+            assert linalg.det(field, m) == leibniz_det(field, m)
+            swapped = [m[1], m[0]] + m[2:] if n > 1 else m
+            assert linalg.det(field, swapped) == leibniz_det(field, swapped)
+            if n > 1:
+                singular = m[:-1] + [combine(
+                    field, m[:-1], [rand_elt(field, rng)
+                                    for _ in range(n - 1)])]
+                assert leibniz_det(field, singular) == field.rzero
+                assert linalg.det(field, singular) == field.rzero
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_inverse_times_matrix_is_identity(field):
+    rng = random.Random(102)
+    for n in range(1, 5):
+        for _ in range(3):
+            m = rand_matrix(field, n, n, rng)
+            inv = linalg.inverse(field, m)
+            if linalg.det(field, m) == field.rzero:
+                assert inv is None
+            else:
+                assert mat_mul(field, inv, m) == linalg.identity(field, n)
+        singular = [list(r) for r in m]
+        singular[-1] = [field.rzero] * n
+        assert linalg.inverse(field, singular) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kernel_is_annihilated_and_complementary(field):
+    rng = random.Random(103)
+    for nrows, ncols in ((1, 3), (2, 5), (3, 3), (4, 6), (5, 4)):
+        m = rand_matrix(field, nrows, ncols, rng)
+        if nrows > 2:                        # force a rank drop
+            m[-1] = combine(field, m[:2], [rand_elt(field, rng),
+                                           rand_elt(field, rng)])
+        ker = linalg.kernel(field, m)
+        assert len(ker) == ncols - linalg.rank(field, m)
+        zero = [[field.rzero] for _ in range(nrows)]
+        for v in ker:
+            assert mat_mul(field, m, [[x] for x in v]) == zero
+        if ker:
+            assert linalg.rank(field, ker) == len(ker)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_solver_expresses_span_and_rejects_outside(field):
+    rng = random.Random(104)
+    dim = 5
+    for ncols in (2, 4, 7):
+        cols = [[rand_elt(field, rng) for _ in range(dim)]
+                for _ in range(ncols)]
+        cols.insert(1, combine(field, cols[:1], [rand_elt(field, rng)]))
+        solver = linalg.Solver(field, cols, dim)
+        span_rank = linalg.rank(field, cols)
+        assert len(solver.pivots) == span_rank
+        for _ in range(3):
+            x = [rand_elt(field, rng) for _ in cols]
+            w = combine(field, cols, x)
+            got = solver.express(w)
+            assert got is not None and combine(field, cols, got) == w
+            assert all(got[j] == field.rzero for j in range(len(cols))
+                       if j not in solver.pivots)
+        outside = 0
+        for _ in range(4):
+            w = [rand_elt(field, rng) for _ in range(dim)]
+            if linalg.rank(field, cols + [w]) > span_rank:
+                outside += 1
+                assert solver.express(w) is None
+        if span_rank < dim:
+            assert outside > 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_solver_pivots_are_rref_pivots(field):
+    rng = random.Random(105)
+    dim = 4
+    for ncols in (1, 3, 6):
+        cols = [[rand_elt(field, rng) for _ in range(dim)]
+                for _ in range(ncols)]
+        cols.append(list(cols[0]))           # a dependent column
+        rows = [[col[i] for col in cols] for i in range(dim)]
+        solver = linalg.Solver(field, cols, dim)
+        assert solver.pivots == linalg.rref(field, rows)[1]

@@ -162,3 +162,51 @@ def test_invalid_monad_rejected_by_operations():
 
 def test_serialization():
     assert SplittingType((1, 2)).to_json() == [2, 1]
+
+
+def conjugate(m, rng):
+    """m under three seeded elementary graded automorphisms g = I + f.e_ij
+    of the middle term (f of degree b_i - b_j >= 0): alpha -> g.alpha,
+    beta -> beta.g^-1.  The first two mix a nonzero alpha entry and a
+    nonzero beta entry into the others, so the result is not diagonal."""
+    F, b = m.field, m.b
+    alpha, beta = list(m.alpha), list(m.beta)
+    n = len(b)
+    j_alpha = next(j for j in range(n) if not alpha[j].is_zero())
+    i_beta = next(i for i in range(n) if not beta[i].is_zero())
+    steps = [(rng.choice([i for i in range(n)
+                          if i != j_alpha and b[i] >= b[j_alpha]]), j_alpha),
+             (i_beta, rng.choice([j for j in range(n)
+                                  if j != i_beta and b[i_beta] >= b[j]])),
+             rng.choice([(i, j) for i in range(n) for j in range(n)
+                         if i != j and b[i] >= b[j]])]
+    for i, j in steps:
+        d = b[i] - b[j]
+        f = BinaryForm(F, d, [F.from_raw(rng.randrange(1, F.size))]
+                       + [F.from_raw(rng.randrange(F.size))
+                          for _ in range(d)])
+        alpha[i] = alpha[i] + f * alpha[j]
+        beta[j] = beta[j] - f * beta[i]
+    return MonadP1(F, m.a, b, m.c, tuple(alpha), tuple(beta))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nodal_monad(F7)[0],
+    lambda: oracle_monad(F7, 2, 1),
+    lambda: oracle_monad(F7, 3, 0),
+    lambda: oracle_monad(F7, 0, -2),
+    lambda: oracle_monad(F5, 4, -1),
+], ids=["nodal", "O2+O1", "O3+O0", "O0+O-2", "O4+O-1"])
+def test_splitting_invariant_under_graded_conjugation(make):
+    m = make()
+    base = splitting_type(m)
+    twists = range(-10, 8)
+    h0 = [h0_twist(m, t) for t in twists]
+    rng = random.Random(31)
+    for _ in range(3):
+        m2 = conjugate(m, rng)
+        assert validate_monad(m2).ok
+        assert sum(not f.is_zero() for f in m2.alpha) > 1
+        assert sum(not f.is_zero() for f in m2.beta) > 1
+        assert splitting_type(m2) == base
+        assert [h0_twist(m2, t) for t in twists] == h0
