@@ -536,6 +536,9 @@ def main(argv=None) -> int:
         if getattr(args, "ext_cap", 1) < 1:
             raise ValueError(f"--ext-cap must be at least 1, "
                              f"got {args.ext_cap}")
+        if getattr(args, "line_field_cap", 1) < 1:
+            raise ValueError(f"--line-field-cap must be at least 1, "
+                             f"got {args.line_field_cap}")
         return args.func(args)
     except (ParseError, FieldError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,6 +5,11 @@ vectors: the element sum(c_i * g^i) has index sum(c_i * p^i), where g is
 the class of x modulo the field's defining polynomial.  Rationals are
 stored as `fractions.Fraction` (always reduced, positive denominator).
 
+Each field picks one of four arithmetic backends when it is made:
+`Fraction` operators over Q, residues mod p over F_p, Zech-log tables
+over F_{p^k} up to `_TABLE_CAP` elements (built on the field's first
+operation), and coefficient-vector polynomial arithmetic above that.
+
 Every deterministic choice in this module (defining modulus, embedding,
 element enumeration) uses one ordering: coefficient vectors
 (c_0, c_1, ..., c_{k-1}) compared lexicographically with c_0 first.
@@ -12,6 +17,8 @@ element enumeration) uses one ordering: coefficient vectors
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,17 +53,83 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _prime_ops(p):
+    return (lambda a, b: (a + b) % p, lambda a: -a % p,
+            lambda a, b: (a - b) % p, lambda a, b: a * b % p,
+            lambda a: pow(a, p - 2, p), lambda a, e: pow(a, e, p))
+
+
+def _zech_ops(exp, log, zech, half):
+    """Ops on indices through the tables: exp[i] = g^i, log inverts exp,
+    g^zech[i] = 1 + g^i (-1 when that is 0), and g^half = -1."""
+    m = len(exp)
+
+    def add_logs(a, lb):  # a + g^lb
+        if a == 0:
+            return exp[lb % m]
+        la = log[a]
+        d = zech[(lb - la) % m]
+        return 0 if d == -1 else exp[(la + d) % m]
+
+    def add(a, b):
+        return add_logs(a, log[b]) if b else a
+
+    def neg(a):
+        return exp[(log[a] + half) % m] if a else 0
+
+    def sub(a, b):
+        return add_logs(a, log[b] + half) if b else a
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % m] if a and b else 0
+
+    def pow_(a, e):
+        if a == 0:
+            return 0 if e else 1
+        return exp[log[a] * e % m]
+
+    return add, neg, sub, mul, lambda a: exp[-log[a] % m], pow_
+
+
+def _vector_ops(F):
+    """Ops on coefficient vectors modulo F.modulus; correct for any size."""
+    p, m, vec, idx = F.p, F.modulus, F.vector_of, F.index_of
+
+    def digitwise(sign):  # a + sign*b, one base-p digit at a time
+        def op(a, b):
+            out, place = 0, 1
+            while a or b:
+                a, ra = divmod(a, p)
+                b, rb = divmod(b, p)
+                out += (ra + sign * rb) % p * place
+                place *= p
+            return out
+        return op
+
+    add, sub = digitwise(1), digitwise(-1)
+
+    def mul(a, b):
+        return idx(_poly_mod_mul(vec(a), vec(b), m, p))
+
+    def pow_(a, e):
+        return idx(_poly_powmod(vec(a), e, m, p))
+
+    return (add, lambda a: sub(0, a), sub, mul,
+            lambda a: pow_(a, F.size - 2), pow_)
+
+
 class FieldSpec:
     """Q or F_{p^k}; unique instance per (p, k), see `make_field`.
 
     Raw element values are `Fraction` over Q and `int` indices over
-    finite fields; `Scalar` wraps a raw value with its field.
+    finite fields; `Scalar` wraps a raw value with its field.  The
+    arithmetic backend is chosen here, once; the raw ops call into it.
     """
 
     __slots__ = (
-        "p", "k", "modulus", "size",
-        "_exp", "_log", "_zech", "_minus_one_log",
-        "_embed_cache", "_scalar_cache",
+        "p", "k", "modulus", "size", "is_rational", "rzero", "rone",
+        "_add", "_neg", "_sub", "_mul", "_inv", "_pow", "_exp",
+        "_embed_cache",
     )
 
     def __init__(self, p, k, modulus):
@@ -64,18 +137,23 @@ class FieldSpec:
         self.k = k
         self.modulus = modulus  # tuple of k+1 ints over F_p, monic; None for Q and k == 1
         self.size = None if p == 0 else p**k
-        self._exp = None
-        self._log = None
-        self._zech = None
-        self._minus_one_log = None
+        self.is_rational = p == 0
+        self.rzero = Fraction(0) if p == 0 else 0
+        self.rone = Fraction(1) if p == 0 else 1
+        self._exp = None  # Zech exponent table, once built
         self._embed_cache = {}
-        self._scalar_cache = {}
+        if p == 0:
+            ops = (operator.add, operator.neg, operator.sub, operator.mul,
+                   lambda a: 1 / a, operator.pow)
+        elif k == 1:
+            ops = _prime_ops(p)
+        elif self.size <= _TABLE_CAP:
+            ops = self._zech_first_use()
+        else:
+            ops = _vector_ops(self)
+        self._add, self._neg, self._sub, self._mul, self._inv, self._pow = ops
 
     # -- presentation -------------------------------------------------
-
-    @property
-    def is_rational(self):
-        return self.p == 0
 
     def __repr__(self):
         return "Q" if self.is_rational else format_field_spec(self)
@@ -96,9 +174,10 @@ class FieldSpec:
             idx = idx * self.p + (c % self.p)
         return idx
 
-    def lex_key(self, idx):
-        """Sort key: coefficient vector, c_0 compared first."""
-        return self.vector_of(idx)
+    def lex_key(self, raw):
+        """Sort key: the Fraction over Q, else the coefficient vector
+        with c_0 compared first."""
+        return raw if self.is_rational else self.vector_of(raw)
 
     def elements(self):
         """All raw elements in canonical (coefficient-vector lex) order."""
@@ -109,167 +188,57 @@ class FieldSpec:
 
     # -- raw arithmetic ------------------------------------------------
 
-    @property
-    def rzero(self):
-        return Fraction(0) if self.is_rational else 0
-
-    @property
-    def rone(self):
-        return Fraction(1) if self.is_rational else 1
-
     def rfrom_int(self, n):
-        if self.is_rational:
-            return Fraction(n)
-        if self.k == 1:
-            return n % self.p
-        return n % self.p  # integers land in the prime subfield
+        # integers land in the prime subfield
+        return Fraction(n) if self.is_rational else n % self.p
+
+    def _zech_first_use(self):
+        # a table costs O(size) to build, so it waits for the field's
+        # first operation instead of slowing every make_field
+        def stub(i):
+            return lambda *args: self._ensure_tables()[i](*args)
+        return tuple(stub(i) for i in range(6))
 
     def _ensure_tables(self):
-        if self._exp is not None or self.k == 1 or self.is_rational:
-            return
-        if self.size > _TABLE_CAP:
-            return  # vector fallback stays in force
-        n = self.size
-        factors = _prime_factors(n - 1)
-        gen = None
-        for cand in self.elements():
-            if cand == 0:
-                continue
-            if all(self._pow_vec(cand, (n - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None
-        exp = [1] * (n - 1)
-        for i in range(1, n - 1):
-            exp[i] = self._mul_vec(exp[i - 1], gen)
+        """Build the Zech log tables, install their ops and return them."""
+        n, m = self.size, self.size - 1
+        vadd, _, _, vmul, _, vpow = _vector_ops(self)
+        factors = _prime_factors(m)
+        gen = next(c for c in self.elements()
+                   if c and all(vpow(c, m // f) != 1 for f in factors))
+        exp = [1] * m
+        for i in range(1, m):
+            exp[i] = vmul(exp[i - 1], gen)
         log = [0] * n
         for i, e in enumerate(exp):
             log[e] = i
-        zech = [0] * (n - 1)
-        for i, e in enumerate(exp):
-            s = self._add_vec(1, e)
-            zech[i] = -1 if s == 0 else log[s]
-        self._exp, self._log, self._zech = exp, log, zech
-        self._minus_one_log = 0 if self.p == 2 else (n - 1) // 2
-
-    # vector-plane helpers (correct for any size; slow path)
-
-    def _add_vec(self, a, b):
-        p, k = self.p, self.k
-        out, mult = 0, 1
-        for _ in range(k):
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mult
-            mult *= p
-        return out
-
-    def _mul_vec(self, a, b):
-        p, k = self.p, self.k
-        va, vb = self.vector_of(a), self.vector_of(b)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(va):
-            if ca:
-                for j, cb in enumerate(vb):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        m = self.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * m[j]) % p
-        return self.index_of(prod[:k])
-
-    def _pow_vec(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_vec(r, a)
-            a = self._mul_vec(a, a)
-            e >>= 1
-        return r
-
-    # public raw ops
+        zech = [log[s] if s else -1 for s in (vadd(1, e) for e in exp)]
+        self._exp = exp
+        ops = _zech_ops(exp, log, zech, 0 if self.p == 2 else m // 2)
+        self._add, self._neg, self._sub, self._mul, self._inv, self._pow = ops
+        return ops
 
     def radd(self, a, b):
-        if self.is_rational:
-            return a + b
-        if self.k == 1:
-            return (a + b) % self.p
-        self._ensure_tables()
-        if self._exp is None:
-            return self._add_vec(a, b)
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log, exp, zech = self._log, self._exp, self._zech
-        la, lb = log[a], log[b]
-        d = zech[(lb - la) % (self.size - 1)]
-        if d == -1:
-            return 0
-        return exp[(la + d) % (self.size - 1)]
+        return self._add(a, b)
 
     def rneg(self, a):
-        if self.is_rational:
-            return -a
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        self._ensure_tables()
-        if self._exp is None:
-            return self._mul_vec(a, self._pow_vec_minus_one())
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] + self._minus_one_log) % (self.size - 1)]
-
-    def _pow_vec_minus_one(self):
-        return self.index_of(tuple([self.p - 1] + [0] * (self.k - 1)))
+        return self._neg(a)
 
     def rsub(self, a, b):
-        return self.radd(a, self.rneg(b))
+        return self._sub(a, b)
 
     def rmul(self, a, b):
-        if self.is_rational:
-            return a * b
-        if self.k == 1:
-            return (a * b) % self.p
-        self._ensure_tables()
-        if self._exp is None:
-            return self._mul_vec(a, b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        return self._mul(a, b)
 
     def rinv(self, a):
-        if self.is_rational:
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return 1 / a
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        self._ensure_tables()
-        if self._exp is None:
-            return self._pow_vec(a, self.size - 2)
-        return self._exp[(-self._log[a]) % (self.size - 1)]
+        return self._inv(a)
 
     def rpow(self, a, e):
         if e < 0:
-            return self.rpow(self.rinv(a), -e)
-        if self.is_rational:
-            return a**e
-        if self.k == 1:
-            return pow(a, e, self.p)
-        self._ensure_tables()
-        if self._exp is None:
-            return self._pow_vec(a, e)
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.size - 1)]
+            a, e = self.rinv(a), -e
+        return self._pow(a, e)
 
     # -- Scalar construction -------------------------------------------
 
@@ -302,13 +271,11 @@ class FieldSpec:
     @property
     def gen(self) -> "Scalar":
         """Class of x modulo the defining polynomial (k >= 2 only)."""
-        if self.is_rational or self.k == 1:
+        if self.k == 1:
             raise FieldError(f"{self!r} has no extension generator")
         return Scalar(self, self.p)
 
     def rstr(self, raw) -> str:
-        if self.is_rational:
-            return str(raw)
         if self.k == 1:
             return str(raw)
         vec = self.vector_of(raw)
@@ -466,11 +433,9 @@ def _poly_mod_mul(a, b, m, p):
     return out
 
 
-def _poly_powmod_x(q, m, p):
-    """x^q mod m over F_p by square and multiply; deg m >= 2."""
+def _poly_powmod(base, e, m, p):
+    """base^e mod m over F_p by square and multiply; lists as above."""
     result = [1]
-    base = [0, 1]
-    e = q
     while e:
         if e & 1:
             result = _poly_mod_mul(result, base, m, p)
@@ -505,11 +470,11 @@ def _poly_gcd(a, b, p):
 def _is_irreducible(m, p):
     """m monic of degree k >= 2 over F_p, via x^(p^j) - x gcd tests."""
     k = len(m) - 1
-    xq = _strip(list(_poly_powmod_x(p**k, m, p)))
+    xq = _strip(list(_poly_powmod([0, 1], p**k, m, p)))
     if xq != [0, 1]:
         return False
     for t in _prime_factors(k):
-        xqt = list(_poly_powmod_x(p**(k // t), m, p))
+        xqt = list(_poly_powmod([0, 1], p**(k // t), m, p))
         xqt += [0] * max(0, 2 - len(xqt))
         xqt[1] = (xqt[1] - 1) % p
         g = _poly_gcd(xqt, m, p)
@@ -519,7 +484,8 @@ def _is_irreducible(m, p):
 
 
 def _least_irreducible(p, k):
-    for vec in itertools.product(range(p), repeat=k):
+    # k >= 2, so a zero constant term would make x a factor
+    for vec in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         m = list(vec) + [1]
         if _is_irreducible(m, p):
             return tuple(m)
@@ -627,22 +593,12 @@ def _modulus_roots(src, target):
 
 def join_field(*fields: FieldSpec) -> FieldSpec:
     """Smallest common extension F_{p^lcm} of the given finite fields."""
-    fields = [f for f in fields]
     p = fields[0].p
     if any(f.p != p for f in fields):
         raise FieldError("cannot join fields of different characteristic")
     if p == 0:
         return QQ
-    k = 1
-    for f in fields:
-        k = k * f.k // _gcd(k, f.k)
-    return make_field(p, k)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return make_field(p, math.lcm(*(f.k for f in fields)))
 
 
 # -- univariate polynomials -------------------------------------------

@@ -52,8 +52,7 @@ class ProjPoint:
         return tuple(c.raw for c in self.coords)
 
     def sort_key(self):
-        return tuple(self.field.lex_key(c.raw) if not self.field.is_rational
-                     else c.raw for c in self.coords)
+        return tuple(self.field.lex_key(c.raw) for c in self.coords)
 
     def map_field(self, target):
         return ProjPoint(target, [embed(c, target) for c in self.coords])
@@ -171,9 +170,8 @@ class LineP3:
                                for r in self.rows])
 
     def sort_key(self):
-        return tuple(tuple(self.field.lex_key(c.raw)
-                           if not self.field.is_rational else c.raw
-                           for c in r) for r in self.rows)
+        return tuple(tuple(self.field.lex_key(c.raw) for c in r)
+                     for r in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, LineP3) and self.field is other.field

@@ -322,7 +322,7 @@ class _PolyParser:
             return MultiPoly.constant(self.field, self.nvars, n)
         if ch == "g":
             self.tk.take()
-            if self.field.is_rational or self.field.k == 1:
+            if self.field.k == 1:
                 raise ParseError("'g' requires an extension field", pos)
             return MultiPoly.constant(self.field, self.nvars, self.field.gen)
         if ch == "X" or ch == "U" or ch == "V":

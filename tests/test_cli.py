@@ -52,6 +52,9 @@ def test_usage_error_exit_code(capsys):
         code, _, err = run_err(capsys, "construct", "--field", "7",
                                "--surface", FERMAT, "--ext-cap", cap)
         assert code == 2 and "--ext-cap" in err
+        code, _, err = run_err(capsys, "lines", "--field", "7",
+                               "--surface", FERMAT, "--line-field-cap", cap)
+        assert code == 2 and "--line-field-cap" in err
 
 
 def test_budget_exit_code(capsys):

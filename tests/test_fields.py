@@ -1,6 +1,9 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from sympy import Poly, symbols
 
 from veryfree import fields
 from veryfree.errors import FieldError, ScanBudgetExceeded
@@ -26,42 +29,35 @@ def test_make_field_rejects_bad_input():
         make_field(0, 2)
 
 
-def test_f16_modulus_is_first_irreducible_quartic():
-    # oracle: enumerate monic quartics over F_2 in coefficient-vector lex
-    # order and test irreducibility by exhaustive factor search
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] ^= x & y
-        return out
+def _sympy_irreducible(coeffs, p):
+    """Oracle: sympy's irreducibility test over GF(p); coeffs low to high."""
+    return Poly(list(reversed(coeffs)), symbols("x"), modulus=p).is_irreducible
 
-    def all_monic(deg):
-        out = []
-        for idx in range(2**deg):
-            coeffs = [(idx >> i) & 1 for i in range(deg)] + [1]
-            out.append(coeffs)
-        return out
 
-    nontrivial = [p for d in (1, 2, 3) for p in all_monic(d)]
+def _candidates(p, k):
+    """Monic degree-k polynomials over F_p in coefficient-vector lex order."""
+    for vec in itertools.product(range(p), repeat=k):
+        yield list(vec) + [1]
 
-    def reducible(m):
-        for a in nontrivial:
-            for b in nontrivial:
-                if len(a) - 1 + len(b) - 1 != 4:
-                    continue
-                if poly_mul(a, b) == m:
-                    return True
-        return False
 
-    expected = None
-    import itertools
-    for vec in itertools.product((0, 1), repeat=4):
-        m = list(vec) + [1]
-        if not reducible(m):
-            expected = tuple(m)
+@pytest.mark.parametrize("spec", [f"2^{k}" for k in range(2, 9)] + [
+    "3^2", "3^3", "3^4", "5^2", "5^3", "7^2", "7^3"])
+def test_modulus_is_first_irreducible(spec):
+    F = parse_field_spec(spec)
+    expected = next(tuple(m) for m in _candidates(F.p, F.k)
+                    if _sympy_irreducible(m, F.p))
+    assert F.modulus == expected
+
+
+def test_f7_6_modulus_is_first_irreducible():
+    modulus = (1, 0, 0, 0, 1, 0, 1)
+    assert make_field(7, 6).modulus == modulus
+    assert _sympy_irreducible(list(modulus), 7)
+    for m in _candidates(7, 6):
+        if tuple(m) == modulus:
             break
-    assert make_field(2, 4).modulus == expected
+        if m[0]:  # a zero constant term makes x a factor
+            assert not _sympy_irreducible(m, 7)
 
 
 def test_field_axioms_exhaustive_f4():
@@ -232,3 +228,28 @@ def test_vector_fallback_matches_zech_tables(monkeypatch, p, k):
         if a or e >= 0:
             assert vector.rpow(a, e) == table.rpow(a, e)
     assert vector._exp is None
+
+
+@pytest.mark.parametrize("spec", ["Q", "7", "7^2", "7^6"])
+def test_backend_contract(spec):
+    # a fresh spec, so that a Zech field has not built its tables yet
+    made = parse_field_spec(spec)
+    F = fields.FieldSpec(made.p, made.k, made.modulus)
+    assert F._exp is None
+    with pytest.raises(ZeroDivisionError):
+        F.rinv(F.rzero)
+    assert F._exp is None
+    rng = random.Random(spec)
+    if F.is_rational:
+        mk = lambda: Fraction(rng.randrange(-30, 30), rng.randrange(1, 12))
+    else:
+        mk = lambda: rng.randrange(F.size)
+    samples = [F.rzero, F.rone] + [mk() for _ in range(40)]
+    for a in samples:
+        b = mk()
+        assert F.rsub(a, b) == F.radd(a, F.rneg(b))
+        assert F.rpow(a, 0) == F.rone
+        if a != F.rzero:
+            for e in (1, 2, 7, rng.randrange(3, 60)):
+                assert F.rpow(a, -e) == F.rpow(F.rinv(a), e)
+    assert (F._exp is not None) == (spec == "7^2")
