@@ -527,18 +527,23 @@ def _join_value_flags(argv):
     return out
 
 
+# integer options with a least value, checked before any input is parsed
+_LEAST_VALUES = (("ext_cap", 1), ("line_field_cap", 1), ("nvars", 1),
+                 ("dim", 3))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(list(argv)))
     try:
-        if getattr(args, "ext_cap", 1) < 1:
-            raise ValueError(f"--ext-cap must be at least 1, "
-                             f"got {args.ext_cap}")
-        if getattr(args, "line_field_cap", 1) < 1:
-            raise ValueError(f"--line-field-cap must be at least 1, "
-                             f"got {args.line_field_cap}")
+        for attr, least in _LEAST_VALUES:
+            value = getattr(args, attr, least)
+            if value < least:
+                flag = "--" + attr.replace("_", "-")
+                raise ValueError(f"{flag} must be at least {least}, "
+                                 f"got {value}")
         return args.func(args)
     except (ParseError, FieldError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

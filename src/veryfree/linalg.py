@@ -14,12 +14,17 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _gauss_jordan(field, rows):
+def _gauss_jordan(field, rows, record=None):
     """Reduce a copy of `rows`; returns (rref_rows, pivot_columns, det).
 
     `det` is the product of the pivots met, negated once per row swap:
     the determinant when `rows` is square with a pivot in every column.
     Row operations run over the nonzero support of the pivot row only.
+
+    With `record = (steps, idx, coef)`, three lists, each pivot step
+    appends (row, swap_row, inv, start, end) to `steps`: row `row` was
+    swapped with `swap_row` and scaled by `inv`, then each row
+    idx[k] lost coef[k] times it, for k in range(start, end).
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -28,6 +33,9 @@ def _gauss_jordan(field, rows):
     rmul, rsub = field.rmul, field.rsub
     det, odd = field.rone, False
     pivots = []
+    if record is not None:
+        steps, idx, coef = record
+        start = 0
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -48,8 +56,14 @@ def _gauss_jordan(field, rows):
             row = m[i]
             c = row[col]
             if i != r and c != z:
+                if record is not None:
+                    idx.append(i)
+                    coef.append(c)
                 for j in support:
                     row[j] = rsub(row[j], rmul(c, prow[j]))
+        if record is not None:
+            steps.append((r, sel, inv, start, len(idx)))
+            start = len(idx)
         pivots.append(col)
     return m, pivots, (field.rneg(det) if odd else det)
 
@@ -112,33 +126,37 @@ class Solver:
     Columns are vectors in F^dim; `express(w)` returns coefficients x
     with columns . x = w, or None.  `pivots` lists the greedy
     left-to-right basis of the columns' span (each column independent
-    of those before it); x is supported on these columns.  The
-    elimination of [columns | I] is done once at construction.
+    of those before it); x is supported on these columns.  The columns
+    are eliminated once at construction, recording each pivot step;
+    `express` replays those steps on a copy of w.
     """
 
     def __init__(self, field, columns, dim):
         self.field = field
         self.ncols = len(columns)
-        self.dim = dim
-        aug = [[col[i] for col in columns] + ident_row
-               for i, ident_row in enumerate(identity(field, dim))]
-        self._m, pivots = rref(field, aug)
-        self.pivots = [p for p in pivots if p < self.ncols]
+        rows = [[col[i] for col in columns] for i in range(dim)]
+        self._steps, self._idx, self._coef = record = [], [], []
+        _, self.pivots, _ = _gauss_jordan(field, rows, record)
 
     def express(self, w):
         field = self.field
         z = field.rzero
-        n = self.ncols
-        x = [z] * n
-        for r in range(len(self._m)):
-            row = self._m[r]
-            acc = z
-            for j in range(self.dim):
-                c = row[n + j]
-                if c != z and w[j] != z:
-                    acc = field.radd(acc, field.rmul(c, w[j]))
-            if r < len(self.pivots):
-                x[self.pivots[r]] = acc
-            elif acc != z:
-                return None
+        rmul, rsub = field.rmul, field.rsub
+        idx, coef = self._idx, self._coef
+        w = list(w)
+        for r, sel, inv, start, end in self._steps:
+            if sel != r:
+                w[r], w[sel] = w[sel], w[r]
+            if w[r] == z:
+                continue
+            wr = w[r] = rmul(inv, w[r])
+            for k in range(start, end):
+                i = idx[k]
+                w[i] = rsub(w[i], rmul(coef[k], wr))
+        rank = len(self.pivots)
+        if any(v != z for v in w[rank:]):
+            return None
+        x = [z] * self.ncols
+        for r, p in enumerate(self.pivots):
+            x[p] = w[r]
         return x

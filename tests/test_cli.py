@@ -55,6 +55,14 @@ def test_usage_error_exit_code(capsys):
         code, _, err = run_err(capsys, "lines", "--field", "7",
                                "--surface", FERMAT, "--line-field-cap", cap)
         assert code == 2 and "--line-field-cap" in err
+    for nvars in ("0", "-1"):
+        code, _, err = run_err(capsys, "smooth", "--field", "7",
+                               "--nvars", nvars, "--poly", "X0^3")
+        assert code == 2 and "--nvars" in err and "unknown" not in err
+    for dim in ("-3", "0", "2"):
+        code, _, err = run_err(capsys, "build", "--field", "7",
+                               "--dim", dim, "--poly", "X0^3")
+        assert code == 2 and "--dim" in err and "unknown" not in err
 
 
 def test_budget_exit_code(capsys):

@@ -192,6 +192,35 @@ def test_find_roots_multiplicity_and_completeness():
         assert {r.value for r in roots} == set(rs)
 
 
+# largest extension degree scanned per prime: fields of at most 125 elements
+_ROOT_EXT = {2: 6, 3: 4, 5: 3, 7: 2, 11: 2}
+
+
+@pytest.mark.parametrize("p", sorted(_ROOT_EXT))
+def test_find_roots_matches_sympy_factorisation(p):
+    """Each irreducible factor of degree e <= max_ext and multiplicity mu
+    gives e roots of minimal extension degree e and multiplicity mu."""
+    F = make_field(p)
+    max_ext = _ROOT_EXT[p]
+    x = symbols("x")
+    rng = random.Random(400 + p)
+    for _ in range(25):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
+        coeffs.append(rng.randrange(1, p))
+        f = UPoly(F, coeffs)
+        if rng.random() < 0.4:    # repeated factors
+            f = f * f * UPoly(F, coeffs[:2] + [1])
+        _, factors = Poly(list(reversed(f.coeffs)), x,
+                          modulus=p).factor_list()
+        expected = sorted((g.degree(), mu) for g, mu in factors
+                          for _ in range(g.degree()) if g.degree() <= max_ext)
+        roots = find_roots(f, max_ext)
+        assert sorted((r.ext_degree, r.multiplicity)
+                      for r in roots) == expected
+        assert all(r.value.field is make_field(p, r.ext_degree)
+                   for r in roots)
+
+
 def test_find_roots_budget():
     f = UPoly.from_scalars(F7, [-2, 0, 0, 1])
     with pytest.raises(ScanBudgetExceeded):

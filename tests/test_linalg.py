@@ -12,6 +12,7 @@ from veryfree.fields import make_field
 from helpers import F7, QQ
 
 F16 = make_field(2, 4)
+F49 = make_field(7, 2)
 F7_6 = make_field(7, 6)   # above the Zech-table cap: vector fallback
 
 FIELDS = [QQ, F7, F16, F7_6]
@@ -55,9 +56,10 @@ def leibniz_det(field, m):
     return total
 
 
-def combine(field, rows, coeffs):
-    """The linear combination sum coeffs[i] * rows[i]."""
-    out = [field.rzero] * len(rows[0])
+def combine(field, rows, coeffs, length=None):
+    """The linear combination sum coeffs[i] * rows[i] of vectors of the
+    given length (read off rows[0] when not given)."""
+    out = [field.rzero] * (len(rows[0]) if length is None else length)
     for c, row in zip(coeffs, rows):
         out = [field.radd(x, field.rmul(c, y)) for x, y in zip(out, row)]
     return out
@@ -154,3 +156,61 @@ def test_solver_pivots_are_rref_pivots(field):
         rows = [[col[i] for col in cols] for i in range(dim)]
         solver = linalg.Solver(field, cols, dim)
         assert solver.pivots == linalg.rref(field, rows)[1]
+
+
+def sparse_elt(field, rng):
+    return field.rzero if rng.random() < 0.5 else rand_elt(field, rng)
+
+
+def column_family(field, dim, ncols, span, rng):
+    """`ncols` sparse columns in F^dim inside a random `span`-dimensional
+    subspace, with a zero column, a repeated column and zeros on top of
+    the first columns, so the elimination meets row swaps and dependent
+    columns."""
+    basis = [[sparse_elt(field, rng) for _ in range(dim)]
+             for _ in range(span)]
+    for i, b in enumerate(basis):
+        for t in range(min(i + 2, dim - 1)):
+            b[t] = field.rzero            # leading zeros force swaps
+        b[-1 - i % dim] = field.rone
+    cols = [combine(field, basis, [sparse_elt(field, rng) for _ in basis],
+                    dim)
+            for _ in range(ncols)]
+    if ncols > 2:
+        cols[1] = [field.rzero] * dim
+        cols[-1] = list(cols[0])
+    return cols
+
+
+# (dim, ncols, span): wide and dependent, tall, full row rank, no columns
+SOLVER_SHAPES = [(24, 40, 16), (40, 24, 20), (30, 40, 30), (12, 0, 0)]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F49, F7_6], ids=repr)
+@pytest.mark.parametrize("dim,ncols,span", SOLVER_SHAPES)
+def test_solver_replay_on_wide_families(field, dim, ncols, span):
+    rng = random.Random(106 + dim + ncols)
+    cols = column_family(field, dim, ncols, span, rng)
+    solver = linalg.Solver(field, cols, dim)
+    rows = [[col[i] for col in cols] for i in range(dim)]
+    assert solver.pivots == linalg.rref(field, rows)[1]
+    cols_rank = linalg.rank(field, cols)
+    assert len(solver.pivots) == cols_rank
+    samples = [combine(field, cols, [sparse_elt(field, rng) for _ in cols],
+                       dim)
+               for _ in range(2)]
+    samples += [[sparse_elt(field, rng) for _ in range(dim)]
+                for _ in range(2)]
+    samples.append([field.rzero] * dim)
+    outside = 0
+    for w in samples:
+        x = solver.express(w)
+        if linalg.rank(field, cols + [w]) > cols_rank:
+            outside += 1
+            assert x is None
+            continue
+        assert x is not None and len(x) == ncols
+        assert combine(field, cols, x, dim) == w
+        assert all(x[j] == field.rzero for j in range(ncols)
+                   if j not in solver.pivots)
+    assert (outside > 0) == (cols_rank < dim)

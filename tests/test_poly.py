@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix, Poly, symbols
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from veryfree.errors import ParseError
 from veryfree.fields import embed, make_field
@@ -163,6 +165,46 @@ def test_resultant_examples():
     assert not resultant_bin(uv, parse_binary_form("U^3", F7))
     assert resultant_bin(parse_binary_form("V^2", F7),
                          parse_binary_form("U^3", F7))
+
+
+def _sylvester_oracle(a, b, p):
+    """Resultant of formal degrees len(a)-1, len(b)-1 (leading coefficient
+    first) over F_p: Laplace expansion along the first Sylvester column
+    while a leading coefficient is zero, then the determinant of sympy's
+    Sylvester matrix.  Not `sympy.resultant`: sympy 1.14 negates the
+    resultant of f, g of odd degrees deg f < deg g, e.g. -167 for
+    f = 4x+5, g = x^3+x^2+3, where 4^3 * g(-5/4) = 167."""
+    if a[0] == 0 and b[0] == 0:
+        return 0                  # a common root at infinity
+    if a[0] == 0:
+        sign = -1 if (len(b) - 1) % 2 else 1
+        return sign * b[0] * _sylvester_oracle(a[1:], b, p) % p
+    if b[0] == 0:
+        return a[0] * _sylvester_oracle(a, b[1:], p) % p
+    if len(a) == 1 or len(b) == 1:
+        return a[0] ** (len(b) - 1) * b[0] ** (len(a) - 1) % p
+    x = symbols("x")
+    f, g = Poly(a, x).as_expr(), Poly(b, x).as_expr()
+    return int(Matrix(sylvester(f, g, x, 1)).det()) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_resultant_matches_sympy(p):
+    F = make_field(p)
+    rng = random.Random(300 + p)
+    done = 0
+    while done < 40:
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        a = [rng.randrange(p) for _ in range(m + 1)]
+        b = [rng.randrange(p) for _ in range(n + 1)]
+        if rng.random() < 0.3:
+            a[0] = 0              # a root at infinity
+        if not any(a) or not any(b):
+            continue
+        done += 1
+        q = BinaryForm(F, m, [F.from_raw(c) for c in a])
+        c = BinaryForm(F, n, [F.from_raw(c) for c in b])
+        assert resultant_bin(q, c).raw == _sylvester_oracle(a, b, p)
 
 
 def test_gcd_examples():
