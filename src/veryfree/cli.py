@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .errors import (ExtensionCapExceeded, FieldError, IntegrityError,
-                     ParseError, SaturationError, ScanBudgetExceeded)
+                     ParseError, ScanBudgetExceeded)
 from .fields import make_field, parse_field_spec, format_field_spec
 from .poly import parse_binary_form, parse_poly, scalar_from_string
 from .hypersurface import (Hyperplane, Hypersurface, ProjPoint,
@@ -44,6 +44,8 @@ def _parse_curve(text, field):
     parts = [p.strip() for p in text.split(";")]
     comps = [parse_binary_form(p, field) for p in parts]
     degs = {h.degree for h in comps if not h.is_zero()}
+    if not degs:
+        raise ParseError("every curve component is zero")
     if len(degs) != 1:
         raise ParseError(f"curve components have mixed degrees {sorted(degs)}")
     d = degs.pop()
@@ -548,7 +550,7 @@ def main(argv=None) -> int:
     except (ParseError, FieldError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (ScanBudgetExceeded, ExtensionCapExceeded, SaturationError) as e:
+    except (ScanBudgetExceeded, ExtensionCapExceeded) as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return BUDGET_FAIL
     except IntegrityError as e:

@@ -27,9 +27,5 @@ class MonadError(ValueError):
     """A monad failed validation or degree bookkeeping."""
 
 
-class SaturationError(RuntimeError):
-    """Saturation dimensions did not stabilize below the hard cap."""
-
-
 class IntegrityError(RuntimeError):
     """An internal cross-check failed; indicates a bug or bad input."""

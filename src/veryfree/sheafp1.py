@@ -3,10 +3,12 @@
 A monad O(a) --alpha--> (+) O(b_i) --beta--> O(c) with beta.alpha = 0,
 alpha a subbundle inclusion and beta a bundle surjection presents its
 middle cohomology E = ker(beta)/im(alpha), a vector bundle on P^1.
-Twisted global sections h^0(E(l)) are computed from the graded module
-T = ker/im by saturation: dim Hom(m^k, T)_l, m = (U, V), stabilized over
-k.  The splitting type of E is recovered from first differences of h^0
-over a window wide enough to see every summand.
+Twisted global sections come from 0 -> O(a) -> K -> E -> 0, K = ker(beta):
+h^0(E(l)) = dim ker(beta_l) - h^0(O(a+l)) + h^1(O(a+l)) - rank M_l, where
+M_l multiplies by the coordinates of alpha over a free basis of K (found
+once per monad, degree by degree) and is the Serre dual of
+H^1(O(a+l)) -> H^1(K(l)).  The splitting type of E is recovered from
+first differences of h^0 over a window wide enough to see every summand.
 
 Either end of the monad may be absent (alpha = None / beta = None); the
 middle cohomology is then a quotient or subsheaf of the direct sum.
@@ -14,10 +16,11 @@ middle cohomology is then a quotient or subsheaf of the direct sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from . import linalg
-from .errors import IntegrityError, MonadError, SaturationError
+from .errors import IntegrityError, MonadError
 from .poly import BinaryForm, gcd_bin, binary_roots
 
 
@@ -192,18 +195,39 @@ def _form_dim(d):
     return d + 1 if d >= 0 else 0
 
 
-class _Piece:
-    __slots__ = ("dim", "reps", "solver", "tcols")
+def _offsets(degs):
+    """Where each summand's coefficients start in (+) S_{degs[i]}, then
+    the total dimension."""
+    return list(accumulate(map(_form_dim, degs), initial=0))
 
-    def __init__(self, dim, reps, solver, tcols):
-        self.dim = dim
-        self.reps = reps       # T-basis representatives as W-vectors
-        self.solver = solver   # expresses W-vectors over [A-cols | Z-basis]
-        self.tcols = tcols     # solver columns holding the reps
+
+def _raw(f):
+    return [c.raw for c in f.coeffs]
+
+
+def _mult_matrix(field, entries, src, tgt):
+    """Matrix of (+)_j S_{src[j]} -> (+)_i S_{tgt[i]}, (h_j) -> (sum_j
+    entries[i][j] h_j)_i, each entry a form given by its raw coefficients.
+
+    Coordinates are coefficients, summand by summand; multiplying by the
+    s-th monomial of a source piece shifts coefficients by s.
+    """
+    z = field.rzero
+    cols, rows = _offsets(src), _offsets(tgt)
+    mat = [[z] * cols[-1] for _ in range(rows[-1])]
+    for i, forms in enumerate(entries):
+        for j, f in enumerate(forms):
+            for s in range(_form_dim(src[j])):
+                for k, c in enumerate(f):
+                    if c != z:
+                        mat[rows[i] + k + s][cols[j] + s] = c
+    return mat
 
 
 class _Cohomology:
-    """Graded pieces of T = ker(beta)/im(alpha) with U/V multiplication."""
+    """h^0 of the twists of E = ker(beta)/im(alpha), by the formula in
+    the module docstring; K = ker(beta) splits as (+) O(k_j), with free
+    generators g_j in degrees t_j = -k_j."""
 
     def __init__(self, monad):
         report = validate_monad(monad)
@@ -211,126 +235,77 @@ class _Cohomology:
             raise MonadError(f"invalid monad: {report}")
         self.m = monad
         self.field = monad.field
-        self._pieces = {}
-        self._mul = {}
+        self._beta = [] if monad.beta is None else [
+            [_raw(f) for f in monad.beta]]
+        self._f = None
 
-    def _w_layout(self, deg):
-        sizes = [_form_dim(bi + deg) for bi in self.m.b]
-        offsets = []
-        total = 0
-        for s in sizes:
-            offsets.append(total)
-            total += s
-        return sizes, offsets, total
-
-    def piece(self, deg) -> _Piece:
-        if deg in self._pieces:
-            return self._pieces[deg]
-        F = self.field
+    def _kernel_basis(self, t):
+        """Basis of ker(beta_t) in W_t = (+) S_{b_i+t}, and dim W_t."""
         m = self.m
-        sizes, offsets, wdim = self._w_layout(deg)
-        z = F.rzero
-        # kernel of beta (all of W when beta or its target piece is absent)
-        rows = []
-        if m.beta is not None and wdim > 0:
-            rows = [[z] * wdim for _ in range(_form_dim(m.c + deg))]
-            for i, (bi, be) in enumerate(zip(m.b, m.beta)):
-                if sizes[i] == 0 or be.is_zero():
-                    continue
-                for t, coeff in enumerate(be.coeffs):
-                    if not coeff:
-                        continue
-                    for j in range(sizes[i]):
-                        rows[t + j][offsets[i] + j] = F.radd(
-                            rows[t + j][offsets[i] + j], coeff.raw)
-        zbasis = linalg.kernel(F, rows, wdim)
-        # image of alpha
-        acols = []
-        if m.alpha is not None:
-            adim = _form_dim(m.a + deg)
-            for s in range(adim):
-                col = [z] * wdim
-                for i, (bi, al) in enumerate(zip(m.b, m.alpha)):
-                    if sizes[i] == 0 or al.is_zero():
-                        continue
-                    for t, coeff in enumerate(al.coeffs):
-                        if coeff:
-                            col[offsets[i] + t + s] = F.radd(
-                                col[offsets[i] + t + s], coeff.raw)
-                acols.append(col)
-        # T basis: the Z vectors among the solver's pivot columns, each
-        # independent modulo span(acols) and the Z vectors before it
-        # (the acols, independent since alpha is injective, all pivot)
-        n_amb = len(acols)
-        solver = linalg.Solver(F, acols + zbasis, wdim) if wdim else None
-        tcols = [p for p in solver.pivots if p >= n_amb] if solver else []
-        reps = [zbasis[p - n_amb] for p in tcols]
-        piece = _Piece(len(reps), reps, solver, tcols)
-        self._pieces[deg] = piece
-        return piece
+        src = [bi + t for bi in m.b]
+        tgt = [] if m.beta is None else [m.c + t]
+        rows = _mult_matrix(self.field, self._beta, src, tgt)
+        wdim = _offsets(src)[-1]
+        return linalg.kernel(self.field, rows, wdim), wdim
 
-    def reduce(self, deg, w):
-        """T-coordinates of a W_deg vector lying in ker(beta)."""
-        piece = self.piece(deg)
-        if piece.solver is None:
-            if any(x != self.field.rzero for x in w):
-                raise IntegrityError("nonzero vector in empty degree")
-            return []
-        coords = piece.solver.express(w)
-        if coords is None:
-            raise IntegrityError("vector not in ker(beta) + im(alpha)")
-        return [coords[p] for p in piece.tcols]
+    def quotient_dim(self, t):
+        m = self.m
+        dim = len(self._kernel_basis(t)[0])
+        return dim - (0 if m.alpha is None else _form_dim(m.a + t))
 
-    def mul_matrices(self, deg):
-        """(MU, MV): matrices of U,V: T_deg -> T_{deg+1}, columns = images."""
-        if deg in self._mul:
-            return self._mul[deg]
-        src = self.piece(deg)
-        dst = self.piece(deg + 1)
-        sizes, offsets, _ = self._w_layout(deg)
-        sizes1, offsets1, wdim1 = self._w_layout(deg + 1)
-        z = self.field.rzero
-        mu = [[z] * src.dim for _ in range(dst.dim)]
-        mv = [[z] * src.dim for _ in range(dst.dim)]
-        for t, rep in enumerate(src.reps):
-            wu = [z] * wdim1
-            wv = [z] * wdim1
-            for i in range(len(self.m.b)):
-                for j in range(sizes[i]):
-                    val = rep[offsets[i] + j]
-                    if val != z:
-                        wu[offsets1[i] + j] = val
-                        wv[offsets1[i] + j + 1] = val
-            for row, coords in ((mu, self.reduce(deg + 1, wu)),
-                                (mv, self.reduce(deg + 1, wv))):
-                for r, x in enumerate(coords):
-                    row[r][t] = x
-        self._mul[deg] = (mu, mv)
-        return self._mul[deg]
+    def alpha_coordinates(self):
+        """[(t_j, f_j)]: alpha = sum_j f_j g_j, g_j running over the free
+        generators of ker(beta) in degrees t_j <= -a, f_j raw of degree
+        -a - t_j.
 
-    def hom_power_dim(self, twist, k):
-        """dim Hom(m^k, T)_twist: tuples (t_0..t_k) in T_{twist+k}^{k+1}
-        with V.t_j = U.t_{j+1}."""
-        d0 = self.piece(twist + k).dim
-        if k == 0:
-            return d0
-        if d0 == 0:
-            return 0
-        d1 = self.piece(twist + k + 1).dim
-        if d1 == 0:
-            return (k + 1) * d0
-        mu, mv = self.mul_matrices(twist + k)
-        F = self.field
-        z = F.rzero
-        rows = []
-        for j in range(k):
-            for r in range(d1):
-                row = [z] * ((k + 1) * d0)
-                for t in range(d0):
-                    row[j * d0 + t] = mv[r][t]
-                    row[(j + 1) * d0 + t] = F.rneg(mu[r][t])
-                rows.append(row)
-        return (k + 1) * d0 - linalg.rank(F, rows)
+        The generators are found degree by degree: in degree t, the
+        kernel vectors that pivot after the monomial multiples of the
+        generators found so far.
+        """
+        if self._f is not None:
+            return self._f
+        F, m = self.field, self.m
+        gens = []   # (degree, raw coefficients of each summand)
+        for t in range(-max(m.b), -m.a + 1):
+            src = [bi + t for bi in m.b]
+            mult = _mult_matrix(F, [[g[i] for _, g in gens]
+                                    for i in range(len(src))],
+                                [t - d for d, _ in gens], src)
+            cols = [list(c) for c in zip(*mult)]
+            n = len(cols)
+            zbasis, wdim = self._kernel_basis(t)
+            solver = linalg.Solver(F, cols + zbasis, wdim)
+            if solver.pivots[:n] != list(range(n)):
+                raise IntegrityError(
+                    f"monomial multiples of the generators of ker(beta) "
+                    f"are dependent in degree {t}")
+            off = _offsets(src)
+            for p in solver.pivots[n:]:
+                v = zbasis[p - n]
+                gens.append((t, [v[i:j] for i, j in zip(off, off[1:])]))
+        avec = [r[0] for r in _mult_matrix(F, [[_raw(f)] for f in m.alpha],
+                                           [0], src)]
+        x = solver.express(avec)
+        if x is None:
+            raise IntegrityError(
+                "alpha is not in the span of the generators of ker(beta)")
+        coords = x[:n] + [x[p] for p in solver.pivots[n:]]
+        self._f, pos = [], 0
+        for d, _ in gens:
+            e = _form_dim(-m.a - d)
+            self._f.append((d, coords[pos:pos + e]))
+            pos += e
+        return self._f
+
+    def h0(self, t):
+        m = self.m
+        h = self.quotient_dim(t)
+        if m.alpha is None or t > -m.a - 2:
+            return h
+        f = self.alpha_coordinates()
+        mt = _mult_matrix(self.field, [[fj for _, fj in f]],
+                          [d - t - 2 for d, _ in f], [-m.a - t - 2])
+        return h + _form_dim(-m.a - t - 2) - linalg.rank(self.field, mt)
 
 
 _COHOMOLOGY_CACHE = {}
@@ -350,42 +325,24 @@ def _cohomology(m: MonadP1) -> _Cohomology:
 
 
 def quotient_graded_dim(m: MonadP1, twist: int) -> int:
-    """Dimension of the degree-`twist` piece of ker(beta)/im(alpha).
+    """Dimension of the degree-`twist` piece of ker(beta)/im(alpha):
+    dim ker(beta_twist) - h^0(O(a + twist)).
 
-    Agrees with h^0(E(twist)) in the saturated range twist >= -a - 1.
+    Agrees with h^0(E(twist)) for twist >= -a - 1, where H^1(O(a+twist))
+    vanishes.
     """
-    return _cohomology(m).piece(twist).dim
-
-
-def _saturation_cap(m: MonadP1) -> int:
-    cap = 8 + sum(abs(x) for x in m.b)
-    if m.a is not None:
-        cap += abs(m.a)
-    if m.c is not None:
-        cap += abs(m.c)
-    return cap
+    return _cohomology(m).quotient_dim(twist)
 
 
 def h0_twist(m: MonadP1, twist: int) -> int:
-    """True h^0(E(twist)) via saturation of the graded quotient module.
+    """h^0(E(twist)) = quotient_graded_dim + h^1(O(a+twist)) - rank M_twist.
 
-    Equal consecutive dimensions are only trusted once the smaller index
-    k has twist + k >= -a - 1: below that degree the graded quotient can
-    lag behind the section module and a spurious plateau occurs (the
-    cuspidal monad exhibits one at its (-3) twist).  The hard cap stays
-    as a bug guard.
+    M_twist is the multiplication matrix of the coordinates f_j of alpha
+    over a free basis of ker(beta), the Serre dual of the map
+    H^1(O(a+twist)) -> H^1(ker(beta)(twist)); it has no rows for
+    twist >= -a - 1.
     """
-    coh = _cohomology(m)
-    cap = _saturation_cap(m)
-    stable_from = (-m.a - 1 - twist) if m.alpha is not None else 0
-    prev = None
-    for k in range(cap + 1):
-        cur = coh.hom_power_dim(twist, k)
-        if prev is not None and cur == prev and k - 1 >= stable_from:
-            return cur
-        prev = cur
-    raise SaturationError(
-        f"saturation did not stabilize at twist {twist} within k <= {cap}")
+    return _cohomology(m).h0(twist)
 
 
 def splitting_type(m: MonadP1) -> SplittingType:

@@ -63,6 +63,9 @@ def test_usage_error_exit_code(capsys):
         code, _, err = run_err(capsys, "build", "--field", "7",
                                "--dim", dim, "--poly", "X0^3")
         assert code == 2 and "--dim" in err and "unknown" not in err
+    code, _, err = run_err(capsys, "splitting", "--field", "7",
+                           "--surface", FERMAT, "--curve", "0;0;0;0")
+    assert code == 2 and "every curve component is zero" in err
 
 
 def test_budget_exit_code(capsys):

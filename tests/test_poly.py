@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from sympy import Matrix, Poly, symbols
+from sympy import Matrix, Poly, gcd, groebner, symbols
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from veryfree.errors import ParseError
@@ -218,6 +219,39 @@ def test_gcd_examples():
     assert g3 == parse_binary_form("U^3+V^3", F7)
 
 
+
+def _binary_to_sympy(f, p):
+    u, v = symbols("u v")
+    d = f.degree
+    return Poly(sum(c.raw * u**(d - j) * v**j
+                    for j, c in enumerate(f.coeffs)), u, v, modulus=p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_gcd_bin_matches_sympy(p):
+    """gcd_bin against sympy's gcd over F_p: the same degree and the same
+    form up to a scalar, on products with a random common factor."""
+    F = make_field(p)
+    rng = random.Random(500 + p)
+
+    def form(deg):
+        return BinaryForm(F, deg, [F.from_raw(rng.randrange(p))
+                                   for _ in range(deg + 1)])
+
+    done = 0
+    while done < 30:
+        common = form(rng.randint(0, 3))
+        a = common * form(rng.randint(0, 3))
+        b = common * form(rng.randint(0, 3))
+        if a.is_zero() or b.is_zero():
+            continue
+        done += 1
+        g = gcd_bin(a, b)
+        want = gcd(_binary_to_sympy(a, p), _binary_to_sympy(b, p))
+        assert g.degree == want.total_degree()
+        got = _binary_to_sympy(g, p)
+        assert (got * want.LC() - want * got.LC()).is_zero
+
 def test_resultant_gcd_roots_three_way_agreement():
     rng = random.Random(9)
     f5 = F5
@@ -323,3 +357,48 @@ def test_groebner_auto_reduced_and_spolys_vanish():
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
                 assert reduce_poly(_spoly(gb[i], gb[j]), gb).is_zero()
+
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_is_unit_ideal_matches_sympy(p):
+    """is_unit_ideal against sympy's reduced Groebner basis over F_p on
+    random ideals of 2 or 3 affine polynomials of degree <= 2; half of
+    them vanish at a chosen F_p-point, so both answers occur."""
+    F = make_field(p)
+    rng = random.Random(600 + p)
+    answers = set()
+    for case in range(16):
+        nvars = 2 + case % 2
+        xs = symbols(f"x0:{nvars}")
+        point = [rng.randrange(p) for _ in range(nvars)]
+        gens, exprs = [], []
+        for _ in range(rng.randint(2, 3)):
+            terms = {e: rng.randrange(1, p)
+                     for e in itertools.product(range(3), repeat=nvars)
+                     if sum(e) <= 2 and rng.random() < 0.5}
+            if case % 2:
+                value = sum(c * _monomial_value(e, point)
+                            for e, c in terms.items())
+                zero = (0,) * nvars
+                terms[zero] = (terms.get(zero, 0) - value) % p
+            terms = {e: c for e, c in terms.items() if c}
+            if not terms:
+                continue
+            gens.append(MultiPoly(F, nvars, {e: F.from_raw(c)
+                                             for e, c in terms.items()}))
+            exprs.append(sum(c * _monomial_value(e, xs)
+                             for e, c in terms.items()))
+        if not gens:
+            continue
+        unit = groebner(exprs, *xs, modulus=p, order="grevlex").exprs == [1]
+        assert is_unit_ideal(gens) == unit
+        answers.add(unit)
+    assert answers == {True, False}
+
+
+def _monomial_value(e, values):
+    out = 1
+    for x, k in zip(values, e):
+        out *= x ** k
+    return out

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from veryfree import linalg
 from veryfree.errors import MonadError
+from veryfree.fields import make_field
 from veryfree.poly import (BinaryForm, compose_with_curve, parse_binary_form,
                            parse_poly, partial_derivative)
 from veryfree.sheafp1 import (MonadP1, SplittingType, h0_twist,
@@ -210,3 +213,100 @@ def test_splitting_invariant_under_graded_conjugation(make):
         assert sum(not f.is_zero() for f in m2.beta) > 1
         assert splitting_type(m2) == base
         assert [h0_twist(m2, t) for t in twists] == h0
+
+
+UV_QUADRICS = ("U^2", "V^2", "U*V")
+
+
+def quadric_alpha_monad(field):
+    """(U^2, V^2, UV): O -> O(2)^3, whose cokernel is O(3)^2; its graded
+    quotient lags h^0 at twists -3 and -2 (0 < 2 and 3 < 4)."""
+    alpha = tuple(parse_binary_form(s, field) for s in UV_QUADRICS)
+    return MonadP1(field, 0, (2, 2, 2), None, alpha, None)
+
+
+def with_killed_summand(m, c):
+    """m plus a summand O(c) that beta maps isomorphically onto O(c);
+    the middle cohomology is unchanged."""
+    F = m.field
+    alpha = m.alpha + (BinaryForm.zero(F, c - m.a),)
+    beta = tuple(BinaryForm.zero(F, c - bi) for bi in m.b) \
+        + (BinaryForm.one(F),)
+    return MonadP1(F, m.a, m.b + (c,), c, alpha, beta)
+
+
+def quadric_beta_monad(field):
+    """ker((U^2, V^2, UV): O^3 -> O(2)) = O(-1)^2."""
+    beta = tuple(parse_binary_form(s, field) for s in UV_QUADRICS)
+    return MonadP1(field, None, (0, 0, 0), 2, None, beta)
+
+
+def _lagging_cases():
+    rng = random.Random(5)
+    F49 = make_field(7, 2)
+    yield quadric_alpha_monad(F7), (3, 3), True
+    yield with_killed_summand(quadric_alpha_monad(QQ), 2), (3, 3), True
+    for F in (F7, F49):
+        for _ in range(2):
+            m = conjugate(with_killed_summand(quadric_alpha_monad(F), 2), rng)
+            assert validate_monad(m).ok
+            yield m, (3, 3), True
+    yield quadric_beta_monad(F7), (-1, -1), False
+    yield quadric_beta_monad(QQ), (-1, -1), False
+
+
+def test_h0_where_graded_quotient_lags():
+    for m, parts, lags in _lagging_cases():
+        s = SplittingType(parts)
+        assert splitting_type(m) == s
+        assert [h0_twist(m, t) for t in range(-10, 8)] \
+            == [s.h0(t) for t in range(-10, 8)]
+        for t in (-3, -2):
+            q = quotient_graded_dim(m, t)
+            assert (q < h0_twist(m, t)) if lags else q == h0_twist(m, t)
+
+
+def _serre_dual_h0(m, twist):
+    """h^0(E(t)) for E = coker(alpha): by Riemann-Roch and Serre duality,
+    deg E + rank (t + 1) + h^0(E^dual(-t-2)), with E^dual = ker(alpha^dual)
+    and alpha^dual: (+) S_{-b_i-t-2} -> S_{-a-t-2}, (h_i) -> sum alpha_i h_i.
+    """
+    F = m.field
+    tgt = -m.a - twist - 2
+    srcs = [-bi - twist - 2 for bi in m.b]
+    ncols = sum(max(0, d + 1) for d in srcs)
+    rows = [[F.rzero] * ncols for _ in range(max(0, tgt + 1))]
+    col = 0
+    for f, d in zip(m.alpha, srcs):
+        for s in range(d + 1):
+            for k, c in enumerate(f.coeffs):
+                rows[k + s][col] = c.raw
+            col += 1
+    h1 = len(linalg.kernel(F, rows, ncols))
+    return m.euler_degree + m.rank * (twist + 1) + h1
+
+
+@st.composite
+def alpha_only_monads(draw):
+    a = draw(st.integers(-2, 2))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+    alpha = tuple(
+        BinaryForm(F7, g, [F7.from_raw(x) for x in draw(
+            st.lists(st.integers(0, 6), min_size=g + 1, max_size=g + 1))])
+        for g in gaps)
+    m = MonadP1(F7, a, tuple(a + g for g in gaps), None, alpha, None)
+    assume(validate_monad(m).ok)
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(m=alpha_only_monads(), extra=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+def test_h0_matches_serre_duality_oracle(m, extra, seed):
+    m2 = conjugate(with_killed_summand(m, max(m.b) + extra),
+                   random.Random(seed))
+    assert validate_monad(m2).ok
+    for twist in range(-m.a - 10, -m.a + 3):
+        want = _serre_dual_h0(m, twist)
+        assert h0_twist(m, twist) == want
+        assert h0_twist(m2, twist) == want
