@@ -140,7 +140,6 @@ def cmd_construct(args):
              "eckardt_count": len(e.census.eckardt)})
         _emit(args, payload, [f"no nodal section: {e}"])
         return MATH_FAIL
-    ok, s = (True, None)
     result = res.to_json()
     _emit(args, _report_payload("construct", args.field, [], result),
           [f"nodal tangent section at {res.point}",

@@ -22,7 +22,7 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            LineP3, ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                            LINE_CONIC_TANGENT, THREE_LINES_CONCURRENT,
-                           _conic_singular_point, _nodal_frame,
+                           _conic_singular_point, _cross, _nodal_frame,
                            _quadric_distinct_roots, classify_plane_cubic,
                            divide_by_plane_line, divides_plane_line,
                            eckardt_points, hyperplane_section, is_smooth,
@@ -614,17 +614,9 @@ def nodal_section_curve(res: "NodalSectionResult",
             if pre[i][j]:
                 acc = acc + h_std[j] * pre[i][j]
         h_plane.append(acc)
-    rows = [[embed(c, kf) for c in row] for row in res.chart.rows]
-    comps = []
-    for i in range(4):
-        acc = BinaryForm.zero(kf, 3)
-        for j in range(3):
-            if rows[j][i]:
-                acc = acc + h_plane[j] * rows[j][i]
-        comps.append(acc)
     xf = res.surface.map_field(kf) if kf is not res.surface.field \
         else res.surface
-    return make_curve(xf, comps)
+    return make_curve(xf, res.chart.curve_to_ambient(h_plane))
 
 
 def _embed_mat(rows, target):
@@ -716,24 +708,22 @@ class SixPointResult:
 
 
 def _lines_meet(l1: Hyperplane, l2: Hyperplane) -> Optional[ProjPoint]:
-    F = l1.field
-    a, b = l1.coeffs, l2.coeffs
-    cross = [a[1] * b[2] - a[2] * b[1],
-             a[2] * b[0] - a[0] * b[2],
-             a[0] * b[1] - a[1] * b[0]]
+    cross = _cross(l1.coeffs, l2.coeffs)
     if all(not c for c in cross):
         return None
-    return ProjPoint(F, cross)
+    return ProjPoint(l1.field, cross)
+
+
+def _conic_row(p):
+    """Raw values at p of the conic monomials X^2, XY, Y^2, XZ, YZ, Z^2."""
+    x, y, z = p.coords
+    return [(x * x).raw, (x * y).raw, (y * y).raw,
+            (x * z).raw, (y * z).raw, (z * z).raw]
 
 
 def _five_point_conic(points):
     F = points[0].field
-    rows = []
-    for p in points:
-        x, y, z = p.coords
-        rows.append([(x * x).raw, (x * y).raw, (y * y).raw,
-                     (x * z).raw, (y * z).raw, (z * z).raw])
-    ker = linalg.kernel(F, rows, 6)
+    ker = linalg.kernel(F, [_conic_row(p) for p in points], 6)
     if len(ker) != 1:
         raise ValueError("five points do not determine a unique conic")
     c = ker[0]
@@ -762,12 +752,7 @@ def six_point_diagonal(points) -> SixPointResult:
         rows = [[c.raw for c in points[t].coords] for t in (i, j, k)]
         if linalg.det(F, rows) == F.rzero:
             raise ValueError(f"points {i}, {j}, {k} are collinear")
-    conic_rows = []
-    for p in points:
-        x, y, z = p.coords
-        conic_rows.append([(x * x).raw, (x * y).raw, (y * y).raw,
-                           (x * z).raw, (y * z).raw, (z * z).raw])
-    if linalg.det(F, conic_rows) == F.rzero:
+    if linalg.det(F, [_conic_row(p) for p in points]) == F.rzero:
         raise ValueError("the six points lie on a conic")
 
     lines = {}
@@ -888,7 +873,6 @@ def find_nodal_section(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
 
 
 def _walk_line_for_section(xm, dm, ext_cap):
-    km = xm.field
     for y in dm.points():
         plane = tangent_hyperplane(xm, y)
         section, chart = plane_section(xm, plane)
@@ -920,7 +904,6 @@ def _conic_points(conic):
 
 
 def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):
-    km = xm.field
     for pt in _conic_points(conic):
         if d_in.contains(pt):
             continue
@@ -1000,17 +983,8 @@ def build_very_free_curve(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
         if not is_smooth(sec_x):
             continue
         sub = build_very_free_curve(sec_x, ext_cap, line_field_cap)
-        kc = sub.surface.field
-        rows = [[embed(c, kc) for c in row] for row in chart.rows]
-        comps = []
-        for i in range(x.n + 1):
-            acc = BinaryForm.zero(kc, 3)
-            for j in range(x.n):
-                if rows[j][i]:
-                    acc = acc + sub.components[j] * rows[j][i]
-            comps.append(acc)
-        xc = x.map_field(kc)
-        curve = make_curve(xc, comps)
+        xc = x.map_field(sub.surface.field)
+        curve = make_curve(xc, chart.curve_to_ambient(sub.components))
         if not curve.very_free:
             raise IntegrityError(
                 f"lifted curve has splitting {curve.splitting}; the "

@@ -384,6 +384,20 @@ class SectionChart:
                 vals = [v + y * r for v, r in zip(vals, row)]
         return ProjPoint(F, vals)
 
+    def curve_to_ambient(self, comps):
+        """Ambient components sum_j comps[j] * rows[j] of a curve given by
+        its components in plane coordinates, over their field."""
+        K = comps[0].field
+        rows = [[embed(c, K) for c in row] for row in self.rows]
+        out = []
+        for i in range(len(rows[0])):
+            acc = BinaryForm.zero(K, comps[0].degree)
+            for h, row in zip(comps, rows):
+                if row[i]:
+                    acc = acc + h * row[i]
+            out.append(acc)
+        return out
+
     def to_plane(self, pt: ProjPoint):
         coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
         return ProjPoint(self.field, coords)
@@ -432,17 +446,20 @@ def plane_section(x: Hypersurface, plane: Hyperplane):
 # -- plane geometry helpers -------------------------------------------------
 
 
+def _cross(a, b):
+    """a x b for 3-vectors of Scalars: the line of P^2 through two points,
+    or the point where two lines meet; zero when they coincide."""
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
 def plane_line_through(p1: ProjPoint, p2: ProjPoint) -> Hyperplane:
     """Line of P^2 through two distinct points (cross product)."""
-    F = p1.field
-    a = p1.coords
-    b = p2.coords
-    coeffs = [a[1] * b[2] - a[2] * b[1],
-              a[2] * b[0] - a[0] * b[2],
-              a[0] * b[1] - a[1] * b[0]]
+    coeffs = _cross(p1.coords, p2.coords)
     if all(not c for c in coeffs):
         raise ValueError("points coincide; no unique line")
-    return Hyperplane(F, coeffs)
+    return Hyperplane(p1.field, coeffs)
 
 
 def plane_line_param(line: Hyperplane):
@@ -467,20 +484,12 @@ def divides_plane_line(f: MultiPoly, line: Hyperplane) -> bool:
 def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
     """Exact quotient f / L for a linear form L dividing f."""
     F = f.field
-    lam = [c.raw for c in line.coeffs]
-    n_mat = [lam]
-    for e in range(3):
-        unit = [F.rzero] * 3
-        unit[e] = F.rone
-        cand = n_mat + [unit]
-        if linalg.rank(F, [list(r) for r in cand]) == len(cand):
-            n_mat = cand
-        if len(n_mat) == 3:
-            break
-    n_inv = linalg.inverse(F, n_mat)
+    m = _completion_matrix(F, line.coeffs)
+    n_inv = linalg.inverse(F, [[c.raw for c in col] for col in zip(*m)])
     if n_inv is None:
         raise IntegrityError("could not complete line to a basis")
-    # in coordinates Y = N X the line is {Y_0 = 0}: g(Y) = f(N^{-1} Y)
+    # in coordinates Y = N X, N = m^T, the line is {Y_0 = 0}:
+    # g(Y) = f(N^{-1} Y)
     rows_fwd = [[Scalar(F, n_inv[i][j]) for i in range(3)] for j in range(3)]
     g = substitute_linear_map(f, rows_fwd, 3)
     quo = {}
@@ -488,9 +497,7 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
         if exps[0] == 0:
             raise ValueError("line does not divide the form")
         quo[(exps[0] - 1, exps[1], exps[2])] = c
-    gq = MultiPoly(F, 3, quo)
-    rows_back = [[Scalar(F, n_mat[i][j]) for i in range(3)] for j in range(3)]
-    return substitute_linear_map(gq, rows_back, 3)
+    return substitute_linear_map(MultiPoly(F, 3, quo), m, 3)
 
 
 # -- singular points of ternary cubics --------------------------------------

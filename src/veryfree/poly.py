@@ -935,7 +935,6 @@ def groebner_basis(gens, order: str = "degrevlex"):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    field, nvars = gens[0].field, gens[0].nvars
     basis = []
     for g in gens:
         _, c = _lead(g)

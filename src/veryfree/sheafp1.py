@@ -3,12 +3,15 @@
 A monad O(a) --alpha--> (+) O(b_i) --beta--> O(c) with beta.alpha = 0,
 alpha a subbundle inclusion and beta a bundle surjection presents its
 middle cohomology E = ker(beta)/im(alpha), a vector bundle on P^1.
-Twisted global sections come from 0 -> O(a) -> K -> E -> 0, K = ker(beta):
-h^0(E(l)) = dim ker(beta_l) - h^0(O(a+l)) + h^1(O(a+l)) - rank M_l, where
-M_l multiplies by the coordinates of alpha over a free basis of K (found
-once per monad, degree by degree) and is the Serre dual of
-H^1(O(a+l)) -> H^1(K(l)).  The splitting type of E is recovered from
-first differences of h^0 over a window wide enough to see every summand.
+Everything here comes from two passes of one routine that finds the free
+generators of a kernel degree by degree (Grothendieck's splitting):
+K = ker(beta) = (+) O(-t_j), and, dualising 0 -> O(a) -> K -> E -> 0,
+E^dual = ker((f_j): (+) O(t_j) -> O(-a)), f_j the coordinates of alpha
+over K's generators; E's summand degrees are the second pass's generator
+degrees.  Twisted global sections, the independent cross-check:
+h^0(E(l)) = sum_j h^0(O(l - t_j)) - h^0(O(a+l)) + h^1(O(a+l)) - rank M_l,
+where M_l multiplies by the f_j and is the Serre dual of
+H^1(O(a+l)) -> H^1(K(l)).
 
 Either end of the monad may be absent (alpha = None / beta = None); the
 middle cohomology is then a quotient or subsheaf of the direct sum.
@@ -224,10 +227,61 @@ def _mult_matrix(field, entries, src, tgt):
     return mat
 
 
+def _multiples(field, gens, src, t):
+    """Columns of the monomial multiples in degree t of the generators
+    gens = [(t_j, g_j)], as vectors of (+) S_{src_i + t}."""
+    mult = _mult_matrix(field, [[g[i] for _, g in gens]
+                                for i in range(len(src))],
+                        [t - d for d, _ in gens], [s + t for s in src])
+    return [list(c) for c in zip(*mult)]
+
+
+def _free_generators(field, row, src, tgt):
+    """Free generators of ker(row: (+) O(src_i) -> O(tgt)), or of all of
+    (+) O(src_i) when row is None: [(t_j, g_j)], g_j the raw coefficients,
+    summand by summand, of a section in degree t_j, so that the kernel is
+    (+) O(-t_j) (Grothendieck).
+
+    Found degree by degree from t = -max(src): the new generators in
+    degree t are the kernel vectors that pivot after the monomial
+    multiples of those found so far.  The search stops at the kernel's
+    rank; the generators are then a basis exactly when -sum(t_j) is the
+    kernel's degree, which is asserted.
+    """
+    rows = [] if row is None else [row]
+    rank = len(src) - len(rows)
+    degree = sum(src) - (0 if row is None else tgt)
+    top = max(src)
+    gens = []
+    # every t_j >= -top and the t_j sum to -degree, which bounds the last
+    for t in range(-top, (rank - 1) * top - degree + 1):
+        if len(gens) == rank:
+            break
+        wsrc = [s + t for s in src]
+        off = _offsets(wsrc)
+        tgts = [] if row is None else [tgt + t]
+        zbasis = linalg.kernel(field, _mult_matrix(field, rows, wsrc, tgts),
+                               off[-1])
+        cols = _multiples(field, gens, src, t)
+        n = len(cols)
+        pivots = linalg.rref(field, list(zip(*cols, *zbasis)))[1]
+        if pivots[:n] != list(range(n)):
+            raise IntegrityError(f"monomial multiples of the generators "
+                                 f"are dependent in degree {t}")
+        for p in pivots[n:]:
+            v = zbasis[p - n]
+            gens.append((t, [v[i:j] for i, j in zip(off, off[1:])]))
+    if len(gens) != rank or -sum(d for d, _ in gens) != degree:
+        raise IntegrityError(
+            f"generators in degrees {[d for d, _ in gens]} do not span a "
+            f"kernel of rank {rank} and degree {degree}")
+    return gens
+
+
 class _Cohomology:
-    """h^0 of the twists of E = ker(beta)/im(alpha), by the formula in
-    the module docstring; K = ker(beta) splits as (+) O(k_j), with free
-    generators g_j in degrees t_j = -k_j."""
+    """Free generators of K = ker(beta) = (+) O(-t_j), the coordinates of
+    alpha over them, and from these h^0 of the twists of E and its
+    splitting, by the formulas in the module docstring."""
 
     def __init__(self, monad):
         report = validate_monad(monad)
@@ -235,67 +289,42 @@ class _Cohomology:
             raise MonadError(f"invalid monad: {report}")
         self.m = monad
         self.field = monad.field
-        self._beta = [] if monad.beta is None else [
-            [_raw(f) for f in monad.beta]]
+        row = None if monad.beta is None else [_raw(f) for f in monad.beta]
+        self.k = _free_generators(self.field, row, monad.b, monad.c)
         self._f = None
-
-    def _kernel_basis(self, t):
-        """Basis of ker(beta_t) in W_t = (+) S_{b_i+t}, and dim W_t."""
-        m = self.m
-        src = [bi + t for bi in m.b]
-        tgt = [] if m.beta is None else [m.c + t]
-        rows = _mult_matrix(self.field, self._beta, src, tgt)
-        wdim = _offsets(src)[-1]
-        return linalg.kernel(self.field, rows, wdim), wdim
 
     def quotient_dim(self, t):
         m = self.m
-        dim = len(self._kernel_basis(t)[0])
+        dim = sum(_form_dim(t - d) for d, _ in self.k)
         return dim - (0 if m.alpha is None else _form_dim(m.a + t))
 
     def alpha_coordinates(self):
-        """[(t_j, f_j)]: alpha = sum_j f_j g_j, g_j running over the free
-        generators of ker(beta) in degrees t_j <= -a, f_j raw of degree
-        -a - t_j.
-
-        The generators are found degree by degree: in degree t, the
-        kernel vectors that pivot after the monomial multiples of the
-        generators found so far.
-        """
-        if self._f is not None:
-            return self._f
-        F, m = self.field, self.m
-        gens = []   # (degree, raw coefficients of each summand)
-        for t in range(-max(m.b), -m.a + 1):
-            src = [bi + t for bi in m.b]
-            mult = _mult_matrix(F, [[g[i] for _, g in gens]
-                                    for i in range(len(src))],
-                                [t - d for d, _ in gens], src)
-            cols = [list(c) for c in zip(*mult)]
-            n = len(cols)
-            zbasis, wdim = self._kernel_basis(t)
-            solver = linalg.Solver(F, cols + zbasis, wdim)
-            if solver.pivots[:n] != list(range(n)):
+        """[(t_j, f_j)]: alpha = sum_j f_j g_j over the generators g_j of
+        K, f_j raw of degree -a - t_j (empty when t_j > -a)."""
+        if self._f is None:
+            F, m = self.field, self.m
+            src = [bi - m.a for bi in m.b]
+            avec = [r[0] for r in _mult_matrix(
+                F, [[_raw(f)] for f in m.alpha], [0], src)]
+            x = linalg.Solver(F, _multiples(F, self.k, m.b, -m.a),
+                              _offsets(src)[-1]).express(avec)
+            if x is None:
                 raise IntegrityError(
-                    f"monomial multiples of the generators of ker(beta) "
-                    f"are dependent in degree {t}")
-            off = _offsets(src)
-            for p in solver.pivots[n:]:
-                v = zbasis[p - n]
-                gens.append((t, [v[i:j] for i, j in zip(off, off[1:])]))
-        avec = [r[0] for r in _mult_matrix(F, [[_raw(f)] for f in m.alpha],
-                                           [0], src)]
-        x = solver.express(avec)
-        if x is None:
-            raise IntegrityError(
-                "alpha is not in the span of the generators of ker(beta)")
-        coords = x[:n] + [x[p] for p in solver.pivots[n:]]
-        self._f, pos = [], 0
-        for d, _ in gens:
-            e = _form_dim(-m.a - d)
-            self._f.append((d, coords[pos:pos + e]))
-            pos += e
+                    "alpha is not in the span of the generators of ker(beta)")
+            off = _offsets([-m.a - d for d, _ in self.k])
+            self._f = [(d, x[i:j])
+                       for (d, _), i, j in zip(self.k, off, off[1:])]
         return self._f
+
+    def parts(self):
+        """Summand degrees of E: K's with no alpha, else the generator
+        degrees of E^dual = ker((f_j): (+) O(t_j) -> O(-a))."""
+        m = self.m
+        if m.alpha is None:
+            return [-d for d, _ in self.k]
+        f = self.alpha_coordinates()
+        return [d for d, _ in _free_generators(
+            self.field, [fj for _, fj in f], [d for d, _ in f], -m.a)]
 
     def h0(self, t):
         m = self.m
@@ -326,7 +355,8 @@ def _cohomology(m: MonadP1) -> _Cohomology:
 
 def quotient_graded_dim(m: MonadP1, twist: int) -> int:
     """Dimension of the degree-`twist` piece of ker(beta)/im(alpha):
-    dim ker(beta_twist) - h^0(O(a + twist)).
+    dim ker(beta_twist) - h^0(O(a + twist)), the first read off the
+    generator degrees of ker(beta).
 
     Agrees with h^0(E(twist)) for twist >= -a - 1, where H^1(O(a+twist))
     vanishes.
@@ -346,49 +376,30 @@ def h0_twist(m: MonadP1, twist: int) -> int:
 
 
 def splitting_type(m: MonadP1) -> SplittingType:
-    """The unique multiset {d_i} with h^0(E(l)) = sum max(0, d_i + l + 1).
+    """The unique multiset {d_i} with E = (+) O(d_i).
 
-    Recovered from first differences of h^0 over a window covering all
-    possible summand degrees; window end values, reconstruction of every
-    h^0, and Riemann-Roch at five extra twists are all asserted.
+    Read off two free-generator passes: K = ker(beta) = (+) O(-t_j), and
+    E^dual = ker((f_j): (+) O(t_j) -> O(-a)), f_j the coordinates of
+    alpha over K's generators; with no alpha, E = K.  Rank and degree,
+    h^0 against h0_twist at every twist from -max(d_i) - 2 to
+    -min(d_i) + 1, and Riemann-Roch at the five twists after are all
+    asserted.
     """
     rank = m.rank
     if rank <= 0:
         raise MonadError("monad has middle cohomology of rank <= 0")
     deg_e = m.euler_degree
-    # Any summand degree lies in [-spread, deg_e + (rank-1)*spread]; for
-    # monads with both maps spread = max(b) suffices, and widening to
-    # cover direct sums with negative entries keeps the end assertions.
-    spread = max(max(m.b), -min(m.b), 1)
-    lo = -(deg_e + (rank - 1) * spread) - 1
-    hi = spread + 1
-    if lo > hi - 1:
-        lo = hi - 1
-    h = {}
-    for twist in range(lo - 1, hi + 1):
-        h[twist] = h0_twist(m, twist)
-    delta = {twist: h[twist] - h[twist - 1] for twist in range(lo, hi + 1)}
-    if delta[lo] != 0:
-        raise IntegrityError(
-            f"window assertion failed: delta({lo}) = {delta[lo]} != 0")
-    if delta[hi] != rank:
-        raise IntegrityError(
-            f"window assertion failed: delta({hi}) = {delta[hi]} != {rank}")
-    parts = []
-    for d in range(-hi, -lo):
-        mult = delta[-d] - delta[-d - 1]
-        if mult < 0:
-            raise IntegrityError(f"negative multiplicity at degree {d}")
-        parts.extend([d] * mult)
-    s = SplittingType(tuple(parts))
+    s = SplittingType(tuple(_cohomology(m).parts()))
     if s.rank != rank or s.degree != deg_e:
         raise IntegrityError(
             f"splitting {s} does not match rank {rank}, degree {deg_e}")
-    for twist in range(lo - 1, hi + 1):
-        if h[twist] != s.h0(twist):
+    hi = -s.parts[-1] + 1
+    for twist in range(-s.parts[0] - 2, hi + 1):
+        h0 = h0_twist(m, twist)
+        if h0 != s.h0(twist):
             raise IntegrityError(
                 f"h^0 reconstruction failed at twist {twist}: "
-                f"{h[twist]} != {s.h0(twist)}")
+                f"{h0} != {s.h0(twist)}")
     for twist in range(hi + 1, hi + 6):
         h0 = h0_twist(m, twist)
         if h0 - s.h1(twist) != deg_e + rank * (twist + 1):

@@ -215,6 +215,46 @@ def test_splitting_invariant_under_graded_conjugation(make):
         assert [h0_twist(m2, t) for t in twists] == h0
 
 
+def test_beta_only_monad_of_negative_degree():
+    # ker((U^5, V^5): O^2 -> O(5)) = O(-5), below every summand of b
+    beta = tuple(parse_binary_form(s, F7) for s in ("U^5", "V^5"))
+    m = MonadP1(F7, None, (0, 0), 5, None, beta)
+    assert validate_monad(m).ok
+    assert splitting_type(m) == SplittingType((-5,))
+
+
+@st.composite
+def block_monads(draw):
+    """b = (0, 0, a+m, a+m, free...), c = k, beta = (U^k, V^k, 0, ...) and
+    alpha = (0, 0, U^m, V^m, 0, ...): ker(beta) on the first block is
+    O(-k) and coker(alpha) on the second is O(a+2m), so
+    E = O(-k) + O(a+2m) + (+) O(free)."""
+    a = draw(st.integers(-2, 2))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    free = tuple(draw(st.lists(st.integers(-3, 4), max_size=2)))
+    b = (0, 0, a + m, a + m) + free
+    z = BinaryForm.zero
+    alpha = (z(F7, -a), z(F7, -a), parse_binary_form(f"U^{m}", F7),
+             parse_binary_form(f"V^{m}", F7)) \
+        + tuple(z(F7, d - a) for d in free)
+    beta = (parse_binary_form(f"U^{k}", F7), parse_binary_form(f"V^{k}", F7),
+            z(F7, k - a - m), z(F7, k - a - m)) \
+        + tuple(z(F7, k - d) for d in free)
+    return MonadP1(F7, a, b, k, alpha, beta), (-k, a + 2 * m) + free
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(mk=block_monads(), seed=st.integers(0, 2**16))
+def test_splitting_matches_block_monad_oracle(mk, seed):
+    m, degs = mk
+    want = SplittingType(degs)
+    m2 = conjugate(m, random.Random(seed))
+    assert validate_monad(m).ok and validate_monad(m2).ok
+    assert splitting_type(m) == want
+    assert splitting_type(m2) == want
+
+
 UV_QUADRICS = ("U^2", "V^2", "U*V")
 
 
