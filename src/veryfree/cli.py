@@ -405,21 +405,13 @@ def cmd_verify_paper(args):
               "checks_total": len(checks),
               "checks_failed": sum(1 for c in checks if not c["pass"])}
     payload = _report_payload("verify-paper", "0,7,5,3,2", checks, result)
-    if getattr(args, "json", False):
-        _emit(args, payload, [])
-    else:
-        width = max(len(c["name"]) for c in checks)
-        for c in checks:
-            mark = "PASS" if c["pass"] else "FAIL"
-            print(f"[{mark}] {c['name']:<{width}}  {c['details']}")
-        for f in findings:
-            print(f"[NOTE] {f}")
-        print(f"{result['checks_total'] - result['checks_failed']}/"
-              f"{result['checks_total']} checks passed")
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    width = max(len(c["name"]) for c in checks)
+    text_lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] "
+                  f"{c['name']:<{width}}  {c['details']}" for c in checks]
+    text_lines += [f"[NOTE] {f}" for f in findings]
+    text_lines.append(f"{result['checks_total'] - result['checks_failed']}/"
+                      f"{result['checks_total']} checks passed")
+    _emit(args, payload, text_lines)
     return 0 if passed else MATH_FAIL
 
 

@@ -667,12 +667,6 @@ class UPoly:
         F = self.field
         return UPoly(F, [F.rmul(c, raw) for c in self.coeffs])
 
-    def shift(self, n):
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return UPoly(self.field, [self.field.rzero] * n + list(self.coeffs))
-
     def monic(self):
         if self.is_zero():
             return self
@@ -785,7 +779,7 @@ def find_roots(f: UPoly, max_ext: int,
     return found
 
 
-def cube_root(x: Scalar, allow_extension: bool = True):
+def cube_root(x: Scalar):
     """Deterministic cube root, extending to degree 3 when x is a
     non-cube (q = 1 mod 3); exponentiation only, no field scans."""
     F = x.field
@@ -798,8 +792,6 @@ def cube_root(x: Scalar, allow_extension: bool = True):
         return x ** ((2 * q - 1) // 3)
     if x ** ((q - 1) // 3) == F.one:
         return _amm_cube_root(x)
-    if not allow_extension:
-        return None
     target = make_field(F.p, F.k * 3)
     return _amm_cube_root(embed(x, target))
 

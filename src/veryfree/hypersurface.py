@@ -2,10 +2,12 @@
 hyperplanes, plane sections, plane-cubic classification over the closure,
 and lines / Eckardt points on cubic surfaces.
 
-Smoothness is decided by chart-wise unit-ideal tests (Groebner); point
-scans are bounded cross-checks only.  Line enumeration walks the RREF
-cells of the Grassmannian of lines in P^3 over growing extension fields,
-so each line is seen exactly once per field.
+Smoothness is decided by one unit-ideal test (Groebner) on each stratum
+X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n; these strata partition P^n, so
+each point is examined in exactly one affine chart.  Point scans are
+bounded cross-checks only.  Line enumeration walks the RREF cells of the
+Grassmannian of lines in P^3 over growing extension fields, so each line
+is seen exactly once per field.
 """
 from __future__ import annotations
 
@@ -265,36 +267,36 @@ def _dehomogenize(f: MultiPoly, i: int) -> MultiPoly:
     return MultiPoly(F, f.nvars - 1, terms)
 
 
-def is_smooth(x: Hypersurface, scan_first: bool = True) -> bool:
-    """Empty singular locus over the closure, chart by chart.
+def _on_stratum(g: MultiPoly, i: int) -> MultiPoly:
+    """A form g on the stratum X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n,
+    as a polynomial in X_{i+1}, ..., X_n.  g is homogeneous, so no two of
+    its kept terms merge."""
+    return MultiPoly(g.field, g.nvars - i - 1,
+                     {e[i + 1:]: c for e, c in g.terms.items()
+                      if not any(e[:i])})
 
-    Each chart X_i = 1 contributes the ideal (f, df/dX_0, ..., df/dX_n)
-    dehomogenized; by the Nullstellensatz the chart is singularity-free
-    iff that ideal is the unit ideal.  With scan_first a cheap rational
-    point scan may short-circuit the answer (it cannot change it).
+
+def is_smooth(x: Hypersurface) -> bool:
+    """Empty singular locus over the closure, stratum by stratum.
+
+    The strata X_0 = ... = X_{i-1} = 0, X_i = 1 (i = 0..n) partition P^n
+    in the order `proj_points` walks it, so each point lies in exactly
+    one of them.  Stratum i contributes the ideal (f, df/dX_0, ...,
+    df/dX_n) restricted to it, in the n - i coordinates X_{i+1}..X_n; by
+    the Nullstellensatz the stratum is singularity-free iff that ideal is
+    the unit ideal.
     """
-    if x._smooth is not None:
-        return x._smooth
-    result = True
-    # a rational singular point already witnesses a non-unit chart ideal
-    if scan_first and not x.field.is_rational and \
-            proj_point_count(x.field.size, x.n) <= 3000:
-        raws = [g.raw_terms() for g in [x.f] + x.partials]
-        for pt in proj_points(x.field, x.n):
-            if all(_raw_eval(x.field, rt, pt) == x.field.rzero
-                   for rt in raws):
-                result = False
-                break
-    if result:
+    if x._smooth is None:
         gens_proj = [x.f] + x.partials
+        smooth = True
         for i in range(x.n + 1):
-            gens = [_dehomogenize(g, i) for g in gens_proj]
+            gens = [_on_stratum(g, i) for g in gens_proj]
             gens = [g for g in gens if not g.is_zero()]
             if not gens or not is_unit_ideal(gens):
-                result = False
+                smooth = False
                 break
-    x._smooth = result
-    return result
+        x._smooth = smooth
+    return x._smooth
 
 
 def proj_points(field, n):
@@ -864,13 +866,14 @@ def _classify_nonreduced(cub):
 # -- lines on a cubic surface -------------------------------------------------
 
 
-def _cell_patterns(n=4):
-    """RREF cells of the Grassmannian of lines: (pivots, free positions)."""
+def _cell_patterns():
+    """RREF cells of the Grassmannian of lines in P^3: (pivots, free
+    positions)."""
     cells = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            free0 = [t for t in range(n) if t not in (i, j) and t > i]
-            free1 = [t for t in range(n) if t not in (i, j) and t > j]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            free0 = [t for t in range(4) if t not in (i, j) and t > i]
+            free1 = [t for t in range(4) if t not in (i, j) and t > j]
             cells.append((i, j, free0, free1))
     return cells
 
@@ -893,8 +896,7 @@ def _row_candidates(field, pivot, other_pivot, free, f_terms, grads):
 
 
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
-                           field_cap: int = DEFAULT_LINE_FIELD_CAP,
-                           check_smooth: bool = True):
+                           field_cap: int = DEFAULT_LINE_FIELD_CAP):
     """All 27 lines on a smooth cubic surface over F_q.
 
     Scans the RREF cells of lines of P^3 over F_{q^k} for k = 1, 2, ...
@@ -905,7 +907,7 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     base = x.field
     if base.is_rational:
         raise ValueError("line enumeration needs a finite base field")
-    if check_smooth and not is_smooth(x):
+    if not is_smooth(x):
         raise ValueError("surface is singular; the 27-line count needs "
                          "smoothness")
     last_count = 0

@@ -680,7 +680,7 @@ def _monic_bin(f):
     return f
 
 
-def binary_roots(f: BinaryForm, max_ext: int, budget: int = 10**6):
+def binary_roots(f: BinaryForm, max_ext: int):
     """Projective roots of a nonzero binary form over extensions.
 
     Returns [(u, v, ext_degree, multiplicity)] with (u, v) normalized
@@ -696,7 +696,7 @@ def binary_roots(f: BinaryForm, max_ext: int, budget: int = 10**6):
         out.append((F.one, F.zero, 1, vc))
     deh = f.dehomogenize()
     if deh.degree > 0:
-        for r in find_roots(deh, max_ext, budget):
+        for r in find_roots(deh, max_ext):
             out.append((r.value, r.value.field.one, r.ext_degree,
                         r.multiplicity))
     return out
@@ -927,11 +927,10 @@ def _spoly(f, g):
             - _mono_times(g, _exp_sub(l, ge), gc.inverse()))
 
 
-def groebner_basis(gens, order: str = "degrevlex"):
-    """Reduced Groebner basis; S-pairs processed by (lcm degree, lcm)."""
+def groebner_basis(gens):
+    """Reduced degrevlex Groebner basis; S-pairs processed by (lcm degree,
+    lcm)."""
     import heapq
-    if order != "degrevlex":
-        raise ValueError("only degrevlex is supported")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []

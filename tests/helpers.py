@@ -31,6 +31,25 @@ def random_cubic_form(field, nvars, seed):
     return random_form(field, nvars, 3, random.Random(seed))
 
 
+def sympy_chart_smooth(f, p):
+    """Oracle for smoothness of the cubic form f over F_p, independent of
+    veryfree's Groebner code: sympy's partials and sympy's groebner over
+    GF(p) on each of the overlapping affine charts X_i = 1; smooth iff
+    every chart ideal (f, df/dX_0, ..., df/dX_n) is the unit ideal."""
+    from sympy import Poly, groebner, symbols
+    xs = symbols(f"x0:{f.nvars}")
+    g = Poly.from_dict({e: c.raw for e, c in f.terms.items()}, *xs,
+                       modulus=p)
+    gens = [g] + [g.diff(x) for x in xs]
+    for x in xs:
+        chart = [h.eval(x, 1) for h in gens]
+        chart = [h for h in chart if not h.is_zero]
+        if not chart or groebner(chart, modulus=p,
+                                 order="grevlex").exprs != [1]:
+            return False
+    return True
+
+
 def random_invertible(field, n, rng):
     from veryfree import linalg
     while True:

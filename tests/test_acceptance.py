@@ -332,14 +332,14 @@ def test_criterion_13_property_suites():
             assert splitting_type(m).parts == tuple(sorted((d1, d2),
                                                            reverse=True))
 
-        # chart-ideal smoothness vs point scans
+        # stratum-ideal smoothness vs point scans
         singular_seen = 0
         for _ in range(30):
             f = random_form(F5, 4, 3, rng)
             if f.is_zero():
                 continue
             witnesses = singular_points_scan(Hypersurface(f), 1)
-            gb = is_smooth(Hypersurface(f), scan_first=False)
+            gb = is_smooth(Hypersurface(f))
             if witnesses:
                 singular_seen += 1
                 assert not gb

@@ -189,3 +189,13 @@ def test_eckardt_cli_with_extension(capsys):
     assert code == 0
     assert payload["result"]["counts"]["eckardt"] == 45
     assert payload["result"]["counts"]["two_line"] == 0
+
+
+def test_verify_paper_text_out_matches_json_out(tmp_path, capsys):
+    text_path, json_path = tmp_path / "text.json", tmp_path / "json.json"
+    code, out = run(capsys, "verify-paper", "--out", str(text_path))
+    assert code == 0
+    assert out.splitlines()[-1] == "119/119 checks passed"
+    code, _ = run(capsys, "verify-paper", "--json", "--out", str(json_path))
+    assert code == 0
+    assert text_path.read_bytes() == json_path.read_bytes()

@@ -249,6 +249,18 @@ def test_build_char2_fermat_fallback():
     assert curve.components == tuple(fermat_char2_curve(F2))
 
 
+def test_build_threefold_skips_singular_section():
+    # smooth, but its first section in proj_points order, X0 = 0, is the
+    # cone X1^3+X2^3+X3^3 with a rational vertex; the next, X0 + X4 = 0,
+    # is Fermat
+    x = Hypersurface(parse_poly("X1^3+X2^3+X3^3+2*X0^2*X4+X0*X4^2", 5, F7))
+    curve = build_very_free_curve(x)
+    assert curve.very_free and curve.splitting.parts == (3, 2, 1)
+    comps = curve.components
+    assert not comps[0].is_zero() and (comps[0] + comps[4]).is_zero()
+    assert compose_with_curve(curve.surface.f, list(comps)).is_zero()
+
+
 def test_build_rejects_singular():
     cone = Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F7))
     with pytest.raises(ValueError):

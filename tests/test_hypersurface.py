@@ -17,7 +17,7 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
 from veryfree.poly import parse_poly
 
 from helpers import (F2, F3, F5, F7, QQ, random_cubic_form, random_form,
-                     random_invertible, F5_SURFACE_SEEDS)
+                     random_invertible, sympy_chart_smooth, F5_SURFACE_SEEDS)
 
 
 def fermat(field, nvars=4):
@@ -35,9 +35,14 @@ def clebsch(field):
 def test_is_smooth_examples():
     assert is_smooth(fermat(F7))
     assert not is_smooth(fermat(F3))
-    cone = Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F7))
-    assert not is_smooth(cone)
     assert is_smooth(fermat(QQ))
+    # the cone over the Fermat plane cubic with vertex e_i is singular
+    # only there, in stratum i alone, so a skipped stratum shows
+    for i in range(4):
+        cone = Hypersurface(parse_poly(
+            "+".join(f"X{j}^3" for j in range(4) if j != i), 4, F7))
+        assert not is_smooth(cone)
+        assert not is_smooth(cone)  # answered from the cache
 
 
 def test_scan_finds_cone_vertex():
@@ -55,7 +60,8 @@ def test_scan_empty_on_smooth_fermat():
 
 def test_smooth_gb_vs_scan_agreement():
     # criterion: on random cubics over F_5 a scan witness forces the
-    # chart-ideal test to answer False
+    # stratum-ideal test to answer False; without one, the verdict is
+    # the sympy chart oracle's
     rng = random.Random(30)
     seen_singular = 0
     for trial in range(30):
@@ -64,14 +70,42 @@ def test_smooth_gb_vs_scan_agreement():
             continue
         x = Hypersurface(f)
         witnesses = singular_points_scan(x, 1)
-        gb_answer = is_smooth(Hypersurface(f), scan_first=False)
+        gb_answer = is_smooth(Hypersurface(f))
         if witnesses:
             seen_singular += 1
             assert not gb_answer
         else:
-            x2 = Hypersurface(f)
-            assert is_smooth(x2) == gb_answer
+            assert gb_answer == sympy_chart_smooth(f, 5)
     assert seen_singular >= 1
+
+
+def test_singular_only_at_conjugate_pair():
+    # singular only at (1:0:+-g:0) over F_9: a rational scan sees nothing
+    x = Hypersurface(parse_poly(
+        "2*X0^2*X1+2*X0*X1^2+X1^3+2*X1*X2^2+X0^2*X3+2*X0*X1*X3+X1^2*X3"
+        "+2*X1*X2*X3+X2^2*X3+X2*X3^2+X3^3", 4, F3))
+    assert singular_points_scan(x, 1) == []
+    pts = singular_points_scan(x, 2)
+    assert len(pts) == 2
+    for p, ext in pts:
+        assert ext == 2
+        c = p.coords
+        assert c[0] == p.field.one and not c[1] and not c[3]
+        assert c[2] * c[2] == p.field.scalar(-1)  # c[2] = +-g, g^2 = -1
+    assert not is_smooth(x)
+    assert not is_smooth(x)  # answered from the cache
+
+
+def test_is_smooth_matches_sympy_chart_oracle():
+    verdicts = set()
+    for F in (F2, F3, F5, F7):
+        rng = random.Random(700 + F.p)
+        for _ in range(8):
+            f = random_form(F, 4, 3, rng)
+            want = sympy_chart_smooth(f, F.p)
+            assert is_smooth(Hypersurface(f)) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- tangent hyperplanes --------------------------------------------------------
