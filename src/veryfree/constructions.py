@@ -19,7 +19,7 @@ from .errors import ExtensionCapExceeded, IntegrityError
 from .fields import FieldSpec, Scalar, cube_root, embed, join_field, \
     make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
-                           LineP3, ProjPoint, SectionChart,
+                           ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                            LINE_CONIC_TANGENT, THREE_LINES_CONCURRENT,
                            _conic_singular_point, _cross, _nodal_frame,
@@ -636,11 +636,6 @@ def _mat_mul_scalar(field, a, b):
 
 
 # -- conic and line curves ----------------------------------------------------
-
-
-def line_curve(line: LineP3):
-    """Degree-1 curve components of a line of P^3."""
-    return line.param_forms()
 
 
 def parametrize_conic(conic: MultiPoly):

@@ -4,13 +4,17 @@ and lines / Eckardt points on cubic surfaces.
 
 Smoothness is decided by one unit-ideal test (Groebner) on each stratum
 X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n; these strata partition P^n, so
-each point is examined in exactly one affine chart.  Point scans are
-bounded cross-checks only.  Line enumeration walks the RREF cells of the
-Grassmannian of lines in P^3 over growing extension fields, so each line
-is seen exactly once per field.
+each point is examined in exactly one affine chart.  The singular points
+of a plane cubic come from the same strata of P^2 and the same Groebner
+engine: an eliminant in the first free coordinate, then one univariate
+gcd over each of its roots.  Point scans are bounded cross-checks only.
+Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
+over growing extension fields, so each line is seen exactly once per
+field.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -21,9 +25,9 @@ from .errors import (ExtensionCapExceeded, IntegrityError,
 from .fields import FieldSpec, Scalar, UPoly, embed, find_roots, join_field, \
     DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
-                   gcd_bin, is_unit_ideal, linear_substitute,
-                   partial_derivative, resultant_bin, substitute_linear_map,
-                   sylvester_rows)
+                   eliminant, gcd_bin, groebner_basis, is_unit_ideal,
+                   linear_substitute, partial_derivative, resultant_bin,
+                   substitute_linear_map)
 
 DEFAULT_EXT_CAP = 6
 DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
@@ -257,16 +261,6 @@ class CubicSectionClass:
 # -- smoothness -----------------------------------------------------------
 
 
-def _dehomogenize(f: MultiPoly, i: int) -> MultiPoly:
-    terms = {}
-    F = f.field
-    for e, c in f.terms.items():
-        e2 = tuple(e[:i] + e[i + 1:])
-        prev = terms.get(e2)
-        terms[e2] = c if prev is None else prev + c
-    return MultiPoly(F, f.nvars - 1, terms)
-
-
 def _on_stratum(g: MultiPoly, i: int) -> MultiPoly:
     """A form g on the stratum X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n,
     as a polynomial in X_{i+1}, ..., X_n.  g is homogeneous, so no two of
@@ -311,8 +305,14 @@ def proj_point_count(q, n):
     return (q**(n + 1) - 1) // (q - 1)
 
 
-def singular_points_scan(x: Hypersurface, ext_cap: int = 2,
-                         budget: int = DEFAULT_SCAN_BUDGET):
+def _check_scan_budget(q, n):
+    npoints = proj_point_count(q, n)
+    if npoints > DEFAULT_SCAN_BUDGET:
+        raise ScanBudgetExceeded(
+            f"scan budget exceeded: |P^{n}(F_{q})| = {npoints}")
+
+
+def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
     """All singular points of residue degree <= ext_cap, by exhaustive scan.
 
     A bounded cross-check for `is_smooth`, not a smoothness proof.
@@ -323,10 +323,7 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2,
     found = []
     for j in range(1, ext_cap + 1):
         K = make_field_ext(base, j)
-        npoints = proj_point_count(K.size, x.n)
-        if npoints > budget:
-            raise ScanBudgetExceeded(
-                f"scan budget exceeded: |P^{x.n}(F_{K.size})| = {npoints}")
+        _check_scan_budget(K.size, x.n)
         fx = x.map_field(K) if K is not base else x
         raws = [f.raw_terms() for f in [fx.f] + fx.partials]
         prior = [p.map_field(K) for p, _ in found]
@@ -505,138 +502,82 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
 # -- singular points of ternary cubics --------------------------------------
 
 
-def _y_coeff_upolys(f2: MultiPoly):
-    """Coefficients of powers of the second variable, as UPolys in the
-    first; f2 lives in two variables."""
-    F = f2.field
-    maxy = max((e[1] for e in f2.terms), default=-1)
-    buckets = [dict() for _ in range(maxy + 1)]
-    for (ex, ey), c in f2.terms.items():
-        buckets[ey][ex] = c.raw
-    out = []
-    for bucket in buckets:
-        if bucket:
-            top = max(bucket)
-            out.append(UPoly(F, [bucket.get(i, F.rzero)
-                                 for i in range(top + 1)]))
-        else:
-            out.append(UPoly.zero(F))
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+def _as_upoly(g: MultiPoly) -> UPoly:
+    F = g.field
+    coeffs = [F.rzero] * (g.total_degree + 1)
+    for (k,), c in g.terms.items():
+        coeffs[k] = c.raw
+    return UPoly(F, coeffs)
 
 
-def _upoly_det(field, mat):
-    n = len(mat)
-    if n == 0:
-        return UPoly(field, [field.rone])
-    if n == 1:
-        return mat[0][0]
-
-    def minor(rows, cols):
-        if len(cols) == 1:
-            return mat[rows[0]][cols[0]]
-        acc = UPoly.zero(field)
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            entry = mat[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        return acc
-
-    return minor(tuple(range(n)), tuple(range(n)))
+def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
+    """g with its first variable set to xi, over xi's field."""
+    K = xi.field
+    terms = {}
+    for e, c in g.terms.items():
+        v = embed(c, K) * xi**e[0]
+        terms[e[1:]] = terms[e[1:]] + v if e[1:] in terms else v
+    return MultiPoly(K, g.nvars - 1, terms)
 
 
-def _resultant_y(field, a_coeffs, b_coeffs):
-    """Resultant in the second variable of two bivariate polys given by
-    their UPoly-in-x coefficient lists (low y-power first)."""
-    rows = sylvester_rows(a_coeffs[::-1], b_coeffs[::-1], UPoly.zero(field))
-    return _upoly_det(field, rows)
+def _affine_zeros(gens, nvars: int, ext_cap: int):
+    """Common zeros of polynomials in nvars variables with residue degree
+    <= ext_cap, each a coordinate tuple over its residue field; None when
+    there are infinitely many over the closure.
+
+    Two or more variables: the eliminant of the Groebner basis in the
+    first variable, then its fibre over each root.  One variable: the
+    gcd, which generates the ideal.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if nvars == 0:
+        return [] if gens else [()]
+    if not gens:
+        return None
+    if nvars == 1:
+        common = functools.reduce(UPoly.gcd, [_as_upoly(g) for g in gens])
+        return [(r.value,) for r in find_roots(common, ext_cap)]
+    basis = groebner_basis(gens)
+    elim = eliminant(basis)
+    if elim is None:
+        return None
+    zeros = []
+    for r in find_roots(elim, ext_cap):
+        fibre = [_at_first(g, r.value) for g in basis]
+        for rest in _affine_zeros(fibre, nvars - 1, ext_cap // r.ext_degree):
+            K = rest[0].field if rest else r.value.field
+            zeros.append((embed(r.value, K),) + rest)
+    return zeros
 
 
 def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
-    """("finite", [(ProjPoint, level)]) or ("infinite", None) for the
-    system {cub, d cub/d X_i}."""
+    """Singular points [(ProjPoint, level)] of residue degree <= ext_cap,
+    each over its residue field F_{q^level}; None when the singular locus
+    is infinite (a repeated component).
+
+    Walks the strata X_0 = 1, then X_0 = 0, X_1 = 1, then (0:0:1), which
+    partition P^2 as in `is_smooth`.
+    """
     base = cub.field
     forms = [cub] + [cub.partial(i) for i in range(3)]
-    forms = [g for g in forms if not g.is_zero()]
+    # Euler's relation 3C = sum X_j dC/dX_j puts C in the ideal of its
+    # partials on every stratum unless p = 3
+    gens = forms if base.p == 3 else forms[1:]
     points = []
-    # points on the line X2 = 0
-    restrictions = []
-    for g in forms:
-        terms = {e[:2]: c for e, c in g.terms.items() if e[2] == 0}
-        if terms:
-            d = g.total_degree
-            coeffs = [base.zero] * (d + 1)
-            for (e0, e1), c in terms.items():
-                coeffs[e1] = c
-            restrictions.append(BinaryForm(base, d, coeffs))
-    if not restrictions:
-        return "infinite", None
-    g_inf = None
-    for r in restrictions:
-        g_inf = r if g_inf is None else gcd_bin(g_inf, r)
-    if g_inf.degree > 0:
-        for (u, v, ext, _mult) in binary_roots(g_inf, ext_cap):
-            K = u.field
-            pt = ProjPoint(K, [u, v, K.zero])
-            gK = [f.map_field(K, lambda s: embed(s, K)) for f in forms]
-            if all(not q.evaluate(pt.coords) for q in gK):
-                points.append((pt, K.k // base.k))
-    # affine chart X2 = 1
-    affine = [g for g in (_dehomogenize(f, 2) for f in forms)
-              if not g.is_zero()]
-    if len(affine) < 2 and all(
-            max((e[1] for e in g.terms), default=0) > 0 for g in affine):
-        return "infinite", None
-    ycoeffs = [_y_coeff_upolys(g) for g in affine]
-    constraints = []
-    for g, yc in zip(affine, ycoeffs):
-        if len(yc) == 1:
-            constraints.append(yc[0])
-    positive = [yc for yc in ycoeffs if len(yc) > 1]
-    for i in range(len(positive)):
-        for j in range(i + 1, len(positive)):
-            res = _resultant_y(base, positive[i], positive[j])
-            if not res.is_zero():
-                constraints.append(res)
-    if not constraints:
-        return "infinite", None
-    elim = None
-    for cst in constraints:
-        elim = cst if elim is None else elim.gcd(cst)
-    if elim.is_zero():
-        return "infinite", None
-    if elim.degree > 0:
-        for root in find_roots(elim, ext_cap):
-            xi, j1 = root.value, root.ext_degree
-            K1 = xi.field
-            ysys = []
-            for yc in ycoeffs:
-                coeffs = [u.map_field(K1).eval_raw(xi.raw) for u in yc]
-                upoly = UPoly(K1, coeffs)
-                if not upoly.is_zero():
-                    ysys.append(upoly)
-            if not ysys:
-                return "infinite", None
-            gy = None
-            for u in ysys:
-                gy = u if gy is None else gy.gcd(u)
-            if gy.degree <= 0:
-                continue
-            sub_cap = max(1, ext_cap // j1)
-            for yroot in find_roots(gy, sub_cap):
-                eta = yroot.value
-                K2 = eta.field
-                xi2 = embed(xi, K2)
-                pt = ProjPoint(K2, [xi2, eta, K2.one])
-                gK = [f.map_field(K2, lambda s: embed(s, K2)) for f in forms]
-                if all(not q.evaluate(pt.coords) for q in gK):
-                    points.append((pt, K2.k // base.k))
-    return "finite", points
+    for i in range(3):
+        zeros = _affine_zeros([_on_stratum(g, i) for g in gens], 2 - i,
+                              ext_cap)
+        if zeros is None:
+            return None
+        for z in zeros:
+            K = z[0].field if z else base
+            pt = ProjPoint(K, [K.zero] * i + [K.one] + list(z))
+            emb = lambda s: embed(s, K)
+            if any(g.map_field(K, emb).evaluate(pt.coords) for g in forms):
+                raise IntegrityError(f"{pt} solves the stratum system but "
+                                     f"is not a singular point")
+            points.append((pt, K.k // base.k))
+    return points
 
 
 # -- conic helpers -----------------------------------------------------------
@@ -729,8 +670,8 @@ def classify_plane_cubic(cub: MultiPoly,
         raise ValueError("expected a ternary cubic form")
     if cub.field.is_rational:
         raise ValueError("classification works over finite fields")
-    status, pts = _ternary_singular_points(cub, ext_cap)
-    if status == "infinite":
+    pts = _ternary_singular_points(cub, ext_cap)
+    if pts is None:
         return _classify_nonreduced(cub)
     if not pts:
         return CubicSectionClass(SMOOTH_CUBIC, None, 1)
@@ -1013,8 +954,13 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
 
 
 def surface_points(x: Hypersurface):
-    """Rational points of the hypersurface over its own base field."""
+    """Rational points of the hypersurface over its own base field.
+
+    Raises ScanBudgetExceeded, before scanning, when P^n(F) has more than
+    DEFAULT_SCAN_BUDGET points.
+    """
     F = x.field
+    _check_scan_budget(F.size, x.n)
     raws = x.f.raw_terms()
     for pt in proj_points(F, x.n):
         if _raw_eval(F, raws, pt) == F.rzero:

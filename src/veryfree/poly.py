@@ -1,12 +1,14 @@
 """Exact polynomial algebra: multivariate forms, binary forms in (U, V),
 homogeneous Laurent expressions, parsing, resultants, gcd, and Groebner
-bases for unit-ideal tests.
+bases for unit-ideal tests and eliminants.
 
 Multivariate polynomials are sparse maps from exponent vectors to
 nonzero scalars.  Binary forms of degree d store the coefficient of
 U^(d-j) V^j at index j.
 """
 from __future__ import annotations
+
+import itertools
 
 from . import linalg
 from .errors import ParseError
@@ -645,17 +647,12 @@ def resultant_bin(q: BinaryForm, c: BinaryForm) -> Scalar:
         const = (q.coeffs[0] if m == 0 else c.coeffs[0])
         other = n if m == 0 else m
         return const**other
-    rows = sylvester_rows([x.raw for x in q.coeffs],
-                          [x.raw for x in c.coeffs], F.rzero)
+    z = F.rzero
+    arow = [x.raw for x in q.coeffs]
+    brow = [x.raw for x in c.coeffs]
+    rows = ([[z] * i + arow + [z] * (n - 1 - i) for i in range(n)]
+            + [[z] * i + brow + [z] * (m - 1 - i) for i in range(m)])
     return Scalar(F, linalg.det(F, rows))
-
-
-def sylvester_rows(arow, brow, zero):
-    """Rows of the Sylvester matrix of two coefficient lists (leading
-    coefficient first); entries are raw scalars or UPolys alike."""
-    m, n = len(arow) - 1, len(brow) - 1
-    return ([[zero] * i + arow + [zero] * (n - 1 - i) for i in range(n)]
-            + [[zero] * i + brow + [zero] * (m - 1 - i) for i in range(m)])
 
 
 def gcd_bin(a: BinaryForm, b: BinaryForm) -> BinaryForm:
@@ -980,6 +977,35 @@ def groebner_basis(gens):
             reduced.append(r * _lead(r)[1].inverse())
     reduced.sort(key=lambda g: _drl_key(_lead(g)[0]))
     return reduced
+
+
+def eliminant(basis):
+    """Monic generator of I ∩ k[x_0], as a UPoly in the first variable,
+    for the ideal I of a nonempty reduced Groebner basis; None when V(I)
+    is infinite over the closure.
+
+    Finiteness theorem: V(I) is finite iff every variable has a pure
+    power among the leading monomials.  Then k[x]/I has the standard
+    monomials as a basis, D of them, and the eliminant is the first
+    linear dependency among the normal forms of 1, x_0, ..., x_0^D (Cox,
+    Little and O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 5 §3).
+    """
+    F, nvars = basis[0].field, basis[0].nvars
+    leads = [_lead(g)[0] for g in basis]
+    box = []
+    for i in range(nvars):
+        pure = [e[i] for e in leads if not any(e[:i] + e[i + 1:])]
+        if not pure:
+            return None
+        box.append(min(pure))
+    dim = sum(1 for e in itertools.product(*map(range, box))
+              if not any(_divides(lead, e) for lead in leads))
+    normal_forms = [reduce_poly(MultiPoly.variable(F, nvars, 0, k), basis)
+                    for k in range(dim + 1)]
+    monos = sorted({e for g in normal_forms for e in g.terms})
+    rows = [[g.terms[e].raw if e in g.terms else F.rzero
+             for g in normal_forms] for e in monos]
+    return UPoly(F, linalg.kernel(F, rows, dim + 1)[0])
 
 
 def is_unit_ideal(gens) -> bool:

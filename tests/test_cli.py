@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 from veryfree.cli import main
 
@@ -73,6 +74,12 @@ def test_budget_exit_code(capsys):
                  "X0^3+X1^3+X2^3+X3^3+X0*X1*X2",
                  "--line-field-cap", "4"])
     assert code == 3
+    # |P^3(F_128)| is over the point-scan budget: refused before scanning
+    for ext in ("7", "40"):
+        start = time.perf_counter()
+        code, _, err = run_err(capsys, "fermat2", "--ext", ext)
+        assert code == 3 and "scan budget exceeded" in err
+        assert time.perf_counter() - start < 5
 
 
 def test_lines_json(capsys):

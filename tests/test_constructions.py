@@ -14,7 +14,7 @@ from veryfree.constructions import (AllEckardtError,
                                     cuspidal_parametrization,
                                     curve_in_surface_coordinates,
                                     fermat_char2_curve, fermat_char2_report,
-                                    find_nodal_section, line_curve,
+                                    find_nodal_section,
                                     make_curve, nodal_normal_form,
                                     nodal_section_curve, nodal_surface_form,
                                     normal_form_surface,
@@ -282,7 +282,7 @@ def test_degree_splitting_consistency():
     shapes on a surface: line (1), conic (2), nodal plane section (3)."""
     x = FERMAT7
     lines, work, _ = lines_on_cubic_surface(x)
-    line_c = make_curve(x, line_curve(lines[0]))
+    line_c = make_curve(x, lines[0].param_forms())
     assert line_c.anticanonical_degree == 1
     assert line_c.splitting.parts == (2, -1) and not line_c.very_free
 

@@ -13,10 +13,11 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    eckardt_points, is_smooth,
                                    lines_on_cubic_surface, plane_section,
                                    singular_points_scan, surface_points,
-                                   tangent_hyperplane)
-from veryfree.poly import parse_poly
+                                   tangent_hyperplane,
+                                   _ternary_singular_points)
+from veryfree.poly import MultiPoly, parse_poly
 
-from helpers import (F2, F3, F5, F7, QQ, random_cubic_form, random_form,
+from helpers import (F2, F3, F4, F5, F7, QQ, random_cubic_form, random_form,
                      random_invertible, sympy_chart_smooth, F5_SURFACE_SEEDS)
 
 
@@ -249,6 +250,50 @@ def test_classify_invariance_under_plane_coordinates():
                     assert not cub_k.evaluate(image.coords)
                     for i in range(3):
                         assert not cub_k.partial(i).evaluate(image.coords)
+
+
+def _plane_cubic_oracle_cases():
+    """Seeded random ternary cubics over F2, F3, F4, F5 and F7 (dense,
+    singular at a random rational point, and products of random linear
+    and quadratic forms), plus L^2*M, L^3 and two characteristic-3
+    cubics where C is not in the ideal of its partials."""
+    from veryfree.poly import linear_substitute
+    rng = random.Random(31)
+    for field in (F2, F3, F4, F5, F7):
+        for _ in range(3):
+            yield random_form(field, 3, 3, rng)
+        for _ in range(3):
+            # singular at (1:0:0), then moved to a random rational point
+            cub = random_form(field, 3, 3, rng)
+            cub = MultiPoly(field, 3, {e: c for e, c in cub.terms.items()
+                                       if e[0] < 2})
+            yield linear_substitute(cub, random_invertible(field, 3, rng))
+        yield random_form(field, 3, 1, rng) * random_form(field, 3, 2, rng)
+        yield (random_form(field, 3, 1, rng) * random_form(field, 3, 1, rng)
+               * random_form(field, 3, 1, rng))
+    for text, field in (("X0*X1*X2", F5), ("X1*X2*(X1+X2)", F7),
+                        ("X0^2*X1", F7), ("(X0+X1)^2*(X0-X2)", F5),
+                        ("X0^3", F3), ("(X0+2*X1+X2)^3", F7),
+                        ("X0^3+X1*X2*(X1+X2)", F3), ("X0^3+X1^2*X2", F3)):
+        yield parse_poly(text, 3, field)
+
+
+def test_ternary_singular_points_match_scan_oracle():
+    """Singular points of plane cubics against the exhaustive scan over
+    F_q and F_{q^2}: the points of level <= 2 agree, and the locus is
+    reported infinite exactly when the scan finds more than 3 points."""
+    statuses, counts = set(), set()
+    for cub in _plane_cubic_oracle_cases():
+        if cub.is_zero() or cub.total_degree != 3:
+            continue
+        pts = _ternary_singular_points(cub, 6)
+        scan = singular_points_scan(Hypersurface(cub), 2)
+        assert (pts is None) == (len(scan) > 3), str(cub)
+        statuses.add(pts is None)
+        if pts is not None:
+            assert {(p, lvl) for p, lvl in pts if lvl <= 2} == set(scan)
+            counts.add(len(pts))
+    assert statuses == {True, False} and counts == {0, 1, 2, 3}
 
 
 # -- lines and Eckardt points ---------------------------------------------------

@@ -9,10 +9,10 @@ from sympy.polys.subresultants_qq_zz import sylvester
 from veryfree.errors import ParseError
 from veryfree.fields import embed, make_field
 from veryfree.poly import (BinaryForm, LaurentForm, MultiPoly,
-                           compose_with_curve, gcd_bin, groebner_basis,
-                           is_unit_ideal, linear_substitute, parse_binary_form,
-                           parse_poly, partial_derivative, poly_to_string,
-                           resultant_bin, reduce_poly, _lead)
+                           compose_with_curve, eliminant, gcd_bin,
+                           groebner_basis, is_unit_ideal, linear_substitute,
+                           parse_binary_form, parse_poly, partial_derivative,
+                           poly_to_string, resultant_bin, reduce_poly, _lead)
 
 from helpers import F2, F3, F4, F5, F7, QQ, random_form, random_invertible
 
@@ -325,8 +325,8 @@ def test_groebner_fermat_chart_vs_scan():
     # constant; oracle: brute-force scan of F_7 and F_49 chart points
     f = parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F7)
     gens = [f] + [partial_derivative(f, i) for i in range(4)]
-    from veryfree.hypersurface import _dehomogenize
-    chart = [_dehomogenize(g, 0) for g in gens]
+    from veryfree.hypersurface import _on_stratum
+    chart = [_on_stratum(g, 0) for g in gens]
     for k in (1, 2):
         K = make_field(7, k)
         emb = lambda s, K=K: embed(s, K)
@@ -402,3 +402,67 @@ def _monomial_value(e, values):
     for x, k in zip(values, e):
         out *= x ** k
     return out
+
+
+def _random_ideal(F, nvars, ngens, rng):
+    """ngens random polynomials of degree <= 2 over the prime field F, as
+    MultiPolys and as sympy expressions in x0, x1, ..."""
+    xs = symbols(f"x0:{nvars}")
+    gens, exprs = [], []
+    while len(gens) < ngens:
+        terms = {e: rng.randrange(1, F.p)
+                 for e in itertools.product(range(3), repeat=nvars)
+                 if sum(e) <= 2 and rng.random() < 0.5}
+        if terms:
+            gens.append(MultiPoly(F, nvars, {e: F.from_raw(c)
+                                             for e, c in terms.items()}))
+            exprs.append(sum(c * _monomial_value(e, xs)
+                             for e, c in terms.items()))
+    return gens, exprs, xs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_groebner_basis_matches_sympy(p):
+    """groebner_basis is sympy's reduced grevlex basis over F_p, basis
+    element for basis element, on random ideals in 2 or 3 variables."""
+    F = make_field(p)
+    rng = random.Random(700 + p)
+    sizes = set()
+    for case in range(12):
+        gens, exprs, xs = _random_ideal(F, 2 + case % 2, 1 + case % 3, rng)
+        ours = {frozenset((e, c.raw) for e, c in g.terms.items())
+                for g in groebner_basis(gens)}
+        ref = groebner(exprs, *xs, modulus=p, order="grevlex")
+        theirs = {frozenset((e, c % p)
+                            for e, c in Poly(g, *xs, modulus=p).terms())
+                  for g in ref.exprs}
+        assert ours == theirs
+        sizes.add(len(ours))
+    assert len(sizes) > 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eliminant_matches_sympy_lex(p):
+    """eliminant against the element in x0 alone of sympy's reduced lex
+    basis with x0 least; None exactly when sympy finds the ideal
+    positive-dimensional."""
+    F = make_field(p)
+    rng = random.Random(800 + p)
+    kinds = set()
+    for case in range(12):
+        nvars = 2 + case % 2
+        gens, exprs, xs = _random_ideal(F, nvars, nvars - 1 + case % 3, rng)
+        elim = eliminant(groebner_basis(gens))
+        ref = groebner(exprs, *reversed(xs), modulus=p, order="lex")
+        if ref.exprs == [1]:
+            assert elim.coeffs == (F.rone,)
+            kinds.add("unit")
+        elif not ref.is_zero_dimensional:
+            assert elim is None
+            kinds.add("infinite")
+        else:
+            uni, = [g for g in ref.exprs if g.free_symbols <= {xs[0]}]
+            coeffs = Poly(uni, xs[0], modulus=p).monic().all_coeffs()
+            assert elim.coeffs == tuple(c % p for c in reversed(coeffs))
+            kinds.add("finite")
+    assert kinds >= {"infinite", "finite"}
