@@ -6,15 +6,15 @@ Smoothness is decided by one unit-ideal test (Groebner) on each stratum
 X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n; these strata partition P^n, so
 each point is examined in exactly one affine chart.  The singular points
 of a plane cubic come from the same strata of P^2 and the same Groebner
-engine: an eliminant in the first free coordinate, then one univariate
-gcd over each of its roots.  Point scans are bounded cross-checks only.
+engine: an eliminant in the first free coordinate, then the same step
+on the fibre over each of its roots.  Point scans are bounded
+cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +22,7 @@ from typing import Optional
 from . import linalg
 from .errors import (ExtensionCapExceeded, IntegrityError,
                      ScanBudgetExceeded)
-from .fields import FieldSpec, Scalar, UPoly, embed, find_roots, join_field, \
+from .fields import FieldSpec, Scalar, embed, find_roots, join_field, \
     DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
@@ -502,14 +502,6 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
 # -- singular points of ternary cubics --------------------------------------
 
 
-def _as_upoly(g: MultiPoly) -> UPoly:
-    F = g.field
-    coeffs = [F.rzero] * (g.total_degree + 1)
-    for (k,), c in g.terms.items():
-        coeffs[k] = c.raw
-    return UPoly(F, coeffs)
-
-
 def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
     """g with its first variable set to xi, over xi's field."""
     K = xi.field
@@ -525,18 +517,14 @@ def _affine_zeros(gens, nvars: int, ext_cap: int):
     <= ext_cap, each a coordinate tuple over its residue field; None when
     there are infinitely many over the closure.
 
-    Two or more variables: the eliminant of the Groebner basis in the
-    first variable, then its fibre over each root.  One variable: the
-    gcd, which generates the ideal.
+    The eliminant of the Groebner basis in the first variable, then the
+    fibre over each of its roots, one variable fewer.
     """
     gens = [g for g in gens if not g.is_zero()]
     if nvars == 0:
         return [] if gens else [()]
     if not gens:
         return None
-    if nvars == 1:
-        common = functools.reduce(UPoly.gcd, [_as_upoly(g) for g in gens])
-        return [(r.value,) for r in find_roots(common, ext_cap)]
     basis = groebner_basis(gens)
     elim = eliminant(basis)
     if elim is None:
@@ -560,12 +548,9 @@ def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
     """
     base = cub.field
     forms = [cub] + [cub.partial(i) for i in range(3)]
-    # Euler's relation 3C = sum X_j dC/dX_j puts C in the ideal of its
-    # partials on every stratum unless p = 3
-    gens = forms if base.p == 3 else forms[1:]
     points = []
     for i in range(3):
-        zeros = _affine_zeros([_on_stratum(g, i) for g in gens], 2 - i,
+        zeros = _affine_zeros([_on_stratum(g, i) for g in forms], 2 - i,
                               ext_cap)
         if zeros is None:
             return None

@@ -28,8 +28,9 @@ def _references(tree):
     return refs
 
 
-def test_private_functions_are_referenced():
-    modules = _modules()
+def _dead_private_functions(modules):
+    """`module:line name` of each module-level _private function that no
+    code outside its own body refers to."""
     refs = sum((_references(tree) for tree in modules.values()),
                collections.Counter())
     dead = []
@@ -40,12 +41,13 @@ def test_private_functions_are_referenced():
                     and not node.name.startswith("__")
                     and refs[node.name] <= _references(node)[node.name]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
-    assert dead == []
+    return dead
 
 
-def test_imported_names_are_used():
+def _unused_imports(modules):
+    """`module:line name` of each imported name its module never reads."""
     unused = []
-    for name, tree in _modules().items():
+    for name, tree in modules.items():
         if name == "__init__.py":
             continue
         used = _references(tree)
@@ -56,14 +58,29 @@ def test_imported_names_are_used():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
                         unused.append(f"{name}:{node.lineno} {bound}")
-    assert unused == []
+    return unused
+
+
+def test_private_functions_are_referenced():
+    assert _dead_private_functions(_modules()) == []
+
+
+def test_imported_names_are_used():
+    assert _unused_imports(_modules()) == []
 
 
 def test_checks_catch_planted_dead_code():
-    tree = ast.parse("import os\n"
-                     "from x import y\n"
-                     "def _orphan():\n"
-                     "    return _orphan()\n")
-    refs = _references(tree)
-    assert refs["_orphan"] == _references(tree.body[2])["_orphan"] == 1
-    assert refs["os"] == refs["y"] == 0
+    planted = {
+        "a.py": ast.parse("from __future__ import annotations\n"
+                          "import os\n"
+                          "from x import y, z\n"
+                          "def _orphan():\n"
+                          "    return _orphan()\n"
+                          "def _used():\n"
+                          "    return z\n"),
+        "b.py": ast.parse("from a import _used\n"
+                          "_used()\n"),
+        "__init__.py": ast.parse("from a import y\n"),
+    }
+    assert _dead_private_functions(planted) == ["a.py:4 _orphan"]
+    assert _unused_imports(planted) == ["a.py:2 os", "a.py:3 y"]
