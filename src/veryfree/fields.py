@@ -729,13 +729,12 @@ class Root:
     multiplicity: int
 
 
-def find_roots(f: UPoly, max_ext: int,
-               budget: int = DEFAULT_SCAN_BUDGET) -> list[Root]:
+def find_roots(f: UPoly, max_ext: int) -> list[Root]:
     """All roots of f over F_{p^(k*j)}, j <= max_ext, by exhaustive scan.
 
     Each root appears once, in its minimal field, with multiplicity.
-    Raises ScanBudgetExceeded if some scan field has more than `budget`
-    elements.
+    Raises ScanBudgetExceeded, before scanning it, if some scan field has
+    more than DEFAULT_SCAN_BUDGET elements.
     """
     if f.is_zero():
         raise ValueError("find_roots of the zero polynomial")
@@ -749,9 +748,10 @@ def find_roots(f: UPoly, max_ext: int,
         if remaining == 0:
             break
         K = make_field(base.p, base.k * j)
-        if K.size > budget:
+        if K.size > DEFAULT_SCAN_BUDGET:
             raise ScanBudgetExceeded(
-                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} > {budget}")
+                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} "
+                f"> {DEFAULT_SCAN_BUDGET}")
         fK = f.map_field(K) if K is not base else f
         known = set()
         for jp in range(1, j):

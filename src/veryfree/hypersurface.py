@@ -11,7 +11,11 @@ on the fibre over each of its roots.  Point scans are bounded
 cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
-field.
+field.  One zero scan serves the line search, `surface_points` and
+`singular_points_scan`: a form is restricted once to a row of P^n (pivot
+coordinate 1, some coordinates 0, the rest free), each prefix of free
+values is substituted once, and the last free coordinate is run through
+Horner's rule; other forms are evaluated only at the zeros found.
 """
 from __future__ import annotations
 
@@ -261,13 +265,24 @@ class CubicSectionClass:
 # -- smoothness -----------------------------------------------------------
 
 
+def _on_row(g: MultiPoly, pivot: int, free) -> MultiPoly:
+    """g on the row X_pivot = 1 of P^n where the coordinates in `free`
+    vary and all others are 0, as a polynomial in the free coordinates
+    (in the order given).  Terms that differ only in the pivot exponent
+    merge, which never happens for a form."""
+    kept = {}
+    for e, c in g.terms.items():
+        if any(k for t, k in enumerate(e) if t != pivot and t not in free):
+            continue
+        key = tuple(e[t] for t in free)
+        kept[key] = kept[key] + c if key in kept else c
+    return MultiPoly(g.field, len(free), kept)
+
+
 def _on_stratum(g: MultiPoly, i: int) -> MultiPoly:
     """A form g on the stratum X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n,
-    as a polynomial in X_{i+1}, ..., X_n.  g is homogeneous, so no two of
-    its kept terms merge."""
-    return MultiPoly(g.field, g.nvars - i - 1,
-                     {e[i + 1:]: c for e, c in g.terms.items()
-                      if not any(e[:i])})
+    as a polynomial in X_{i+1}, ..., X_n."""
+    return _on_row(g, i, range(i + 1, g.nvars))
 
 
 def is_smooth(x: Hypersurface) -> bool:
@@ -312,10 +327,79 @@ def _check_scan_budget(q, n):
             f"scan budget exceeded: |P^{n}(F_{q})| = {npoints}")
 
 
+def _set_first(F, terms, a):
+    """Raw terms {exponents: raw coefficient} with the first variable set
+    to the raw value a; terms left with the same exponents merge."""
+    powers = [F.rone]
+    out = {}
+    for e, c in terms.items():
+        while len(powers) <= e[0]:
+            powers.append(F.rmul(powers[-1], a))
+        if e[0]:
+            c = F.rmul(c, powers[e[0]])
+        out[e[1:]] = F.radd(out[e[1:]], c) if e[1:] in out else c
+    return out
+
+
+def _row_zeros(forms, pivot, free):
+    """Zeros of forms[0] on the row of `_on_row`, each with the values of
+    forms[1:] there: yields (raw point of P^n, [raw values]).
+
+    The free coordinates run over the field's elements in
+    `itertools.product` order.  Each prefix of free values is set once in
+    the restricted form; what is left is a polynomial in the last free
+    coordinate, evaluated by Horner.  The other forms are evaluated only
+    at the zeros found.
+    """
+    F = forms[0].field
+    rzero = F.rzero
+    elements = list(F.elements())
+    f, *others = [{e: c.raw for e, c in _on_row(g, pivot, free).terms.items()}
+                  for g in forms]
+
+    def values_at(vals):
+        out = []
+        for terms in others:
+            for v in vals:
+                terms = _set_first(F, terms, v)
+            out.append(terms.get((), rzero))
+        return out
+
+    def scan(terms, prefix, left):
+        if left == 0:
+            if terms.get((), rzero) == rzero:
+                yield prefix
+        elif left > 1:
+            for a in elements:
+                yield from scan(_set_first(F, terms, a), prefix + (a,),
+                                left - 1)
+        else:
+            deg = max((e[0] for e, c in terms.items() if c != rzero),
+                      default=0)
+            top, *rest = [terms.get((k,), rzero) for k in range(deg, -1, -1)]
+            radd, rmul = F.radd, F.rmul
+            for b in elements:
+                acc = top
+                for c in rest:
+                    acc = radd(rmul(acc, b), c)
+                if acc == rzero:
+                    yield prefix + (b,)
+
+    base = [rzero] * forms[0].nvars
+    base[pivot] = F.rone
+    for vals in scan(f, (), len(free)):
+        pt = list(base)
+        for t, v in zip(free, vals):
+            pt[t] = v
+        yield tuple(pt), values_at(vals)
+
+
 def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
     """All singular points of residue degree <= ext_cap, by exhaustive scan.
 
-    A bounded cross-check for `is_smooth`, not a smoothness proof.
+    A bounded cross-check for `is_smooth`, not a smoothness proof.  Each
+    stratum of P^n is scanned for the zeros of f, and the partials are
+    tested there.
     """
     base = x.field
     if base.is_rational:
@@ -325,10 +409,12 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
         K = make_field_ext(base, j)
         _check_scan_budget(K.size, x.n)
         fx = x.map_field(K) if K is not base else x
-        raws = [f.raw_terms() for f in [fx.f] + fx.partials]
+        forms = [fx.f] + fx.partials
         prior = [p.map_field(K) for p, _ in found]
-        for pt in proj_points(K, x.n):
-            if all(_raw_eval(K, rt, pt) == K.rzero for rt in raws):
+        for i in range(x.n + 1):
+            for pt, grad in _row_zeros(forms, i, range(i + 1, x.n + 1)):
+                if any(g != K.rzero for g in grad):
+                    continue
                 pp = ProjPoint(K, [Scalar(K, c) for c in pt])
                 if pp not in prior:
                     found.append((pp, j))
@@ -338,21 +424,6 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
 def make_field_ext(base: FieldSpec, j: int) -> FieldSpec:
     from .fields import make_field
     return make_field(base.p, base.k * j)
-
-
-def _raw_eval(field, raw_terms, pt):
-    acc = field.rzero
-    for c, exps in raw_terms:
-        term = c
-        for xval, e in zip(pt, exps):
-            if e:
-                if xval == field.rzero:
-                    term = field.rzero
-                    break
-                term = field.rmul(term, field.rpow(xval, e))
-        if term != field.rzero:
-            acc = field.radd(acc, term)
-    return acc
 
 
 # -- tangent hyperplanes and sections --------------------------------------
@@ -505,11 +576,10 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
 def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
     """g with its first variable set to xi, over xi's field."""
     K = xi.field
-    terms = {}
-    for e, c in g.terms.items():
-        v = embed(c, K) * xi**e[0]
-        terms[e[1:]] = terms[e[1:]] + v if e[1:] in terms else v
-    return MultiPoly(K, g.nvars - 1, terms)
+    terms = _set_first(K, {e: embed(c, K).raw for e, c in g.terms.items()},
+                       xi.raw)
+    return MultiPoly(K, g.nvars - 1,
+                     {e: Scalar(K, c) for e, c in terms.items()})
 
 
 def _affine_zeros(gens, nvars: int, ext_cap: int):
@@ -804,23 +874,6 @@ def _cell_patterns():
     return cells
 
 
-def _row_candidates(field, pivot, other_pivot, free, f_terms, grads):
-    """Points of a cell row with f = 0, paired with their gradients."""
-    out = []
-    z, o = field.rzero, field.rone
-    elements = list(field.elements())
-    for assign in itertools.product(elements, repeat=len(free)):
-        pt = [z] * 4
-        pt[pivot] = o
-        for pos, val in zip(free, assign):
-            pt[pos] = val
-        if _raw_eval(field, f_terms, pt) != z:
-            continue
-        grad = tuple(_raw_eval(field, g, pt) for g in grads)
-        out.append((tuple(pt), grad))
-    return out
-
-
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                            field_cap: int = DEFAULT_LINE_FIELD_CAP):
     """All 27 lines on a smooth cubic surface over F_q.
@@ -845,12 +898,11 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                 f"(size {K.size} > {field_cap}); {last_count} lines found "
                 f"so far")
         xk = x.map_field(K) if K is not base else x
-        f_terms = xk.f.raw_terms()
-        grads = [g.raw_terms() for g in xk.partials]
+        forms = [xk.f] + xk.partials
         lines = []
         for (i, j, free0, free1) in _cell_patterns():
-            cand0 = _row_candidates(K, i, j, free0, f_terms, grads)
-            cand1 = _row_candidates(K, j, i, free1, f_terms, grads)
+            cand0 = list(_row_zeros(forms, i, free0))
+            cand1 = list(_row_zeros(forms, j, free1))
             for r0, g0 in cand0:
                 for r1, g1 in cand1:
                     dot_a = K.rzero
@@ -946,7 +998,6 @@ def surface_points(x: Hypersurface):
     """
     F = x.field
     _check_scan_budget(F.size, x.n)
-    raws = x.f.raw_terms()
-    for pt in proj_points(F, x.n):
-        if _raw_eval(F, raws, pt) == F.rzero:
+    for i in range(x.n + 1):
+        for pt, _ in _row_zeros([x.f], i, range(i + 1, x.n + 1)):
             yield ProjPoint(F, [Scalar(F, c) for c in pt])

@@ -126,10 +126,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def raw_terms(self):
-        """[(raw coefficient, exponent tuple)] for fast evaluation loops."""
-        return [(c.raw, e) for e, c in self.terms.items()]
-
     def partial(self, i):
         out = {}
         F = self.field

@@ -222,9 +222,13 @@ def test_find_roots_matches_sympy_factorisation(p):
 
 
 def test_find_roots_budget():
-    f = UPoly.from_scalars(F7, [-2, 0, 0, 1])
-    with pytest.raises(ScanBudgetExceeded):
-        find_roots(f, 6, budget=100)
+    # F_{2^20} has 1 048 576 > DEFAULT_SCAN_BUDGET elements, so the scan
+    # is refused up front
+    big = make_field(2, 20)
+    assert big.size > fields.DEFAULT_SCAN_BUDGET
+    f = UPoly.from_scalars(big, [1, 1, 0, 1])
+    with pytest.raises(ScanBudgetExceeded, match=r"F_2\^20"):
+        find_roots(f, 1)
 
 
 def test_cube_root_everywhere():

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from veryfree import fields
 from veryfree.fields import embed, make_field
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
@@ -12,10 +14,11 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    ProjPoint, classify_plane_cubic,
                                    eckardt_points, is_smooth,
                                    lines_on_cubic_surface, plane_section,
-                                   singular_points_scan, surface_points,
-                                   tangent_hyperplane,
+                                   proj_points, singular_points_scan,
+                                   surface_points, tangent_hyperplane,
+                                   _cell_patterns, _row_zeros,
                                    _ternary_singular_points)
-from veryfree.poly import MultiPoly, parse_poly
+from veryfree.poly import MultiPoly, compose_with_curve, parse_poly
 
 from helpers import (F2, F3, F4, F5, F7, QQ, random_cubic_form, random_form,
                      random_invertible, sympy_chart_smooth, F5_SURFACE_SEEDS)
@@ -107,6 +110,104 @@ def test_is_smooth_matches_sympy_chart_oracle():
             assert is_smooth(Hypersurface(f)) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# -- point scans ------------------------------------------------------------------
+
+def _rows_of_p3():
+    """(pivot, free) of every Grassmannian cell row and every stratum of
+    P^3: 0, 1, 2 and 3 free coordinates."""
+    rows = {(i, tuple(free)) for i, j, free0, free1 in _cell_patterns()
+            for i, free in ((i, free0), (j, free1))}
+    rows |= {(i, tuple(range(i + 1, 4))) for i in range(4)}
+    return sorted(rows)
+
+
+def _brute_row_zeros(forms, pivot, free):
+    """Every point of the row in itertools.product order, kept when
+    forms[0] vanishes there, with the other forms' values."""
+    F = forms[0].field
+    out = []
+    for vals in itertools.product(list(F.elements()), repeat=len(free)):
+        pt = [F.rzero] * 4
+        pt[pivot] = F.rone
+        for t, v in zip(free, vals):
+            pt[t] = v
+        coords = [F.from_raw(c) for c in pt]
+        if not forms[0].evaluate(coords):
+            out.append((tuple(pt),
+                        [g.evaluate(coords).raw for g in forms[1:]]))
+    return out
+
+
+def test_row_zeros_match_brute_force_evaluation():
+    """Zeros of f on each cell row, and the partials there, against
+    MultiPoly.evaluate at every point of the row; the non-homogeneous
+    inputs make terms merge, and sometimes cancel, on restriction."""
+    rng = random.Random(90)
+    rows = _rows_of_p3()
+    assert {len(free) for _, free in rows} == {0, 1, 2, 3}
+    cases, zeros_seen = 0, set()
+    for F in (F2, F3, F4, F5, F7):
+        polys = [random_form(F, 4, 3, rng) for _ in range(3)]
+        polys += [random_form(F, 4, 3, rng) + random_form(F, 4, 2, rng)
+                  + random_form(F, 4, 1, rng) for _ in range(2)]
+        polys.append(parse_poly("X0^3-X0^2+X1^2*X0-X1^2+X2*X3", 4, F,
+                                require_homogeneous=False))
+        polys.append(parse_poly("X1*X2*X3", 4, F))
+        for f in polys:
+            forms = [f] + [f.partial(i) for i in range(4)]
+            for pivot, free in rows:
+                got = list(_row_zeros(forms, pivot, free))
+                assert got == _brute_row_zeros(forms, pivot, free), \
+                    (str(f), pivot, free)
+                zeros_seen.add(min(len(got), 2))
+                cases += 1
+    assert cases == 35 * len(rows) and zeros_seen == {0, 1, 2}
+
+
+def _brute_points(x):
+    F = x.field
+    return [ProjPoint(F, [F.from_raw(c) for c in raw])
+            for raw in proj_points(F, x.n)
+            if not x.f.evaluate([F.from_raw(c) for c in raw])]
+
+
+def _brute_singular_points(x, ext_cap):
+    found = []
+    for j in range(1, ext_cap + 1):
+        K = make_field(x.field.p, x.field.k * j)
+        xk = x.map_field(K) if K is not x.field else x
+        prior = [p.map_field(K) for p, _ in found]
+        for raw in proj_points(K, x.n):
+            pt = ProjPoint(K, [K.from_raw(c) for c in raw])
+            if (xk.contains(pt) and not any(xk.gradient(pt))
+                    and pt not in prior):
+                found.append((pt, j))
+    return found
+
+
+def test_point_scans_keep_proj_points_order():
+    """surface_points and singular_points_scan list the points that a
+    proj_points walk with MultiPoly.evaluate finds, in the same order
+    (fermat2's class counts are filled in this order)."""
+    surfaces = [
+        Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F2)),   # cone
+        Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F3)),   # triple plane
+        fermat(F2), fermat(F4), clebsch(F5),                  # smooth
+        Hypersurface(parse_poly("X0*X1*X2+X3^3", 4, F3)),    # 3 points
+        Hypersurface(parse_poly(                             # F_9 pair
+            "2*X0^2*X1+2*X0*X1^2+X1^3+2*X1*X2^2+X0^2*X3+2*X0*X1*X3+X1^2*X3"
+            "+2*X1*X2*X3+X2^2*X3+X2*X3^2+X3^3", 4, F3)),
+    ]
+    counts = set()
+    for x in surfaces:
+        assert list(surface_points(x)) == _brute_points(x)
+        ext_cap = 2 if x.field.size <= 4 else 1
+        scan = singular_points_scan(x, ext_cap)
+        assert scan == _brute_singular_points(x, ext_cap)
+        counts.add(min(len(scan), 4))
+    assert counts == {0, 1, 2, 3, 4}
 
 
 # -- tangent hyperplanes --------------------------------------------------------
@@ -307,6 +408,55 @@ def test_lines_on_f7_fermat():
         from veryfree.poly import compose_with_curve
         assert compose_with_curve(fermat(F7).f, line.param_forms()).is_zero()
     assert len(set(lines)) == 27
+
+
+def _all_lines_of_p3(F):
+    """Every line of P^3(F), one 2 x 4 reduced row echelon matrix each."""
+    elements = [F.from_raw(c) for c in F.elements()]
+    for i, j in itertools.combinations(range(4), 2):
+        free0 = [t for t in range(i + 1, 4) if t != j]
+        free1 = list(range(j + 1, 4))
+        n0 = len(free0)
+        for vals in itertools.product(elements, repeat=n0 + len(free1)):
+            rows = [[F.zero] * 4, [F.zero] * 4]
+            rows[0][i] = rows[1][j] = F.one
+            for t, v in zip(free0, vals[:n0]):
+                rows[0][t] = v
+            for t, v in zip(free1, vals[n0:]):
+                rows[1][t] = v
+            yield rows
+
+
+def test_lines_on_f7_fermat_match_every_line_of_p3():
+    x = fermat(F7)
+    every = [LineP3(F7, rows) for rows in _all_lines_of_p3(F7)]
+    assert len(set(every)) == len(every) == 50 * 57
+    on_x = sorted((L for L in every
+                   if compose_with_curve(x.f, L.param_forms()).is_zero()),
+                  key=lambda L: L.sort_key())
+    lines, _, _ = lines_on_cubic_surface(x)
+    assert lines == on_x
+
+
+def test_line_search_field_op_count(monkeypatch):
+    """Raw field operations of the line search, smoothness test included,
+    on a pinned F7 surface whose lines need F_49.  Evaluating the cubic
+    and its partials at every point of each cell row took 586 655; the
+    restricted Horner scan takes about 108 500."""
+    x = Hypersurface(random_cubic_form(F7, 4, 256))
+    count = [0]
+
+    def counted(method):
+        def wrapper(spec, *args):
+            count[0] += 1
+            return method(spec, *args)
+        return wrapper
+    for op in ("radd", "rsub", "rmul", "rneg", "rinv", "rpow"):
+        monkeypatch.setattr(fields.FieldSpec, op,
+                            counted(getattr(fields.FieldSpec, op)))
+    lines, work, ext = lines_on_cubic_surface(x)
+    assert len(lines) == 27 and ext == 2
+    assert count[0] <= 150_000
 
 
 def test_lines_on_char2_fermat():
