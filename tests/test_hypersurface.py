@@ -441,8 +441,10 @@ def test_lines_on_f7_fermat_match_every_line_of_p3():
 def test_line_search_field_op_count(monkeypatch):
     """Raw field operations of the line search, smoothness test included,
     on a pinned F7 surface whose lines need F_49.  Evaluating the cubic
-    and its partials at every point of each cell row took 586 655; the
-    restricted Horner scan takes about 108 500."""
+    and its partials in full at every point of each cell row needs
+    586 655, the row-restricted Horner scan about 108 500: the bound
+    catches a fall back to per-point evaluation, which no wall-clock
+    gate would."""
     x = Hypersurface(random_cubic_form(F7, 4, 256))
     count = [0]
 
