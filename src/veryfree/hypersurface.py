@@ -126,9 +126,11 @@ class Hyperplane:
 
 
 class LineP3:
-    """Line in P^3 as a 2x4 matrix in reduced row echelon form."""
+    """Line in P^3 as a 2x4 matrix in reduced row echelon form, with the
+    raw Plücker coordinates a_i b_j - a_j b_i of its rows a, b, for
+    ij = 01, 02, 03, 12, 13, 23."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "plucker")
 
     def __init__(self, field, rows):
         raw = [[field.scalar(c).raw for c in r] for r in rows]
@@ -138,6 +140,10 @@ class LineP3:
         self.field = field
         self.rows = tuple(tuple(Scalar(field, c) for c in r)
                           for r in rr[:2])
+        a, b = rr[:2]
+        self.plucker = tuple(
+            field.rsub(field.rmul(a[i], b[j]), field.rmul(a[j], b[i]))
+            for i, j in itertools.combinations(range(4), 2))
 
     def param_forms(self):
         """Degree-1 binary forms of (U, V) -> U*row0 + V*row1."""
@@ -161,8 +167,22 @@ class LineP3:
         return [[c.raw for c in r] for r in self.rows]
 
     def meets(self, other) -> Optional[ProjPoint]:
-        """Intersection point, None if skew; self is returned for equality."""
+        """Intersection point, None if skew; a point of the line when the
+        two coincide.
+
+        Two lines meet iff their Plücker coordinates pair to zero:
+        p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01 = 0.
+        Only meeting lines reach the kernel that finds the point.
+        """
         F = self.field
+        pairing = F.rzero
+        for k, (x, y) in enumerate(zip(self.plucker,
+                                       reversed(other.plucker))):
+            term = F.rmul(x, y)
+            pairing = F.rsub(pairing, term) if k in (1, 4) \
+                else F.radd(pairing, term)
+        if pairing != F.rzero:
+            return None
         stacked = self.raw_rows() + other.raw_rows()
         cols = [[stacked[r][c] for r in range(4)] for c in range(4)]
         ker = linalg.kernel(F, cols, 4)
@@ -667,17 +687,13 @@ def _quadric_distinct_roots(q: BinaryForm) -> bool:
 
 
 def _completion_matrix(field, first_column):
-    """Invertible 3x3 matrix with the given first column (deterministic)."""
-    cols = [list(first_column)]
-    for e in range(3):
-        unit = [field.zero] * 3
-        unit[e] = field.one
-        cand = cols + [unit]
-        raw = [[c.raw for c in col] for col in cand]
-        if linalg.rank(field, raw) == len(cand):
-            cols = cand
-        if len(cols) == 3:
-            break
+    """Invertible 3x3 matrix whose first column is the given nonzero
+    vector and whose other columns are the unit vectors e_j in order,
+    skipping j = the index of the last nonzero coordinate."""
+    last = max(i for i, c in enumerate(first_column) if c)
+    cols = [list(first_column)] + [
+        [field.one if i == j else field.zero for i in range(3)]
+        for j in range(3) if j != last]
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 

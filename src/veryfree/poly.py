@@ -8,6 +8,7 @@ U^(d-j) V^j at index j.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from . import linalg
@@ -389,37 +390,59 @@ def _matrix_to_row_images(field, matrix):
     return [[field.scalar(matrix[i][j]) for i in range(n)] for j in range(n)]
 
 
+def _raw_mul(F, a, b):
+    """Product of raw term dicts {exponents: raw coefficient}."""
+    radd, rmul = F.radd, F.rmul
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = rmul(c1, c2)
+            if e in out:
+                s = radd(out[e], c)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+    return out
+
+
 def substitute_linear_map(f: MultiPoly, rows, new_nvars: int) -> MultiPoly:
     """Substitute X_i = sum_j rows[j][i] * Y_j into f."""
     F = f.field
-    images = []
+    radd = F.radd
+    # powers[i][k] = raw terms of the k-th power of the image of X_i
+    powers = []
     for i in range(f.nvars):
-        t = {}
+        image = {}
         for j in range(new_nvars):
-            c = F.scalar(rows[j][i])
+            c = F.scalar(rows[j][i]).raw
             if c:
                 e = [0] * new_nvars
                 e[j] = 1
-                t[tuple(e)] = c
-        images.append(MultiPoly(F, new_nvars, t))
-    power_cache = [{} for _ in range(f.nvars)]
-
-    def img_pow(i, k):
-        if k == 0:
-            return MultiPoly.constant(F, new_nvars, 1)
-        cache = power_cache[i]
-        if k not in cache:
-            cache[k] = img_pow(i, k - 1) * images[i]
-        return cache[k]
-
-    out = MultiPoly.zero(F, new_nvars)
+                image[tuple(e)] = c
+        powers.append([{(0,) * new_nvars: F.rone}, image])
+    out = {}
     for e, c in f.terms.items():
-        term = MultiPoly.constant(F, new_nvars, c)
+        term = {(0,) * new_nvars: c.raw}
         for i, k in enumerate(e):
             if k:
-                term = term * img_pow(i, k)
-        out = out + term
-    return out
+                cache = powers[i]
+                while len(cache) <= k:
+                    cache.append(_raw_mul(F, cache[-1], cache[1]))
+                term = _raw_mul(F, term, cache[k])
+        for t, v in term.items():
+            if t in out:
+                s = radd(out[t], v)
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+            else:
+                out[t] = v
+    return MultiPoly(F, new_nvars, {e: Scalar(F, c) for e, c in out.items()})
 
 
 def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
@@ -858,6 +881,9 @@ class LaurentForm:
 
 
 # -- Groebner bases -------------------------------------------------------
+#
+# The engine works on raw terms {exponents: raw coefficient}.  A basis
+# entry is monic and stored once as (lead exponents, tail terms).
 
 
 def _lead(f: MultiPoly):
@@ -877,102 +903,153 @@ def _exp_lcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-def _mono_times(f, exps, coeff):
-    return MultiPoly(f.field, f.nvars,
-                     {tuple(a + b for a, b in zip(e, exps)): c * coeff
-                      for e, c in f.terms.items()})
+def _monic(F, terms, lead):
+    """Entry (lead, tail) of raw terms scaled to lead coefficient 1."""
+    c = terms[lead]
+    if c == F.rone:
+        return lead, {e: v for e, v in terms.items() if e != lead}
+    inv, rmul = F.rinv(c), F.rmul
+    return lead, {e: rmul(v, inv) for e, v in terms.items() if e != lead}
+
+
+def _entry(f: MultiPoly):
+    return _monic(f.field, {e: c.raw for e, c in f.terms.items()},
+                  _lead(f)[0])
+
+
+def _normal_form(F, terms, entries):
+    """Full normal form of raw terms modulo monic entries, as raw terms
+    in descending degrevlex order.  The largest monomial left is popped
+    from a heap and divided by the first entry (in list order) whose lead
+    divides it, or kept in the remainder."""
+    rsub, rmul, rneg = F.rsub, F.rmul, F.rneg
+    work = dict(terms)
+    heap = [(-sum(e), e[::-1]) for e in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = work.pop(e, None)
+        if c is None:
+            continue  # cancelled, or pushed again after cancelling
+        for lead, tail in entries:
+            if all(a <= b for a, b in zip(lead, e)):
+                shift = _exp_sub(e, lead)
+                for t, d in tail.items():
+                    key = tuple(a + b for a, b in zip(t, shift))
+                    v = rmul(c, d)
+                    if key in work:
+                        v = rsub(work[key], v)
+                        if v:
+                            work[key] = v
+                        else:
+                            del work[key]
+                    else:
+                        work[key] = rneg(v)
+                        heapq.heappush(heap, (-sum(key), key[::-1]))
+                break
+        else:
+            rem[e] = c
+    return rem
+
+
+def _spair(F, f, g, lcm):
+    """S-polynomial of the monic entries f and g, whose leads have the
+    given lcm."""
+    (lf, tf), (lg, tg) = f, g
+    sf, sg = _exp_sub(lcm, lf), _exp_sub(lcm, lg)
+    out = {tuple(a + b for a, b in zip(t, sf)): c for t, c in tf.items()}
+    for t, c in tg.items():
+        key = tuple(a + b for a, b in zip(t, sg))
+        if key in out:
+            v = F.rsub(out[key], c)
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        else:
+            out[key] = F.rneg(c)
+    return out
+
+
+def _gm_update(leads, basis, pairs, h):
+    """Gebauer–Möller update of the pairs and of the minimal basis (index
+    lists into `leads`, changed in place) when entry h joins (Becker and
+    Weispfenning, *Gröbner Bases*, §5.5)."""
+    lh = leads[h]
+    new = [(_exp_lcm(lh, leads[g]), g) for g in basis]
+    # criteria M and F: a new pair goes when the lcm of a later one, or
+    # of one already kept, divides its lcm (of equal lcms the last stays)
+    kept = []
+    for k, (lcm, g) in enumerate(new):
+        coprime = all(not (a and b) for a, b in zip(lh, leads[g]))
+        if coprime or not any(_divides(m, lcm) for m, _ in new[k + 1:]) \
+                and not any(_divides(m, lcm) for m, _, _ in kept):
+            kept.append((lcm, g, coprime))
+    # criterion B: an old pair goes when lead(h) divides its lcm strictly
+    # inside, i.e. its lcm differs from both lcms with h
+    pairs[:] = [(d, lcm, i, j) for d, lcm, i, j in pairs
+                if not _divides(lh, lcm)
+                or _exp_lcm(leads[i], lh) == lcm
+                or _exp_lcm(leads[j], lh) == lcm]
+    # coprime leads: Buchberger's product criterion
+    pairs.extend((sum(lcm), lcm, g, h) for lcm, g, coprime in kept
+                 if not coprime)
+    basis[:] = [g for g in basis if not _divides(lh, leads[g])] + [h]
+
+
+def groebner_basis(gens):
+    """Reduced degrevlex Groebner basis, monic, by ascending lead.
+
+    Buchberger's algorithm with the Gebauer–Möller pair criteria
+    (Gebauer and Möller 1988, *On an installation of Buchberger's
+    algorithm*).  The generators join in ascending lead order, each
+    reduced first; S-pairs are taken by (lcm degree, lcm).  Reduction
+    runs against the current minimal basis only: an entry leaves it when
+    a newer lead divides its own.  The reduced basis is unique, so the
+    criteria and the reduction order change the cost, not the answer.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    F, nvars = gens[0].field, gens[0].nvars
+    entries = []  # every entry made; pairs and basis index it
+    leads = []
+    basis = []
+    pairs = []  # (lcm degree, lcm, i, j)
+
+    def add(terms):
+        rem = _normal_form(F, terms, [entries[i] for i in basis])
+        if rem:
+            entries.append(_monic(F, rem, next(iter(rem))))
+            leads.append(entries[-1][0])
+            _gm_update(leads, basis, pairs, len(entries) - 1)
+
+    for g in sorted(gens, key=lambda g: _drl_key(_lead(g)[0])):
+        add({e: c.raw for e, c in g.terms.items()})
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, lcm, i, j = pair
+        add(_spair(F, entries[i], entries[j], lcm))
+    # inter-reduce tails; a lead never divides a smaller monomial, so
+    # each entry may stay in the list it is reduced by
+    final = [entries[i] for i in basis]
+    out = []
+    for lead, tail in sorted(final, key=lambda t: _drl_key(t[0])):
+        terms = {lead: Scalar(F, F.rone)}
+        for e, c in _normal_form(F, tail, final).items():
+            terms[e] = Scalar(F, c)
+        out.append(MultiPoly(F, nvars, terms))
+    return out
 
 
 def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
     """Full normal form of f modulo the basis (deterministic)."""
-    work = dict(f.terms)
-    remainder = {}
-    leads = [_lead(g) for g in basis]
-    while work:
-        e = max(work, key=_drl_key)
-        c = work.pop(e)
-        for g, (ge, gc) in zip(basis, leads):
-            if _divides(ge, e):
-                factor = c / gc
-                shift = _exp_sub(e, ge)
-                for e2, c2 in g.terms.items():
-                    if e2 == ge:
-                        continue
-                    key = tuple(a + b for a, b in zip(e2, shift))
-                    prev = work.get(key)
-                    val = (prev - factor * c2) if prev is not None \
-                        else -(factor * c2)
-                    if val:
-                        work[key] = val
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[e] = c
-    return MultiPoly(f.field, f.nvars, remainder)
-
-
-def _spoly(f, g):
-    fe, fc = _lead(f)
-    ge, gc = _lead(g)
-    l = _exp_lcm(fe, ge)
-    return (_mono_times(f, _exp_sub(l, fe), fc.inverse())
-            - _mono_times(g, _exp_sub(l, ge), gc.inverse()))
-
-
-def groebner_basis(gens):
-    """Reduced degrevlex Groebner basis; S-pairs processed by (lcm degree,
-    lcm)."""
-    import heapq
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    basis = []
-    for g in gens:
-        _, c = _lead(g)
-        basis.append(g * c.inverse())
-    basis.sort(key=lambda g: _drl_key(_lead(g)[0]))
-    leads = [_lead(g)[0] for g in basis]
-    heap = []
-
-    def push_pairs(new):
-        for t in range(new):
-            l = _exp_lcm(leads[new], leads[t])
-            heapq.heappush(heap, (sum(l), l, t, new))
-
-    for n in range(len(basis)):
-        push_pairs(n)
-    while heap:
-        _, l, i, j = heapq.heappop(heap)
-        ei, ej = leads[i], leads[j]
-        if l == tuple(a + b for a, b in zip(ei, ej)):
-            continue  # coprime leading monomials
-        r = reduce_poly(_spoly(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        r = r * _lead(r)[1].inverse()
-        basis.append(r)
-        leads.append(_lead(r)[0])
-        push_pairs(len(basis) - 1)
-    # minimalize
-    keep = []
-    for i, g in enumerate(basis):
-        ge = _lead(g)[0]
-        if any(_divides(_lead(basis[j])[0], ge)
-               for j in range(len(basis)) if j != i and
-               (j in keep or j > i)):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r * _lead(r)[1].inverse())
-    reduced.sort(key=lambda g: _drl_key(_lead(g)[0]))
-    return reduced
+    F = f.field
+    rem = _normal_form(F, {e: c.raw for e, c in f.terms.items()},
+                       [_entry(g) for g in basis])
+    return MultiPoly(F, f.nvars, {e: Scalar(F, c) for e, c in rem.items()})
 
 
 def eliminant(basis):
@@ -987,7 +1064,8 @@ def eliminant(basis):
     Little and O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 5 §3).
     """
     F, nvars = basis[0].field, basis[0].nvars
-    leads = [_lead(g)[0] for g in basis]
+    entries = [_entry(g) for g in basis]
+    leads = [lead for lead, _ in entries]
     box = []
     for i in range(nvars):
         pure = [e[i] for e in leads if not any(e[:i] + e[i + 1:])]
@@ -996,11 +1074,11 @@ def eliminant(basis):
         box.append(min(pure))
     dim = sum(1 for e in itertools.product(*map(range, box))
               if not any(_divides(lead, e) for lead in leads))
-    normal_forms = [reduce_poly(MultiPoly.variable(F, nvars, 0, k), basis)
+    normal_forms = [_normal_form(F, {(k,) + (0,) * (nvars - 1): F.rone},
+                                 entries)
                     for k in range(dim + 1)]
-    monos = sorted({e for g in normal_forms for e in g.terms})
-    rows = [[g.terms[e].raw if e in g.terms else F.rzero
-             for g in normal_forms] for e in monos]
+    monos = sorted({e for g in normal_forms for e in g})
+    rows = [[g.get(e, F.rzero) for g in normal_forms] for e in monos]
     return UPoly(F, linalg.kernel(F, rows, dim + 1)[0])
 
 

@@ -1,9 +1,11 @@
-"""Shared fixtures: deterministic random forms and pinned seeds."""
+"""Shared fixtures: deterministic random forms, pinned seeds, an
+S-polynomial built from MultiPoly arithmetic and a field-op counter."""
 import itertools
 import random
 
+from veryfree import fields
 from veryfree.fields import make_field
-from veryfree.poly import MultiPoly
+from veryfree.poly import MultiPoly, _lead
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -65,3 +67,34 @@ def random_invertible(field, n, rng):
 # seed space once; the checks below re-verify, nothing is assumed)
 F5_SURFACE_SEEDS = [37, 47, 255]
 F7_SURFACE_SEEDS = [256, 282, 365, 368, 722]
+
+
+def spoly(f, g):
+    """S-polynomial of f and g in degrevlex, by MultiPoly arithmetic."""
+    (fe, fc), (ge, gc) = _lead(f), _lead(g)
+    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+
+    def shifted(h, e, c):
+        shift = [a - b for a, b in zip(lcm, e)]
+        return MultiPoly(h.field, h.nvars,
+                         {tuple(a + b for a, b in zip(t, shift)): v / c
+                          for t, v in h.terms.items()})
+    return shifted(f, fe, fc) - shifted(g, ge, gc)
+
+
+def count_field_ops(monkeypatch):
+    """Count every raw field operation (radd, rsub, rmul, rneg, rinv,
+    rpow) until the test ends; returns a one-item list that holds the
+    running count.  A bound on it catches a fall back to slower
+    arithmetic, which no wall-clock gate would."""
+    count = [0]
+
+    def counted(method):
+        def wrapper(spec, *args):
+            count[0] += 1
+            return method(spec, *args)
+        return wrapper
+    for op in ("radd", "rsub", "rmul", "rneg", "rinv", "rpow"):
+        monkeypatch.setattr(fields.FieldSpec, op,
+                            counted(getattr(fields.FieldSpec, op)))
+    return count

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from veryfree import fields
-from veryfree.fields import embed, make_field
+from veryfree import linalg
+from veryfree.fields import Scalar, embed, make_field
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
                                    NODAL_INTEGRAL, SMOOTH_CUBIC,
@@ -16,12 +16,13 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    lines_on_cubic_surface, plane_section,
                                    proj_points, singular_points_scan,
                                    surface_points, tangent_hyperplane,
-                                   _cell_patterns, _row_zeros,
-                                   _ternary_singular_points)
+                                   _cell_patterns, _completion_matrix,
+                                   _row_zeros, _ternary_singular_points)
 from veryfree.poly import MultiPoly, compose_with_curve, parse_poly
 
-from helpers import (F2, F3, F4, F5, F7, QQ, random_cubic_form, random_form,
-                     random_invertible, sympy_chart_smooth, F5_SURFACE_SEEDS)
+from helpers import (F2, F3, F4, F5, F7, QQ, count_field_ops,
+                     random_cubic_form, random_form, random_invertible,
+                     sympy_chart_smooth, F5_SURFACE_SEEDS)
 
 
 def fermat(field, nvars=4):
@@ -446,19 +447,21 @@ def test_line_search_field_op_count(monkeypatch):
     catches a fall back to per-point evaluation, which no wall-clock
     gate would."""
     x = Hypersurface(random_cubic_form(F7, 4, 256))
-    count = [0]
-
-    def counted(method):
-        def wrapper(spec, *args):
-            count[0] += 1
-            return method(spec, *args)
-        return wrapper
-    for op in ("radd", "rsub", "rmul", "rneg", "rinv", "rpow"):
-        monkeypatch.setattr(fields.FieldSpec, op,
-                            counted(getattr(fields.FieldSpec, op)))
+    count = count_field_ops(monkeypatch)
     lines, work, ext = lines_on_cubic_surface(x)
     assert len(lines) == 27 and ext == 2
     assert count[0] <= 150_000
+
+
+def test_is_smooth_field_op_count(monkeypatch):
+    """Raw field operations of the smoothness test on the pinned F7
+    surface: about 9 000 on Scalar arithmetic with every leading monomial
+    recomputed, about 1 000 on raw monic entries with the Gebauer–Möller
+    criteria.  The bound catches a fall back to the former."""
+    x = Hypersurface(random_cubic_form(F7, 4, 256))
+    count = count_field_ops(monkeypatch)
+    assert is_smooth(x)
+    assert count[0] <= 2_000
 
 
 def test_lines_on_char2_fermat():
@@ -501,6 +504,96 @@ def test_eckardt_clebsch_contains_permutation_points():
         v[i], v[j] = F7.one, F7.scalar(-1)
         expected.add(ProjPoint(F7, v[:4]).map_field(work))
     assert expected == {p for p, _ in rep.eckardt}
+
+
+def test_completion_matrix_matches_greedy_rank_rule():
+    """The closed-form completion (unit vectors, skipping the last nonzero
+    coordinate) is the matrix of the greedy rule, which appends e_0, e_1,
+    e_2 in turn whenever the rank grows, on every nonzero vector of F2^3,
+    F3^3 and F4^3."""
+    def greedy(field, v):
+        cols = [list(v)]
+        for j in range(3):
+            unit = [field.one if i == j else field.zero for i in range(3)]
+            raw = [[c.raw for c in col] for col in cols + [unit]]
+            if len(cols) < 3 and linalg.rank(field, raw) == len(cols) + 1:
+                cols.append(unit)
+        return [[cols[j][i] for j in range(3)] for i in range(3)]
+    for field in (F2, F3, F4):
+        for raw in itertools.product(list(field.elements()), repeat=3):
+            if any(raw):
+                v = [Scalar(field, c) for c in raw]
+                assert _completion_matrix(field, v) == greedy(field, v)
+
+
+def _meets_by_kernel(a, b):
+    """Intersection of two distinct lines from the kernel of their four
+    stacked rows alone, None when skew."""
+    F = a.field
+    stacked = a.raw_rows() + b.raw_rows()
+    ker = linalg.kernel(F, [list(col) for col in zip(*stacked)], 4)
+    if not ker:
+        return None
+    u, v = Scalar(F, ker[0][0]), Scalar(F, ker[0][1])
+    return ProjPoint(F, [u * x + v * y for x, y in zip(*a.rows)])
+
+
+def test_meets_matches_kernel_on_27_lines():
+    """The Plücker test keeps every answer of the kernel-only rule on all
+    351 pairs of the 27 lines of the F7 Fermat surface (lines over F7)
+    and of Clebsch (lines over F49); 135 pairs meet on each."""
+    for x, ext in ((fermat(F7), 1), (clebsch(F7), 2)):
+        lines, work, _ = lines_on_cubic_surface(x)
+        assert work is make_field(7, ext)
+        met = 0
+        for a, b in itertools.combinations(lines, 2):
+            pt = a.meets(b)
+            assert pt == _meets_by_kernel(a, b)
+            met += pt is not None
+        assert met == 135
+
+
+def _random_point(field, rng):
+    while True:
+        v = [field.from_raw(rng.randrange(field.size)) for _ in range(4)]
+        if any(v):
+            return v
+
+
+def test_meets_random_pairs():
+    """Random skew, meeting and coincident pairs of lines over F4, F7 and
+    F49: skew pairs give None, meeting pairs the kernel's point, which
+    lies on both lines, and coincident lines the kernel's point too."""
+    rng = random.Random(12)
+    for field in (F4, F7, make_field(7, 2)):
+        kinds = {"skew": 0, "meet": 0}
+        for _ in range(60):
+            p, q, r, s = (_random_point(field, rng) for _ in range(4))
+            try:
+                a, b = LineP3(field, [p, q]), LineP3(field, [r, s])
+                c = LineP3(field, [p, r])
+            except ValueError:
+                continue  # dependent points span no line
+            for one, other in ((a, b), (a, c)):
+                if one == other:
+                    continue
+                pt = one.meets(other)
+                assert pt == _meets_by_kernel(one, other)
+                assert pt == other.meets(one)
+                if pt is not None:
+                    for line in (one, other):
+                        assert LineP3(field, [*line.rows, pt.coords]) == line
+                kinds["skew" if pt is None else "meet"] += 1
+            m = [[field.from_raw(rng.randrange(field.size)) for _ in range(2)]
+                 for _ in range(2)]
+            if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+                same = LineP3(field, [[m[i][0] * u + m[i][1] * v
+                                       for u, v in zip(p, q)]
+                                      for i in range(2)])
+                assert same == a
+                assert a.meets(same) == _meets_by_kernel(a, same)
+                kinds["same"] = kinds.get("same", 0) + 1
+        assert min(kinds.values()) >= 5, kinds
 
 
 def test_eckardt_char2_fermat_all_triple():

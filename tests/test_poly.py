@@ -12,9 +12,29 @@ from veryfree.poly import (BinaryForm, LaurentForm, MultiPoly,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
                            parse_binary_form, parse_poly, partial_derivative,
-                           poly_to_string, resultant_bin, reduce_poly, _lead)
+                           poly_to_string, resultant_bin, reduce_poly,
+                           substitute_linear_map, _divides, _lead)
 
-from helpers import F2, F3, F4, F5, F7, QQ, random_form, random_invertible
+from helpers import (F2, F3, F4, F5, F7, QQ, random_form, random_invertible,
+                     spoly)
+
+F9 = make_field(3, 2)
+F16 = make_field(2, 4)
+F7_6 = make_field(7, 6)  # past the Zech table cap: vector arithmetic
+
+
+def _random_scalar(field, rng):
+    if field.is_rational:
+        return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return field.from_raw(rng.randrange(field.size))
+
+
+def _random_poly(field, nvars, degree, rng, density=0.5):
+    """Random polynomial of total degree <= degree, any coefficients."""
+    return MultiPoly(field, nvars, {
+        e: _random_scalar(field, rng)
+        for e in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(e) <= degree and rng.random() < density})
 
 
 # -- parsing ---------------------------------------------------------------
@@ -127,6 +147,31 @@ def test_substitute_rejects_singular_matrix():
     f = parse_poly("X0^3", 2, F7)
     with pytest.raises(ValueError):
         linear_substitute(f, [[F7.one, F7.one], [F7.one, F7.one]])
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F16, F7_6],
+                         ids=["Q", "F7", "F16", "F7^6"])
+def test_substitute_linear_map_matches_evaluation(field):
+    """f(M.y) equals f evaluated at the point M.y, at random points y, for
+    square maps and for the rectangular (n+1 -> n variables) maps that
+    hyperplane sections use; the polynomials need not be homogeneous."""
+    rng = random.Random(31 + (field.size or 0))
+    shapes = set()
+    for case in range(8):
+        nvars = 2 + case % 3
+        new_nvars = nvars - case // 4
+        f = _random_poly(field, nvars, 3, rng)
+        rows = [[_random_scalar(field, rng) for _ in range(nvars)]
+                for _ in range(new_nvars)]
+        g = substitute_linear_map(f, rows, new_nvars)
+        assert g.field is field and g.nvars == new_nvars
+        for _ in range(6):
+            y = [_random_scalar(field, rng) for _ in range(new_nvars)]
+            x = [sum((rows[j][i] * y[j] for j in range(new_nvars)),
+                     field.zero) for i in range(nvars)]
+            assert g.evaluate(y) == f.evaluate(x)
+        shapes.add((nvars, new_nvars))
+    assert {(n, n - 1) for n in (2, 3, 4)} <= shapes
 
 
 # -- composition with curves ---------------------------------------------------
@@ -341,22 +386,72 @@ def test_groebner_fermat_chart_vs_scan():
     assert is_unit_ideal(chart)
 
 
+def _assert_reduced_groebner(gens, gb):
+    """gb is monic, sorted by ascending lead and reduced: no term of one
+    element, its lead included, is divisible by the lead of another.
+    Every S-pair and every generator reduces to 0 modulo it."""
+    leads = [_lead(g) for g in gb]
+    assert all(c == 1 for _, c in leads)
+    drl = [(sum(e), tuple(-a for a in reversed(e))) for e, _ in leads]
+    assert drl == sorted(drl)
+    for i, (ei, _) in enumerate(leads):
+        for j, (ej, _) in enumerate(leads):
+            if i != j:
+                assert not _divides(ei, ej)
+                assert not any(_divides(ei, t) for t in gb[j].terms)
+    for i in range(len(gb)):
+        for j in range(i + 1, len(gb)):
+            assert reduce_poly(spoly(gb[i], gb[j]), gb).is_zero()
+    for g in gens:
+        assert reduce_poly(g, gb).is_zero()
+
+
 def test_groebner_auto_reduced_and_spolys_vanish():
     rng = random.Random(4)
-    from veryfree.poly import _spoly, _divides
     for _ in range(5):
         gens = [random_form(F5, 3, rng.choice((2, 3)), rng)
                 for _ in range(3)]
         gens = [g for g in gens if not g.is_zero()]
+        _assert_reduced_groebner(gens, groebner_basis(gens))
+
+
+@pytest.mark.parametrize("field", [F4, F9, F16], ids=["F4", "F9", "F16"])
+def test_groebner_over_extension_fields(field):
+    """Over F4, F9 and F16, with coefficients outside the prime field:
+    the basis is reduced and monic, and every S-pair and generator
+    reduces to 0.  Ideals in 1 to 3 variables, unit and not."""
+    rng = random.Random(900 + field.size)
+    sizes, outside = set(), False
+    for case in range(15):
+        gens = [_random_poly(field, 1 + case % 3, 2, rng)
+                for _ in range(1 + case % 4)]
+        gens = [g for g in gens if not g.is_zero()]
         gb = groebner_basis(gens)
-        leads = [_lead(g)[0] for g in gb]
-        for i, ei in enumerate(leads):
-            for j, ej in enumerate(leads):
-                if i != j:
-                    assert not _divides(ei, ej)
-        for i in range(len(gb)):
-            for j in range(i + 1, len(gb)):
-                assert reduce_poly(_spoly(gb[i], gb[j]), gb).is_zero()
+        _assert_reduced_groebner(gens, gb)
+        sizes.add(len(gb))
+        outside |= any(c.raw >= field.p for g in gb for c in g.terms.values())
+    assert 1 in sizes and max(sizes) >= 3 and outside
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_groebner_base_change(p):
+    """For ideals with F_p coefficients the basis over F_p, embedded into
+    F_{p^2}, is the basis computed over F_{p^2}, and it is sympy's
+    reduced grevlex basis."""
+    F, K = make_field(p), make_field(p, 2)
+    emb = lambda s: embed(s, K)
+    rng = random.Random(950 + p)
+    for case in range(10):
+        gens, exprs, xs = _random_ideal(F, 1 + case % 3, 1 + case % 3, rng)
+        gb = groebner_basis(gens)
+        assert [g.map_field(K, emb) for g in gb] == groebner_basis(
+            [g.map_field(K, emb) for g in gens])
+        ref = groebner(exprs, *xs, modulus=p, order="grevlex")
+        assert ({frozenset((e, c.raw) for e, c in g.terms.items())
+                 for g in gb}
+                == {frozenset((e, c % p)
+                              for e, c in Poly(g, *xs, modulus=p).terms())
+                    for g in ref.exprs})
 
 
 
