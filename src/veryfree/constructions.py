@@ -22,8 +22,9 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                            LINE_CONIC_TANGENT, THREE_LINES_CONCURRENT,
-                           _conic_singular_point, _cross, _nodal_frame,
-                           _quadric_distinct_roots, classify_plane_cubic,
+                           _conic_singular_point, _cross, _integral_tag,
+                           _nodal_frame, _quadric_distinct_roots,
+                           classify_plane_cubic,
                            divide_by_plane_line, divides_plane_line,
                            eckardt_points, hyperplane_section, is_smooth,
                            lines_on_cubic_surface,
@@ -33,7 +34,7 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, LaurentForm, MultiPoly, binary_roots,
                    compose_with_curve, gcd_bin, linear_substitute,
-                   parse_poly, resultant_bin)
+                   parse_poly)
 from .sheafp1 import (MonadP1, SplittingType, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
                       splitting_type, validate_monad)
@@ -502,6 +503,7 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
     if F.is_rational:
         raise ValueError("normal forms over Q would need number fields; "
                          "use a finite field")
+    # no point given: the Groebner strata confirm the node independently
     cls = classify_plane_cubic(cub, ext_cap)
     if cls.tag != NODAL_INTEGRAL or cls.singular_point != node:
         raise ValueError(f"expected a nodal integral cubic with node "
@@ -906,13 +908,11 @@ def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):
         plane_x = tangent_hyperplane(xm, x_amb)
         section_x, chart_x = plane_section(xm, plane_x)
         x_in_plane = chart_x.to_plane(x_amb)
-        # cheap exact screen: the section is nodal integral at x iff its
-        # tangent cone there has two distinct roots and shares no root
-        # with the cubic part
+        # cheap exact screen: the integral rows of the tangent-cone table
+        # at x; the confirming classification is given no point, so the
+        # Groebner strata check the node independently
         _, q, c = _nodal_frame(section_x, x_in_plane)
-        if q.is_zero() or not _quadric_distinct_roots(q):
-            continue
-        if c.is_zero() or not resultant_bin(q, c):
+        if _integral_tag(q, c) != NODAL_INTEGRAL:
             continue
         cls = classify_plane_cubic(section_x, ext_cap)
         if cls.tag != NODAL_INTEGRAL or cls.singular_point != x_in_plane:
@@ -1053,8 +1053,8 @@ def fermat_char2_report(k: int, ext_cap: int = DEFAULT_EXT_CAP,
     n = 0
     for pt in surface_points(x):
         n += 1
-        section, _chart = plane_section(x, tangent_hyperplane(x, pt))
-        cls = classify_plane_cubic(section, ext_cap)
+        section, chart = plane_section(x, tangent_hyperplane(x, pt))
+        cls = classify_plane_cubic(section, ext_cap, chart.to_plane(pt))
         counts[cls.tag] = counts.get(cls.tag, 0) + 1
         if cls.tag not in FERMAT2_TRICHOTOMY:
             exceptions.append((pt, cls))

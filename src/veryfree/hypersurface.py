@@ -4,11 +4,12 @@ and lines / Eckardt points on cubic surfaces.
 
 Smoothness is decided by one unit-ideal test (Groebner) on each stratum
 X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n; these strata partition P^n, so
-each point is examined in exactly one affine chart.  The singular points
-of a plane cubic come from the same strata of P^2 and the same Groebner
-engine: an eliminant in the first free coordinate, then the same step
-on the fibre over each of its roots.  Point scans are bounded
-cross-checks only.
+each point is examined in exactly one affine chart.  A plane cubic with
+a known singular point is classified from its tangent cone there;
+otherwise its singular points come from the same strata of P^2 and the
+same Groebner engine: an eliminant in the first free coordinate, then
+the same step on the fibre over each of its roots.  Point scans are
+bounded cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field.  One zero scan serves the line search, `surface_points` and
@@ -167,8 +168,8 @@ class LineP3:
         return [[c.raw for c in r] for r in self.rows]
 
     def meets(self, other) -> Optional[ProjPoint]:
-        """Intersection point, None if skew; a point of the line when the
-        two coincide.
+        """Intersection point, None if skew; IntegrityError if the two
+        lines coincide.
 
         Two lines meet iff their Plücker coordinates pair to zero:
         p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01 = 0.
@@ -188,11 +189,11 @@ class LineP3:
         ker = linalg.kernel(F, cols, 4)
         if not ker:
             return None
+        if len(ker) == 2:
+            raise IntegrityError("coincident lines")
         a, b = ker[0][0], ker[0][1]
         pt = [F.radd(F.rmul(a, x.raw), F.rmul(b, y.raw))
               for x, y in zip(self.rows[0], self.rows[1])]
-        if all(v == F.rzero for v in pt):
-            raise IntegrityError("coincident lines")
         return ProjPoint(F, [Scalar(F, v) for v in pt])
 
     def map_field(self, target):
@@ -732,30 +733,57 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
 # -- classification -----------------------------------------------------------
 
 
-def classify_plane_cubic(cub: MultiPoly,
-                         ext_cap: int = DEFAULT_EXT_CAP) -> CubicSectionClass:
-    """Classification of a ternary cubic over the closure of its field."""
+def classify_plane_cubic(cub: MultiPoly, ext_cap: int = DEFAULT_EXT_CAP,
+                         singular_point: Optional[ProjPoint] = None
+                         ) -> CubicSectionClass:
+    """Classification of a ternary cubic over the closure of its field.
+
+    `singular_point`, if given, is a point the caller knows to be
+    singular, over its residue field (an extension of the cubic's field,
+    as `_ternary_singular_points` gives points); the class is then read
+    off the tangent cone there, and only the rows with two or three
+    singular points run the Groebner strata.  Raises IntegrityError if
+    the point is not singular.
+    """
     if cub.is_zero():
         raise ValueError("cannot classify the zero cubic")
     if cub.nvars != 3 or not cub.is_homogeneous() or cub.total_degree != 3:
         raise ValueError("expected a ternary cubic form")
     if cub.field.is_rational:
         raise ValueError("classification works over finite fields")
+    if singular_point is not None:
+        K, F = singular_point.field, cub.field
+        if K.p != F.p or K.k % F.k or singular_point.n != 2:
+            raise ValueError(f"{singular_point} is not a point of P^2 over "
+                             f"an extension of {F}")
+        cls = _tangent_cone_class(cub, singular_point, ext_cap)
+        if cls is not None:
+            return cls
     pts = _ternary_singular_points(cub, ext_cap)
     if pts is None:
         return _classify_nonreduced(cub)
     if not pts:
         return CubicSectionClass(SMOOTH_CUBIC, None, 1)
-    if len(pts) == 1:
-        return _classify_one_singular(cub, pts[0], ext_cap)
-    return _classify_multi_singular(cub, pts, ext_cap)
+    if len(pts) > 1:
+        return _classify_multi_singular(cub, pts, ext_cap)
+    pt, level = pts[0]
+    cls = _tangent_cone_class(cub, pt, ext_cap)
+    if cls is None:
+        # a triangle whose other vertices, on the tangent-cone lines at
+        # pt, lie beyond the cap
+        raise ExtensionCapExceeded(
+            f"tangent-cone root needs extension degree {2 * level}, "
+            f"cap is {ext_cap}")
+    return cls
 
 
 def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
-    """Move a singular point to (1:0:0); returns (matrix, q, c)."""
+    """Move a singular point to (1:0:0); returns (matrix, q, c) with the
+    cubic equal to X0 q(X1, X2) + c(X1, X2) in the new coordinates."""
     K = pt.field
     m = _completion_matrix(K, pt.coords)
-    f_loc = linear_substitute(cub, m)
+    # m is invertible by construction: substitute X = m Y directly
+    f_loc = substitute_linear_map(cub, list(zip(*m)), 3)
     qco = [K.zero] * 3
     cco = [K.zero] * 4
     for (e0, e1, e2), coeff in f_loc.terms.items():
@@ -768,56 +796,54 @@ def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
     return m, BinaryForm(K, 2, qco), BinaryForm(K, 3, cco)
 
 
-def _classify_one_singular(cub, found, ext_cap):
-    pt, level = found
-    K = pt.field
-    cub_k = cub.map_field(K, lambda s: embed(s, K)) if K is not cub.field \
-        else cub
-    m, q, c = _nodal_frame(cub_k, pt)
-    remaining = max(1, ext_cap // level)
+def _integral_tag(q: BinaryForm, c: BinaryForm) -> Optional[str]:
+    """The integral rows of the tangent-cone table: X0 q + c is
+    irreducible iff q, c != 0 share no root, and then nodal or cuspidal
+    as q has two roots or one."""
+    if q.is_zero() or c.is_zero() or not resultant_bin(q, c):
+        return None
+    return NODAL_INTEGRAL if _quadric_distinct_roots(q) \
+        else CUSPIDAL_INTEGRAL
+
+
+def _tangent_cone_class(cub, pt, ext_cap):
+    """Class of a cubic singular at pt, read off the tangent cone q and
+    the cubic part c of `_nodal_frame` (Fulton, Algebraic Curves, Ch. 3);
+    None for the rows with several singular points (a transverse line
+    and conic, or a triangle).
+
+      q = 0                   three concurrent lines, LineDoubleLine
+                              if c = l^2 m, TripleLine if c = l^3
+      Res(q, c) != 0          nodal or cuspidal integral
+      q = l^2, gcd(q, c) = l  line and tangent conic
+      q = l^2, q | c          LineDoubleLine: X0 q + c = l^2 (X0 + m)
+    """
+    F, K = cub.field, pt.field
+    level = K.k // F.k
+    cub_k = cub.map_field(K, lambda s: embed(s, K)) if K is not F else cub
+    _, q, c = _nodal_frame(cub_k, pt)
     if q.is_zero():
-        roots = binary_roots(c, min(3, remaining))
-        if sum(mult for (_, _, _, mult) in roots) != 3:
+        # a repeated root of c is rational over K, so the scan finds it
+        # whatever the cap
+        roots = binary_roots(c, min(3, max(1, ext_cap // level)))
+        mult = max((m for (_, _, _, m) in roots), default=0)
+        if mult > 1:
+            return CubicSectionClass(
+                TRIPLE_LINE if mult == 3 else LINE_DOUBLE_LINE, None, 1)
+        if len(roots) != 3:
             raise ExtensionCapExceeded(
                 f"splitting the triple-point cubic needs extension degree "
                 f"{3 * level}, cap is {ext_cap}")
-        if any(mult > 1 for (_, _, _, mult) in roots):
-            raise IntegrityError("repeated line through a triple point "
-                                 "escaped the non-reduced branch")
         ext = level * max(e for (_, _, e, _) in roots)
         return CubicSectionClass(THREE_LINES_CONCURRENT, pt, ext)
-    integral = (not c.is_zero()) and bool(resultant_bin(q, c))
-    if integral:
-        tag = NODAL_INTEGRAL if _quadric_distinct_roots(q) \
-            else CUSPIDAL_INTEGRAL
+    tag = _integral_tag(q, c)
+    if tag is not None:
         return CubicSectionClass(tag, pt, level)
-    # reducible with a unique singular point: line + tangent conic
-    g = q if c.is_zero() else gcd_bin(q, c)
-    shared = binary_roots(g, min(2, remaining))
-    if not shared:
-        raise ExtensionCapExceeded(
-            f"tangent-cone root needs extension degree {2 * level}, "
-            f"cap is {ext_cap}")
-    u, v, ext_j, _ = shared[0]
-    K2 = u.field
-    cub2 = cub_k.map_field(K2, lambda s: embed(s, K2)) if K2 is not K \
-        else cub_k
-    pt2 = pt.map_field(K2)
-    m2 = [[embed(x, K2) for x in row] for row in m]
-    direction = ProjPoint(K2, [row[1] * u + row[2] * v for row in m2])
-    line = plane_line_through(pt2, direction)
-    if not divides_plane_line(cub2, line):
-        raise IntegrityError("tangent-cone direction is not a component")
-    conic = divide_by_plane_line(cub2, line)
-    if divides_plane_line(conic, line):
-        raise IntegrityError("non-reduced cubic escaped the infinite branch")
-    if _conic_singular_point(conic) is not None:
-        raise IntegrityError("three lines with a single non-triple point")
-    meet = restrict_to_plane_line(conic, line)
-    if meet.is_zero() or _quadric_distinct_roots(meet):
-        raise IntegrityError("line meets conic transversally but the "
-                             "section has one singular point")
-    return CubicSectionClass(LINE_CONIC_TANGENT, pt2, level * ext_j)
+    if _quadric_distinct_roots(q):
+        return None
+    if gcd_bin(q, c).degree == 2:
+        return CubicSectionClass(LINE_DOUBLE_LINE, None, 1)
+    return CubicSectionClass(LINE_CONIC_TANGENT, pt, level)
 
 
 def _classify_multi_singular(cub, pts, ext_cap):

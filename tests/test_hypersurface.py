@@ -4,6 +4,7 @@ import random
 import pytest
 
 from veryfree import linalg
+from veryfree.errors import IntegrityError
 from veryfree.fields import Scalar, embed, make_field
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
@@ -398,6 +399,111 @@ def test_ternary_singular_points_match_scan_oracle():
     assert statuses == {True, False} and counts == {0, 1, 2, 3}
 
 
+# -- the tangent-cone table against the Groebner strata --------------------------
+
+def _assert_point_path_agrees(cub, pt):
+    """classify_plane_cubic with the known singular point pt gives the
+    JSON of the Groebner path; returns the table's row, None when it
+    fell back to the strata."""
+    from veryfree.hypersurface import _tangent_cone_class
+    assert (classify_plane_cubic(cub, singular_point=pt).to_json()
+            == classify_plane_cubic(cub).to_json()), f"{cub} at {pt}"
+    return _tangent_cone_class(cub, pt, 6)
+
+
+def test_tangent_cone_table_on_f16_fermat_sections():
+    """All 369 tangent sections of the Fermat surface over F16, each at
+    its point of tangency."""
+    x = fermat(make_field(2, 4))
+    tags = {}
+    for pt in surface_points(x):
+        section, chart = plane_section(x, tangent_hyperplane(x, pt))
+        row = _assert_point_path_agrees(section, chart.to_plane(pt))
+        tags[row.tag] = tags.get(row.tag, 0) + 1
+    assert tags == {LINE_CONIC_TANGENT: 324, THREE_LINES_CONCURRENT: 45}
+
+
+def test_tangent_cone_table_on_seeded_singular_cubics():
+    """Seeded cubics X0 q + c over F2, F3, F4, F5 and F7, moved by a
+    random X -> M X, at the moved point M^-1 (1:0:0); then the scan
+    oracle's cubics at each of their singular points of residue degree
+    <= 2, each over its residue field."""
+    from veryfree.poly import linear_substitute
+    rng = random.Random(47)
+    tags = set()
+    for field in (F2, F3, F4, F5, F7):
+        for _ in range(12):
+            loc = random_form(field, 3, 3, rng)
+            loc = MultiPoly(field, 3, {e: c for e, c in loc.terms.items()
+                                       if e[0] < 2})
+            if loc.is_zero():
+                continue
+            m = random_invertible(field, 3, rng)
+            inv = linalg.inverse(field, [[c.raw for c in r] for r in m])
+            pt = ProjPoint(field, [Scalar(field, r[0]) for r in inv])
+            row = _assert_point_path_agrees(linear_substitute(loc, m), pt)
+            tags.add(row.tag if row else None)
+    assert {NODAL_INTEGRAL, LINE_CONIC_TANGENT, None} <= tags, tags
+    levels = set()
+    for cub in _plane_cubic_oracle_cases():
+        if cub.is_zero() or cub.total_degree != 3:
+            continue
+        for pt, level in singular_points_scan(Hypersurface(cub), 2):
+            row = _assert_point_path_agrees(cub, pt)
+            levels.add((row.tag if row else None, level))
+    assert {(None, 2), (LINE_DOUBLE_LINE, 2), (TRIPLE_LINE, 2)} <= levels
+
+
+def test_tangent_cone_table_reaches_every_row():
+    """Every tag, over F7 and moved: at each singular point of residue
+    degree <= 2 (the exhaustive scan), the table and the Groebner path
+    agree; the table falls back exactly on the rows with several
+    singular points, and the non-reduced rows are reached from the
+    triple point (q = 0) and from a point of the double line only
+    (q = l^2).  A point that is not singular raises IntegrityError."""
+    from veryfree.poly import linear_substitute
+    zoo = {
+        "X0*X1*X2+X1^3+X2^3": NODAL_INTEGRAL,
+        "X0*X2^2+X1^3": CUSPIDAL_INTEGRAL,
+        "X2*(X1^2-X0*X2)": LINE_CONIC_TANGENT,
+        "X1*(X1^2-X0*X2)": LINE_CONIC_TRANSVERSE,
+        "X0*X1*X2": THREE_LINES_TRIANGLE,
+        "X1*X2*(X1+X2)": THREE_LINES_CONCURRENT,
+        "X0^2*X1": LINE_DOUBLE_LINE,
+        "X0^3": TRIPLE_LINE,
+        "X0^3+X1^3+X2^3": SMOOTH_CUBIC,
+    }
+    rng = random.Random(5)
+    rows = set()
+    for text, tag in zoo.items():
+        base = parse_poly(text, 3, F7)
+        for cub in [base] + [linear_substitute(base, random_invertible(
+                F7, 3, rng)) for _ in range(3)]:
+            assert classify_plane_cubic(cub).tag == tag
+            singular = [p for p, _ in singular_points_scan(Hypersurface(cub),
+                                                           2)]
+            assert bool(singular) == (tag != SMOOTH_CUBIC)
+            for pt in singular:
+                row = _assert_point_path_agrees(cub, pt)
+                assert (row is None) == (tag in (LINE_CONIC_TRANSVERSE,
+                                                 THREE_LINES_TRIANGLE))
+                rows.add((tag, row.singular_point is None if row else None))
+            smooth_pt = next(ProjPoint(F7, [Scalar(F7, c) for c in v])
+                             for v in proj_points(F7, 2)
+                             if ProjPoint(F7, [Scalar(F7, c) for c in v])
+                             not in singular)
+            with pytest.raises(IntegrityError, match="not singular"):
+                classify_plane_cubic(cub, singular_point=smooth_pt)
+    assert {t for t, _ in rows} == set(zoo.values()) - {SMOOTH_CUBIC}
+    assert (LINE_DOUBLE_LINE, True) in rows and (TRIPLE_LINE, True) in rows
+    # the F2 cone whose lines need F4: the ext degree from binary_roots
+    cone = parse_poly("X0^3+X1^3", 3, F2)
+    vertex = ProjPoint(F2, [0, 0, 1])
+    _assert_point_path_agrees(cone, vertex)
+    assert classify_plane_cubic(cone, singular_point=vertex).ext_degree_used \
+        == 2
+
+
 # -- lines and Eckardt points ---------------------------------------------------
 
 def test_lines_on_f7_fermat():
@@ -563,7 +669,7 @@ def _random_point(field, rng):
 def test_meets_random_pairs():
     """Random skew, meeting and coincident pairs of lines over F4, F7 and
     F49: skew pairs give None, meeting pairs the kernel's point, which
-    lies on both lines, and coincident lines the kernel's point too."""
+    lies on both lines, and coincident lines raise IntegrityError."""
     rng = random.Random(12)
     for field in (F4, F7, make_field(7, 2)):
         kinds = {"skew": 0, "meet": 0}
@@ -591,7 +697,8 @@ def test_meets_random_pairs():
                                        for u, v in zip(p, q)]
                                       for i in range(2)])
                 assert same == a
-                assert a.meets(same) == _meets_by_kernel(a, same)
+                with pytest.raises(IntegrityError, match="coincident"):
+                    a.meets(same)
                 kinds["same"] = kinds.get("same", 0) + 1
         assert min(kinds.values()) >= 5, kinds
 
