@@ -18,7 +18,9 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    proj_points, singular_points_scan,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
-                                   _row_zeros, _ternary_singular_points)
+                                   _nodal_frame, _row_zeros,
+                                   _tangent_cone_class,
+                                   _ternary_singular_points)
 from veryfree.poly import MultiPoly, compose_with_curve, parse_poly
 
 from helpers import (F2, F3, F4, F5, F7, QQ, count_field_ops,
@@ -405,7 +407,6 @@ def _assert_point_path_agrees(cub, pt):
     """classify_plane_cubic with the known singular point pt gives the
     JSON of the Groebner path; returns the table's row, None when it
     fell back to the strata."""
-    from veryfree.hypersurface import _tangent_cone_class
     assert (classify_plane_cubic(cub, singular_point=pt).to_json()
             == classify_plane_cubic(cub).to_json()), f"{cub} at {pt}"
     return _tangent_cone_class(cub, pt, 6)
@@ -458,9 +459,8 @@ def test_tangent_cone_table_reaches_every_row():
     """Every tag, over F7 and moved: at each singular point of residue
     degree <= 2 (the exhaustive scan), the table and the Groebner path
     agree; the table falls back exactly on the rows with several
-    singular points, and the non-reduced rows are reached from the
-    triple point (q = 0) and from a point of the double line only
-    (q = l^2).  A point that is not singular raises IntegrityError."""
+    singular points, and LineDoubleLine is reached both with q = 0 and
+    with q = l^2.  A point that is not singular raises IntegrityError."""
     from veryfree.poly import linear_substitute
     zoo = {
         "X0*X1*X2+X1^3+X2^3": NODAL_INTEGRAL,
@@ -487,15 +487,18 @@ def test_tangent_cone_table_reaches_every_row():
                 row = _assert_point_path_agrees(cub, pt)
                 assert (row is None) == (tag in (LINE_CONIC_TRANSVERSE,
                                                  THREE_LINES_TRIANGLE))
-                rows.add((tag, row.singular_point is None if row else None))
-            smooth_pt = next(ProjPoint(F7, [Scalar(F7, c) for c in v])
-                             for v in proj_points(F7, 2)
-                             if ProjPoint(F7, [Scalar(F7, c) for c in v])
-                             not in singular)
+                K = pt.field
+                _, q, _ = _nodal_frame(cub.map_field(
+                    K, lambda s, K=K: embed(s, K)), pt)
+                rows.add((tag, q.is_zero()))
+            points = (ProjPoint(F7, [Scalar(F7, c) for c in v])
+                      for v in proj_points(F7, 2))
+            smooth_pt = next(p for p in points if p not in singular)
             with pytest.raises(IntegrityError, match="not singular"):
                 classify_plane_cubic(cub, singular_point=smooth_pt)
     assert {t for t, _ in rows} == set(zoo.values()) - {SMOOTH_CUBIC}
-    assert (LINE_DOUBLE_LINE, True) in rows and (TRIPLE_LINE, True) in rows
+    assert {(LINE_DOUBLE_LINE, True), (LINE_DOUBLE_LINE, False),
+            (TRIPLE_LINE, True)} <= rows
     # the F2 cone whose lines need F4: the ext degree from binary_roots
     cone = parse_poly("X0^3+X1^3", 3, F2)
     vertex = ProjPoint(F2, [0, 0, 1])
