@@ -496,19 +496,11 @@ def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
 
 def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
                             ext_cap: int = DEFAULT_EXT_CAP):
-    """Coordinate change making a nodal integral cubic equal to
+    """Coordinate change making a nodal integral cubic, over a finite
+    field and already classified by the caller, equal to
     X0 X1 X2 + a0 X1^3 + a3 X2^3; only the tangent directions may force
     a quadratic extension.  Returns (matrix rows, a0, a3)."""
     F = cub.field
-    if F.is_rational:
-        raise ValueError("normal forms over Q would need number fields; "
-                         "use a finite field")
-    # no point given: the Groebner strata confirm the node independently
-    cls = classify_plane_cubic(cub, ext_cap)
-    if cls.tag != NODAL_INTEGRAL or cls.singular_point != node:
-        raise ValueError(f"expected a nodal integral cubic with node "
-                         f"{node}, classified as {cls.tag} at "
-                         f"{cls.singular_point}")
     m1, q, c = _nodal_frame(cub, node)
     # tangent directions: q = lambda * L1 * L2 with distinct roots
     roots = binary_roots(q, 2)
@@ -562,6 +554,15 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
     X0 X1 X2 + X1^3 + X2^3 exactly, extending the field for the roots
     the scalings require; verified by re-expansion."""
     F = cub.field
+    if F.is_rational:
+        raise ValueError("normal forms over Q would need number fields; "
+                         "use a finite field")
+    # no point given: the Groebner strata confirm the node independently
+    cls = classify_plane_cubic(cub, ext_cap)
+    if cls.tag != NODAL_INTEGRAL or cls.singular_point != node:
+        raise ValueError(f"expected a nodal integral cubic with node "
+                         f"{node}, classified as {cls.tag} at "
+                         f"{cls.singular_point}")
     pre, a0, a3 = _nodal_prenormalization(cub, node, ext_cap)
     # scalings X1 -> s1 X1, X2 -> s2 X2, X0 -> (s1 s2)^{-1} X0 with
     # a0 s1^3 = a3 s2^3 = 1: cube roots, extension degree <= 3
@@ -603,10 +604,15 @@ def nodal_section_curve(res: "NodalSectionResult",
 
     Uses the scaling-free parametrization of X0 X1 X2 + a0 X1^3 +
     a3 X2^3, so only the tangent directions may extend the field; the
-    image and the splitting agree with the fully normalized route.
+    image and the splitting agree with the fully normalized route.  The
+    walk has already classified the section with no point given.
     """
-    node = res.classification.singular_point
-    pre, a0, a3 = _nodal_prenormalization(res.section, node, ext_cap)
+    cls = res.classification
+    if cls.tag != NODAL_INTEGRAL:
+        raise ValueError(f"expected a nodal integral section, classified "
+                         f"as {cls.tag}")
+    pre, a0, a3 = _nodal_prenormalization(res.section, cls.singular_point,
+                                          ext_cap)
     kf = a0.field
     h_std = scaled_nodal_parametrization(kf, a0, a3)
     h_plane = []

@@ -12,7 +12,8 @@ the same step on the fibre over each of its roots.  Point scans are
 bounded cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
-field.  One zero scan serves the line search, `surface_points` and
+field; each cell scans its smaller row and solves for the partner point
+on the other by a linear condition and a gcd.  One zero scan serves the line search, `surface_points` and
 `singular_points_scan`: a form is restricted once to a row of P^n (pivot
 coordinate 1, some coordinates 0, the rest free), each prefix of free
 values is substituted once, and the last free coordinate is run through
@@ -27,12 +28,11 @@ from typing import Optional
 from . import linalg
 from .errors import (ExtensionCapExceeded, IntegrityError,
                      ScanBudgetExceeded)
-from .fields import FieldSpec, Scalar, embed, find_roots, join_field, \
-    DEFAULT_SCAN_BUDGET
+from .fields import FieldSpec, Scalar, UPoly, embed, find_roots, \
+    join_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
-                   linear_substitute, partial_derivative, resultant_bin,
-                   substitute_linear_map)
+                   partial_derivative, resultant_bin, substitute_linear_map)
 
 DEFAULT_EXT_CAP = 6
 DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
@@ -126,6 +126,30 @@ class Hyperplane:
         return [str(c) for c in self.coeffs]
 
 
+def _dot(K, u, v):
+    """Raw dot product, skipping zero entries."""
+    acc = K.rzero
+    for a, b in zip(u, v):
+        if a != K.rzero and b != K.rzero:
+            acc = K.radd(acc, K.rmul(a, b))
+    return acc
+
+
+def _permutation_is_odd(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 1
+
+
+# the plane through a line and the coordinate point e_k, from the line's
+# Plücker coordinates: det(a; b; e_k; X) has coefficient sign(i j k l) p_ij
+# at X_l for {i, j, k, l} = {0, 1, 2, 3}; per k, the triples
+# (l, index of ij among the Plücker coordinates, sign is -1)
+_PLANES_THROUGH_E = [
+    [(6 - i - j - k, n, _permutation_is_odd((i, j, k, 6 - i - j - k)))
+     for n, (i, j) in enumerate(itertools.combinations(range(4), 2))
+     if k not in (i, j)]
+    for k in range(4)]
+
+
 class LineP3:
     """Line in P^3 as a 2x4 matrix in reduced row echelon form, with the
     raw Plücker coordinates a_i b_j - a_j b_i of its rows a, b, for
@@ -173,7 +197,11 @@ class LineP3:
 
         Two lines meet iff their Plücker coordinates pair to zero:
         p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01 = 0.
-        Only meeting lines reach the kernel that finds the point.
+        For meeting lines, the plane through self and the coordinate
+        point e_k (`_PLANES_THROUGH_E`) meets other, with rows c and d,
+        in (pi . d) c - (pi . c) d; the first k whose plane does not
+        hold other gives the point, and only coincident lines lie in
+        all four planes.
         """
         F = self.field
         pairing = F.rzero
@@ -184,17 +212,18 @@ class LineP3:
                 else F.radd(pairing, term)
         if pairing != F.rzero:
             return None
-        stacked = self.raw_rows() + other.raw_rows()
-        cols = [[stacked[r][c] for r in range(4)] for c in range(4)]
-        ker = linalg.kernel(F, cols, 4)
-        if not ker:
-            return None
-        if len(ker) == 2:
-            raise IntegrityError("coincident lines")
-        a, b = ker[0][0], ker[0][1]
-        pt = [F.radd(F.rmul(a, x.raw), F.rmul(b, y.raw))
-              for x, y in zip(self.rows[0], self.rows[1])]
-        return ProjPoint(F, [Scalar(F, v) for v in pt])
+        c, d = other.raw_rows()
+        for terms in _PLANES_THROUGH_E:
+            plane = [F.rzero] * 4
+            for l, ij, negate in terms:
+                p = self.plucker[ij]
+                plane[l] = F.rneg(p) if negate else p
+            pc, pd = _dot(F, plane, c), _dot(F, plane, d)
+            if pc != F.rzero or pd != F.rzero:
+                return ProjPoint(F, [
+                    Scalar(F, F.rsub(F.rmul(pd, x), F.rmul(pc, y)))
+                    for x, y in zip(c, d)])
+        raise IntegrityError("coincident lines")
 
     def map_field(self, target):
         return LineP3(target, [[embed(c, target) for c in r]
@@ -704,7 +733,8 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
     m = _completion_matrix(F, s.coords)
     # rotate columns so s sits at (0:0:1)
     m_rot = [[row[1], row[2], row[0]] for row in m]
-    qy = linear_substitute(q, m_rot)
+    # m_rot is invertible by construction: substitute X = m_rot Y directly
+    qy = substitute_linear_map(q, list(zip(*m_rot)), 3)
     coeffs = [F.zero] * 3
     for (e0, e1, e2), c in qy.terms.items():
         if e2 != 0:
@@ -916,6 +946,110 @@ def _cell_patterns():
     return cells
 
 
+def _on_affine_line(K, terms, b0, b1):
+    """Raw bivariate terms at (s, b0 + b1 s), as a UPoly in s."""
+    line = UPoly(K, [b0, b1])
+    powers = [UPoly(K, [K.rone])]
+    out = [K.rzero] * 4
+    for (ea, eb), c in terms.items():
+        while len(powers) <= eb:
+            powers.append(powers[-1] * line)
+        for m, p in enumerate(powers[eb].coeffs):
+            out[ea + m] = K.radd(out[ea + m], K.rmul(c, p))
+    return UPoly(K, out)
+
+
+def _partners(K, i, free0, row_i, r1, g1):
+    """Raw points r0 of row i (pivot i, coordinates free0 varying) with
+    the line r0 r1 on X, or None when the tangent plane at r1 holds the
+    whole row (its linear form is constant zero there).
+
+    row_i holds f and its four partials on the row as raw terms, g1 the
+    gradient at r1.  r0 must lie on the tangent plane g1 . r0 = 0
+    (linear), on f and on the polar quadric sum_k r1_k df/dX_k.
+    """
+    rzero, rneg, rmul = K.rzero, K.rneg, K.rmul
+    slopes = [g1[t] for t in free0]
+    if all(c == rzero for c in slopes):
+        return [] if g1[i] != rzero else None
+    f_i, *partials_i = row_i
+    polar = {}
+    for c, terms in zip(r1, partials_i):
+        if c != rzero:
+            for e, v in terms.items():
+                v = rmul(c, v)
+                polar[e] = K.radd(polar[e], v) if e in polar else v
+
+    def point(vals):
+        r0 = [rzero] * 4
+        r0[i] = K.rone
+        for t, v in zip(free0, vals):
+            r0[t] = v
+        return r0
+
+    if len(free0) == 1:
+        s = rneg(rmul(g1[i], K.rinv(slopes[0])))
+        on_both = all(_set_first(K, g, s).get((), rzero) == rzero
+                      for g in (f_i, polar))
+        return [point((s,))] if on_both else []
+    alpha, beta = slopes
+    if beta == rzero:
+        # the first free coordinate is fixed, the second runs
+        a0 = rneg(rmul(g1[i], K.rinv(alpha)))
+        cub, quad = [UPoly(K, [_set_first(K, g, a0).get((d,), rzero)
+                               for d in range(4)]) for g in (f_i, polar)]
+        on_line = lambda s: (a0, s)
+    else:
+        # the first free coordinate runs, the second follows it
+        binv = K.rinv(beta)
+        b0, b1 = rneg(rmul(g1[i], binv)), rneg(rmul(alpha, binv))
+        cub, quad = [_on_affine_line(K, g, b0, b1) for g in (f_i, polar)]
+        on_line = lambda s: (s, K.radd(b0, rmul(b1, s)))
+    common = cub.gcd(quad)
+    if common.is_zero():
+        raise IntegrityError("a plane lies on the surface; it cannot be "
+                             "smooth")
+    if common.degree == 0:
+        return []
+    if common.degree == 1:
+        roots = [rneg(common.coeffs[0])]
+    else:
+        roots = [s for s in K.elements() if common.eval_raw(s) == rzero]
+    return [point(on_line(s)) for s in roots]
+
+
+def _lines_in_cells(forms):
+    """Lines of P^3 on {f = 0}, forms = [f] + its four partials over K,
+    each found once in its RREF cell (pivots i < j).
+
+    Each cell scans only its second row (pivot j), whose free
+    coordinates are a subset of the first's.  A line spanned by r0 and r1
+    lies on X iff f(r0), grad f(r0) . r1, grad f(r1) . r0 and f(r1) all
+    vanish (the coefficients of f(u r0 + v r1)); given a zero r1 with
+    gradient g1, the third condition is linear in r0, so `_partners`
+    solves for r0 on the first row.  When the tangent plane at r1 holds
+    the first row, its zeros are scanned once per cell and paired by the
+    polar condition grad f(r0) . r1 = 0.
+    """
+    K = forms[0].field
+    lines = []
+    for (i, j, free0, free1) in _cell_patterns():
+        row_i = [{e: c.raw for e, c in _on_row(g, i, free0).terms.items()}
+                 for g in forms]
+        zeros_i = None
+        for r1, g1 in _row_zeros(forms, j, free1):
+            r0s = _partners(K, i, free0, row_i, r1, g1)
+            if r0s is None:
+                if zeros_i is None:
+                    zeros_i = list(_row_zeros(forms, i, free0))
+                r0s = [r0 for r0, g0 in zeros_i
+                       if _dot(K, g0, r1) == K.rzero]
+            for r0 in r0s:
+                lines.append(LineP3(K, [[Scalar(K, c) for c in r0],
+                                        [Scalar(K, c) for c in r1]]))
+    return lines
+
+
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                            field_cap: int = DEFAULT_LINE_FIELD_CAP):
     """All 27 lines on a smooth cubic surface over F_q.
@@ -940,29 +1074,8 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                 f"(size {K.size} > {field_cap}); {last_count} lines found "
                 f"so far")
         xk = x.map_field(K) if K is not base else x
-        forms = [xk.f] + xk.partials
-        lines = []
-        for (i, j, free0, free1) in _cell_patterns():
-            cand0 = list(_row_zeros(forms, i, free0))
-            cand1 = list(_row_zeros(forms, j, free1))
-            for r0, g0 in cand0:
-                for r1, g1 in cand1:
-                    dot_a = K.rzero
-                    for gg, rr in zip(g0, r1):
-                        if gg != K.rzero and rr != K.rzero:
-                            dot_a = K.radd(dot_a, K.rmul(gg, rr))
-                    if dot_a != K.rzero:
-                        continue
-                    dot_b = K.rzero
-                    for gg, rr in zip(g1, r0):
-                        if gg != K.rzero and rr != K.rzero:
-                            dot_b = K.radd(dot_b, K.rmul(gg, rr))
-                    if dot_b != K.rzero:
-                        continue
-                    lines.append(LineP3(K, [
-                        [Scalar(K, c) for c in r0],
-                        [Scalar(K, c) for c in r1]]))
-        lines = sorted(set(lines), key=lambda l: l.sort_key())
+        lines = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
+                       key=lambda l: l.sort_key())
         if len(lines) > 27:
             raise IntegrityError(
                 f"{len(lines)} lines found; the surface cannot be smooth")

@@ -1,10 +1,12 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
-S-polynomial built from MultiPoly arithmetic and a field-op counter."""
+S-polynomial built from MultiPoly arithmetic, a field-op counter and a
+two-row line search."""
 import itertools
 import random
 
 from veryfree import fields
-from veryfree.fields import make_field
+from veryfree.fields import Scalar, make_field
+from veryfree.hypersurface import LineP3, _cell_patterns, _row_zeros
 from veryfree.poly import MultiPoly, _lead
 
 F2 = make_field(2)
@@ -98,3 +100,27 @@ def count_field_ops(monkeypatch):
         monkeypatch.setattr(fields.FieldSpec, op,
                             counted(getattr(fields.FieldSpec, op)))
     return count
+
+
+def lines_by_row_pairing(x, K):
+    """Oracle for the line search: the lines of P^3 over K on the surface
+    x, sorted.  Each RREF cell scans both rows and keeps every pair of
+    zeros r0, r1 with grad f(r0) . r1 = grad f(r1) . r0 = 0, so no
+    condition is solved for."""
+    xk = x.map_field(K) if K is not x.field else x
+    forms = [xk.f] + xk.partials
+
+    def dot(u, v):
+        acc = K.rzero
+        for a, b in zip(u, v):
+            acc = K.radd(acc, K.rmul(a, b))
+        return acc
+    lines = set()
+    for (i, j, free0, free1) in _cell_patterns():
+        zeros1 = list(_row_zeros(forms, j, free1))
+        for r0, g0 in _row_zeros(forms, i, free0):
+            for r1, g1 in zeros1:
+                if dot(g0, r1) == K.rzero and dot(g1, r0) == K.rzero:
+                    lines.add(LineP3(K, [[Scalar(K, c) for c in r]
+                                         for r in (r0, r1)]))
+    return sorted(lines, key=lambda l: l.sort_key())

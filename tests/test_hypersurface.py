@@ -5,7 +5,8 @@ import pytest
 
 from veryfree import linalg
 from veryfree.errors import IntegrityError
-from veryfree.fields import Scalar, embed, make_field
+from veryfree.fields import Scalar, UPoly, embed, make_field
+from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
                                    NODAL_INTEGRAL, SMOOTH_CUBIC,
@@ -18,14 +19,17 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    proj_points, singular_points_scan,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
-                                   _nodal_frame, _row_zeros,
+                                   _lines_in_cells, _nodal_frame,
+                                   _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
-from veryfree.poly import MultiPoly, compose_with_curve, parse_poly
+from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
+                           parse_poly)
 
-from helpers import (F2, F3, F4, F5, F7, QQ, count_field_ops,
-                     random_cubic_form, random_form, random_invertible,
-                     sympy_chart_smooth, F5_SURFACE_SEEDS)
+from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
+                     lines_by_row_pairing, random_cubic_form, random_form,
+                     random_invertible, sympy_chart_smooth,
+                     F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
 
 
 def fermat(field, nvars=4):
@@ -552,14 +556,87 @@ def test_line_search_field_op_count(monkeypatch):
     """Raw field operations of the line search, smoothness test included,
     on a pinned F7 surface whose lines need F_49.  Evaluating the cubic
     and its partials in full at every point of each cell row needs
-    586 655, the row-restricted Horner scan about 108 500: the bound
-    catches a fall back to per-point evaluation, which no wall-clock
-    gate would."""
+    586 655; Horner scans of both rows of every cell, paired by the polar
+    conditions, about 100 800; scanning only the second row and solving
+    for the partner point about 33 000.  The bound catches a fall back to
+    scanning both rows, which no wall-clock gate would."""
     x = Hypersurface(random_cubic_form(F7, 4, 256))
     count = count_field_ops(monkeypatch)
     lines, work, ext = lines_on_cubic_surface(x)
     assert len(lines) == 27 and ext == 2
-    assert count[0] <= 150_000
+    assert count[0] <= 60_000
+
+
+CYCLIC = "X0^2*X1+X1^2*X2+X2^2*X3+X3^2*X0"
+
+
+def _moved(f, seed):
+    """f(M X) for a seeded invertible M."""
+    return Hypersurface(linear_substitute(
+        f, random_invertible(f.field, 4, random.Random(seed))))
+
+
+def _spy_line_search(monkeypatch):
+    """Records the degree of each gcd the line search takes and each scan
+    of a cell's first row, whose free coordinates are not all the
+    coordinates after its pivot (the tangent plane at r1 holds the row)."""
+    seen = {"gcd": set(), "first_rows": 0}
+    gcd, row_zeros = UPoly.gcd, hypersurface._row_zeros
+
+    def spy_gcd(a, b):
+        out = gcd(a, b)
+        seen["gcd"].add(out.degree)
+        return out
+
+    def spy_row_zeros(forms, pivot, free):
+        if tuple(free) != tuple(range(pivot + 1, 4)):
+            seen["first_rows"] += 1
+        return row_zeros(forms, pivot, free)
+    monkeypatch.setattr(UPoly, "gcd", spy_gcd)
+    monkeypatch.setattr(hypersurface, "_row_zeros", spy_row_zeros)
+    return seen
+
+
+@pytest.mark.parametrize("name, x, reaches", [
+    ("cyclic F2", Hypersurface(parse_poly(CYCLIC, 4, F2)), "first_rows"),
+    ("cyclic F4", Hypersurface(parse_poly(CYCLIC, 4, F4)), "first_rows"),
+    ("cyclic F11", Hypersurface(parse_poly(CYCLIC, 4, F11)), "first_rows"),
+    ("Fermat F7", fermat(F7), {3}),
+    ("Fermat F13", fermat(make_field(13)), {3}),
+    ("Clebsch F7", clebsch(F7), {1, 2}),
+    ("moved F5", _moved(random_cubic_form(F5, 4, F5_SURFACE_SEEDS[0]), 1),
+     {1, 2}),
+    ("moved F7", _moved(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]), 1),
+     {1, 2}),
+])
+def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
+    """Solving for the partner point finds, over every field the search
+    visits, exactly the lines of the two-row scan.  The surfaces reach
+    each way of solving: the tangent plane at r1 holding a first row
+    (cyclic), a gcd of degree 3 (Fermat) and gcds of degrees 1 and 2."""
+    seen = _spy_line_search(monkeypatch)
+    lines, work, ext = lines_on_cubic_surface(x)
+    monkeypatch.undo()
+    assert len(lines) == 27
+    if reaches == "first_rows":
+        assert seen["first_rows"] > 0, name
+    else:
+        assert reaches <= seen["gcd"], (name, seen)
+    for k in range(1, ext + 1):
+        K = make_field(x.field.p, x.field.k * k)
+        xk = x.map_field(K) if K is not x.field else x
+        found = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
+                       key=lambda l: l.sort_key())
+        assert found == lines_by_row_pairing(x, K), (name, k)
+    assert found == lines
+
+
+def test_line_search_refuses_a_plane():
+    """A plane on the surface makes both restrictions to the line of
+    partner points vanish: X2 = 0 lies on X2 (X0^2 + X1^2 + X3^2)."""
+    x = Hypersurface(parse_poly("X2*(X0^2+X1^2+X3^2)", 4, F7))
+    with pytest.raises(IntegrityError, match="plane"):
+        _lines_in_cells([x.f] + x.partials)
 
 
 def test_is_smooth_field_op_count(monkeypatch):
@@ -670,13 +747,15 @@ def _random_point(field, rng):
 
 
 def test_meets_random_pairs():
-    """Random skew, meeting and coincident pairs of lines over F4, F7 and
-    F49: skew pairs give None, meeting pairs the kernel's point, which
-    lies on both lines, and coincident lines raise IntegrityError."""
+    """Random skew, meeting and coincident pairs of lines over F2, F4,
+    F16, F3, F5, F7, F25 and F49: skew pairs give None, meeting pairs the
+    kernel's point, which lies on both lines, and coincident lines raise
+    IntegrityError."""
     rng = random.Random(12)
-    for field in (F4, F7, make_field(7, 2)):
+    for field in (F2, F4, make_field(2, 4), F3, F5, F7, make_field(5, 2),
+                  make_field(7, 2)):
         kinds = {"skew": 0, "meet": 0}
-        for _ in range(60):
+        for _ in range(130):
             p, q, r, s = (_random_point(field, rng) for _ in range(4))
             try:
                 a, b = LineP3(field, [p, q]), LineP3(field, [r, s])
