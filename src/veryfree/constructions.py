@@ -500,7 +500,6 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
     field and already classified by the caller, equal to
     X0 X1 X2 + a0 X1^3 + a3 X2^3; only the tangent directions may force
     a quadratic extension.  Returns (matrix rows, a0, a3)."""
-    F = cub.field
     m1, q, c = _nodal_frame(cub, node)
     # tangent directions: q = lambda * L1 * L2 with distinct roots
     roots = binary_roots(q, 2)
@@ -509,40 +508,30 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
     K = join_field(*[u.field for (u, v, e, m) in roots])
     (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
                           for (u, v, e, m) in roots]
-    cub_k = cub.map_field(K, lambda s: embed(s, K)) if K is not F else cub
     m1_k = [[embed(x, K) for x in row] for row in m1]
+    qk, ck = [h.map_field(K, lambda s: embed(s, K)) for h in (q, c)]
     # q(X1, X2) = lam * (v1 X1 - u1 X2)(v2 X1 - u2 X2)
     l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
             * BinaryForm.from_scalars(K, [v2, -u2]))
-    lam = None
-    qk = BinaryForm(K, 2, [embed(x, K) for x in q.coeffs])
-    for jj in range(3):
-        if l1l2.coeffs[jj]:
-            lam = qk.coeffs[jj] / l1l2.coeffs[jj]
-            break
-    if lam is None or (l1l2 * lam) != qk:
-        raise IntegrityError("tangent-cone factorization failed")
-    # (Y1, Y2) = S (X1, X2) with Y1 = L1, Y2 = lam L2; substitute X = M2 Y
+    jj = next(j for j in range(3) if l1l2.coeffs[j])
+    lam = qk.coeffs[jj] / l1l2.coeffs[jj]
+    # (Y1, Y2) = S (X1, X2) with Y1 = L1, Y2 = lam L2; substitute X = M2 Y,
+    # which takes X0 q + c to Y0 Y1 Y2 + sum_t a_t Y1^(3-t) Y2^t (checked)
     s_mat = [[v1.raw, K.rneg(u1.raw)],
              [K.rmul(lam.raw, v2.raw), K.rneg(K.rmul(lam.raw, u2.raw))]]
     s_inv = linalg.inverse(K, s_mat)
     if s_inv is None:
         raise IntegrityError("tangent directions are not independent")
-    m2 = [[K.one, K.zero, K.zero],
-          [K.zero, Scalar(K, s_inv[0][0]), Scalar(K, s_inv[0][1])],
-          [K.zero, Scalar(K, s_inv[1][0]), Scalar(K, s_inv[1][1])]]
-    f2 = linear_substitute(linear_substitute(cub_k, m1_k), m2)
-    alphas = [f2.coefficient((0, 3 - t, t)) for t in range(4)]
-    if f2.coefficient((1, 1, 1)) != K.one or not alphas[0] or not alphas[3]:
+    (s00, s01), (s10, s11) = [[Scalar(K, x) for x in row] for row in s_inv]
+    m2 = [[K.one, K.zero, K.zero], [K.zero, s00, s01], [K.zero, s10, s11]]
+    a0, a1, a2, a3 = ck.reparametrize(s00, s01, s10, s11).coeffs
+    if qk.reparametrize(s00, s01, s10, s11) != BinaryForm.monomial(K, 1, 1) \
+            or not a0 or not a3:
         raise IntegrityError("unexpected shape after tangent normalization")
-    m3 = [[K.one, -alphas[1], -alphas[2]],
+    # X0 -> X0 - a1 X1 - a2 X2 absorbs the middle terms; a0, a3 stay
+    m3 = [[K.one, -a1, -a2],
           [K.zero, K.one, K.zero],
           [K.zero, K.zero, K.one]]
-    f3 = linear_substitute(f2, m3)
-    a0, a3 = f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3))
-    if not a0 or not a3:
-        raise IntegrityError("integral nodal cubic lost a corner "
-                             "coefficient")
     total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
     return total, a0, a3
 

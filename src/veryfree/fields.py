@@ -566,12 +566,7 @@ def _embedding_powers(src, target):
     if src.k == 1:
         powers = [target.rone]
     else:
-        root = None
-        for cand in sorted(_modulus_roots(src, target), key=target.lex_key):
-            root = cand
-            break
-        if root is None:
-            raise AssertionError("modulus has no root in extension")  # unreachable
+        root = _least_modulus_root(src, target)
         powers = [target.rone]
         for _ in range(1, src.k):
             powers.append(target.rmul(powers[-1], root))
@@ -579,16 +574,17 @@ def _embedding_powers(src, target):
     return powers
 
 
-def _modulus_roots(src, target):
+def _least_modulus_root(src, target):
+    """The least root of the source modulus in the target: `elements()`
+    runs in `lex_key` order, so the scan stops at the first root."""
     m = src.modulus
-    roots = []
     for cand in target.elements():
         acc = target.rzero
         for c in reversed(m):
             acc = target.radd(target.rmul(acc, cand), c % target.p)
         if acc == 0:
-            roots.append(cand)
-    return roots
+            return cand
+    raise AssertionError("modulus has no root in extension")  # unreachable
 
 
 def join_field(*fields: FieldSpec) -> FieldSpec:

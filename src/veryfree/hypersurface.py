@@ -380,6 +380,7 @@ def _check_scan_budget(q, n):
 def _set_first(F, terms, a):
     """Raw terms {exponents: raw coefficient} with the first variable set
     to the raw value a; terms left with the same exponents merge."""
+    # a line-search hot kernel: poly._substitute_raw takes 3x as long
     powers = [F.rone]
     out = {}
     for e, c in terms.items():
@@ -549,7 +550,7 @@ def hyperplane_section(x: Hypersurface, plane: Hyperplane):
         row[piv] = -plane.coeffs[j] * apiv_inv
         rows.append(tuple(row))
     chart = SectionChart(F, piv, tuple(rows))
-    section = substitute_linear_map(x.f, rows, x.n)
+    section = substitute_linear_map(x.f, list(zip(*rows)))
     if section.is_zero():
         raise IntegrityError(
             "hypersurface contains the hyperplane; it cannot be smooth")
@@ -604,20 +605,21 @@ def divides_plane_line(f: MultiPoly, line: Hyperplane) -> bool:
 def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
     """Exact quotient f / L for a linear form L dividing f."""
     F = f.field
-    m = _completion_matrix(F, line.coeffs)
-    n_inv = linalg.inverse(F, [[c.raw for c in col] for col in zip(*m)])
+    # the transposed completion matrix N has the line as its first row,
+    # so in coordinates Y = N X the line is {Y_0 = 0}: g(Y) = f(N^{-1} Y)
+    n = list(zip(*_completion_matrix(F, line.coeffs)))
+    n_inv = linalg.inverse(F, [[c.raw for c in row] for row in n])
     if n_inv is None:
         raise IntegrityError("could not complete line to a basis")
-    # in coordinates Y = N X, N = m^T, the line is {Y_0 = 0}:
-    # g(Y) = f(N^{-1} Y)
-    rows_fwd = [[Scalar(F, n_inv[i][j]) for i in range(3)] for j in range(3)]
-    g = substitute_linear_map(f, rows_fwd, 3)
+    g = substitute_linear_map(f, [[Scalar(F, c) for c in row]
+                                  for row in n_inv])
     quo = {}
     for exps, c in g.terms.items():
         if exps[0] == 0:
             raise ValueError("line does not divide the form")
         quo[(exps[0] - 1, exps[1], exps[2])] = c
-    return substitute_linear_map(MultiPoly(F, 3, quo), m, 3)
+    # g = Y_0 h(Y), so f / L = h(N X)
+    return substitute_linear_map(MultiPoly(F, 3, quo), n)
 
 
 # -- singular points of ternary cubics --------------------------------------
@@ -734,7 +736,7 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
     # rotate columns so s sits at (0:0:1)
     m_rot = [[row[1], row[2], row[0]] for row in m]
     # m_rot is invertible by construction: substitute X = m_rot Y directly
-    qy = substitute_linear_map(q, list(zip(*m_rot)), 3)
+    qy = substitute_linear_map(q, m_rot)
     coeffs = [F.zero] * 3
     for (e0, e1, e2), c in qy.terms.items():
         if e2 != 0:
@@ -813,7 +815,7 @@ def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
     K = pt.field
     m = _completion_matrix(K, pt.coords)
     # m is invertible by construction: substitute X = m Y directly
-    f_loc = substitute_linear_map(cub, list(zip(*m)), 3)
+    f_loc = substitute_linear_map(cub, m)
     qco = [K.zero] * 3
     cco = [K.zero] * 4
     for (e0, e1, e2), coeff in f_loc.terms.items():
@@ -948,6 +950,7 @@ def _cell_patterns():
 
 def _on_affine_line(K, terms, b0, b1):
     """Raw bivariate terms at (s, b0 + b1 s), as a UPoly in s."""
+    # a line-search hot kernel: poly._substitute_raw takes 2x as long
     line = UPoly(K, [b0, b1])
     powers = [UPoly(K, [K.rone])]
     out = [K.rzero] * 4

@@ -375,19 +375,13 @@ def partial_derivative(f: MultiPoly, i: int) -> MultiPoly:
 
 def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
     """f(M.X) for an invertible nvars x nvars scalar matrix M."""
-    n = f.nvars
-    raw = [[f.field.scalar(matrix[i][j]).raw for j in range(n)]
-           for i in range(n)]
-    if linalg.inverse(f.field, raw) is None:
+    F = f.field
+    if any(len(row) != f.nvars for row in matrix):
+        raise ValueError(f"expected a {f.nvars} x {f.nvars} matrix")
+    if linalg.inverse(F, [[F.scalar(c).raw for c in row]
+                          for row in matrix]) is None:
         raise ValueError("substitution matrix is singular")
-    return substitute_linear_map(f, _matrix_to_row_images(f.field, matrix), n)
-
-
-def _matrix_to_row_images(field, matrix):
-    # row i of M gives X_i = sum_j M[i][j] X_j; substitute_linear_map wants
-    # rows[j][i] = coefficient of Y_j in the image of X_i
-    n = len(matrix)
-    return [[field.scalar(matrix[i][j]) for i in range(n)] for j in range(n)]
+    return substitute_linear_map(f, matrix)
 
 
 def _raw_mul(F, a, b):
@@ -409,31 +403,26 @@ def _raw_mul(F, a, b):
     return out
 
 
-def substitute_linear_map(f: MultiPoly, rows, new_nvars: int) -> MultiPoly:
-    """Substitute X_i = sum_j rows[j][i] * Y_j into f."""
-    F = f.field
-    radd = F.radd
-    # powers[i][k] = raw terms of the k-th power of the image of X_i
-    powers = []
-    for i in range(f.nvars):
-        image = {}
-        for j in range(new_nvars):
-            c = F.scalar(rows[j][i]).raw
-            if c:
-                e = [0] * new_nvars
-                e[j] = 1
-                image[tuple(e)] = c
-        powers.append([{(0,) * new_nvars: F.rone}, image])
+def _substitute_raw(F, terms, images, one):
+    """Raw terms of f(images): `terms` holds f and images[i] the image of
+    its i-th variable, each as raw terms {exponents: nonzero raw
+    coefficient}, and `one` is the exponents of the constant monomial.
+    Powers of each image are cached as the terms ask for them, and each
+    product of powers is scaled by its coefficient as it is added."""
+    radd, rmul = F.radd, F.rmul
+    unit = {one: F.rone}
+    powers = [[unit, image] for image in images]
     out = {}
-    for e, c in f.terms.items():
-        term = {(0,) * new_nvars: c.raw}
-        for i, k in enumerate(e):
+    for e, c in terms.items():
+        term = unit
+        for cache, k in zip(powers, e):
             if k:
-                cache = powers[i]
                 while len(cache) <= k:
                     cache.append(_raw_mul(F, cache[-1], cache[1]))
-                term = _raw_mul(F, term, cache[k])
+                term = cache[k] if term is unit else \
+                    _raw_mul(F, term, cache[k])
         for t, v in term.items():
+            v = rmul(c, v)
             if t in out:
                 s = radd(out[t], v)
                 if s:
@@ -442,7 +431,38 @@ def substitute_linear_map(f: MultiPoly, rows, new_nvars: int) -> MultiPoly:
                     del out[t]
             else:
                 out[t] = v
-    return MultiPoly(F, new_nvars, {e: Scalar(F, c) for e, c in out.items()})
+    return out
+
+
+def substitute_linear_map(f: MultiPoly, m) -> MultiPoly:
+    """f(M.Y): substitute X_i = sum_j m[i][j] * Y_j.  M may be
+    rectangular, as for a hyperplane section (n + 1 -> n variables)."""
+    F = f.field
+    ncols = len(m[0])
+    if len(m) != f.nvars or {len(row) for row in m} != {ncols}:
+        raise ValueError(f"expected a map with {f.nvars} rows of one length")
+    one = (0,) * ncols
+    units = [one[:j] + (1,) + one[j + 1:] for j in range(ncols)]
+    images = [{u: r for u, x in zip(units, row) if (r := F.scalar(x).raw)}
+              for row in m]
+    out = _substitute_raw(F, {e: c.raw for e, c in f.terms.items()},
+                          images, one)
+    return MultiPoly(F, ncols, {e: Scalar(F, c) for e, c in out.items()})
+
+
+def _binary_images(F, forms):
+    """Raw terms of binary forms, given by their coefficients, keyed (j,)
+    with j the exponent of V: the form is homogeneous, so the exponent of
+    U follows from it."""
+    return [{(j,): r for j, r in enumerate(F.scalar(c).raw for c in h) if r}
+            for h in forms]
+
+
+def _binary_from_raw(F, degree, terms):
+    """The binary form of the given degree with raw terms keyed (j,)."""
+    z = F.rzero
+    return BinaryForm(F, degree, [Scalar(F, terms.get((j,), z))
+                                  for j in range(degree + 1)])
 
 
 def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
@@ -455,27 +475,10 @@ def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
     degs = {h.degree for h in curve}
     if len(degs) != 1:
         raise ValueError(f"curve components have mixed degrees {sorted(degs)}")
-    d = degs.pop()
     F = f.field
-    target_deg = f.total_degree * d
-    power_cache = [{} for _ in curve]
-
-    def h_pow(i, k):
-        if k == 0:
-            return BinaryForm.one(F)
-        cache = power_cache[i]
-        if k not in cache:
-            cache[k] = h_pow(i, k - 1) * curve[i]
-        return cache[k]
-
-    acc = BinaryForm.zero(F, target_deg)
-    for e, c in f.terms.items():
-        term = BinaryForm.constant(F, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * h_pow(i, k)
-        acc = acc + term.promote(target_deg)
-    return acc
+    out = _substitute_raw(F, {e: c.raw for e, c in f.terms.items()},
+                          _binary_images(F, [h.coeffs for h in curve]), (0,))
+    return _binary_from_raw(F, f.total_degree * degs.pop(), out)
 
 
 # -- binary forms --------------------------------------------------------
@@ -507,10 +510,6 @@ class BinaryForm:
     @classmethod
     def one(cls, field):
         return cls(field, 0, (field.one,))
-
-    @classmethod
-    def constant(cls, field, value):
-        return cls(field, 0, (field.scalar(value),))
 
     @classmethod
     def from_scalars(cls, field, scalars):
@@ -581,16 +580,6 @@ class BinaryForm:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = BinaryForm.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def promote(self, degree):
         """Reinterpret a zero form at the given degree; no-op otherwise."""
         if self.degree == degree:
@@ -637,13 +626,11 @@ class BinaryForm:
     def reparametrize(self, a, b, c, d):
         """Substitute U -> aU + bV, V -> cU + dV."""
         F = self.field
-        row_u = BinaryForm.from_scalars(F, [a, b])
-        row_v = BinaryForm.from_scalars(F, [c, d])
-        acc = BinaryForm.zero(F, self.degree)
-        for j, coeff in enumerate(self.coeffs):
-            if coeff:
-                acc = acc + coeff * (row_u**(self.degree - j) * row_v**j)
-        return acc
+        terms = {(self.degree - j, j): x.raw
+                 for j, x in enumerate(self.coeffs) if x}
+        out = _substitute_raw(F, terms, _binary_images(F, [(a, b), (c, d)]),
+                              (0,))
+        return _binary_from_raw(F, self.degree, out)
 
     def __str__(self):
         items = [((self.degree - j, j), c)

@@ -1,13 +1,16 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
-S-polynomial built from MultiPoly arithmetic, a field-op counter and a
-two-row line search."""
+S-polynomial built from MultiPoly arithmetic, a field-op counter, a
+two-row line search and a nodal prenormalisation by substitution."""
 import itertools
 import random
 
-from veryfree import fields
-from veryfree.fields import Scalar, make_field
-from veryfree.hypersurface import LineP3, _cell_patterns, _row_zeros
-from veryfree.poly import MultiPoly, _lead
+from veryfree import fields, linalg
+from veryfree.constructions import _mat_mul_scalar
+from veryfree.fields import Scalar, embed, join_field, make_field
+from veryfree.hypersurface import (LineP3, _cell_patterns, _nodal_frame,
+                                   _row_zeros)
+from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
+                           linear_substitute)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -124,3 +127,41 @@ def lines_by_row_pairing(x, K):
                     lines.add(LineP3(K, [[Scalar(K, c) for c in r]
                                          for r in (r0, r1)]))
     return sorted(lines, key=lambda l: l.sort_key())
+
+
+def prenormalization_by_substitution(cub, node):
+    """Oracle for `constructions._nodal_prenormalization`: the same
+    (matrix, a0, a3), with the cubic substituted again after each
+    coordinate change and the coefficients read off the result.  After
+    the node moves to (1:0:0), the tangent directions become Y1 and Y2
+    (matrix M2) and X0 -> X0 - alpha_1 X1 - alpha_2 X2 absorbs the middle
+    terms (matrix M3)."""
+    m1, q, _ = _nodal_frame(cub, node)
+    roots = binary_roots(q, 2)
+    assert len(roots) == 2 and all(mult == 1 for *_, mult in roots)
+    K = join_field(*[u.field for (u, v, e, m) in roots])
+    (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
+                          for (u, v, e, m) in roots]
+    cub_k = cub.map_field(K, lambda s: embed(s, K))
+    m1_k = [[embed(x, K) for x in row] for row in m1]
+    l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
+            * BinaryForm.from_scalars(K, [v2, -u2]))
+    qk = q.map_field(K, lambda s: embed(s, K))
+    jj = next(j for j in range(3) if l1l2.coeffs[j])
+    lam = qk.coeffs[jj] / l1l2.coeffs[jj]
+    assert l1l2 * lam == qk
+    s_inv = linalg.inverse(K, [[v1.raw, K.rneg(u1.raw)],
+                               [K.rmul(lam.raw, v2.raw),
+                                K.rneg(K.rmul(lam.raw, u2.raw))]])
+    m2 = [[K.one, K.zero, K.zero],
+          [K.zero, Scalar(K, s_inv[0][0]), Scalar(K, s_inv[0][1])],
+          [K.zero, Scalar(K, s_inv[1][0]), Scalar(K, s_inv[1][1])]]
+    f2 = linear_substitute(linear_substitute(cub_k, m1_k), m2)
+    alphas = [f2.coefficient((0, 3 - t, t)) for t in range(4)]
+    assert f2.coefficient((1, 1, 1)) == K.one
+    m3 = [[K.one, -alphas[1], -alphas[2]],
+          [K.zero, K.one, K.zero],
+          [K.zero, K.zero, K.one]]
+    f3 = linear_substitute(f2, m3)
+    total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
+    return total, f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3))

@@ -165,6 +165,19 @@ def test_verify_paper_json_schema_and_determinism(tmp_path, capsys):
     assert out2 == out
 
 
+def test_verify_paper_json_matches_golden_for_every_seed(capsys):
+    """Each seed draws other admissible completions for the tangent-bundle
+    pullbacks and the normal form, so every recorded digest is checked,
+    not only seed 0's."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert sorted(golden, key=int) == [str(s) for s in range(16)]
+    for seed, digest in golden.items():
+        code, out = run(capsys, "verify-paper", "--json", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
 def test_verify_paper_text_progress_on_stderr(capsys):
     code, out, err = run_err(capsys, "verify-paper")
     assert code == 0

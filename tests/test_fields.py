@@ -11,7 +11,7 @@ from veryfree.fields import (QQ, UPoly, cube_root, embed,
                              find_roots, join_field, make_field,
                              parse_field_spec, format_field_spec)
 
-from helpers import F2, F3, F4, F5, F7
+from helpers import F2, F3, F4, F5, F7, count_field_ops
 
 
 def test_make_field_prime_and_rational():
@@ -126,6 +126,38 @@ def test_embed_tower_compatibility():
     for raw in F4.elements():
         x = F4.from_raw(raw)
         assert embed(embed(x, F16), F256) == embed(x, F256)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)],
+                         ids=["F4", "F8", "F9", "F25", "F49"])
+def test_embed_takes_least_modulus_root(p, k):
+    """The generator of F_{p^k} goes to the least root, in
+    coefficient-vector lex order, of its modulus in F_{p^2k}: every
+    element of the target is tried with Scalar arithmetic."""
+    src, target = make_field(p, k), make_field(p, 2 * k)
+
+    def modulus_at(x):
+        acc = target.zero
+        for i, c in enumerate(src.modulus):
+            acc = acc + x ** i * c
+        return acc
+    roots = [raw for raw in target.elements()
+             if not modulus_at(target.from_raw(raw))]
+    assert len(roots) == k
+    assert embed(src.gen, target).raw == min(roots, key=target.vector_of)
+
+
+def test_embed_stops_at_first_modulus_root(monkeypatch):
+    """F_{7^3} -> F_{7^6}: the least root sits at index 343 of 117 649,
+    so evaluating the modulus up to it costs a few thousand field ops; a
+    scan of every element costs about 700 000."""
+    src, target = make_field(7, 3), make_field(7, 6)
+    src._embed_cache.clear()  # an earlier embedding must not be reused
+    count = count_field_ops(monkeypatch)
+    img = embed(src.gen, target)
+    assert count[0] <= 5000
+    assert not sum((img ** i * c for i, c in enumerate(src.modulus)),
+                   target.zero)
 
 
 def test_embed_rejects_bad_targets():

@@ -149,25 +149,39 @@ def test_substitute_rejects_singular_matrix():
         linear_substitute(f, [[F7.one, F7.one], [F7.one, F7.one]])
 
 
+def test_substitute_rejects_bad_shapes():
+    f = parse_poly("X0*X1*X2", 3, F7)
+    square2 = [[F7.one, F7.zero], [F7.zero, F7.one]]
+    with pytest.raises(ValueError):  # X2 would be left out
+        substitute_linear_map(f, square2)
+    with pytest.raises(ValueError):
+        substitute_linear_map(f, [[F7.one]] * 2 + [[F7.one, F7.one]])
+    with pytest.raises(ValueError):
+        linear_substitute(f, square2 + [[F7.one, F7.one]])
+    with pytest.raises(ValueError):
+        linear_substitute(f, [[F7.one] * 3] * 2)
+
+
 @pytest.mark.parametrize("field", [QQ, F7, F16, F7_6],
                          ids=["Q", "F7", "F16", "F7^6"])
 def test_substitute_linear_map_matches_evaluation(field):
-    """f(M.y) equals f evaluated at the point M.y, at random points y, for
-    square maps and for the rectangular (n+1 -> n variables) maps that
-    hyperplane sections use; the polynomials need not be homogeneous."""
+    """f(M.y) equals f evaluated at the point x = M.y, at random points
+    y, for square maps and for the rectangular (n+1 -> n variables) maps
+    that hyperplane sections use; the polynomials need not be
+    homogeneous."""
     rng = random.Random(31 + (field.size or 0))
     shapes = set()
     for case in range(8):
         nvars = 2 + case % 3
         new_nvars = nvars - case // 4
         f = _random_poly(field, nvars, 3, rng)
-        rows = [[_random_scalar(field, rng) for _ in range(nvars)]
-                for _ in range(new_nvars)]
-        g = substitute_linear_map(f, rows, new_nvars)
+        m = [[_random_scalar(field, rng) for _ in range(new_nvars)]
+             for _ in range(nvars)]
+        g = substitute_linear_map(f, m)
         assert g.field is field and g.nvars == new_nvars
         for _ in range(6):
             y = [_random_scalar(field, rng) for _ in range(new_nvars)]
-            x = [sum((rows[j][i] * y[j] for j in range(new_nvars)),
+            x = [sum((m[i][j] * y[j] for j in range(new_nvars)),
                      field.zero) for i in range(nvars)]
             assert g.evaluate(y) == f.evaluate(x)
         shapes.add((nvars, new_nvars))
@@ -200,6 +214,75 @@ def test_compose_rejects_mixed_degrees():
     h = [parse_binary_form("U", F7), parse_binary_form("U^2", F7)]
     with pytest.raises(ValueError):
         compose_with_curve(parse_poly("X0*X1", 2, F7), h)
+
+
+def test_compose_rejects_bad_shapes():
+    h = [parse_binary_form("U", F7), parse_binary_form("V", F7)]
+    with pytest.raises(ValueError):  # three variables, two components
+        compose_with_curve(parse_poly("X0*X1*X2", 3, F7), h)
+    with pytest.raises(ValueError):
+        compose_with_curve(parse_poly("X0^2+X1", 2, F7,
+                                      require_homogeneous=False), h)
+
+
+F49 = make_field(7, 2)
+ENGINE_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, F7, F49, F7_6], ids=["Q", "F7", "F49", "F7^6"])
+
+
+def _random_binary(field, degree, rng):
+    return BinaryForm(field, degree, [_random_scalar(field, rng)
+                                      for _ in range(degree + 1)])
+
+
+@ENGINE_FIELDS
+def test_compose_with_curve_matches_evaluation(field):
+    """f(h(u, v)) equals compose_with_curve(f, h) at (u, v), at random
+    (U:V), for random forms f and curves h of degree 1, 2 and 3; the zero
+    form, and a composition that vanishes, keep degree deg f * deg h."""
+    rng = random.Random(53 + (field.size or 0))
+    for d in (1, 2, 3):
+        for case in range(4):
+            nvars, degree = 2 + case % 3, case
+            f = MultiPoly(field, nvars, {
+                e: _random_scalar(field, rng)
+                for e in itertools.product(range(degree + 1), repeat=nvars)
+                if sum(e) == degree})
+            h = [_random_binary(field, d, rng) for _ in range(nvars)]
+            g = compose_with_curve(f, h)
+            assert g.field is field and g.degree == f.total_degree * d
+            for _ in range(5):
+                u, v = (_random_scalar(field, rng) for _ in range(2))
+                assert g.evaluate(u, v) == f.evaluate(
+                    [hi.evaluate(u, v) for hi in h])
+        zero = compose_with_curve(MultiPoly.zero(field, len(h)), h)
+        assert zero.is_zero() and zero.degree == -d
+        # X1^2 - X0 X2 vanishes on (a^2, ab, b^2) for linear forms a, b
+        a, b = h[:2]
+        conic = parse_poly("X1^2 - X0*X2", 3, field)
+        on_conic = compose_with_curve(conic, [a * a, a * b, b * b])
+        assert on_conic.is_zero() and on_conic.degree == 4 * d
+
+
+@ENGINE_FIELDS
+def test_reparametrize_matches_evaluation(field):
+    """g(aU + bV, cU + dV) at (u, v) equals g evaluated at the point
+    (au + bv, cu + dv), for forms of degree 0 to 5, the zero form
+    included, and for singular substitutions too."""
+    rng = random.Random(59 + (field.size or 0))
+    for degree in range(6):
+        for g in (_random_binary(field, degree, rng),
+                  BinaryForm.zero(field, degree)):
+            for singular in (False, True):
+                a, b, c = (_random_scalar(field, rng) for _ in range(3))
+                d = b * c / a if singular and a else \
+                    _random_scalar(field, rng)
+                h = g.reparametrize(a, b, c, d)
+                assert h.field is field and h.degree == degree
+                for _ in range(4):
+                    u, v = (_random_scalar(field, rng) for _ in range(2))
+                    assert h.evaluate(u, v) == g.evaluate(a * u + b * v,
+                                                          c * u + d * v)
 
 
 # -- resultants and gcd ---------------------------------------------------------
