@@ -116,7 +116,7 @@ def cmd_eckardt(args):
     field, x = _parse_surface(args, 4)
     lines, work, ext = lines_on_cubic_surface(
         x, ext_cap=args.ext_cap, field_cap=args.line_field_cap)
-    xw = x.map_field(work) if work is not field else x
+    xw = x.map_field(work)
     rep = eckardt_points(xw, lines)
     result = rep.to_json()
     result["extension_degree"] = ext

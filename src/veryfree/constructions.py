@@ -33,7 +33,7 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, LaurentForm, MultiPoly, binary_roots,
-                   compose_with_curve, gcd_bin, linear_substitute,
+                   compose_with_curve, gcd_bin, linear_substitute, map_curve,
                    parse_poly)
 from .sheafp1 import (MonadP1, SplittingType, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
@@ -494,8 +494,7 @@ def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
 # -- nodal normal form --------------------------------------------------------
 
 
-def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
-                            ext_cap: int = DEFAULT_EXT_CAP):
+def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     """Coordinate change making a nodal integral cubic, over a finite
     field and already classified by the caller, equal to
     X0 X1 X2 + a0 X1^3 + a3 X2^3; only the tangent directions may force
@@ -509,7 +508,7 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint,
     (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
                           for (u, v, e, m) in roots]
     m1_k = [[embed(x, K) for x in row] for row in m1]
-    qk, ck = [h.map_field(K, lambda s: embed(s, K)) for h in (q, c)]
+    qk, ck = q.map_field(K), c.map_field(K)
     # q(X1, X2) = lam * (v1 X1 - u1 X2)(v2 X1 - u2 X2)
     l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
             * BinaryForm.from_scalars(K, [v2, -u2]))
@@ -552,7 +551,7 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
         raise ValueError(f"expected a nodal integral cubic with node "
                          f"{node}, classified as {cls.tag} at "
                          f"{cls.singular_point}")
-    pre, a0, a3 = _nodal_prenormalization(cub, node, ext_cap)
+    pre, a0, a3 = _nodal_prenormalization(cub, node)
     # scalings X1 -> s1 X1, X2 -> s2 X2, X0 -> (s1 s2)^{-1} X0 with
     # a0 s1^3 = a3 s2^3 = 1: cube roots, extension degree <= 3
     s1 = cube_root(a0.inverse())
@@ -564,7 +563,7 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
           [kf.zero, s1, kf.zero],
           [kf.zero, kf.zero, s2]]
     total = _mat_mul_scalar(kf, _embed_mat(pre, kf), m4)
-    cub_f = cub.map_field(kf, lambda s: embed(s, kf))
+    cub_f = cub.map_field(kf)
     final = linear_substitute(cub_f, total)
     target = (MultiPoly(kf, 3, {(1, 1, 1): kf.one, (0, 3, 0): kf.one,
                                 (0, 0, 3): kf.one}))
@@ -587,8 +586,7 @@ def scaled_nodal_parametrization(field, a0, a3):
             BinaryForm.from_scalars(field, [zero, zero, field.one, zero])]
 
 
-def nodal_section_curve(res: "NodalSectionResult",
-                        ext_cap: int = DEFAULT_EXT_CAP) -> CurveOnX:
+def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
     """The very free curve carried by a nodal tangent section.
 
     Uses the scaling-free parametrization of X0 X1 X2 + a0 X1^3 +
@@ -600,20 +598,11 @@ def nodal_section_curve(res: "NodalSectionResult",
     if cls.tag != NODAL_INTEGRAL:
         raise ValueError(f"expected a nodal integral section, classified "
                          f"as {cls.tag}")
-    pre, a0, a3 = _nodal_prenormalization(res.section, cls.singular_point,
-                                          ext_cap)
+    pre, a0, a3 = _nodal_prenormalization(res.section, cls.singular_point)
     kf = a0.field
-    h_std = scaled_nodal_parametrization(kf, a0, a3)
-    h_plane = []
-    for i in range(3):
-        acc = BinaryForm.zero(kf, 3)
-        for j in range(3):
-            if pre[i][j]:
-                acc = acc + h_std[j] * pre[i][j]
-        h_plane.append(acc)
-    xf = res.surface.map_field(kf) if kf is not res.surface.field \
-        else res.surface
-    return make_curve(xf, res.chart.curve_to_ambient(h_plane))
+    h_plane = map_curve(pre, scaled_nodal_parametrization(kf, a0, a3))
+    return make_curve(res.surface.map_field(kf),
+                      res.chart.curve_to_ambient(h_plane))
 
 
 def _embed_mat(rows, target):
@@ -841,7 +830,7 @@ def find_nodal_section(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     """
     base = x.field
     lines, K, k = lines_on_cubic_surface(x, ext_cap, line_field_cap)
-    xk = x.map_field(K) if K is not base else x
+    xk = x.map_field(K)
     census = eckardt_points(xk, lines)
     if not census.two_line:
         raise AllEckardtError(
@@ -854,8 +843,8 @@ def find_nodal_section(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
         if km.size > line_field_cap:
             raise ExtensionCapExceeded(
                 "nodal-section walk exhausted the working field sizes")
-        xm = xk.map_field(km) if km is not K else xk
-        dm = lines[i1].map_field(km) if km is not K else lines[i1]
+        xm = xk.map_field(km)
+        dm = lines[i1].map_field(km)
         found = _walk_line_for_section(xm, dm, ext_cap)
         if found is not None:
             plane, section, chart, cls, point = found
@@ -990,7 +979,7 @@ def _surface_very_free_curve(x, ext_cap, line_field_cap):
         if _is_fermat_form(x.f) and x.field.p == 2:
             return make_curve(x, fermat_char2_curve(x.field))
         raise
-    return nodal_section_curve(res, ext_cap)
+    return nodal_section_curve(res)
 
 
 # -- exhaustive characteristic-2 Fermat analysis --------------------------------
@@ -1054,7 +1043,7 @@ def fermat_char2_report(k: int, ext_cap: int = DEFAULT_EXT_CAP,
         if cls.tag not in FERMAT2_TRICHOTOMY:
             exceptions.append((pt, cls))
     lines, kl, _ = lines_on_cubic_surface(x, ext_cap, line_field_cap)
-    census = eckardt_points(x.map_field(kl) if kl is not K else x, lines)
+    census = eckardt_points(x.map_field(kl), lines)
     return FermatChar2Report(k, K.size, n, counts, exceptions,
                              len(census.eckardt), len(census.two_line),
                              census.incident_pairs)

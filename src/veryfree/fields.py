@@ -698,6 +698,8 @@ class UPoly:
 
     def map_field(self, target):
         """Coefficientwise embedding into an extension."""
+        if target is self.field:
+            return self
         return UPoly(target, [embed(Scalar(self.field, c), target).raw
                               for c in self.coeffs])
 
@@ -748,7 +750,7 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
             raise ScanBudgetExceeded(
                 f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} "
                 f"> {DEFAULT_SCAN_BUDGET}")
-        fK = f.map_field(K) if K is not base else f
+        fK = f.map_field(K)
         known = set()
         for jp in range(1, j):
             if j % jp == 0 and jp in by_level:

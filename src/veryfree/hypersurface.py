@@ -28,11 +28,12 @@ from typing import Optional
 from . import linalg
 from .errors import (ExtensionCapExceeded, IntegrityError,
                      ScanBudgetExceeded)
-from .fields import FieldSpec, Scalar, UPoly, embed, find_roots, \
-    join_field, DEFAULT_SCAN_BUDGET
+from .fields import Scalar, UPoly, embed, find_roots, join_field, \
+    make_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
-                   partial_derivative, resultant_bin, substitute_linear_map)
+                   map_curve, partial_derivative, resultant_bin,
+                   substitute_linear_map)
 
 DEFAULT_EXT_CAP = 6
 DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
@@ -66,6 +67,8 @@ class ProjPoint:
         return tuple(self.field.lex_key(c.raw) for c in self.coords)
 
     def map_field(self, target):
+        if target is self.field:
+            return self
         return ProjPoint(target, [embed(c, target) for c in self.coords])
 
     def __eq__(self, other):
@@ -109,7 +112,21 @@ class Hyperplane:
             acc = acc + a * x
         return not acc
 
+    def chart(self):
+        """The parametrisation X = M.Y of the hyperplane by P^(n-1), as
+        the rows of M: with pivot p (a_p = 1), the columns of M are
+        e_k - a_k e_p for k != p in increasing order, so row p holds the
+        -a_k and every other row is a unit row."""
+        F, p = self.field, self.pivot
+        others = [k for k in range(len(self.coeffs)) if k != p]
+        return tuple(tuple(-self.coeffs[k] if i == p
+                           else F.one if i == k else F.zero
+                           for k in others)
+                     for i in range(len(self.coeffs)))
+
     def map_field(self, target):
+        if target is self.field:
+            return self
         return Hyperplane(target, [embed(c, target) for c in self.coeffs])
 
     def __eq__(self, other):
@@ -226,6 +243,8 @@ class LineP3:
         raise IntegrityError("coincident lines")
 
     def map_field(self, target):
+        if target is self.field:
+            return self
         return LineP3(target, [[embed(c, target) for c in r]
                                for r in self.rows])
 
@@ -277,8 +296,9 @@ class Hypersurface:
         return not self.f.evaluate(pt.coords)
 
     def map_field(self, target):
-        emb = lambda s: embed(s, target)
-        return Hypersurface(self.f.map_field(target, emb))
+        if target is self.field:
+            return self
+        return Hypersurface(self.f.map_field(target))
 
     def __repr__(self):
         return f"Hypersurface({self.f} = 0 in P^{self.n})"
@@ -457,9 +477,9 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
         raise ValueError("point scans need a finite base field")
     found = []
     for j in range(1, ext_cap + 1):
-        K = make_field_ext(base, j)
+        K = make_field(base.p, base.k * j)
         _check_scan_budget(K.size, x.n)
-        fx = x.map_field(K) if K is not base else x
+        fx = x.map_field(K)
         forms = [fx.f] + fx.partials
         prior = [p.map_field(K) for p, _ in found]
         for i in range(x.n + 1):
@@ -470,11 +490,6 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
                 if pp not in prior:
                     found.append((pp, j))
     return found
-
-
-def make_field_ext(base: FieldSpec, j: int) -> FieldSpec:
-    from .fields import make_field
-    return make_field(base.p, base.k * j)
 
 
 # -- tangent hyperplanes and sections --------------------------------------
@@ -491,33 +506,21 @@ def tangent_hyperplane(x: Hypersurface, pt: ProjPoint) -> Hyperplane:
 
 @dataclass(frozen=True)
 class SectionChart:
-    """Linear parametrization of a hyperplane by P^(n-1)."""
+    """Linear parametrization X = M.Y of a hyperplane by P^(n-1)."""
     field: object
     pivot: int
-    rows: tuple       # rows[j] = ambient image of the j-th plane coordinate
+    matrix: tuple     # `Hyperplane.chart`: M, one row per ambient coordinate
 
     def to_ambient(self, coords):
         F = self.field
-        vals = [F.zero] * len(self.rows[0])
-        for y, row in zip(coords, self.rows):
-            y = F.scalar(y)
-            if y:
-                vals = [v + y * r for v, r in zip(vals, row)]
-        return ProjPoint(F, vals)
+        ys = [F.scalar(y).raw for y in coords]
+        return ProjPoint(F, [Scalar(F, _dot(F, [c.raw for c in row], ys))
+                             for row in self.matrix])
 
     def curve_to_ambient(self, comps):
-        """Ambient components sum_j comps[j] * rows[j] of a curve given by
-        its components in plane coordinates, over their field."""
-        K = comps[0].field
-        rows = [[embed(c, K) for c in row] for row in self.rows]
-        out = []
-        for i in range(len(rows[0])):
-            acc = BinaryForm.zero(K, comps[0].degree)
-            for h, row in zip(comps, rows):
-                if row[i]:
-                    acc = acc + h * row[i]
-            out.append(acc)
-        return out
+        """The ambient curve M.h of a curve h in plane coordinates, over
+        the field of its components."""
+        return map_curve(self.matrix, comps)
 
     def to_plane(self, pt: ProjPoint):
         coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
@@ -538,19 +541,8 @@ def hyperplane_section(x: Hypersurface, plane: Hyperplane):
     The pivot coordinate of the hyperplane is eliminated; the remaining
     coordinates, in increasing index order, parametrize the hyperplane.
     """
-    F = x.field
-    piv = plane.pivot
-    apiv_inv = plane.coeffs[piv].inverse()
-    rows = []
-    for j in range(x.n + 1):
-        if j == piv:
-            continue
-        row = [F.zero] * (x.n + 1)
-        row[j] = F.one
-        row[piv] = -plane.coeffs[j] * apiv_inv
-        rows.append(tuple(row))
-    chart = SectionChart(F, piv, tuple(rows))
-    section = substitute_linear_map(x.f, list(zip(*rows)))
+    chart = SectionChart(x.field, plane.pivot, plane.chart())
+    section = substitute_linear_map(x.f, chart.matrix)
     if section.is_zero():
         raise IntegrityError(
             "hypersurface contains the hyperplane; it cannot be smooth")
@@ -583,19 +575,11 @@ def plane_line_through(p1: ProjPoint, p2: ProjPoint) -> Hyperplane:
     return Hyperplane(p1.field, coeffs)
 
 
-def plane_line_param(line: Hyperplane):
-    """Two basis points spanning a line of P^2, as degree-1 binary forms."""
-    F = line.field
-    ker = linalg.kernel(F, [[c.raw for c in line.coeffs]], 3)
-    if len(ker) != 2:
-        raise ValueError("degenerate line")
-    return [BinaryForm.from_scalars(F, [Scalar(F, a), Scalar(F, b)])
-            for a, b in zip(ker[0], ker[1])]
-
-
 def restrict_to_plane_line(f: MultiPoly, line: Hyperplane) -> BinaryForm:
-    """Compose a ternary form with the parametrization of a plane line."""
-    return compose_with_curve(f, plane_line_param(line))
+    """f on a line of P^2, through the line's chart: the chart's two
+    columns are the points (1:0) and (0:1) of the binary form."""
+    return compose_with_curve(f, [BinaryForm(line.field, 1, row)
+                                  for row in line.chart()])
 
 
 def divides_plane_line(f: MultiPoly, line: Hyperplane) -> bool:
@@ -603,23 +587,23 @@ def divides_plane_line(f: MultiPoly, line: Hyperplane) -> bool:
 
 
 def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
-    """Exact quotient f / L for a linear form L dividing f."""
-    F = f.field
-    # the transposed completion matrix N has the line as its first row,
-    # so in coordinates Y = N X the line is {Y_0 = 0}: g(Y) = f(N^{-1} Y)
-    n = list(zip(*_completion_matrix(F, line.coeffs)))
-    n_inv = linalg.inverse(F, [[c.raw for c in row] for row in n])
-    if n_inv is None:
-        raise IntegrityError("could not complete line to a basis")
-    g = substitute_linear_map(f, [[Scalar(F, c) for c in row]
-                                  for row in n_inv])
+    """Exact quotient f / L for a linear form L dividing f.
+
+    With pivot p, X = M.Y for M = [e_p | chart] gives L(X) = Y_0, so
+    f(M.Y) = Y_0 h(Y), and f / L = h(N.X) for the inverse N of M, whose
+    rows are L and the unit rows e_k, k != p."""
+    F, p = f.field, line.pivot
+    m = [(F.one if i == p else F.zero,) + row
+         for i, row in enumerate(line.chart())]
     quo = {}
-    for exps, c in g.terms.items():
-        if exps[0] == 0:
+    for (e0, *rest), c in substitute_linear_map(f, m).terms.items():
+        if e0 == 0:
             raise ValueError("line does not divide the form")
-        quo[(exps[0] - 1, exps[1], exps[2])] = c
-    # g = Y_0 h(Y), so f / L = h(N X)
-    return substitute_linear_map(MultiPoly(F, 3, quo), n)
+        quo[(e0 - 1, *rest)] = c
+    units = [[F.one if i == k else F.zero for i in range(f.nvars)]
+             for k in range(f.nvars) if k != p]
+    return substitute_linear_map(MultiPoly(F, f.nvars, quo),
+                                 [line.coeffs, *units])
 
 
 # -- singular points of ternary cubics --------------------------------------
@@ -679,8 +663,7 @@ def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
         for z in zeros:
             K = z[0].field if z else base
             pt = ProjPoint(K, [K.zero] * i + [K.one] + list(z))
-            emb = lambda s: embed(s, K)
-            if any(g.map_field(K, emb).evaluate(pt.coords) for g in forms):
+            if any(g.map_field(K).evaluate(pt.coords) for g in forms):
                 raise IntegrityError(f"{pt} solves the stratum system but "
                                      f"is not a singular point")
             points.append((pt, K.k // base.k))
@@ -852,8 +835,7 @@ def _tangent_cone_class(cub, pt, ext_cap):
     """
     F, K = cub.field, pt.field
     level = K.k // F.k
-    cub_k = cub.map_field(K, lambda s: embed(s, K)) if K is not F else cub
-    _, q, c = _nodal_frame(cub_k, pt)
+    _, q, c = _nodal_frame(cub.map_field(K), pt)
     if q.is_zero():
         # a repeated root of c is rational over K, so the scan finds it
         # whatever the cap
@@ -883,8 +865,7 @@ def _classify_multi_singular(cub, pts, ext_cap):
         raise IntegrityError(f"cubic with {len(pts)} singular points")
     K = join_field(*[p.field for p, _ in pts])
     level = K.k // cub.field.k
-    cub_k = cub.map_field(K, lambda s: embed(s, K)) if K is not cub.field \
-        else cub
+    cub_k = cub.map_field(K)
     points = sorted((p.map_field(K) for p, _ in pts),
                     key=lambda p: p.sort_key())
     line = plane_line_through(points[0], points[1])
@@ -1070,13 +1051,13 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                          "smoothness")
     last_count = 0
     for k in range(1, ext_cap + 1):
-        K = make_field_ext(base, k)
+        K = make_field(base.p, base.k * k)
         if K.size > field_cap:
             raise ScanBudgetExceeded(
                 f"line scan budget exceeded at F_{base.p}^{base.k * k} "
                 f"(size {K.size} > {field_cap}); {last_count} lines found "
                 f"so far")
-        xk = x.map_field(K) if K is not base else x
+        xk = x.map_field(K)
         lines = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
                        key=lambda l: l.sort_key())
         if len(lines) > 27:

@@ -13,7 +13,7 @@ import itertools
 
 from . import linalg
 from .errors import ParseError
-from .fields import FieldSpec, Scalar, UPoly
+from .fields import FieldSpec, Scalar, UPoly, embed
 
 
 class MultiPoly:
@@ -141,9 +141,11 @@ class MultiPoly:
             out[tuple(e2)] = coeff
         return MultiPoly(F, self.nvars, out)
 
-    def map_field(self, target, embed_fn):
+    def map_field(self, target):
+        if target is self.field:
+            return self
         return MultiPoly(target, self.nvars,
-                         {e: embed_fn(c) for e, c in self.terms.items()})
+                         {e: embed(c, target) for e, c in self.terms.items()})
 
     def __str__(self):
         return poly_to_string(self)
@@ -481,6 +483,22 @@ def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
     return _binary_from_raw(F, f.total_degree * degs.pop(), out)
 
 
+def map_curve(m, curve):
+    """The curve M.h: component i is sum_j m[i][j] h_j, for binary forms
+    h_j of one degree and a scalar matrix M over a subfield of theirs; a
+    zero row gives the zero form of the curve's degree."""
+    F, degree, n = curve[0].field, curve[0].degree, len(curve)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"expected a map with {n} columns")
+    origin = (0,) * n
+    units = [origin[:j] + (1,) + origin[j + 1:] for j in range(n)]
+    images = _binary_images(F, [h.coeffs for h in curve])
+    return [_binary_from_raw(F, degree, _substitute_raw(
+                F, {u: r for u, x in zip(units, row)
+                    if (r := embed(x, F).raw)}, images, (0,)))
+            for row in m]
+
+
 # -- binary forms --------------------------------------------------------
 
 
@@ -619,9 +637,11 @@ class BinaryForm:
             coeffs[degree - i] = Scalar(F, c)
         return cls(F, degree, coeffs)
 
-    def map_field(self, target, embed_fn):
+    def map_field(self, target):
+        if target is self.field:
+            return self
         return BinaryForm(target, self.degree,
-                          [embed_fn(c) for c in self.coeffs])
+                          [embed(c, target) for c in self.coeffs])
 
     def reparametrize(self, a, b, c, d):
         """Substitute U -> aU + bV, V -> cU + dV."""

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import IntegrityError, MonadError
-from .poly import BinaryForm, gcd_bin, binary_roots
+from .poly import BinaryForm, gcd_bin, binary_roots, _monic_bin
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,14 @@ def validate_monad(m: MonadP1) -> MonadReport:
         if not comp.is_zero():
             failures.append(("composition", f"beta.alpha = {comp} != 0"))
     if m.alpha is not None:
-        g = _common_gcd(F, m.alpha)
+        g = _common_gcd(m.alpha)
         if g is None:
             failures.append(("alpha", "alpha is identically zero"))
         elif g.degree > 0:
             failures.append(("alpha", "alpha not a subbundle inclusion, "
                                       f"common root of {g} " + _root_witness(g)))
     if m.beta is not None:
-        g = _common_gcd(F, m.beta)
+        g = _common_gcd(m.beta)
         if g is None:
             failures.append(("beta", "beta is identically zero"))
         elif g.degree > 0:
@@ -159,7 +159,7 @@ def validate_monad(m: MonadP1) -> MonadReport:
     return MonadReport(not failures, failures)
 
 
-def _common_gcd(field, forms):
+def _common_gcd(forms):
     g = None
     for f in forms:
         if f.is_zero():
@@ -167,14 +167,7 @@ def _common_gcd(field, forms):
         g = f if g is None else gcd_bin(g, f)
     if g is None:
         return None
-    return _to_monic(g)
-
-
-def _to_monic(g):
-    for c in g.coeffs:
-        if c:
-            return g * c.inverse()
-    return g
+    return _monic_bin(g)
 
 
 def _root_witness(g):

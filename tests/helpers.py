@@ -1,16 +1,20 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
 S-polynomial built from MultiPoly arithmetic, a field-op counter, a
-two-row line search and a nodal prenormalisation by substitution."""
+two-row line search, a nodal prenormalisation by substitution, and
+plane-line and curve maps through a kernel basis, a matrix inverse and
+binary-form arithmetic."""
 import itertools
 import random
 
 from veryfree import fields, linalg
 from veryfree.constructions import _mat_mul_scalar
 from veryfree.fields import Scalar, embed, join_field, make_field
-from veryfree.hypersurface import (LineP3, _cell_patterns, _nodal_frame,
+from veryfree.hypersurface import (LineP3, _cell_patterns,
+                                   _completion_matrix, _nodal_frame,
                                    _row_zeros)
 from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
-                           linear_substitute)
+                           compose_with_curve, linear_substitute,
+                           substitute_linear_map)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -110,7 +114,7 @@ def lines_by_row_pairing(x, K):
     x, sorted.  Each RREF cell scans both rows and keeps every pair of
     zeros r0, r1 with grad f(r0) . r1 = grad f(r1) . r0 = 0, so no
     condition is solved for."""
-    xk = x.map_field(K) if K is not x.field else x
+    xk = x.map_field(K)
     forms = [xk.f] + xk.partials
 
     def dot(u, v):
@@ -142,11 +146,11 @@ def prenormalization_by_substitution(cub, node):
     K = join_field(*[u.field for (u, v, e, m) in roots])
     (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
                           for (u, v, e, m) in roots]
-    cub_k = cub.map_field(K, lambda s: embed(s, K))
+    cub_k = cub.map_field(K)
     m1_k = [[embed(x, K) for x in row] for row in m1]
     l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
             * BinaryForm.from_scalars(K, [v2, -u2]))
-    qk = q.map_field(K, lambda s: embed(s, K))
+    qk = q.map_field(K)
     jj = next(j for j in range(3) if l1l2.coeffs[j])
     lam = qk.coeffs[jj] / l1l2.coeffs[jj]
     assert l1l2 * lam == qk
@@ -165,3 +169,47 @@ def prenormalization_by_substitution(cub, node):
     f3 = linear_substitute(f2, m3)
     total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
     return total, f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3))
+
+
+def restrict_by_kernel_basis(f, line):
+    """Oracle for `hypersurface.restrict_to_plane_line`: f composed with
+    the two points of the line that `linalg.kernel` gives as a basis."""
+    F = line.field
+    ker = linalg.kernel(F, [[c.raw for c in line.coeffs]], 3)
+    assert len(ker) == 2
+    return compose_with_curve(f, [BinaryForm(F, 1, (Scalar(F, a),
+                                                     Scalar(F, b)))
+                                  for a, b in zip(ker[0], ker[1])])
+
+
+def divide_by_completion_inverse(f, line):
+    """Oracle for `hypersurface.divide_by_plane_line`: complete the line
+    to an invertible N with the line as first row, substitute
+    X = N^-1 Y, strip one Y_0 and substitute Y = N X back; ValueError if
+    the line does not divide f."""
+    F = f.field
+    n = [list(col) for col in zip(*_completion_matrix(F, line.coeffs))]
+    n_inv = linalg.inverse(F, [[c.raw for c in row] for row in n])
+    g = substitute_linear_map(f, [[Scalar(F, c) for c in row]
+                                  for row in n_inv])
+    quo = {}
+    for (e0, e1, e2), c in g.terms.items():
+        if e0 == 0:
+            raise ValueError("line does not divide the form")
+        quo[(e0 - 1, e1, e2)] = c
+    return substitute_linear_map(MultiPoly(F, 3, quo), n)
+
+
+def curve_to_ambient_by_forms(matrix, comps):
+    """Oracle for `SectionChart.curve_to_ambient`: component i is
+    sum_j matrix[i][j] comps[j] in BinaryForm arithmetic, over the field
+    of the components."""
+    K = comps[0].field
+    out = []
+    for row in matrix:
+        acc = BinaryForm.zero(K, comps[0].degree)
+        for h, c in zip(comps, row):
+            if c:
+                acc = acc + h * embed(c, K)
+        out.append(acc)
+    return out

@@ -167,8 +167,7 @@ def test_criterion_08_line_census():
             assert is_smooth(x)
             lines5, work5, ext5 = lines_on_cubic_surface(x)
             assert len(lines5) == 27
-            rep5 = eckardt_points(x.map_field(work5) if work5 is not F5
-                                  else x, lines5)
+            rep5 = eckardt_points(x.map_field(work5), lines5)
             assert rep5.incident_pairs == (3 * len(rep5.eckardt)
                                            + len(rep5.two_line))
 

@@ -178,6 +178,43 @@ def test_verify_paper_json_matches_golden_for_every_seed(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
+def test_verify_paper_seed_reaches_the_drawn_completions(monkeypatch,
+                                                        capsys):
+    """Two seeds draw different admissible completions (Q, L, A), and the
+    right-hand side Q(-U^3-V^3, U^2 V, U V^2) of the d f / d X3 check
+    differs with them; the --json payload records neither side of a
+    passing check, so it is the same for both seeds."""
+    from veryfree import cli
+    sample, verify = cli.sample_admissible_completion, cli.verify_xi_eta
+    draws, rhs = [], []
+
+    def recording_sample(field, rng):
+        out = sample(field, rng)
+        draws[-1].append(tuple(str(x) for x in out))
+        return out
+
+    def recording_verify(nf):
+        rep = verify(nf)
+        rhs[-1].extend(c.rhs for c in rep.checks
+                       if c.name.startswith("d f / d X3 pulled back"))
+        return rep
+    monkeypatch.setattr(cli, "sample_admissible_completion",
+                        recording_sample)
+    monkeypatch.setattr(cli, "verify_xi_eta", recording_verify)
+    payloads = []
+    for seed in ("0", "1"):
+        draws.append([])
+        rhs.append([])
+        code, out = run(capsys, "verify-paper", "--json", "--seed", seed)
+        assert code == 0
+        payloads.append(out)
+    assert len(draws[0]) == len(draws[1]) == 8
+    assert len(rhs[0]) == len(rhs[1]) == 8
+    assert draws[0] != draws[1]
+    assert rhs[0] != rhs[1]
+    assert payloads[0] == payloads[1]
+
+
 def test_verify_paper_text_progress_on_stderr(capsys):
     code, out, err = run_err(capsys, "verify-paper")
     assert code == 0

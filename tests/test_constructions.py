@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from veryfree.fields import embed, make_field
+from veryfree.fields import make_field
 from veryfree.hypersurface import (Hyperplane, Hypersurface, ProjPoint,
                                    NODAL_INTEGRAL, classify_plane_cubic,
                                    lines_on_cubic_surface,
@@ -28,8 +28,8 @@ from veryfree.constructions import (AllEckardtError,
                                     very_free)
 
 from helpers import (F2, F3, F4, F5, F7, F11, F7_SURFACE_SEEDS, QQ,
-                     count_field_ops, prenormalization_by_substitution,
-                     random_cubic_form)
+                     count_field_ops, curve_to_ambient_by_forms,
+                     prenormalization_by_substitution, random_cubic_form)
 
 CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
 
@@ -60,8 +60,7 @@ def test_nodal_normal_form_already_normal():
     nf = nodal_normal_form(cub, node)
     from veryfree.poly import linear_substitute
     target = parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
-    emb = lambda s: embed(s, nf.field)
-    assert linear_substitute(cub.map_field(nf.field, emb),
+    assert linear_substitute(cub.map_field(nf.field),
                              [list(r) for r in nf.matrix]) == target
 
 
@@ -71,8 +70,7 @@ def test_nodal_normal_form_with_scalings():
     nf = nodal_normal_form(cub, node)
     assert nf.ext_degree_used <= 3
     from veryfree.poly import linear_substitute
-    emb = lambda s: embed(s, nf.field)
-    out = linear_substitute(cub.map_field(nf.field, emb),
+    out = linear_substitute(cub.map_field(nf.field),
                             [list(r) for r in nf.matrix])
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
 
@@ -82,8 +80,7 @@ def test_nodal_normal_form_swapped_directions():
     node = ProjPoint(F5, [1, 0, 0])
     nf = nodal_normal_form(cub, node)
     from veryfree.poly import linear_substitute
-    emb = lambda s: embed(s, nf.field)
-    out = linear_substitute(cub.map_field(nf.field, emb),
+    out = linear_substitute(cub.map_field(nf.field),
                             [list(r) for r in nf.matrix])
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
 
@@ -122,7 +119,7 @@ def test_nodal_prenormalization_matches_substitution_route():
                                                                    node)
         K = a0.field
         steps.add((section.field.k, K.k))
-        cub_k = section.map_field(K, lambda s: embed(s, K))
+        cub_k = section.map_field(K)
         assert linear_substitute(cub_k, total) == MultiPoly(
             K, 3, {(1, 1, 1): K.one, (0, 3, 0): a0, (0, 0, 3): a3})
     # tangent directions split over F7 and only over F49, on F7 sections
@@ -369,13 +366,8 @@ def test_degree_splitting_consistency():
         if _conic_singular_point(conic) is not None:
             continue
         comps_plane = parametrize_conic(conic)
-        comps = []
-        for i in range(4):
-            acc = BinaryForm.zero(K, 2)
-            for j in range(3):
-                if chart.rows[j][i]:
-                    acc = acc + comps_plane[j] * chart.rows[j][i]
-            comps.append(acc)
+        comps = chart.curve_to_ambient(comps_plane)
+        assert comps == curve_to_ambient_by_forms(chart.matrix, comps_plane)
         conic_curve = make_curve(xk, comps)
         break
     assert conic_curve is not None
@@ -403,6 +395,6 @@ def test_splitting_stable_under_field_extension():
 
     K = make_field(7, 2)
     xk = x7.map_field(K)
-    curve_k = [h.map_field(K, lambda s: embed(s, K)) for h in curve7]
+    curve_k = [h.map_field(K) for h in curve7]
     okk, sk = very_free(xk, curve_k)
     assert (ok7, s7.parts) == (okk, sk.parts) == (True, (2, 1))

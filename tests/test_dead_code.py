@@ -1,9 +1,10 @@
 """Dead-code checks over src/veryfree, read with `ast`.
 
 Every module-level `_private` function must be referenced somewhere in
-src/ outside its own body, and every name a module imports must be used
-in that module.  `__init__.py` is exempt from the import check: its
-imports are the package's public re-exports.
+src/ outside its own body, every name a module imports must be used in
+that module, and every parameter of a function or lambda other than
+`self` and `cls` must be read in its body.  `__init__.py` is exempt from
+the import check: its imports are the package's public re-exports.
 """
 import ast
 import collections
@@ -61,12 +62,39 @@ def _unused_imports(modules):
     return unused
 
 
+def _unused_parameters(modules):
+    """`module:line function(parameter)` of each parameter, other than
+    self and cls, that its function or lambda never reads (a read in a
+    nested function counts)."""
+    unused = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            fn = getattr(node, "name", "<lambda>")
+            unused += [f"{name}:{p.lineno} {fn}({p.arg})" for p in params
+                       if p.arg not in {"self", "cls"} | read]
+    return unused
+
+
 def test_private_functions_are_referenced():
     assert _dead_private_functions(_modules()) == []
 
 
 def test_imported_names_are_used():
     assert _unused_imports(_modules()) == []
+
+
+def test_parameters_are_read():
+    assert _unused_parameters(_modules()) == []
 
 
 def test_checks_catch_planted_dead_code():
@@ -84,3 +112,22 @@ def test_checks_catch_planted_dead_code():
     }
     assert _dead_private_functions(planted) == ["a.py:4 _orphan"]
     assert _unused_imports(planted) == ["a.py:2 os", "a.py:3 y"]
+
+
+def test_parameter_check_catches_planted_unused_parameters():
+    planted = {
+        "a.py": ast.parse("class C:\n"
+                          "    def m(self, x, y):\n"
+                          "        return x\n"
+                          "    @classmethod\n"
+                          "    def k(cls, *args, **kw):\n"
+                          "        return kw\n"
+                          "def f(a, b=1, *, c):\n"
+                          "    def g():\n"
+                          "        return a + c\n"
+                          "    return g()\n"
+                          "h = lambda u, v: u\n"),
+    }
+    assert set(_unused_parameters(planted)) == {
+        "a.py:2 m(y)", "a.py:5 k(args)", "a.py:7 f(b)",
+        "a.py:11 <lambda>(v)"}

@@ -14,9 +14,11 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    THREE_LINES_TRIANGLE, TRIPLE_LINE,
                                    Hyperplane, Hypersurface, LineP3,
                                    ProjPoint, classify_plane_cubic,
-                                   eckardt_points, is_smooth,
+                                   divide_by_plane_line, eckardt_points,
+                                   hyperplane_section, is_smooth,
                                    lines_on_cubic_surface, plane_section,
-                                   proj_points, singular_points_scan,
+                                   proj_points, restrict_to_plane_line,
+                                   singular_points_scan,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
                                    _lines_in_cells, _nodal_frame,
@@ -27,8 +29,9 @@ from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
                            parse_poly)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
-                     lines_by_row_pairing, random_cubic_form, random_form,
-                     random_invertible, sympy_chart_smooth,
+                     divide_by_completion_inverse, lines_by_row_pairing,
+                     random_cubic_form, random_form, random_invertible,
+                     restrict_by_kernel_basis, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
 
 
@@ -185,7 +188,7 @@ def _brute_singular_points(x, ext_cap):
     found = []
     for j in range(1, ext_cap + 1):
         K = make_field(x.field.p, x.field.k * j)
-        xk = x.map_field(K) if K is not x.field else x
+        xk = x.map_field(K)
         prior = [p.map_field(K) for p, _ in found]
         for raw in proj_points(K, x.n):
             pt = ProjPoint(K, [K.from_raw(c) for c in raw])
@@ -354,8 +357,7 @@ def test_classify_invariance_under_plane_coordinates():
                 else:
                     # otherwise the recorded point is a canonical pick
                     # among several; the transport must still be singular
-                    emb = lambda s, K=K: embed(s, K)
-                    cub_k = cub.map_field(K, emb)
+                    cub_k = cub.map_field(K)
                     assert not cub_k.evaluate(image.coords)
                     for i in range(3):
                         assert not cub_k.partial(i).evaluate(image.coords)
@@ -492,8 +494,7 @@ def test_tangent_cone_table_reaches_every_row():
                 assert (row is None) == (tag in (LINE_CONIC_TRANSVERSE,
                                                  THREE_LINES_TRIANGLE))
                 K = pt.field
-                _, q, _ = _nodal_frame(cub.map_field(
-                    K, lambda s, K=K: embed(s, K)), pt)
+                _, q, _ = _nodal_frame(cub.map_field(K), pt)
                 rows.add((tag, q.is_zero()))
             points = (ProjPoint(F7, [Scalar(F7, c) for c in v])
                       for v in proj_points(F7, 2))
@@ -624,7 +625,7 @@ def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
         assert reaches <= seen["gcd"], (name, seen)
     for k in range(1, ext + 1):
         K = make_field(x.field.p, x.field.k * k)
-        xk = x.map_field(K) if K is not x.field else x
+        xk = x.map_field(K)
         found = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
                        key=lambda l: l.sort_key())
         assert found == lines_by_row_pairing(x, K), (name, k)
@@ -804,7 +805,6 @@ def test_scan_reports_each_point_once_across_levels():
 
 
 def test_hyperplane_section_chart_in_p4():
-    from veryfree.hypersurface import hyperplane_section
     x = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3+X4^3", 5, F7))
     plane = Hyperplane(F7, [1, 1, 0, 2, 0])
     section, chart = hyperplane_section(x, plane)
@@ -812,3 +812,67 @@ def test_hyperplane_section_chart_in_p4():
     pt = chart.to_ambient([F7.one, F7.scalar(3), F7.zero, F7.scalar(2)])
     assert plane.contains(pt)
     assert chart.to_plane(pt) == ProjPoint(F7, [1, 3, 0, 2])
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7, F4, make_field(3, 2)],
+                         ids=["F2", "F3", "F5", "F7", "F4", "F9"])
+def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
+    """Restriction to a line of P^2 and exact division by it, both through
+    the line's chart, give the coefficients of the kernel-basis and
+    matrix-inverse routes, for seeded forms of degree 1 to 3 that the line
+    divides and that it does not; the coordinate lines, whose charts have
+    a zero row, are among the lines."""
+    rng = random.Random(1400 + field.size)
+    units = [[field.one if i == k else field.zero for i in range(3)]
+             for k in range(3)]
+    lines = [Hyperplane(field, u) for u in units]
+    assert all(any(not any(row) for row in line.chart()) for line in lines)
+    while len(lines) < 10:
+        coeffs = [field.from_raw(rng.randrange(field.size))
+                  for _ in range(3)]
+        if any(coeffs):
+            lines.append(Hyperplane(field, coeffs))
+    divisible = undivisible = 0
+    for line in lines:
+        ell = MultiPoly(field, 3, {tuple(u.raw for u in unit): c
+                                   for unit, c in zip(units, line.coeffs)
+                                   if c})
+        for degree in (1, 2, 3):
+            f = random_form(field, 3, degree, rng)
+            g = random_form(field, 3, degree - 1, rng)
+            for h in (f, ell * g):
+                if h.is_zero():
+                    continue
+                bin_ = restrict_to_plane_line(h, line)
+                want = restrict_by_kernel_basis(h, line)
+                assert (bin_.degree, bin_.coeffs) == (want.degree,
+                                                      want.coeffs)
+                if bin_.is_zero():
+                    divisible += 1
+                    quo = divide_by_plane_line(h, line)
+                    assert quo == divide_by_completion_inverse(h, line)
+                    assert ell * quo == h
+                else:
+                    undivisible += 1
+                    with pytest.raises(ValueError):
+                        divide_by_plane_line(h, line)
+                    with pytest.raises(ValueError):
+                        divide_by_completion_inverse(h, line)
+    assert divisible >= 20 and undivisible >= 20
+
+
+def test_map_field_to_own_field_returns_the_object():
+    """Mapping into the field an object already lives over returns that
+    object, so a surface keeps its cached partials and smoothness; any
+    other field gives a new object."""
+    x = fermat(F7)
+    assert is_smooth(x)
+    partials = x.partials
+    assert x.map_field(F7) is x and x.partials is partials
+    line = lines_on_cubic_surface(x)[0][0]
+    for obj in (ProjPoint(F7, [1, 2, 3, 4]), Hyperplane(F7, [0, 1, 2, 3]),
+                line, line.param_forms()[0], UPoly(F7, [1, 2, 3]), x.f):
+        assert obj.map_field(obj.field) is obj
+    K = make_field(7, 4)
+    xk = x.map_field(K)
+    assert xk is not x and xk.f == x.f.map_field(K)

@@ -11,6 +11,7 @@ from veryfree.fields import embed, make_field
 from veryfree.poly import (BinaryForm, LaurentForm, MultiPoly,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
+                           map_curve,
                            parse_binary_form, parse_poly, partial_derivative,
                            poly_to_string, resultant_bin, reduce_poly,
                            substitute_linear_map, _divides, _lead)
@@ -265,6 +266,36 @@ def test_compose_with_curve_matches_evaluation(field):
 
 
 @ENGINE_FIELDS
+def test_map_curve_matches_evaluation(field):
+    """Component i of map_curve(M, h) at (u, v) is sum_j m_ij h_j(u, v),
+    for random M with one zero row, over F7 for curves over its
+    extensions; each component, the zero one too, keeps the curve's
+    degree."""
+    rng = random.Random(61 + (field.size or 0))
+    sub = F7 if field.p == 7 else field
+    for d in (1, 2, 3):
+        for nrows, ncols in ((3, 3), (4, 3), (5, 4)):
+            h = [_random_binary(field, d, rng) for _ in range(ncols)]
+            m = [[_random_scalar(sub, rng) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            m[rng.randrange(nrows)] = [sub.zero] * ncols
+            out = map_curve(m, h)
+            assert len(out) == nrows
+            assert all(g.field is field and g.degree == d for g in out)
+            assert any(g.is_zero() for g in out)
+            for _ in range(3):
+                u, v = (_random_scalar(field, rng) for _ in range(2))
+                vals = [hj.evaluate(u, v) for hj in h]
+                for g, row in zip(out, m):
+                    want = field.zero
+                    for c, x in zip(row, vals):
+                        want = want + embed(c, field) * x
+                    assert g.evaluate(u, v) == want
+    with pytest.raises(ValueError):  # two columns, three components
+        map_curve([[sub.one, sub.one]], h[:3])
+
+
+@ENGINE_FIELDS
 def test_reparametrize_matches_evaluation(field):
     """g(aU + bV, cU + dV) at (u, v) equals g evaluated at the point
     (au + bv, cu + dv), for forms of degree 0 to 5, the zero form
@@ -399,7 +430,7 @@ def test_resultant_gcd_roots_three_way_agreement():
         shared = False
         for (u, v, ext, _) in binary_roots(q, 6):
             K = u.field
-            cc = c.map_field(K, lambda s, K=K: embed(s, K))
+            cc = c.map_field(K)
             if not cc.evaluate(u, v):
                 shared = True
                 break
@@ -457,8 +488,7 @@ def test_groebner_fermat_chart_vs_scan():
     chart = [_on_stratum(g, 0) for g in gens]
     for k in (1, 2):
         K = make_field(7, k)
-        emb = lambda s, K=K: embed(s, K)
-        chart_k = [g.map_field(K, emb) for g in chart]
+        chart_k = [g.map_field(K) for g in chart]
         import itertools
         found = False
         for pt in itertools.product(list(K.elements()), repeat=3):
@@ -522,13 +552,12 @@ def test_groebner_base_change(p):
     F_{p^2}, is the basis computed over F_{p^2}, and it is sympy's
     reduced grevlex basis."""
     F, K = make_field(p), make_field(p, 2)
-    emb = lambda s: embed(s, K)
     rng = random.Random(950 + p)
     for case in range(10):
         gens, exprs, xs = _random_ideal(F, 1 + case % 3, 1 + case % 3, rng)
         gb = groebner_basis(gens)
-        assert [g.map_field(K, emb) for g in gb] == groebner_basis(
-            [g.map_field(K, emb) for g in gens])
+        assert [g.map_field(K) for g in gb] == groebner_basis(
+            [g.map_field(K) for g in gens])
         ref = groebner(exprs, *xs, modulus=p, order="grevlex")
         assert ({frozenset((e, c.raw) for e, c in g.terms.items())
                  for g in gb}
