@@ -834,20 +834,19 @@ def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
             lines.append(Hyperplane(field, coeffs))
     divisible = undivisible = 0
     for line in lines:
-        ell = MultiPoly(field, 3, {tuple(u.raw for u in unit): c
-                                   for unit, c in zip(units, line.coeffs)
-                                   if c})
+        ell = MultiPoly(field, 3, {tuple(int(i == k) for i in range(3)): c
+                                   for k, c in enumerate(line.coeffs) if c})
         for degree in (1, 2, 3):
             f = random_form(field, 3, degree, rng)
             g = random_form(field, 3, degree - 1, rng)
             for h in (f, ell * g):
                 if h.is_zero():
                     continue
-                bin_ = restrict_to_plane_line(h, line)
+                on_line = restrict_to_plane_line(h, line)
                 want = restrict_by_kernel_basis(h, line)
-                assert (bin_.degree, bin_.coeffs) == (want.degree,
-                                                      want.coeffs)
-                if bin_.is_zero():
+                assert (on_line.degree, on_line.coeffs) == (want.degree,
+                                                            want.coeffs)
+                if on_line.is_zero():
                     divisible += 1
                     quo = divide_by_plane_line(h, line)
                     assert quo == divide_by_completion_inverse(h, line)
