@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 from .fields import (FieldSpec, Scalar, UPoly, make_field, embed,
                      find_roots, join_field, parse_field_spec,
                      format_field_spec, QQ)
-from .poly import (MultiPoly, BinaryForm, LaurentForm, parse_poly,
-                   parse_binary_form, partial_derivative, linear_substitute,
-                   compose_with_curve, resultant_bin, gcd_bin,
-                   groebner_basis, is_unit_ideal)
+from .poly import (MultiPoly, BinaryForm, parse_poly, parse_binary_form,
+                   partial_derivative, linear_substitute, compose_with_curve,
+                   resultant_bin, gcd_bin, groebner_basis, is_unit_ideal)
 from .sheafp1 import (MonadP1, SplittingType, validate_monad,
                       quotient_graded_dim, h0_twist, splitting_type,
                       is_very_free_splitting)

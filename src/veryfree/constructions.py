@@ -5,9 +5,12 @@ incidence search, the exhaustive char-2 Fermat analysis, and the
 inductive very-free-curve builder in higher dimension.
 
 Sections of twists of pulled-back bundles are written in the Euler
-quotient presentation: a tuple of homogeneous Laurent forms, one per
-ambient coordinate, considered modulo Laurent multiples of the curve
-components.
+quotient presentation: a tuple of Laurent forms, one per ambient
+coordinate, whose terms all share one degree, considered modulo Laurent
+multiples of the curve components.  A Laurent form is a MultiPoly in
+(U, V) whose exponents may be negative; the private helpers beside
+`LaurentSection` build monomials, convert binary forms, print Laurent
+forms and divide one by a curve component.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError
-from .fields import FieldSpec, Scalar, cube_root, embed, join_field, \
-    make_field
+from .fields import FieldSpec, Scalar, UPoly, cube_root, embed, \
+    join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
@@ -32,9 +35,8 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            restrict_to_plane_line, singular_points_scan,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
-from .poly import (BinaryForm, LaurentForm, MultiPoly, binary_roots,
-                   compose_with_curve, gcd_bin, linear_substitute, map_curve,
-                   parse_poly)
+from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
+                   gcd_bin, map_curve, parse_poly, substitute_linear_map)
 from .sheafp1 import (MonadP1, SplittingType, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
                       splitting_type, validate_monad)
@@ -123,8 +125,6 @@ class CurveOnX:
 class TangentSectionNormalForm:
     field: FieldSpec
     matrix: tuple           # rows of scalars; substitution matrix
-    q: BinaryForm
-    c: BinaryForm
     quadric: Optional[MultiPoly]   # Q(X0, X1, X2) of the ambient surface
     linear: Optional[MultiPoly]    # L(X0, X1, X2)
     cubic_coeff: Optional[Scalar]  # A
@@ -152,10 +152,8 @@ def nodal_surface_form(field, quadric=None, linear=None, cubic_coeff=None):
     if not quadric.coefficient((2, 0, 0)):
         raise ValueError("Q(1,0,0) must be nonzero, else the surface is "
                          "singular at the node of the section")
-    q = BinaryForm.from_scalars(field, [0, 1, 0])
-    c = BinaryForm.from_scalars(field, [1, 0, 0, 1])
     return TangentSectionNormalForm(
-        field, _identity_rows(field, 4), q, c, quadric, linear, A, 1)
+        field, _identity_rows(field, 4), quadric, linear, A, 1)
 
 
 def _identity_rows(field, n):
@@ -238,71 +236,116 @@ def make_curve(x: Hypersurface, curve) -> CurveOnX:
 
 
 # -- Laurent sections of twisted pullbacks ----------------------------------
+#
+# A Laurent form is a MultiPoly in (U, V) whose exponents may be negative.
+
+
+def _laurent(field, i, j, value=1):
+    """The Laurent monomial value * U^i V^j."""
+    return MultiPoly(field, 2, {(i, j): field.scalar(value)})
+
+
+def _laurent_from_binary(bf: BinaryForm) -> MultiPoly:
+    return MultiPoly(bf.field, 2, {(bf.degree - j, j): c
+                                   for j, c in enumerate(bf.coeffs)})
+
+
+def _laurent_str(f: MultiPoly) -> str:
+    if not f.terms:
+        return "0"
+    parts = []
+    for (i, j), c in sorted(f.terms.items(), key=lambda t: -t[0][0]):
+        mono = []
+        if i:
+            mono.append(f"U^{i}" if i != 1 else "U")
+        if j:
+            mono.append(f"V^{j}" if j != 1 else "V")
+        cs = str(c)
+        if "+" in cs[1:] or "-" in cs[1:]:
+            cs = f"({cs})"
+        if mono and cs == "1":
+            parts.append("*".join(mono))
+        else:
+            parts.append("*".join([cs] + mono) if mono else cs)
+    return " + ".join(parts)
+
+
+def _laurent_quotient(num: MultiPoly, den: MultiPoly):
+    """The Laurent form q with q * den == num for homogeneous num and a
+    nonzero homogeneous den, or None.
+
+    In t = V/U a Laurent form of degree d is U^d times a Laurent
+    polynomial in t, whose units are the monomials c t^k.  Stripped of
+    their least powers of t, both sides are polynomials and den's has a
+    nonzero constant term, so den divides num iff those divide."""
+    F = num.field
+    if num.is_zero():
+        return num
+
+    def split(f):
+        j0 = min(j for _, j in f.terms)
+        coeffs = [F.rzero] * (max(j for _, j in f.terms) - j0 + 1)
+        for (_, j), c in f.terms.items():
+            coeffs[j - j0] = c.raw
+        return sum(next(iter(f.terms))), j0, UPoly(F, coeffs)
+
+    dn, jn, pn = split(num)
+    dd, jd, pd = split(den)
+    quo, rem = pn.divmod(pd)
+    if not rem.is_zero():
+        return None
+    j0, d = jn - jd, dn - dd
+    return MultiPoly(F, 2, {(d - j0 - k, j0 + k): Scalar(F, c)
+                            for k, c in enumerate(quo.coeffs)})
 
 
 @dataclass
 class LaurentSection:
-    components: tuple       # LaurentForms, one per ambient coordinate
-    twist: int
+    components: tuple       # Laurent forms, one per ambient coordinate
 
     def __post_init__(self):
-        degs = {c.total_degree for c in self.components if not c.is_zero()}
-        if len(degs) > 1:
-            raise ValueError("section components have mixed degrees")
+        if len({sum(e) for c in self.components for e in c.terms}) > 1:
+            raise ValueError("section terms have mixed degrees")
 
     def shift(self, i, j):
-        return LaurentSection(tuple(c.shift(i, j) for c in self.components),
-                              self.twist + i + j)
+        m = _laurent(self.components[0].field, i, j)
+        return LaurentSection(tuple(m * c for c in self.components))
 
     def __sub__(self, other):
         return LaurentSection(tuple(a - b for a, b in
-                                    zip(self.components, other.components)),
-                              self.twist)
+                                    zip(self.components, other.components)))
 
     def __add__(self, other):
         return LaurentSection(tuple(a + b for a, b in
-                                    zip(self.components, other.components)),
-                              self.twist)
+                                    zip(self.components, other.components)))
 
     def __neg__(self):
-        return LaurentSection(tuple(-a for a in self.components), self.twist)
+        return LaurentSection(tuple(-a for a in self.components))
 
-    def dot(self, forms) -> LaurentForm:
-        """Pair against binary forms: sum_i comp_i * forms_i."""
-        acc = None
+    def dot(self, forms) -> MultiPoly:
+        """Pair against Laurent forms: sum_i comp_i * forms_i."""
+        acc = MultiPoly.zero(self.components[0].field, 2)
         for comp, f in zip(self.components, forms):
-            if comp.is_zero() or f.is_zero():
-                continue
-            term = comp * f
-            acc = term if acc is None else acc + term
-        if acc is None:
-            deg = (self.components[0].total_degree
-                   + forms[0].degree)
-            return LaurentForm.zero(self.components[0].field, deg)
+            acc = acc + comp * f
         return acc
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return "(" + ", ".join(_laurent_str(c) for c in self.components) + ")"
 
 
 def euler_multiple(diff: LaurentSection, curve):
-    """Laurent multiplier t with diff = t * curve, or None.
+    """Laurent multiplier t with diff = t * curve, or None; the curve
+    components are given as Laurent forms.
 
     Realizes equality of chart expressions modulo the Euler relation.
     """
-    h_laurent = [LaurentForm.from_binary(h) for h in curve]
-    idx = next((i for i, h in enumerate(h_laurent) if not h.is_zero()), None)
+    idx = next((i for i, h in enumerate(curve) if not h.is_zero()), None)
     if idx is None:
         raise ValueError("zero curve")
-    lam = diff.components[idx].exact_divide(h_laurent[idx])
-    if lam is None:
+    lam = _laurent_quotient(diff.components[idx], curve[idx])
+    if lam is None or any(lam * h != d
+                          for d, h in zip(diff.components, curve)):
         return None
-    for d, h in zip(diff.components, h_laurent):
-        if h.is_zero():
-            if not d.is_zero():
-                return None
-        elif lam * h != d:
-            return None
     return lam
 
 
@@ -314,25 +357,24 @@ def euler_equivalent(a: LaurentSection, b: LaurentSection, curve) -> bool:
 
 
 def _xi_eta_sections(field):
-    L = LaurentForm.monomial
-    z5 = LaurentForm.zero(field, -2)
-    z4 = LaurentForm.zero(field, -1)
+    L = _laurent
+    z = MultiPoly.zero(field, 2)
     xi_v = LaurentSection((L(field, 2, -4), -L(field, 1, -3),
-                           -L(field, 0, -2), z5), -5)
+                           -L(field, 0, -2), z))
     xi_u = LaurentSection((L(field, -4, 2), -L(field, -2, 0),
-                           -L(field, -3, 1), z5), -5)
-    eta_v = LaurentSection((L(field, 1, -2), -L(field, 0, -1), z4, z4), -4)
-    eta_u = LaurentSection((-L(field, -2, 1), z4, L(field, -1, 0), z4), -4)
+                           -L(field, -3, 1), z))
+    eta_v = LaurentSection((L(field, 1, -2), -L(field, 0, -1), z, z))
+    eta_u = LaurentSection((-L(field, -2, 1), z, L(field, -1, 0), z))
     return xi_v, xi_u, eta_v, eta_u
 
 
 def _generator_sections(field):
-    L = LaurentForm.monomial
-    z = LaurentForm.zero(field, 1)
+    L = _laurent
+    z = MultiPoly.zero(field, 2)
     gen_v = LaurentSection((L(field, 2, -1, 3), -L(field, 1, 0, 2),
-                            -L(field, 0, 1), z), -2)
+                            -L(field, 0, 1), z))
     gen_u = LaurentSection((-L(field, -1, 2, 3), L(field, 1, 0),
-                            L(field, 0, 1, 2), z), -2)
+                            L(field, 0, 1, 2), z))
     return gen_v, gen_u
 
 
@@ -352,23 +394,27 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
                lhs=f"f(h) = {on_surface}", rhs="0")
 
     beta = [compose_with_curve(g, curve) for g in x.partials]
+    curve_l = [_laurent_from_binary(h) for h in curve]
+    beta_l = [_laurent_from_binary(b) for b in beta]
     xi_v, xi_u, eta_v, eta_u = _xi_eta_sections(F)
 
-    lam_xi = euler_multiple(xi_v - xi_u, curve)
+    lam_xi = euler_multiple(xi_v - xi_u, curve_l)
     report.add("xi chart expressions agree modulo Euler", lam_xi is not None,
                lhs=str(xi_v), rhs=str(xi_u),
-               witness=None if lam_xi is None else f"multiplier {lam_xi}")
-    lam_eta = euler_multiple(eta_v - eta_u, curve)
+               witness=None if lam_xi is None
+               else f"multiplier {_laurent_str(lam_xi)}")
+    lam_eta = euler_multiple(eta_v - eta_u, curve_l)
     report.add("eta chart expressions agree modulo Euler",
                lam_eta is not None, lhs=str(eta_v), rhs=str(eta_u),
-               witness=None if lam_eta is None else f"multiplier {lam_eta}")
+               witness=None if lam_eta is None
+               else f"multiplier {_laurent_str(lam_eta)}")
 
-    xi_f = xi_v.dot(beta)
-    expected = LaurentForm.monomial(F, 2, 2, -1)
+    xi_f = xi_v.dot(beta_l)
+    expected = _laurent(F, 2, 2, -1)
     report.add("xi . f = -U^2 V^2", xi_f == expected,
-               lhs=str(xi_f), rhs=str(expected))
+               lhs=_laurent_str(xi_f), rhs=_laurent_str(expected))
 
-    eta_f = eta_v.dot(beta)
+    eta_f = eta_v.dot(beta_l)
     support = set(eta_f.terms)
     units = all(c == F.one or c == -F.one for c in eta_f.terms.values())
     ok_support = support == {(4, 1), (1, 4)} and units
@@ -377,10 +423,10 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
     stated = {(4, 1): "-", (1, 4): "-"}
     flag = None
     if ok_support and signs != stated and F.p != 2:
-        flag = (f"sign deviation: computed eta.f = {eta_f}, "
+        flag = (f"sign deviation: computed eta.f = {_laurent_str(eta_f)}, "
                 f"stated -U^4*V - U*V^4")
     report.add("eta . f has support {U^4 V, U V^4} with unit coefficients",
-               ok_support, lhs=str(eta_f),
+               ok_support, lhs=_laurent_str(eta_f),
                rhs="coefficients +-1 on U^4*V, U*V^4",
                witness=f"signs {signs}", flagged=flag)
 
@@ -395,13 +441,13 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
 
     gen_v, gen_u = _generator_sections(F)
     report.add("generator chart expressions agree modulo Euler",
-               euler_equivalent(gen_v, gen_u, curve),
+               euler_equivalent(gen_v, gen_u, curve_l),
                lhs=str(gen_v), rhs=str(gen_u))
     lhs = eta_v.shift(1, 1) - xi_v.shift(3, 0) + xi_v.shift(0, 3)
     sign = None
-    if euler_equivalent(lhs, gen_v, curve):
+    if euler_equivalent(lhs, gen_v, curve_l):
         sign = "+"
-    elif euler_equivalent(lhs, -gen_v, curve):
+    elif euler_equivalent(lhs, -gen_v, curve_l):
         sign = "-"
     flag = None if sign == "+" or F.p == 2 else (
         None if sign is None else
@@ -423,24 +469,20 @@ def cuspidal_parametrization(field, alpha):
 
 
 def _delta_sections(field, alpha):
-    L = LaurentForm.monomial
-    z = LaurentForm.zero(field, 0)
+    L = _laurent
+    z = MultiPoly.zero(field, 2)
     if field.p == 3:
         a = field.scalar(alpha)
-        dv = LaurentSection((-L(field, 1, -1, a), -L(field, 0, 0), z, z), -3)
-        c0 = (LaurentForm.monomial(field, -1, 1, a**3)
-              - LaurentForm.monomial(field, 0, 0, a**2))
-        c1 = -(LaurentForm.monomial(field, -2, 2, a**2)
-               - LaurentForm.monomial(field, -1, 1, a * 2)
-               + LaurentForm.monomial(field, 0, 0))
-        c2 = -(LaurentForm.monomial(field, -3, 3, a**2)
-               + LaurentForm.monomial(field, -2, 2, a))
-        du = LaurentSection((c0, c1, c2, z), -3)
+        dv = LaurentSection((-L(field, 1, -1, a), -L(field, 0, 0), z, z))
+        c0 = L(field, -1, 1, a**3) - L(field, 0, 0, a**2)
+        c1 = -(L(field, -2, 2, a**2) - L(field, -1, 1, a * 2)
+               + L(field, 0, 0))
+        c2 = -(L(field, -3, 3, a**2) + L(field, -2, 2, a))
+        du = LaurentSection((c0, c1, c2, z))
         return dv, du
     three = field.scalar(3)
-    dv = LaurentSection((L(field, 2, -2, three), -L(field, 0, 0), z, z), -3)
-    du = LaurentSection((z, L(field, 0, 0, 2),
-                         L(field, -1, 1, three), z), -3)
+    dv = LaurentSection((L(field, 2, -2, three), -L(field, 0, 0), z, z))
+    du = LaurentSection((z, L(field, 0, 0, 2), L(field, -1, 1, three), z))
     return dv, du
 
 
@@ -470,15 +512,17 @@ def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
     on_surface = compose_with_curve(x.f, curve)
     report.add("curve lies on surface", on_surface.is_zero(),
                lhs=f"f(h) = {on_surface}", rhs="0")
-    beta = [compose_with_curve(g, curve) for g in x.partials]
+    beta = [_laurent_from_binary(compose_with_curve(g, curve))
+            for g in x.partials]
     dv, du = _delta_sections(F, a)
-    lam = euler_multiple(dv - du, curve)
+    lam = euler_multiple(dv - du, [_laurent_from_binary(h) for h in curve])
     report.add("delta chart expressions agree modulo Euler", lam is not None,
                lhs=str(dv), rhs=str(du),
-               witness=None if lam is None else f"multiplier {lam}")
+               witness=None if lam is None
+               else f"multiplier {_laurent_str(lam)}")
     df = dv.dot(beta)
     report.add("delta . f = 0 (delta is a section of the (-3) twist)",
-               df.is_zero(), lhs=str(df), rhs="0")
+               df.is_zero(), lhs=_laurent_str(df), rhs="0")
     monad = pullback_tangent(x, curve)
     s = splitting_type(monad)
     report.add("splitting type is {3, 0}", s.parts == (3, 0),
@@ -564,16 +608,13 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
           [kf.zero, kf.zero, s2]]
     total = _mat_mul_scalar(kf, _embed_mat(pre, kf), m4)
     cub_f = cub.map_field(kf)
-    final = linear_substitute(cub_f, total)
+    final = substitute_linear_map(cub_f, total)
     target = (MultiPoly(kf, 3, {(1, 1, 1): kf.one, (0, 3, 0): kf.one,
                                 (0, 0, 3): kf.one}))
     if final != target:
         raise IntegrityError(f"normal form verification failed: {final}")
     return TangentSectionNormalForm(
-        kf, tuple(tuple(r) for r in total),
-        BinaryForm.from_scalars(kf, [0, 1, 0]),
-        BinaryForm.from_scalars(kf, [1, 0, 0, 1]),
-        None, None, None, kf.k // F.k)
+        kf, tuple(tuple(r) for r in total), None, None, None, kf.k // F.k)
 
 
 def scaled_nodal_parametrization(field, a0, a3):

@@ -619,9 +619,10 @@ def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
 
 
 def _affine_zeros(gens, nvars: int, ext_cap: int):
-    """Common zeros of polynomials in nvars variables with residue degree
-    <= ext_cap, each a coordinate tuple over its residue field; None when
-    there are infinitely many over the closure.
+    """Common zeros of polynomials in nvars variables, each a coordinate
+    tuple over its residue field; None when there are infinitely many
+    over the closure.  Raises ExtensionCapExceeded when a zero has residue
+    degree above ext_cap.
 
     The eliminant of the Groebner basis in the first variable, then the
     fibre over each of its roots, one variable fewer.
@@ -635,8 +636,12 @@ def _affine_zeros(gens, nvars: int, ext_cap: int):
     elim = eliminant(basis)
     if elim is None:
         return None
+    roots = find_roots(elim, ext_cap)
+    if sum(r.multiplicity for r in roots) < elim.degree:
+        raise ExtensionCapExceeded(
+            f"a common zero needs extension degree above {ext_cap}")
     zeros = []
-    for r in find_roots(elim, ext_cap):
+    for r in roots:
         fibre = [_at_first(g, r.value) for g in basis]
         for rest in _affine_zeros(fibre, nvars - 1, ext_cap // r.ext_degree):
             K = rest[0].field if rest else r.value.field
@@ -645,9 +650,10 @@ def _affine_zeros(gens, nvars: int, ext_cap: int):
 
 
 def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
-    """Singular points [(ProjPoint, level)] of residue degree <= ext_cap,
-    each over its residue field F_{q^level}; None when the singular locus
-    is infinite (a repeated component).
+    """Singular points [(ProjPoint, level)], each over its residue field
+    F_{q^level}; None when the singular locus is infinite (a repeated
+    component).  Raises ExtensionCapExceeded when a singular point has
+    residue degree above ext_cap.
 
     Walks the strata X_0 = 1, then X_0 = 0, X_1 = 1, then (0:0:1), which
     partition P^2 as in `is_smooth`.
@@ -781,14 +787,13 @@ def classify_plane_cubic(cub: MultiPoly, ext_cap: int = DEFAULT_EXT_CAP,
         return CubicSectionClass(SMOOTH_CUBIC, None, 1)
     if len(pts) > 1:
         return _classify_multi_singular(cub, pts, ext_cap)
-    pt, level = pts[0]
+    pt, _ = pts[0]
     cls = _tangent_cone_class(cub, pt, ext_cap)
     if cls is None:
-        # a triangle whose other vertices, on the tangent-cone lines at
-        # pt, lie beyond the cap
-        raise ExtensionCapExceeded(
-            f"tangent-cone root needs extension degree {2 * level}, "
-            f"cap is {ext_cap}")
+        # the strata give every singular point or raise, so the rows with
+        # several singular points never reach here
+        raise IntegrityError(f"{pt} is the only singular point, but its "
+                             f"tangent cone shows several")
     return cls
 
 

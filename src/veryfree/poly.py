@@ -1,10 +1,12 @@
 """Exact polynomial algebra: multivariate forms, binary forms in (U, V),
-homogeneous Laurent expressions, parsing, resultants, gcd, and Groebner
-bases for unit-ideal tests and eliminants.
+parsing, resultants, gcd, and Groebner bases for unit-ideal tests and
+eliminants.
 
 Multivariate polynomials are sparse maps from exponent vectors to
-nonzero scalars.  Binary forms of degree d store the coefficient of
-U^(d-j) V^j at index j.
+nonzero scalars.  Their arithmetic and evaluation never assume that the
+exponents are non-negative, so a Laurent form in (U, V) is a MultiPoly
+in two variables (see `constructions`).  Binary forms of degree d store
+the coefficient of U^(d-j) V^j at index j.
 """
 from __future__ import annotations
 
@@ -723,168 +725,6 @@ def binary_roots(f: BinaryForm, max_ext: int):
             out.append((r.value, r.value.field.one, r.ext_degree,
                         r.multiplicity))
     return out
-
-
-# -- Laurent forms -------------------------------------------------------
-
-
-class LaurentForm:
-    """Homogeneous Laurent expression: terms U^i V^j with i + j fixed."""
-
-    __slots__ = ("field", "total_degree", "terms")
-
-    def __init__(self, field, total_degree, terms):
-        clean = {}
-        for (i, j), c in terms.items():
-            if i + j != total_degree:
-                raise ValueError(f"term U^{i}V^{j} breaks homogeneity "
-                                 f"(total degree {total_degree})")
-            if c:
-                clean[(i, j)] = c
-        self.field = field
-        self.total_degree = total_degree
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field, total_degree):
-        return cls(field, total_degree, {})
-
-    @classmethod
-    def monomial(cls, field, i, j, value=1):
-        return cls(field, i + j, {(i, j): field.scalar(value)})
-
-    @classmethod
-    def from_binary(cls, bf: BinaryForm):
-        terms = {(bf.degree - j, j): c
-                 for j, c in enumerate(bf.coeffs) if c}
-        return cls(bf.field, bf.degree, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentForm):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (self.total_degree == other.total_degree
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.total_degree != other.total_degree:
-            raise ValueError("adding Laurent forms of different degrees")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, self.field.zero) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return LaurentForm(self.field, self.total_degree, t)
-
-    def __neg__(self):
-        return LaurentForm(self.field, self.total_degree,
-                           {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = self.field.scalar(other)
-            if not c:
-                return LaurentForm.zero(self.field, self.total_degree)
-            return LaurentForm(self.field, self.total_degree,
-                               {e: v * c for e, v in self.terms.items()})
-        if isinstance(other, BinaryForm):
-            other = LaurentForm.from_binary(other)
-        d = self.total_degree + other.total_degree
-        out = {}
-        z = self.field.zero
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e, z) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentForm(self.field, d, out)
-
-    __rmul__ = __mul__
-
-    def shift(self, i, j):
-        """Multiply by the monomial U^i V^j (j, i may be negative)."""
-        return LaurentForm(self.field, self.total_degree + i + j,
-                           {(a + i, b + j): c
-                            for (a, b), c in self.terms.items()})
-
-    def exact_divide(self, divisor: "LaurentForm"):
-        """Quotient self/divisor as a LaurentForm, or None if not exact."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero Laurent form")
-        if self.is_zero():
-            return LaurentForm.zero(
-                self.field, self.total_degree - divisor.total_degree)
-        imin_n = min(i for (i, _) in self.terms)
-        jmin_n = min(j for (_, j) in self.terms)
-        imin_d = min(i for (i, _) in divisor.terms)
-        jmin_d = min(j for (_, j) in divisor.terms)
-        num = self.shift(-imin_n, -jmin_n)
-        den = divisor.shift(-imin_d, -jmin_d)
-        nb = num.to_binary()
-        db = den.to_binary()
-        qpoly, rem = nb.dehomogenize().divmod(db.dehomogenize())
-        if not rem.is_zero():
-            return None
-        qdeg = nb.degree - db.degree
-        quotient = BinaryForm.homogenize(qpoly, qdeg)
-        # U/V contents must also divide exactly
-        if quotient.dehomogenize().degree != qpoly.degree:
-            return None
-        q = LaurentForm.from_binary(quotient).shift(
-            imin_n - imin_d, jmin_n - jmin_d)
-        return q if q * divisor == self else None
-
-    def to_binary(self) -> BinaryForm:
-        if self.is_zero():
-            return BinaryForm.zero(self.field, max(self.total_degree, 0))
-        if any(i < 0 or j < 0 for (i, j) in self.terms):
-            raise ValueError("negative exponents present")
-        coeffs = [self.field.zero] * (self.total_degree + 1)
-        for (i, j), c in self.terms.items():
-            coeffs[j] = c
-        return BinaryForm(self.field, self.total_degree, coeffs)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda t: -t[0][0])
-        parts = []
-        for (i, j), c in items:
-            mono = []
-            if i:
-                mono.append(f"U^{i}" if i != 1 else "U")
-            if j:
-                mono.append(f"V^{j}" if j != 1 else "V")
-            cs = str(c)
-            if "+" in cs[1:] or "-" in cs[1:]:
-                cs = f"({cs})"
-            if mono and cs == "1":
-                parts.append("*".join(mono))
-            else:
-                parts.append("*".join([cs] + mono) if mono else cs)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LaurentForm({self})"
 
 
 # -- Groebner bases -------------------------------------------------------

@@ -1,0 +1,78 @@
+"""Answer digests: the sha256 of stdout and the exit code of 33 in-process
+CLI runs, compared with `tests/answer_digests.json`.
+
+The runs cover `lines`, `eckardt`, `construct` and `build --dim 3` with
+`--json` over F7 on Fermat, Clebsch and five pinned random surfaces,
+`build --dim 4` on the F7 Fermat threefold, and `fermat2 --ext 1..4`.
+A change that must keep every answer byte-identical keeps this test
+passing.  After a deliberate change of answers, rewrite the JSON with
+
+    PYTHONPATH=src python tests/test_answers.py
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+from veryfree.cli import main
+from veryfree.fields import make_field
+
+from helpers import random_cubic_form
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "answer_digests.json")
+FERMAT = "X0^3+X1^3+X2^3+X3^3"
+CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
+SEEDS = (256, 282, 365, 368, 722)
+
+
+def _surfaces():
+    F7 = make_field(7)
+    out = [("fermat", FERMAT), ("clebsch", CLEBSCH)]
+    out += [(f"seed{s}", str(random_cubic_form(F7, 4, s))) for s in SEEDS]
+    return out
+
+
+def _runs():
+    """(name, argv) for every recorded run, in a fixed order."""
+    runs = []
+    for name, surface in _surfaces():
+        for cmd in ("lines", "eckardt", "construct"):
+            runs.append((f"{cmd} {name}", [cmd, "--field", "7", "--surface",
+                                           surface, "--json"]))
+        runs.append((f"build3 {name}", ["build", "--field", "7", "--dim",
+                                        "3", "--poly", surface, "--json"]))
+    runs.append(("build4 fermat", ["build", "--field", "7", "--dim", "4",
+                                   "--poly", FERMAT + "+X4^3", "--json"]))
+    for ext in range(1, 5):
+        runs.append((f"fermat2 {ext}", ["fermat2", "--ext", str(ext),
+                                        "--json"]))
+    return runs
+
+
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code,
+            "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def compute():
+    return {name: _answer(argv) for name, argv in _runs()}
+
+
+def test_answer_digests_unchanged():
+    with open(DIGESTS) as fh:
+        recorded = json.load(fh)
+    assert len(recorded) == 33
+    got = compute()
+    assert list(got) == list(recorded)
+    changed = [name for name in recorded if got[name] != recorded[name]]
+    assert not changed, f"answers changed: {changed}"
+
+
+if __name__ == "__main__":
+    with open(DIGESTS, "w") as fh:
+        json.dump(compute(), fh, indent=1)
+        fh.write("\n")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from veryfree import linalg
-from veryfree.errors import IntegrityError
+from veryfree.errors import ExtensionCapExceeded, IntegrityError
 from veryfree.fields import Scalar, UPoly, embed, make_field
 from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
@@ -293,6 +293,30 @@ def test_classify_examples():
     assert cls3.tag == THREE_LINES_CONCURRENT
     assert cls3.singular_point == ProjPoint(F2, [0, 0, 1])
     assert cls3.ext_degree_used == 2
+
+
+def test_classify_refuses_singular_points_beyond_the_cap():
+    """With no point given, a cubic whose singular points all lie beyond
+    the cap is refused, not reported smooth: the triangle of the three
+    conjugate lines N(X0 + g X1 + g^2 X2) over F7 (vertices over F_{7^3})
+    and a line with a conic through two conjugate points of F49."""
+    K = make_field(7, 3)
+    norm = MultiPoly.constant(K, 3, 1)
+    for k in range(3):
+        g = K.gen ** (7 ** k)
+        norm = norm * MultiPoly(K, 3, {(1, 0, 0): K.one, (0, 1, 0): g,
+                                       (0, 0, 1): g * g})
+    down = {K.scalar(a): F7.scalar(a) for a in range(7)}
+    triangle = MultiPoly(F7, 3, {e: down[c] for e, c in norm.terms.items()})
+    line_conic = parse_poly("X0*(X0^2+X1^2-3*X2^2)", 3, F7)
+    for cub, low, tag in ((triangle, 3, THREE_LINES_TRIANGLE),
+                          (line_conic, 2, LINE_CONIC_TRANSVERSE)):
+        for cap in range(1, low):
+            with pytest.raises(ExtensionCapExceeded):
+                classify_plane_cubic(cub, cap)
+        for cap in (low, 6):
+            cls = classify_plane_cubic(cub, cap)
+            assert cls.tag == tag and cls.ext_degree_used == low
 
 
 def test_classify_full_zoo():

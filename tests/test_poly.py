@@ -6,9 +6,16 @@ import pytest
 from sympy import Matrix, Poly, gcd, groebner, symbols
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from veryfree.constructions import (LaurentSection, _laurent,
+                                    _laurent_from_binary, _laurent_quotient,
+                                    _laurent_str, cuspidal_parametrization,
+                                    euler_multiple, fermat_char2_curve,
+                                    nodal_surface_form,
+                                    standard_nodal_parametrization,
+                                    verify_xi_eta)
 from veryfree.errors import ParseError
 from veryfree.fields import embed, make_field
-from veryfree.poly import (BinaryForm, LaurentForm, MultiPoly,
+from veryfree.poly import (BinaryForm, MultiPoly,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
                            map_curve,
@@ -438,25 +445,114 @@ def test_resultant_gcd_roots_three_way_agreement():
 
 
 # -- Laurent forms -----------------------------------------------------------
+#
+# A Laurent form is a MultiPoly in (U, V) with exponents of any sign; the
+# section type and the Laurent helpers live in `constructions`.
+
+F49 = make_field(7, 2)
+
+
+def _random_laurent(field, rng, degree=None):
+    """A homogeneous Laurent form with exponents of both signs."""
+    d = rng.randint(-6, 3) if degree is None else degree
+    return MultiPoly(field, 2, {(d - j, j): _random_scalar(field, rng)
+                                for j in rng.sample(range(-5, 6), 3)})
+
+
+def _nonzero_scalar(field, rng):
+    while True:
+        c = _random_scalar(field, rng)
+        if c:
+            return c
+
 
 def test_laurent_homogeneity_enforced():
+    """A Laurent section holds terms of one degree: across its components
+    and inside each of them; zero components are free."""
+    z = MultiPoly.zero(F7, 2)
+    LaurentSection((_laurent(F7, 2, -4), z, _laurent(F7, -1, -1, 3), z))
     with pytest.raises(ValueError):
-        LaurentForm(F7, 2, {(1, 0): F7.one})
+        LaurentSection((_laurent(F7, 2, -4), _laurent(F7, 1, 0), z, z))
+    with pytest.raises(ValueError):
+        LaurentSection((_laurent(F7, 1, 0) + _laurent(F7, 0, -1), z, z, z))
 
 
 def test_laurent_arithmetic_and_division():
-    a = LaurentForm.monomial(F7, 2, -4)       # U^2 / V^4
-    b = LaurentForm.monomial(F7, -1, 1, 3)    # 3 V / U
-    prod = a * b
-    assert prod.terms == {(1, -3): F7.scalar(3)}
-    q = prod.exact_divide(b)
-    assert q == a
-    assert a.exact_divide(LaurentForm.monomial(F7, 5, 0)) is not None
-    num = (LaurentForm.monomial(F7, 3, 0) + LaurentForm.monomial(F7, 0, 3))
-    den = LaurentForm.monomial(F7, 1, 0) + LaurentForm.monomial(F7, 0, 1)
-    quot = num.exact_divide(den)
+    """Random-evaluation oracle: Laurent products and sums evaluate to the
+    products and sums of the values at points with u, v != 0, and the
+    exact quotient undoes a product by a binary form."""
+    rng = random.Random(15)
+    for field in (QQ, F7, F49):
+        for _ in range(20):
+            a, b = _random_laurent(field, rng), _random_laurent(field, rng)
+            h = _laurent_from_binary(BinaryForm.from_scalars(
+                field, [_random_scalar(field, rng) for _ in range(4)]))
+            pt = (_nonzero_scalar(field, rng), _nonzero_scalar(field, rng))
+            va, vb, vh = (g.evaluate(pt) for g in (a, b, h))
+            assert (a * b).evaluate(pt) == va * vb
+            assert (a * b + a).evaluate(pt) == va * vb + va
+            if h.is_zero():
+                continue
+            q = _laurent_quotient(a * h, h)
+            assert q == a
+            if vh:
+                assert q.evaluate(pt) == (a * h).evaluate(pt) / vh
+    # U^3 + V^3 = (U + V)(U^2 - U V + V^2), but not the other way round
+    num = _laurent(F7, 3, 0) + _laurent(F7, 0, 3)
+    den = _laurent(F7, 1, 0) + _laurent(F7, 0, 1)
+    quot = _laurent_quotient(num, den)
     assert quot is not None and quot * den == num
-    assert den.exact_divide(num) is None
+    assert _laurent_quotient(den, num) is None
+    assert _laurent_quotient(_laurent(F7, 2, -4), _laurent(F7, 5, 0)) \
+        == _laurent(F7, -3, -4)
+
+
+def test_euler_multiple_recovers_the_multiplier():
+    """euler_multiple(lam * h, h) is lam on the nodal, the cuspidal
+    (characteristic 3, alpha != 0) and the char-2 Fermat curves, and None
+    once one coordinate gets an extra monomial."""
+    rng = random.Random(16)
+    curves = [(F, standard_nodal_parametrization(F) + [BinaryForm.zero(F, 3)])
+              for F in (QQ, F7, F49)]
+    curves += [(F, cuspidal_parametrization(F, a) + [BinaryForm.zero(F, 3)])
+               for F, a in ((F3, 1), (F3, 2), (F9, F9.from_raw(4)))]
+    curves += [(F, fermat_char2_curve(F)) for F in (F2, F4)]
+    for field, curve in curves:
+        h = [_laurent_from_binary(c) for c in curve]
+        for _ in range(10):
+            lam = _random_laurent(field, rng)
+            if lam.is_zero():
+                continue
+            diff = LaurentSection(tuple(lam * c for c in h))
+            assert euler_multiple(diff, h) == lam
+            i = rng.randrange(len(h))
+            d = sum(next(iter(diff.components[0].terms)))
+            extra = list(diff.components)
+            extra[i] = extra[i] + _laurent(field, d + 9, -9)
+            assert euler_multiple(LaurentSection(tuple(extra)), h) is None
+
+
+def test_laurent_printer_pinned():
+    """The printer's output reaches the --json payload through witness
+    strings and the eta . f sign finding."""
+    assert _laurent_str(_laurent(QQ, -1, -4, -1) + _laurent(QQ, -4, -1)) \
+        == "-1*U^-1*V^-4 + U^-4*V^-1"
+    assert _laurent_str(_laurent(F7, -1, -4, -1) + _laurent(F7, -4, -1)) \
+        == "6*U^-1*V^-4 + U^-4*V^-1"
+    assert _laurent_str(_laurent(QQ, 4, 1, -1) + _laurent(QQ, 1, 4)) \
+        == "-1*U^4*V + U*V^4"
+    assert _laurent_str(MultiPoly.zero(QQ, 2)) == "0"
+    assert _laurent_str(_laurent(QQ, 0, 0, 5)) == "5"
+    g = F49.gen
+    assert _laurent_str(_laurent(F49, 1, -1, g + 1) + _laurent(F49, 0, 0, g)
+                        + _laurent(F49, -1, 1, -g)) \
+        == "(g+1)*U*V^-1 + g + 6*g*U^-1*V"
+    rep = verify_xi_eta(nodal_surface_form(QQ))
+    checks = {c.name: c for c in rep.checks}
+    assert checks["xi chart expressions agree modulo Euler"].witness \
+        == "multiplier -1*U^-1*V^-4 + U^-4*V^-1"
+    assert "computed eta.f = -1*U^4*V + U*V^4" in checks[
+        "eta . f has support {U^4 V, U V^4} with unit coefficients"].flagged
 
 
 # -- Groebner bases ------------------------------------------------------------
