@@ -1,9 +1,13 @@
-"""Answer digests: the sha256 of stdout and the exit code of 33 in-process
+"""Answer digests: the sha256 of stdout and the exit code of 40 in-process
 CLI runs, compared with `tests/answer_digests.json`.
 
 The runs cover `lines`, `eckardt`, `construct` and `build --dim 3` with
 `--json` over F7 on Fermat, Clebsch and five pinned random surfaces,
 `build --dim 4` on the F7 Fermat threefold, and `fermat2 --ext 1..4`.
+Over base fields whose raw element indices pass p, they cover `lines`
+and `eckardt --json` on Clebsch over F49 and on Fermat over F4, and
+`sixpoints` on a sextuple over F49 and on the forced configuration over
+F4, which exits 1; `sixpoints --json` also runs on a sextuple over F11.
 A change that must keep every answer byte-identical keeps this test
 passing.  After a deliberate change of answers, rewrite the JSON with
 
@@ -24,6 +28,10 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "answer_digests.json")
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
 CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
 SEEDS = (256, 282, 365, 368, 722)
+SIXPOINTS = (
+    ("f11", "11", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;6:3:1", ["--json"]),
+    ("forced4", "2^2", "0:0:1;1:0:1;1:1:1;0:1:1;1:g:0;1:g+1:0", []),
+    ("f49", "7^2", "0:0:1;1:0:1;1:1:1;0:1:1;g:2:1;3:g+1:1", ["--json"]))
 
 
 def _surfaces():
@@ -47,6 +55,15 @@ def _runs():
     for ext in range(1, 5):
         runs.append((f"fermat2 {ext}", ["fermat2", "--ext", str(ext),
                                         "--json"]))
+    for name, field, points, fmt in SIXPOINTS:
+        runs.append((f"sixpoints {name}", ["sixpoints", "--field", field,
+                                           "--points", points, *fmt]))
+    for name, field, surface in (("clebsch49", "7^2", CLEBSCH),
+                                 ("fermat4", "2^2", FERMAT)):
+        runs.append((f"lines {name}", ["lines", "--field", field,
+                                       "--surface", surface]))
+        runs.append((f"eckardt {name}", ["eckardt", "--field", field,
+                                         "--surface", surface, "--json"]))
     return runs
 
 
@@ -65,7 +82,7 @@ def compute():
 def test_answer_digests_unchanged():
     with open(DIGESTS) as fh:
         recorded = json.load(fh)
-    assert len(recorded) == 33
+    assert len(recorded) == 40
     got = compute()
     assert list(got) == list(recorded)
     changed = [name for name in recorded if got[name] != recorded[name]]
