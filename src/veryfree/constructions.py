@@ -319,9 +319,6 @@ class LaurentSection:
         return LaurentSection(tuple(a + b for a, b in
                                     zip(self.components, other.components)))
 
-    def __neg__(self):
-        return LaurentSection(tuple(-a for a in self.components))
-
     def dot(self, forms) -> MultiPoly:
         """Pair against Laurent forms: sum_i comp_i * forms_i."""
         acc = MultiPoly.zero(self.components[0].field, 2)
@@ -671,17 +668,14 @@ def parametrize_conic(conic: MultiPoly):
     F = conic.field
     if F.is_rational:
         raise ValueError("conic parametrization needs a finite field")
-    base_pt = None
-    for pt in proj_points(F, 2):
-        vals = [Scalar(F, c) for c in pt]
-        if not conic.evaluate(vals):
-            base_pt = vals
-            break
-    if base_pt is None:
+    base = next((pt for pt in proj_points(F, 2)
+                 if not conic.evaluate([Scalar(F, c) for c in pt])), None)
+    if base is None:
         raise ValueError("conic has no rational point over the base field")
     # complete to a basis; the residual pencil parametrizes the conic
     from .hypersurface import _completion_matrix
-    m = _completion_matrix(F, base_pt)
+    m = _completion_matrix(F, base)
+    base_pt = [row[0] for row in m]
     e1 = [row[1] for row in m]
     e2 = [row[2] for row in m]
 
@@ -729,18 +723,11 @@ class SixPointResult:
                 "reason": self.reason}
 
 
-def _lines_meet(l1: Hyperplane, l2: Hyperplane) -> Optional[ProjPoint]:
-    cross = _cross(l1.coeffs, l2.coeffs)
-    if all(not c for c in cross):
-        return None
-    return ProjPoint(l1.field, cross)
-
-
 def _conic_row(p):
     """Raw values at p of the conic monomials X^2, XY, Y^2, XZ, YZ, Z^2."""
-    x, y, z = p.coords
-    return [(x * x).raw, (x * y).raw, (y * y).raw,
-            (x * z).raw, (y * z).raw, (z * z).raw]
+    F, (x, y, z) = p.field, p.coords
+    return [F.rmul(x, x), F.rmul(x, y), F.rmul(y, y),
+            F.rmul(x, z), F.rmul(y, z), F.rmul(z, z)]
 
 
 def _five_point_conic(points):
@@ -771,7 +758,7 @@ def six_point_diagonal(points) -> SixPointResult:
         raise ValueError("the six points must be distinct")
     import itertools as it
     for (i, j, k) in it.combinations(range(6), 3):
-        rows = [[c.raw for c in points[t].coords] for t in (i, j, k)]
+        rows = [points[t].coords for t in (i, j, k)]
         if linalg.det(F, rows) == F.rzero:
             raise ValueError(f"points {i}, {j}, {k} are collinear")
     if linalg.det(F, [_conic_row(p) for p in points]) == F.rzero:
@@ -790,15 +777,15 @@ def six_point_diagonal(points) -> SixPointResult:
         through = [ij for ij, ln in lines.items() if ln.contains(q)]
         cert.add("on exactly two connecting lines", len(through) == 2,
                  lhs=str(through), rhs="2 lines")
-        on_conics = [i for i, cn in enumerate(conics)
-                     if not cn.evaluate(q.coords)]
+        at = [Scalar(F, c) for c in q.coords]
+        on_conics = [i for i, cn in enumerate(conics) if not cn.evaluate(at)]
         cert.add("off all six five-point conics", not on_conics,
                  lhs=str(on_conics), rhs="[]")
         return cert
 
-    d1 = _lines_meet(lines[(0, 1)], lines[(2, 3)])
-    d2 = _lines_meet(lines[(0, 2)], lines[(1, 3)])
-    d3 = _lines_meet(lines[(0, 3)], lines[(1, 2)])
+    d1 = _cross(lines[(0, 1)], lines[(2, 3)])
+    d2 = _cross(lines[(0, 2)], lines[(1, 3)])
+    d3 = _cross(lines[(0, 3)], lines[(1, 2)])
     diagonals = tuple(d for d in (d1, d2, d3) if d is not None)
     p45 = lines[(4, 5)]
     for d in diagonals:
@@ -813,7 +800,7 @@ def six_point_diagonal(points) -> SixPointResult:
     for (ij, kl) in it.combinations(sorted(lines), 2):
         if set(ij) & set(kl):
             continue  # lines sharing an index meet in one of the six points
-        q = _lines_meet(lines[ij], lines[kl])
+        q = _cross(lines[ij], lines[kl])
         if q is not None and q not in seen:
             seen.add(q)
             candidates.append(q)
@@ -929,7 +916,7 @@ def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):
     for pt in _conic_points(conic):
         if d_in.contains(pt):
             continue
-        x_amb = chart.to_ambient(pt.coords)
+        x_amb = chart.to_ambient(pt)
         plane_x = tangent_hyperplane(xm, x_amb)
         section_x, chart_x = plane_section(xm, plane_x)
         x_in_plane = chart_x.to_plane(x_amb)
@@ -992,7 +979,7 @@ def build_very_free_curve(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
         return _surface_very_free_curve(x, ext_cap, line_field_cap)
     F = x.field
     for raw in proj_points(F, x.n):
-        plane = Hyperplane(F, [Scalar(F, c) for c in raw])
+        plane = Hyperplane.from_raw(F, raw)
         try:
             section, chart = hyperplane_section(x, plane)
         except IntegrityError:

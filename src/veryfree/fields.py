@@ -325,12 +325,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.field, self.field.rsub(self.raw, r))
 
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.rsub(r, self.raw))
-
     def __mul__(self, other):
         r = self._coerce(other)
         if r is NotImplemented:
@@ -344,12 +338,6 @@ class Scalar:
         if r is NotImplemented:
             return NotImplemented
         return Scalar(self.field, self.field.rmul(self.raw, self.field.rinv(r)))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.rmul(r, self.field.rinv(self.raw)))
 
     def __neg__(self):
         return Scalar(self.field, self.field.rneg(self.raw))
@@ -626,27 +614,6 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def __eq__(self, other):
-        return (isinstance(other, UPoly) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.rzero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.rzero] * (n - len(other.coeffs))
-        return UPoly(F, [F.radd(x, y) for x, y in zip(a, b)])
-
-    def __neg__(self):
-        F = self.field
-        return UPoly(F, [F.rneg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         F = self.field
         if self.is_zero() or other.is_zero():
@@ -702,22 +669,6 @@ class UPoly:
             return self
         return UPoly(target, [embed(Scalar(self.field, c), target).raw
                               for c in self.coeffs])
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == self.field.rzero:
-                continue
-            cs = self.field.rstr(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xp = "x" if i == 1 else f"x^{i}"
-                parts.append(xp if cs == "1" else f"({cs})*{xp}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,20 @@ bounded cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field; each cell scans its smaller row and solves for the partner point
-on the other by a linear condition and a gcd.  One zero scan serves the line search, `surface_points` and
+on the other by a linear condition and a gcd.  One zero scan serves the
+line search, `surface_points` and
 `singular_points_scan`: a form is restricted once to a row of P^n (pivot
 coordinate 1, some coordinates 0, the rest free), each prefix of free
 values is substituted once, and the last free coordinate is run through
 Horner's rule; other forms are evaluated only at the zeros found.
+
+Points, hyperplanes and lines hold raw coordinates, normalized once, and
+the scans build them from raw values with `from_raw`; their constructors
+also take Scalars or ints.  Scalars appear only there and where a
+primitive meets an API that takes them: `MultiPoly.evaluate`, the
+matrices passed to `substitute_linear_map` and `BinaryForm`.  In P^2 one
+cross product gives both the line through two points and the point
+where two lines meet.
 """
 from __future__ import annotations
 
@@ -42,105 +51,105 @@ DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
 # -- geometric primitives ------------------------------------------------
 
 
-class ProjPoint:
-    """Point of P^n, normalized so the first nonzero coordinate is 1."""
+class _Projective:
+    """A raw coordinate tuple up to scaling, normalized so its first
+    nonzero entry is 1: the shared body of `ProjPoint` and `Hyperplane`.
+    The constructor takes Scalars or ints, `from_raw` raw values."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "_v")
 
-    def __init__(self, field, coords):
-        coords = [field.scalar(c) for c in coords]
-        pivot = next((i for i, c in enumerate(coords) if c), None)
+    def __init__(self, field, values):
+        self._set(field, [field.scalar(c).raw for c in values])
+
+    @classmethod
+    def from_raw(cls, field, raw):
+        obj = cls.__new__(cls)
+        obj._set(field, raw)
+        return obj
+
+    def _set(self, field, raw):
+        pivot = next((c for c in raw if c != field.rzero), None)
         if pivot is None:
-            raise ValueError("projective point needs a nonzero coordinate")
-        inv = coords[pivot].inverse()
+            raise ValueError(self._ZERO)
+        if pivot != field.rone:
+            inv = field.rinv(pivot)
+            raw = [field.rmul(c, inv) for c in raw]
         self.field = field
-        self.coords = tuple(c * inv for c in coords)
+        self._v = tuple(raw)
+
+    def sort_key(self):
+        return tuple(self.field.lex_key(c) for c in self._v)
+
+    def map_field(self, target):
+        if target is self.field:
+            return self
+        F = self.field
+        return type(self).from_raw(
+            target, [embed(Scalar(F, c), target).raw for c in self._v])
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field is other.field
+                and self._v == other._v)
+
+    def __hash__(self):
+        return hash((id(self.field), self._v))
+
+    def to_json(self):
+        return [self.field.rstr(c) for c in self._v]
+
+    def __str__(self):
+        left, right = self._BRACKETS
+        return left + ":".join(self.to_json()) + right
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self}"
+
+
+class ProjPoint(_Projective):
+    """Point of P^n with raw coordinates."""
+
+    __slots__ = ()
+    _BRACKETS = "()"
+    _ZERO = "projective point needs a nonzero coordinate"
+
+    @property
+    def coords(self):
+        return self._v
 
     @property
     def n(self):
-        return len(self.coords) - 1
-
-    def raw(self):
-        return tuple(c.raw for c in self.coords)
-
-    def sort_key(self):
-        return tuple(self.field.lex_key(c.raw) for c in self.coords)
-
-    def map_field(self, target):
-        if target is self.field:
-            return self
-        return ProjPoint(target, [embed(c, target) for c in self.coords])
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and self.field is other.field
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
-
-    def __str__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
-
-    def __repr__(self):
-        return f"ProjPoint{self}"
-
-    def to_json(self):
-        return [str(c) for c in self.coords]
+        return len(self._v) - 1
 
 
-class Hyperplane:
-    """Hyperplane sum a_i X_i = 0, coefficients normalized like a point."""
+class Hyperplane(_Projective):
+    """Hyperplane sum a_i X_i = 0 with raw coefficients a_i."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    _BRACKETS = "[]"
+    _ZERO = "hyperplane needs a nonzero coefficient"
 
-    def __init__(self, field, coeffs):
-        coeffs = [field.scalar(c) for c in coeffs]
-        pivot = next((i for i, c in enumerate(coeffs) if c), None)
-        if pivot is None:
-            raise ValueError("hyperplane needs a nonzero coefficient")
-        inv = coeffs[pivot].inverse()
-        self.field = field
-        self.coeffs = tuple(c * inv for c in coeffs)
+    @property
+    def coeffs(self):
+        return self._v
 
     @property
     def pivot(self):
-        return next(i for i, c in enumerate(self.coeffs) if c)
+        return next(i for i, c in enumerate(self._v) if c != self.field.rzero)
 
     def contains(self, pt: ProjPoint) -> bool:
-        acc = self.field.zero
-        for a, x in zip(self.coeffs, pt.coords):
-            acc = acc + a * x
-        return not acc
+        return _dot(self.field, self._v, pt.coords) == self.field.rzero
 
     def chart(self):
         """The parametrisation X = M.Y of the hyperplane by P^(n-1), as
-        the rows of M: with pivot p (a_p = 1), the columns of M are
-        e_k - a_k e_p for k != p in increasing order, so row p holds the
-        -a_k and every other row is a unit row."""
-        F, p = self.field, self.pivot
-        others = [k for k in range(len(self.coeffs)) if k != p]
-        return tuple(tuple(-self.coeffs[k] if i == p
+        the rows of M in Scalars: with pivot p (a_p = 1), the columns of
+        M are e_k - a_k e_p for k != p in increasing order, so row p
+        holds the -a_k and every other row is a unit row."""
+        F, p, a = self.field, self.pivot, self._v
+        others = [k for k in range(len(a)) if k != p]
+        return tuple(tuple(Scalar(F, F.rneg(a[k])) if i == p
                            else F.one if i == k else F.zero
                            for k in others)
-                     for i in range(len(self.coeffs)))
-
-    def map_field(self, target):
-        if target is self.field:
-            return self
-        return Hyperplane(target, [embed(c, target) for c in self.coeffs])
-
-    def __eq__(self, other):
-        return (isinstance(other, Hyperplane) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), "hyp", self.coeffs))
-
-    def __str__(self):
-        return "[" + ":".join(str(c) for c in self.coeffs) + "]"
-
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
+                     for i in range(len(a)))
 
 
 def _dot(K, u, v):
@@ -168,45 +177,46 @@ _PLANES_THROUGH_E = [
 
 
 class LineP3:
-    """Line in P^3 as a 2x4 matrix in reduced row echelon form, with the
-    raw Plücker coordinates a_i b_j - a_j b_i of its rows a, b, for
-    ij = 01, 02, 03, 12, 13, 23."""
+    """Line in P^3 as a 2x4 matrix of raw values in reduced row echelon
+    form, with the raw Plücker coordinates a_i b_j - a_j b_i of its rows
+    a, b, for ij = 01, 02, 03, 12, 13, 23.  The constructor takes rows of
+    Scalars or ints, `from_raw` rows of raw values."""
 
     __slots__ = ("field", "rows", "plucker")
 
     def __init__(self, field, rows):
-        raw = [[field.scalar(c).raw for c in r] for r in rows]
-        rr, pivots = linalg.rref(field, raw)
+        self._set(field, [[field.scalar(c).raw for c in r] for r in rows])
+
+    @classmethod
+    def from_raw(cls, field, rows):
+        line = cls.__new__(cls)
+        line._set(field, rows)
+        return line
+
+    def _set(self, field, rows):
+        rr, pivots = linalg.rref(field, rows)
         if len(pivots) != 2:
             raise ValueError("line needs a rank-2 spanning matrix")
         self.field = field
-        self.rows = tuple(tuple(Scalar(field, c) for c in r)
-                          for r in rr[:2])
-        a, b = rr[:2]
+        a, b = self.rows = tuple(tuple(r) for r in rr[:2])
         self.plucker = tuple(
             field.rsub(field.rmul(a[i], b[j]), field.rmul(a[j], b[i]))
             for i, j in itertools.combinations(range(4), 2))
 
     def param_forms(self):
         """Degree-1 binary forms of (U, V) -> U*row0 + V*row1."""
-        return [BinaryForm.from_scalars(self.field, [a, b])
-                for a, b in zip(self.rows[0], self.rows[1])]
-
-    def point_at(self, u, v):
         F = self.field
-        u, v = F.scalar(u), F.scalar(v)
-        return ProjPoint(F, [u * a + v * b
-                             for a, b in zip(self.rows[0], self.rows[1])])
+        return [BinaryForm(F, 1, [Scalar(F, a), Scalar(F, b)])
+                for a, b in zip(*self.rows)]
 
     def points(self):
         """All rational points, (1:t) in element order then (0:1)."""
         F = self.field
+        a, b = self.rows
         for t in F.elements():
-            yield self.point_at(F.one, Scalar(F, t))
-        yield self.point_at(F.zero, F.one)
-
-    def raw_rows(self):
-        return [[c.raw for c in r] for r in self.rows]
+            yield ProjPoint.from_raw(F, [F.radd(x, F.rmul(t, y))
+                                         for x, y in zip(a, b)])
+        yield ProjPoint.from_raw(F, b)
 
     def meets(self, other) -> Optional[ProjPoint]:
         """Intersection point, None if skew; IntegrityError if the two
@@ -229,7 +239,7 @@ class LineP3:
                 else F.radd(pairing, term)
         if pairing != F.rzero:
             return None
-        c, d = other.raw_rows()
+        c, d = other.rows
         for terms in _PLANES_THROUGH_E:
             plane = [F.rzero] * 4
             for l, ij, negate in terms:
@@ -237,19 +247,20 @@ class LineP3:
                 plane[l] = F.rneg(p) if negate else p
             pc, pd = _dot(F, plane, c), _dot(F, plane, d)
             if pc != F.rzero or pd != F.rzero:
-                return ProjPoint(F, [
-                    Scalar(F, F.rsub(F.rmul(pd, x), F.rmul(pc, y)))
+                return ProjPoint.from_raw(F, [
+                    F.rsub(F.rmul(pd, x), F.rmul(pc, y))
                     for x, y in zip(c, d)])
         raise IntegrityError("coincident lines")
 
     def map_field(self, target):
         if target is self.field:
             return self
-        return LineP3(target, [[embed(c, target) for c in r]
-                               for r in self.rows])
+        F = self.field
+        return LineP3.from_raw(target, [[embed(Scalar(F, c), target).raw
+                                         for c in r] for r in self.rows])
 
     def sort_key(self):
-        return tuple(tuple(self.field.lex_key(c.raw) for c in r)
+        return tuple(tuple(self.field.lex_key(c) for c in r)
                      for r in self.rows)
 
     def __eq__(self, other):
@@ -259,11 +270,11 @@ class LineP3:
     def __hash__(self):
         return hash((id(self.field), self.rows))
 
-    def __str__(self):
-        return "Line" + str([[str(c) for c in r] for r in self.rows])
-
     def to_json(self):
-        return [[str(c) for c in r] for r in self.rows]
+        return [[self.field.rstr(c) for c in r] for r in self.rows]
+
+    def __str__(self):
+        return "Line" + str(self.to_json())
 
 
 class Hypersurface:
@@ -290,10 +301,11 @@ class Hypersurface:
         return self._partials
 
     def gradient(self, pt: ProjPoint):
-        return [g.evaluate(pt.coords) for g in self.partials]
+        at = [Scalar(pt.field, c) for c in pt.coords]
+        return [g.evaluate(at) for g in self.partials]
 
     def contains(self, pt: ProjPoint) -> bool:
-        return not self.f.evaluate(pt.coords)
+        return not self.f.evaluate([Scalar(pt.field, c) for c in pt.coords])
 
     def map_field(self, target):
         if target is self.field:
@@ -486,7 +498,7 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
             for pt, grad in _row_zeros(forms, i, range(i + 1, x.n + 1)):
                 if any(g != K.rzero for g in grad):
                     continue
-                pp = ProjPoint(K, [Scalar(K, c) for c in pt])
+                pp = ProjPoint.from_raw(K, pt)
                 if pp not in prior:
                     found.append((pp, j))
     return found
@@ -511,11 +523,10 @@ class SectionChart:
     pivot: int
     matrix: tuple     # `Hyperplane.chart`: M, one row per ambient coordinate
 
-    def to_ambient(self, coords):
+    def to_ambient(self, pt: ProjPoint):
         F = self.field
-        ys = [F.scalar(y).raw for y in coords]
-        return ProjPoint(F, [Scalar(F, _dot(F, [c.raw for c in row], ys))
-                             for row in self.matrix])
+        return ProjPoint.from_raw(F, [_dot(F, [c.raw for c in row], pt.coords)
+                                      for row in self.matrix])
 
     def curve_to_ambient(self, comps):
         """The ambient curve M.h of a curve h in plane coordinates, over
@@ -524,15 +535,13 @@ class SectionChart:
 
     def to_plane(self, pt: ProjPoint):
         coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
-        return ProjPoint(self.field, coords)
+        return ProjPoint.from_raw(self.field, coords)
 
     def line_in_plane(self, line: LineP3):
         """Coefficients of the image of a line of the hyperplane in plane
         coordinates (P^3 ambient only)."""
-        F = self.field
-        pts = [self.to_plane(line.point_at(F.one, F.zero)),
-               self.to_plane(line.point_at(F.zero, F.one))]
-        return plane_line_through(pts[0], pts[1])
+        a, b = [ProjPoint.from_raw(self.field, r) for r in line.rows]
+        return plane_line_through(self.to_plane(a), self.to_plane(b))
 
 
 def hyperplane_section(x: Hypersurface, plane: Hyperplane):
@@ -560,19 +569,26 @@ def plane_section(x: Hypersurface, plane: Hyperplane):
 
 
 def _cross(a, b):
-    """a x b for 3-vectors of Scalars: the line of P^2 through two points,
-    or the point where two lines meet; zero when they coincide."""
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
+    """The cross product of two points or two lines of P^2: the line
+    through the points, or the point where the lines meet; None when
+    they coincide."""
+    F = a.field
+    (a0, a1, a2), (b0, b1, b2) = a._v, b._v
+    v = [F.rsub(F.rmul(a1, b2), F.rmul(a2, b1)),
+         F.rsub(F.rmul(a2, b0), F.rmul(a0, b2)),
+         F.rsub(F.rmul(a0, b1), F.rmul(a1, b0))]
+    if all(c == F.rzero for c in v):
+        return None
+    dual = Hyperplane if isinstance(a, ProjPoint) else ProjPoint
+    return dual.from_raw(F, v)
 
 
 def plane_line_through(p1: ProjPoint, p2: ProjPoint) -> Hyperplane:
     """Line of P^2 through two distinct points (cross product)."""
-    coeffs = _cross(p1.coords, p2.coords)
-    if all(not c for c in coeffs):
+    line = _cross(p1, p2)
+    if line is None:
         raise ValueError("points coincide; no unique line")
-    return Hyperplane(p1.field, coeffs)
+    return line
 
 
 def restrict_to_plane_line(f: MultiPoly, line: Hyperplane) -> BinaryForm:
@@ -603,7 +619,8 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
     units = [[F.one if i == k else F.zero for i in range(f.nvars)]
              for k in range(f.nvars) if k != p]
     return substitute_linear_map(MultiPoly(F, f.nvars, quo),
-                                 [line.coeffs, *units])
+                                 [[Scalar(F, c) for c in line.coeffs],
+                                  *units])
 
 
 # -- singular points of ternary cubics --------------------------------------
@@ -668,8 +685,9 @@ def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
             return None
         for z in zeros:
             K = z[0].field if z else base
-            pt = ProjPoint(K, [K.zero] * i + [K.one] + list(z))
-            if any(g.map_field(K).evaluate(pt.coords) for g in forms):
+            coords = [K.zero] * i + [K.one] + list(z)
+            pt = ProjPoint(K, coords)
+            if any(g.map_field(K).evaluate(coords) for g in forms):
                 raise IntegrityError(f"{pt} solves the stratum system but "
                                      f"is not a singular point")
             points.append((pt, K.k // base.k))
@@ -690,10 +708,9 @@ def _conic_singular_point(q: MultiPoly) -> Optional[ProjPoint]:
             row[e.index(1)] = c.raw
         rows.append(row)
     for v in linalg.kernel(F, rows, 3):
-        if any(x != F.rzero for x in v):
-            pt = ProjPoint(F, [Scalar(F, x) for x in v])
-            if not q.evaluate(pt.coords):
-                return pt
+        if any(x != F.rzero for x in v) \
+                and not q.evaluate([Scalar(F, x) for x in v]):
+            return ProjPoint.from_raw(F, v)
     return None
 
 
@@ -708,11 +725,11 @@ def _quadric_distinct_roots(q: BinaryForm) -> bool:
 
 
 def _completion_matrix(field, first_column):
-    """Invertible 3x3 matrix whose first column is the given nonzero
-    vector and whose other columns are the unit vectors e_j in order,
-    skipping j = the index of the last nonzero coordinate."""
-    last = max(i for i, c in enumerate(first_column) if c)
-    cols = [list(first_column)] + [
+    """Invertible 3x3 matrix of Scalars whose first column is the given
+    nonzero raw vector and whose other columns are the unit vectors e_j
+    in order, skipping j = the index of the last nonzero coordinate."""
+    last = max(i for i, c in enumerate(first_column) if c != field.rzero)
+    cols = [[Scalar(field, c) for c in first_column]] + [
         [field.one if i == j else field.zero for i in range(3)]
         for j in range(3) if j != last]
     return [[cols[j][i] for j in range(3)] for i in range(3)]
@@ -733,19 +750,14 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
         coeffs[e1] = c
     qbin = BinaryForm(F, 2, coeffs)
     roots = binary_roots(qbin, min(2, max(1, ext_cap)))
+    K = max((u.field for (u, _, _, _) in roots), key=lambda f: f.k, default=F)
+    sK = s.map_field(K)
+    mK = [[embed(c, K) for c in row] for row in m_rot]
     lines = []
-    K = None
-    for (u, v, ext, mult) in roots:
-        K = u.field if K is None or u.field.k > K.k else K
-    for (u, v, ext, mult) in roots:
-        Kr = u.field
-        KK = Kr if K is None else K
-        u2, v2 = embed(u, KK), embed(v, KK)
-        sK = s.map_field(KK)
-        mK = [[embed(c, KK) for c in row] for row in m_rot]
-        direction = ProjPoint(KK, [row[0] * u2 + row[1] * v2 for row in mK])
-        for _ in range(mult):
-            lines.append(plane_line_through(sK, direction))
+    for (u, v, _, mult) in roots:
+        u2, v2 = embed(u, K), embed(v, K)
+        direction = ProjPoint(K, [row[0] * u2 + row[1] * v2 for row in mK])
+        lines += [plane_line_through(sK, direction)] * mult
     if len(lines) != 2:
         raise IntegrityError(f"degenerate conic with {len(lines)} factors")
     return lines
@@ -892,8 +904,7 @@ def _classify_multi_singular(cub, pts, ext_cap):
                              "is smooth")
     l2, l3 = _factor_degenerate_conic(conic, s, max(1, ext_cap // level))
     K3 = l2.field
-    line3 = Hyperplane(K3, [embed(c, K3) for c in line.coeffs])
-    coeff_rows = [[c.raw for c in ln.coeffs] for ln in (line3, l2, l3)]
+    coeff_rows = [ln.coeffs for ln in (line.map_field(K3), l2, l3)]
     if linalg.rank(K3, coeff_rows) != 3:
         raise IntegrityError("triangle lines are concurrent or repeated")
     return CubicSectionClass(THREE_LINES_TRIANGLE, points[0],
@@ -903,17 +914,17 @@ def _classify_multi_singular(cub, pts, ext_cap):
 def _classify_nonreduced(cub):
     F = cub.field
     for coeffs in proj_points(F, 2):
-        line = Hyperplane(F, [Scalar(F, c) for c in coeffs])
+        line = Hyperplane.from_raw(F, coeffs)
         if not divides_plane_line(cub, line):
             continue
         rest = divide_by_plane_line(cub, line)
         if not divides_plane_line(rest, line):
             continue
         residual = divide_by_plane_line(rest, line)
-        res_coeffs = [F.zero] * 3
+        res_coeffs = [F.rzero] * 3
         for e, c in residual.terms.items():
-            res_coeffs[e.index(1)] = c
-        stack = [[c.raw for c in line.coeffs], [c.raw for c in res_coeffs]]
+            res_coeffs[e.index(1)] = c.raw
+        stack = [line.coeffs, res_coeffs]
         tag = TRIPLE_LINE if linalg.rank(F, stack) == 1 else LINE_DOUBLE_LINE
         return CubicSectionClass(tag, None, 1)
     raise IntegrityError("infinite singular locus on a reduced cubic")
@@ -1034,8 +1045,7 @@ def _lines_in_cells(forms):
                 r0s = [r0 for r0, g0 in zeros_i
                        if _dot(K, g0, r1) == K.rzero]
             for r0 in r0s:
-                lines.append(LineP3(K, [[Scalar(K, c) for c in r0],
-                                        [Scalar(K, c) for c in r1]]))
+                lines.append(LineP3.from_raw(K, [r0, r1]))
     return lines
 
 
@@ -1144,4 +1154,4 @@ def surface_points(x: Hypersurface):
     _check_scan_budget(F.size, x.n)
     for i in range(x.n + 1):
         for pt, _ in _row_zeros([x.f], i, range(i + 1, x.n + 1)):
-            yield ProjPoint(F, [Scalar(F, c) for c in pt])
+            yield ProjPoint.from_raw(F, pt)

@@ -114,10 +114,6 @@ class MultiPoly:
         return (isinstance(other, MultiPoly) and self.field is other.field
                 and self.nvars == other.nvars and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((id(self.field), self.nvars,
-                     frozenset(self.terms.items())))
-
     def evaluate(self, point):
         """Value at a tuple of scalars."""
         acc = self.field.zero

@@ -128,8 +128,7 @@ def lines_by_row_pairing(x, K):
         for r0, g0 in _row_zeros(forms, i, free0):
             for r1, g1 in zeros1:
                 if dot(g0, r1) == K.rzero and dot(g1, r0) == K.rzero:
-                    lines.add(LineP3(K, [[Scalar(K, c) for c in r]
-                                         for r in (r0, r1)]))
+                    lines.add(LineP3.from_raw(K, [r0, r1]))
     return sorted(lines, key=lambda l: l.sort_key())
 
 
@@ -175,7 +174,7 @@ def restrict_by_kernel_basis(f, line):
     """Oracle for `hypersurface.restrict_to_plane_line`: f composed with
     the two points of the line that `linalg.kernel` gives as a basis."""
     F = line.field
-    ker = linalg.kernel(F, [[c.raw for c in line.coeffs]], 3)
+    ker = linalg.kernel(F, [line.coeffs], 3)
     assert len(ker) == 2
     return compose_with_curve(f, [BinaryForm(F, 1, (Scalar(F, a),
                                                      Scalar(F, b)))

@@ -104,9 +104,9 @@ def test_singular_only_at_conjugate_pair():
     assert len(pts) == 2
     for p, ext in pts:
         assert ext == 2
-        c = p.coords
-        assert c[0] == p.field.one and not c[1] and not c[3]
-        assert c[2] * c[2] == p.field.scalar(-1)  # c[2] = +-g, g^2 = -1
+        K, c = p.field, p.coords
+        assert c[0] == K.rone and c[1] == c[3] == K.rzero
+        assert K.rmul(c[2], c[2]) == K.rneg(K.rone)  # c[2] = +-g, g^2 = -1
     assert not is_smooth(x)
     assert not is_smooth(x)  # answered from the cache
 
@@ -179,7 +179,7 @@ def test_row_zeros_match_brute_force_evaluation():
 
 def _brute_points(x):
     F = x.field
-    return [ProjPoint(F, [F.from_raw(c) for c in raw])
+    return [ProjPoint.from_raw(F, raw)
             for raw in proj_points(F, x.n)
             if not x.f.evaluate([F.from_raw(c) for c in raw])]
 
@@ -191,7 +191,7 @@ def _brute_singular_points(x, ext_cap):
         xk = x.map_field(K)
         prior = [p.map_field(K) for p, _ in found]
         for raw in proj_points(K, x.n):
-            pt = ProjPoint(K, [K.from_raw(c) for c in raw])
+            pt = ProjPoint.from_raw(K, raw)
             if (xk.contains(pt) and not any(xk.gradient(pt))
                     and pt not in prior):
                 found.append((pt, j))
@@ -273,7 +273,7 @@ def test_section_chart_roundtrip():
     x = fermat(F7)
     plane = Hyperplane(F7, [1, 2, 0, 3])
     section, chart = plane_section(x, plane)
-    pt = chart.to_ambient([F7.one, F7.scalar(2), F7.scalar(5)])
+    pt = chart.to_ambient(ProjPoint(F7, [1, 2, 5]))
     assert plane.contains(pt)
     assert chart.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
 
@@ -368,10 +368,10 @@ def test_classify_invariance_under_plane_coordinates():
                 # transport the singular point through the substitution
                 K = cls.singular_point.field
                 m_k = [[embed(c, K) for c in row] for row in m]
+                at = [Scalar(K, c) for c in cls.singular_point.coords]
                 image = ProjPoint(K, [
-                    sum((m_k[i][j] * cls.singular_point.coords[j]
-                         for j in range(1, 3)),
-                        m_k[i][0] * cls.singular_point.coords[0])
+                    sum((m_k[i][j] * at[j] for j in range(1, 3)),
+                        m_k[i][0] * at[0])
                     for i in range(3)])
                 if base.tag in (NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                                 LINE_CONIC_TANGENT,
@@ -382,9 +382,10 @@ def test_classify_invariance_under_plane_coordinates():
                     # otherwise the recorded point is a canonical pick
                     # among several; the transport must still be singular
                     cub_k = cub.map_field(K)
-                    assert not cub_k.evaluate(image.coords)
+                    at = [Scalar(K, c) for c in image.coords]
+                    assert not cub_k.evaluate(at)
                     for i in range(3):
-                        assert not cub_k.partial(i).evaluate(image.coords)
+                        assert not cub_k.partial(i).evaluate(at)
 
 
 def _plane_cubic_oracle_cases():
@@ -471,7 +472,7 @@ def test_tangent_cone_table_on_seeded_singular_cubics():
                 continue
             m = random_invertible(field, 3, rng)
             inv = linalg.inverse(field, [[c.raw for c in r] for r in m])
-            pt = ProjPoint(field, [Scalar(field, r[0]) for r in inv])
+            pt = ProjPoint.from_raw(field, [r[0] for r in inv])
             row = _assert_point_path_agrees(linear_substitute(loc, m), pt)
             tags.add(row.tag if row else None)
     assert {NODAL_INTEGRAL, LINE_CONIC_TANGENT, None} <= tags, tags
@@ -520,8 +521,7 @@ def test_tangent_cone_table_reaches_every_row():
                 K = pt.field
                 _, q, _ = _nodal_frame(cub.map_field(K), pt)
                 rows.add((tag, q.is_zero()))
-            points = (ProjPoint(F7, [Scalar(F7, c) for c in v])
-                      for v in proj_points(F7, 2))
+            points = (ProjPoint.from_raw(F7, v) for v in proj_points(F7, 2))
             smooth_pt = next(p for p in points if p not in singular)
             with pytest.raises(IntegrityError, match="not singular"):
                 classify_plane_cubic(cub, singular_point=smooth_pt)
@@ -717,6 +717,54 @@ def test_eckardt_clebsch_contains_permutation_points():
     assert expected == {p for p, _ in rep.eckardt}
 
 
+def test_eckardt_points_field_op_count(monkeypatch):
+    """Raw field operations of the Eckardt census on Clebsch over F49,
+    its 27 lines given: 7 539 with each meeting point built and
+    normalized in Scalar arithmetic, 7 339 on raw coordinates, most of
+    them in the 351 Plücker pairings.  The bound pins the latter, so any
+    arithmetic added to the census shows."""
+    x = clebsch(make_field(7, 2))
+    lines, _, _ = lines_on_cubic_surface(x)
+    count = count_field_ops(monkeypatch)
+    rep = eckardt_points(x, lines)
+    assert (len(rep.eckardt), len(rep.two_line)) == (10, 105)
+    assert count[0] <= 7_339
+
+
+@pytest.mark.parametrize("k", [1, 2, 6], ids=["F7", "F49", "F7^6"])
+def test_primitives_from_scalars_and_from_raw_agree(k):
+    """Points, hyperplanes and lines built from Scalars and from raw
+    values agree on equality, hashing, printing, JSON, sort key and field
+    maps.  Over F49 and F_{7^6} the raw indices run past p, where an int
+    read through `field.scalar` would land in the prime field.  For
+    points and hyperplanes the oracle normalizes in Scalar arithmetic."""
+    F, T = make_field(7, k), make_field(7, 6)
+    rng = random.Random(1600 + k)
+    for _ in range(10):
+        raw = [F.rzero] + [rng.randrange(1, F.size) for _ in range(3)]
+        scalars = [Scalar(F, c) for c in raw]
+        unit = [c * scalars[1].inverse() for c in scalars]
+        for cls in (ProjPoint, Hyperplane):
+            a, b = cls(F, scalars), cls.from_raw(F, raw)
+            assert a == b and hash(a) == hash(b) and str(a) == str(b)
+            assert a.to_json() == b.to_json() == [str(c) for c in unit]
+            assert a.sort_key() == b.sort_key() == tuple(
+                F.lex_key(c.raw) for c in unit)
+            assert a.map_field(T) == b.map_field(T) == cls(
+                T, [embed(c, T) for c in unit])
+        rows = [[rng.randrange(F.size) for _ in range(4)] for _ in range(2)]
+        try:
+            a = LineP3(F, [[Scalar(F, c) for c in r] for r in rows])
+        except ValueError:
+            continue  # dependent rows span no line
+        b = LineP3.from_raw(F, rows)
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert a.to_json() == b.to_json() and a.sort_key() == b.sort_key()
+        assert a.map_field(T) == b.map_field(T) == LineP3(
+            T, [[embed(Scalar(F, c), T) for c in r] for r in a.rows])
+        assert a.plucker == b.plucker
+
+
 def test_completion_matrix_matches_greedy_rank_rule():
     """The closed-form completion (unit vectors, skipping the last nonzero
     coordinate) is the matrix of the greedy rule, which appends e_0, e_1,
@@ -734,19 +782,19 @@ def test_completion_matrix_matches_greedy_rank_rule():
         for raw in itertools.product(list(field.elements()), repeat=3):
             if any(raw):
                 v = [Scalar(field, c) for c in raw]
-                assert _completion_matrix(field, v) == greedy(field, v)
+                assert _completion_matrix(field, raw) == greedy(field, v)
 
 
 def _meets_by_kernel(a, b):
     """Intersection of two distinct lines from the kernel of their four
-    stacked rows alone, None when skew."""
+    stacked raw rows alone, None when skew."""
     F = a.field
-    stacked = a.raw_rows() + b.raw_rows()
-    ker = linalg.kernel(F, [list(col) for col in zip(*stacked)], 4)
+    ker = linalg.kernel(F, [list(col) for col in zip(*a.rows, *b.rows)], 4)
     if not ker:
         return None
-    u, v = Scalar(F, ker[0][0]), Scalar(F, ker[0][1])
-    return ProjPoint(F, [u * x + v * y for x, y in zip(*a.rows)])
+    u, v = ker[0][0], ker[0][1]
+    return ProjPoint.from_raw(F, [F.radd(F.rmul(u, x), F.rmul(v, y))
+                                  for x, y in zip(*a.rows)])
 
 
 def test_meets_matches_kernel_on_27_lines():
@@ -795,7 +843,8 @@ def test_meets_random_pairs():
                 assert pt == other.meets(one)
                 if pt is not None:
                     for line in (one, other):
-                        assert LineP3(field, [*line.rows, pt.coords]) == line
+                        assert LineP3.from_raw(
+                            field, [*line.rows, pt.coords]) == line
                 kinds["skew" if pt is None else "meet"] += 1
             m = [[field.from_raw(rng.randrange(field.size)) for _ in range(2)]
                  for _ in range(2)]
@@ -833,7 +882,7 @@ def test_hyperplane_section_chart_in_p4():
     plane = Hyperplane(F7, [1, 1, 0, 2, 0])
     section, chart = hyperplane_section(x, plane)
     assert section.nvars == 4 and section.total_degree == 3
-    pt = chart.to_ambient([F7.one, F7.scalar(3), F7.zero, F7.scalar(2)])
+    pt = chart.to_ambient(ProjPoint(F7, [1, 3, 0, 2]))
     assert plane.contains(pt)
     assert chart.to_plane(pt) == ProjPoint(F7, [1, 3, 0, 2])
 
@@ -858,8 +907,10 @@ def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
             lines.append(Hyperplane(field, coeffs))
     divisible = undivisible = 0
     for line in lines:
-        ell = MultiPoly(field, 3, {tuple(int(i == k) for i in range(3)): c
-                                   for k, c in enumerate(line.coeffs) if c})
+        ell = MultiPoly(field, 3, {tuple(int(i == k) for i in range(3)):
+                                   Scalar(field, c)
+                                   for k, c in enumerate(line.coeffs)
+                                   if c != field.rzero})
         for degree in (1, 2, 3):
             f = random_form(field, 3, degree, rng)
             g = random_form(field, 3, degree - 1, rng)
