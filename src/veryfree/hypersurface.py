@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .errors import (ExtensionCapExceeded, IntegrityError,
+from .errors import (ExtensionCapExceeded, FieldError, IntegrityError,
                      ScanBudgetExceeded)
 from .fields import Scalar, UPoly, embed, find_roots, join_field, \
     make_field, DEFAULT_SCAN_BUDGET
@@ -137,6 +137,7 @@ class Hyperplane(_Projective):
         return next(i for i, c in enumerate(self._v) if c != self.field.rzero)
 
     def contains(self, pt: ProjPoint) -> bool:
+        _check_field(self.field, pt)
         return _dot(self.field, self._v, pt.coords) == self.field.rzero
 
     def chart(self):
@@ -150,6 +151,13 @@ class Hyperplane(_Projective):
                            else F.one if i == k else F.zero
                            for k in others)
                      for i in range(len(a)))
+
+
+def _check_field(F, obj):
+    """Raw values carry no field, so a primitive over another field is
+    refused here, as Scalar arithmetic refuses mixed fields."""
+    if obj.field is not F:
+        raise FieldError(f"{obj!r} is over {obj.field!r}, not {F!r}")
 
 
 def _dot(K, u, v):
@@ -525,6 +533,7 @@ class SectionChart:
 
     def to_ambient(self, pt: ProjPoint):
         F = self.field
+        _check_field(F, pt)
         return ProjPoint.from_raw(F, [_dot(F, [c.raw for c in row], pt.coords)
                                       for row in self.matrix])
 
@@ -534,6 +543,7 @@ class SectionChart:
         return map_curve(self.matrix, comps)
 
     def to_plane(self, pt: ProjPoint):
+        _check_field(self.field, pt)
         coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
         return ProjPoint.from_raw(self.field, coords)
 
@@ -573,6 +583,7 @@ def _cross(a, b):
     through the points, or the point where the lines meet; None when
     they coincide."""
     F = a.field
+    _check_field(F, b)
     (a0, a1, a2), (b0, b1, b2) = a._v, b._v
     v = [F.rsub(F.rmul(a1, b2), F.rmul(a2, b1)),
          F.rsub(F.rmul(a2, b0), F.rmul(a0, b2)),

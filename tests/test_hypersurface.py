@@ -4,7 +4,7 @@ import random
 import pytest
 
 from veryfree import linalg
-from veryfree.errors import ExtensionCapExceeded, IntegrityError
+from veryfree.errors import ExtensionCapExceeded, FieldError, IntegrityError
 from veryfree.fields import Scalar, UPoly, embed, make_field
 from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
@@ -16,7 +16,8 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    ProjPoint, classify_plane_cubic,
                                    divide_by_plane_line, eckardt_points,
                                    hyperplane_section, is_smooth,
-                                   lines_on_cubic_surface, plane_section,
+                                   lines_on_cubic_surface,
+                                   plane_line_through, plane_section,
                                    proj_points, restrict_to_plane_line,
                                    singular_points_scan,
                                    surface_points, tangent_hyperplane,
@@ -276,6 +277,15 @@ def test_section_chart_roundtrip():
     pt = chart.to_ambient(ProjPoint(F7, [1, 2, 5]))
     assert plane.contains(pt)
     assert chart.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
+    # raw coordinates carry no field: a point over F49 is refused
+    F49 = make_field(7, 2)
+    for call, arg in ((chart.to_ambient, ProjPoint(F49, [1, 2, 5])),
+                      (chart.to_plane, pt.map_field(F49)),
+                      (plane.contains, pt.map_field(F49))):
+        with pytest.raises(FieldError):
+            call(arg)
+    with pytest.raises(FieldError):
+        plane_line_through(ProjPoint(F7, [1, 2, 5]), ProjPoint(F49, [1, 0, 0]))
 
 
 # -- classification ----------------------------------------------------------------
