@@ -14,11 +14,11 @@ Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field; each cell scans its smaller row and solves for the partner point
 on the other by a linear condition and a gcd.  One zero scan serves the
-line search, `surface_points` and
-`singular_points_scan`: a form is restricted once to a row of P^n (pivot
-coordinate 1, some coordinates 0, the rest free), each prefix of free
-values is substituted once, and the last free coordinate is run through
-Horner's rule; other forms are evaluated only at the zeros found.
+line search, `surface_points` and `singular_points_scan`: a form is
+restricted once to a row of P^n (pivot coordinate 1, some coordinates 0,
+the rest free), each prefix of free values is substituted once, and the
+last free coordinate is run through Horner's rule; other forms are
+evaluated only at the zeros found.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
