@@ -19,8 +19,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError
-from .fields import FieldSpec, Scalar, UPoly, cube_root, embed, \
-    join_field, make_field
+from .fields import FieldSpec, Scalar, UPoly, check_field, cube_root, \
+    embed, join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
@@ -111,7 +111,7 @@ class CurveOnX:
     def to_json(self):
         from .fields import format_field_spec
         from .poly import poly_to_string
-        return {"components": [[str(c) for c in h.coeffs]
+        return {"components": [[h.field.rstr(c) for c in h.coeffs]
                                for h in self.components],
                 "degree": self.degree,
                 "splitting": self.splitting.to_json(),
@@ -166,24 +166,15 @@ def normal_form_surface(nf: TangentSectionNormalForm) -> Hypersurface:
     F = nf.field
     if nf.quadric is None:
         raise ValueError("normal form carries no ambient completion data")
-    terms = {}
-
-    def bump(exps, coeff):
-        if coeff:
-            terms[exps] = terms.get(exps, F.zero) + coeff
-
-    bump((1, 1, 1, 0), F.one)
-    bump((0, 3, 0, 0), F.one)
-    bump((0, 0, 3, 0), F.one)
-    for (e0, e1, e2), coeff in nf.quadric.terms.items():
-        bump((e0, e1, e2, 1), coeff)
-    if nf.linear is not None:
-        for (e0, e1, e2), coeff in nf.linear.terms.items():
-            bump((e0, e1, e2, 2), coeff)
-    if nf.cubic_coeff is not None and nf.cubic_coeff:
-        bump((0, 0, 0, 3), nf.cubic_coeff)
-    terms = {e: c for e, c in terms.items() if c}
-    return Hypersurface(MultiPoly(F, 4, terms))
+    # the X3 exponent tells the parts apart, so no two terms meet
+    terms = {(1, 1, 1, 0): F.rone, (0, 3, 0, 0): F.rone, (0, 0, 3, 0): F.rone}
+    for k, g in ((1, nf.quadric), (2, nf.linear)):
+        if g is not None:
+            check_field(F, g)
+            terms.update({e + (k,): c for e, c in g.terms.items()})
+    if nf.cubic_coeff is not None:
+        terms[(0, 0, 0, 3)] = F.scalar(nf.cubic_coeff).raw
+    return Hypersurface(MultiPoly.from_raw(F, 4, terms))
 
 
 def curve_in_surface_coordinates(nf: TangentSectionNormalForm):
@@ -207,8 +198,7 @@ def pullback_tangent(x: Hypersurface, curve) -> MonadP1:
     d = degs.pop()
     if d < 1:
         raise ValueError("constant curves have no tangent pullback")
-    coeff_rows = [[c.raw for c in h.coeffs] for h in curve]
-    if linalg.rank(x.field, coeff_rows) < 2:
+    if linalg.rank(x.field, [h.coeffs for h in curve]) < 2:
         raise ValueError("curve map is constant")
     image = compose_with_curve(x.f, curve)
     if not image.is_zero():
@@ -242,12 +232,12 @@ def make_curve(x: Hypersurface, curve) -> CurveOnX:
 
 def _laurent(field, i, j, value=1):
     """The Laurent monomial value * U^i V^j."""
-    return MultiPoly(field, 2, {(i, j): field.scalar(value)})
+    return MultiPoly(field, 2, {(i, j): value})
 
 
 def _laurent_from_binary(bf: BinaryForm) -> MultiPoly:
-    return MultiPoly(bf.field, 2, {(bf.degree - j, j): c
-                                   for j, c in enumerate(bf.coeffs)})
+    return MultiPoly.from_raw(bf.field, 2, {(bf.degree - j, j): c
+                                            for j, c in enumerate(bf.coeffs)})
 
 
 def _laurent_str(f: MultiPoly) -> str:
@@ -260,7 +250,7 @@ def _laurent_str(f: MultiPoly) -> str:
             mono.append(f"U^{i}" if i != 1 else "U")
         if j:
             mono.append(f"V^{j}" if j != 1 else "V")
-        cs = str(c)
+        cs = f.field.rstr(c)
         if "+" in cs[1:] or "-" in cs[1:]:
             cs = f"({cs})"
         if mono and cs == "1":
@@ -286,7 +276,7 @@ def _laurent_quotient(num: MultiPoly, den: MultiPoly):
         j0 = min(j for _, j in f.terms)
         coeffs = [F.rzero] * (max(j for _, j in f.terms) - j0 + 1)
         for (_, j), c in f.terms.items():
-            coeffs[j - j0] = c.raw
+            coeffs[j - j0] = c
         return sum(next(iter(f.terms))), j0, UPoly(F, coeffs)
 
     dn, jn, pn = split(num)
@@ -295,8 +285,8 @@ def _laurent_quotient(num: MultiPoly, den: MultiPoly):
     if not rem.is_zero():
         return None
     j0, d = jn - jd, dn - dd
-    return MultiPoly(F, 2, {(d - j0 - k, j0 + k): Scalar(F, c)
-                            for k, c in enumerate(quo.coeffs)})
+    return MultiPoly.from_raw(F, 2, {(d - j0 - k, j0 + k): c
+                                     for k, c in enumerate(quo.coeffs)})
 
 
 @dataclass
@@ -413,9 +403,9 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
 
     eta_f = eta_v.dot(beta_l)
     support = set(eta_f.terms)
-    units = all(c == F.one or c == -F.one for c in eta_f.terms.values())
+    units = all(c in (F.rone, F.rneg(F.rone)) for c in eta_f.terms.values())
     ok_support = support == {(4, 1), (1, 4)} and units
-    signs = {e: ("+" if eta_f.terms[e] == F.one else "-")
+    signs = {e: ("+" if eta_f.terms[e] == F.rone else "-")
              for e in sorted(support, reverse=True)}
     stated = {(4, 1): "-", (1, 4): "-"}
     flag = None
@@ -554,18 +544,19 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
             * BinaryForm.from_scalars(K, [v2, -u2]))
     jj = next(j for j in range(3) if l1l2.coeffs[j])
-    lam = qk.coeffs[jj] / l1l2.coeffs[jj]
+    lam = K.rmul(qk.coeffs[jj], K.rinv(l1l2.coeffs[jj]))
     # (Y1, Y2) = S (X1, X2) with Y1 = L1, Y2 = lam L2; substitute X = M2 Y,
     # which takes X0 q + c to Y0 Y1 Y2 + sum_t a_t Y1^(3-t) Y2^t (checked)
     s_mat = [[v1.raw, K.rneg(u1.raw)],
-             [K.rmul(lam.raw, v2.raw), K.rneg(K.rmul(lam.raw, u2.raw))]]
+             [K.rmul(lam, v2.raw), K.rneg(K.rmul(lam, u2.raw))]]
     s_inv = linalg.inverse(K, s_mat)
     if s_inv is None:
         raise IntegrityError("tangent directions are not independent")
     (s00, s01), (s10, s11) = [[Scalar(K, x) for x in row] for row in s_inv]
     m2 = [[K.one, K.zero, K.zero], [K.zero, s00, s01], [K.zero, s10, s11]]
-    a0, a1, a2, a3 = ck.reparametrize(s00, s01, s10, s11).coeffs
-    if qk.reparametrize(s00, s01, s10, s11) != BinaryForm.monomial(K, 1, 1) \
+    a0, a1, a2, a3 = [K.from_raw(c) for c in
+                      ck.reparametrize(*s_inv[0], *s_inv[1]).coeffs]
+    if qk.reparametrize(*s_inv[0], *s_inv[1]) != BinaryForm.monomial(K, 1, 1) \
             or not a0 or not a3:
         raise IntegrityError("unexpected shape after tangent normalization")
     # X0 -> X0 - a1 X1 - a2 X2 absorbs the middle terms; a0, a3 stay
@@ -668,31 +659,29 @@ def parametrize_conic(conic: MultiPoly):
     F = conic.field
     if F.is_rational:
         raise ValueError("conic parametrization needs a finite field")
-    base = next((pt for pt in proj_points(F, 2)
-                 if not conic.evaluate([Scalar(F, c) for c in pt])), None)
+    base = next((pt for pt in proj_points(F, 2) if not conic.evaluate(pt)),
+                None)
     if base is None:
         raise ValueError("conic has no rational point over the base field")
     # complete to a basis; the residual pencil parametrizes the conic
     from .hypersurface import _completion_matrix
-    m = _completion_matrix(F, base)
-    base_pt = [row[0] for row in m]
-    e1 = [row[1] for row in m]
-    e2 = [row[2] for row in m]
+    base_pt, e1, e2 = [[c.raw for c in col]
+                       for col in zip(*_completion_matrix(F, base))]
 
     def bilinear(uvec, vvec):
-        s = [a + b for a, b in zip(uvec, vvec)]
-        return (conic.evaluate(s) - conic.evaluate(uvec)
-                - conic.evaluate(vvec))
+        s = [F.radd(a, b) for a, b in zip(uvec, vvec)]
+        return F.rsub(F.rsub(conic.evaluate(s), conic.evaluate(uvec)),
+                      conic.evaluate(vvec))
 
     # point(s, t) = Q(Y) P0 - B(P0, Y) Y with Y = s e1 + t e2
-    qY = BinaryForm.from_scalars(F, [conic.evaluate(e1), bilinear(e1, e2),
-                                     conic.evaluate(e2)])
-    bY = BinaryForm.from_scalars(F, [bilinear(base_pt, e1),
-                                     bilinear(base_pt, e2)])
+    qY = BinaryForm.from_raw(F, 2, [conic.evaluate(e1), bilinear(e1, e2),
+                                    conic.evaluate(e2)])
+    bY = BinaryForm.from_raw(F, 1, [bilinear(base_pt, e1),
+                                    bilinear(base_pt, e2)])
     comps = []
     for i in range(3):
-        yi = BinaryForm.from_scalars(F, [e1[i], e2[i]])
-        comps.append((qY * base_pt[i] - bY * yi).promote(2))
+        yi = BinaryForm.from_raw(F, 1, [e1[i], e2[i]])
+        comps.append((qY.scale(base_pt[i]) - bY * yi).promote(2))
     check = compose_with_curve(conic, comps)
     if not check.is_zero():
         raise IntegrityError("conic parametrization failed")
@@ -738,7 +727,7 @@ def _five_point_conic(points):
     c = ker[0]
     terms = {(2, 0, 0): c[0], (1, 1, 0): c[1], (0, 2, 0): c[2],
              (1, 0, 1): c[3], (0, 1, 1): c[4], (0, 0, 2): c[5]}
-    return MultiPoly(F, 3, {e: Scalar(F, v) for e, v in terms.items()})
+    return MultiPoly.from_raw(F, 3, terms)
 
 
 def six_point_diagonal(points) -> SixPointResult:
@@ -777,8 +766,8 @@ def six_point_diagonal(points) -> SixPointResult:
         through = [ij for ij, ln in lines.items() if ln.contains(q)]
         cert.add("on exactly two connecting lines", len(through) == 2,
                  lhs=str(through), rhs="2 lines")
-        at = [Scalar(F, c) for c in q.coords]
-        on_conics = [i for i, cn in enumerate(conics) if not cn.evaluate(at)]
+        on_conics = [i for i, cn in enumerate(conics)
+                     if not cn.evaluate(q.coords)]
         cert.add("off all six five-point conics", not on_conics,
                  lhs=str(on_conics), rhs="[]")
         return cert
@@ -906,10 +895,8 @@ def _conic_points(conic):
     order (1:t) over the field then (0:1) on the parametrizing line."""
     km = conic.field
     comps = parametrize_conic(conic)
-    params = [(km.one, Scalar(km, t)) for t in km.elements()]
-    params.append((km.zero, km.one))
-    for u, v in params:
-        yield ProjPoint(km, [c.evaluate(u, v) for c in comps])
+    for u, v in [(km.rone, t) for t in km.elements()] + [(km.rzero, km.rone)]:
+        yield ProjPoint.from_raw(km, [c.evaluate(u, v) for c in comps])
 
 
 def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):

@@ -317,21 +317,11 @@ class Scalar:
             return NotImplemented
         return Scalar(self.field, self.field.radd(self.raw, r))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.rsub(self.raw, r))
-
     def __mul__(self, other):
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
         return Scalar(self.field, self.field.rmul(self.raw, r))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         r = self._coerce(other)
@@ -366,6 +356,23 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.field!r}, {self})"
+
+
+def check_field(F, obj):
+    """Raw values carry no field, so an object over another field is
+    refused here, as Scalar arithmetic refuses mixed fields."""
+    if obj.field is not F:
+        raise FieldError(f"{obj!r} is over {obj.field!r}, not {F!r}")
+
+
+def check_raw(F, values):
+    """Refuse values that are not raw elements of F (a Fraction over Q, an
+    index below the size otherwise): a Scalar, or an index from a larger
+    field."""
+    for x in values:
+        if not (type(x) is Fraction if F.is_rational
+                else type(x) is int and 0 <= x < F.size):
+            raise FieldError(f"{x!r} is not a raw element of {F!r}")
 
 
 # -- field construction ------------------------------------------------

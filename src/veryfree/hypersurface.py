@@ -22,10 +22,10 @@ evaluated only at the zeros found.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
-also take Scalars or ints.  Scalars appear only there and where a
-primitive meets an API that takes them: `MultiPoly.evaluate`, the
-matrices passed to `substitute_linear_map` and `BinaryForm`.  In P^2 one
-cross product gives both the line through two points and the point
+also take Scalars or ints, as polynomials do.  Scalars appear only
+there, in the substitution matrices, in the roots of `binary_roots` and
+`find_roots` and in the nodal normal forms of `constructions`.  In P^2
+one cross product gives both the line through two points and the point
 where two lines meet.
 """
 from __future__ import annotations
@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .errors import (ExtensionCapExceeded, FieldError, IntegrityError,
-                     ScanBudgetExceeded)
-from .fields import Scalar, UPoly, embed, find_roots, join_field, \
-    make_field, DEFAULT_SCAN_BUDGET
+from .errors import ExtensionCapExceeded, IntegrityError, ScanBudgetExceeded
+from .fields import Scalar, UPoly, check_field, embed, find_roots, \
+    join_field, make_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
                    map_curve, partial_derivative, resultant_bin,
@@ -137,7 +136,7 @@ class Hyperplane(_Projective):
         return next(i for i, c in enumerate(self._v) if c != self.field.rzero)
 
     def contains(self, pt: ProjPoint) -> bool:
-        _check_field(self.field, pt)
+        check_field(self.field, pt)
         return _dot(self.field, self._v, pt.coords) == self.field.rzero
 
     def chart(self):
@@ -151,13 +150,6 @@ class Hyperplane(_Projective):
                            else F.one if i == k else F.zero
                            for k in others)
                      for i in range(len(a)))
-
-
-def _check_field(F, obj):
-    """Raw values carry no field, so a primitive over another field is
-    refused here, as Scalar arithmetic refuses mixed fields."""
-    if obj.field is not F:
-        raise FieldError(f"{obj!r} is over {obj.field!r}, not {F!r}")
 
 
 def _dot(K, u, v):
@@ -214,8 +206,7 @@ class LineP3:
     def param_forms(self):
         """Degree-1 binary forms of (U, V) -> U*row0 + V*row1."""
         F = self.field
-        return [BinaryForm(F, 1, [Scalar(F, a), Scalar(F, b)])
-                for a, b in zip(*self.rows)]
+        return [BinaryForm.from_raw(F, 1, (a, b)) for a, b in zip(*self.rows)]
 
     def points(self):
         """All rational points, (1:t) in element order then (0:1)."""
@@ -239,6 +230,7 @@ class LineP3:
         all four planes.
         """
         F = self.field
+        check_field(F, other)
         pairing = F.rzero
         for k, (x, y) in enumerate(zip(self.plucker,
                                        reversed(other.plucker))):
@@ -309,11 +301,12 @@ class Hypersurface:
         return self._partials
 
     def gradient(self, pt: ProjPoint):
-        at = [Scalar(pt.field, c) for c in pt.coords]
-        return [g.evaluate(at) for g in self.partials]
+        check_field(self.field, pt)
+        return [g.evaluate(pt.coords) for g in self.partials]
 
     def contains(self, pt: ProjPoint) -> bool:
-        return not self.f.evaluate([Scalar(pt.field, c) for c in pt.coords])
+        check_field(self.field, pt)
+        return not self.f.evaluate(pt.coords)
 
     def map_field(self, target):
         if target is self.field:
@@ -360,13 +353,14 @@ def _on_row(g: MultiPoly, pivot: int, free) -> MultiPoly:
     vary and all others are 0, as a polynomial in the free coordinates
     (in the order given).  Terms that differ only in the pivot exponent
     merge, which never happens for a form."""
+    F = g.field
     kept = {}
     for e, c in g.terms.items():
         if any(k for t, k in enumerate(e) if t != pivot and t not in free):
             continue
         key = tuple(e[t] for t in free)
-        kept[key] = kept[key] + c if key in kept else c
-    return MultiPoly(g.field, len(free), kept)
+        kept[key] = F.radd(kept[key], c) if key in kept else c
+    return MultiPoly.from_raw(F, len(free), kept)
 
 
 def _on_stratum(g: MultiPoly, i: int) -> MultiPoly:
@@ -445,8 +439,7 @@ def _row_zeros(forms, pivot, free):
     F = forms[0].field
     rzero = F.rzero
     elements = list(F.elements())
-    f, *others = [{e: c.raw for e, c in _on_row(g, pivot, free).terms.items()}
-                  for g in forms]
+    f, *others = [_on_row(g, pivot, free).terms for g in forms]
 
     def values_at(vals):
         out = []
@@ -521,7 +514,7 @@ def tangent_hyperplane(x: Hypersurface, pt: ProjPoint) -> Hyperplane:
     grad = x.gradient(pt)
     if all(not g for g in grad):
         raise ValueError(f"{pt} is a singular point; no tangent hyperplane")
-    return Hyperplane(x.field, grad)
+    return Hyperplane.from_raw(x.field, grad)
 
 
 @dataclass(frozen=True)
@@ -533,7 +526,7 @@ class SectionChart:
 
     def to_ambient(self, pt: ProjPoint):
         F = self.field
-        _check_field(F, pt)
+        check_field(F, pt)
         return ProjPoint.from_raw(F, [_dot(F, [c.raw for c in row], pt.coords)
                                       for row in self.matrix])
 
@@ -543,7 +536,7 @@ class SectionChart:
         return map_curve(self.matrix, comps)
 
     def to_plane(self, pt: ProjPoint):
-        _check_field(self.field, pt)
+        check_field(self.field, pt)
         coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
         return ProjPoint.from_raw(self.field, coords)
 
@@ -583,7 +576,7 @@ def _cross(a, b):
     through the points, or the point where the lines meet; None when
     they coincide."""
     F = a.field
-    _check_field(F, b)
+    check_field(F, b)
     (a0, a1, a2), (b0, b1, b2) = a._v, b._v
     v = [F.rsub(F.rmul(a1, b2), F.rmul(a2, b1)),
          F.rsub(F.rmul(a2, b0), F.rmul(a0, b2)),
@@ -629,7 +622,7 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
         quo[(e0 - 1, *rest)] = c
     units = [[F.one if i == k else F.zero for i in range(f.nvars)]
              for k in range(f.nvars) if k != p]
-    return substitute_linear_map(MultiPoly(F, f.nvars, quo),
+    return substitute_linear_map(MultiPoly.from_raw(F, f.nvars, quo),
                                  [[Scalar(F, c) for c in line.coeffs],
                                   *units])
 
@@ -640,10 +633,8 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
 def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
     """g with its first variable set to xi, over xi's field."""
     K = xi.field
-    terms = _set_first(K, {e: embed(c, K).raw for e, c in g.terms.items()},
-                       xi.raw)
-    return MultiPoly(K, g.nvars - 1,
-                     {e: Scalar(K, c) for e, c in terms.items()})
+    return MultiPoly.from_raw(K, g.nvars - 1,
+                              _set_first(K, g.map_field(K).terms, xi.raw))
 
 
 def _affine_zeros(gens, nvars: int, ext_cap: int):
@@ -696,9 +687,8 @@ def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
             return None
         for z in zeros:
             K = z[0].field if z else base
-            coords = [K.zero] * i + [K.one] + list(z)
-            pt = ProjPoint(K, coords)
-            if any(g.map_field(K).evaluate(coords) for g in forms):
+            pt = ProjPoint(K, [K.zero] * i + [K.one] + list(z))
+            if any(g.map_field(K).evaluate(pt.coords) for g in forms):
                 raise IntegrityError(f"{pt} solves the stratum system but "
                                      f"is not a singular point")
             points.append((pt, K.k // base.k))
@@ -716,11 +706,10 @@ def _conic_singular_point(q: MultiPoly) -> Optional[ProjPoint]:
         d = q.partial(i)
         row = [F.rzero] * 3
         for e, c in d.terms.items():
-            row[e.index(1)] = c.raw
+            row[e.index(1)] = c
         rows.append(row)
     for v in linalg.kernel(F, rows, 3):
-        if any(x != F.rzero for x in v) \
-                and not q.evaluate([Scalar(F, x) for x in v]):
+        if any(x != F.rzero for x in v) and not q.evaluate(v):
             return ProjPoint.from_raw(F, v)
     return None
 
@@ -729,10 +718,10 @@ def _quadric_distinct_roots(q: BinaryForm) -> bool:
     """Char-robust test that a binary quadric has two distinct roots."""
     if q.is_zero() or q.degree != 2:
         raise ValueError("expected a nonzero binary quadric")
-    a, b, c = q.coeffs
-    if q.field.p == 2:
+    F, (a, b, c) = q.field, q.coeffs
+    if F.p == 2:
         return bool(b)
-    return bool(b * b - 4 * a * c)
+    return bool(F.rsub(F.rmul(b, b), F.rmul(F.rmul(a, F.rfrom_int(4)), c)))
 
 
 def _completion_matrix(field, first_column):
@@ -754,12 +743,12 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
     m_rot = [[row[1], row[2], row[0]] for row in m]
     # m_rot is invertible by construction: substitute X = m_rot Y directly
     qy = substitute_linear_map(q, m_rot)
-    coeffs = [F.zero] * 3
+    coeffs = [F.rzero] * 3
     for (e0, e1, e2), c in qy.terms.items():
         if e2 != 0:
             raise IntegrityError("conic is not singular at the given point")
         coeffs[e1] = c
-    qbin = BinaryForm(F, 2, coeffs)
+    qbin = BinaryForm.from_raw(F, 2, coeffs)
     roots = binary_roots(qbin, min(2, max(1, ext_cap)))
     K = max((u.field for (u, _, _, _) in roots), key=lambda f: f.k, default=F)
     sK = s.map_field(K)
@@ -827,8 +816,8 @@ def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
     m = _completion_matrix(K, pt.coords)
     # m is invertible by construction: substitute X = m Y directly
     f_loc = substitute_linear_map(cub, m)
-    qco = [K.zero] * 3
-    cco = [K.zero] * 4
+    qco = [K.rzero] * 3
+    cco = [K.rzero] * 4
     for (e0, e1, e2), coeff in f_loc.terms.items():
         if e0 >= 2:
             raise IntegrityError("point is not singular on the cubic")
@@ -836,7 +825,7 @@ def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
             qco[e2] = coeff
         else:
             cco[e2] = coeff
-    return m, BinaryForm(K, 2, qco), BinaryForm(K, 3, cco)
+    return m, BinaryForm.from_raw(K, 2, qco), BinaryForm.from_raw(K, 3, cco)
 
 
 def _integral_tag(q: BinaryForm, c: BinaryForm) -> Optional[str]:
@@ -934,7 +923,7 @@ def _classify_nonreduced(cub):
         residual = divide_by_plane_line(rest, line)
         res_coeffs = [F.rzero] * 3
         for e, c in residual.terms.items():
-            res_coeffs[e.index(1)] = c.raw
+            res_coeffs[e.index(1)] = c
         stack = [line.coeffs, res_coeffs]
         tag = TRIPLE_LINE if linalg.rank(F, stack) == 1 else LINE_DOUBLE_LINE
         return CubicSectionClass(tag, None, 1)
@@ -1045,8 +1034,7 @@ def _lines_in_cells(forms):
     K = forms[0].field
     lines = []
     for (i, j, free0, free1) in _cell_patterns():
-        row_i = [{e: c.raw for e, c in _on_row(g, i, free0).terms.items()}
-                 for g in forms]
+        row_i = [_on_row(g, i, free0).terms for g in forms]
         zeros_i = None
         for r1, g1 in _row_zeros(forms, j, free1):
             r0s = _partners(K, i, free0, row_i, r1, g1)

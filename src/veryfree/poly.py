@@ -2,11 +2,14 @@
 parsing, resultants, gcd, and Groebner bases for unit-ideal tests and
 eliminants.
 
-Multivariate polynomials are sparse maps from exponent vectors to
-nonzero scalars.  Their arithmetic and evaluation never assume that the
-exponents are non-negative, so a Laurent form in (U, V) is a MultiPoly
-in two variables (see `constructions`).  Binary forms of degree d store
-the coefficient of U^(d-j) V^j at index j.
+Multivariate polynomials map exponent vectors to nonzero raw field
+values, binary forms of degree d hold the raw coefficient of U^(d-j) V^j
+at index j, and `UPoly` holds raw coefficients too: one format, which
+every engine here runs on.  The constructors take Scalars or ints and
+`from_raw` takes raw values; `evaluate` takes and returns raw values.
+Arithmetic and evaluation never assume that the exponents are
+non-negative, so a Laurent form in (U, V) is a MultiPoly in two
+variables (see `constructions`).
 """
 from __future__ import annotations
 
@@ -15,32 +18,45 @@ import itertools
 
 from . import linalg
 from .errors import ParseError
-from .fields import FieldSpec, Scalar, UPoly, embed
+from .fields import (FieldSpec, Scalar, UPoly, check_field, check_raw,
+                     embed)
 
 
 class MultiPoly:
-    """Sparse polynomial in nvars variables over one field."""
+    """Sparse polynomial in nvars variables over one field, with raw
+    coefficients.  The constructor takes Scalars or ints, `from_raw` raw
+    values."""
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field, nvars, terms):
+        self._set(field, nvars,
+                  {e: field.scalar(c).raw for e, c in terms.items()})
+
+    @classmethod
+    def from_raw(cls, field, nvars, terms):
+        f = cls.__new__(cls)
+        f._set(field, nvars, terms)
+        return f
+
+    def _set(self, field, nvars, terms):
         self.field = field
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls, field, nvars):
-        return cls(field, nvars, {})
+        return cls.from_raw(field, nvars, {})
 
     @classmethod
     def constant(cls, field, nvars, value):
-        return cls(field, nvars, {(0,) * nvars: field.scalar(value)})
+        return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, field, nvars, i, exp=1):
         e = [0] * nvars
         e[i] = exp
-        return cls(field, nvars, {tuple(e): field.one})
+        return cls.from_raw(field, nvars, {tuple(e): field.rone})
 
     def is_zero(self):
         return not self.terms
@@ -54,7 +70,7 @@ class MultiPoly:
         return len(degs) <= 1
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
+        return self.terms.get(tuple(exps), self.field.rzero)
 
     def _check(self, other):
         if self.field is not other.field or self.nvars != other.nvars:
@@ -62,46 +78,33 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
+        F = self.field
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, self.field.zero) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return MultiPoly(self.field, self.nvars, t)
+            t[e] = F.radd(t[e], c) if e in t else c
+        return MultiPoly.from_raw(F, self.nvars, t)
 
     def __neg__(self):
-        return MultiPoly(self.field, self.nvars,
-                         {e: -c for e, c in self.terms.items()})
+        F = self.field
+        return MultiPoly.from_raw(F, self.nvars,
+                                  {e: F.rneg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = self.field.scalar(other)
-            if not c:
-                return MultiPoly.zero(self.field, self.nvars)
-            return MultiPoly(self.field, self.nvars,
-                             {e: v * c for e, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        z = self.field.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, z) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.field, self.nvars, out)
-
-    __rmul__ = __mul__
+        F = self.field
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            out = _raw_mul(F, self.terms, other.terms)
+        else:
+            c = F.scalar(other).raw
+            out = {e: F.rmul(v, c) for e, v in self.terms.items()} if c else {}
+        return MultiPoly.from_raw(F, self.nvars, out)
 
     def __pow__(self, n):
-        result = MultiPoly.constant(self.field, self.nvars, 1)
+        result = MultiPoly.from_raw(self.field, self.nvars,
+                                    {(0,) * self.nvars: self.field.rone})
         base = self
         while n:
             if n & 1:
@@ -115,35 +118,35 @@ class MultiPoly:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def evaluate(self, point):
-        """Value at a tuple of scalars."""
-        acc = self.field.zero
+        """Value at a point given by raw coordinates, as a raw value."""
+        F = self.field
+        check_raw(F, point)
+        acc = F.rzero
         for e, c in self.terms.items():
             term = c
             for x, k in zip(point, e):
                 if k:
-                    term = term * x**k
-            acc = acc + term
+                    term = F.rmul(term, F.rpow(x, k))
+            acc = F.radd(acc, term)
         return acc
 
     def partial(self, i):
-        out = {}
         F = self.field
+        out = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            coeff = c * e[i]
-            if not coeff:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = coeff
-        return MultiPoly(F, self.nvars, out)
+            if e[i]:
+                e2 = list(e)
+                e2[i] -= 1
+                out[tuple(e2)] = F.rmul(c, F.rfrom_int(e[i]))
+        return MultiPoly.from_raw(F, self.nvars, out)
 
     def map_field(self, target):
         if target is self.field:
             return self
-        return MultiPoly(target, self.nvars,
-                         {e: embed(c, target) for e, c in self.terms.items()})
+        F = self.field
+        return MultiPoly.from_raw(target, self.nvars, {
+            e: embed(F.from_raw(c), target).raw
+            for e, c in self.terms.items()})
 
     def __str__(self):
         return poly_to_string(self)
@@ -175,8 +178,8 @@ def _monomial_string(exps, names):
     return "*".join(parts)
 
 
-def _coeff_string(c):
-    s = str(c)
+def _coeff_string(F, c):
+    s = F.rstr(c)
     if "+" in s[1:] or "-" in s[1:] or "*" in s:
         return f"({s})", False
     if s.startswith("-"):
@@ -184,13 +187,13 @@ def _coeff_string(c):
     return s, False
 
 
-def _terms_to_string(items, names):
+def _terms_to_string(F, items, names):
     if not items:
         return "0"
     out = []
     for idx, (exps, c) in enumerate(items):
         mono = _monomial_string(exps, names)
-        cs, negative = _coeff_string(c)
+        cs, negative = _coeff_string(F, c)
         if mono and cs == "1":
             body = mono
         elif mono:
@@ -206,7 +209,7 @@ def _terms_to_string(items, names):
 
 def poly_to_string(f: MultiPoly) -> str:
     names = [f"X{i}" for i in range(f.nvars)]
-    return _terms_to_string(_sorted_terms_desc(f), names)
+    return _terms_to_string(f.field, _sorted_terms_desc(f), names)
 
 
 class _Tokenizer:
@@ -358,10 +361,10 @@ def parse_binary_form(text: str, field: FieldSpec) -> "BinaryForm":
     if f.is_zero():
         return BinaryForm.zero(field, 0)
     d = f.total_degree
-    coeffs = [field.zero] * (d + 1)
+    coeffs = [field.rzero] * (d + 1)
     for (i, j), c in f.terms.items():
         coeffs[j] = c
-    return BinaryForm(field, d, coeffs)
+    return BinaryForm.from_raw(field, d, coeffs)
 
 
 # -- operations on MultiPoly ----------------------------------------------
@@ -445,24 +448,21 @@ def substitute_linear_map(f: MultiPoly, m) -> MultiPoly:
     units = [one[:j] + (1,) + one[j + 1:] for j in range(ncols)]
     images = [{u: r for u, x in zip(units, row) if (r := F.scalar(x).raw)}
               for row in m]
-    out = _substitute_raw(F, {e: c.raw for e, c in f.terms.items()},
-                          images, one)
-    return MultiPoly(F, ncols, {e: Scalar(F, c) for e, c in out.items()})
+    return MultiPoly.from_raw(F, ncols, _substitute_raw(F, f.terms, images,
+                                                        one))
 
 
-def _binary_images(F, forms):
-    """Raw terms of binary forms, given by their coefficients, keyed (j,)
-    with j the exponent of V: the form is homogeneous, so the exponent of
-    U follows from it."""
-    return [{(j,): r for j, r in enumerate(F.scalar(c).raw for c in h) if r}
-            for h in forms]
+def _binary_images(forms):
+    """Raw terms of binary forms, given by their raw coefficients, keyed
+    (j,) with j the exponent of V: the form is homogeneous, so the
+    exponent of U follows from it."""
+    return [{(j,): r for j, r in enumerate(h) if r} for h in forms]
 
 
-def _binary_from_raw(F, degree, terms):
+def _binary_form(F, degree, terms):
     """The binary form of the given degree with raw terms keyed (j,)."""
-    z = F.rzero
-    return BinaryForm(F, degree, [Scalar(F, terms.get((j,), z))
-                                  for j in range(degree + 1)])
+    return BinaryForm.from_raw(F, degree, [terms.get((j,), F.rzero)
+                                           for j in range(degree + 1)])
 
 
 def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
@@ -476,9 +476,11 @@ def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
     if len(degs) != 1:
         raise ValueError(f"curve components have mixed degrees {sorted(degs)}")
     F = f.field
-    out = _substitute_raw(F, {e: c.raw for e, c in f.terms.items()},
-                          _binary_images(F, [h.coeffs for h in curve]), (0,))
-    return _binary_from_raw(F, f.total_degree * degs.pop(), out)
+    for h in curve:
+        check_field(F, h)
+    out = _substitute_raw(F, f.terms, _binary_images(h.coeffs for h in curve),
+                          (0,))
+    return _binary_form(F, f.total_degree * degs.pop(), out)
 
 
 def map_curve(m, curve):
@@ -488,10 +490,12 @@ def map_curve(m, curve):
     F, degree, n = curve[0].field, curve[0].degree, len(curve)
     if any(len(row) != n for row in m):
         raise ValueError(f"expected a map with {n} columns")
+    for h in curve:
+        check_field(F, h)
     origin = (0,) * n
     units = [origin[:j] + (1,) + origin[j + 1:] for j in range(n)]
-    images = _binary_images(F, [h.coeffs for h in curve])
-    return [_binary_from_raw(F, degree, _substitute_raw(
+    images = _binary_images(h.coeffs for h in curve)
+    return [_binary_form(F, degree, _substitute_raw(
                 F, {u: r for u, x in zip(units, row)
                     if (r := embed(x, F).raw)}, images, (0,)))
             for row in m]
@@ -503,13 +507,23 @@ def map_curve(m, curve):
 class BinaryForm:
     """Homogeneous form of fixed degree in (U, V).
 
-    coeffs[j] is the coefficient of U^(d-j) V^j.  The zero form of any
-    (possibly negative) degree has empty or all-zero coefficients.
+    coeffs[j] is the raw coefficient of U^(d-j) V^j.  The zero form of
+    any (possibly negative) degree has empty or all-zero coefficients.
+    The constructor takes Scalars or ints, `from_raw` raw values.
     """
 
     __slots__ = ("field", "degree", "coeffs")
 
     def __init__(self, field, degree, coeffs):
+        self._set(field, degree, [field.scalar(c).raw for c in coeffs])
+
+    @classmethod
+    def from_raw(cls, field, degree, coeffs):
+        b = cls.__new__(cls)
+        b._set(field, degree, coeffs)
+        return b
+
+    def _set(self, field, degree, coeffs):
         coeffs = tuple(coeffs)
         if degree >= 0 and len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
@@ -519,24 +533,21 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, field, degree):
-        if degree < 0:
-            return cls(field, degree, ())
-        return cls(field, degree, (field.zero,) * (degree + 1))
+        return cls.from_raw(field, degree, (field.rzero,) * (degree + 1))
 
     @classmethod
     def one(cls, field):
-        return cls(field, 0, (field.one,))
+        return cls.from_raw(field, 0, (field.rone,))
 
     @classmethod
     def from_scalars(cls, field, scalars):
-        vals = [field.scalar(s) for s in scalars]
-        return cls(field, len(vals) - 1, vals)
+        return cls(field, len(scalars) - 1, scalars)
 
     @classmethod
     def monomial(cls, field, i, j, value=1):
-        c = [field.zero] * (i + j + 1)
-        c[j] = field.scalar(value)
-        return cls(field, i + j, c)
+        c = [field.rzero] * (i + j + 1)
+        c[j] = field.scalar(value).raw
+        return cls.from_raw(field, i + j, c)
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -561,40 +572,46 @@ class BinaryForm:
         return hash((id(self.field), self.degree, self.coeffs))
 
     def __add__(self, other):
+        F = self.field
+        check_field(F, other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch {self.degree} vs {other.degree}")
-        return BinaryForm(self.field, self.degree,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm.from_raw(F, self.degree, [
+            F.radd(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return BinaryForm(self.field, self.degree, [-c for c in self.coeffs])
+        F = self.field
+        return BinaryForm.from_raw(F, self.degree,
+                                   [F.rneg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = self.field.scalar(other)
-            return BinaryForm(self.field, self.degree,
-                              [x * c for x in self.coeffs])
+    def scale(self, raw):
         F = self.field
+        return BinaryForm.from_raw(F, self.degree,
+                                   [F.rmul(x, raw) for x in self.coeffs])
+
+    def __mul__(self, other):
+        F = self.field
+        if not isinstance(other, BinaryForm):
+            return self.scale(F.scalar(other).raw)
+        check_field(F, other)
         d = self.degree + other.degree
         if self.is_zero() or other.is_zero():
             return BinaryForm.zero(F, d)
-        out = [F.zero] * (d + 1)
+        out = [F.rzero] * (d + 1)
         for j1, c1 in enumerate(self.coeffs):
             if not c1:
                 continue
             for j2, c2 in enumerate(other.coeffs):
                 if c2:
-                    out[j1 + j2] = out[j1 + j2] + c1 * c2
-        return BinaryForm(F, d, out)
-
-    __rmul__ = __mul__
+                    out[j1 + j2] = F.radd(out[j1 + j2], F.rmul(c1, c2))
+        return BinaryForm.from_raw(F, d, out)
 
     def promote(self, degree):
         """Reinterpret a zero form at the given degree; no-op otherwise."""
@@ -606,12 +623,14 @@ class BinaryForm:
                          f"{self.degree} to {degree}")
 
     def evaluate(self, u, v):
+        """Value at raw (u, v), as a raw value."""
         F = self.field
-        u, v = F.scalar(u), F.scalar(v)
-        acc = F.zero
+        check_raw(F, (u, v))
+        acc = F.rzero
         for j, c in enumerate(self.coeffs):
             if c:
-                acc = acc + c * u**(self.degree - j) * v**j
+                term = F.rmul(c, F.rpow(u, self.degree - j))
+                acc = F.radd(acc, F.rmul(term, F.rpow(v, j)))
         return acc
 
     def v_content(self):
@@ -623,64 +642,66 @@ class BinaryForm:
 
     def dehomogenize(self):
         """b(u, 1) as a univariate polynomial (loses roots at (1:0))."""
-        return UPoly(self.field,
-                     [c.raw for c in reversed(self.coeffs)])
+        return UPoly(self.field, self.coeffs[::-1])
 
     @classmethod
     def homogenize(cls, upoly, degree):
         """U-major rehomogenization of a univariate polynomial."""
         F = upoly.field
-        coeffs = [F.zero] * (degree + 1)
+        coeffs = [F.rzero] * (degree + 1)
         for i, c in enumerate(upoly.coeffs):
-            coeffs[degree - i] = Scalar(F, c)
-        return cls(F, degree, coeffs)
+            coeffs[degree - i] = c
+        return cls.from_raw(F, degree, coeffs)
 
     def map_field(self, target):
         if target is self.field:
             return self
-        return BinaryForm(target, self.degree,
-                          [embed(c, target) for c in self.coeffs])
+        F = self.field
+        return BinaryForm.from_raw(target, self.degree, [
+            embed(F.from_raw(c), target).raw for c in self.coeffs])
 
     def reparametrize(self, a, b, c, d):
-        """Substitute U -> aU + bV, V -> cU + dV."""
+        """Substitute U -> aU + bV, V -> cU + dV, for raw a, b, c, d."""
         F = self.field
-        terms = {(self.degree - j, j): x.raw
+        check_raw(F, (a, b, c, d))
+        terms = {(self.degree - j, j): x
                  for j, x in enumerate(self.coeffs) if x}
-        out = _substitute_raw(F, terms, _binary_images(F, [(a, b), (c, d)]),
+        out = _substitute_raw(F, terms, _binary_images([(a, b), (c, d)]),
                               (0,))
-        return _binary_from_raw(F, self.degree, out)
+        return _binary_form(F, self.degree, out)
 
     def __str__(self):
         items = [((self.degree - j, j), c)
                  for j, c in enumerate(self.coeffs) if c]
-        return _terms_to_string(items, None) if not items else \
-            _terms_to_string(items, ["U", "V"])
+        return _terms_to_string(self.field, items, ["U", "V"])
 
     def __repr__(self):
         return f"BinaryForm({self})"
 
 
-def resultant_bin(q: BinaryForm, c: BinaryForm) -> Scalar:
-    """Sylvester resultant; zero iff q, c share a projective root."""
+def resultant_bin(q: BinaryForm, c: BinaryForm):
+    """Sylvester resultant, a raw value; zero iff q, c share a projective
+    root."""
+    F = q.field
+    check_field(F, c)
     if q.is_zero() or c.is_zero():
         raise ValueError("resultant of a zero form")
-    F = q.field
     m, n = q.degree, c.degree
     if m == 0 or n == 0:
         # one form is a nonzero constant: no projective roots at all
         const = (q.coeffs[0] if m == 0 else c.coeffs[0])
         other = n if m == 0 else m
-        return const**other
+        return F.rpow(const, other)
     z = F.rzero
-    arow = [x.raw for x in q.coeffs]
-    brow = [x.raw for x in c.coeffs]
+    arow, brow = list(q.coeffs), list(c.coeffs)
     rows = ([[z] * i + arow + [z] * (n - 1 - i) for i in range(n)]
             + [[z] * i + brow + [z] * (m - 1 - i) for i in range(m)])
-    return Scalar(F, linalg.det(F, rows))
+    return linalg.det(F, rows)
 
 
 def gcd_bin(a: BinaryForm, b: BinaryForm) -> BinaryForm:
     """Monic gcd; constant iff no common projective root."""
+    check_field(a.field, b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero forms")
     if a.is_zero():
@@ -695,9 +716,9 @@ def gcd_bin(a: BinaryForm, b: BinaryForm) -> BinaryForm:
 
 
 def _monic_bin(f):
-    for j, c in enumerate(f.coeffs):
+    for c in f.coeffs:
         if c:
-            return f * c.inverse()
+            return f.scale(f.field.rinv(c))
     return f
 
 
@@ -756,8 +777,7 @@ def _monic(F, terms, lead):
 
 
 def _entry(f: MultiPoly):
-    return _monic(f.field, {e: c.raw for e, c in f.terms.items()},
-                  _lead(f)[0])
+    return _monic(f.field, f.terms, _lead(f)[0])
 
 
 def _normal_form(F, terms, entries):
@@ -869,7 +889,7 @@ def groebner_basis(gens):
             _gm_update(leads, basis, pairs, len(entries) - 1)
 
     for g in sorted(gens, key=lambda g: _drl_key(_lead(g)[0])):
-        add({e: c.raw for e, c in g.terms.items()})
+        add(g.terms)
     while pairs:
         pair = min(pairs)
         pairs.remove(pair)
@@ -880,19 +900,16 @@ def groebner_basis(gens):
     final = [entries[i] for i in basis]
     out = []
     for lead, tail in sorted(final, key=lambda t: _drl_key(t[0])):
-        terms = {lead: Scalar(F, F.rone)}
-        for e, c in _normal_form(F, tail, final).items():
-            terms[e] = Scalar(F, c)
-        out.append(MultiPoly(F, nvars, terms))
+        terms = {lead: F.rone}
+        terms.update(_normal_form(F, tail, final))
+        out.append(MultiPoly.from_raw(F, nvars, terms))
     return out
 
 
 def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
     """Full normal form of f modulo the basis (deterministic)."""
-    F = f.field
-    rem = _normal_form(F, {e: c.raw for e, c in f.terms.items()},
-                       [_entry(g) for g in basis])
-    return MultiPoly(F, f.nvars, {e: Scalar(F, c) for e, c in rem.items()})
+    rem = _normal_form(f.field, f.terms, [_entry(g) for g in basis])
+    return MultiPoly.from_raw(f.field, f.nvars, rem)
 
 
 def eliminant(basis):
@@ -936,4 +953,4 @@ def scalar_from_string(text: str, field: FieldSpec) -> Scalar:
     f = _PolyParser(text, field, {}).parse()
     if not f.is_zero() and set(f.terms) != {()}:
         raise ParseError(f"expected a constant, got {text!r}")
-    return f.terms.get((), field.zero)
+    return field.from_raw(f.terms.get((), field.rzero))

@@ -197,10 +197,6 @@ def _offsets(degs):
     return list(accumulate(map(_form_dim, degs), initial=0))
 
 
-def _raw(f):
-    return [c.raw for c in f.coeffs]
-
-
 def _mult_matrix(field, entries, src, tgt):
     """Matrix of (+)_j S_{src[j]} -> (+)_i S_{tgt[i]}, (h_j) -> (sum_j
     entries[i][j] h_j)_i, each entry a form given by its raw coefficients.
@@ -282,7 +278,7 @@ class _Cohomology:
             raise MonadError(f"invalid monad: {report}")
         self.m = monad
         self.field = monad.field
-        row = None if monad.beta is None else [_raw(f) for f in monad.beta]
+        row = None if monad.beta is None else [f.coeffs for f in monad.beta]
         self.k = _free_generators(self.field, row, monad.b, monad.c)
         self._f = None
 
@@ -298,7 +294,7 @@ class _Cohomology:
             F, m = self.field, self.m
             src = [bi - m.a for bi in m.b]
             avec = [r[0] for r in _mult_matrix(
-                F, [[_raw(f)] for f in m.alpha], [0], src)]
+                F, [[f.coeffs] for f in m.alpha], [0], src)]
             x = linalg.Solver(F, _multiples(F, self.k, m.b, -m.a),
                               _offsets(src)[-1]).express(avec)
             if x is None:

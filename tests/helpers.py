@@ -49,8 +49,7 @@ def sympy_chart_smooth(f, p):
     every chart ideal (f, df/dX_0, ..., df/dX_n) is the unit ideal."""
     from sympy import Poly, groebner, symbols
     xs = symbols(f"x0:{f.nvars}")
-    g = Poly.from_dict({e: c.raw for e, c in f.terms.items()}, *xs,
-                       modulus=p)
+    g = Poly.from_dict(dict(f.terms), *xs, modulus=p)
     gens = [g] + [g.diff(x) for x in xs]
     for x in xs:
         chart = [h.eval(x, 1) for h in gens]
@@ -84,9 +83,10 @@ def spoly(f, g):
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
 
     def shifted(h, e, c):
-        shift = [a - b for a, b in zip(lcm, e)]
-        return MultiPoly(h.field, h.nvars,
-                         {tuple(a + b for a, b in zip(t, shift)): v / c
+        F, shift = h.field, [a - b for a, b in zip(lcm, e)]
+        return MultiPoly(F, h.nvars,
+                         {tuple(a + b for a, b in zip(t, shift)):
+                          F.from_raw(v) / F.from_raw(c)
                           for t, v in h.terms.items()})
     return shifted(f, fe, fc) - shifted(g, ge, gc)
 
@@ -151,23 +151,24 @@ def prenormalization_by_substitution(cub, node):
             * BinaryForm.from_scalars(K, [v2, -u2]))
     qk = q.map_field(K)
     jj = next(j for j in range(3) if l1l2.coeffs[j])
-    lam = qk.coeffs[jj] / l1l2.coeffs[jj]
-    assert l1l2 * lam == qk
+    lam = K.rmul(qk.coeffs[jj], K.rinv(l1l2.coeffs[jj]))
+    assert l1l2.scale(lam) == qk
     s_inv = linalg.inverse(K, [[v1.raw, K.rneg(u1.raw)],
-                               [K.rmul(lam.raw, v2.raw),
-                                K.rneg(K.rmul(lam.raw, u2.raw))]])
+                               [K.rmul(lam, v2.raw),
+                                K.rneg(K.rmul(lam, u2.raw))]])
     m2 = [[K.one, K.zero, K.zero],
           [K.zero, Scalar(K, s_inv[0][0]), Scalar(K, s_inv[0][1])],
           [K.zero, Scalar(K, s_inv[1][0]), Scalar(K, s_inv[1][1])]]
     f2 = linear_substitute(linear_substitute(cub_k, m1_k), m2)
-    alphas = [f2.coefficient((0, 3 - t, t)) for t in range(4)]
-    assert f2.coefficient((1, 1, 1)) == K.one
+    alphas = [K.from_raw(f2.coefficient((0, 3 - t, t))) for t in range(4)]
+    assert f2.coefficient((1, 1, 1)) == K.rone
     m3 = [[K.one, -alphas[1], -alphas[2]],
           [K.zero, K.one, K.zero],
           [K.zero, K.zero, K.one]]
     f3 = linear_substitute(f2, m3)
     total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
-    return total, f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3))
+    return total, K.from_raw(f3.coefficient((0, 3, 0))), \
+        K.from_raw(f3.coefficient((0, 0, 3)))
 
 
 def restrict_by_kernel_basis(f, line):
@@ -176,8 +177,7 @@ def restrict_by_kernel_basis(f, line):
     F = line.field
     ker = linalg.kernel(F, [line.coeffs], 3)
     assert len(ker) == 2
-    return compose_with_curve(f, [BinaryForm(F, 1, (Scalar(F, a),
-                                                     Scalar(F, b)))
+    return compose_with_curve(f, [BinaryForm.from_raw(F, 1, (a, b))
                                   for a, b in zip(ker[0], ker[1])])
 
 
@@ -196,7 +196,7 @@ def divide_by_completion_inverse(f, line):
         if e0 == 0:
             raise ValueError("line does not divide the form")
         quo[(e0 - 1, e1, e2)] = c
-    return substitute_linear_map(MultiPoly(F, 3, quo), n)
+    return substitute_linear_map(MultiPoly.from_raw(F, 3, quo), n)
 
 
 def curve_to_ambient_by_forms(matrix, comps):

@@ -292,7 +292,8 @@ def test_criterion_13_property_suites():
         base = splitting_type(pullback_tangent(x, curve)).parts
 
         for _ in range(10):  # PGL_2 reparametrizations
-            (a, b), (c, d) = random_invertible(F7, 2, rng)
+            (a, b), (c, d) = [[s.raw for s in row]
+                              for row in random_invertible(F7, 2, rng)]
             h2 = [comp.reparametrize(a, b, c, d) for comp in curve]
             assert splitting_type(pullback_tangent(x, h2)).parts == base
 

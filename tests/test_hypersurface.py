@@ -145,10 +145,8 @@ def _brute_row_zeros(forms, pivot, free):
         pt[pivot] = F.rone
         for t, v in zip(free, vals):
             pt[t] = v
-        coords = [F.from_raw(c) for c in pt]
-        if not forms[0].evaluate(coords):
-            out.append((tuple(pt),
-                        [g.evaluate(coords).raw for g in forms[1:]]))
+        if not forms[0].evaluate(pt):
+            out.append((tuple(pt), [g.evaluate(pt) for g in forms[1:]]))
     return out
 
 
@@ -182,7 +180,7 @@ def _brute_points(x):
     F = x.field
     return [ProjPoint.from_raw(F, raw)
             for raw in proj_points(F, x.n)
-            if not x.f.evaluate([F.from_raw(c) for c in raw])]
+            if not x.f.evaluate(raw)]
 
 
 def _brute_singular_points(x, ext_cap):
@@ -279,9 +277,12 @@ def test_section_chart_roundtrip():
     assert chart.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
     # raw coordinates carry no field: a point over F49 is refused
     F49 = make_field(7, 2)
+    line = LineP3(F7, [[1, 0, 0, 0], [0, 1, 0, 0]])
     for call, arg in ((chart.to_ambient, ProjPoint(F49, [1, 2, 5])),
                       (chart.to_plane, pt.map_field(F49)),
-                      (plane.contains, pt.map_field(F49))):
+                      (plane.contains, pt.map_field(F49)),
+                      (line.meets, LineP3.from_raw(F49, [[1, 0, 0, 0],
+                                                         [0, 0, 1, 0]]))):
         with pytest.raises(FieldError):
             call(arg)
     with pytest.raises(FieldError):
@@ -316,8 +317,9 @@ def test_classify_refuses_singular_points_beyond_the_cap():
         g = K.gen ** (7 ** k)
         norm = norm * MultiPoly(K, 3, {(1, 0, 0): K.one, (0, 1, 0): g,
                                        (0, 0, 1): g * g})
-    down = {K.scalar(a): F7.scalar(a) for a in range(7)}
-    triangle = MultiPoly(F7, 3, {e: down[c] for e, c in norm.terms.items()})
+    down = {K.scalar(a).raw: a for a in range(7)}
+    triangle = MultiPoly.from_raw(F7, 3, {e: down[c]
+                                          for e, c in norm.terms.items()})
     line_conic = parse_poly("X0*(X0^2+X1^2-3*X2^2)", 3, F7)
     for cub, low, tag in ((triangle, 3, THREE_LINES_TRIANGLE),
                           (line_conic, 2, LINE_CONIC_TRANSVERSE)):
@@ -392,10 +394,9 @@ def test_classify_invariance_under_plane_coordinates():
                     # otherwise the recorded point is a canonical pick
                     # among several; the transport must still be singular
                     cub_k = cub.map_field(K)
-                    at = [Scalar(K, c) for c in image.coords]
-                    assert not cub_k.evaluate(at)
+                    assert not cub_k.evaluate(image.coords)
                     for i in range(3):
-                        assert not cub_k.partial(i).evaluate(at)
+                        assert not cub_k.partial(i).evaluate(image.coords)
 
 
 def _plane_cubic_oracle_cases():
@@ -411,8 +412,8 @@ def _plane_cubic_oracle_cases():
         for _ in range(3):
             # singular at (1:0:0), then moved to a random rational point
             cub = random_form(field, 3, 3, rng)
-            cub = MultiPoly(field, 3, {e: c for e, c in cub.terms.items()
-                                       if e[0] < 2})
+            cub = MultiPoly.from_raw(field, 3, {
+                e: c for e, c in cub.terms.items() if e[0] < 2})
             yield linear_substitute(cub, random_invertible(field, 3, rng))
         yield random_form(field, 3, 1, rng) * random_form(field, 3, 2, rng)
         yield (random_form(field, 3, 1, rng) * random_form(field, 3, 1, rng)
@@ -476,8 +477,8 @@ def test_tangent_cone_table_on_seeded_singular_cubics():
     for field in (F2, F3, F4, F5, F7):
         for _ in range(12):
             loc = random_form(field, 3, 3, rng)
-            loc = MultiPoly(field, 3, {e: c for e, c in loc.terms.items()
-                                       if e[0] < 2})
+            loc = MultiPoly.from_raw(field, 3, {
+                e: c for e, c in loc.terms.items() if e[0] < 2})
             if loc.is_zero():
                 continue
             m = random_invertible(field, 3, rng)
@@ -741,6 +742,22 @@ def test_eckardt_points_field_op_count(monkeypatch):
     assert count[0] <= 7_339
 
 
+def test_tangent_hyperplane_field_op_count(monkeypatch):
+    """Raw field operations of `tangent_hyperplane` at the 85 points of
+    Clebsch over F7, the four partials built by the first call: 21 181,
+    both with the cubic and its partials evaluated in Scalar arithmetic
+    and on raw coordinates (the same products, powers and sums).  The
+    bound pins that count."""
+    x = clebsch(F7)
+    points = list(surface_points(x))
+    assert len(points) == 85
+    count = count_field_ops(monkeypatch)
+    planes = [tangent_hyperplane(x, pt) for pt in points]
+    ops = count[0]
+    assert all(plane.contains(pt) for plane, pt in zip(planes, points))
+    assert ops <= 21_181
+
+
 @pytest.mark.parametrize("k", [1, 2, 6], ids=["F7", "F49", "F7^6"])
 def test_primitives_from_scalars_and_from_raw_agree(k):
     """Points, hyperplanes and lines built from Scalars and from raw
@@ -917,10 +934,9 @@ def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
             lines.append(Hyperplane(field, coeffs))
     divisible = undivisible = 0
     for line in lines:
-        ell = MultiPoly(field, 3, {tuple(int(i == k) for i in range(3)):
-                                   Scalar(field, c)
-                                   for k, c in enumerate(line.coeffs)
-                                   if c != field.rzero})
+        ell = MultiPoly.from_raw(field, 3, {
+            tuple(int(i == k) for i in range(3)): c
+            for k, c in enumerate(line.coeffs)})
         for degree in (1, 2, 3):
             f = random_form(field, 3, degree, rng)
             g = random_form(field, 3, degree - 1, rng)

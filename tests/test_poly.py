@@ -13,8 +13,8 @@ from veryfree.constructions import (LaurentSection, _laurent,
                                     nodal_surface_form,
                                     standard_nodal_parametrization,
                                     verify_xi_eta)
-from veryfree.errors import ParseError
-from veryfree.fields import embed, make_field
+from veryfree.errors import FieldError, ParseError
+from veryfree.fields import Scalar, embed, make_field
 from veryfree.poly import (BinaryForm, MultiPoly,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
@@ -35,6 +35,16 @@ def _random_scalar(field, rng):
     if field.is_rational:
         return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return field.from_raw(rng.randrange(field.size))
+
+
+def _value(f, *args):
+    """f at Scalar arguments, a point of a MultiPoly or (u, v) of a binary
+    form, as a Scalar: `evaluate` takes and returns raw values."""
+    if isinstance(f, MultiPoly):
+        args = ([x.raw for x in args[0]],)
+    else:
+        args = [x.raw for x in args]
+    return f.field.from_raw(f.evaluate(*args))
 
 
 def _random_poly(field, nvars, degree, rng, density=0.5):
@@ -66,14 +76,14 @@ def test_parse_error_position():
 
 def test_parse_rational_literals_only_over_q():
     f = parse_poly("1/2*X0^2", 1, QQ, require_homogeneous=False)
-    assert f.coefficient((2,)) == QQ.scalar(Fraction(1, 2))
+    assert f.coefficient((2,)) == Fraction(1, 2)
     with pytest.raises(ParseError):
         parse_poly("1/2*X0", 1, F7, require_homogeneous=False)
 
 
 def test_parse_generator_literal():
     f = parse_binary_form("g*U + V", F4)
-    assert f.coefficient(0) == F4.gen
+    assert f.coefficient(0) == F4.gen.raw
     with pytest.raises(ParseError):
         parse_binary_form("g*U + V", F7)
 
@@ -191,7 +201,7 @@ def test_substitute_linear_map_matches_evaluation(field):
             y = [_random_scalar(field, rng) for _ in range(new_nvars)]
             x = [sum((m[i][j] * y[j] for j in range(new_nvars)),
                      field.zero) for i in range(nvars)]
-            assert g.evaluate(y) == f.evaluate(x)
+            assert _value(g, y) == _value(f, x)
         shapes.add((nvars, new_nvars))
     assert {(n, n - 1) for n in (2, 3, 4)} <= shapes
 
@@ -261,8 +271,8 @@ def test_compose_with_curve_matches_evaluation(field):
             assert g.field is field and g.degree == f.total_degree * d
             for _ in range(5):
                 u, v = (_random_scalar(field, rng) for _ in range(2))
-                assert g.evaluate(u, v) == f.evaluate(
-                    [hi.evaluate(u, v) for hi in h])
+                assert _value(g, u, v) == _value(
+                    f, [_value(hi, u, v) for hi in h])
         zero = compose_with_curve(MultiPoly.zero(field, len(h)), h)
         assert zero.is_zero() and zero.degree == -d
         # X1^2 - X0 X2 vanishes on (a^2, ab, b^2) for linear forms a, b
@@ -292,12 +302,12 @@ def test_map_curve_matches_evaluation(field):
             assert any(g.is_zero() for g in out)
             for _ in range(3):
                 u, v = (_random_scalar(field, rng) for _ in range(2))
-                vals = [hj.evaluate(u, v) for hj in h]
+                vals = [_value(hj, u, v) for hj in h]
                 for g, row in zip(out, m):
                     want = field.zero
                     for c, x in zip(row, vals):
                         want = want + embed(c, field) * x
-                    assert g.evaluate(u, v) == want
+                    assert _value(g, u, v) == want
     with pytest.raises(ValueError):  # two columns, three components
         map_curve([[sub.one, sub.one]], h[:3])
 
@@ -315,12 +325,12 @@ def test_reparametrize_matches_evaluation(field):
                 a, b, c = (_random_scalar(field, rng) for _ in range(3))
                 d = b * c / a if singular and a else \
                     _random_scalar(field, rng)
-                h = g.reparametrize(a, b, c, d)
+                h = g.reparametrize(a.raw, b.raw, c.raw, d.raw)
                 assert h.field is field and h.degree == degree
                 for _ in range(4):
                     u, v = (_random_scalar(field, rng) for _ in range(2))
-                    assert h.evaluate(u, v) == g.evaluate(a * u + b * v,
-                                                          c * u + d * v)
+                    assert _value(h, u, v) == _value(g, a * u + b * v,
+                                                     c * u + d * v)
 
 
 # -- resultants and gcd ---------------------------------------------------------
@@ -328,7 +338,7 @@ def test_reparametrize_matches_evaluation(field):
 def test_resultant_examples():
     uv = parse_binary_form("U*V", F7)
     r = resultant_bin(uv, parse_binary_form("U^3+V^3", F7))
-    assert r == F7.one or r == -F7.one
+    assert r in (F7.rone, F7.rneg(F7.rone))
     assert not resultant_bin(uv, parse_binary_form("U^3", F7))
     assert resultant_bin(parse_binary_form("V^2", F7),
                          parse_binary_form("U^3", F7))
@@ -371,7 +381,7 @@ def test_resultant_matches_sympy(p):
         done += 1
         q = BinaryForm(F, m, [F.from_raw(c) for c in a])
         c = BinaryForm(F, n, [F.from_raw(c) for c in b])
-        assert resultant_bin(q, c).raw == _sylvester_oracle(a, b, p)
+        assert resultant_bin(q, c) == _sylvester_oracle(a, b, p)
 
 
 def test_gcd_examples():
@@ -379,7 +389,7 @@ def test_gcd_examples():
     assert g == parse_binary_form("U*V", F7)
     g2 = gcd_bin(parse_binary_form("-U^3-V^3", F7),
                  parse_binary_form("U^2*V", F7))
-    assert g2.degree == 0 and g2.coefficient(0) == F7.one
+    assert g2.degree == 0 and g2.coefficient(0) == F7.rone
     f = parse_binary_form("3*U^3+3*V^3", F7)
     g3 = gcd_bin(f, BinaryForm.zero(F7, 3))
     assert g3 == parse_binary_form("U^3+V^3", F7)
@@ -389,7 +399,7 @@ def test_gcd_examples():
 def _binary_to_sympy(f, p):
     u, v = symbols("u v")
     d = f.degree
-    return Poly(sum(c.raw * u**(d - j) * v**j
+    return Poly(sum(c * u**(d - j) * v**j
                     for j, c in enumerate(f.coeffs)), u, v, modulus=p)
 
 
@@ -418,6 +428,106 @@ def test_gcd_bin_matches_sympy(p):
         got = _binary_to_sympy(g, p)
         assert (got * want.LC() - want * got.LC()).is_zero
 
+
+# -- one field per operation --------------------------------------------------
+
+
+def _mixed_field_calls():
+    """(name, call, error): an F7 polynomial or form meets F49 values."""
+    g = F49.gen
+    f = parse_poly("X0^2+X1^2", 2, F7)
+    b7 = parse_binary_form("U^2+V^2", F7)
+    b49 = parse_binary_form("g*U^2+V^2", F49)
+    line7 = [parse_binary_form("U", F7), parse_binary_form("V", F7)]
+    line49 = [parse_binary_form("g*U", F49), parse_binary_form("V", F49)]
+    return [
+        ("compose_with_curve", lambda: compose_with_curve(f, line49),
+         FieldError),
+        ("BinaryForm +", lambda: b7 + b49, FieldError),
+        ("BinaryForm *", lambda: b7 * b49, FieldError),
+        ("BinaryForm * Scalar", lambda: b7 * g, FieldError),
+        ("MultiPoly.evaluate", lambda: f.evaluate([g, F49.one]), FieldError),
+        ("substitute_linear_map",
+         lambda: substitute_linear_map(f, [[g, F49.zero], [F49.zero, g]]),
+         FieldError),
+        ("BinaryForm.evaluate", lambda: b7.evaluate(g, F49.one), FieldError),
+        # raw values: an F49 index past 6 is no element of F7
+        ("MultiPoly.evaluate raw", lambda: f.evaluate([g.raw, 1]), FieldError),
+        ("BinaryForm.evaluate raw", lambda: b7.evaluate(g.raw, 1), FieldError),
+        ("reparametrize",
+         lambda: b7.reparametrize(g, F49.zero, F49.zero, F49.one),
+         FieldError),
+        ("map_curve", lambda: map_curve([[g, F49.zero], [F49.zero, g]],
+                                        line7), FieldError),
+        ("MultiPoly +", lambda: f + f.map_field(F49), ValueError),
+        ("resultant_bin", lambda: resultant_bin(b7, b49), FieldError),
+        ("gcd_bin", lambda: gcd_bin(b7, b49), FieldError),
+    ]
+
+
+_MIXED = _mixed_field_calls()
+
+
+@pytest.mark.parametrize("name, call, error", _MIXED,
+                         ids=[name for name, _, _ in _MIXED])
+def test_mixed_fields_are_refused(name, call, error):
+    """Raw values carry no field, so every operation that meets values
+    or forms of another field refuses them, as Scalar arithmetic does."""
+    with pytest.raises(error):
+        call()
+
+
+def _scalar_value(terms, point):
+    """Sum of c * prod x_i^e_i in Scalar arithmetic."""
+    F = point[0].field
+    acc = F.zero
+    for e, c in terms.items():
+        for x, k in zip(point, e):
+            c = c * x**k
+        acc = acc + c
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 6], ids=["F7", "F49", "F7^6"])
+def test_polynomials_from_scalars_and_from_raw_agree(k):
+    """Polynomials and binary forms built from Scalars and from raw values
+    agree on equality, printing, evaluation, field maps and composition
+    with a curve.  Over F49 and F_{7^6} the raw indices run past p, where
+    an int read through `field.scalar` would land in the prime field.
+    Values are checked against Scalar arithmetic on the Scalar
+    coefficients, the printed form against the parser."""
+    F, T = make_field(7, k), make_field(7, 6)
+    rng = random.Random(1700 + k)
+    exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+    past_p = False
+    for _ in range(8):
+        raw = {e: rng.randrange(1, F.size) for e in rng.sample(exps, 5)}
+        scalars = {e: Scalar(F, c) for e, c in raw.items()}
+        a, b = MultiPoly(F, 3, scalars), MultiPoly.from_raw(F, 3, raw)
+        assert a == b and a.terms == raw and str(a) == str(b)
+        assert parse_poly(str(b), 3, F) == b
+        pt = [rng.randrange(1, F.size) for _ in range(3)]
+        want = _scalar_value(scalars, [Scalar(F, x) for x in pt])
+        assert a.evaluate(pt) == b.evaluate(pt) == want.raw
+        assert a.map_field(T) == b.map_field(T) == MultiPoly(
+            T, 3, {e: embed(c, T) for e, c in scalars.items()})
+        rows = [[rng.randrange(1, F.size) for _ in range(3)]
+                for _ in range(3)]
+        ha = [BinaryForm(F, 2, [Scalar(F, c) for c in r]) for r in rows]
+        hb = [BinaryForm.from_raw(F, 2, r) for r in rows]
+        assert ha == hb and [str(h) for h in ha] == [str(h) for h in hb]
+        assert [parse_binary_form(str(h), F) for h in hb] == hb
+        u, v = rng.randrange(1, F.size), rng.randrange(1, F.size)
+        at = [_scalar_value({(2 - j, j): Scalar(F, c)
+                             for j, c in enumerate(r)},
+                            [Scalar(F, u), Scalar(F, v)]) for r in rows]
+        assert [h.evaluate(u, v) for h in hb] == [x.raw for x in at]
+        g = compose_with_curve(b, hb)
+        assert g == compose_with_curve(a, ha)
+        assert g.evaluate(u, v) == _scalar_value(scalars, at).raw
+        past_p |= any(c >= F.p for c in raw.values())
+    assert past_p == (k > 1)
+
 def test_resultant_gcd_roots_three_way_agreement():
     rng = random.Random(9)
     f5 = F5
@@ -438,7 +548,7 @@ def test_resultant_gcd_roots_three_way_agreement():
         for (u, v, ext, _) in binary_roots(q, 6):
             K = u.field
             cc = c.map_field(K)
-            if not cc.evaluate(u, v):
+            if not cc.evaluate(u.raw, v.raw):
                 shared = True
                 break
         assert res_zero == gcd_nonconst == shared
@@ -488,15 +598,15 @@ def test_laurent_arithmetic_and_division():
             h = _laurent_from_binary(BinaryForm.from_scalars(
                 field, [_random_scalar(field, rng) for _ in range(4)]))
             pt = (_nonzero_scalar(field, rng), _nonzero_scalar(field, rng))
-            va, vb, vh = (g.evaluate(pt) for g in (a, b, h))
-            assert (a * b).evaluate(pt) == va * vb
-            assert (a * b + a).evaluate(pt) == va * vb + va
+            va, vb, vh = (_value(g, pt) for g in (a, b, h))
+            assert _value(a * b, pt) == va * vb
+            assert _value(a * b + a, pt) == va * vb + va
             if h.is_zero():
                 continue
             q = _laurent_quotient(a * h, h)
             assert q == a
             if vh:
-                assert q.evaluate(pt) == (a * h).evaluate(pt) / vh
+                assert _value(q, pt) == _value(a * h, pt) / vh
     # U^3 + V^3 = (U + V)(U^2 - U V + V^2), but not the other way round
     num = _laurent(F7, 3, 0) + _laurent(F7, 0, 3)
     den = _laurent(F7, 1, 0) + _laurent(F7, 0, 1)
@@ -588,8 +698,7 @@ def test_groebner_fermat_chart_vs_scan():
         import itertools
         found = False
         for pt in itertools.product(list(K.elements()), repeat=3):
-            vals = [K.from_raw(c) for c in pt]
-            if all(not g.evaluate(vals) for g in chart_k):
+            if all(not g.evaluate(pt) for g in chart_k):
                 found = True
         assert not found
     assert is_unit_ideal(chart)
@@ -638,7 +747,7 @@ def test_groebner_over_extension_fields(field):
         gb = groebner_basis(gens)
         _assert_reduced_groebner(gens, gb)
         sizes.add(len(gb))
-        outside |= any(c.raw >= field.p for g in gb for c in g.terms.values())
+        outside |= any(c >= field.p for g in gb for c in g.terms.values())
     assert 1 in sizes and max(sizes) >= 3 and outside
 
 
@@ -655,7 +764,7 @@ def test_groebner_base_change(p):
         assert [g.map_field(K) for g in gb] == groebner_basis(
             [g.map_field(K) for g in gens])
         ref = groebner(exprs, *xs, modulus=p, order="grevlex")
-        assert ({frozenset((e, c.raw) for e, c in g.terms.items())
+        assert ({frozenset(g.terms.items())
                  for g in gb}
                 == {frozenset((e, c % p)
                               for e, c in Poly(g, *xs, modulus=p).terms())
@@ -733,7 +842,7 @@ def test_groebner_basis_matches_sympy(p):
     sizes = set()
     for case in range(12):
         gens, exprs, xs = _random_ideal(F, 2 + case % 2, 1 + case % 3, rng)
-        ours = {frozenset((e, c.raw) for e, c in g.terms.items())
+        ours = {frozenset(g.terms.items())
                 for g in groebner_basis(gens)}
         ref = groebner(exprs, *xs, modulus=p, order="grevlex")
         theirs = {frozenset((e, c % p)

@@ -142,8 +142,8 @@ def test_splitting_invariance_under_reparametrization():
     m, f, h = nodal_monad(F7)
     base = splitting_type(m).parts
     for _ in range(5):
-        mat = random_invertible(F7, 2, rng)
-        (a, b), (c, d) = mat
+        (a, b), (c, d) = [[s.raw for s in row]
+                          for row in random_invertible(F7, 2, rng)]
         h2 = [comp.reparametrize(a, b, c, d) for comp in h]
         beta2 = tuple(compose_with_curve(partial_derivative(f, i), h2)
                       for i in range(4))
@@ -320,7 +320,7 @@ def _serre_dual_h0(m, twist):
     for f, d in zip(m.alpha, srcs):
         for s in range(d + 1):
             for k, c in enumerate(f.coeffs):
-                rows[k + s][col] = c.raw
+                rows[k + s][col] = c
             col += 1
     h1 = len(linalg.kernel(F, rows, ncols))
     return m.euler_degree + m.rank * (twist + 1) + h1
