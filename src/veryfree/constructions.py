@@ -19,14 +19,15 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError
-from .fields import FieldSpec, Scalar, UPoly, check_field, cube_root, \
+from .fields import FieldSpec, UPoly, check_field, check_raw, cube_root, \
     embed, join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint, SectionChart,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                            LINE_CONIC_TANGENT, THREE_LINES_CONCURRENT,
-                           _conic_singular_point, _cross, _integral_tag,
-                           _nodal_frame, _quadric_distinct_roots,
+                           _completion_matrix, _conic_singular_point, _cross,
+                           _integral_tag, _nodal_frame,
+                           _quadric_distinct_roots, _row_zeros,
                            classify_plane_cubic,
                            divide_by_plane_line, divides_plane_line,
                            eckardt_points, hyperplane_section, is_smooth,
@@ -124,31 +125,28 @@ class CurveOnX:
 @dataclass
 class TangentSectionNormalForm:
     field: FieldSpec
-    matrix: tuple           # rows of scalars; substitution matrix
+    matrix: tuple           # raw rows of the substitution matrix
     quadric: Optional[MultiPoly]   # Q(X0, X1, X2) of the ambient surface
     linear: Optional[MultiPoly]    # L(X0, X1, X2)
-    cubic_coeff: Optional[Scalar]  # A
+    cubic_coeff: object            # raw A, or None
     ext_degree_used: int
 
 
 def standard_nodal_parametrization(field: FieldSpec):
     """The plane curve map (U:V) -> (-U^3 - V^3 : U^2 V : U V^2)."""
-    one, zero = field.one, field.zero
-    minus = -one
-    return [BinaryForm.from_scalars(field, [minus, zero, zero, minus]),
-            BinaryForm.from_scalars(field, [zero, one, zero, zero]),
-            BinaryForm.from_scalars(field, [zero, zero, one, zero])]
+    return scaled_nodal_parametrization(field, field.rone, field.rone)
 
 
 def nodal_surface_form(field, quadric=None, linear=None, cubic_coeff=None):
     """X0 X1 X2 + X1^3 + X2^3 + X3 Q + X3^2 L + A X3^3 as a normal form.
 
     Q and L are given in the plane variables X0, X1, X2; Q defaults to
-    X0^2 and must satisfy Q(1,0,0) != 0; A is a scalar.
+    X0^2 and must satisfy Q(1,0,0) != 0; A is a Scalar or an int.
     """
     if quadric is None:
         quadric = parse_poly("X0^2", 3, field)
-    A = field.scalar(cubic_coeff) if cubic_coeff is not None else field.zero
+    A = field.scalar(cubic_coeff).raw if cubic_coeff is not None \
+        else field.rzero
     if not quadric.coefficient((2, 0, 0)):
         raise ValueError("Q(1,0,0) must be nonzero, else the surface is "
                          "singular at the node of the section")
@@ -157,7 +155,7 @@ def nodal_surface_form(field, quadric=None, linear=None, cubic_coeff=None):
 
 
 def _identity_rows(field, n):
-    return tuple(tuple(field.one if i == j else field.zero
+    return tuple(tuple(field.rone if i == j else field.rzero
                        for j in range(n)) for i in range(n))
 
 
@@ -173,7 +171,7 @@ def normal_form_surface(nf: TangentSectionNormalForm) -> Hypersurface:
             check_field(F, g)
             terms.update({e + (k,): c for e, c in g.terms.items()})
     if nf.cubic_coeff is not None:
-        terms[(0, 0, 0, 3)] = F.scalar(nf.cubic_coeff).raw
+        terms[(0, 0, 0, 3)] = nf.cubic_coeff
     return Hypersurface(MultiPoly.from_raw(F, 4, terms))
 
 
@@ -230,9 +228,10 @@ def make_curve(x: Hypersurface, curve) -> CurveOnX:
 # A Laurent form is a MultiPoly in (U, V) whose exponents may be negative.
 
 
-def _laurent(field, i, j, value=1):
-    """The Laurent monomial value * U^i V^j."""
-    return MultiPoly(field, 2, {(i, j): value})
+def _laurent(field, i, j, value=None):
+    """The Laurent monomial value * U^i V^j for a raw value (default 1)."""
+    return MultiPoly.from_raw(field, 2, {(i, j): field.rone if value is None
+                                         else value})
 
 
 def _laurent_from_binary(bf: BinaryForm) -> MultiPoly:
@@ -358,10 +357,11 @@ def _xi_eta_sections(field):
 def _generator_sections(field):
     L = _laurent
     z = MultiPoly.zero(field, 2)
-    gen_v = LaurentSection((L(field, 2, -1, 3), -L(field, 1, 0, 2),
+    two, three = field.rfrom_int(2), field.rfrom_int(3)
+    gen_v = LaurentSection((L(field, 2, -1, three), -L(field, 1, 0, two),
                             -L(field, 0, 1), z))
-    gen_u = LaurentSection((-L(field, -1, 2, 3), L(field, 1, 0),
-                            L(field, 0, 1, 2), z))
+    gen_u = LaurentSection((-L(field, -1, 2, three), L(field, 1, 0),
+                            L(field, 0, 1, two), z))
     return gen_v, gen_u
 
 
@@ -397,7 +397,7 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
                else f"multiplier {_laurent_str(lam_eta)}")
 
     xi_f = xi_v.dot(beta_l)
-    expected = _laurent(F, 2, 2, -1)
+    expected = -_laurent(F, 2, 2)
     report.add("xi . f = -U^2 V^2", xi_f == expected,
                lhs=_laurent_str(xi_f), rhs=_laurent_str(expected))
 
@@ -445,31 +445,33 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
     return report
 
 
-def cuspidal_parametrization(field, alpha):
+def cuspidal_parametrization(field, a):
     """(U:V) -> (U^3 + a U^2 V : -U V^2 : -V^3), the normalization of
-    X0 X2^2 + X1^3 + a X1^2 X2 = 0 (a = 0 away from characteristic 3)."""
-    a = field.scalar(alpha)
-    zero, one = field.zero, field.one
-    return [BinaryForm.from_scalars(field, [one, a, zero, zero]),
-            BinaryForm.from_scalars(field, [zero, zero, -one, zero]),
-            BinaryForm.from_scalars(field, [zero, zero, zero, -one])]
+    X0 X2^2 + X1^3 + a X1^2 X2 = 0 for a raw a (0 away from
+    characteristic 3)."""
+    check_raw(field, (a,))
+    zero, minus = field.rzero, field.rneg(field.rone)
+    return [BinaryForm.from_raw(field, 3, [field.rone, a, zero, zero]),
+            BinaryForm.from_raw(field, 3, [zero, zero, minus, zero]),
+            BinaryForm.from_raw(field, 3, [zero, zero, zero, minus])]
 
 
-def _delta_sections(field, alpha):
+def _delta_sections(field, a):
     L = _laurent
     z = MultiPoly.zero(field, 2)
     if field.p == 3:
-        a = field.scalar(alpha)
+        a2 = field.rmul(a, a)
         dv = LaurentSection((-L(field, 1, -1, a), -L(field, 0, 0), z, z))
-        c0 = L(field, -1, 1, a**3) - L(field, 0, 0, a**2)
-        c1 = -(L(field, -2, 2, a**2) - L(field, -1, 1, a * 2)
+        c0 = L(field, -1, 1, field.rmul(a2, a)) - L(field, 0, 0, a2)
+        c1 = -(L(field, -2, 2, a2) - L(field, -1, 1, field.radd(a, a))
                + L(field, 0, 0))
-        c2 = -(L(field, -3, 3, a**2) + L(field, -2, 2, a))
+        c2 = -(L(field, -3, 3, a2) + L(field, -2, 2, a))
         du = LaurentSection((c0, c1, c2, z))
         return dv, du
-    three = field.scalar(3)
+    three = field.rfrom_int(3)
     dv = LaurentSection((L(field, 2, -2, three), -L(field, 0, 0), z, z))
-    du = LaurentSection((z, L(field, 0, 0, 2), L(field, -1, 1, three), z))
+    du = LaurentSection((z, L(field, 0, 0, field.rfrom_int(2)),
+                         L(field, -1, 1, three), z))
     return dv, du
 
 
@@ -480,20 +482,18 @@ def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
     replaces X1^3; the section and the splitting conclusion are the same.
     """
     F = field
-    a = F.scalar(alpha)
+    a = F.scalar(alpha).raw
     if F.p == 3 and not a:
         raise ValueError("characteristic 3 needs alpha != 0: the cusp "
                          "normal form X1^3 alone is unavailable")
     if F.p != 3:
-        a = F.zero
+        a = F.rzero
     report = VerificationReport(f"cuspidal tangent sections over {F!r}, "
-                                f"alpha = {a}")
+                                f"alpha = {F.rstr(a)}")
     # plane curve X0 X2^2 + X1^3 + a X1^2 X2, ambient completion X3 * X0^2
-    terms = {(1, 0, 2, 0): F.one, (0, 3, 0, 0): F.one,
-             (2, 0, 0, 1): F.one}
-    if a:
-        terms[(0, 2, 1, 0)] = a
-    x = Hypersurface(MultiPoly(F, 4, terms))
+    x = Hypersurface(MultiPoly.from_raw(F, 4, {
+        (1, 0, 2, 0): F.rone, (0, 3, 0, 0): F.rone, (2, 0, 0, 1): F.rone,
+        (0, 2, 1, 0): a}))
     plane = cuspidal_parametrization(F, a)
     curve = plane + [BinaryForm.zero(F, 3)]
     on_surface = compose_with_curve(x.f, curve)
@@ -529,42 +529,41 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     """Coordinate change making a nodal integral cubic, over a finite
     field and already classified by the caller, equal to
     X0 X1 X2 + a0 X1^3 + a3 X2^3; only the tangent directions may force
-    a quadratic extension.  Returns (matrix rows, a0, a3)."""
+    a quadratic extension.  Returns (K, matrix rows, a0, a3), raw over
+    the field K of the tangent directions."""
+    F = node.field
     m1, q, c = _nodal_frame(cub, node)
     # tangent directions: q = lambda * L1 * L2 with distinct roots
     roots = binary_roots(q, 2)
     if sum(mult for (_, _, _, mult) in roots) != 2 or len(roots) != 2:
         raise IntegrityError("nodal quadric without two distinct roots")
-    K = join_field(*[u.field for (u, v, e, m) in roots])
-    (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
-                          for (u, v, e, m) in roots]
-    m1_k = [[embed(x, K) for x in row] for row in m1]
+    fields = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]
+    K = join_field(*fields)
+    (u1, v1), (u2, v2) = [(embed(L, u, K), embed(L, v, K))
+                          for L, (u, v, _, _) in zip(fields, roots)]
     qk, ck = q.map_field(K), c.map_field(K)
     # q(X1, X2) = lam * (v1 X1 - u1 X2)(v2 X1 - u2 X2)
-    l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
-            * BinaryForm.from_scalars(K, [v2, -u2]))
+    l1l2 = (BinaryForm.from_raw(K, 1, [v1, K.rneg(u1)])
+            * BinaryForm.from_raw(K, 1, [v2, K.rneg(u2)]))
     jj = next(j for j in range(3) if l1l2.coeffs[j])
     lam = K.rmul(qk.coeffs[jj], K.rinv(l1l2.coeffs[jj]))
     # (Y1, Y2) = S (X1, X2) with Y1 = L1, Y2 = lam L2; substitute X = M2 Y,
     # which takes X0 q + c to Y0 Y1 Y2 + sum_t a_t Y1^(3-t) Y2^t (checked)
-    s_mat = [[v1.raw, K.rneg(u1.raw)],
-             [K.rmul(lam, v2.raw), K.rneg(K.rmul(lam, u2.raw))]]
-    s_inv = linalg.inverse(K, s_mat)
+    s_inv = linalg.inverse(K, [[v1, K.rneg(u1)],
+                               [K.rmul(lam, v2), K.rneg(K.rmul(lam, u2))]])
     if s_inv is None:
         raise IntegrityError("tangent directions are not independent")
-    (s00, s01), (s10, s11) = [[Scalar(K, x) for x in row] for row in s_inv]
-    m2 = [[K.one, K.zero, K.zero], [K.zero, s00, s01], [K.zero, s10, s11]]
-    a0, a1, a2, a3 = [K.from_raw(c) for c in
-                      ck.reparametrize(*s_inv[0], *s_inv[1]).coeffs]
-    if qk.reparametrize(*s_inv[0], *s_inv[1]) != BinaryForm.monomial(K, 1, 1) \
+    (s00, s01), (s10, s11) = s_inv
+    z, one = K.rzero, K.rone
+    m2 = [[one, z, z], [z, s00, s01], [z, s10, s11]]
+    a0, a1, a2, a3 = ck.reparametrize(s00, s01, s10, s11).coeffs
+    if qk.reparametrize(s00, s01, s10, s11) != BinaryForm.monomial(K, 1, 1) \
             or not a0 or not a3:
         raise IntegrityError("unexpected shape after tangent normalization")
     # X0 -> X0 - a1 X1 - a2 X2 absorbs the middle terms; a0, a3 stay
-    m3 = [[K.one, -a1, -a2],
-          [K.zero, K.one, K.zero],
-          [K.zero, K.zero, K.one]]
-    total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
-    return total, a0, a3
+    m3 = [[one, K.rneg(a1), K.rneg(a2)], [z, one, z], [z, z, one]]
+    m1_k = [[embed(F, x, K) for x in row] for row in m1]
+    return K, _mat_mul(K, _mat_mul(K, m1_k, m2), m3), a0, a3
 
 
 def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
@@ -583,22 +582,19 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
         raise ValueError(f"expected a nodal integral cubic with node "
                          f"{node}, classified as {cls.tag} at "
                          f"{cls.singular_point}")
-    pre, a0, a3 = _nodal_prenormalization(cub, node)
+    K, pre, a0, a3 = _nodal_prenormalization(cub, node)
     # scalings X1 -> s1 X1, X2 -> s2 X2, X0 -> (s1 s2)^{-1} X0 with
     # a0 s1^3 = a3 s2^3 = 1: cube roots, extension degree <= 3
-    s1 = cube_root(a0.inverse())
-    k2 = s1.field
-    s2 = cube_root(embed(a3, k2).inverse())
-    kf = s2.field
-    s1 = embed(s1, kf)
-    m4 = [[(s1 * s2).inverse(), kf.zero, kf.zero],
-          [kf.zero, s1, kf.zero],
-          [kf.zero, kf.zero, s2]]
-    total = _mat_mul_scalar(kf, _embed_mat(pre, kf), m4)
-    cub_f = cub.map_field(kf)
-    final = substitute_linear_map(cub_f, total)
-    target = (MultiPoly(kf, 3, {(1, 1, 1): kf.one, (0, 3, 0): kf.one,
-                                (0, 0, 3): kf.one}))
+    k2, s1 = cube_root(K, K.rinv(a0))
+    kf, s2 = cube_root(k2, k2.rinv(embed(K, a3, k2)))
+    s1 = embed(k2, s1, kf)
+    z = kf.rzero
+    m4 = [[kf.rinv(kf.rmul(s1, s2)), z, z], [z, s1, z], [z, z, s2]]
+    total = _mat_mul(kf, [[embed(K, x, kf) for x in row] for row in pre], m4)
+    final = substitute_linear_map(cub.map_field(kf), total)
+    target = MultiPoly.from_raw(kf, 3, {(1, 1, 1): kf.rone,
+                                        (0, 3, 0): kf.rone,
+                                        (0, 0, 3): kf.rone})
     if final != target:
         raise IntegrityError(f"normal form verification failed: {final}")
     return TangentSectionNormalForm(
@@ -606,13 +602,15 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
 
 
 def scaled_nodal_parametrization(field, a0, a3):
-    """(U:V) -> (-a0 U^3 - a3 V^3 : U^2 V : U V^2), the normalization of
-    X0 X1 X2 + a0 X1^3 + a3 X2^3 = 0; no root extraction needed."""
-    zero = field.zero
-    a0, a3 = field.scalar(a0), field.scalar(a3)
-    return [BinaryForm.from_scalars(field, [-a0, zero, zero, -a3]),
-            BinaryForm.from_scalars(field, [zero, field.one, zero, zero]),
-            BinaryForm.from_scalars(field, [zero, zero, field.one, zero])]
+    """(U:V) -> (-a0 U^3 - a3 V^3 : U^2 V : U V^2) for raw a0, a3, the
+    normalization of X0 X1 X2 + a0 X1^3 + a3 X2^3 = 0; no root
+    extraction needed."""
+    check_raw(field, (a0, a3))
+    zero, one = field.rzero, field.rone
+    return [BinaryForm.from_raw(field, 3, [field.rneg(a0), zero, zero,
+                                           field.rneg(a3)]),
+            BinaryForm.from_raw(field, 3, [zero, one, zero, zero]),
+            BinaryForm.from_raw(field, 3, [zero, zero, one, zero])]
 
 
 def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
@@ -627,26 +625,24 @@ def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
     if cls.tag != NODAL_INTEGRAL:
         raise ValueError(f"expected a nodal integral section, classified "
                          f"as {cls.tag}")
-    pre, a0, a3 = _nodal_prenormalization(res.section, cls.singular_point)
-    kf = a0.field
-    h_plane = map_curve(pre, scaled_nodal_parametrization(kf, a0, a3))
+    kf, pre, a0, a3 = _nodal_prenormalization(res.section,
+                                               cls.singular_point)
+    h_plane = map_curve(kf, pre, scaled_nodal_parametrization(kf, a0, a3))
     return make_curve(res.surface.map_field(kf),
                       res.chart.curve_to_ambient(h_plane))
 
 
-def _embed_mat(rows, target):
-    return [[embed(x, target) for x in row] for row in rows]
-
-
-def _mat_mul_scalar(field, a, b):
+def _mat_mul(field, a, b):
+    """Product of square raw matrices."""
     n = len(a)
-    out = [[field.zero] * n for _ in range(n)]
+    out = [[field.rzero] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             if a[i][k]:
                 for j in range(n):
                     if b[k][j]:
-                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
+                        out[i][j] = field.radd(out[i][j],
+                                               field.rmul(a[i][k], b[k][j]))
     return out
 
 
@@ -659,14 +655,14 @@ def parametrize_conic(conic: MultiPoly):
     F = conic.field
     if F.is_rational:
         raise ValueError("conic parametrization needs a finite field")
-    base = next((pt for pt in proj_points(F, 2) if not conic.evaluate(pt)),
-                None)
+    # the first zero in `proj_points` order: the strata X_0 = 1, then
+    # X_0 = 0, X_1 = 1, then (0:0:1)
+    base = next((pt for i in range(3)
+                 for pt, _ in _row_zeros([conic], i, range(i + 1, 3))), None)
     if base is None:
         raise ValueError("conic has no rational point over the base field")
     # complete to a basis; the residual pencil parametrizes the conic
-    from .hypersurface import _completion_matrix
-    base_pt, e1, e2 = [[c.raw for c in col]
-                       for col in zip(*_completion_matrix(F, base))]
+    base_pt, e1, e2 = zip(*_completion_matrix(F, base))
 
     def bilinear(uvec, vvec):
         s = [F.radd(a, b) for a, b in zip(uvec, vvec)]
@@ -938,11 +934,8 @@ def fermat_char2_curve(field):
     surface: (U:V) -> (U^3+U^2 V : U^3+U^2 V+V^3 : U^2 V+V^3 : U V^2)."""
     if field.p != 2:
         raise ValueError("this curve is specific to characteristic 2")
-    one, zero = field.one, field.zero
-    return [BinaryForm.from_scalars(field, [one, one, zero, zero]),
-            BinaryForm.from_scalars(field, [one, one, zero, one]),
-            BinaryForm.from_scalars(field, [zero, one, zero, one]),
-            BinaryForm.from_scalars(field, [zero, zero, one, zero])]
+    return [BinaryForm.from_raw(field, 3, c)
+            for c in ([1, 1, 0, 0], [1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0])]
 
 
 def build_very_free_curve(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
@@ -1065,13 +1058,13 @@ def fermat_char2_report(k: int, ext_cap: int = DEFAULT_EXT_CAP,
 
 
 def sample_admissible_completion(field, rng):
-    """Random (Q, L, A) with Q(1,0,0) != 0, for the normal-form surface."""
+    """Random (Q, L, A) with Q(1,0,0) != 0, for the normal-form surface;
+    A is a Scalar, as `nodal_surface_form` takes it."""
     def coeff():
         if field.is_rational:
             from fractions import Fraction
-            return field.scalar(Fraction(rng.randrange(-9, 10),
-                                         rng.randrange(1, 7)))
-        return field.from_raw(rng.randrange(field.size))
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        return rng.randrange(field.size)
 
     import itertools as it
     while True:
@@ -1083,7 +1076,7 @@ def sample_admissible_completion(field, rng):
             c = coeff()
             if c:
                 q_terms[tuple(e)] = c
-        quadric = MultiPoly(field, 3, q_terms)
+        quadric = MultiPoly.from_raw(field, 3, q_terms)
         if not quadric.coefficient((2, 0, 0)):
             continue
         l_terms = {}
@@ -1093,5 +1086,6 @@ def sample_admissible_completion(field, rng):
                 e = [0, 0, 0]
                 e[i] = 1
                 l_terms[tuple(e)] = c
-        linear = MultiPoly(field, 3, l_terms)
-        return (quadric, None if linear.is_zero() else linear, coeff())
+        linear = MultiPoly.from_raw(field, 3, l_terms)
+        return (quadric, None if linear.is_zero() else linear,
+                field.from_raw(coeff()))

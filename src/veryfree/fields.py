@@ -293,7 +293,10 @@ class FieldSpec:
 
 
 class Scalar:
-    """Immutable element of a specific field. Canonical form is unique."""
+    """Immutable element of a specific field, as callers hand values to
+    the public constructors, `linear_substitute` and the parser; the
+    package itself computes on raw values.  Canonical form is unique.
+    Scalars compare but do not hash."""
 
     __slots__ = ("field", "raw")
 
@@ -347,9 +350,6 @@ class Scalar:
         if isinstance(other, int):
             return self.raw == self.field.rfrom_int(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.raw))
 
     def __str__(self):
         return self.field.rstr(self.raw)
@@ -518,8 +518,9 @@ def format_field_spec(field: FieldSpec) -> str:
 # -- embeddings --------------------------------------------------------
 
 
-def embed(x: Scalar, target: FieldSpec) -> Scalar:
-    """Ring-homomorphic image of x in the target field.
+def embed(src: FieldSpec, x, target: FieldSpec):
+    """Ring-homomorphic image in the target field of the raw element x of
+    src, as a raw value.
 
     For a prime-degree step the extension generator of the source maps
     to the least root (in coefficient-vector lex order) of the source
@@ -528,7 +529,6 @@ def embed(x: Scalar, target: FieldSpec) -> Scalar:
     factors of target.k/source.k in increasing order), which makes
     nested towers commute with direct embeddings by construction.
     """
-    src = x.field
     if src is target:
         return x
     if src.is_rational or target.is_rational:
@@ -542,16 +542,14 @@ def embed(x: Scalar, target: FieldSpec) -> Scalar:
     rel_factors = _prime_factors(rel)
     if len(rel_factors) > 1 or rel != rel_factors[0]:
         # composite step: smallest prime factor first
-        q = rel_factors[0]
-        mid = make_field(src.p, src.k * q)
-        return embed(embed(x, mid), target)
+        mid = make_field(src.p, src.k * rel_factors[0])
+        return embed(mid, embed(src, x, mid), target)
     powers = _embedding_powers(src, target)
-    vec = src.vector_of(x.raw)
     acc = target.rzero
-    for c, pw in zip(vec, powers):
+    for c, pw in zip(src.vector_of(x), powers):
         if c:
             acc = target.radd(acc, target.rmul(c, pw))
-    return Scalar(target, acc)
+    return acc
 
 
 def _embedding_powers(src, target):
@@ -674,13 +672,14 @@ class UPoly:
         """Coefficientwise embedding into an extension."""
         if target is self.field:
             return self
-        return UPoly(target, [embed(Scalar(self.field, c), target).raw
+        return UPoly(target, [embed(self.field, c, target)
                               for c in self.coeffs])
 
 
 @dataclass(frozen=True)
 class Root:
-    value: Scalar
+    value: object         # raw element of `field`
+    field: FieldSpec      # the root's minimal field
     ext_degree: int       # extension degree over the input field
     multiplicity: int
 
@@ -697,7 +696,7 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
     base = f.field
     if base.is_rational:
         raise FieldError("find_roots requires a finite field")
-    found = []          # list of (root Scalar, level j, multiplicity)
+    found = []
     by_level = {}       # j -> list of raw roots at that level
     remaining = f.degree
     for j in range(1, max_ext + 1):
@@ -714,7 +713,7 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
             if j % jp == 0 and jp in by_level:
                 sub = make_field(base.p, base.k * jp)
                 for r in by_level[jp]:
-                    known.add(embed(Scalar(sub, r), K).raw)
+                    known.add(embed(sub, r, K))
         here = []
         for cand in K.elements():
             if fK.eval_raw(cand) == K.rzero and cand not in known:
@@ -729,61 +728,54 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
                     break
                 mult += 1
                 g = q
-            found.append(Root(Scalar(K, r), j, mult))
+            found.append(Root(r, K, j, mult))
             remaining -= mult
         by_level[j] = here
     return found
 
 
-def cube_root(x: Scalar):
-    """Deterministic cube root, extending to degree 3 when x is a
-    non-cube (q = 1 mod 3); exponentiation only, no field scans."""
-    F = x.field
+def cube_root(F: FieldSpec, x):
+    """Deterministic cube root of the raw element x of F, as (field, raw
+    root), extending to degree 3 when x is a non-cube (q = 1 mod 3);
+    exponentiation only, no field scans."""
     if F.is_rational:
         raise FieldError("cube roots are computed over finite fields only")
     if not x:
-        return x
+        return F, x
     q = F.size
     if q % 3 == 2:
-        return x ** ((2 * q - 1) // 3)
-    if x ** ((q - 1) // 3) == F.one:
-        return _amm_cube_root(x)
+        return F, F.rpow(x, (2 * q - 1) // 3)
+    if F.rpow(x, (q - 1) // 3) == F.rone:
+        return F, _amm_cube_root(F, x)
     target = make_field(F.p, F.k * 3)
-    return _amm_cube_root(embed(x, target))
+    return target, _amm_cube_root(target, embed(F, x, target))
 
 
-def _amm_cube_root(a: Scalar) -> Scalar:
-    """Cube root of a known cube in F_q with q = 1 mod 3."""
-    F = a.field
+def _amm_cube_root(F: FieldSpec, a):
+    """Raw cube root of a known cube a in F = F_q with q = 1 mod 3."""
     q = F.size
     t, s = q - 1, 0
     while t % 3 == 0:
         t //= 3
         s += 1
-    eta = None
-    for cand in F.elements():
-        if cand == 0:
-            continue
-        c = F.from_raw(cand)
-        if c ** ((q - 1) // 3) != F.one:
-            eta = c
-            break
-    assert eta is not None  # q = 1 mod 3 always has non-cubes
-    g = eta ** t
-    b = a ** t
+    # q = 1 mod 3 always has non-cubes
+    eta = next(c for c in F.elements()
+               if c and F.rpow(c, (q - 1) // 3) != F.rone)
+    g = F.rpow(eta, t)
+    b = F.rpow(a, t)
     order = 3 ** s
     k = None
-    acc = F.one
+    acc = F.rone
     for i in range(order):
         if acc == b:
             k = i
             break
-        acc = acc * g
+        acc = F.rmul(acc, g)
     if k is None or k % 3 != 0:
         raise FieldError("element is not a cube")
     u = pow(3, -1, t) if t > 1 else 0
     m = (3 * u - 1) // t
-    y = (a ** u) * g ** (((-k * m) // 3) % order)
-    if y * y * y != a:
+    y = F.rmul(F.rpow(a, u), F.rpow(g, ((-k * m) // 3) % order))
+    if F.rpow(y, 3) != a:
         raise AssertionError("cube-root correction failed")
     return y

@@ -22,9 +22,8 @@ evaluated only at the zeros found.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
-also take Scalars or ints, as polynomials do.  Scalars appear only
-there, in the substitution matrices, in the roots of `binary_roots` and
-`find_roots` and in the nodal normal forms of `constructions`.  In P^2
+also take Scalars or ints, as polynomials do, and that is the only place
+Scalars appear.  Charts, completion matrices and roots are raw.  In P^2
 one cross product gives both the line through two points and the point
 where two lines meet.
 """
@@ -36,8 +35,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError, ScanBudgetExceeded
-from .fields import Scalar, UPoly, check_field, embed, find_roots, \
-    join_field, make_field, DEFAULT_SCAN_BUDGET
+from .fields import UPoly, check_field, embed, find_roots, join_field, \
+    make_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
                    map_curve, partial_derivative, resultant_bin,
@@ -83,8 +82,8 @@ class _Projective:
         if target is self.field:
             return self
         F = self.field
-        return type(self).from_raw(
-            target, [embed(Scalar(F, c), target).raw for c in self._v])
+        return type(self).from_raw(target, [embed(F, c, target)
+                                            for c in self._v])
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.field is other.field
@@ -141,13 +140,13 @@ class Hyperplane(_Projective):
 
     def chart(self):
         """The parametrisation X = M.Y of the hyperplane by P^(n-1), as
-        the rows of M in Scalars: with pivot p (a_p = 1), the columns of
-        M are e_k - a_k e_p for k != p in increasing order, so row p
+        the rows of M in raw values: with pivot p (a_p = 1), the columns
+        of M are e_k - a_k e_p for k != p in increasing order, so row p
         holds the -a_k and every other row is a unit row."""
         F, p, a = self.field, self.pivot, self._v
         others = [k for k in range(len(a)) if k != p]
-        return tuple(tuple(Scalar(F, F.rneg(a[k])) if i == p
-                           else F.one if i == k else F.zero
+        return tuple(tuple(F.rneg(a[k]) if i == p
+                           else F.rone if i == k else F.rzero
                            for k in others)
                      for i in range(len(a)))
 
@@ -256,8 +255,8 @@ class LineP3:
         if target is self.field:
             return self
         F = self.field
-        return LineP3.from_raw(target, [[embed(Scalar(F, c), target).raw
-                                         for c in r] for r in self.rows])
+        return LineP3.from_raw(target, [[embed(F, c, target) for c in r]
+                                        for r in self.rows])
 
     def sort_key(self):
         return tuple(tuple(self.field.lex_key(c) for c in r)
@@ -522,18 +521,18 @@ class SectionChart:
     """Linear parametrization X = M.Y of a hyperplane by P^(n-1)."""
     field: object
     pivot: int
-    matrix: tuple     # `Hyperplane.chart`: M, one row per ambient coordinate
+    matrix: tuple     # `Hyperplane.chart`: raw M, one row per coordinate
 
     def to_ambient(self, pt: ProjPoint):
         F = self.field
         check_field(F, pt)
-        return ProjPoint.from_raw(F, [_dot(F, [c.raw for c in row], pt.coords)
+        return ProjPoint.from_raw(F, [_dot(F, row, pt.coords)
                                       for row in self.matrix])
 
     def curve_to_ambient(self, comps):
         """The ambient curve M.h of a curve h in plane coordinates, over
         the field of its components."""
-        return map_curve(self.matrix, comps)
+        return map_curve(self.field, self.matrix, comps)
 
     def to_plane(self, pt: ProjPoint):
         check_field(self.field, pt)
@@ -553,6 +552,7 @@ def hyperplane_section(x: Hypersurface, plane: Hyperplane):
     The pivot coordinate of the hyperplane is eliminated; the remaining
     coordinates, in increasing index order, parametrize the hyperplane.
     """
+    check_field(x.field, plane)
     chart = SectionChart(x.field, plane.pivot, plane.chart())
     section = substitute_linear_map(x.f, chart.matrix)
     if section.is_zero():
@@ -598,7 +598,7 @@ def plane_line_through(p1: ProjPoint, p2: ProjPoint) -> Hyperplane:
 def restrict_to_plane_line(f: MultiPoly, line: Hyperplane) -> BinaryForm:
     """f on a line of P^2, through the line's chart: the chart's two
     columns are the points (1:0) and (0:1) of the binary form."""
-    return compose_with_curve(f, [BinaryForm(line.field, 1, row)
+    return compose_with_curve(f, [BinaryForm.from_raw(line.field, 1, row)
                                   for row in line.chart()])
 
 
@@ -613,42 +613,41 @@ def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
     f(M.Y) = Y_0 h(Y), and f / L = h(N.X) for the inverse N of M, whose
     rows are L and the unit rows e_k, k != p."""
     F, p = f.field, line.pivot
-    m = [(F.one if i == p else F.zero,) + row
+    check_field(F, line)
+    m = [(F.rone if i == p else F.rzero,) + row
          for i, row in enumerate(line.chart())]
     quo = {}
     for (e0, *rest), c in substitute_linear_map(f, m).terms.items():
         if e0 == 0:
             raise ValueError("line does not divide the form")
         quo[(e0 - 1, *rest)] = c
-    units = [[F.one if i == k else F.zero for i in range(f.nvars)]
+    units = [[F.rone if i == k else F.rzero for i in range(f.nvars)]
              for k in range(f.nvars) if k != p]
     return substitute_linear_map(MultiPoly.from_raw(F, f.nvars, quo),
-                                 [[Scalar(F, c) for c in line.coeffs],
-                                  *units])
+                                 [line.coeffs, *units])
 
 
 # -- singular points of ternary cubics --------------------------------------
 
 
-def _at_first(g: MultiPoly, xi: Scalar) -> MultiPoly:
-    """g with its first variable set to xi, over xi's field."""
-    K = xi.field
+def _at_first(g: MultiPoly, K, xi) -> MultiPoly:
+    """g with its first variable set to the raw value xi of K, over K."""
     return MultiPoly.from_raw(K, g.nvars - 1,
-                              _set_first(K, g.map_field(K).terms, xi.raw))
+                              _set_first(K, g.map_field(K).terms, xi))
 
 
-def _affine_zeros(gens, nvars: int, ext_cap: int):
-    """Common zeros of polynomials in nvars variables, each a coordinate
-    tuple over its residue field; None when there are infinitely many
-    over the closure.  Raises ExtensionCapExceeded when a zero has residue
-    degree above ext_cap.
+def _affine_zeros(field, gens, nvars: int, ext_cap: int):
+    """Common zeros of polynomials over `field` in nvars variables, each
+    as (residue field, raw coordinate tuple over it); None when there are
+    infinitely many over the closure.  Raises ExtensionCapExceeded when a
+    zero has residue degree above ext_cap.
 
     The eliminant of the Groebner basis in the first variable, then the
     fibre over each of its roots, one variable fewer.
     """
     gens = [g for g in gens if not g.is_zero()]
     if nvars == 0:
-        return [] if gens else [()]
+        return [] if gens else [(field, ())]
     if not gens:
         return None
     basis = groebner_basis(gens)
@@ -661,10 +660,10 @@ def _affine_zeros(gens, nvars: int, ext_cap: int):
             f"a common zero needs extension degree above {ext_cap}")
     zeros = []
     for r in roots:
-        fibre = [_at_first(g, r.value) for g in basis]
-        for rest in _affine_zeros(fibre, nvars - 1, ext_cap // r.ext_degree):
-            K = rest[0].field if rest else r.value.field
-            zeros.append((embed(r.value, K),) + rest)
+        fibre = [_at_first(g, r.field, r.value) for g in basis]
+        for K, rest in _affine_zeros(r.field, fibre, nvars - 1,
+                                     ext_cap // r.ext_degree):
+            zeros.append((K, (embed(r.field, r.value, K),) + rest))
     return zeros
 
 
@@ -681,13 +680,12 @@ def _ternary_singular_points(cub: MultiPoly, ext_cap: int):
     forms = [cub] + [cub.partial(i) for i in range(3)]
     points = []
     for i in range(3):
-        zeros = _affine_zeros([_on_stratum(g, i) for g in forms], 2 - i,
-                              ext_cap)
+        zeros = _affine_zeros(base, [_on_stratum(g, i) for g in forms],
+                              2 - i, ext_cap)
         if zeros is None:
             return None
-        for z in zeros:
-            K = z[0].field if z else base
-            pt = ProjPoint(K, [K.zero] * i + [K.one] + list(z))
+        for K, z in zeros:
+            pt = ProjPoint.from_raw(K, [K.rzero] * i + [K.rone] + list(z))
             if any(g.map_field(K).evaluate(pt.coords) for g in forms):
                 raise IntegrityError(f"{pt} solves the stratum system but "
                                      f"is not a singular point")
@@ -725,12 +723,12 @@ def _quadric_distinct_roots(q: BinaryForm) -> bool:
 
 
 def _completion_matrix(field, first_column):
-    """Invertible 3x3 matrix of Scalars whose first column is the given
-    nonzero raw vector and whose other columns are the unit vectors e_j
-    in order, skipping j = the index of the last nonzero coordinate."""
+    """Invertible raw 3x3 matrix whose first column is the given nonzero
+    raw vector and whose other columns are the unit vectors e_j in order,
+    skipping j = the index of the last nonzero coordinate."""
     last = max(i for i, c in enumerate(first_column) if c != field.rzero)
-    cols = [[Scalar(field, c) for c in first_column]] + [
-        [field.one if i == j else field.zero for i in range(3)]
+    cols = [list(first_column)] + [
+        [field.rone if i == j else field.rzero for i in range(3)]
         for j in range(3) if j != last]
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
@@ -750,13 +748,15 @@ def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
         coeffs[e1] = c
     qbin = BinaryForm.from_raw(F, 2, coeffs)
     roots = binary_roots(qbin, min(2, max(1, ext_cap)))
-    K = max((u.field for (u, _, _, _) in roots), key=lambda f: f.k, default=F)
+    K = make_field(F.p, F.k * max((e for (_, _, e, _) in roots), default=1))
     sK = s.map_field(K)
-    mK = [[embed(c, K) for c in row] for row in m_rot]
+    mK = [[embed(F, c, K) for c in row[:2]] for row in m_rot]
     lines = []
-    for (u, v, _, mult) in roots:
-        u2, v2 = embed(u, K), embed(v, K)
-        direction = ProjPoint(K, [row[0] * u2 + row[1] * v2 for row in mK])
+    for (u, v, e, mult) in roots:
+        L = make_field(F.p, F.k * e)
+        u2, v2 = embed(L, u, K), embed(L, v, K)
+        direction = ProjPoint.from_raw(K, [
+            K.radd(K.rmul(a, u2), K.rmul(b, v2)) for a, b in mK])
         lines += [plane_line_through(sK, direction)] * mult
     if len(lines) != 2:
         raise IntegrityError(f"degenerate conic with {len(lines)} factors")

@@ -6,7 +6,9 @@ Multivariate polynomials map exponent vectors to nonzero raw field
 values, binary forms of degree d hold the raw coefficient of U^(d-j) V^j
 at index j, and `UPoly` holds raw coefficients too: one format, which
 every engine here runs on.  The constructors take Scalars or ints and
-`from_raw` takes raw values; `evaluate` takes and returns raw values.
+`from_raw` takes raw values.  Substitution matrices are raw too; only
+`linear_substitute` takes Scalars or ints, and coerces them once.
+`evaluate` and `binary_roots` return raw values.
 Arithmetic and evaluation never assume that the exponents are
 non-negative, so a Laurent form in (U, V) is a MultiPoly in two
 variables (see `constructions`).
@@ -145,8 +147,7 @@ class MultiPoly:
             return self
         F = self.field
         return MultiPoly.from_raw(target, self.nvars, {
-            e: embed(F.from_raw(c), target).raw
-            for e, c in self.terms.items()})
+            e: embed(F, c, target) for e, c in self.terms.items()})
 
     def __str__(self):
         return poly_to_string(self)
@@ -377,14 +378,15 @@ def partial_derivative(f: MultiPoly, i: int) -> MultiPoly:
 
 
 def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
-    """f(M.X) for an invertible nvars x nvars scalar matrix M."""
+    """f(M.X) for an invertible nvars x nvars matrix M of Scalars or
+    ints."""
     F = f.field
     if any(len(row) != f.nvars for row in matrix):
         raise ValueError(f"expected a {f.nvars} x {f.nvars} matrix")
-    if linalg.inverse(F, [[F.scalar(c).raw for c in row]
-                          for row in matrix]) is None:
+    m = [[F.scalar(c).raw for c in row] for row in matrix]
+    if linalg.inverse(F, m) is None:
         raise ValueError("substitution matrix is singular")
-    return substitute_linear_map(f, matrix)
+    return substitute_linear_map(f, m)
 
 
 def _raw_mul(F, a, b):
@@ -438,16 +440,18 @@ def _substitute_raw(F, terms, images, one):
 
 
 def substitute_linear_map(f: MultiPoly, m) -> MultiPoly:
-    """f(M.Y): substitute X_i = sum_j m[i][j] * Y_j.  M may be
-    rectangular, as for a hyperplane section (n + 1 -> n variables)."""
+    """f(M.Y): substitute X_i = sum_j m[i][j] * Y_j, for a matrix M of
+    raw values over f's field.  M may be rectangular, as for a hyperplane
+    section (n + 1 -> n variables)."""
     F = f.field
     ncols = len(m[0])
     if len(m) != f.nvars or {len(row) for row in m} != {ncols}:
         raise ValueError(f"expected a map with {f.nvars} rows of one length")
     one = (0,) * ncols
     units = [one[:j] + (1,) + one[j + 1:] for j in range(ncols)]
-    images = [{u: r for u, x in zip(units, row) if (r := F.scalar(x).raw)}
-              for row in m]
+    for row in m:
+        check_raw(F, row)
+    images = [{u: x for u, x in zip(units, row) if x} for row in m]
     return MultiPoly.from_raw(F, ncols, _substitute_raw(F, f.terms, images,
                                                         one))
 
@@ -483,10 +487,11 @@ def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
     return _binary_form(F, f.total_degree * degs.pop(), out)
 
 
-def map_curve(m, curve):
+def map_curve(field, m, curve):
     """The curve M.h: component i is sum_j m[i][j] h_j, for binary forms
-    h_j of one degree and a scalar matrix M over a subfield of theirs; a
-    zero row gives the zero form of the curve's degree."""
+    h_j of one degree and a matrix M of raw values over `field`, a
+    subfield of theirs; a zero row gives the zero form of the curve's
+    degree."""
     F, degree, n = curve[0].field, curve[0].degree, len(curve)
     if any(len(row) != n for row in m):
         raise ValueError(f"expected a map with {n} columns")
@@ -495,9 +500,11 @@ def map_curve(m, curve):
     origin = (0,) * n
     units = [origin[:j] + (1,) + origin[j + 1:] for j in range(n)]
     images = _binary_images(h.coeffs for h in curve)
+    for row in m:
+        check_raw(field, row)
     return [_binary_form(F, degree, _substitute_raw(
                 F, {u: r for u, x in zip(units, row)
-                    if (r := embed(x, F).raw)}, images, (0,)))
+                    if (r := embed(field, x, F))}, images, (0,)))
             for row in m]
 
 
@@ -544,9 +551,10 @@ class BinaryForm:
         return cls(field, len(scalars) - 1, scalars)
 
     @classmethod
-    def monomial(cls, field, i, j, value=1):
+    def monomial(cls, field, i, j):
+        """The form U^i V^j."""
         c = [field.rzero] * (i + j + 1)
-        c[j] = field.scalar(value).raw
+        c[j] = field.rone
         return cls.from_raw(field, i + j, c)
 
     def is_zero(self):
@@ -658,7 +666,7 @@ class BinaryForm:
             return self
         F = self.field
         return BinaryForm.from_raw(target, self.degree, [
-            embed(F.from_raw(c), target).raw for c in self.coeffs])
+            embed(F, c, target) for c in self.coeffs])
 
     def reparametrize(self, a, b, c, d):
         """Substitute U -> aU + bV, V -> cU + dV, for raw a, b, c, d."""
@@ -726,7 +734,7 @@ def binary_roots(f: BinaryForm, max_ext: int):
     """Projective roots of a nonzero binary form over extensions.
 
     Returns [(u, v, ext_degree, multiplicity)] with (u, v) normalized
-    scalars in F_{q^ext}.
+    raw values of F_{q^ext}.
     """
     from .fields import find_roots
     if f.is_zero():
@@ -735,11 +743,11 @@ def binary_roots(f: BinaryForm, max_ext: int):
     out = []
     vc = f.v_content()
     if vc:
-        out.append((F.one, F.zero, 1, vc))
+        out.append((F.rone, F.rzero, 1, vc))
     deh = f.dehomogenize()
     if deh.degree > 0:
         for r in find_roots(deh, max_ext):
-            out.append((r.value, r.value.field.one, r.ext_degree,
+            out.append((r.value, r.field.rone, r.ext_degree,
                         r.multiplicity))
     return out
 

@@ -23,7 +23,8 @@ from itertools import accumulate
 from typing import Optional
 
 from . import linalg
-from .errors import IntegrityError, MonadError
+from .errors import IntegrityError, MonadError, ScanBudgetExceeded
+from .fields import make_field
 from .poly import BinaryForm, gcd_bin, binary_roots, _monic_bin
 
 
@@ -175,12 +176,13 @@ def _root_witness(g):
         return f"(common factor {g})"
     try:
         roots = binary_roots(g, max(1, g.degree))
-    except Exception:
+    except ScanBudgetExceeded:
         return f"(common factor {g})"
     if roots:
         u, v, ext, _ = roots[0]
-        return f"root ({u}:{v})" + (f" over extension degree {ext}"
-                                    if ext > 1 else "")
+        K = make_field(g.field.p, g.field.k * ext)
+        return f"root ({K.rstr(u)}:{K.rstr(v)})" + (
+            f" over extension degree {ext}" if ext > 1 else "")
     return f"(common factor {g})"
 
 

@@ -7,7 +7,6 @@ import itertools
 import random
 
 from veryfree import fields, linalg
-from veryfree.constructions import _mat_mul_scalar
 from veryfree.fields import Scalar, embed, join_field, make_field
 from veryfree.hypersurface import (LineP3, _cell_patterns,
                                    _completion_matrix, _nodal_frame,
@@ -23,6 +22,11 @@ F5 = make_field(5)
 F7 = make_field(7)
 F11 = make_field(11)
 QQ = make_field(0, 1)
+
+
+def embed_scalar(x, target):
+    """The Scalar x embedded in the target field, as a Scalar."""
+    return Scalar(target, embed(x.field, x.raw, target))
 
 
 def random_form(field, nvars, degree, rng):
@@ -132,30 +136,37 @@ def lines_by_row_pairing(x, K):
     return sorted(lines, key=lambda l: l.sort_key())
 
 
+def _scalar_mat_mul(K, a, b):
+    return [[sum((x * y for x, y in zip(row, col)), K.zero)
+             for col in zip(*b)] for row in a]
+
+
 def prenormalization_by_substitution(cub, node):
     """Oracle for `constructions._nodal_prenormalization`: the same
-    (matrix, a0, a3), with the cubic substituted again after each
-    coordinate change and the coefficients read off the result.  After
-    the node moves to (1:0:0), the tangent directions become Y1 and Y2
-    (matrix M2) and X0 -> X0 - alpha_1 X1 - alpha_2 X2 absorbs the middle
-    terms (matrix M3)."""
+    (field, raw matrix, a0, a3), in Scalar arithmetic, with the cubic
+    substituted again after each coordinate change and the coefficients
+    read off the result.  After the node moves to (1:0:0), the tangent
+    directions become Y1 and Y2 (matrix M2) and X0 -> X0 - alpha_1 X1 -
+    alpha_2 X2 absorbs the middle terms (matrix M3)."""
+    F = node.field
     m1, q, _ = _nodal_frame(cub, node)
     roots = binary_roots(q, 2)
     assert len(roots) == 2 and all(mult == 1 for *_, mult in roots)
-    K = join_field(*[u.field for (u, v, e, m) in roots])
-    (u1, v1), (u2, v2) = [(embed(u, K), embed(v, K))
-                          for (u, v, e, m) in roots]
+    fields_ = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]
+    K = join_field(*fields_)
+    (u1, v1), (u2, v2) = [(embed_scalar(L.from_raw(u), K),
+                           embed_scalar(L.from_raw(v), K))
+                          for L, (u, v, _, _) in zip(fields_, roots)]
     cub_k = cub.map_field(K)
-    m1_k = [[embed(x, K) for x in row] for row in m1]
+    m1_k = [[embed_scalar(F.from_raw(x), K) for x in row] for row in m1]
     l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
             * BinaryForm.from_scalars(K, [v2, -u2]))
     qk = q.map_field(K)
     jj = next(j for j in range(3) if l1l2.coeffs[j])
-    lam = K.rmul(qk.coeffs[jj], K.rinv(l1l2.coeffs[jj]))
-    assert l1l2.scale(lam) == qk
-    s_inv = linalg.inverse(K, [[v1.raw, K.rneg(u1.raw)],
-                               [K.rmul(lam, v2.raw),
-                                K.rneg(K.rmul(lam, u2.raw))]])
+    lam = K.from_raw(qk.coeffs[jj]) / K.from_raw(l1l2.coeffs[jj])
+    assert l1l2 * lam == qk
+    s_inv = linalg.inverse(K, [[v1.raw, (-u1).raw],
+                               [(lam * v2).raw, (-(lam * u2)).raw]])
     m2 = [[K.one, K.zero, K.zero],
           [K.zero, Scalar(K, s_inv[0][0]), Scalar(K, s_inv[0][1])],
           [K.zero, Scalar(K, s_inv[1][0]), Scalar(K, s_inv[1][1])]]
@@ -166,9 +177,9 @@ def prenormalization_by_substitution(cub, node):
           [K.zero, K.one, K.zero],
           [K.zero, K.zero, K.one]]
     f3 = linear_substitute(f2, m3)
-    total = _mat_mul_scalar(K, _mat_mul_scalar(K, m1_k, m2), m3)
-    return total, K.from_raw(f3.coefficient((0, 3, 0))), \
-        K.from_raw(f3.coefficient((0, 0, 3)))
+    total = _scalar_mat_mul(K, _scalar_mat_mul(K, m1_k, m2), m3)
+    return (K, [[c.raw for c in row] for row in total],
+            f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3)))
 
 
 def restrict_by_kernel_basis(f, line):
@@ -188,9 +199,7 @@ def divide_by_completion_inverse(f, line):
     the line does not divide f."""
     F = f.field
     n = [list(col) for col in zip(*_completion_matrix(F, line.coeffs))]
-    n_inv = linalg.inverse(F, [[c.raw for c in row] for row in n])
-    g = substitute_linear_map(f, [[Scalar(F, c) for c in row]
-                                  for row in n_inv])
+    g = substitute_linear_map(f, linalg.inverse(F, n))
     quo = {}
     for (e0, e1, e2), c in g.terms.items():
         if e0 == 0:
@@ -199,16 +208,16 @@ def divide_by_completion_inverse(f, line):
     return substitute_linear_map(MultiPoly.from_raw(F, 3, quo), n)
 
 
-def curve_to_ambient_by_forms(matrix, comps):
+def curve_to_ambient_by_forms(field, matrix, comps):
     """Oracle for `SectionChart.curve_to_ambient`: component i is
     sum_j matrix[i][j] comps[j] in BinaryForm arithmetic, over the field
-    of the components."""
+    of the components, for a raw matrix over `field`."""
     K = comps[0].field
     out = []
     for row in matrix:
         acc = BinaryForm.zero(K, comps[0].degree)
         for h, c in zip(comps, row):
             if c:
-                acc = acc + h * embed(c, K)
+                acc = acc + h * embed_scalar(field.from_raw(c), K)
         out.append(acc)
     return out

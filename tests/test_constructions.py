@@ -54,14 +54,18 @@ def test_standard_parametrization():
 
 # -- normal forms --------------------------------------------------------------
 
+def _scalar_rows(field, rows):
+    """A raw matrix as rows of Scalars, for `linear_substitute`."""
+    return [[field.from_raw(c) for c in row] for row in rows]
+
+
 def test_nodal_normal_form_already_normal():
     cub = parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7)
     node = ProjPoint(F7, [1, 0, 0])
     nf = nodal_normal_form(cub, node)
-    from veryfree.poly import linear_substitute
     target = parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
     assert linear_substitute(cub.map_field(nf.field),
-                             [list(r) for r in nf.matrix]) == target
+                             _scalar_rows(nf.field, nf.matrix)) == target
 
 
 def test_nodal_normal_form_with_scalings():
@@ -69,9 +73,8 @@ def test_nodal_normal_form_with_scalings():
     node = ProjPoint(F7, [1, 0, 0])
     nf = nodal_normal_form(cub, node)
     assert nf.ext_degree_used <= 3
-    from veryfree.poly import linear_substitute
     out = linear_substitute(cub.map_field(nf.field),
-                            [list(r) for r in nf.matrix])
+                            _scalar_rows(nf.field, nf.matrix))
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
 
 
@@ -79,9 +82,8 @@ def test_nodal_normal_form_swapped_directions():
     cub = parse_poly("X0*X1*X2+X2^3+X1^3", 3, F5)
     node = ProjPoint(F5, [1, 0, 0])
     nf = nodal_normal_form(cub, node)
-    from veryfree.poly import linear_substitute
     out = linear_substitute(cub.map_field(nf.field),
-                            [list(r) for r in nf.matrix])
+                            _scalar_rows(nf.field, nf.matrix))
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
 
 
@@ -114,14 +116,14 @@ def test_nodal_prenormalization_matches_substitution_route():
     matrix takes the cubic to X0 X1 X2 + a0 X1^3 + a3 X2^3."""
     steps = set()
     for section, node in _pinned_nodal_sections():
-        total, a0, a3 = _nodal_prenormalization(section, node)
-        assert (total, a0, a3) == prenormalization_by_substitution(section,
-                                                                   node)
-        K = a0.field
+        K, total, a0, a3 = _nodal_prenormalization(section, node)
+        assert (K, total, a0, a3) == prenormalization_by_substitution(
+            section, node)
         steps.add((section.field.k, K.k))
         cub_k = section.map_field(K)
-        assert linear_substitute(cub_k, total) == MultiPoly(
-            K, 3, {(1, 1, 1): K.one, (0, 3, 0): a0, (0, 0, 3): a3})
+        assert linear_substitute(cub_k, _scalar_rows(K, total)) == \
+            MultiPoly.from_raw(K, 3, {(1, 1, 1): K.rone, (0, 3, 0): a0,
+                                      (0, 0, 3): a3})
     # tangent directions split over F7 and only over F49, on F7 sections
     assert {(1, 1), (1, 2)} <= steps
 
@@ -367,7 +369,8 @@ def test_degree_splitting_consistency():
             continue
         comps_plane = parametrize_conic(conic)
         comps = chart.curve_to_ambient(comps_plane)
-        assert comps == curve_to_ambient_by_forms(chart.matrix, comps_plane)
+        assert comps == curve_to_ambient_by_forms(chart.field, chart.matrix,
+                                                  comps_plane)
         conic_curve = make_curve(xk, comps)
         break
     assert conic_curve is not None

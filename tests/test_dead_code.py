@@ -5,6 +5,8 @@ src/ outside its own body, every name a module imports must be used in
 that module, and every parameter of a function or lambda other than
 `self` and `cls` must be read in its body.  `__init__.py` is exempt from
 the import check: its imports are the package's public re-exports.
+Raw field values are the one value format inside the package, so no
+module but `fields` calls `Scalar(...)`.
 """
 import ast
 import collections
@@ -85,6 +87,16 @@ def _unused_parameters(modules):
     return unused
 
 
+def _scalar_calls(modules):
+    """`module:line` of each `Scalar(...)` call, by name or as an
+    attribute, outside fields.py."""
+    return [f"{name}:{node.lineno}" for name, tree in modules.items()
+            if name != "fields.py" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Scalar"
+                 or getattr(node.func, "attr", None) == "Scalar")]
+
+
 def test_private_functions_are_referenced():
     assert _dead_private_functions(_modules()) == []
 
@@ -95,6 +107,26 @@ def test_imported_names_are_used():
 
 def test_parameters_are_read():
     assert _unused_parameters(_modules()) == []
+
+
+def test_scalars_are_made_only_in_fields():
+    assert _scalar_calls(_modules()) == []
+
+
+def test_scalar_check_catches_planted_calls():
+    planted = {
+        "fields.py": ast.parse("class Scalar:\n"
+                               "    pass\n"
+                               "def one(F):\n"
+                               "    return Scalar(F, 1)\n"),
+        "a.py": ast.parse("from . import fields\n"
+                          "from .fields import Scalar\n"
+                          "def f(F, c):\n"
+                          "    s = F.from_raw(c)\n"
+                          "    return Scalar(F, c), fields.Scalar(F, c), s\n"
+                          "isinstance(1, Scalar)\n"),
+    }
+    assert _scalar_calls(planted) == ["a.py:5", "a.py:5"]
 
 
 def test_checks_catch_planted_dead_code():

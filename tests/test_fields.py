@@ -11,7 +11,7 @@ from veryfree.fields import (QQ, UPoly, cube_root, embed,
                              find_roots, join_field, make_field,
                              parse_field_spec, format_field_spec)
 
-from helpers import F2, F3, F4, F5, F7, count_field_ops
+from helpers import F2, F3, F4, F5, F7, count_field_ops, embed_scalar
 
 
 def test_make_field_prime_and_rational():
@@ -106,8 +106,8 @@ def test_scalar_canonical_strings_roundtrip():
 
 def test_embed_examples():
     F16 = make_field(2, 4)
-    assert embed(F4.one, F16) == F16.one
-    img = embed(F4.gen, F16)
+    assert embed(F4, F4.rone, F16) == F16.rone
+    img = embed_scalar(F4.gen, F16)
     assert img * img + img + F16.one == F16.zero  # root of x^2 + x + 1
 
 
@@ -117,15 +117,16 @@ def test_embed_is_homomorphism():
     for _ in range(10):
         a = F4.from_raw(rng.randrange(4))
         b = F4.from_raw(rng.randrange(4))
-        assert embed(a * b, F16) == embed(a, F16) * embed(b, F16)
-        assert embed(a + b, F16) == embed(a, F16) + embed(b, F16)
+        assert embed_scalar(a * b, F16) == \
+            embed_scalar(a, F16) * embed_scalar(b, F16)
+        assert embed_scalar(a + b, F16) == \
+            embed_scalar(a, F16) + embed_scalar(b, F16)
 
 
 def test_embed_tower_compatibility():
     F16, F256 = make_field(2, 4), make_field(2, 8)
-    for raw in F4.elements():
-        x = F4.from_raw(raw)
-        assert embed(embed(x, F16), F256) == embed(x, F256)
+    for x in F4.elements():
+        assert embed(F16, embed(F4, x, F16), F256) == embed(F4, x, F256)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)],
@@ -144,7 +145,8 @@ def test_embed_takes_least_modulus_root(p, k):
     roots = [raw for raw in target.elements()
              if not modulus_at(target.from_raw(raw))]
     assert len(roots) == k
-    assert embed(src.gen, target).raw == min(roots, key=target.vector_of)
+    assert embed(src, src.gen.raw, target) == min(roots,
+                                                  key=target.vector_of)
 
 
 def test_embed_stops_at_first_modulus_root(monkeypatch):
@@ -154,7 +156,7 @@ def test_embed_stops_at_first_modulus_root(monkeypatch):
     src, target = make_field(7, 3), make_field(7, 6)
     src._embed_cache.clear()  # an earlier embedding must not be reused
     count = count_field_ops(monkeypatch)
-    img = embed(src.gen, target)
+    img = embed_scalar(src.gen, target)
     assert count[0] <= 5000
     assert not sum((img ** i * c for i, c in enumerate(src.modulus)),
                    target.zero)
@@ -162,9 +164,9 @@ def test_embed_stops_at_first_modulus_root(monkeypatch):
 
 def test_embed_rejects_bad_targets():
     with pytest.raises(FieldError):
-        embed(F4.gen, make_field(2, 3))
+        embed(F4, F4.gen.raw, make_field(2, 3))
     with pytest.raises(FieldError):
-        embed(F4.gen, make_field(3, 2))
+        embed(F4, F4.gen.raw, make_field(3, 2))
 
 
 def test_mixed_field_arithmetic_rejected():
@@ -187,7 +189,7 @@ def test_field_spec_strings():
 def test_find_roots_examples():
     f = UPoly.from_scalars(F7, [-1, 0, 1])          # x^2 - 1
     roots = find_roots(f, 1)
-    assert {str(r.value) for r in roots} == {"1", "6"}
+    assert {r.field.rstr(r.value) for r in roots} == {"1", "6"}
 
     g = UPoly.from_scalars(F3, [1, 0, 1])           # x^2 + 1
     roots = find_roots(g, 2)
@@ -196,7 +198,7 @@ def test_find_roots_examples():
     F9 = make_field(3, 2)
     direct = [x for x in F9.elements()
               if F9.radd(F9.rmul(x, x), 1) == 0]
-    assert {r.value.raw for r in roots} == set(direct)
+    assert {r.value for r in roots} == set(direct)
 
 
 def test_find_roots_cube_root_minimal_field():
@@ -221,7 +223,7 @@ def test_find_roots_multiplicity_and_completeness():
             poly = poly * UPoly.from_scalars(K, [-r, K.one])
         roots = find_roots(poly, 1)
         assert sum(r.multiplicity for r in roots) == 3
-        assert {r.value for r in roots} == set(rs)
+        assert {r.value for r in roots} == {x.raw for x in rs}
 
 
 # largest extension degree scanned per prime: fields of at most 125 elements
@@ -249,7 +251,7 @@ def test_find_roots_matches_sympy_factorisation(p):
         roots = find_roots(f, max_ext)
         assert sorted((r.ext_degree, r.multiplicity)
                       for r in roots) == expected
-        assert all(r.value.field is make_field(p, r.ext_degree)
+        assert all(r.field is make_field(p, r.ext_degree)
                    for r in roots)
 
 
@@ -266,10 +268,8 @@ def test_find_roots_budget():
 def test_cube_root_everywhere():
     for field in (F7, make_field(7, 2), F2, F4, make_field(5, 1)):
         for raw in list(field.elements())[:12]:
-            a = field.from_raw(raw)
-            r = cube_root(a)
-            target = a if r.field is field else embed(a, r.field)
-            assert r ** 3 == target
+            K, r = cube_root(field, raw)
+            assert K.from_raw(r) ** 3 == embed_scalar(field.from_raw(raw), K)
 
 
 @pytest.mark.parametrize("p,k", [(7, 4), (2, 8), (3, 5)])

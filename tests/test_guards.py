@@ -1,12 +1,16 @@
 """Fault injection: each consistency guard of `eckardt_points` fires when
-one meeting point of the 27 lines on Clebsch over F49 is corrupted."""
+one meeting point of the 27 lines on Clebsch over F49 is corrupted, and
+each guard of the nodal normal form fires when one of its producers (the
+tangent directions, the tangent-cone frame, the cube roots) is."""
 import pytest
 
+from veryfree import constructions
 from veryfree.errors import IntegrityError
-from veryfree.fields import make_field
+from veryfree.fields import cube_root, make_field
 from veryfree.hypersurface import (Hypersurface, LineP3, ProjPoint,
-                                   eckardt_points, lines_on_cubic_surface)
-from veryfree.poly import parse_poly
+                                   _nodal_frame, eckardt_points,
+                                   lines_on_cubic_surface)
+from veryfree.poly import BinaryForm, binary_roots, parse_poly
 
 F49 = make_field(7, 2)
 CLEBSCH = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3",
@@ -67,3 +71,61 @@ def test_eckardt_pair_given_another_point(monkeypatch, census):
     _patch_meets(monkeypatch, lines, (a, b), elsewhere)
     with pytest.raises(IntegrityError, match="pair-count identity failed"):
         eckardt_points(CLEBSCH, lines)
+
+
+# -- the nodal normal form --------------------------------------------------
+
+F7 = make_field(7)
+NODAL = parse_poly("X0*X1*X2+2*X1^3+X2^3", 3, F7)
+NODE = ProjPoint(F7, [1, 0, 0])
+
+
+def _first_root_twice(q, max_ext):
+    first = binary_roots(q, max_ext)[0]
+    return [first, first]
+
+
+def _one_double_root(q, max_ext):
+    u, v, ext, _ = binary_roots(q, max_ext)[0]
+    return [(u, v, ext, 2)]
+
+
+def _second_root_moved(q, max_ext):
+    """(1:1) in place of the second tangent direction, which is no root
+    of q = X1 X2."""
+    first, (_, _, ext, mult) = binary_roots(q, max_ext)
+    return [first, (1, 1, ext, mult)]
+
+
+def _corner_dropped(cub, pt):
+    """The tangent-cone frame with the X1^3 coefficient of c set to 0."""
+    m, q, c = _nodal_frame(cub, pt)
+    return m, q, BinaryForm.from_raw(c.field, 3, (0,) + c.coeffs[1:])
+
+
+def _cube_root_negated(F, x):
+    """A root off by the unit -1, whose cube is -1 in F7."""
+    K, y = cube_root(F, x)
+    return K, K.rneg(y)
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("binary_roots", _one_double_root,
+     "nodal quadric without two distinct roots"),
+    ("binary_roots", _first_root_twice,
+     "tangent directions are not independent"),
+    ("binary_roots", _second_root_moved,
+     "unexpected shape after tangent normalization"),
+    ("_nodal_frame", _corner_dropped,
+     "unexpected shape after tangent normalization"),
+    ("cube_root", _cube_root_negated, "normal form verification failed"),
+], ids=["double-root", "repeated-direction", "moved-direction",
+        "dropped-corner", "negated-cube-root"])
+def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
+    """Each fault, injected where `constructions` calls the producer,
+    reaches its own guard: the classification that `nodal_normal_form`
+    runs first calls these producers through `hypersurface`, which keeps
+    the originals."""
+    monkeypatch.setattr(constructions, name, fault)
+    with pytest.raises(IntegrityError, match=message):
+        constructions.nodal_normal_form(NODAL, NODE)

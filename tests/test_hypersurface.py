@@ -5,7 +5,7 @@ import pytest
 
 from veryfree import linalg
 from veryfree.errors import ExtensionCapExceeded, FieldError, IntegrityError
-from veryfree.fields import Scalar, UPoly, embed, make_field
+from veryfree.fields import Scalar, UPoly, make_field
 from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
@@ -30,7 +30,8 @@ from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
                            parse_poly)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
-                     divide_by_completion_inverse, lines_by_row_pairing,
+                     divide_by_completion_inverse, embed_scalar,
+                     lines_by_row_pairing,
                      random_cubic_form, random_form, random_invertible,
                      restrict_by_kernel_basis, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
@@ -200,7 +201,9 @@ def _brute_singular_points(x, ext_cap):
 def test_point_scans_keep_proj_points_order():
     """surface_points and singular_points_scan list the points that a
     proj_points walk with MultiPoly.evaluate finds, in the same order
-    (fermat2's class counts are filled in this order)."""
+    (fermat2's class counts are filled in this order); so does the strata
+    scan of a conic, whose first zero is the base point of
+    `parametrize_conic`."""
     surfaces = [
         Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F2)),   # cone
         Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F3)),   # triple plane
@@ -218,6 +221,15 @@ def test_point_scans_keep_proj_points_order():
         assert scan == _brute_singular_points(x, ext_cap)
         counts.add(min(len(scan), 4))
     assert counts == {0, 1, 2, 3, 4}
+    # a smooth conic, first zero (1:1:1), and a double line off X0 = 1
+    for conic, first in (("2*X0^2+X1^2+X1*X2+X2^2", (1, 1, 1)),
+                         ("X0^2", (0, 1, 0))):
+        conic = parse_poly(conic, 3, F5)
+        zeros = [raw for i in range(3)
+                 for raw, _ in _row_zeros([conic], i, range(i + 1, 3))]
+        assert zeros == [raw for raw in proj_points(F5, 2)
+                         if not conic.evaluate(raw)]
+        assert zeros[0] == first
 
 
 # -- tangent hyperplanes --------------------------------------------------------
@@ -281,6 +293,9 @@ def test_section_chart_roundtrip():
     for call, arg in ((chart.to_ambient, ProjPoint(F49, [1, 2, 5])),
                       (chart.to_plane, pt.map_field(F49)),
                       (plane.contains, pt.map_field(F49)),
+                      (lambda p: plane_section(x, p), plane.map_field(F49)),
+                      (lambda ln: divide_by_plane_line(section, ln),
+                       Hyperplane(F49, [1, 0, 0])),
                       (line.meets, LineP3.from_raw(F49, [[1, 0, 0, 0],
                                                          [0, 0, 1, 0]]))):
         with pytest.raises(FieldError):
@@ -379,7 +394,7 @@ def test_classify_invariance_under_plane_coordinates():
             if base.singular_point is not None:
                 # transport the singular point through the substitution
                 K = cls.singular_point.field
-                m_k = [[embed(c, K) for c in row] for row in m]
+                m_k = [[embed_scalar(c, K) for c in row] for row in m]
                 at = [Scalar(K, c) for c in cls.singular_point.coords]
                 image = ProjPoint(K, [
                     sum((m_k[i][j] * at[j] for j in range(1, 3)),
@@ -778,7 +793,7 @@ def test_primitives_from_scalars_and_from_raw_agree(k):
             assert a.sort_key() == b.sort_key() == tuple(
                 F.lex_key(c.raw) for c in unit)
             assert a.map_field(T) == b.map_field(T) == cls(
-                T, [embed(c, T) for c in unit])
+                T, [embed_scalar(c, T) for c in unit])
         rows = [[rng.randrange(F.size) for _ in range(4)] for _ in range(2)]
         try:
             a = LineP3(F, [[Scalar(F, c) for c in r] for r in rows])
@@ -788,7 +803,7 @@ def test_primitives_from_scalars_and_from_raw_agree(k):
         assert a == b and hash(a) == hash(b) and str(a) == str(b)
         assert a.to_json() == b.to_json() and a.sort_key() == b.sort_key()
         assert a.map_field(T) == b.map_field(T) == LineP3(
-            T, [[embed(Scalar(F, c), T) for c in r] for r in a.rows])
+            T, [[embed_scalar(Scalar(F, c), T) for c in r] for r in a.rows])
         assert a.plucker == b.plucker
 
 
@@ -800,16 +815,15 @@ def test_completion_matrix_matches_greedy_rank_rule():
     def greedy(field, v):
         cols = [list(v)]
         for j in range(3):
-            unit = [field.one if i == j else field.zero for i in range(3)]
-            raw = [[c.raw for c in col] for col in cols + [unit]]
-            if len(cols) < 3 and linalg.rank(field, raw) == len(cols) + 1:
+            unit = [field.rone if i == j else field.rzero for i in range(3)]
+            if len(cols) < 3 and \
+                    linalg.rank(field, cols + [unit]) == len(cols) + 1:
                 cols.append(unit)
         return [[cols[j][i] for j in range(3)] for i in range(3)]
     for field in (F2, F3, F4):
         for raw in itertools.product(list(field.elements()), repeat=3):
             if any(raw):
-                v = [Scalar(field, c) for c in raw]
-                assert _completion_matrix(field, raw) == greedy(field, v)
+                assert _completion_matrix(field, raw) == greedy(field, raw)
 
 
 def _meets_by_kernel(a, b):

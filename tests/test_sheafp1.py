@@ -40,14 +40,19 @@ def test_validate_nodal_monad():
 
 
 def test_validate_detects_beta_common_factor():
-    m, _, h = nodal_monad(F7)
-    u = parse_binary_form("U", F7)
-    beta = tuple(b * u for b in m.beta)
-    bad = MonadP1(F7, 0, (3, 3, 3, 3), 10, m.alpha, beta)
-    rep = validate_monad(bad)
-    assert not rep.ok
-    assert any(name == "beta" and "root (0:1)" in detail
-               for name, detail in rep.failures)
+    """The witness names the common root; over F49 it is printed in g,
+    not as the raw index 7 of g."""
+    F49 = make_field(7, 2)
+    for field, factor, root in ((F7, "U", "root (0:1)"),
+                                (F49, "U-g*V", "root (g:1)")):
+        m, _, h = nodal_monad(field)
+        u = parse_binary_form(factor, field)
+        beta = tuple(b * u for b in m.beta)
+        bad = MonadP1(field, 0, (3, 3, 3, 3), 10, m.alpha, beta)
+        rep = validate_monad(bad)
+        assert not rep.ok
+        assert any(name == "beta" and root in detail
+                   for name, detail in rep.failures), rep.failures
 
 
 def test_validate_detects_alpha_common_root():
