@@ -434,7 +434,7 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
     sign = None
     if euler_equivalent(lhs, gen_v, curve_l):
         sign = "+"
-    elif euler_equivalent(lhs, -gen_v, curve_l):
+    elif euler_multiple(lhs + gen_v, curve_l) is not None:
         sign = "-"
     flag = None if sign == "+" or F.p == 2 else (
         None if sign is None else
@@ -566,9 +566,8 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     return K, _mat_mul(K, _mat_mul(K, m1_k, m2), m3), a0, a3
 
 
-def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
-                      ext_cap: int = DEFAULT_EXT_CAP
-                      ) -> TangentSectionNormalForm:
+def nodal_normal_form(cub: MultiPoly,
+                      node: ProjPoint) -> TangentSectionNormalForm:
     """Change of plane coordinates bringing a nodal integral cubic to
     X0 X1 X2 + X1^3 + X2^3 exactly, extending the field for the roots
     the scalings require; verified by re-expansion."""
@@ -577,7 +576,7 @@ def nodal_normal_form(cub: MultiPoly, node: ProjPoint,
         raise ValueError("normal forms over Q would need number fields; "
                          "use a finite field")
     # no point given: the Groebner strata confirm the node independently
-    cls = classify_plane_cubic(cub, ext_cap)
+    cls = classify_plane_cubic(cub)
     if cls.tag != NODAL_INTEGRAL or cls.singular_point != node:
         raise ValueError(f"expected a nodal integral cubic with node "
                          f"{node}, classified as {cls.tag} at "

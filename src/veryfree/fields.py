@@ -439,41 +439,17 @@ def _poly_powmod(base, e, m, p):
     return result
 
 
-def _strip(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _poly_gcd(a, b, p):
-    a, b = _strip(list(a)), _strip(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            _strip(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
 def _is_irreducible(m, p):
     """m monic of degree k >= 2 over F_p, via x^(p^j) - x gcd tests."""
     k = len(m) - 1
-    xq = _strip(list(_poly_powmod([0, 1], p**k, m, p)))
-    if xq != [0, 1]:
+    if _poly_powmod([0, 1], p**k, m, p) != [0, 1]:
         return False
+    fp = make_field(p)
     for t in _prime_factors(k):
-        xqt = list(_poly_powmod([0, 1], p**(k // t), m, p))
+        xqt = _poly_powmod([0, 1], p**(k // t), m, p)
         xqt += [0] * max(0, 2 - len(xqt))
         xqt[1] = (xqt[1] - 1) % p
-        g = _poly_gcd(xqt, m, p)
-        if len(g) - 1 > 0:
+        if UPoly(fp, xqt).gcd(UPoly(fp, m)).degree > 0:
             return False
     return True
 

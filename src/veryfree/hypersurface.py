@@ -542,6 +542,7 @@ class SectionChart:
     def line_in_plane(self, line: LineP3):
         """Coefficients of the image of a line of the hyperplane in plane
         coordinates (P^3 ambient only)."""
+        check_field(self.field, line)
         a, b = [ProjPoint.from_raw(self.field, r) for r in line.rows]
         return plane_line_through(self.to_plane(a), self.to_plane(b))
 

@@ -14,17 +14,12 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _gauss_jordan(field, rows, record=None):
+def _gauss_jordan(field, rows):
     """Reduce a copy of `rows`; returns (rref_rows, pivot_columns, det).
 
     `det` is the product of the pivots met, negated once per row swap:
     the determinant when `rows` is square with a pivot in every column.
     Row operations run over the nonzero support of the pivot row only.
-
-    With `record = (steps, idx, coef)`, three lists, each pivot step
-    appends (row, swap_row, inv, start, end) to `steps`: row `row` was
-    swapped with `swap_row` and scaled by `inv`, then each row
-    idx[k] lost coef[k] times it, for k in range(start, end).
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -33,9 +28,6 @@ def _gauss_jordan(field, rows, record=None):
     rmul, rsub = field.rmul, field.rsub
     det, odd = field.rone, False
     pivots = []
-    if record is not None:
-        steps, idx, coef = record
-        start = 0
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -56,14 +48,8 @@ def _gauss_jordan(field, rows, record=None):
             row = m[i]
             c = row[col]
             if i != r and c != z:
-                if record is not None:
-                    idx.append(i)
-                    coef.append(c)
                 for j in support:
                     row[j] = rsub(row[j], rmul(c, prow[j]))
-        if record is not None:
-            steps.append((r, sel, inv, start, len(idx)))
-            start = len(idx)
         pivots.append(col)
     return m, pivots, (field.rneg(det) if odd else det)
 
@@ -121,42 +107,28 @@ def det(field, rows):
 
 
 class Solver:
-    """Repeated consistent solves against a fixed column family.
+    """Solves columns . x = w for a fixed column family.
 
     Columns are vectors in F^dim; `express(w)` returns coefficients x
-    with columns . x = w, or None.  `pivots` lists the greedy
-    left-to-right basis of the columns' span (each column independent
-    of those before it); x is supported on these columns.  The columns
-    are eliminated once at construction, recording each pivot step;
-    `express` replays those steps on a copy of w.
+    with columns . x = w, or None.  Each call runs one `rref` of the
+    augmented matrix [columns | w]: w is outside the span when its
+    column carries a pivot, and otherwise x is read off the pivot rows.
+    x is supported on the pivot columns of the family (the greedy
+    left-to-right basis of its span), with the free coordinates 0.
     """
 
     def __init__(self, field, columns, dim):
         self.field = field
         self.ncols = len(columns)
-        rows = [[col[i] for col in columns] for i in range(dim)]
-        self._steps, self._idx, self._coef = record = [], [], []
-        _, self.pivots, _ = _gauss_jordan(field, rows, record)
+        self._rows = [[col[i] for col in columns] for i in range(dim)]
 
     def express(self, w):
-        field = self.field
-        z = field.rzero
-        rmul, rsub = field.rmul, field.rsub
-        idx, coef = self._idx, self._coef
-        w = list(w)
-        for r, sel, inv, start, end in self._steps:
-            if sel != r:
-                w[r], w[sel] = w[sel], w[r]
-            if w[r] == z:
-                continue
-            wr = w[r] = rmul(inv, w[r])
-            for k in range(start, end):
-                i = idx[k]
-                w[i] = rsub(w[i], rmul(coef[k], wr))
-        rank = len(self.pivots)
-        if any(v != z for v in w[rank:]):
+        n = self.ncols
+        m, pivots = rref(self.field,
+                         [row + [wi] for row, wi in zip(self._rows, w)])
+        if pivots and pivots[-1] == n:
             return None
-        x = [z] * self.ncols
-        for r, p in enumerate(self.pivots):
-            x[p] = w[r]
+        x = [self.field.rzero] * n
+        for r, p in enumerate(pivots):
+            x[p] = m[r][n]
         return x

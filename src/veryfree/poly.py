@@ -55,9 +55,9 @@ class MultiPoly:
         return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, field, nvars, i, exp=1):
+    def variable(cls, field, nvars, i):
         e = [0] * nvars
-        e[i] = exp
+        e[i] = 1
         return cls.from_raw(field, nvars, {tuple(e): field.rone})
 
     def is_zero(self):
@@ -384,7 +384,7 @@ def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
     if any(len(row) != f.nvars for row in matrix):
         raise ValueError(f"expected a {f.nvars} x {f.nvars} matrix")
     m = [[F.scalar(c).raw for c in row] for row in matrix]
-    if linalg.inverse(F, m) is None:
+    if linalg.det(F, m) == F.rzero:
         raise ValueError("substitution matrix is singular")
     return substitute_linear_map(f, m)
 

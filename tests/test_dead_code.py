@@ -6,13 +6,16 @@ that module, and every parameter of a function or lambda other than
 `self` and `cls` must be read in its body.  `__init__.py` is exempt from
 the import check: its imports are the package's public re-exports.
 Raw field values are the one value format inside the package, so no
-module but `fields` calls `Scalar(...)`.
+module but `fields` calls `Scalar(...)`.  Every parameter with a default
+must be set by some call in src/, tests/ or bench/, or it is an option
+nothing uses.
 """
 import ast
 import collections
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "veryfree"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "veryfree"
 
 
 def _modules():
@@ -97,6 +100,72 @@ def _scalar_calls(modules):
                  or getattr(node.func, "attr", None) == "Scalar")]
 
 
+def _callers():
+    """Every module of src/, tests/ and bench/, keyed by its path."""
+    return {str(path.relative_to(ROOT)): ast.parse(path.read_text(),
+                                                   str(path))
+            for d in ("src", "tests", "bench")
+            for path in sorted((ROOT / d).rglob("*.py"))}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, label, index of the first positional argument or
+    None, parameter) for each parameter with a default; a method's
+    callee name is its own, an `__init__`'s its class's, and the
+    positional index skips `self` and `cls`."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, None)
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                name = child.name
+                label = name if cls is None else f"{cls.name}.{name}"
+                if cls is not None and name == "__init__":
+                    name = label = cls.name
+                first = len(positional) - len(a.defaults)
+                found.extend((name, label, i - skip, p)
+                             for i, p in enumerate(positional) if i >= first)
+                found.extend((name, label, None, p) for p, d in
+                             zip(a.kwonlyargs, a.kw_defaults)
+                             if d is not None)
+            else:
+                visit(child, cls)
+    visit(tree, None)
+    return found
+
+
+def _unset_options(modules, callers):
+    """`module:line function(parameter)` of each parameter with a default
+    that no call in `callers` sets, positionally or by keyword; calls
+    match by callee name, and one with *args or **kwargs sets them all."""
+    calls = collections.defaultdict(list)
+    for tree in callers.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                star = any(isinstance(x, ast.Starred) for x in node.args) \
+                    or any(k.arg is None for k in node.keywords)
+                calls[name].append((star, len(node.args),
+                                    {k.arg for k in node.keywords}))
+    unset = []
+    for name, tree in modules.items():
+        for callee, label, index, p in _defaulted_parameters(tree):
+            if not any(star or p.arg in keys
+                       or (index is not None and nargs > index)
+                       for star, nargs, keys in calls[callee]):
+                unset.append(f"{name}:{p.lineno} {label}({p.arg})")
+    return unset
+
+
 def test_private_functions_are_referenced():
     assert _dead_private_functions(_modules()) == []
 
@@ -107,6 +176,10 @@ def test_imported_names_are_used():
 
 def test_parameters_are_read():
     assert _unused_parameters(_modules()) == []
+
+
+def test_defaulted_parameters_are_set_somewhere():
+    assert _unset_options(_modules(), _callers()) == []
 
 
 def test_scalars_are_made_only_in_fields():
@@ -163,3 +236,29 @@ def test_parameter_check_catches_planted_unused_parameters():
     assert set(_unused_parameters(planted)) == {
         "a.py:2 m(y)", "a.py:5 k(args)", "a.py:7 f(b)",
         "a.py:11 <lambda>(v)"}
+
+
+def test_option_check_catches_planted_unset_defaults():
+    planted = {
+        "a.py": ast.parse("class C:\n"
+                          "    def __init__(self, x, y=0, z=0):\n"
+                          "        pass\n"
+                          "    def m(self, u=1, *, v=2):\n"
+                          "        pass\n"
+                          "    @staticmethod\n"
+                          "    def s(w=3):\n"
+                          "        pass\n"
+                          "def f(a, b=1, c=2, *, d=3, e=4):\n"
+                          "    pass\n"
+                          "def g(h=5):\n"
+                          "    pass\n"),
+    }
+    callers = {
+        "t.py": ast.parse("C(1, 2)\n"
+                          "C(0).m(v=1)\n"
+                          "C.s(0)\n"
+                          "f(0, 1, e=2)\n"
+                          "g(**{})\n"),
+    }
+    assert _unset_options(planted, callers) == [
+        "a.py:2 C(z)", "a.py:4 C.m(u)", "a.py:9 f(c)", "a.py:9 f(d)"]

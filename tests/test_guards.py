@@ -1,10 +1,13 @@
 """Fault injection: each consistency guard of `eckardt_points` fires when
 one meeting point of the 27 lines on Clebsch over F49 is corrupted, and
 each guard of the nodal normal form fires when one of its producers (the
-tangent directions, the tangent-cone frame, the cube roots) is."""
+tangent directions, the tangent-cone frame, the cube roots) is.  The
+splitting guards fire when a generator of ker(beta) is dropped, and the
+sign-flip branch of `verify_xi_eta` answers when the generator sections
+are negated."""
 import pytest
 
-from veryfree import constructions
+from veryfree import constructions, sheafp1
 from veryfree.errors import IntegrityError
 from veryfree.fields import cube_root, make_field
 from veryfree.hypersurface import (Hypersurface, LineP3, ProjPoint,
@@ -129,3 +132,57 @@ def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
     monkeypatch.setattr(constructions, name, fault)
     with pytest.raises(IntegrityError, match=message):
         constructions.nodal_normal_form(NODAL, NODE)
+
+
+# -- the splitting of the pulled-back tangent bundle ------------------------
+
+
+def _nodal_monad():
+    nf = constructions.nodal_surface_form(F7)
+    return constructions.pullback_tangent(
+        constructions.normal_form_surface(nf),
+        constructions.curve_in_surface_coordinates(nf))
+
+
+@pytest.mark.parametrize("drop, message", [
+    (0, r"alpha is not in the span of the generators of ker\(beta\)"),
+    (2, r"splitting \{2\} does not match rank 2, degree 3"),
+])
+def test_dropped_generator_of_ker_beta(monkeypatch, drop, message):
+    """K = ker(beta) has three generators in degree -1 on the F7 nodal
+    monad.  Without the first, alpha leaves their span and `express`
+    finds no coordinates; without the third, alpha still lies in the
+    span and the splitting comes out of rank 1."""
+    free_generators = sheafp1._free_generators
+    calls = []
+
+    def dropping(*args):
+        gens = free_generators(*args)
+        calls.append(len(gens))
+        if len(calls) == 1:           # the pass on beta
+            del gens[drop]
+        return gens
+    monad = _nodal_monad()
+    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    monkeypatch.setattr(sheafp1, "_free_generators", dropping)
+    with pytest.raises(IntegrityError, match=message):
+        sheafp1.splitting_type(monad)
+    assert calls[0] == 3
+
+
+GENERATOR_SECTIONS = constructions._generator_sections
+
+
+def _negated_generator_sections(field):
+    return [constructions.LaurentSection(tuple(-c for c in s.components))
+            for s in GENERATOR_SECTIONS(field)]
+
+
+def test_negated_generators_flag_the_sign_flip(monkeypatch):
+    monkeypatch.setattr(constructions, "_generator_sections",
+                        _negated_generator_sections)
+    report = constructions.verify_xi_eta(constructions.nodal_surface_form(F7))
+    check = report.checks[-1]
+    assert check.name == "UV eta - U^3 xi + V^3 xi spans the degree-2 summand"
+    assert check.passed and check.witness == "sign -"
+    assert check.flagged == "generator matches only after global sign flip (-)"

@@ -297,7 +297,9 @@ def test_section_chart_roundtrip():
                       (lambda ln: divide_by_plane_line(section, ln),
                        Hyperplane(F49, [1, 0, 0])),
                       (line.meets, LineP3.from_raw(F49, [[1, 0, 0, 0],
-                                                         [0, 0, 1, 0]]))):
+                                                         [0, 0, 1, 0]])),
+                      (chart.line_in_plane,
+                       LineP3.from_raw(F49, [[1, 10, 0, 0], [0, 0, 1, 0]]))):
         with pytest.raises(FieldError):
             call(arg)
     with pytest.raises(FieldError):

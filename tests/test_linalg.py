@@ -126,15 +126,17 @@ def test_solver_expresses_span_and_rejects_outside(field):
                 for _ in range(ncols)]
         cols.insert(1, combine(field, cols[:1], [rand_elt(field, rng)]))
         solver = linalg.Solver(field, cols, dim)
+        pivots = linalg.rref(field, [[col[i] for col in cols]
+                                     for i in range(dim)])[1]
         span_rank = linalg.rank(field, cols)
-        assert len(solver.pivots) == span_rank
+        assert len(pivots) == span_rank
         for _ in range(3):
             x = [rand_elt(field, rng) for _ in cols]
             w = combine(field, cols, x)
             got = solver.express(w)
             assert got is not None and combine(field, cols, got) == w
             assert all(got[j] == field.rzero for j in range(len(cols))
-                       if j not in solver.pivots)
+                       if j not in pivots)
         outside = 0
         for _ in range(4):
             w = [rand_elt(field, rng) for _ in range(dim)]
@@ -155,7 +157,17 @@ def test_solver_pivots_are_rref_pivots(field):
         cols.append(list(cols[0]))           # a dependent column
         rows = [[col[i] for col in cols] for i in range(dim)]
         solver = linalg.Solver(field, cols, dim)
-        assert solver.pivots == linalg.rref(field, rows)[1]
+        pivots = linalg.rref(field, rows)[1]
+        # x is supported on the rref pivots: each pivot column is its own
+        # unit vector, every other column a combination of earlier pivots
+        for j, col in enumerate(cols):
+            x = solver.express(col)
+            if j in pivots:
+                assert x == [field.rone if k == j else field.rzero
+                             for k in range(len(cols))]
+            else:
+                assert all(x[k] == field.rzero for k in range(len(cols))
+                           if k not in pivots or k > j)
 
 
 def sparse_elt(field, rng):
@@ -193,9 +205,9 @@ def test_solver_replay_on_wide_families(field, dim, ncols, span):
     cols = column_family(field, dim, ncols, span, rng)
     solver = linalg.Solver(field, cols, dim)
     rows = [[col[i] for col in cols] for i in range(dim)]
-    assert solver.pivots == linalg.rref(field, rows)[1]
+    pivots = linalg.rref(field, rows)[1]
     cols_rank = linalg.rank(field, cols)
-    assert len(solver.pivots) == cols_rank
+    assert len(pivots) == cols_rank
     samples = [combine(field, cols, [sparse_elt(field, rng) for _ in cols],
                        dim)
                for _ in range(2)]
@@ -212,5 +224,5 @@ def test_solver_replay_on_wide_families(field, dim, ncols, span):
         assert x is not None and len(x) == ncols
         assert combine(field, cols, x, dim) == w
         assert all(x[j] == field.rzero for j in range(ncols)
-                   if j not in solver.pivots)
+                   if j not in pivots)
     assert (outside > 0) == (cols_rank < dim)
