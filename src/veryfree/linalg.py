@@ -124,8 +124,8 @@ class Solver:
 
     def express(self, w):
         n = self.ncols
-        m, pivots = rref(self.field,
-                         [row + [wi] for row, wi in zip(self._rows, w)])
+        m, pivots = rref(self.field, [row + [wi] for row, wi
+                                      in zip(self._rows, w, strict=True)])
         if pivots and pivots[-1] == n:
             return None
         x = [self.field.rzero] * n

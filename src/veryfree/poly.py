@@ -381,7 +381,7 @@ def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
     """f(M.X) for an invertible nvars x nvars matrix M of Scalars or
     ints."""
     F = f.field
-    if any(len(row) != f.nvars for row in matrix):
+    if len(matrix) != f.nvars or any(len(row) != f.nvars for row in matrix):
         raise ValueError(f"expected a {f.nvars} x {f.nvars} matrix")
     m = [[F.scalar(c).raw for c in row] for row in matrix]
     if linalg.det(F, m) == F.rzero:

@@ -145,6 +145,9 @@ def test_solver_expresses_span_and_rejects_outside(field):
                 assert solver.express(w) is None
         if span_rank < dim:
             assert outside > 0
+        for w in ([field.rzero] * (dim - 1), [field.rzero] * (dim + 1)):
+            with pytest.raises(ValueError):
+                solver.express(w)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
