@@ -13,6 +13,8 @@ operation), and coefficient-vector polynomial arithmetic above that.
 Every deterministic choice in this module (defining modulus, embedding,
 element enumeration) uses one ordering: coefficient vectors
 (c_0, c_1, ..., c_{k-1}) compared lexicographically with c_0 first.
+Roots, embeddings included, come from distinct- and equal-degree
+factorisation of polynomials, not from scans of a field's elements.
 """
 from __future__ import annotations
 
@@ -118,6 +120,44 @@ def _vector_ops(F):
             lambda a: pow_(a, F.size - 2), pow_)
 
 
+def _zech_tables(F):
+    """exp, log and zech tables of F (see `_zech_ops`), generated by the
+    first primitive element in `elements()` order.
+
+    Multiplication by the generator is F_p-linear on the base-p digits
+    of an index, so each power comes from the images of its low and high
+    halves of digits, added digit by digit through a table of sums of
+    half-indices; 1 + g^i bumps digit 0 of exp[i].
+    """
+    p, n, m = F.p, F.size, F.size - 1
+    _, _, _, vmul, _, vpow = _vector_ops(F)
+    factors = _prime_factors(m)
+    gen = next(c for c in F.elements()
+               if c and all(vpow(c, m // f) != 1 for f in factors))
+    half = p ** ((F.k + 1) // 2)
+    low = [vmul(a, gen) for a in range(half)]
+    high = [vmul(a * half, gen) for a in range(n // half)]
+    plus = [0]  # plus[a * w + b] = a + b digit by digit, for a, b < w
+    w = 1
+    while w < half:
+        w, prev = w * p, w
+        plus = [(a + b) % p + p * plus[a // p * prev + b // p]
+                for a in range(w) for b in range(w)]
+    exp = [1] * m
+    e = 1
+    for i in range(1, m):
+        a, b = low[e % half], high[e // half]
+        e = (plus[a % half * half + b % half]
+             + half * plus[a // half * half + b // half])
+        exp[i] = e
+    log = [0] * n
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = [-1 if e == p - 1 else log[e + 1 - p if e % p == p - 1 else e + 1]
+            for e in exp]
+    return exp, log, zech
+
+
 class FieldSpec:
     """Q or F_{p^k}; unique instance per (p, k), see `make_field`.
 
@@ -201,20 +241,10 @@ class FieldSpec:
 
     def _ensure_tables(self):
         """Build the Zech log tables, install their ops and return them."""
-        n, m = self.size, self.size - 1
-        vadd, _, _, vmul, _, vpow = _vector_ops(self)
-        factors = _prime_factors(m)
-        gen = next(c for c in self.elements()
-                   if c and all(vpow(c, m // f) != 1 for f in factors))
-        exp = [1] * m
-        for i in range(1, m):
-            exp[i] = vmul(exp[i - 1], gen)
-        log = [0] * n
-        for i, e in enumerate(exp):
-            log[e] = i
-        zech = [log[s] if s else -1 for s in (vadd(1, e) for e in exp)]
+        exp, log, zech = _zech_tables(self)
         self._exp = exp
-        ops = _zech_ops(exp, log, zech, 0 if self.p == 2 else m // 2)
+        half = 0 if self.p == 2 else (self.size - 1) // 2
+        ops = _zech_ops(exp, log, zech, half)
         self._add, self._neg, self._sub, self._mul, self._inv, self._pow = ops
         return ops
 
@@ -544,16 +574,10 @@ def _embedding_powers(src, target):
 
 
 def _least_modulus_root(src, target):
-    """The least root of the source modulus in the target: `elements()`
-    runs in `lex_key` order, so the scan stops at the first root."""
-    m = src.modulus
-    for cand in target.elements():
-        acc = target.rzero
-        for c in reversed(m):
-            acc = target.radd(target.rmul(acc, cand), c % target.p)
-        if acc == 0:
-            return cand
-    raise AssertionError("modulus has no root in extension")  # unreachable
+    """The least root, by `lex_key`, of the source modulus in the
+    target, where the modulus splits into distinct linear factors."""
+    m = UPoly(target, src.modulus)
+    return min(_split_roots(m, _frobenius(m)[1]), key=target.lex_key)
 
 
 def join_field(*fields: FieldSpec) -> FieldSpec:
@@ -597,15 +621,23 @@ class UPoly:
 
     def __mul__(self, other):
         F = self.field
-        if self.is_zero() or other.is_zero():
-            return UPoly.zero(F)
-        out = [F.rzero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        radd, rmul, zero = F.radd, F.rmul, F.rzero
+        out = [zero] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        if other is self and F.p == 2:  # the cross terms of a square cancel
+            for i, a in enumerate(self.coeffs):
+                out[2 * i] = rmul(a, a)
+            return UPoly(F, out)
         for i, a in enumerate(self.coeffs):
-            if a == F.rzero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.radd(out[i + j], F.rmul(a, b))
+            if a != zero:
+                for j, b in enumerate(other.coeffs):
+                    if b != zero:
+                        out[i + j] = radd(out[i + j], rmul(a, b))
         return UPoly(F, out)
+
+    def __sub__(self, other):
+        F = self.field
+        return UPoly(F, [F.rsub(a, b) for a, b in itertools.zip_longest(
+            self.coeffs, other.coeffs, fillvalue=F.rzero)])
 
     def scale(self, raw):
         F = self.field
@@ -619,30 +651,16 @@ class UPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        F = self.field
         r = list(self.coeffs)
-        q = [F.rzero] * max(0, len(r) - len(other.coeffs) + 1)
-        dinv = F.rinv(other.coeffs[-1])
-        for i in range(len(r) - len(other.coeffs), -1, -1):
-            c = F.rmul(r[i + len(other.coeffs) - 1], dinv)
-            if c != F.rzero:
-                q[i] = c
-                for j, b in enumerate(other.coeffs):
-                    r[i + j] = F.rsub(r[i + j], F.rmul(c, b))
-        return UPoly(F, q), UPoly(F, r)
+        q = _reduce(self.field, r, other.coeffs)
+        return UPoly(self.field, q), UPoly(self.field, r)
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def eval_raw(self, x):
-        F = self.field
-        acc = F.rzero
-        for c in reversed(self.coeffs):
-            acc = F.radd(F.rmul(acc, x), c)
-        return acc
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            _reduce(self.field, a, b)
+            a, b = b, a
+        return UPoly(self.field, a).monic()
 
     def map_field(self, target):
         """Coefficientwise embedding into an extension."""
@@ -650,6 +668,29 @@ class UPoly:
             return self
         return UPoly(target, [embed(self.field, c, target)
                               for c in self.coeffs])
+
+
+def _reduce(F, r, b):
+    """Reduce the raw coefficient list r in place modulo the raw
+    coefficients b, both low to high with b[-1] nonzero, and return the
+    quotient's list; r is left holding the remainder, stripped."""
+    rsub, rmul, zero, one = F.rsub, F.rmul, F.rzero, F.rone
+    n = len(b) - 1
+    dinv = one if b[n] == one else F.rinv(b[n])
+    q = [zero] * max(0, len(r) - n)
+    for i in range(len(r) - n - 1, -1, -1):
+        c = r[i + n]  # cancels below and is not read again
+        if c != zero:
+            if dinv != one:
+                c = rmul(c, dinv)
+            q[i] = c
+            for j in range(n):
+                if b[j] != zero:
+                    r[i + j] = rsub(r[i + j], rmul(c, b[j]))
+    del r[n:]
+    while r and r[-1] == zero:
+        r.pop()
+    return q
 
 
 @dataclass(frozen=True)
@@ -661,11 +702,17 @@ class Root:
 
 
 def find_roots(f: UPoly, max_ext: int) -> list[Root]:
-    """All roots of f over F_{p^(k*j)}, j <= max_ext, by exhaustive scan.
+    """All roots of f over F_{p^(k*j)}, j <= max_ext, level j ascending
+    and each level's roots in `lex_key` order.
 
     Each root appears once, in its minimal field, with multiplicity.
-    Raises ScanBudgetExceeded, before scanning it, if some scan field has
-    more than DEFAULT_SCAN_BUDGET elements.
+    Distinct-degree factorisation over the base field F_q gives the
+    factor gcd(h, x^(q^j) - x) of the part h of f whose roots are not
+    found yet, and `_split_roots` splits it over F_{q^j} (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, Ch. 14).  Dividing h by that
+    factor until they are coprime gives the multiplicities.  Raises
+    ScanBudgetExceeded at the first level j with roots left to find where
+    F_{q^j} has more than DEFAULT_SCAN_BUDGET elements.
     """
     if f.is_zero():
         raise ValueError("find_roots of the zero polynomial")
@@ -673,52 +720,136 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
     if base.is_rational:
         raise FieldError("find_roots requires a finite field")
     found = []
-    by_level = {}       # j -> list of raw roots at that level
-    remaining = f.degree
+    h = f.monic()
+    x = UPoly(base, [base.rzero, base.rone])
     for j in range(1, max_ext + 1):
-        if remaining == 0:
+        if h.degree == 0:
             break
-        K = make_field(base.p, base.k * j)
-        if K.size > DEFAULT_SCAN_BUDGET:
+        size = base.size ** j
+        if size > DEFAULT_SCAN_BUDGET:
             raise ScanBudgetExceeded(
-                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} "
+                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {size} "
                 f"> {DEFAULT_SCAN_BUDGET}")
-        fK = f.map_field(K)
-        known = set()
-        for jp in range(1, j):
-            if j % jp == 0 and jp in by_level:
-                sub = make_field(base.p, base.k * jp)
-                for r in by_level[jp]:
-                    known.add(embed(sub, r, K))
-        here = []
-        for cand in K.elements():
-            if fK.eval_raw(cand) == K.rzero and cand not in known:
-                here.append(cand)
-        for r in here:
-            mult = 0
-            g = fK
-            lin = UPoly(K, [K.rneg(r), K.rone])
-            while True:
-                q, rem = g.divmod(lin)
-                if not rem.is_zero():
-                    break
-                mult += 1
-                g = q
-            found.append(Root(r, K, j, mult))
-            remaining -= mult
-        by_level[j] = here
+        if j == 1:
+            frob, aid = _frobenius(h)       # frob = x^(q^j) mod h
+        else:
+            frob = _powmod(frob, base.size, h)
+        g = h.gcd(frob - x)
+        if g.degree == 0:
+            continue
+        K = make_field(base.p, base.k * j)
+        here, mult = [], 0
+        while g.degree > 0:  # g: the level's factors of multiplicity > mult
+            h = h.divmod(g)[0]
+            mult += 1
+            rest = h.gcd(g)
+            piece = g.divmod(rest)[0].map_field(K)
+            here += [(r, mult) for r in _split_roots(
+                piece, aid if j == 1 else _frobenius(piece)[1])]
+            g = rest
+        here.sort(key=lambda rm: K.lex_key(rm[0]))
+        found += [Root(r, K, j, m) for r, m in here]
     return found
+
+
+def _field_roots(f: UPoly):
+    """The distinct roots of f in its own field, in `lex_key` order, for
+    any size of field."""
+    F = f.field
+    frob, aid = _frobenius(f)
+    g = f.gcd(frob - UPoly(F, [F.rzero, F.rone]))
+    return sorted(_split_roots(g, aid), key=F.lex_key)
+
+
+def _powmod(base: UPoly, e: int, m: UPoly) -> UPoly:
+    """base^e mod m for e >= 1, by left-to-right square and multiply."""
+    base = base.divmod(m)[1]
+    out = base
+    for bit in bin(e)[3:]:
+        out = (out * out).divmod(m)[1]
+        if bit == "1":
+            out = (out * base).divmod(m)[1]
+    return out
+
+
+def _frobenius(h: UPoly):
+    """x^q mod h over F_q = h.field, and the aid that
+    `_split_roots` takes for any factor of h, from the same squarings:
+    the powers x^(2^i) mod h, i < k, in characteristic 2, else
+    x^((q - 1)/2) mod h."""
+    F = h.field
+    x = UPoly(F, [F.rzero, F.rone])
+    if F.p == 2:
+        chain = [x.divmod(h)[1]]
+        for _ in range(F.k):
+            chain.append((chain[-1] * chain[-1]).divmod(h)[1])
+        return chain.pop(), chain
+    half = _powmod(x, (F.size - 1) // 2, h)
+    return (half * half * x).divmod(h)[1], half
+
+
+def _split_roots(g: UPoly, aid):
+    """The roots of the monic squarefree g, all of them in its field K,
+    by Cantor-Zassenhaus equal-degree splitting into linear factors; aid
+    is `_frobenius`'s for a multiple of g.
+
+    The shifts a run over K in `elements()` order: gcd(h, (x + a)^((|K| -
+    1)/2) - 1) for odd |K|, and gcd(h, Tr(a x)) with the trace to F_2 in
+    characteristic 2, where Tr(a x) = sum a^(2^i) x^(2^i).  Two distinct
+    roots r, s are split by some a: in odd characteristic (r + a)/(s + a)
+    runs over every value but 1, and a -> Tr(a (r - s)) is a nonzero
+    linear form.
+    """
+    K = g.field
+    shifts = K.elements()
+    if K.p == 2:
+        next(shifts)  # Tr(0 x) = 0 splits nothing
+    roots, todo = [], [g]
+    while True:
+        pending = []
+        for h in todo:
+            if h.degree == 1:
+                roots.append(K.rneg(h.coeffs[0]))
+            elif h.degree > 1:
+                pending.append(h)
+        if not pending:
+            return roots
+        a = next(shifts)
+        todo = []
+        for h in pending:
+            d = h.gcd(_splitter(h, a, aid))
+            todo += [d, h.divmod(d)[0]] if 0 < d.degree < h.degree else [h]
+
+
+def _splitter(h: UPoly, a, aid):
+    """The polynomial whose gcd with h splits h at the shift a."""
+    K = h.field
+    one = UPoly(K, [K.rone])
+    if K.p == 2:
+        radd, rmul = K.radd, K.rmul
+        trace = [K.rzero] * max(len(power.coeffs) for power in aid)
+        for power in aid:
+            for i, c in enumerate(power.coeffs):
+                trace[i] = radd(trace[i], rmul(c, a))
+            a = rmul(a, a)
+        return UPoly(K, trace)
+    if a == K.rzero:
+        return aid - one
+    return _powmod(UPoly(K, [a, K.rone]), (K.size - 1) // 2, h) - one
 
 
 def cube_root(F: FieldSpec, x):
     """Deterministic cube root of the raw element x of F, as (field, raw
     root), extending to degree 3 when x is a non-cube (q = 1 mod 3);
-    exponentiation only, no field scans."""
+    exponentiation only, no field scans.  In characteristic 3 the root
+    is x^(q/3), the inverse of Frobenius."""
     if F.is_rational:
         raise FieldError("cube roots are computed over finite fields only")
     if not x:
         return F, x
     q = F.size
+    if F.p == 3:  # Frobenius is bijective: every element is a cube
+        return F, F.rpow(x, q // 3)
     if q % 3 == 2:
         return F, F.rpow(x, (2 * q - 1) // 3)
     if F.rpow(x, (q - 1) // 3) == F.rone:

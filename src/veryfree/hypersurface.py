@@ -35,8 +35,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError, ScanBudgetExceeded
-from .fields import UPoly, check_field, embed, find_roots, join_field, \
-    make_field, DEFAULT_SCAN_BUDGET
+from .fields import UPoly, _field_roots, check_field, embed, find_roots, \
+    join_field, make_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
                    eliminant, gcd_bin, groebner_basis, is_unit_ideal,
                    map_curve, partial_derivative, resultant_bin,
@@ -1015,7 +1015,7 @@ def _partners(K, i, free0, row_i, r1, g1):
     if common.degree == 1:
         roots = [rneg(common.coeffs[0])]
     else:
-        roots = [s for s in K.elements() if common.eval_raw(s) == rzero]
+        roots = _field_roots(common)
     return [point(on_line(s)) for s in roots]
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
-S-polynomial built from MultiPoly arithmetic, a field-op counter, a
+S-polynomial built from MultiPoly arithmetic, a field-op counter, root
+finding and Zech tables by element scans and polynomial products, a
 two-row line search, a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic."""
@@ -7,7 +8,10 @@ import itertools
 import random
 
 from veryfree import fields, linalg
-from veryfree.fields import Scalar, embed, join_field, make_field
+from veryfree.errors import ScanBudgetExceeded
+from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
+                             _prime_factors, _vector_ops, embed, join_field,
+                             make_field)
 from veryfree.hypersurface import (LineP3, _cell_patterns,
                                    _completion_matrix, _nodal_frame,
                                    _row_zeros)
@@ -111,6 +115,75 @@ def count_field_ops(monkeypatch):
         monkeypatch.setattr(fields.FieldSpec, op,
                             counted(getattr(fields.FieldSpec, op)))
     return count
+
+
+def roots_by_scan(f, max_ext):
+    """Oracle for `fields.find_roots`: the same list of Roots, from an
+    evaluation of f at every element of F_{p^(k*j)} for j = 1, 2, ...
+    Raises ScanBudgetExceeded, before scanning it, if some scan field has
+    more than DEFAULT_SCAN_BUDGET elements."""
+    if f.is_zero():
+        raise ValueError("find_roots of the zero polynomial")
+    base = f.field
+    found = []
+    by_level = {}       # j -> list of raw roots at that level
+    remaining = f.degree
+    for j in range(1, max_ext + 1):
+        if remaining == 0:
+            break
+        K = make_field(base.p, base.k * j)
+        if K.size > DEFAULT_SCAN_BUDGET:
+            raise ScanBudgetExceeded(
+                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} "
+                f"> {DEFAULT_SCAN_BUDGET}")
+        fK = f.map_field(K)
+        known = set()
+        for jp in range(1, j):
+            if j % jp == 0 and jp in by_level:
+                sub = make_field(base.p, base.k * jp)
+                for r in by_level[jp]:
+                    known.add(embed(sub, r, K))
+        here = []
+        for cand in K.elements():
+            acc = K.rzero
+            for c in reversed(fK.coeffs):
+                acc = K.radd(K.rmul(acc, cand), c)
+            if acc == K.rzero and cand not in known:
+                here.append(cand)
+        for r in here:
+            mult = 0
+            g = fK
+            lin = UPoly(K, [K.rneg(r), K.rone])
+            while True:
+                q, rem = g.divmod(lin)
+                if not rem.is_zero():
+                    break
+                mult += 1
+                g = q
+            found.append(Root(r, K, j, mult))
+            remaining -= mult
+        by_level[j] = here
+    return found
+
+
+def zech_tables_by_multiplication(F):
+    """Oracle for `fields._zech_tables`: the generator is the first
+    primitive element in `elements()` order, each power is the previous
+    one times the generator and each Zech entry one addition, all in
+    coefficient-vector arithmetic."""
+    n, m = F.size, F.size - 1
+    vadd, _, _, vmul, _, vpow = _vector_ops(F)
+    factors = _prime_factors(m)
+    gen = next(c for c in F.elements()
+               if c and all(vpow(c, m // f) != 1 for f in factors))
+    exp = [1] * m
+    for i in range(1, m):
+        exp[i] = vmul(exp[i - 1], gen)
+    log = [0] * n
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = [log[s] if s else -1 for s in (vadd(1, e) for e in exp)]
+    return exp, log, zech
 
 
 def lines_by_row_pairing(x, K):

@@ -87,6 +87,19 @@ def test_nodal_normal_form_swapped_directions():
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
 
 
+@pytest.mark.parametrize("text", ["X0*X1*X2+X1^3+X2^3",
+                                  "X0*X1*X2+2*X1^3+X2^3",
+                                  "X0*X1*X2+2*X1^3+2*X2^3"])
+def test_nodal_normal_form_in_characteristic_3(text):
+    """The scalings take cube roots, which in characteristic 3 stay in
+    the field."""
+    cub = parse_poly(text, 3, F3)
+    nf = nodal_normal_form(cub, ProjPoint(F3, [1, 0, 0]))
+    assert nf.ext_degree_used == 1 and nf.field is F3
+    out = linear_substitute(cub, _scalar_rows(F3, nf.matrix))
+    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F3)
+
+
 def test_nodal_normal_form_rejects_wrong_input():
     cusp = parse_poly("X0*X2^2+X1^3", 3, F7)
     with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from veryfree.fields import (QQ, UPoly, cube_root, embed,
                              find_roots, join_field, make_field,
                              parse_field_spec, format_field_spec)
 
-from helpers import F2, F3, F4, F5, F7, count_field_ops, embed_scalar
+from helpers import (F2, F3, F4, F5, F7, count_field_ops, embed_scalar,
+                     roots_by_scan, zech_tables_by_multiplication)
 
 
 def test_make_field_prime_and_rational():
@@ -150,9 +151,9 @@ def test_embed_takes_least_modulus_root(p, k):
 
 
 def test_embed_stops_at_first_modulus_root(monkeypatch):
-    """F_{7^3} -> F_{7^6}: the least root sits at index 343 of 117 649,
-    so evaluating the modulus up to it costs a few thousand field ops; a
-    scan of every element costs about 700 000."""
+    """F_{7^3} -> F_{7^6}: splitting the cubic modulus over F_{7^6}
+    costs a few thousand field ops; a scan of every one of its 117 649
+    elements costs about 700 000."""
     src, target = make_field(7, 3), make_field(7, 6)
     src._embed_cache.clear()  # an earlier embedding must not be reused
     count = count_field_ops(monkeypatch)
@@ -263,6 +264,98 @@ def test_find_roots_budget():
     f = UPoly.from_scalars(big, [1, 1, 0, 1])
     with pytest.raises(ScanBudgetExceeded, match=r"F_2\^20"):
         find_roots(f, 1)
+
+
+def _root_key(roots):
+    return [(r.value, id(r.field), r.ext_degree, r.multiplicity)
+            for r in roots]
+
+
+# every field whose roots are compared with the scan, and the largest
+# level j with |F_{q^j}| <= 2401
+_SCAN_FIELDS = {"2": 11, "3": 7, "2^2": 5, "5": 4, "7": 4, "2^3": 3,
+                "3^2": 3, "2^4": 2, "5^2": 2, "7^2": 2}
+
+
+@pytest.mark.parametrize("spec", sorted(_SCAN_FIELDS))
+def test_find_roots_matches_scan(spec):
+    """Seeded polynomials of degree 0-6, some with repeated factors, and
+    every max_ext up to the largest level: the same Roots, in the same
+    order, as a scan of each level's field."""
+    F = parse_field_spec(spec)
+    top = _SCAN_FIELDS[spec]
+    rng = random.Random(spec)
+
+    def poly(deg):
+        return UPoly(F, [rng.randrange(F.size) for _ in range(deg)]
+                     + [rng.randrange(1, F.size)])
+    cases = [poly(d) for d in range(7)]
+    cases += [poly(1) * poly(1) * poly(2), poly(2) * poly(2) * poly(1),
+              poly(1) * poly(1) * poly(1)]
+    for n, f in enumerate(cases):
+        max_ext = top - n % top
+        assert _root_key(find_roots(f, max_ext)) == \
+            _root_key(roots_by_scan(f, max_ext))
+
+
+def _budget_outcome(finder, f, max_ext):
+    try:
+        return _root_key(finder(f, max_ext))
+    except ScanBudgetExceeded as e:
+        return str(e)
+
+
+def test_find_roots_budget_matches_scan():
+    """The budget is refused at the level where the scan refused it: the
+    first level with roots left to find and more than
+    DEFAULT_SCAN_BUDGET elements."""
+    big = make_field(2, 20)
+    f = UPoly.from_scalars(big, [1, 1, 0, 1])
+    assert _budget_outcome(find_roots, f, 1) == \
+        _budget_outcome(roots_by_scan, f, 1)
+    K = make_field(2, 10)               # 1 024 elements, 2^20 at level 2
+    split = UPoly(K, [1]) * UPoly(K, [5, 1]) * UPoly(K, [9, 1]) \
+        * UPoly(K, [700, 1])
+    out = _budget_outcome(find_roots, split, 2)
+    assert out == _budget_outcome(roots_by_scan, split, 2)
+    assert [v for v, *_ in out] == sorted([5, 9, 700], key=K.lex_key)
+    c = next(c for c in K.elements()
+             if not roots_by_scan(UPoly(K, [c, 1, 1]), 1))
+    partly = UPoly(K, [c, 1, 1]) * UPoly(K, [3, 1])
+    out = _budget_outcome(find_roots, partly, 2)
+    assert out == _budget_outcome(roots_by_scan, partly, 2)
+    assert out == ("scan budget exceeded: |F_2^20| = 1048576 > "
+                   f"{fields.DEFAULT_SCAN_BUDGET}")
+
+
+def test_find_roots_splits_instead_of_scanning(monkeypatch):
+    """x^2 + g + 2 over F49 has its roots in F_{7^4}: factorising and
+    splitting costs under a thousand field ops, where a scan of F49 and
+    of F_{7^4} costs about 17 000."""
+    F49 = make_field(7, 2)
+    F49._embed_cache.clear()  # the embedding into F_{7^4} is counted too
+    count = count_field_ops(monkeypatch)
+    roots = find_roots(UPoly(F49, [9, 0, 1]), 2)
+    assert count[0] <= 3000
+    assert [(r.field, r.ext_degree, r.multiplicity) for r in roots] == \
+        [(make_field(7, 4), 2, 1)] * 2
+
+
+@pytest.mark.parametrize("spec", ["2^2", "2^3", "3^2", "2^4", "5^2", "3^3",
+                                  "7^2", "7^3", "7^4", "2^8", "3^5"])
+def test_zech_tables_match_multiplication(spec):
+    F = parse_field_spec(spec)
+    assert fields._zech_tables(F) == zech_tables_by_multiplication(F)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cube_root_in_characteristic_3(k):
+    """Frobenius is bijective in characteristic 3, so every element has
+    its cube root in the field itself."""
+    F = make_field(3, k)
+    for raw in F.elements():
+        K, r = cube_root(F, raw)
+        assert K is F and F.rpow(r, 3) == raw
 
 
 def test_cube_root_everywhere():
