@@ -575,9 +575,8 @@ def _embedding_powers(src, target):
 
 def _least_modulus_root(src, target):
     """The least root, by `lex_key`, of the source modulus in the
-    target, where the modulus splits into distinct linear factors."""
-    m = UPoly(target, src.modulus)
-    return min(_split_roots(m, _frobenius(m)[1]), key=target.lex_key)
+    target."""
+    return _field_roots(UPoly(target, src.modulus))[0]
 
 
 def join_field(*fields: FieldSpec) -> FieldSpec:
@@ -654,6 +653,11 @@ class UPoly:
         r = list(self.coeffs)
         q = _reduce(self.field, r, other.coeffs)
         return UPoly(self.field, q), UPoly(self.field, r)
+
+    def __mod__(self, other):
+        r = list(self.coeffs)
+        _reduce(self.field, r, other.coeffs)
+        return UPoly(self.field, r)
 
     def gcd(self, other):
         a, b = list(self.coeffs), list(other.coeffs)
@@ -763,12 +767,12 @@ def _field_roots(f: UPoly):
 
 def _powmod(base: UPoly, e: int, m: UPoly) -> UPoly:
     """base^e mod m for e >= 1, by left-to-right square and multiply."""
-    base = base.divmod(m)[1]
+    base = base % m
     out = base
     for bit in bin(e)[3:]:
-        out = (out * out).divmod(m)[1]
+        out = out * out % m
         if bit == "1":
-            out = (out * base).divmod(m)[1]
+            out = out * base % m
     return out
 
 
@@ -780,12 +784,12 @@ def _frobenius(h: UPoly):
     F = h.field
     x = UPoly(F, [F.rzero, F.rone])
     if F.p == 2:
-        chain = [x.divmod(h)[1]]
+        chain = [x % h]
         for _ in range(F.k):
-            chain.append((chain[-1] * chain[-1]).divmod(h)[1])
+            chain.append(chain[-1] * chain[-1] % h)
         return chain.pop(), chain
     half = _powmod(x, (F.size - 1) // 2, h)
-    return (half * half * x).divmod(h)[1], half
+    return half * half * x % h, half
 
 
 def _split_roots(g: UPoly, aid):
@@ -824,18 +828,17 @@ def _split_roots(g: UPoly, aid):
 def _splitter(h: UPoly, a, aid):
     """The polynomial whose gcd with h splits h at the shift a."""
     K = h.field
-    one = UPoly(K, [K.rone])
-    if K.p == 2:
-        radd, rmul = K.radd, K.rmul
-        trace = [K.rzero] * max(len(power.coeffs) for power in aid)
-        for power in aid:
-            for i, c in enumerate(power.coeffs):
-                trace[i] = radd(trace[i], rmul(c, a))
-            a = rmul(a, a)
-        return UPoly(K, trace)
-    if a == K.rzero:
-        return aid - one
-    return _powmod(UPoly(K, [a, K.rone]), (K.size - 1) // 2, h) - one
+    if K.p != 2:
+        half = aid if a == K.rzero else _powmod(UPoly(K, [a, K.rone]),
+                                                (K.size - 1) // 2, h)
+        return half - UPoly(K, [K.rone])
+    radd, rmul = K.radd, K.rmul
+    trace = [K.rzero] * max(len(power.coeffs) for power in aid)
+    for power in aid:
+        for i, c in enumerate(power.coeffs):
+            trace[i] = radd(trace[i], rmul(c, a))
+        a = rmul(a, a)
+    return UPoly(K, trace)
 
 
 def cube_root(F: FieldSpec, x):

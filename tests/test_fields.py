@@ -308,7 +308,7 @@ def _budget_outcome(finder, f, max_ext):
 def test_find_roots_budget_matches_scan():
     """The budget is refused at the level where the scan refused it: the
     first level with roots left to find and more than
-    DEFAULT_SCAN_BUDGET elements."""
+    DEFAULT_SCAN_BUDGET elements, whether or not that level has roots."""
     big = make_field(2, 20)
     f = UPoly.from_scalars(big, [1, 1, 0, 1])
     assert _budget_outcome(find_roots, f, 1) == \
@@ -322,10 +322,16 @@ def test_find_roots_budget_matches_scan():
     c = next(c for c in K.elements()
              if not roots_by_scan(UPoly(K, [c, 1, 1]), 1))
     partly = UPoly(K, [c, 1, 1]) * UPoly(K, [3, 1])
-    out = _budget_outcome(find_roots, partly, 2)
-    assert out == _budget_outcome(roots_by_scan, partly, 2)
-    assert out == ("scan budget exceeded: |F_2^20| = 1048576 > "
-                   f"{fields.DEFAULT_SCAN_BUDGET}")
+    # a cubic without roots in K is irreducible: no roots at level 2
+    # either, and still refused there
+    c = next(c for c in K.elements()
+             if not roots_by_scan(UPoly(K, [c, 1, 0, 1]), 1))
+    cubic = UPoly(K, [c, 1, 0, 1])
+    for f in (partly, cubic):
+        out = _budget_outcome(find_roots, f, 2)
+        assert out == _budget_outcome(roots_by_scan, f, 2)
+        assert out == ("scan budget exceeded: |F_2^20| = 1048576 > "
+                       f"{fields.DEFAULT_SCAN_BUDGET}")
 
 
 def test_find_roots_splits_instead_of_scanning(monkeypatch):
