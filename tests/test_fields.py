@@ -279,9 +279,9 @@ _SCAN_FIELDS = {"2": 11, "3": 7, "2^2": 5, "5": 4, "7": 4, "2^3": 3,
 
 @pytest.mark.parametrize("spec", sorted(_SCAN_FIELDS))
 def test_find_roots_matches_scan(spec):
-    """Seeded polynomials of degree 0-6, some with repeated factors, and
-    every max_ext up to the largest level: the same Roots, in the same
-    order, as a scan of each level's field."""
+    """Seeded polynomials of degree 0-6, some with repeated factors, with
+    max_ext counting down from the largest level: the same Roots, in the
+    same order, as a scan of each level's field."""
     F = parse_field_spec(spec)
     top = _SCAN_FIELDS[spec]
     rng = random.Random(spec)
