@@ -9,6 +9,9 @@ Each field picks one of four arithmetic backends when it is made:
 `Fraction` operators over Q, residues mod p over F_p, Zech-log tables
 over F_{p^k} up to `_TABLE_CAP` elements (built on the field's first
 operation), and coefficient-vector polynomial arithmetic above that.
+An op read on a field, such as `F.rmul`, is the backend function
+itself, so each raw operation is one Python call; op counters patch
+the class-level `_Op` descriptors and count through them.
 
 Every deterministic choice in this module (defining modulus, embedding,
 element enumeration) uses one ordering: coefficient vectors
@@ -66,21 +69,27 @@ def _zech_ops(exp, log, zech, half):
     g^zech[i] = 1 + g^i (-1 when that is 0), and g^half = -1."""
     m = len(exp)
 
-    def add_logs(a, lb):  # a + g^lb
-        if a == 0:
-            return exp[lb % m]
+    def add(a, b):  # a + b = g^la (1 + g^(lb - la))
+        if not b:
+            return a
+        if not a:
+            return b
         la = log[a]
-        d = zech[(lb - la) % m]
+        d = zech[(log[b] - la) % m]
         return 0 if d == -1 else exp[(la + d) % m]
-
-    def add(a, b):
-        return add_logs(a, log[b]) if b else a
 
     def neg(a):
         return exp[(log[a] + half) % m] if a else 0
 
-    def sub(a, b):
-        return add_logs(a, log[b] + half) if b else a
+    def sub(a, b):  # a - b = a + g^(lb + half)
+        if not b:
+            return a
+        lb = log[b] + half
+        if not a:
+            return exp[lb % m]
+        la = log[a]
+        d = zech[(lb - la) % m]
+        return 0 if d == -1 else exp[(la + d) % m]
 
     def mul(a, b):
         return exp[(log[a] + log[b]) % m] if a and b else 0
@@ -158,12 +167,24 @@ def _zech_tables(F):
     return exp, log, zech
 
 
+class _Op(property):
+    """A raw op that is its backend's function when read on a field, so
+    `F.radd(a, b)` makes one Python call.  Read on the class it is this
+    object, which takes the field first, as a method would: an op counter
+    patches `FieldSpec.radd` and calls the original as `(spec, a, b)`."""
+
+    def __call__(self, spec, *args):
+        return self.fget(spec)(*args)
+
+
 class FieldSpec:
     """Q or F_{p^k}; unique instance per (p, k), see `make_field`.
 
     Raw element values are `Fraction` over Q and `int` indices over
     finite fields; `Scalar` wraps a raw value with its field.  The
-    arithmetic backend is chosen here, once; the raw ops call into it.
+    arithmetic backend is chosen here, once: `radd`, `rneg`, `rsub` and
+    `rmul` read on a field are its backend functions, and `rinv` and
+    `rpow` are methods that call into them.
     """
 
     __slots__ = (
@@ -234,31 +255,28 @@ class FieldSpec:
 
     def _zech_first_use(self):
         # a table costs O(size) to build, so it waits for the field's
-        # first operation instead of slowing every make_field
+        # first operation instead of slowing every make_field; a caller
+        # that read an op before then may keep calling its stub
         def stub(i):
             return lambda *args: self._ensure_tables()[i](*args)
         return tuple(stub(i) for i in range(6))
 
     def _ensure_tables(self):
-        """Build the Zech log tables, install their ops and return them."""
-        exp, log, zech = _zech_tables(self)
-        self._exp = exp
-        half = 0 if self.p == 2 else (self.size - 1) // 2
-        ops = _zech_ops(exp, log, zech, half)
-        self._add, self._neg, self._sub, self._mul, self._inv, self._pow = ops
-        return ops
+        """Build the Zech log tables and install their ops, once; return
+        the ops."""
+        if self._exp is None:
+            exp, log, zech = _zech_tables(self)
+            self._exp = exp
+            half = 0 if self.p == 2 else (self.size - 1) // 2
+            (self._add, self._neg, self._sub, self._mul, self._inv,
+             self._pow) = _zech_ops(exp, log, zech, half)
+        return (self._add, self._neg, self._sub, self._mul, self._inv,
+                self._pow)
 
-    def radd(self, a, b):
-        return self._add(a, b)
-
-    def rneg(self, a):
-        return self._neg(a)
-
-    def rsub(self, a, b):
-        return self._sub(a, b)
-
-    def rmul(self, a, b):
-        return self._mul(a, b)
+    radd = _Op(operator.attrgetter("_add"))
+    rneg = _Op(operator.attrgetter("_neg"))
+    rsub = _Op(operator.attrgetter("_sub"))
+    rmul = _Op(operator.attrgetter("_mul"))
 
     def rinv(self, a):
         if a == 0:

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from veryfree.errors import FieldError, ScanBudgetExceeded
 from veryfree.fields import (QQ, UPoly, cube_root, embed,
                              find_roots, join_field, make_field,
                              parse_field_spec, format_field_spec)
+from veryfree.hypersurface import Hypersurface, lines_on_cubic_surface
+from veryfree.poly import parse_poly
 
 from helpers import (F2, F3, F4, F5, F7, count_field_ops, embed_scalar,
                      roots_by_scan, zech_tables_by_multiplication)
@@ -417,3 +420,69 @@ def test_backend_contract(spec):
             for e in (1, 2, 7, rng.randrange(3, 60)):
                 assert F.rpow(a, -e) == F.rpow(F.rinv(a), e)
     assert (F._exp is not None) == (spec == "7^2")
+    # read on a field, an op is its backend function: one call per op;
+    # read on the class, it takes the field first, as op counters call it
+    for op in ("radd", "rneg", "rsub", "rmul"):
+        assert getattr(F, op) is getattr(F, "_" + op[1:])
+        args = samples[2:3] if op == "rneg" else samples[2:4]
+        assert getattr(fields.FieldSpec, op)(F, *args) == getattr(F, op)(*args)
+
+
+def test_zech_stub_builds_tables_once(monkeypatch):
+    """An op read before the field's first operation is its first-use
+    stub; a caller that keeps calling the stub builds the tables once."""
+    made = make_field(7, 2)
+    F = fields.FieldSpec(7, 2, made.modulus)
+    builds = [0]
+    build = fields._zech_tables
+
+    def counted(spec):
+        builds[0] += 1
+        return build(spec)
+    monkeypatch.setattr(fields, "_zech_tables", counted)
+    add = F.radd
+    assert F._exp is None  # the bench worker's cold state reads this
+    vadd = fields._vector_ops(F)[0]
+    rng = random.Random(49)
+    for _ in range(100):
+        a, b = rng.randrange(F.size), rng.randrange(F.size)
+        assert add(a, b) == vadd(a, b)
+    assert F._exp is not None and builds[0] == 1
+    assert F.radd is not add
+
+
+@pytest.mark.parametrize("spec", ["2^2", "2^3", "2^4", "3^2", "3^3", "5^2",
+                                  "7^2"])
+def test_zech_ops_match_vector_ops_exhaustive(spec):
+    F = parse_field_spec(spec)
+    vadd, vneg, vsub, vmul, _, _ = fields._vector_ops(F)
+    for a in F.elements():
+        assert F.rneg(a) == vneg(a)
+        for b in F.elements():
+            assert F.radd(a, b) == vadd(a, b)
+            assert F.rsub(a, b) == vsub(a, b)
+            assert F.rmul(a, b) == vmul(a, b)
+    assert F._exp is not None
+
+
+def test_op_counters_agree(monkeypatch):
+    """The test counter and the bench counter both patch the class-level
+    ops; stacked, they count the same nonzero number of operations."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    from tracing import OpCounter
+    count = count_field_ops(monkeypatch)
+    bench = OpCounter()
+    bench.install()
+    try:
+        x = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F4))
+        lines, _, _ = lines_on_cubic_surface(x)
+        assert len(lines) == 27
+        assert count[0] > 0 and sum(bench.counts.values()) == count[0]
+        before = count[0], sum(bench.counts.values())
+        assert F7.rpow(3, -2) == 4
+        # once for rpow and once for the rinv it calls
+        assert (count[0], sum(bench.counts.values())) == (before[0] + 2,
+                                                          before[1] + 2)
+    finally:
+        bench.uninstall()
