@@ -522,7 +522,7 @@ def _join_value_flags(argv):
 
 # integer options with a least value, checked before any input is parsed
 _LEAST_VALUES = (("ext_cap", 1), ("line_field_cap", 1), ("nvars", 1),
-                 ("dim", 3))
+                 ("dim", 3), ("ext", 1))
 
 
 def main(argv=None) -> int:

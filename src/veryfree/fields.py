@@ -625,10 +625,6 @@ class UPoly:
     def from_scalars(cls, field, scalars):
         return cls(field, [field.scalar(s).raw for s in scalars])
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field, [])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

@@ -4,12 +4,14 @@ and lines / Eckardt points on cubic surfaces.
 
 Smoothness is decided by one unit-ideal test (Groebner) on each stratum
 X_0 = ... = X_{i-1} = 0, X_i = 1 of P^n; these strata partition P^n, so
-each point is examined in exactly one affine chart.  A plane cubic with
-a known singular point is classified from its tangent cone there;
-otherwise its singular points come from the same strata of P^2 and the
-same Groebner engine: an eliminant in the first free coordinate, then
-the same step on the fibre over each of its roots.  Point scans are
-bounded cross-checks only.
+each point is examined in exactly one affine chart.  A plane cubic is
+classified by the tangent-cone table at its singular points, which come
+from the same strata of P^2 and the same Groebner engine (an eliminant
+in the first free coordinate, then the same step on the fibre over each
+of its roots) unless the caller knows one: one point gives its row, two
+or three a line and conic or a triangle, and an infinite locus a
+repeated line, read at a rational point of it on the line X2 = 0.
+Point scans are bounded cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field; each cell scans its smaller row and solves for the partner point
@@ -734,36 +736,6 @@ def _completion_matrix(field, first_column):
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 
-def _factor_degenerate_conic(q: MultiPoly, s: ProjPoint, ext_cap: int):
-    """Two lines through s whose product is the singular conic q."""
-    F = q.field
-    m = _completion_matrix(F, s.coords)
-    # rotate columns so s sits at (0:0:1)
-    m_rot = [[row[1], row[2], row[0]] for row in m]
-    # m_rot is invertible by construction: substitute X = m_rot Y directly
-    qy = substitute_linear_map(q, m_rot)
-    coeffs = [F.rzero] * 3
-    for (e0, e1, e2), c in qy.terms.items():
-        if e2 != 0:
-            raise IntegrityError("conic is not singular at the given point")
-        coeffs[e1] = c
-    qbin = BinaryForm.from_raw(F, 2, coeffs)
-    roots = binary_roots(qbin, min(2, max(1, ext_cap)))
-    K = make_field(F.p, F.k * max((e for (_, _, e, _) in roots), default=1))
-    sK = s.map_field(K)
-    mK = [[embed(F, c, K) for c in row[:2]] for row in m_rot]
-    lines = []
-    for (u, v, e, mult) in roots:
-        L = make_field(F.p, F.k * e)
-        u2, v2 = embed(L, u, K), embed(L, v, K)
-        direction = ProjPoint.from_raw(K, [
-            K.radd(K.rmul(a, u2), K.rmul(b, v2)) for a, b in mK])
-        lines += [plane_line_through(sK, direction)] * mult
-    if len(lines) != 2:
-        raise IntegrityError(f"degenerate conic with {len(lines)} factors")
-    return lines
-
-
 # -- classification -----------------------------------------------------------
 
 
@@ -772,12 +744,16 @@ def classify_plane_cubic(cub: MultiPoly, ext_cap: int = DEFAULT_EXT_CAP,
                          ) -> CubicSectionClass:
     """Classification of a ternary cubic over the closure of its field.
 
+    Every class is read off `_tangent_cone_class` at a singular point.
     `singular_point`, if given, is a point the caller knows to be
     singular, over its residue field (an extension of the cubic's field,
-    as `_ternary_singular_points` gives points); the class is then read
-    off the tangent cone there, and only the rows with two or three
-    singular points run the Groebner strata.  Raises IntegrityError if
-    the point is not singular.
+    as `_ternary_singular_points` gives points), and the table is read
+    there first.  Otherwise, or where the table gives None, the Groebner
+    strata give the singular points: none is a smooth cubic, one is its
+    row of the table, two are a line and a transverse conic and three a
+    triangle (the table giving None at each), and an infinite locus is a
+    repeated line, whose class the table gives at a rational point of
+    it.  Raises IntegrityError if the given point is not singular.
     """
     if cub.is_zero():
         raise ValueError("cannot classify the zero cubic")
@@ -795,7 +771,7 @@ def classify_plane_cubic(cub: MultiPoly, ext_cap: int = DEFAULT_EXT_CAP,
             return cls
     pts = _ternary_singular_points(cub, ext_cap)
     if pts is None:
-        return _classify_nonreduced(cub)
+        return _classify_nonreduced(cub, ext_cap)
     if not pts:
         return CubicSectionClass(SMOOTH_CUBIC, None, 1)
     if len(pts) > 1:
@@ -879,56 +855,39 @@ def _tangent_cone_class(cub, pt, ext_cap):
 
 
 def _classify_multi_singular(cub, pts, ext_cap):
+    """A reduced cubic with two singular points is a line and a conic
+    meeting transversally, with three a triangle: at each point the
+    tangent cone is two distinct lines, where the table gives None.  The
+    point is the least over the join of the residue fields."""
     if len(pts) > 3:
         raise IntegrityError(f"cubic with {len(pts)} singular points")
+    for pt, _ in pts:
+        cls = _tangent_cone_class(cub, pt, ext_cap)
+        if cls is not None:
+            raise IntegrityError(f"{pt} is one of {len(pts)} singular "
+                                 f"points, but its tangent cone gives "
+                                 f"{cls.tag}")
     K = join_field(*[p.field for p, _ in pts])
-    level = K.k // cub.field.k
-    cub_k = cub.map_field(K)
-    points = sorted((p.map_field(K) for p, _ in pts),
-                    key=lambda p: p.sort_key())
-    line = plane_line_through(points[0], points[1])
-    if not divides_plane_line(cub_k, line):
-        raise IntegrityError("line through two singular points is not "
-                             "a component")
-    conic = divide_by_plane_line(cub_k, line)
-    s = _conic_singular_point(conic)
-    if len(pts) == 2:
-        if s is not None:
-            raise IntegrityError("degenerate residual conic with only two "
-                                 "singular points")
-        meet = restrict_to_plane_line(conic, line)
-        if meet.is_zero() or not _quadric_distinct_roots(meet):
-            raise IntegrityError("tangent contact with two singular points")
-        return CubicSectionClass(LINE_CONIC_TRANSVERSE, points[0], level)
-    if s is None:
-        raise IntegrityError("three singular points but residual conic "
-                             "is smooth")
-    l2, l3 = _factor_degenerate_conic(conic, s, max(1, ext_cap // level))
-    K3 = l2.field
-    coeff_rows = [ln.coeffs for ln in (line.map_field(K3), l2, l3)]
-    if linalg.rank(K3, coeff_rows) != 3:
-        raise IntegrityError("triangle lines are concurrent or repeated")
-    return CubicSectionClass(THREE_LINES_TRIANGLE, points[0],
-                             K3.k // cub.field.k)
+    least = min((p.map_field(K) for p, _ in pts), key=lambda p: p.sort_key())
+    tag = LINE_CONIC_TRANSVERSE if len(pts) == 2 else THREE_LINES_TRIANGLE
+    return CubicSectionClass(tag, least, K.k // cub.field.k)
 
 
-def _classify_nonreduced(cub):
+def _classify_nonreduced(cub, ext_cap):
+    """A cubic with a repeated line: its conjugates are repeated too, so
+    the line is defined over the cubic's field and meets the line X2 = 0
+    in a rational point, which the row scan finds.  The table gives the
+    class at any point of the repeated line."""
     F = cub.field
-    for coeffs in proj_points(F, 2):
-        line = Hyperplane.from_raw(F, coeffs)
-        if not divides_plane_line(cub, line):
-            continue
-        rest = divide_by_plane_line(cub, line)
-        if not divides_plane_line(rest, line):
-            continue
-        residual = divide_by_plane_line(rest, line)
-        res_coeffs = [F.rzero] * 3
-        for e, c in residual.terms.items():
-            res_coeffs[e.index(1)] = c
-        stack = [line.coeffs, res_coeffs]
-        tag = TRIPLE_LINE if linalg.rank(F, stack) == 1 else LINE_DOUBLE_LINE
-        return CubicSectionClass(tag, None, 1)
-    raise IntegrityError("infinite singular locus on a reduced cubic")
+    forms = [cub] + [cub.partial(i) for i in range(3)]
+    raw = next((pt for pivot, free in ((0, (1,)), (1, ()))
+                for pt, grad in _row_zeros(forms, pivot, free)
+                if all(g == F.rzero for g in grad)), None)
+    cls = raw and _tangent_cone_class(cub, ProjPoint.from_raw(F, raw),
+                                      ext_cap)
+    if cls is None:
+        raise IntegrityError("infinite singular locus on a reduced cubic")
+    return cls
 
 
 # -- lines on a cubic surface -------------------------------------------------

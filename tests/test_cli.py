@@ -64,9 +64,23 @@ def test_usage_error_exit_code(capsys):
         code, _, err = run_err(capsys, "build", "--field", "7",
                                "--dim", dim, "--poly", "X0^3")
         assert code == 2 and "--dim" in err and "unknown" not in err
+    for ext in ("0", "-1"):
+        code, _, err = run_err(capsys, "fermat2", "--ext", ext)
+        assert code == 2 and "--ext must be at least 1" in err
     code, _, err = run_err(capsys, "splitting", "--field", "7",
                            "--surface", FERMAT, "--curve", "0;0;0;0")
     assert code == 2 and "every curve component is zero" in err
+
+
+def test_invalid_pullback_monad_fails_verification(capsys):
+    """A cubic curve through the node (1:0:0:0) of the surface, which it
+    passes at (1:0): every partial vanishes there, so beta is not
+    surjective and `pullback_tangent` refuses the monad."""
+    code, _, err = run_err(capsys, "splitting", "--field", "7", "--surface",
+                           "X0*X1*X2+X1^3+X2^3+X3^3",
+                           "--curve", "-U^3-V^3;U^2*V;U*V^2;0")
+    assert code == 1
+    assert "verification failed: pullback monad invalid" in err
 
 
 def test_budget_exit_code(capsys):

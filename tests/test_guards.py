@@ -2,17 +2,18 @@
 one meeting point of the 27 lines on Clebsch over F49 is corrupted, and
 each guard of the nodal normal form fires when one of its producers (the
 tangent directions, the tangent-cone frame, the cube roots) is.  The
-splitting guards fire when a generator of ker(beta) is dropped, and the
-sign-flip branch of `verify_xi_eta` answers when the generator sections
-are negated."""
+guards of `classify_plane_cubic` fire when the Groebner strata report a
+wrong set of singular points.  The splitting guards fire when a
+generator of ker(beta) is dropped, and the sign-flip branch of
+`verify_xi_eta` answers when the generator sections are negated."""
 import pytest
 
-from veryfree import constructions, sheafp1
+from veryfree import constructions, hypersurface, sheafp1
 from veryfree.errors import IntegrityError
 from veryfree.fields import cube_root, make_field
 from veryfree.hypersurface import (Hypersurface, LineP3, ProjPoint,
-                                   _nodal_frame, eckardt_points,
-                                   lines_on_cubic_surface)
+                                   _nodal_frame, classify_plane_cubic,
+                                   eckardt_points, lines_on_cubic_surface)
 from veryfree.poly import BinaryForm, binary_roots, parse_poly
 
 F49 = make_field(7, 2)
@@ -132,6 +133,50 @@ def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
     monkeypatch.setattr(constructions, name, fault)
     with pytest.raises(IntegrityError, match=message):
         constructions.nodal_normal_form(NODAL, NODE)
+
+
+# -- plane-cubic classification ---------------------------------------------
+
+SMOOTH = parse_poly("X0^3+X1^3+X2^3", 3, F7)
+TRIANGLE = parse_poly("X0*X1*X2", 3, F7)
+VERTICES = [(ProjPoint(F7, v), 1) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+AFFINE_ZEROS = hypersurface._affine_zeros
+
+
+def _origin_added(field, gens, nvars, ext_cap):
+    """The zeros of the first stratum with its origin (1:0:0) added."""
+    zeros = AFFINE_ZEROS(field, gens, nvars, ext_cap)
+    return zeros + [(field, (field.rzero,) * 2)] if nvars == 2 else zeros
+
+
+def test_stratum_zero_that_is_not_singular(monkeypatch):
+    monkeypatch.setattr(hypersurface, "_affine_zeros", _origin_added)
+    with pytest.raises(IntegrityError, match="solves the stratum system but "
+                                             "is not a singular point"):
+        classify_plane_cubic(SMOOTH)
+
+
+@pytest.mark.parametrize("cub, points, message", [
+    (TRIANGLE, VERTICES[:1], "is the only singular point, but its tangent "
+                             "cone shows several"),
+    (TRIANGLE, VERTICES + VERTICES[:1], "cubic with 4 singular points"),
+    (NODAL, [(NODE, 1)] * 2, "is one of 2 singular points, but its tangent "
+                             "cone gives NodalIntegral"),
+    (SMOOTH, None, "infinite singular locus on a reduced cubic"),
+    (TRIANGLE, None, "infinite singular locus on a reduced cubic"),
+], ids=["one-vertex-of-a-triangle", "four-points", "node-twice",
+        "smooth-as-nonreduced", "triangle-as-nonreduced"])
+def test_classification_guard_fires(monkeypatch, cub, points, message):
+    """Each wrong answer of the Groebner strata reaches its own guard: one
+    vertex of a triangle, where the table gives None; a fourth point; the
+    node of a nodal cubic twice, where the table gives its class; and an
+    infinite locus for a reduced cubic, whose line X2 = 0 holds no
+    singular point (smooth) or one where the table gives None
+    (triangle)."""
+    monkeypatch.setattr(hypersurface, "_ternary_singular_points",
+                        lambda *args: points)
+    with pytest.raises(IntegrityError, match=message):
+        classify_plane_cubic(cub)
 
 
 # -- the splitting of the pulled-back tangent bundle ------------------------

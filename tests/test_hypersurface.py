@@ -5,7 +5,7 @@ import pytest
 
 from veryfree import linalg
 from veryfree.errors import ExtensionCapExceeded, FieldError, IntegrityError
-from veryfree.fields import Scalar, UPoly, make_field
+from veryfree.fields import Scalar, UPoly, embed, make_field
 from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    LINE_CONIC_TRANSVERSE, LINE_DOUBLE_LINE,
@@ -22,12 +22,13 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    singular_points_scan,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
+                                   _cross, _dot,
                                    _lines_in_cells, _nodal_frame,
                                    _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
 from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
-                           parse_poly)
+                           parse_poly, substitute_linear_map)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
                      divide_by_completion_inverse, embed_scalar,
@@ -365,6 +366,102 @@ def test_classify_full_zoo():
     # transverse line: X1 = 0 meets X1^2 - X0 X2 at (1:0:0) and (0:0:1)
     assert classify_plane_cubic(
         parse_poly("X1*(X1^2-X0*X2)", 3, F7)).tag == LINE_CONIC_TRANSVERSE
+
+
+def _linear(K, coeffs):
+    return MultiPoly.from_raw(K, 3, {
+        e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)
+        if c != K.rzero})
+
+
+def _generated_rows(F, rng):
+    """Cubics over F built as products, each with its tag, its singular
+    points over the field K they are built in (none for a repeated
+    line) and the extension degree of K: a triangle of rational lines, a
+    rational line with the two conjugate lines of a norm from F_{q^2},
+    the three conjugate lines of a norm from F_{q^3}, the line X0 = 0
+    with the conic X0^2 + (X1 + a X2)(X1 + b X2) through two rational or
+    two conjugate points of it, l^2 m and l^3."""
+    q = F.size
+    K2, K3 = make_field(F.p, 2 * F.k), make_field(F.p, 3 * F.k)
+
+    def outside(K):
+        return rng.choice([a for a in K.elements()
+                           if K.rpow(a, q) != a])
+
+    def conjugates(K, coeffs, d):
+        return [[K.rpow(c, q ** i) for c in coeffs] for i in range(d)]
+
+    def triangle(K, rows):
+        lines = [Hyperplane.from_raw(K, r) for r in rows]
+        cub = _linear(K, rows[0]) * _linear(K, rows[1]) * _linear(K, rows[2])
+        return (cub, THREE_LINES_TRIANGLE,
+                [_cross(a, b) for a, b in itertools.combinations(lines, 2)],
+                K.k // F.k)
+
+    def transverse(K, a, b):
+        x0 = _linear(K, [K.rone, K.rzero, K.rzero])
+        conic = (x0 * x0 + _linear(K, [K.rzero, K.rone, a])
+                 * _linear(K, [K.rzero, K.rone, b]))
+        return (x0 * conic, LINE_CONIC_TRANSVERSE,
+                [ProjPoint.from_raw(K, [K.rzero, K.rneg(c), K.rone])
+                 for c in (a, b)], K.k // F.k)
+
+    one, zero = F.rone, F.rzero
+    a2, a3 = outside(K2), outside(K3)
+    x0, x1 = _linear(F, [one, zero, zero]), _linear(F, [zero, one, zero])
+    split = rng.sample(list(F.elements()), 2)
+    yield triangle(F, [[one, zero, zero], [zero, one, zero],
+                       [zero, zero, one]])
+    yield triangle(K2, conjugates(K2, [K2.rone, a2, K2.rzero], 2)
+                   + [[K2.rzero, K2.rzero, K2.rone]])
+    yield triangle(K3, conjugates(K3, [K3.rone, a3, K3.rmul(a3, a3)], 3))
+    yield transverse(F, *split)
+    yield transverse(K2, a2, K2.rpow(a2, q))
+    yield x0 * x0 * x1, LINE_DOUBLE_LINE, [], 1
+    yield x0 * x0 * x0, TRIPLE_LINE, [], 1
+
+
+def test_classify_rows_the_table_leaves_match_generated_truth():
+    """The rows `_tangent_cone_class` leaves to the singular points
+    (transverse line and conic, triangle) and to the repeated line
+    (LineDoubleLine, TripleLine), on cubics built as products and moved
+    by a random X -> M Y.  The tag comes from the construction; so do
+    the recorded point, the least of the moved points M^-1 p over their
+    join field, and ext_degree_used; below that degree the cap is
+    refused."""
+    rng = random.Random(22)
+    seen = set()
+    for F in (F2, F3, F4, F5, F7):
+        for cub, tag, points, ext in _generated_rows(F, rng):
+            K = make_field(F.p, F.k * ext)
+            back = {embed(F, x, K): x for x in F.elements()}
+            cub = MultiPoly.from_raw(F, 3, {e: back[c]
+                                            for e, c in cub.terms.items()})
+            for _ in range(6):
+                while True:
+                    m = [[rng.randrange(F.size) for _ in range(3)]
+                         for _ in range(3)]
+                    inv = linalg.inverse(F, m)
+                    if inv is not None:
+                        break
+                moved = substitute_linear_map(cub, m)
+                inv_k = [[embed(F, c, K) for c in row] for row in inv]
+                least = min((ProjPoint.from_raw(K, [
+                    _dot(K, row, p.coords) for row in inv_k])
+                    for p in points), key=lambda p: p.sort_key(),
+                    default=None)
+                cls = classify_plane_cubic(moved, 6)
+                assert (cls.tag, cls.singular_point, cls.ext_degree_used) \
+                    == (tag, least, ext), f"{moved} over {F}"
+                if ext > 1:
+                    with pytest.raises(ExtensionCapExceeded):
+                        classify_plane_cubic(moved, ext - 1)
+                seen.add((tag, ext))
+    assert seen == {(THREE_LINES_TRIANGLE, 1), (THREE_LINES_TRIANGLE, 2),
+                    (THREE_LINES_TRIANGLE, 3), (LINE_CONIC_TRANSVERSE, 1),
+                    (LINE_CONIC_TRANSVERSE, 2), (LINE_DOUBLE_LINE, 1),
+                    (TRIPLE_LINE, 1)}
 
 
 def test_classify_char2_tangency():
