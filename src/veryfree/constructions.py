@@ -29,11 +29,11 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            _integral_tag, _nodal_frame,
                            _quadric_distinct_roots, _row_zeros,
                            classify_plane_cubic,
-                           divide_by_plane_line, divides_plane_line,
+                           divide_by_plane_line,
                            eckardt_points, hyperplane_section, is_smooth,
                            lines_on_cubic_surface,
                            plane_line_through, plane_section, proj_points,
-                           restrict_to_plane_line, singular_points_scan,
+                           singular_points_scan,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
@@ -870,13 +870,13 @@ def _walk_line_for_section(xm, dm, ext_cap):
         plane = tangent_hyperplane(xm, y)
         section, chart = plane_section(xm, plane)
         d_in = chart.line_in_plane(dm)
-        if not divides_plane_line(section, d_in):
+        try:
+            conic, meet = divide_by_plane_line(section, d_in)
+        except ValueError:
             raise IntegrityError("tangent section at a point of a line "
-                                 "does not contain the line")
-        conic = divide_by_plane_line(section, d_in)
+                                 "does not contain the line") from None
         if _conic_singular_point(conic) is not None:
             continue
-        meet = restrict_to_plane_line(conic, d_in)
         if meet.is_zero() or not _quadric_distinct_roots(meet):
             continue
         hit = _walk_conic_for_node(xm, chart, conic, d_in, ext_cap)

@@ -14,10 +14,11 @@ itself, so each raw operation is one Python call; op counters patch
 the class-level `_Op` descriptors and count through them.
 
 Every deterministic choice in this module (defining modulus, embedding,
-element enumeration) uses one ordering: coefficient vectors
+cube root, element enumeration) uses one ordering: coefficient vectors
 (c_0, c_1, ..., c_{k-1}) compared lexicographically with c_0 first.
-Roots, embeddings included, come from distinct- and equal-degree
-factorisation of polynomials, not from scans of a field's elements.
+Roots, embeddings and cube roots included, come from distinct- and
+equal-degree factorisation of polynomials, not from scans of a field's
+elements.
 """
 from __future__ import annotations
 
@@ -856,50 +857,16 @@ def _splitter(h: UPoly, a, aid):
 
 
 def cube_root(F: FieldSpec, x):
-    """Deterministic cube root of the raw element x of F, as (field, raw
-    root), extending to degree 3 when x is a non-cube (q = 1 mod 3);
-    exponentiation only, no field scans.  In characteristic 3 the root
-    is x^(q/3), the inverse of Frobenius."""
+    """The least root, by `lex_key`, of t^3 - x for the raw element x of
+    F, as (field, raw root): over F when x is a cube there, which always
+    holds when q != 1 mod 3 (characteristic 3 included), else over
+    F_{q^3}.  The roots come from `_field_roots`."""
     if F.is_rational:
         raise FieldError("cube roots are computed over finite fields only")
-    if not x:
-        return F, x
-    q = F.size
-    if F.p == 3:  # Frobenius is bijective: every element is a cube
-        return F, F.rpow(x, q // 3)
-    if q % 3 == 2:
-        return F, F.rpow(x, (2 * q - 1) // 3)
-    if F.rpow(x, (q - 1) // 3) == F.rone:
-        return F, _amm_cube_root(F, x)
-    target = make_field(F.p, F.k * 3)
-    return target, _amm_cube_root(target, embed(F, x, target))
-
-
-def _amm_cube_root(F: FieldSpec, a):
-    """Raw cube root of a known cube a in F = F_q with q = 1 mod 3."""
-    q = F.size
-    t, s = q - 1, 0
-    while t % 3 == 0:
-        t //= 3
-        s += 1
-    # q = 1 mod 3 always has non-cubes
-    eta = next(c for c in F.elements()
-               if c and F.rpow(c, (q - 1) // 3) != F.rone)
-    g = F.rpow(eta, t)
-    b = F.rpow(a, t)
-    order = 3 ** s
-    k = None
-    acc = F.rone
-    for i in range(order):
-        if acc == b:
-            k = i
-            break
-        acc = F.rmul(acc, g)
-    if k is None or k % 3 != 0:
-        raise FieldError("element is not a cube")
-    u = pow(3, -1, t) if t > 1 else 0
-    m = (3 * u - 1) // t
-    y = F.rmul(F.rpow(a, u), F.rpow(g, ((-k * m) // 3) % order))
-    if F.rpow(y, 3) != a:
-        raise AssertionError("cube-root correction failed")
-    return y
+    K = F
+    while True:
+        roots = _field_roots(UPoly(K, [K.rneg(embed(F, x, K)), K.rzero,
+                                       K.rzero, K.rone]))
+        if roots:
+            return K, roots[0]
+        K = make_field(F.p, F.k * 3)

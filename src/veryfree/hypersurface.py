@@ -39,10 +39,9 @@ from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError, ScanBudgetExceeded
 from .fields import UPoly, _field_roots, check_field, embed, find_roots, \
     join_field, make_field, DEFAULT_SCAN_BUDGET
-from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
-                   eliminant, gcd_bin, groebner_basis, is_unit_ideal,
-                   map_curve, partial_derivative, resultant_bin,
-                   substitute_linear_map)
+from .poly import (BinaryForm, MultiPoly, binary_roots, eliminant, gcd_bin,
+                   groebner_basis, is_unit_ideal, map_curve,
+                   partial_derivative, resultant_bin, substitute_linear_map)
 
 DEFAULT_EXT_CAP = 6
 DEFAULT_LINE_FIELD_CAP = 4000  # largest field scanned for lines
@@ -598,36 +597,31 @@ def plane_line_through(p1: ProjPoint, p2: ProjPoint) -> Hyperplane:
     return line
 
 
-def restrict_to_plane_line(f: MultiPoly, line: Hyperplane) -> BinaryForm:
-    """f on a line of P^2, through the line's chart: the chart's two
-    columns are the points (1:0) and (0:1) of the binary form."""
-    return compose_with_curve(f, [BinaryForm.from_raw(line.field, 1, row)
-                                  for row in line.chart()])
-
-
-def divides_plane_line(f: MultiPoly, line: Hyperplane) -> bool:
-    return restrict_to_plane_line(f, line).is_zero()
-
-
-def divide_by_plane_line(f: MultiPoly, line: Hyperplane) -> MultiPoly:
-    """Exact quotient f / L for a linear form L dividing f.
+def divide_by_plane_line(f: MultiPoly, line: Hyperplane):
+    """Exact quotient f / L for a linear form L dividing f, and its
+    trace on the line, a binary form.
 
     With pivot p, X = M.Y for M = [e_p | chart] gives L(X) = Y_0, so
     f(M.Y) = Y_0 h(Y), and f / L = h(N.X) for the inverse N of M, whose
-    rows are L and the unit rows e_k, k != p."""
+    rows are L and the unit rows e_k, k != p.  The chart's two columns
+    are the points (1:0) and (0:1) of the trace h(0, U, V), whose terms
+    are those of f(M.Y) with e_0 = 1."""
     F, p = f.field, line.pivot
     check_field(F, line)
     m = [(F.rone if i == p else F.rzero,) + row
          for i, row in enumerate(line.chart())]
-    quo = {}
-    for (e0, *rest), c in substitute_linear_map(f, m).terms.items():
+    quo, trace = {}, [F.rzero] * f.total_degree
+    for (e0, e1, e2), c in substitute_linear_map(f, m).terms.items():
         if e0 == 0:
             raise ValueError("line does not divide the form")
-        quo[(e0 - 1, *rest)] = c
+        if e0 == 1:
+            trace[e2] = c
+        quo[(e0 - 1, e1, e2)] = c
     units = [[F.rone if i == k else F.rzero for i in range(f.nvars)]
              for k in range(f.nvars) if k != p]
-    return substitute_linear_map(MultiPoly.from_raw(F, f.nvars, quo),
-                                 [line.coeffs, *units])
+    return (substitute_linear_map(MultiPoly.from_raw(F, f.nvars, quo),
+                                  [line.coeffs, *units]),
+            BinaryForm.from_raw(F, f.total_degree - 1, trace))
 
 
 # -- singular points of ternary cubics --------------------------------------

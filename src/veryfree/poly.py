@@ -167,8 +167,6 @@ def _sorted_terms_desc(f):
 
 # -- printing and parsing ----------------------------------------------
 
-_VAR_NAMES = None  # variables print as X0..Xn; binary forms as U, V
-
 
 def _monomial_string(exps, names):
     parts = []

@@ -1,9 +1,9 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
 S-polynomial built from MultiPoly arithmetic, a field-op counter, root
-finding and Zech tables by element scans and polynomial products, a
-two-row line search, a nodal prenormalisation by substitution, and
-plane-line and curve maps through a kernel basis, a matrix inverse and
-binary-form arithmetic."""
+finding, cube roots and Zech tables by element scans and polynomial
+products, a two-row line search, a nodal prenormalisation by
+substitution, and plane-line and curve maps through a kernel basis, a
+matrix inverse and binary-form arithmetic."""
 import itertools
 import random
 
@@ -166,6 +166,24 @@ def roots_by_scan(f, max_ext):
     return found
 
 
+def cube_roots_by_scan(F):
+    """Oracle for `fields.cube_root`: each raw x of F mapped to (K, t),
+    where K is F when x is a cube in F, else F_{q^3}, and t is the first
+    element of `K.elements()`, so the least by `lex_key`, with t^3 = x.
+    The scan of K stops once every x has its root."""
+    out, K = {}, F
+    while len(out) < F.size:
+        todo = {embed(F, x, K): x for x in F.elements() if x not in out}
+        for t in K.elements():
+            if not todo:
+                break
+            x = todo.pop(K.rmul(t, K.rmul(t, t)), None)
+            if x is not None:
+                out[x] = (K, t)
+        K = make_field(F.p, 3 * F.k)
+    return out
+
+
 def zech_tables_by_multiplication(F):
     """Oracle for `fields._zech_tables`: the generator is the first
     primitive element in `elements()` order, each power is the previous
@@ -256,8 +274,9 @@ def prenormalization_by_substitution(cub, node):
 
 
 def restrict_by_kernel_basis(f, line):
-    """Oracle for `hypersurface.restrict_to_plane_line`: f composed with
-    the two points of the line that `linalg.kernel` gives as a basis."""
+    """Oracle for the trace that `hypersurface.divide_by_plane_line`
+    returns, and for whether the line divides f: f composed with the two
+    points of the line that `linalg.kernel` gives as a basis."""
     F = line.field
     ker = linalg.kernel(F, [line.coeffs], 3)
     assert len(ker) == 2

@@ -377,7 +377,7 @@ def test_degree_splitting_consistency():
         plane = tangent_hyperplane(xk, y)
         section, chart = plane_section(xk, plane)
         d_in = chart.line_in_plane(line_k)
-        conic = divide_by_plane_line(section, d_in)
+        conic, _ = divide_by_plane_line(section, d_in)
         if _conic_singular_point(conic) is not None:
             continue
         comps_plane = parametrize_conic(conic)

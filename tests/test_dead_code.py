@@ -1,14 +1,15 @@
 """Dead-code checks over src/veryfree, read with `ast`.
 
 Every module-level `_private` function must be referenced somewhere in
-src/ outside its own body, every name a module imports must be used in
-that module, and every parameter of a function or lambda other than
-`self` and `cls` must be read in its body.  `__init__.py` is exempt from
-the import check: its imports are the package's public re-exports.
-Raw field values are the one value format inside the package, so no
-module but `fields` calls `Scalar(...)`.  Every parameter with a default
-must be set by some call in src/, tests/ or bench/, or it is an option
-nothing uses.
+src/ outside its own body, every module-level `_private` name an
+assignment binds must be read somewhere in src/, every name a module
+imports must be used in that module, and every parameter of a function
+or lambda other than `self` and `cls` must be read in its body.
+`__init__.py` is exempt from the import check: its imports are the
+package's public re-exports.  Raw field values are the one value
+format inside the package, so no module but `fields` calls
+`Scalar(...)`.  Every parameter with a default must be set by some call
+in src/, tests/ or bench/, or it is an option nothing uses.
 """
 import ast
 import collections
@@ -48,6 +49,27 @@ def _dead_private_functions(modules):
                     and refs[node.name] <= _references(node)[node.name]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     return dead
+
+
+def _unread_private_names(modules):
+    """`module:line name` of each module-level _private name that an
+    assignment binds and no code in modules reads, as a Name or an
+    attribute."""
+    read = {getattr(node, "id", None) or node.attr
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            unread += [f"{name}:{node.lineno} {t.id}" for target in targets
+                       for t in ast.walk(target)
+                       if isinstance(t, ast.Name) and t.id.startswith("_")
+                       and not t.id.startswith("__") and t.id not in read]
+    return unread
 
 
 def _unused_imports(modules):
@@ -170,6 +192,10 @@ def test_private_functions_are_referenced():
     assert _dead_private_functions(_modules()) == []
 
 
+def test_private_names_are_read():
+    assert _unread_private_names(_modules()) == []
+
+
 def test_imported_names_are_used():
     assert _unused_imports(_modules()) == []
 
@@ -217,6 +243,19 @@ def test_checks_catch_planted_dead_code():
     }
     assert _dead_private_functions(planted) == ["a.py:4 _orphan"]
     assert _unused_imports(planted) == ["a.py:2 os", "a.py:3 y"]
+
+
+def test_name_check_catches_planted_unread_names():
+    planted = {
+        "a.py": ast.parse("_unread = 1\n"
+                          "_read, (_pair, __dunder__) = 2, (3, 4)\n"
+                          "_typed: int = 5\n"
+                          "public = _read\n"),
+        "b.py": ast.parse("from . import a\n"
+                          "a._pair\n"),
+    }
+    assert _unread_private_names(planted) == ["a.py:1 _unread",
+                                              "a.py:3 _typed"]
 
 
 def test_parameter_check_catches_planted_unused_parameters():

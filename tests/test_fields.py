@@ -14,8 +14,9 @@ from veryfree.fields import (QQ, UPoly, cube_root, embed,
 from veryfree.hypersurface import Hypersurface, lines_on_cubic_surface
 from veryfree.poly import parse_poly
 
-from helpers import (F2, F3, F4, F5, F7, count_field_ops, embed_scalar,
-                     roots_by_scan, zech_tables_by_multiplication)
+from helpers import (F2, F3, F4, F5, F7, count_field_ops,
+                     cube_roots_by_scan, embed_scalar, roots_by_scan,
+                     zech_tables_by_multiplication)
 
 
 def test_make_field_prime_and_rational():
@@ -372,6 +373,18 @@ def test_cube_root_everywhere():
         for raw in list(field.elements())[:12]:
             K, r = cube_root(field, raw)
             assert K.from_raw(r) ** 3 == embed_scalar(field.from_raw(raw), K)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
+                                 (13, 1), (2, 4), (3, 3), (7, 2)])
+def test_cube_root_is_the_least_root(p, k):
+    """`cube_root` gives the least root by `lex_key` of t^3 - x, over F
+    when x is a cube there and over F_{q^3} otherwise, as a scan of the
+    elements in `lex_key` order finds it."""
+    F = make_field(p, k)
+    for x, (K, t) in cube_roots_by_scan(F).items():
+        field, root = cube_root(F, x)
+        assert field is K and root == t, F.vector_of(x)
 
 
 @pytest.mark.parametrize("p,k", [(7, 4), (2, 8), (3, 5)])

@@ -3,17 +3,20 @@ one meeting point of the 27 lines on Clebsch over F49 is corrupted, and
 each guard of the nodal normal form fires when one of its producers (the
 tangent directions, the tangent-cone frame, the cube roots) is.  The
 guards of `classify_plane_cubic` fire when the Groebner strata report a
-wrong set of singular points.  The splitting guards fire when a
+wrong set of singular points, and the guards of the nodal-section walk
+when a tangent section, a conic's base point or completion, or the
+nodal-frame screen is wrong.  The splitting guards fire when a
 generator of ker(beta) is dropped, and the sign-flip branch of
 `verify_xi_eta` answers when the generator sections are negated."""
 import pytest
 
-from veryfree import constructions, hypersurface, sheafp1
+from veryfree import cli, constructions, hypersurface, sheafp1
 from veryfree.errors import IntegrityError
 from veryfree.fields import cube_root, make_field
-from veryfree.hypersurface import (Hypersurface, LineP3, ProjPoint,
-                                   _nodal_frame, classify_plane_cubic,
-                                   eckardt_points, lines_on_cubic_surface)
+from veryfree.hypersurface import (NODAL_INTEGRAL, Hypersurface, LineP3,
+                                   ProjPoint, _nodal_frame,
+                                   classify_plane_cubic, eckardt_points,
+                                   lines_on_cubic_surface)
 from veryfree.poly import BinaryForm, binary_roots, parse_poly
 
 F49 = make_field(7, 2)
@@ -133,6 +136,59 @@ def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
     monkeypatch.setattr(constructions, name, fault)
     with pytest.raises(IntegrityError, match=message):
         constructions.nodal_normal_form(NODAL, NODE)
+
+
+# -- the nodal-section walk -------------------------------------------------
+
+FERMAT = "X0^3+X1^3+X2^3+X3^3"
+PLANE_SECTION = constructions.plane_section
+ROW_ZEROS = constructions._row_zeros
+COMPLETION_MATRIX = constructions._completion_matrix
+
+
+def _fermat_added(x, plane):
+    """The tangent section plus the Fermat cubic, which no line divides
+    in characteristic 7."""
+    section, chart = PLANE_SECTION(x, plane)
+    return section + parse_poly("X0^3+X1^3+X2^3", 3, section.field), chart
+
+
+def _base_point_moved(forms, pivot, free):
+    """The conic's zeros with their last coordinate raised by one."""
+    F = forms[0].field
+    for pt, values in ROW_ZEROS(forms, pivot, free):
+        yield pt[:-1] + (F.radd(pt[-1], F.rone),), values
+
+
+def _completion_repeated(field, first_column):
+    """The completion with its third column equal to its second."""
+    return [(b, u, u) for b, u, _ in COMPLETION_MATRIX(field, first_column)]
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    ("plane_section", _fermat_added,
+     "tangent section at a point of a line does not contain the line"),
+    ("_row_zeros", _base_point_moved, "conic parametrization failed"),
+    ("_completion_matrix", _completion_repeated,
+     "conic parametrization has a base point"),
+    ("_integral_tag", lambda q, c: NODAL_INTEGRAL,
+     "classification disagrees with the nodal-frame screen"),
+], ids=["section-off-the-line", "base-point-off-the-conic",
+        "repeated-completion-column", "screen-passes-all"])
+def test_nodal_section_walk_guard_fires(monkeypatch, capsys, name, fault,
+                                        message):
+    """On Fermat over F7, each fault reaches its own guard in the walk
+    and makes `construct` exit 1.  A base point off the conic puts the
+    parametrization off it; a repeated direction in the completion keeps
+    it on the conic, through a square common factor of the components;
+    a screen that passes every point sends a section that is not nodal
+    at it to the classification."""
+    monkeypatch.setattr(constructions, name, fault)
+    with pytest.raises(IntegrityError, match=message):
+        constructions.find_nodal_section(Hypersurface(parse_poly(FERMAT, 4,
+                                                                 F7)))
+    assert cli.main(["construct", "--field", "7", "--surface", FERMAT]) == 1
+    assert f"verification failed: {message}" in capsys.readouterr().err
 
 
 # -- plane-cubic classification ---------------------------------------------

@@ -18,7 +18,7 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    hyperplane_section, is_smooth,
                                    lines_on_cubic_surface,
                                    plane_line_through, plane_section,
-                                   proj_points, restrict_to_plane_line,
+                                   proj_points,
                                    singular_points_scan,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
@@ -1030,11 +1030,12 @@ def test_hyperplane_section_chart_in_p4():
 @pytest.mark.parametrize("field", [F2, F3, F5, F7, F4, make_field(3, 2)],
                          ids=["F2", "F3", "F5", "F7", "F4", "F9"])
 def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
-    """Restriction to a line of P^2 and exact division by it, both through
-    the line's chart, give the coefficients of the kernel-basis and
-    matrix-inverse routes, for seeded forms of degree 1 to 3 that the line
-    divides and that it does not; the coordinate lines, whose charts have
-    a zero row, are among the lines."""
+    """Exact division by a line of P^2 through the line's chart gives the
+    quotient of the matrix-inverse route, and a trace on the line equal
+    to the quotient composed with the kernel basis, for seeded forms of
+    degree 1 to 3; the kernel basis decides which forms the line
+    divides, and the division refuses the others.  The coordinate
+    lines, whose charts have a zero row, are among the lines."""
     rng = random.Random(1400 + field.size)
     units = [[field.one if i == k else field.zero for i in range(3)]
              for k in range(3)]
@@ -1056,15 +1057,14 @@ def test_plane_line_chart_matches_kernel_and_inverse_oracles(field):
             for h in (f, ell * g):
                 if h.is_zero():
                     continue
-                on_line = restrict_to_plane_line(h, line)
-                want = restrict_by_kernel_basis(h, line)
-                assert (on_line.degree, on_line.coeffs) == (want.degree,
-                                                            want.coeffs)
-                if on_line.is_zero():
+                if restrict_by_kernel_basis(h, line).is_zero():
                     divisible += 1
-                    quo = divide_by_plane_line(h, line)
+                    quo, trace = divide_by_plane_line(h, line)
                     assert quo == divide_by_completion_inverse(h, line)
                     assert ell * quo == h
+                    want = restrict_by_kernel_basis(quo, line)
+                    assert (trace.degree, trace.coeffs) == (want.degree,
+                                                            want.coeffs)
                 else:
                     undivisible += 1
                     with pytest.raises(ValueError):
