@@ -781,21 +781,65 @@ def classify_plane_cubic(cub: MultiPoly, ext_cap: int = DEFAULT_EXT_CAP,
 
 
 def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
-    """Move a singular point to (1:0:0); returns (matrix, q, c) with the
-    cubic equal to X0 q(X1, X2) + c(X1, X2) in the new coordinates."""
-    K = pt.field
-    m = _completion_matrix(K, pt.coords)
-    # m is invertible by construction: substitute X = m Y directly
-    f_loc = substitute_linear_map(cub, m)
-    qco = [K.rzero] * 3
-    cco = [K.rzero] * 4
-    for (e0, e1, e2), coeff in f_loc.terms.items():
-        if e0 >= 2:
-            raise IntegrityError("point is not singular on the cubic")
-        if e0 == 1:
-            qco[e2] = coeff
-        else:
-            cco[e2] = coeff
+    """Move a singular point to (1:0:0): returns (m, q, c), m the
+    `_completion_matrix` of pt, with the cubic equal to
+    X0 q(X1, X2) + c(X1, X2) in the coordinates X = m Y.
+
+    q and c are Taylor coefficients at pt, read off the terms with no
+    substitution.  With `last` the index of pt's last nonzero coordinate,
+    j < k the other two and Z = Y1 e_j + Y2 e_k, X = m Y is s pt + Z
+    (s = Y0), and in every characteristic cub(s pt + Z) has
+      s^0: cub(Z), the terms free of X_last, which is c;
+      s^1: sum_l pt_l (d_l cub)(Z), which is q;
+      s^2: Y1 (d_j cub)(pt) + Y2 (d_k cub)(pt);
+      s^3: cub(pt).
+    The point is singular iff the last two vanish; Euler's relation then
+    gives (d_last cub)(pt) = 0.  cub(pt) is checked on its own, because
+    in characteristic 3 the gradient also vanishes at points off the
+    cubic.  Raises IntegrityError if the point is not singular.
+    """
+    K, x = pt.field, pt.coords
+    m = _completion_matrix(K, x)
+    last = max(i for i, v in enumerate(x) if v)
+    j, k = (i for i in range(3) if i != last)
+    radd, rmul, zero, one = K.radd, K.rmul, K.rzero, K.rone
+    pw = []                     # x_i^n for n = 0..3
+    for v in x:
+        v2 = rmul(v, v)
+        pw.append((one, v, v2, rmul(v2, v)))
+    mult, der = {}, {}          # n x_i and n x_i^(n-1), d/dt t^n at x_i
+    for i in (j, k):
+        v = x[i]
+        v_2 = radd(v, v)
+        v_3 = radd(v_2, v)
+        mult[i] = (zero, v, v_2, v_3)
+        der[i] = (zero, one, v_2, rmul(v_3, v))
+    value = grad_j = grad_k = zero
+    qco, cco = [zero] * 3, [zero] * 4
+    for e, c in cub.terms.items():
+        el, ej, ek = e[last], e[j], e[k]
+        # s^3 and s^2: the term at pt and its derivatives along e_j, e_k,
+        # with no product by a factor that is 1
+        t = rmul(c, pw[last][el]) if el else c
+        tj = rmul(t, pw[j][ej]) if ej else t
+        tk = rmul(t, pw[k][ek]) if ek else t
+        value = radd(value, tk if not ej else tj if not ek
+                     else rmul(tj, pw[k][ek]))
+        if ej:
+            grad_j = radd(grad_j, rmul(tk, der[j][ej]) if ej > 1 else tk)
+        if ek:
+            grad_k = radd(grad_k, rmul(tj, der[k][ek]) if ek > 1 else tj)
+        # s^0 and s^1, skipping derivatives along zero coordinates
+        if el == 1:
+            qco[ek] = radd(qco[ek], rmul(c, x[last]))
+        elif el == 0:
+            cco[ek] = c
+            if ej and x[j]:
+                qco[ek] = radd(qco[ek], rmul(c, mult[j][ej]))
+            if ek and x[k]:
+                qco[ek - 1] = radd(qco[ek - 1], rmul(c, mult[k][ek]))
+    if value or grad_j or grad_k:
+        raise IntegrityError("point is not singular on the cubic")
     return m, BinaryForm.from_raw(K, 2, qco), BinaryForm.from_raw(K, 3, cco)
 
 
@@ -811,7 +855,8 @@ def _integral_tag(q: BinaryForm, c: BinaryForm) -> Optional[str]:
 
 def _tangent_cone_class(cub, pt, ext_cap):
     """Class of a cubic singular at pt, read off the tangent cone q and
-    the cubic part c of `_nodal_frame` (Fulton, Algebraic Curves, Ch. 3);
+    the cubic part c, the Taylor coefficients at pt that `_nodal_frame`
+    gives over pt's residue field (Fulton, Algebraic Curves, Ch. 3);
     None for the rows with several singular points (a transverse line
     and conic, or a triangle).
 

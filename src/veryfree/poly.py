@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 
 from . import linalg
 from .errors import ParseError
@@ -389,11 +390,11 @@ def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
 
 def _raw_mul(F, a, b):
     """Product of raw term dicts {exponents: raw coefficient}."""
-    radd, rmul = F.radd, F.rmul
+    radd, rmul, add = F.radd, F.rmul, operator.add
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             c = rmul(c1, c2)
             if e in out:
                 s = radd(out[e], c)

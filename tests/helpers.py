@@ -1,20 +1,19 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
 S-polynomial built from MultiPoly arithmetic, a field-op counter, root
 finding, cube roots and Zech tables by element scans and polynomial
-products, a two-row line search, a nodal prenormalisation by
-substitution, and plane-line and curve maps through a kernel basis, a
-matrix inverse and binary-form arithmetic."""
+products, a two-row line search, a tangent-cone frame and a nodal
+prenormalisation by substitution, and plane-line and curve maps through
+a kernel basis, a matrix inverse and binary-form arithmetic."""
 import itertools
 import random
 
 from veryfree import fields, linalg
-from veryfree.errors import ScanBudgetExceeded
+from veryfree.errors import IntegrityError, ScanBudgetExceeded
 from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
                              _prime_factors, _vector_ops, embed, join_field,
                              make_field)
 from veryfree.hypersurface import (LineP3, _cell_patterns,
-                                   _completion_matrix, _nodal_frame,
-                                   _row_zeros)
+                                   _completion_matrix, _row_zeros)
 from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
                            compose_with_curve, linear_substitute,
                            substitute_linear_map)
@@ -232,6 +231,24 @@ def _scalar_mat_mul(K, a, b):
              for col in zip(*b)] for row in a]
 
 
+def nodal_frame_by_substitution(cub, pt):
+    """Oracle for `hypersurface._nodal_frame`: the same (m, q, c), read
+    off the cubic substituted by X = m Y for the completion matrix m."""
+    K = pt.field
+    m = _completion_matrix(K, pt.coords)
+    f_loc = substitute_linear_map(cub, m)
+    qco = [K.rzero] * 3
+    cco = [K.rzero] * 4
+    for (e0, e1, e2), coeff in f_loc.terms.items():
+        if e0 >= 2:
+            raise IntegrityError("point is not singular on the cubic")
+        if e0 == 1:
+            qco[e2] = coeff
+        else:
+            cco[e2] = coeff
+    return m, BinaryForm.from_raw(K, 2, qco), BinaryForm.from_raw(K, 3, cco)
+
+
 def prenormalization_by_substitution(cub, node):
     """Oracle for `constructions._nodal_prenormalization`: the same
     (field, raw matrix, a0, a3), in Scalar arithmetic, with the cubic
@@ -240,7 +257,7 @@ def prenormalization_by_substitution(cub, node):
     directions become Y1 and Y2 (matrix M2) and X0 -> X0 - alpha_1 X1 -
     alpha_2 X2 absorbs the middle terms (matrix M3)."""
     F = node.field
-    m1, q, _ = _nodal_frame(cub, node)
+    m1, q, _ = nodal_frame_by_substitution(cub, node)
     roots = binary_roots(q, 2)
     assert len(roots) == 2 and all(mult == 1 for *_, mult in roots)
     fields_ = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]

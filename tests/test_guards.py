@@ -5,17 +5,20 @@ tangent directions, the tangent-cone frame, the cube roots) is.  The
 guards of `classify_plane_cubic` fire when the Groebner strata report a
 wrong set of singular points, and the guards of the nodal-section walk
 when a tangent section, a conic's base point or completion, or the
-nodal-frame screen is wrong.  The splitting guards fire when a
-generator of ker(beta) is dropped, and the sign-flip branch of
-`verify_xi_eta` answers when the generator sections are negated."""
+nodal-frame screen is wrong.  A hyperplane section fires its guard on a
+cubic that contains the hyperplane, and the line search fires its guard
+when a 28th line is found.  The splitting guards fire when a generator
+of ker(beta) is dropped, and the sign-flip branch of `verify_xi_eta`
+answers when the generator sections are negated."""
 import pytest
 
 from veryfree import cli, constructions, hypersurface, sheafp1
 from veryfree.errors import IntegrityError
 from veryfree.fields import cube_root, make_field
-from veryfree.hypersurface import (NODAL_INTEGRAL, Hypersurface, LineP3,
-                                   ProjPoint, _nodal_frame,
-                                   classify_plane_cubic, eckardt_points,
+from veryfree.hypersurface import (NODAL_INTEGRAL, Hyperplane,
+                                   Hypersurface, LineP3, ProjPoint,
+                                   _nodal_frame, classify_plane_cubic,
+                                   eckardt_points, hyperplane_section,
                                    lines_on_cubic_surface)
 from veryfree.poly import BinaryForm, binary_roots, parse_poly
 
@@ -233,6 +236,40 @@ def test_classification_guard_fires(monkeypatch, cub, points, message):
                         lambda *args: points)
     with pytest.raises(IntegrityError, match=message):
         classify_plane_cubic(cub)
+
+
+# -- sections and lines of surfaces -----------------------------------------
+
+
+def test_section_by_a_contained_hyperplane():
+    """X0 (X1^2 + X2^2 + X3^2) contains the plane X0 = 0."""
+    x = Hypersurface(parse_poly("X0*(X1^2+X2^2+X3^2)", 4, F7))
+    with pytest.raises(IntegrityError, match="hypersurface contains the "
+                                             "hyperplane"):
+        hyperplane_section(x, Hyperplane(F7, [1, 0, 0, 0]))
+
+
+LINES_IN_CELLS = hypersurface._lines_in_cells
+
+
+def _line_added(forms):
+    """The lines of the cells plus X0 = X1 = 0, which is not on the
+    Fermat surface: X2^3 + X3^3 does not vanish on it."""
+    K = forms[0].field
+    extra = LineP3(K, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    lines = LINES_IN_CELLS(forms)
+    assert extra not in lines
+    return lines + [extra]
+
+
+def test_twenty_eight_lines(monkeypatch):
+    """The 27 lines of Fermat over F4 and one more: the count shows the
+    surface cannot be smooth."""
+    monkeypatch.setattr(hypersurface, "_lines_in_cells", _line_added)
+    with pytest.raises(IntegrityError, match="28 lines found; the surface "
+                                             "cannot be smooth"):
+        lines_on_cubic_surface(Hypersurface(parse_poly(FERMAT, 4,
+                                                       make_field(2, 2))))
 
 
 # -- the splitting of the pulled-back tangent bundle ------------------------

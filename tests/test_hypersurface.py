@@ -32,7 +32,7 @@ from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
                      divide_by_completion_inverse, embed_scalar,
-                     lines_by_row_pairing,
+                     lines_by_row_pairing, nodal_frame_by_substitution,
                      random_cubic_form, random_form, random_invertible,
                      restrict_by_kernel_basis, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
@@ -631,6 +631,7 @@ def test_tangent_cone_table_reaches_every_row():
     }
     rng = random.Random(5)
     rows = set()
+    on_curve_tested = 0
     for text, tag in zoo.items():
         base = parse_poly(text, 3, F7)
         for cub in [base] + [linear_substitute(base, random_invertible(
@@ -646,10 +647,17 @@ def test_tangent_cone_table_reaches_every_row():
                 K = pt.field
                 _, q, _ = _nodal_frame(cub.map_field(K), pt)
                 rows.add((tag, q.is_zero()))
-            points = (ProjPoint.from_raw(F7, v) for v in proj_points(F7, 2))
-            smooth_pt = next(p for p in points if p not in singular)
-            with pytest.raises(IntegrityError, match="not singular"):
-                classify_plane_cubic(cub, singular_point=smooth_pt)
+            # the first point that is not singular, and the first such
+            # point that lies on the cubic
+            smooth = [p for p in (ProjPoint.from_raw(F7, v)
+                                  for v in proj_points(F7, 2))
+                      if p not in singular]
+            on_curve = [p for p in smooth if not cub.evaluate(p.coords)]
+            on_curve_tested += bool(on_curve)
+            for pt in smooth[:1] + on_curve[:1]:
+                with pytest.raises(IntegrityError, match="not singular"):
+                    classify_plane_cubic(cub, singular_point=pt)
+    assert on_curve_tested == 32
     assert {t for t, _ in rows} == set(zoo.values()) - {SMOOTH_CUBIC}
     assert {(LINE_DOUBLE_LINE, True), (LINE_DOUBLE_LINE, False),
             (TRIPLE_LINE, True)} <= rows
@@ -659,6 +667,54 @@ def test_tangent_cone_table_reaches_every_row():
     _assert_point_path_agrees(cone, vertex)
     assert classify_plane_cubic(cone, singular_point=vertex).ext_degree_used \
         == 2
+
+
+def test_nodal_frame_matches_substitution():
+    """`_nodal_frame`, read off Taylor coefficients, against the frame by
+    substitution.  Seeded cubics with no term of X2-degree >= 2, so
+    singular at (0:0:1), are moved by a random X -> M X; the frames agree
+    at each singular point of residue degree <= 2, over its residue
+    field, and both raise at every rational point of the cubic that is
+    not singular."""
+    rng = random.Random(24)
+    singular_checked = on_curve_checked = 0
+    for field in (F2, F3, F4, F5, F7, make_field(3, 2), make_field(2, 4)):
+        for _ in range(20):
+            loc = random_form(field, 3, 3, rng)
+            loc = MultiPoly.from_raw(field, 3, {
+                e: c for e, c in loc.terms.items() if e[2] < 2})
+            if loc.is_zero():
+                continue
+            cub = linear_substitute(loc, random_invertible(field, 3, rng))
+            singular = [p for p, _ in singular_points_scan(Hypersurface(cub),
+                                                           2)]
+            assert singular
+            for pt in singular:
+                cub_k = cub.map_field(pt.field)
+                assert (_nodal_frame(cub_k, pt)
+                        == nodal_frame_by_substitution(cub_k, pt))
+                singular_checked += 1
+            for v in proj_points(field, 2):
+                pt = ProjPoint.from_raw(field, v)
+                if cub.evaluate(v) or pt in singular:
+                    continue
+                for frame in (_nodal_frame, nodal_frame_by_substitution):
+                    with pytest.raises(IntegrityError, match="not singular"):
+                        frame(cub, pt)
+                on_curve_checked += 1
+    assert (singular_checked, on_curve_checked) == (191, 1027)
+
+
+def test_char3_point_with_zero_gradient_off_the_cubic():
+    """Over F3 the gradient (X1 X2, X0 X2, X0 X1) of
+    X0^3 + X1^3 + X2^3 + X0 X1 X2 vanishes at (1:0:0), where the cubic is
+    1: the point is not singular, and the frame must see cub(pt) != 0."""
+    cub = parse_poly("X0^3+X1^3+X2^3+X0*X1*X2", 3, F3)
+    pt = ProjPoint(F3, [1, 0, 0])
+    assert cub.evaluate(pt.coords) == 1
+    assert all(not cub.partial(i).evaluate(pt.coords) for i in range(3))
+    with pytest.raises(IntegrityError, match="not singular"):
+        classify_plane_cubic(cub, singular_point=pt)
 
 
 # -- lines and Eckardt points ---------------------------------------------------
