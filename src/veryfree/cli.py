@@ -279,7 +279,7 @@ def run_verify_paper(seed=0, progress=None):
     note("tangent plane at (1:0:0:0) is X3 = 0",
          "X3 = 0 est l'equation du plan",
          plane == Hyperplane(F7, [0, 0, 0, 1]), str(plane))
-    section, _ = plane_section(x7, plane)
+    section = plane_section(x7, plane)
     note("tangent section is X0 X1 X2 + X1^3 + X2^3",
          "X0 q(X1, X2) + c(X1, X2) = 0",
          section == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7), str(section))

@@ -4,6 +4,11 @@ two-line-point search pipeline for nodal tangent sections, the six-point
 incidence search, the exhaustive char-2 Fermat analysis, and the
 inductive very-free-curve builder in higher dimension.
 
+The six-point search is one loop over one sequence: the diagonal points
+off the line P4 P5, then the other meeting points of connecting lines by
+`sort_key`.  The walk and the builder map points and curves between a
+section and P^n through the `Hyperplane` that cuts it.
+
 Sections of twists of pulled-back bundles are written in the Euler
 quotient presentation: a tuple of Laurent forms, one per ambient
 coordinate, whose terms all share one degree, considered modulo Laurent
@@ -22,12 +27,12 @@ from .errors import ExtensionCapExceeded, IntegrityError
 from .fields import FieldSpec, UPoly, check_field, check_raw, cube_root, \
     embed, join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
-                           ProjPoint, SectionChart,
+                           ProjPoint,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                            LINE_CONIC_TANGENT, THREE_LINES_CONCURRENT,
                            _completion_matrix, _conic_singular_point, _cross,
                            _integral_tag, _nodal_frame,
-                           _quadric_distinct_roots, _row_zeros,
+                           _quadric_distinct_roots, _zeros,
                            classify_plane_cubic,
                            divide_by_plane_line,
                            eckardt_points, hyperplane_section, is_smooth,
@@ -124,12 +129,11 @@ class CurveOnX:
 
 @dataclass
 class TangentSectionNormalForm:
+    """The surface X0 X1 X2 + X1^3 + X2^3 + X3 Q + X3^2 L + A X3^3."""
     field: FieldSpec
-    matrix: tuple           # raw rows of the substitution matrix
-    quadric: Optional[MultiPoly]   # Q(X0, X1, X2) of the ambient surface
+    quadric: MultiPoly             # Q(X0, X1, X2)
     linear: Optional[MultiPoly]    # L(X0, X1, X2)
-    cubic_coeff: object            # raw A, or None
-    ext_degree_used: int
+    cubic_coeff: object            # raw A
 
 
 def standard_nodal_parametrization(field: FieldSpec):
@@ -150,28 +154,19 @@ def nodal_surface_form(field, quadric=None, linear=None, cubic_coeff=None):
     if not quadric.coefficient((2, 0, 0)):
         raise ValueError("Q(1,0,0) must be nonzero, else the surface is "
                          "singular at the node of the section")
-    return TangentSectionNormalForm(
-        field, _identity_rows(field, 4), quadric, linear, A, 1)
-
-
-def _identity_rows(field, n):
-    return tuple(tuple(field.rone if i == j else field.rzero
-                       for j in range(n)) for i in range(n))
+    return TangentSectionNormalForm(field, quadric, linear, A)
 
 
 def normal_form_surface(nf: TangentSectionNormalForm) -> Hypersurface:
     """The cubic surface attached to a (Q, L, A)-completed normal form."""
     F = nf.field
-    if nf.quadric is None:
-        raise ValueError("normal form carries no ambient completion data")
     # the X3 exponent tells the parts apart, so no two terms meet
     terms = {(1, 1, 1, 0): F.rone, (0, 3, 0, 0): F.rone, (0, 0, 3, 0): F.rone}
     for k, g in ((1, nf.quadric), (2, nf.linear)):
         if g is not None:
             check_field(F, g)
             terms.update({e + (k,): c for e, c in g.terms.items()})
-    if nf.cubic_coeff is not None:
-        terms[(0, 0, 0, 3)] = nf.cubic_coeff
+    terms[(0, 0, 0, 3)] = nf.cubic_coeff
     return Hypersurface(MultiPoly.from_raw(F, 4, terms))
 
 
@@ -365,6 +360,16 @@ def _generator_sections(field):
     return gen_v, gen_u
 
 
+def _add_euler_check(report, name, a, b, curve):
+    """Check that the chart expressions a and b of one section differ by
+    a Laurent multiple of the curve, and record the multiplier."""
+    lam = euler_multiple(a - b, curve)
+    report.add(f"{name} chart expressions agree modulo Euler",
+               lam is not None, lhs=str(a), rhs=str(b),
+               witness=None if lam is None
+               else f"multiplier {_laurent_str(lam)}")
+
+
 def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
     """Replay the explicit section computations on the nodal normal form.
 
@@ -385,16 +390,8 @@ def verify_xi_eta(nf: TangentSectionNormalForm) -> VerificationReport:
     beta_l = [_laurent_from_binary(b) for b in beta]
     xi_v, xi_u, eta_v, eta_u = _xi_eta_sections(F)
 
-    lam_xi = euler_multiple(xi_v - xi_u, curve_l)
-    report.add("xi chart expressions agree modulo Euler", lam_xi is not None,
-               lhs=str(xi_v), rhs=str(xi_u),
-               witness=None if lam_xi is None
-               else f"multiplier {_laurent_str(lam_xi)}")
-    lam_eta = euler_multiple(eta_v - eta_u, curve_l)
-    report.add("eta chart expressions agree modulo Euler",
-               lam_eta is not None, lhs=str(eta_v), rhs=str(eta_u),
-               witness=None if lam_eta is None
-               else f"multiplier {_laurent_str(lam_eta)}")
+    _add_euler_check(report, "xi", xi_v, xi_u, curve_l)
+    _add_euler_check(report, "eta", eta_v, eta_u, curve_l)
 
     xi_f = xi_v.dot(beta_l)
     expected = -_laurent(F, 2, 2)
@@ -502,11 +499,8 @@ def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
     beta = [_laurent_from_binary(compose_with_curve(g, curve))
             for g in x.partials]
     dv, du = _delta_sections(F, a)
-    lam = euler_multiple(dv - du, [_laurent_from_binary(h) for h in curve])
-    report.add("delta chart expressions agree modulo Euler", lam is not None,
-               lhs=str(dv), rhs=str(du),
-               witness=None if lam is None
-               else f"multiplier {_laurent_str(lam)}")
+    _add_euler_check(report, "delta", dv, du,
+                     [_laurent_from_binary(h) for h in curve])
     df = dv.dot(beta)
     report.add("delta . f = 0 (delta is a section of the (-3) twist)",
                df.is_zero(), lhs=_laurent_str(df), rhs="0")
@@ -554,23 +548,24 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     if s_inv is None:
         raise IntegrityError("tangent directions are not independent")
     (s00, s01), (s10, s11) = s_inv
-    z, one = K.rzero, K.rone
-    m2 = [[one, z, z], [z, s00, s01], [z, s10, s11]]
     a0, a1, a2, a3 = ck.reparametrize(s00, s01, s10, s11).coeffs
     if qk.reparametrize(s00, s01, s10, s11) != BinaryForm.monomial(K, 1, 1) \
             or not a0 or not a3:
         raise IntegrityError("unexpected shape after tangent normalization")
-    # X0 -> X0 - a1 X1 - a2 X2 absorbs the middle terms; a0, a3 stay
-    m3 = [[one, K.rneg(a1), K.rneg(a2)], [z, one, z], [z, z, one]]
+    # then X0 -> X0 - a1 X1 - a2 X2 absorbs the middle terms, a0 and a3
+    # stay: M2 M3 with M2 = diag(1, S^-1) and M3 that shear
+    z = K.rzero
+    m23 = [[K.rone, K.rneg(a1), K.rneg(a2)], [z, s00, s01], [z, s10, s11]]
     m1_k = [[embed(F, x, K) for x in row] for row in m1]
-    return K, _mat_mul(K, _mat_mul(K, m1_k, m2), m3), a0, a3
+    return K, _mat_mul(K, m1_k, m23), a0, a3
 
 
-def nodal_normal_form(cub: MultiPoly,
-                      node: ProjPoint) -> TangentSectionNormalForm:
+def nodal_normal_form(cub: MultiPoly, node: ProjPoint):
     """Change of plane coordinates bringing a nodal integral cubic to
     X0 X1 X2 + X1^3 + X2^3 exactly, extending the field for the roots
-    the scalings require; verified by re-expansion."""
+    the scalings require; verified by re-expansion.  Returns (K, rows):
+    the raw rows of the substitution matrix over the field K it needs,
+    of degree K.k // F.k over the cubic's field F."""
     F = cub.field
     if F.is_rational:
         raise ValueError("normal forms over Q would need number fields; "
@@ -596,8 +591,7 @@ def nodal_normal_form(cub: MultiPoly,
                                         (0, 0, 3): kf.rone})
     if final != target:
         raise IntegrityError(f"normal form verification failed: {final}")
-    return TangentSectionNormalForm(
-        kf, tuple(tuple(r) for r in total), None, None, None, kf.k // F.k)
+    return kf, total
 
 
 def scaled_nodal_parametrization(field, a0, a3):
@@ -628,7 +622,7 @@ def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
                                                cls.singular_point)
     h_plane = map_curve(kf, pre, scaled_nodal_parametrization(kf, a0, a3))
     return make_curve(res.surface.map_field(kf),
-                      res.chart.curve_to_ambient(h_plane))
+                      res.plane.curve_to_ambient(h_plane))
 
 
 def _mat_mul(field, a, b):
@@ -654,10 +648,7 @@ def parametrize_conic(conic: MultiPoly):
     F = conic.field
     if F.is_rational:
         raise ValueError("conic parametrization needs a finite field")
-    # the first zero in `proj_points` order: the strata X_0 = 1, then
-    # X_0 = 0, X_1 = 1, then (0:0:1)
-    base = next((pt for i in range(3)
-                 for pt, _ in _row_zeros([conic], i, range(i + 1, 3))), None)
+    base = next((pt for pt, _ in _zeros([conic])), None)
     if base is None:
         raise ValueError("conic has no rational point over the base field")
     # complete to a basis; the residual pencil parametrizes the conic
@@ -729,10 +720,10 @@ def six_point_diagonal(points) -> SixPointResult:
     """A point on exactly two of the fifteen connecting lines, off all
     other lines, distinct from the six points, and off the six conics.
 
-    Uses the diagonal triangle of the first four points as the fast
-    path, falling back to an exhaustive search over all intersection
-    points; in characteristic 2 the forced configuration admits no such
-    point and the result records that.
+    Tries the diagonal points of the first four points first, then the
+    other intersection points of two connecting lines; in characteristic
+    2 the forced configuration admits no such point and the result
+    records that.
     """
     points = list(points)
     if len(points) != 6:
@@ -767,29 +758,26 @@ def six_point_diagonal(points) -> SixPointResult:
                  lhs=str(on_conics), rhs="[]")
         return cert
 
-    d1 = _cross(lines[(0, 1)], lines[(2, 3)])
-    d2 = _cross(lines[(0, 2)], lines[(1, 3)])
-    d3 = _cross(lines[(0, 3)], lines[(1, 2)])
-    diagonals = tuple(d for d in (d1, d2, d3) if d is not None)
+    # no three points are collinear, so two connecting lines with no
+    # index in common are distinct and meet in a point
+    diagonals = (_cross(lines[(0, 1)], lines[(2, 3)]),
+                 _cross(lines[(0, 2)], lines[(1, 3)]),
+                 _cross(lines[(0, 3)], lines[(1, 2)]))
     p45 = lines[(4, 5)]
-    for d in diagonals:
-        if p45.contains(d):
-            continue
-        cert = certify(d)
-        if cert.passed:
-            return SixPointResult(d, diagonals, cert)
-    # exhaustive fallback over all pairwise line intersections
-    seen = set()
-    candidates = []
-    for (ij, kl) in it.combinations(sorted(lines), 2):
-        if set(ij) & set(kl):
-            continue  # lines sharing an index meet in one of the six points
-        q = _cross(lines[ij], lines[kl])
-        if q is not None and q not in seen:
-            seen.add(q)
-            candidates.append(q)
-    candidates.sort(key=lambda p: p.sort_key())
-    for q in candidates:
+    candidates = set()
+
+    def search_order():
+        """The diagonal points off P4 P5, then every other intersection
+        point by `sort_key`; a diagonal point on P4 P5 lies on three
+        connecting lines, so it is not tried."""
+        yield from (d for d in diagonals if not p45.contains(d))
+        candidates.update(_cross(lines[ij], lines[kl]) for ij, kl
+                          in it.combinations(sorted(lines), 2)
+                          if not set(ij) & set(kl))
+        yield from sorted(candidates.difference(diagonals),
+                          key=lambda p: p.sort_key())
+
+    for q in search_order():
         cert = certify(q)
         if cert.passed:
             return SixPointResult(q, diagonals, cert)
@@ -821,7 +809,6 @@ class NodalSectionResult:
     point: ProjPoint
     plane: Hyperplane
     section: MultiPoly
-    chart: SectionChart
     classification: CubicSectionClass
     work_ext: int                # working-field degree over the input field
 
@@ -859,17 +846,17 @@ def find_nodal_section(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
         dm = lines[i1].map_field(km)
         found = _walk_line_for_section(xm, dm, ext_cap)
         if found is not None:
-            plane, section, chart, cls, point = found
-            return NodalSectionResult(xm, point, plane, section, chart,
-                                      cls, km.k // base.k)
+            plane, section, cls, point = found
+            return NodalSectionResult(xm, point, plane, section, cls,
+                                      km.k // base.k)
         mult += 1
 
 
 def _walk_line_for_section(xm, dm, ext_cap):
     for y in dm.points():
         plane = tangent_hyperplane(xm, y)
-        section, chart = plane_section(xm, plane)
-        d_in = chart.line_in_plane(dm)
+        section = plane_section(xm, plane)
+        d_in = plane.line_in_plane(dm)
         try:
             conic, meet = divide_by_plane_line(section, d_in)
         except ValueError:
@@ -879,7 +866,7 @@ def _walk_line_for_section(xm, dm, ext_cap):
             continue
         if meet.is_zero() or not _quadric_distinct_roots(meet):
             continue
-        hit = _walk_conic_for_node(xm, chart, conic, d_in, ext_cap)
+        hit = _walk_conic_for_node(xm, plane, conic, d_in, ext_cap)
         if hit is not None:
             return hit
     return None
@@ -894,14 +881,14 @@ def _conic_points(conic):
         yield ProjPoint.from_raw(km, [c.evaluate(u, v) for c in comps])
 
 
-def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):
+def _walk_conic_for_node(xm, plane, conic, d_in, ext_cap):
     for pt in _conic_points(conic):
         if d_in.contains(pt):
             continue
-        x_amb = chart.to_ambient(pt)
+        x_amb = plane.to_ambient(pt)
         plane_x = tangent_hyperplane(xm, x_amb)
-        section_x, chart_x = plane_section(xm, plane_x)
-        x_in_plane = chart_x.to_plane(x_amb)
+        section_x = plane_section(xm, plane_x)
+        x_in_plane = plane_x.to_plane(x_amb)
         # cheap exact screen: the integral rows of the tangent-cone table
         # at x; the confirming classification is given no point, so the
         # Groebner strata check the node independently
@@ -912,7 +899,7 @@ def _walk_conic_for_node(xm, chart, conic, d_in, ext_cap):
         if cls.tag != NODAL_INTEGRAL or cls.singular_point != x_in_plane:
             raise IntegrityError("classification disagrees with the "
                                  "nodal-frame screen")
-        return plane_x, section_x, chart_x, cls, x_amb
+        return plane_x, section_x, cls, x_amb
     return None
 
 
@@ -959,18 +946,14 @@ def build_very_free_curve(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     F = x.field
     for raw in proj_points(F, x.n):
         plane = Hyperplane.from_raw(F, raw)
-        try:
-            section, chart = hyperplane_section(x, plane)
-        except IntegrityError:
-            continue
-        sec_x = Hypersurface(section)
+        sec_x = Hypersurface(hyperplane_section(x, plane))
         if singular_points_scan(sec_x, 1):
             continue
         if not is_smooth(sec_x):
             continue
         sub = build_very_free_curve(sec_x, ext_cap, line_field_cap)
         xc = x.map_field(sub.surface.field)
-        curve = make_curve(xc, chart.curve_to_ambient(sub.components))
+        curve = make_curve(xc, plane.curve_to_ambient(sub.components))
         if not curve.very_free:
             raise IntegrityError(
                 f"lifted curve has splitting {curve.splitting}; the "
@@ -1044,8 +1027,9 @@ def fermat_char2_report(k: int, ext_cap: int = DEFAULT_EXT_CAP,
     n = 0
     for pt in surface_points(x):
         n += 1
-        section, chart = plane_section(x, tangent_hyperplane(x, pt))
-        cls = classify_plane_cubic(section, ext_cap, chart.to_plane(pt))
+        plane = tangent_hyperplane(x, pt)
+        cls = classify_plane_cubic(plane_section(x, plane), ext_cap,
+                                   plane.to_plane(pt))
         counts[cls.tag] = counts.get(cls.tag, 0) + 1
         if cls.tag not in FERMAT2_TRICHOTOMY:
             exceptions.append((pt, cls))

@@ -16,18 +16,21 @@ Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
 over growing extension fields, so each line is seen exactly once per
 field; each cell scans its smaller row and solves for the partner point
 on the other by a linear condition and a gcd.  One zero scan serves the
-line search, `surface_points` and `singular_points_scan`: a form is
-restricted once to a row of P^n (pivot coordinate 1, some coordinates 0,
-the rest free), each prefix of free values is substituted once, and the
-last free coordinate is run through Horner's rule; other forms are
-evaluated only at the zeros found.
+line search, `surface_points`, `singular_points_scan` and the base point
+of a conic: a form is restricted once to a row of P^n (pivot coordinate
+1, some coordinates 0, the rest free), each prefix of free values is
+substituted once, and the last free coordinate is run through Horner's
+rule; other forms are evaluated only at the zeros found.  `_zeros` walks
+the rows X_0 = ... = X_{i-1} = 0, X_i = 1 in `proj_points` order.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
 also take Scalars or ints, as polynomials do, and that is the only place
-Scalars appear.  Charts, completion matrices and roots are raw.  In P^2
-one cross product gives both the line through two points and the point
-where two lines meet.
+Scalars appear.  Charts, completion matrices and roots are raw.  A
+hyperplane is its own chart: a section is returned alone, and the
+hyperplane maps points, curves and lines between the section and P^n.
+In P^2 one cross product gives both the line through two points and the
+point where two lines meet.
 """
 from __future__ import annotations
 
@@ -150,6 +153,31 @@ class Hyperplane(_Projective):
                            else F.rone if i == k else F.rzero
                            for k in others)
                      for i in range(len(a)))
+
+    def to_ambient(self, pt: ProjPoint):
+        """The point of the hyperplane with plane coordinates pt: x_k =
+        y_k for k != p in increasing order and x_p = -sum a_k y_k."""
+        F, p, y = self.field, self.pivot, pt.coords
+        check_field(F, pt)
+        xp = F.rneg(_dot(F, self._v[:p] + self._v[p + 1:], y))
+        return ProjPoint.from_raw(F, y[:p] + (xp,) + y[p:])
+
+    def to_plane(self, pt: ProjPoint):
+        F, p = self.field, self.pivot
+        check_field(F, pt)
+        return ProjPoint.from_raw(F, pt.coords[:p] + pt.coords[p + 1:])
+
+    def curve_to_ambient(self, comps):
+        """The ambient curve M.h of a curve h in plane coordinates, for
+        M = `chart()`, over the field of its components."""
+        return map_curve(self.field, self.chart(), comps)
+
+    def line_in_plane(self, line: LineP3):
+        """Coefficients of the image of a line of the hyperplane in plane
+        coordinates (P^3 ambient only)."""
+        check_field(self.field, line)
+        a, b = [ProjPoint.from_raw(self.field, r) for r in line.rows]
+        return plane_line_through(self.to_plane(a), self.to_plane(b))
 
 
 def _dot(K, u, v):
@@ -478,6 +506,15 @@ def _row_zeros(forms, pivot, free):
         yield tuple(pt), values_at(vals)
 
 
+def _zeros(forms):
+    """Zeros of forms[0] on all of P^n, row by row in `proj_points`
+    order (X_0 = 1, then X_0 = 0, X_1 = 1, ...), each with the values of
+    forms[1:] there, as `_row_zeros` yields them."""
+    n = forms[0].nvars
+    for i in range(n):
+        yield from _row_zeros(forms, i, range(i + 1, n))
+
+
 def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
     """All singular points of residue degree <= ext_cap, by exhaustive scan.
 
@@ -495,13 +532,12 @@ def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
         fx = x.map_field(K)
         forms = [fx.f] + fx.partials
         prior = [p.map_field(K) for p, _ in found]
-        for i in range(x.n + 1):
-            for pt, grad in _row_zeros(forms, i, range(i + 1, x.n + 1)):
-                if any(g != K.rzero for g in grad):
-                    continue
-                pp = ProjPoint.from_raw(K, pt)
-                if pp not in prior:
-                    found.append((pp, j))
+        for pt, grad in _zeros(forms):
+            if any(g != K.rzero for g in grad):
+                continue
+            pp = ProjPoint.from_raw(K, pt)
+            if pp not in prior:
+                found.append((pp, j))
     return found
 
 
@@ -517,54 +553,23 @@ def tangent_hyperplane(x: Hypersurface, pt: ProjPoint) -> Hyperplane:
     return Hyperplane.from_raw(x.field, grad)
 
 
-@dataclass(frozen=True)
-class SectionChart:
-    """Linear parametrization X = M.Y of a hyperplane by P^(n-1)."""
-    field: object
-    pivot: int
-    matrix: tuple     # `Hyperplane.chart`: raw M, one row per coordinate
-
-    def to_ambient(self, pt: ProjPoint):
-        F = self.field
-        check_field(F, pt)
-        return ProjPoint.from_raw(F, [_dot(F, row, pt.coords)
-                                      for row in self.matrix])
-
-    def curve_to_ambient(self, comps):
-        """The ambient curve M.h of a curve h in plane coordinates, over
-        the field of its components."""
-        return map_curve(self.field, self.matrix, comps)
-
-    def to_plane(self, pt: ProjPoint):
-        check_field(self.field, pt)
-        coords = [c for i, c in enumerate(pt.coords) if i != self.pivot]
-        return ProjPoint.from_raw(self.field, coords)
-
-    def line_in_plane(self, line: LineP3):
-        """Coefficients of the image of a line of the hyperplane in plane
-        coordinates (P^3 ambient only)."""
-        check_field(self.field, line)
-        a, b = [ProjPoint.from_raw(self.field, r) for r in line.rows]
-        return plane_line_through(self.to_plane(a), self.to_plane(b))
-
-
 def hyperplane_section(x: Hypersurface, plane: Hyperplane):
-    """Restrict the cubic to a hyperplane; returns (cubic in n vars, chart).
+    """Restrict the cubic to a hyperplane: a cubic in n variables, the
+    coordinates of the plane's chart.
 
     The pivot coordinate of the hyperplane is eliminated; the remaining
     coordinates, in increasing index order, parametrize the hyperplane.
     """
     check_field(x.field, plane)
-    chart = SectionChart(x.field, plane.pivot, plane.chart())
-    section = substitute_linear_map(x.f, chart.matrix)
+    section = substitute_linear_map(x.f, plane.chart())
     if section.is_zero():
         raise IntegrityError(
             "hypersurface contains the hyperplane; it cannot be smooth")
-    return section, chart
+    return section
 
 
 def plane_section(x: Hypersurface, plane: Hyperplane):
-    """P^3 specialization of hyperplane_section: a ternary cubic plus chart."""
+    """P^3 specialization of hyperplane_section: a ternary cubic."""
     if x.n != 3:
         raise ValueError("plane_section expects a surface in P^3")
     return hyperplane_section(x, plane)
@@ -1110,6 +1115,7 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
     2-line points, with the counting identities asserted."""
     if len(lines) != 27:
         raise ValueError(f"expected the full set of 27 lines, got {len(lines)}")
+    check_field(x.field, lines[0])
     by_point = {}
     meets_per_line = [0] * len(lines)
     pairs = 0
@@ -1138,8 +1144,7 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
                 f"smooth cubic surface")
     if pairs != 3 * len(eckardt) + len(two_line):
         raise IntegrityError("pair-count identity failed")
-    return EckardtReport(lines[0].field if lines else x.field,
-                         eckardt, two_line, pairs)
+    return EckardtReport(x.field, eckardt, two_line, pairs)
 
 
 def surface_points(x: Hypersurface):
@@ -1150,6 +1155,5 @@ def surface_points(x: Hypersurface):
     """
     F = x.field
     _check_scan_budget(F.size, x.n)
-    for i in range(x.n + 1):
-        for pt, _ in _row_zeros([x.f], i, range(i + 1, x.n + 1)):
-            yield ProjPoint.from_raw(F, pt)
+    for pt, _ in _zeros([x.f]):
+        yield ProjPoint.from_raw(F, pt)

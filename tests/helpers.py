@@ -3,17 +3,21 @@ S-polynomial built from MultiPoly arithmetic, a field-op counter, root
 finding, cube roots and Zech tables by element scans and polynomial
 products, a two-row line search, a tangent-cone frame and a nodal
 prenormalisation by substitution, and plane-line and curve maps through
-a kernel basis, a matrix inverse and binary-form arithmetic."""
+a kernel basis, a matrix inverse and binary-form arithmetic, and the
+six-point search in two passes, diagonal points first."""
 import itertools
 import random
 
 from veryfree import fields, linalg
+from veryfree.constructions import (SixPointResult, VerificationReport,
+                                    _conic_row, _five_point_conic)
 from veryfree.errors import IntegrityError, ScanBudgetExceeded
 from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
                              _prime_factors, _vector_ops, embed, join_field,
                              make_field)
-from veryfree.hypersurface import (LineP3, _cell_patterns,
-                                   _completion_matrix, _row_zeros)
+from veryfree.hypersurface import (LineP3, ProjPoint, _cell_patterns,
+                                   _completion_matrix, _cross, _row_zeros,
+                                   plane_line_through)
 from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
                            compose_with_curve, linear_substitute,
                            substitute_linear_map)
@@ -318,7 +322,7 @@ def divide_by_completion_inverse(f, line):
 
 
 def curve_to_ambient_by_forms(field, matrix, comps):
-    """Oracle for `SectionChart.curve_to_ambient`: component i is
+    """Oracle for `Hyperplane.curve_to_ambient`: component i is
     sum_j matrix[i][j] comps[j] in BinaryForm arithmetic, over the field
     of the components, for a raw matrix over `field`."""
     K = comps[0].field
@@ -330,3 +334,78 @@ def curve_to_ambient_by_forms(field, matrix, comps):
                 acc = acc + h * embed_scalar(field.from_raw(c), K)
         out.append(acc)
     return out
+
+
+def six_point_by_two_passes(points):
+    """Oracle for `constructions.six_point_diagonal` on six points in
+    general position: certify the diagonal points of the first four that
+    are off the line P4 P5, then, if none passes, every intersection
+    point of two connecting lines with no index in common, in `sort_key`
+    order, the diagonal points included."""
+    F = points[0].field
+    pairs = list(itertools.combinations(range(6), 2))
+    lines = {ij: plane_line_through(points[ij[0]], points[ij[1]])
+             for ij in pairs}
+    conics = [_five_point_conic([p for t, p in enumerate(points) if t != i])
+              for i in range(6)]
+
+    def certify(q):
+        cert = VerificationReport(f"incidence certificate for {q}")
+        cert.add("distinct from the six points",
+                 all(q != p for p in points))
+        through = [ij for ij, ln in lines.items() if ln.contains(q)]
+        cert.add("on exactly two connecting lines", len(through) == 2,
+                 lhs=str(through), rhs="2 lines")
+        on_conics = [i for i, cn in enumerate(conics)
+                     if cn.evaluate(q.coords) == F.rzero]
+        cert.add("off all six five-point conics", not on_conics,
+                 lhs=str(on_conics), rhs="[]")
+        return cert
+
+    diagonals = tuple(d for d in (_cross(lines[(0, 1)], lines[(2, 3)]),
+                                  _cross(lines[(0, 2)], lines[(1, 3)]),
+                                  _cross(lines[(0, 3)], lines[(1, 2)]))
+                      if d is not None)
+    p45 = lines[(4, 5)]
+    for d in diagonals:
+        if not p45.contains(d):
+            cert = certify(d)
+            if cert.passed:
+                return SixPointResult(d, diagonals, cert)
+    candidates = []
+    for ij, kl in itertools.combinations(pairs, 2):
+        q = None if set(ij) & set(kl) else _cross(lines[ij], lines[kl])
+        if q is not None and q not in candidates:
+            candidates.append(q)
+    candidates.sort(key=lambda p: p.sort_key())
+    for q in candidates:
+        cert = certify(q)
+        if cert.passed:
+            return SixPointResult(q, diagonals, cert)
+    reason = ("no intersection point satisfies the incidence conditions"
+              + ("; every diagonal point lies on the line through the "
+                 "last two points" if all(p45.contains(d)
+                                          for d in diagonals) else ""))
+    empty = VerificationReport("no valid point")
+    empty.add("exhaustive search over intersection points", False,
+              lhs=f"{len(candidates)} candidates", rhs="none admissible")
+    return SixPointResult(None, diagonals, empty, reason)
+
+
+def general_sextuple(field, rng):
+    """Six seeded distinct points of P^2(field), no three on a line and
+    not all six on a conic.  Never returns over F2, F3 or F5: P^2 has no
+    6-arc over F2 or F3, and over F5 every 6-arc is a conic (Segre)."""
+    while True:
+        pts = []
+        while len(pts) < 6:
+            raw = [rng.randrange(field.size) for _ in range(3)]
+            if any(raw):
+                p = ProjPoint.from_raw(field, raw)
+                if p not in pts:
+                    pts.append(p)
+        if all(linalg.det(field, [pts[t].coords for t in ijk]) != field.rzero
+               for ijk in itertools.combinations(range(6), 3)) \
+                and linalg.det(field, [_conic_row(p) for p in pts]) \
+                != field.rzero:
+            return pts

@@ -3,6 +3,8 @@ import json
 import os
 import time
 
+import pytest
+
 from veryfree.cli import main
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
@@ -70,6 +72,39 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_err(capsys, "splitting", "--field", "7",
                            "--surface", FERMAT, "--curve", "0;0;0;0")
     assert code == 2 and "every curve component is zero" in err
+
+
+NODAL = "X0*X1*X2+X1^3+X2^3+X3*X0^2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["splitting", "--field", "7", "--surface", NODAL,
+      "--curve", "U^2;U*V^2;V^3;0"],
+     "curve components have mixed degrees [2, 3]"),
+    (["splitting", "--field", "7", "--surface", NODAL,
+      "--curve", "U^2+V;U*V;V^2;0"], "inhomogeneous binary form"),
+    (["sixpoints", "--field", "11",
+      "--points", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;6:3"],
+     "expected x:y:z, got '6:3'"),
+    (["lines", "--field", "7", "--surface", "X0^3+X1^3+"],
+     "unexpected end of input"),
+    (["lines", "--field", "7", "--surface", "(" + FERMAT], "expected ')'"),
+    (["lines", "--field", "7", "--surface", FERMAT + ")"],
+     "unexpected ')'"),
+    (["lines", "--field", "7", "--surface", "X0^3+X1^+X2^3+X3^3"],
+     "expected a number"),
+    (["smooth", "--field", "Q", "--poly", "1/0*X0^3+X1^3+X2^3+X3^3"],
+     "zero denominator"),
+    (["smooth", "--field", "7^x", "--poly", FERMAT], "bad field spec"),
+    (["smooth", "--field", "1", "--poly", FERMAT], "bad field spec"),
+], ids=["mixed-degrees", "inhomogeneous-curve", "two-coordinates",
+        "end-of-input", "open-parenthesis", "close-parenthesis",
+        "missing-exponent", "zero-denominator", "bad-exponent",
+        "field-one"])
+def test_malformed_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_invalid_pullback_monad_fails_verification(capsys):
@@ -141,6 +176,21 @@ def test_sixpoints_char2_forced(capsys):
     code, out = run(capsys, "sixpoints", "--field", "2^2",
                     "--points", "0:0:1;1:0:1;1:1:1;0:1:1;1:g:0;1:g+1:0")
     assert code == 1
+
+
+def test_sixpoints_beyond_the_diagonal_points(capsys):
+    """No diagonal point of this sextuple over F8 passes its certificate,
+    so the search certifies another intersection point, (0:1:0)."""
+    code, out = run(capsys, "sixpoints", "--field", "2^3", "--json",
+                    "--points", "1:g^2:g^2+1;1:1:g^2+g;1:g^2+g+1:g^2+g+1;"
+                                "1:g:g^2+g;1:g+1:g^2+1;1:g:g^2")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["q"] == ["0", "1", "0"]
+    assert result["diagonal_points"] == [["1", "g^2+g", "0"],
+                                         ["1", "0", "g^2+g"],
+                                         ["1", "g^2+1", "g+1"]]
+    assert result["certificate"]["pass"]
+    assert result["certificate"]["checks"][1]["lhs"] == "[(0, 4), (1, 3)]"
 
 
 def test_json_determinism(capsys):

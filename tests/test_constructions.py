@@ -29,7 +29,8 @@ from veryfree.constructions import (AllEckardtError,
 
 from helpers import (F2, F3, F4, F5, F7, F11, F7_SURFACE_SEEDS, QQ,
                      count_field_ops, curve_to_ambient_by_forms,
-                     prenormalization_by_substitution, random_cubic_form)
+                     general_sextuple, prenormalization_by_substitution,
+                     random_cubic_form, six_point_by_two_passes)
 
 CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
 
@@ -62,29 +63,27 @@ def _scalar_rows(field, rows):
 def test_nodal_normal_form_already_normal():
     cub = parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7)
     node = ProjPoint(F7, [1, 0, 0])
-    nf = nodal_normal_form(cub, node)
-    target = parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
-    assert linear_substitute(cub.map_field(nf.field),
-                             _scalar_rows(nf.field, nf.matrix)) == target
+    K, rows = nodal_normal_form(cub, node)
+    target = parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
+    assert linear_substitute(cub.map_field(K),
+                             _scalar_rows(K, rows)) == target
 
 
 def test_nodal_normal_form_with_scalings():
     cub = parse_poly("X0*X1*X2+2*X1^3+X2^3", 3, F7)
     node = ProjPoint(F7, [1, 0, 0])
-    nf = nodal_normal_form(cub, node)
-    assert nf.ext_degree_used <= 3
-    out = linear_substitute(cub.map_field(nf.field),
-                            _scalar_rows(nf.field, nf.matrix))
-    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
+    K, rows = nodal_normal_form(cub, node)
+    assert K.k // F7.k <= 3
+    out = linear_substitute(cub.map_field(K), _scalar_rows(K, rows))
+    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
 
 
 def test_nodal_normal_form_swapped_directions():
     cub = parse_poly("X0*X1*X2+X2^3+X1^3", 3, F5)
     node = ProjPoint(F5, [1, 0, 0])
-    nf = nodal_normal_form(cub, node)
-    out = linear_substitute(cub.map_field(nf.field),
-                            _scalar_rows(nf.field, nf.matrix))
-    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, nf.field)
+    K, rows = nodal_normal_form(cub, node)
+    out = linear_substitute(cub.map_field(K), _scalar_rows(K, rows))
+    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
 
 
 @pytest.mark.parametrize("text", ["X0*X1*X2+X1^3+X2^3",
@@ -94,9 +93,9 @@ def test_nodal_normal_form_in_characteristic_3(text):
     """The scalings take cube roots, which in characteristic 3 stay in
     the field."""
     cub = parse_poly(text, 3, F3)
-    nf = nodal_normal_form(cub, ProjPoint(F3, [1, 0, 0]))
-    assert nf.ext_degree_used == 1 and nf.field is F3
-    out = linear_substitute(cub, _scalar_rows(F3, nf.matrix))
+    K, rows = nodal_normal_form(cub, ProjPoint(F3, [1, 0, 0]))
+    assert K is F3
+    out = linear_substitute(cub, _scalar_rows(F3, rows))
     assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F3)
 
 
@@ -114,8 +113,8 @@ def _pinned_nodal_sections():
     for seed in F7_SURFACE_SEEDS:
         x = Hypersurface(random_cubic_form(F7, 4, seed))
         for pt in surface_points(x):
-            section, chart = plane_section(x, tangent_hyperplane(x, pt))
-            node = chart.to_plane(pt)
+            plane = tangent_hyperplane(x, pt)
+            section, node = plane_section(x, plane), plane.to_plane(pt)
             if classify_plane_cubic(section, 6, node).tag == NODAL_INTEGRAL:
                 out.append((section, node))
     res = find_nodal_section(Hypersurface(parse_poly(CLEBSCH, 4, F7)))
@@ -269,6 +268,41 @@ def test_six_point_char2_forced_configuration():
     assert all(line.contains(d) for d in p45)
 
 
+def test_six_point_search_field_op_count(monkeypatch):
+    """Raw field operations of the search on the forced configuration
+    over F4, where no point passes and every diagonal point lies on
+    P4 P5: 4 257 for the two-pass search, which certified the diagonal
+    points in its second pass, and 3 864 with them skipped."""
+    z = F4.gen
+    pts = [ProjPoint(F4, c) for c in ([0, 0, 1], [1, 0, 1], [1, 1, 1],
+                                      [0, 1, 1], [1, z, 0], [1, z * z, 0])]
+    count = count_field_ops(monkeypatch)
+    res = six_point_diagonal(pts)
+    assert res.q is None and res.certificate.checks[0].lhs \
+        == "15 candidates"
+    assert count[0] <= 3_864
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (2, 4)],
+                         ids=["F8", "F9", "F16"])
+def test_six_point_search_matches_two_pass_oracle(p, k):
+    """On 40 seeded sextuples in general position per field, the one
+    search gives the point, diagonal points, reason and JSON of the old
+    two-pass search.  Over F8 some sextuples have no diagonal point that
+    passes, so the search goes on to the other intersection points."""
+    F = make_field(p, k)
+    rng = random.Random(3100 + F.size)
+    beyond = 0
+    for _ in range(40):
+        pts = general_sextuple(F, rng)
+        got, want = six_point_diagonal(pts), six_point_by_two_passes(pts)
+        assert (got.q, got.diagonal_points, got.reason) \
+            == (want.q, want.diagonal_points, want.reason)
+        assert got.to_json() == want.to_json()
+        beyond += got.q is not None and got.q not in got.diagonal_points
+    assert beyond > 0 or F.size != 8
+
+
 # -- pipelines ---------------------------------------------------------------------
 
 def test_find_nodal_section_fermat7():
@@ -375,14 +409,14 @@ def test_degree_splitting_consistency():
     conic_curve = None
     for y in line_k.points():
         plane = tangent_hyperplane(xk, y)
-        section, chart = plane_section(xk, plane)
-        d_in = chart.line_in_plane(line_k)
+        section = plane_section(xk, plane)
+        d_in = plane.line_in_plane(line_k)
         conic, _ = divide_by_plane_line(section, d_in)
         if _conic_singular_point(conic) is not None:
             continue
         comps_plane = parametrize_conic(conic)
-        comps = chart.curve_to_ambient(comps_plane)
-        assert comps == curve_to_ambient_by_forms(chart.field, chart.matrix,
+        comps = plane.curve_to_ambient(comps_plane)
+        assert comps == curve_to_ambient_by_forms(K, plane.chart(),
                                                   comps_plane)
         conic_curve = make_curve(xk, comps)
         break

@@ -9,11 +9,15 @@ nodal-frame screen is wrong.  A hyperplane section fires its guard on a
 cubic that contains the hyperplane, and the line search fires its guard
 when a 28th line is found.  The splitting guards fire when a generator
 of ker(beta) is dropped, and the sign-flip branch of `verify_xi_eta`
-answers when the generator sections are negated."""
+answers when the generator sections are negated.  A monad of rank 0 is
+refused; the generator search refuses a doubled monomial multiple and
+kernels short of a vector; the splitting is refused when h^0 is wrong
+at one twist or only past the last checked one; and the builder refuses
+a lifted curve that is not very free."""
 import pytest
 
-from veryfree import cli, constructions, hypersurface, sheafp1
-from veryfree.errors import IntegrityError
+from veryfree import cli, constructions, hypersurface, linalg, sheafp1
+from veryfree.errors import IntegrityError, MonadError
 from veryfree.fields import cube_root, make_field
 from veryfree.hypersurface import (NODAL_INTEGRAL, Hyperplane,
                                    Hypersurface, LineP3, ProjPoint,
@@ -65,7 +69,7 @@ def test_two_line_pair_sent_to_an_eckardt_point(monkeypatch, census):
     pt, triple = rep.eckardt[0]
     pair = next(ls for _, ls in rep.two_line if not set(ls) & set(triple))
     _patch_meets(monkeypatch, lines, pair, pt)
-    with pytest.raises(IntegrityError, match="5 concurrent lines"):
+    with pytest.raises(IntegrityError, match="5 concurrent lines at"):
         eckardt_points(CLEBSCH, lines)
 
 
@@ -145,21 +149,21 @@ def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
 PLANE_SECTION = constructions.plane_section
-ROW_ZEROS = constructions._row_zeros
+ZEROS = constructions._zeros
 COMPLETION_MATRIX = constructions._completion_matrix
 
 
 def _fermat_added(x, plane):
     """The tangent section plus the Fermat cubic, which no line divides
     in characteristic 7."""
-    section, chart = PLANE_SECTION(x, plane)
-    return section + parse_poly("X0^3+X1^3+X2^3", 3, section.field), chart
+    section = PLANE_SECTION(x, plane)
+    return section + parse_poly("X0^3+X1^3+X2^3", 3, section.field)
 
 
-def _base_point_moved(forms, pivot, free):
+def _base_point_moved(forms):
     """The conic's zeros with their last coordinate raised by one."""
     F = forms[0].field
-    for pt, values in ROW_ZEROS(forms, pivot, free):
+    for pt, values in ZEROS(forms):
         yield pt[:-1] + (F.radd(pt[-1], F.rone),), values
 
 
@@ -171,7 +175,7 @@ def _completion_repeated(field, first_column):
 @pytest.mark.parametrize("name, fault, message", [
     ("plane_section", _fermat_added,
      "tangent section at a point of a line does not contain the line"),
-    ("_row_zeros", _base_point_moved, "conic parametrization failed"),
+    ("_zeros", _base_point_moved, "conic parametrization failed"),
     ("_completion_matrix", _completion_repeated,
      "conic parametrization has a base point"),
     ("_integral_tag", lambda q, c: NODAL_INTEGRAL,
@@ -324,3 +328,103 @@ def test_negated_generators_flag_the_sign_flip(monkeypatch):
     assert check.name == "UV eta - U^3 xi + V^3 xi spans the degree-2 summand"
     assert check.passed and check.witness == "sign -"
     assert check.flagged == "generator matches only after global sign flip (-)"
+
+
+def test_monad_with_no_middle_cohomology():
+    """O -> O(1)^2 -> O(2) by (U, V) and (V, -U) is a valid monad whose
+    middle cohomology has rank 0."""
+    u, v = BinaryForm(F7, 1, [1, 0]), BinaryForm(F7, 1, [0, 1])
+    monad = sheafp1.MonadP1(F7, 0, (1, 1), 2, (u, v), (v, -u))
+    assert sheafp1.validate_monad(monad).ok
+    with pytest.raises(MonadError, match="monad has middle cohomology of "
+                                         "rank <= 0"):
+        sheafp1.splitting_type(monad)
+
+
+def test_dependent_monomial_multiples(monkeypatch):
+    """A generator's monomial multiple listed twice is a dependent
+    column, which the generator search refuses."""
+    multiples = sheafp1._multiples
+
+    def doubled(field, gens, src, t):
+        cols = multiples(field, gens, src, t)
+        return cols + cols[:1]
+    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    monkeypatch.setattr(sheafp1, "_multiples", doubled)
+    with pytest.raises(IntegrityError, match="monomial multiples of the "
+                                             "generators are dependent in "
+                                             "degree"):
+        sheafp1.splitting_type(_nodal_monad())
+
+
+class _KernelDropping:
+    """`linalg` with the last vector of every kernel basis dropped."""
+
+    def __getattr__(self, name):
+        return getattr(linalg, name)
+
+    @staticmethod
+    def kernel(field, rows, ncols):
+        return linalg.kernel(field, rows, ncols)[:-1]
+
+
+def test_kernel_vector_dropped(monkeypatch):
+    """Without the last kernel vector in each degree, the search for the
+    generators of ker(beta) finds two in degree -1 and one in degree 0,
+    whose degrees do not add up to ker(beta)'s."""
+    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    monkeypatch.setattr(sheafp1, "linalg", _KernelDropping())
+    with pytest.raises(IntegrityError, match=r"generators in degrees "
+                                             r"\[-1, -1, 0\] do not span a "
+                                             r"kernel of rank 3 and degree 3"):
+        sheafp1.splitting_type(_nodal_monad())
+
+
+def _h0_off_by_one(past):
+    """`h0_twist` one too large at twist `past` + 1 and beyond, or only at
+    the least twist the splitting is checked at when `past` is None."""
+    h0_twist = sheafp1.h0_twist
+
+    def wrong(m, twist):
+        off = twist == -4 if past is None else twist > past
+        return h0_twist(m, twist) + off
+    return wrong
+
+
+@pytest.mark.parametrize("past, message", [
+    (None, r"h\^0 reconstruction failed at twist -4: 1 != 0"),
+    (0, "Riemann-Roch failed at twist 1"),
+], ids=["one-twist", "past-hi"])
+def test_h0_twist_wrong(monkeypatch, past, message):
+    """On the F7 nodal monad, splitting {2, 1}, h^0 is checked against
+    the splitting at twists -4 to 0 and Riemann-Roch at twists 1 to 5; a
+    wrong h^0 past twist 0 passes the first check and fails the second."""
+    monkeypatch.setattr(sheafp1, "h0_twist", _h0_off_by_one(past))
+    with pytest.raises(IntegrityError, match=message):
+        sheafp1.splitting_type(_nodal_monad())
+
+
+SPLITTING_TYPE = constructions.splitting_type
+
+
+def _last_part_zero_in_p4(m):
+    """The splitting with its least part set to 0 on a pulled-back
+    tangent bundle of rank 3 (a curve in P^4)."""
+    s = SPLITTING_TYPE(m)
+    return sheafp1.SplittingType(s.parts[:-1] + (0,)) if s.rank == 3 else s
+
+
+def test_lifted_curve_not_very_free(monkeypatch, capsys):
+    """A lifted curve on the Fermat threefold over F7 whose splitting
+    comes out {3, 2, 0} is refused, and `build --dim 4` exits 1."""
+    monkeypatch.setattr(constructions, "splitting_type",
+                        _last_part_zero_in_p4)
+    fermat = FERMAT + "+X4^3"
+    message = r"lifted curve has splitting \{3, 2, 0\}"
+    with pytest.raises(IntegrityError, match=message):
+        constructions.build_very_free_curve(Hypersurface(parse_poly(
+            fermat, 5, F7)))
+    assert cli.main(["build", "--field", "7", "--dim", "4",
+                     "--poly", fermat]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed: lifted curve has splitting {3, 2, 0}" in err

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -270,36 +271,36 @@ def test_tangent_hyperplane_errors():
 
 def test_plane_section_examples():
     x = Hypersurface(parse_poly("X0*X1*X2+X1^3+X2^3+X3*X0^2", 4, F7))
-    section, chart = plane_section(x, Hyperplane(F7, [0, 0, 0, 1]))
+    section = plane_section(x, Hyperplane(F7, [0, 0, 0, 1]))
     assert section == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7)
 
     f2 = fermat(F2)
-    section2, _ = plane_section(f2, Hyperplane(F2, [0, 0, 1, 1]))
+    section2 = plane_section(f2, Hyperplane(F2, [0, 0, 1, 1]))
     assert section2 == parse_poly("X0^3+X1^3", 3, F2)
 
-    section3, _ = plane_section(fermat(F7), Hyperplane(F7, [1, 0, 0, 0]))
+    section3 = plane_section(fermat(F7), Hyperplane(F7, [1, 0, 0, 0]))
     assert section3 == parse_poly("X0^3+X1^3+X2^3", 3, F7)
 
 
 def test_section_chart_roundtrip():
     x = fermat(F7)
     plane = Hyperplane(F7, [1, 2, 0, 3])
-    section, chart = plane_section(x, plane)
-    pt = chart.to_ambient(ProjPoint(F7, [1, 2, 5]))
+    section = plane_section(x, plane)
+    pt = plane.to_ambient(ProjPoint(F7, [1, 2, 5]))
     assert plane.contains(pt)
-    assert chart.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
+    assert plane.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
     # raw coordinates carry no field: a point over F49 is refused
     F49 = make_field(7, 2)
     line = LineP3(F7, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    for call, arg in ((chart.to_ambient, ProjPoint(F49, [1, 2, 5])),
-                      (chart.to_plane, pt.map_field(F49)),
+    for call, arg in ((plane.to_ambient, ProjPoint(F49, [1, 2, 5])),
+                      (plane.to_plane, pt.map_field(F49)),
                       (plane.contains, pt.map_field(F49)),
                       (lambda p: plane_section(x, p), plane.map_field(F49)),
                       (lambda ln: divide_by_plane_line(section, ln),
                        Hyperplane(F49, [1, 0, 0])),
                       (line.meets, LineP3.from_raw(F49, [[1, 0, 0, 0],
                                                          [0, 0, 1, 0]])),
-                      (chart.line_in_plane,
+                      (plane.line_in_plane,
                        LineP3.from_raw(F49, [[1, 10, 0, 0], [0, 0, 1, 0]]))):
         with pytest.raises(FieldError):
             call(arg)
@@ -468,8 +469,8 @@ def test_classify_char2_tangency():
     # characteristic-2 tangency needs the b != 0 criterion, not the
     # discriminant
     f2 = fermat(F2)
-    section, _ = plane_section(f2, Hyperplane(F2, [0, 0, 1, 1]))
-    cls = classify_plane_cubic(section)
+    cls = classify_plane_cubic(plane_section(f2, Hyperplane(F2,
+                                                            [0, 0, 1, 1])))
     assert cls.tag == THREE_LINES_CONCURRENT
 
 
@@ -574,8 +575,9 @@ def test_tangent_cone_table_on_f16_fermat_sections():
     x = fermat(make_field(2, 4))
     tags = {}
     for pt in surface_points(x):
-        section, chart = plane_section(x, tangent_hyperplane(x, pt))
-        row = _assert_point_path_agrees(section, chart.to_plane(pt))
+        plane = tangent_hyperplane(x, pt)
+        row = _assert_point_path_agrees(plane_section(x, plane),
+                                        plane.to_plane(pt))
         tags[row.tag] = tags.get(row.tag, 0) + 1
     assert tags == {LINE_CONIC_TANGENT: 324, THREE_LINES_CONCURRENT: 45}
 
@@ -841,7 +843,7 @@ def test_line_search_refuses_a_plane():
     """A plane on the surface makes both restrictions to the line of
     partner points vanish: X2 = 0 lies on X2 (X0^2 + X1^2 + X3^2)."""
     x = Hypersurface(parse_poly("X2*(X0^2+X1^2+X3^2)", 4, F7))
-    with pytest.raises(IntegrityError, match="plane"):
+    with pytest.raises(IntegrityError, match="a plane lies on the surface"):
         _lines_in_cells([x.f] + x.partials)
 
 
@@ -1076,11 +1078,40 @@ def test_scan_reports_each_point_once_across_levels():
 def test_hyperplane_section_chart_in_p4():
     x = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3+X4^3", 5, F7))
     plane = Hyperplane(F7, [1, 1, 0, 2, 0])
-    section, chart = hyperplane_section(x, plane)
+    section = hyperplane_section(x, plane)
     assert section.nvars == 4 and section.total_degree == 3
-    pt = chart.to_ambient(ProjPoint(F7, [1, 3, 0, 2]))
+    pt = plane.to_ambient(ProjPoint(F7, [1, 3, 0, 2]))
     assert plane.contains(pt)
-    assert chart.to_plane(pt) == ProjPoint(F7, [1, 3, 0, 2])
+    assert plane.to_plane(pt) == ProjPoint(F7, [1, 3, 0, 2])
+
+
+@pytest.mark.parametrize("field", [F2, F7, F4, make_field(3, 2)],
+                         ids=["F2", "F7", "F4", "F9"])
+def test_to_ambient_is_the_chart_product(field):
+    """`Hyperplane.to_ambient` builds no chart: on seeded hyperplanes of
+    P^2, P^3 and P^4, every pivot among them, it gives the point M.y for
+    M = `chart()` at seeded points y, and `to_plane` undoes it."""
+    rng = random.Random(2500 + field.size)
+    pivots = set()
+    for n in (2, 3, 4):
+        for _ in range(12):
+            coeffs = [rng.randrange(field.size) for _ in range(n + 1)]
+            coeffs[rng.randrange(n + 1)] = 0
+            if not any(coeffs):
+                continue
+            plane = Hyperplane.from_raw(field, coeffs)
+            pivots.add((n, plane.pivot))
+            y = [rng.randrange(field.size) for _ in range(n)]
+            if not any(y):
+                continue
+            pt = ProjPoint.from_raw(field, y)
+            by_chart = ProjPoint.from_raw(field, [
+                functools.reduce(field.radd, map(field.rmul, row, pt.coords))
+                for row in plane.chart()])
+            assert plane.to_ambient(pt) == by_chart
+            assert plane.contains(by_chart)
+            assert plane.to_plane(by_chart) == pt
+    assert len(pivots) >= 6
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F7, F4, make_field(3, 2)],

@@ -164,7 +164,7 @@ def test_splitting_over_q():
 def test_invalid_monad_rejected_by_operations():
     one3 = parse_binary_form("U^3", F7)
     bad = MonadP1(F7, 0, (3,), 6, (one3,), (one3,))
-    with pytest.raises(MonadError):
+    with pytest.raises(MonadError, match="invalid monad"):
         quotient_graded_dim(bad, 0)
 
 
