@@ -13,9 +13,10 @@ or three a line and conic or a triangle, and an infinite locus a
 repeated line, read at a rational point of it on the line X2 = 0.
 Point scans are bounded cross-checks only.
 Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
-over growing extension fields, so each line is seen exactly once per
-field; each cell scans its smaller row and solves for the partner point
-on the other by a linear condition and a gcd.  One zero scan serves the
+over growing extension fields, so each line is listed exactly once per
+field; each cell scans its smaller row, with one value per Frobenius
+orbit in its first free coordinate, solves for the partner point on the
+other by a linear condition and a gcd, and conjugates the lines found.  One zero scan serves the
 line search, `surface_points`, `singular_points_scan` and the base point
 of a conic: a form is restricted once to a row of P^n (pivot coordinate
 1, some coordinates 0, the rest free), each prefix of free values is
@@ -230,6 +231,22 @@ class LineP3:
         self.plucker = tuple(
             field.rsub(field.rmul(a[i], b[j]), field.rmul(a[j], b[i]))
             for i, j in itertools.combinations(range(4), 2))
+
+    def conjugate(self, e):
+        """The line with every coordinate raised to the power e, a power
+        of the characteristic: rows and Plücker coordinates are mapped
+        entry by entry, by a field automorphism that fixes 0 and 1, so
+        the rows stay in RREF and no elimination is run."""
+        F = self.field
+        fixed = (F.rzero, F.rone)
+
+        def phi(values):
+            return tuple(c if c in fixed else F.rpow(c, e) for c in values)
+        line = LineP3.__new__(LineP3)
+        line.field = F
+        line.rows = tuple(phi(r) for r in self.rows)
+        line.plucker = phi(self.plucker)
+        return line
 
     def param_forms(self):
         """Degree-1 binary forms of (U, V) -> U*row0 + V*row1."""
@@ -454,15 +471,15 @@ def _set_first(F, terms, a):
     return out
 
 
-def _row_zeros(forms, pivot, free):
+def _row_zeros(forms, pivot, free, first):
     """Zeros of forms[0] on the row of `_on_row`, each with the values of
     forms[1:] there: yields (raw point of P^n, [raw values]).
 
-    The free coordinates run over the field's elements in
-    `itertools.product` order.  Each prefix of free values is set once in
-    the restricted form; what is left is a polynomial in the last free
-    coordinate, evaluated by Horner.  The other forms are evaluated only
-    at the zeros found.
+    The first free coordinate runs over the raw values `first`, the
+    others over the field's elements, in `itertools.product` order.  Each
+    prefix of free values is set once in the restricted form; what is
+    left is a polynomial in the last free coordinate, evaluated by
+    Horner.  The other forms are evaluated only at the zeros found.
     """
     F = forms[0].field
     rzero = F.rzero
@@ -477,20 +494,20 @@ def _row_zeros(forms, pivot, free):
             out.append(terms.get((), rzero))
         return out
 
-    def scan(terms, prefix, left):
+    def scan(terms, prefix, left, values):
         if left == 0:
             if terms.get((), rzero) == rzero:
                 yield prefix
         elif left > 1:
-            for a in elements:
+            for a in values:
                 yield from scan(_set_first(F, terms, a), prefix + (a,),
-                                left - 1)
+                                left - 1, elements)
         else:
             deg = max((e[0] for e, c in terms.items() if c != rzero),
                       default=0)
             top, *rest = [terms.get((k,), rzero) for k in range(deg, -1, -1)]
             radd, rmul = F.radd, F.rmul
-            for b in elements:
+            for b in values:
                 acc = top
                 for c in rest:
                     acc = radd(rmul(acc, b), c)
@@ -499,7 +516,7 @@ def _row_zeros(forms, pivot, free):
 
     base = [rzero] * forms[0].nvars
     base[pivot] = F.rone
-    for vals in scan(f, (), len(free)):
+    for vals in scan(f, (), len(free), first):
         pt = list(base)
         for t, v in zip(free, vals):
             pt[t] = v
@@ -511,8 +528,9 @@ def _zeros(forms):
     order (X_0 = 1, then X_0 = 0, X_1 = 1, ...), each with the values of
     forms[1:] there, as `_row_zeros` yields them."""
     n = forms[0].nvars
+    elements = list(forms[0].field.elements())
     for i in range(n):
-        yield from _row_zeros(forms, i, range(i + 1, n))
+        yield from _row_zeros(forms, i, range(i + 1, n), elements)
 
 
 def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
@@ -808,17 +826,27 @@ def _nodal_frame(cub: MultiPoly, pt: ProjPoint):
     last = max(i for i, v in enumerate(x) if v)
     j, k = (i for i in range(3) if i != last)
     radd, rmul, zero, one = K.radd, K.rmul, K.rzero, K.rone
+    # at 0 and 1, where v^n = v for n >= 1, the tables take no product
+    two, three = K.rfrom_int(2), K.rfrom_int(3)
     pw = []                     # x_i^n for n = 0..3
     for v in x:
-        v2 = rmul(v, v)
-        pw.append((one, v, v2, rmul(v2, v)))
+        if v == zero or v == one:
+            pw.append((one, v, v, v))
+        else:
+            v2 = rmul(v, v)
+            pw.append((one, v, v2, rmul(v2, v)))
     mult, der = {}, {}          # n x_i and n x_i^(n-1), d/dt t^n at x_i
     for i in (j, k):
         v = x[i]
-        v_2 = radd(v, v)
-        v_3 = radd(v_2, v)
-        mult[i] = (zero, v, v_2, v_3)
-        der[i] = (zero, one, v_2, rmul(v_3, v))
+        if v == zero:
+            mult[i], der[i] = (zero,) * 4, (zero, one, zero, zero)
+        elif v == one:
+            mult[i] = der[i] = (zero, one, two, three)
+        else:
+            v_2 = radd(v, v)
+            v_3 = radd(v_2, v)
+            mult[i] = (zero, v, v_2, v_3)
+            der[i] = (zero, one, v_2, rmul(v_3, v))
     value = grad_j = grad_k = zero
     qco, cco = [zero] * 3, [zero] * 4
     for e, c in cub.terms.items():
@@ -924,8 +952,9 @@ def _classify_nonreduced(cub, ext_cap):
     class at any point of the repeated line."""
     F = cub.field
     forms = [cub] + [cub.partial(i) for i in range(3)]
+    elements = list(F.elements())
     raw = next((pt for pivot, free in ((0, (1,)), (1, ()))
-                for pt, grad in _row_zeros(forms, pivot, free)
+                for pt, grad in _row_zeros(forms, pivot, free, elements)
                 if all(g == F.rzero for g in grad)), None)
     cls = raw and _tangent_cone_class(cub, ProjPoint.from_raw(F, raw),
                                       ext_cap)
@@ -1022,9 +1051,22 @@ def _partners(K, i, free0, row_i, r1, g1):
     return [point(on_line(s)) for s in roots]
 
 
-def _lines_in_cells(forms):
-    """Lines of P^3 on {f = 0}, forms = [f] + its four partials over K,
-    each found once in its RREF cell (pivots i < j).
+def _orbit_representatives(K, exps):
+    """One raw element of each orbit of K under x -> x^q, the first in
+    `elements()` order, with exps = [q^m for m = 1..k-1] and |K| = q^k."""
+    reps, seen = [], set()
+    for a in K.elements():
+        if a not in seen:
+            reps.append(a)
+            seen.add(a)
+            seen.update(K.rpow(a, e) for e in exps)
+    return reps
+
+
+def _lines_in_cells(forms, q):
+    """Lines of P^3 on {f = 0}, forms = [f] + its four partials over
+    K = F_{q^k} with coefficients in F_q, each once, by the RREF cell
+    (pivots i < j) it lies in.
 
     Each cell scans only its second row (pivot j), whose free
     coordinates are a subset of the first's.  A line spanned by r0 and r1
@@ -1034,22 +1076,40 @@ def _lines_in_cells(forms):
     solves for r0 on the first row.  When the tangent plane at r1 holds
     the first row, its zeros are scanned once per cell and paired by the
     polar condition grad f(r0) . r1 = 0.
+
+    The Frobenius x -> x^q fixes f and sends lines on X to lines on X; it
+    fixes 0 and 1, so it keeps each cell.  The second row's first free
+    coordinate therefore runs over one value per orbit of K under it,
+    and each line found brings in its conjugates (`LineP3.conjugate`):
+    a line whose coordinate there is a^(q^m) is the conjugate of one
+    found at a.  At k = 1 every element is its own orbit.
     """
     K = forms[0].field
-    lines = []
+    exps = [q ** m for m in range(1, K.k) if q ** m < K.size]
+    reps = _orbit_representatives(K, exps)
+    found = {}                  # an ordered set
     for (i, j, free0, free1) in _cell_patterns():
         row_i = [_on_row(g, i, free0).terms for g in forms]
         zeros_i = None
-        for r1, g1 in _row_zeros(forms, j, free1):
+        for r1, g1 in _row_zeros(forms, j, free1, reps):
             r0s = _partners(K, i, free0, row_i, r1, g1)
             if r0s is None:
                 if zeros_i is None:
-                    zeros_i = list(_row_zeros(forms, i, free0))
+                    zeros_i = list(_row_zeros(forms, i, free0,
+                                              list(K.elements())))
                 r0s = [r0 for r0, g0 in zeros_i
                        if _dot(K, g0, r1) == K.rzero]
             for r0 in r0s:
-                lines.append(LineP3.from_raw(K, [r0, r1]))
-    return lines
+                line = LineP3.from_raw(K, [r0, r1])
+                if line in found:
+                    continue
+                found[line] = None
+                for e in exps:
+                    conj = line.conjugate(e)
+                    if conj == line:
+                        break
+                    found[conj] = None
+    return list(found)
 
 
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
@@ -1058,6 +1118,10 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
 
     Scans the RREF cells of lines of P^3 over F_{q^k} for k = 1, 2, ...
     until exactly 27 distinct lines appear; returns (lines, field, k).
+    Over F_{q^k} each cell scans one value per Frobenius orbit of its
+    second row's first free coordinate and adds the conjugates of the
+    lines found (`_lines_in_cells`), so the set of lines is complete and
+    more than 27 still shows a singular surface.
     """
     if x.n != 3:
         raise ValueError("line enumeration expects a surface in P^3")
@@ -1076,7 +1140,8 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                 f"(size {K.size} > {field_cap}); {last_count} lines found "
                 f"so far")
         xk = x.map_field(K)
-        lines = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
+        lines = sorted(set(_lines_in_cells([xk.f] + xk.partials,
+                                           base.size)),
                        key=lambda l: l.sort_key())
         if len(lines) > 27:
             raise IntegrityError(

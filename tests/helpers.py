@@ -220,10 +220,11 @@ def lines_by_row_pairing(x, K):
         for a, b in zip(u, v):
             acc = K.radd(acc, K.rmul(a, b))
         return acc
+    elements = list(K.elements())
     lines = set()
     for (i, j, free0, free1) in _cell_patterns():
-        zeros1 = list(_row_zeros(forms, j, free1))
-        for r0, g0 in _row_zeros(forms, i, free0):
+        zeros1 = list(_row_zeros(forms, j, free1, elements))
+        for r0, g0 in _row_zeros(forms, i, free0, elements):
             for r1, g1 in zeros1:
                 if dot(g0, r1) == K.rzero and dot(g1, r0) == K.rzero:
                     lines.add(LineP3.from_raw(K, [r0, r1]))

@@ -256,12 +256,12 @@ def test_section_by_a_contained_hyperplane():
 LINES_IN_CELLS = hypersurface._lines_in_cells
 
 
-def _line_added(forms):
+def _line_added(forms, q):
     """The lines of the cells plus X0 = X1 = 0, which is not on the
     Fermat surface: X2^3 + X3^3 does not vanish on it."""
     K = forms[0].field
     extra = LineP3(K, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    lines = LINES_IN_CELLS(forms)
+    lines = LINES_IN_CELLS(forms, q)
     assert extra not in lines
     return lines + [extra]
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -156,7 +157,9 @@ def _brute_row_zeros(forms, pivot, free):
 def test_row_zeros_match_brute_force_evaluation():
     """Zeros of f on each cell row, and the partials there, against
     MultiPoly.evaluate at every point of the row; the non-homogeneous
-    inputs make terms merge, and sometimes cancel, on restriction."""
+    inputs make terms merge, and sometimes cancel, on restriction.  With
+    the first free coordinate held to every other element, the zeros are
+    the brute-force ones whose first free coordinate is among them."""
     rng = random.Random(90)
     rows = _rows_of_p3()
     assert {len(free) for _, free in rows} == {0, 1, 2, 3}
@@ -170,10 +173,15 @@ def test_row_zeros_match_brute_force_evaluation():
         polys.append(parse_poly("X1*X2*X3", 4, F))
         for f in polys:
             forms = [f] + [f.partial(i) for i in range(4)]
+            elements = list(F.elements())
             for pivot, free in rows:
-                got = list(_row_zeros(forms, pivot, free))
-                assert got == _brute_row_zeros(forms, pivot, free), \
-                    (str(f), pivot, free)
+                got = list(_row_zeros(forms, pivot, free, elements))
+                brute = _brute_row_zeros(forms, pivot, free)
+                assert got == brute, (str(f), pivot, free)
+                some = elements[::2]
+                assert list(_row_zeros(forms, pivot, free, some)) == [
+                    z for z in brute if not free or z[0][free[0]] in some
+                ], (str(f), pivot, free)
                 zeros_seen.add(min(len(got), 2))
                 cases += 1
     assert cases == 35 * len(rows) and zeros_seen == {0, 1, 2}
@@ -228,7 +236,8 @@ def test_point_scans_keep_proj_points_order():
                          ("X0^2", (0, 1, 0))):
         conic = parse_poly(conic, 3, F5)
         zeros = [raw for i in range(3)
-                 for raw, _ in _row_zeros([conic], i, range(i + 1, 3))]
+                 for raw, _ in _row_zeros([conic], i, range(i + 1, 3),
+                                          list(F5.elements()))]
         assert zeros == [raw for raw in proj_points(F5, 2)
                          if not conic.evaluate(raw)]
         assert zeros[0] == first
@@ -766,13 +775,17 @@ def test_line_search_field_op_count(monkeypatch):
     and its partials in full at every point of each cell row needs
     586 655; Horner scans of both rows of every cell, paired by the polar
     conditions, about 100 800; scanning only the second row and solving
-    for the partner point about 33 000.  The bound catches a fall back to
-    scanning both rows, which no wall-clock gate would."""
+    for the partner point about 33 000; scanning one value per Frobenius
+    orbit of the second row's first free coordinate and conjugating the
+    lines found about 20 500.  The bounds catch a fall back to scanning
+    both rows and a fall back to the full second-row scan, which no
+    wall-clock gate would."""
     x = Hypersurface(random_cubic_form(F7, 4, 256))
     count = count_field_ops(monkeypatch)
     lines, work, ext = lines_on_cubic_surface(x)
     assert len(lines) == 27 and ext == 2
     assert count[0] <= 60_000
+    assert count[0] <= 26_000
 
 
 CYCLIC = "X0^2*X1+X1^2*X2+X2^2*X3+X3^2*X0"
@@ -796,13 +809,17 @@ def _spy_line_search(monkeypatch):
         seen["gcd"].add(out.degree)
         return out
 
-    def spy_row_zeros(forms, pivot, free):
+    def spy_row_zeros(forms, pivot, free, first):
         if tuple(free) != tuple(range(pivot + 1, 4)):
             seen["first_rows"] += 1
-        return row_zeros(forms, pivot, free)
+        return row_zeros(forms, pivot, free, first)
     monkeypatch.setattr(UPoly, "gcd", spy_gcd)
     monkeypatch.setattr(hypersurface, "_row_zeros", spy_row_zeros)
     return seen
+
+
+def _seeded(field, seed):
+    return Hypersurface(random_cubic_form(field, 4, seed))
 
 
 @pytest.mark.parametrize("name, x, reaches", [
@@ -816,12 +833,20 @@ def _spy_line_search(monkeypatch):
      {1, 2}),
     ("moved F7", _moved(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]), 1),
      {1, 2}),
+    ("Fermat F2", fermat(F2), {1, 3}),
+    # lines over F32, F64 and F81
+    ("F2 seed 17", _seeded(F2, 17), "first_rows"),
+    ("F2 seed 26", _seeded(F2, 26), {1, 2, 3}),
+    ("F3 seed 10", _seeded(F3, 10), {1, 2}),
 ])
 def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
     """Solving for the partner point finds, over every field the search
-    visits, exactly the lines of the two-row scan.  The surfaces reach
-    each way of solving: the tangent plane at r1 holding a first row
-    (cyclic), a gcd of degree 3 (Fermat) and gcds of degrees 1 and 2."""
+    visits, exactly the lines of the two-row scan, each once.  The
+    surfaces reach each way of solving: the tangent plane at r1 holding a
+    first row (cyclic), a gcd of degree 3 (Fermat) and gcds of degrees 1
+    and 2.  The search scans one value per Frobenius orbit of the second
+    row's first free coordinate; the last three surfaces have orbits of
+    lines of lengths 3 to 6."""
     seen = _spy_line_search(monkeypatch)
     lines, work, ext = lines_on_cubic_surface(x)
     monkeypatch.undo()
@@ -833,10 +858,60 @@ def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
     for k in range(1, ext + 1):
         K = make_field(x.field.p, x.field.k * k)
         xk = x.map_field(K)
-        found = sorted(set(_lines_in_cells([xk.f] + xk.partials)),
-                       key=lambda l: l.sort_key())
+        found = _lines_in_cells([xk.f] + xk.partials, x.field.size)
+        assert len(set(found)) == len(found), (name, k)
+        found.sort(key=lambda l: l.sort_key())
         assert found == lines_by_row_pairing(x, K), (name, k)
     assert found == lines
+
+
+def _frobenius(line, e):
+    """The line through the rows of `line` with every entry raised to
+    the power e, put in RREF by `LineP3.from_raw`."""
+    K = line.field
+    return LineP3.from_raw(K, [[K.rpow(c, e) for c in r] for r in line.rows])
+
+
+@pytest.mark.parametrize("name, x, degree", [
+    *[(f"F5 seed {s}", _seeded(F5, s), 2) for s in F5_SURFACE_SEEDS],
+    *[(f"F7 seed {s}", _seeded(F7, s), 2) for s in F7_SURFACE_SEEDS],
+    ("Clebsch F7", clebsch(F7), 2),
+    ("F2 seed 17", _seeded(F2, 17), 5),
+    ("F2 seed 26", _seeded(F2, 26), 6),
+    ("F3 seed 10", _seeded(F3, 10), 4),
+])
+def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
+    """The premise of the orbit-reduced search: x -> x^q, with F_q the
+    surface's field, maps the lines that the two-row scan finds over the
+    line field F_{q^k} onto themselves, and the lengths of its orbits
+    have least common multiple k, so for k > 2 some orbit is longer
+    than 2.  Every conjugate the search builds has
+    the rows and Plücker coordinates that `LineP3.from_raw` gives for the
+    conjugated rows."""
+    built, conjugate = [], LineP3.conjugate
+
+    def spy_conjugate(line, e):
+        out = conjugate(line, e)
+        built.append((line, e, out))
+        return out
+    monkeypatch.setattr(LineP3, "conjugate", spy_conjugate)
+    lines, K, ext = lines_on_cubic_surface(x)
+    monkeypatch.undo()
+    assert ext == degree and built, name
+    for line, e, out in built:
+        ref = _frobenius(line, e)
+        assert (out.rows, out.plucker) == (ref.rows, ref.plucker), name
+    q = x.field.size
+    full = set(lines_by_row_pairing(x, K))
+    assert {_frobenius(l, q) for l in full} == full, name
+    lengths, left = [], set(full)
+    while left:
+        orbit = [left.pop()]
+        while (conj := _frobenius(orbit[-1], q)) != orbit[0]:
+            orbit.append(conj)
+        left -= set(orbit)
+        lengths.append(len(orbit))
+    assert math.lcm(*lengths) == ext, (name, sorted(lengths))
 
 
 def test_line_search_refuses_a_plane():
@@ -844,7 +919,7 @@ def test_line_search_refuses_a_plane():
     partner points vanish: X2 = 0 lies on X2 (X0^2 + X1^2 + X3^2)."""
     x = Hypersurface(parse_poly("X2*(X0^2+X1^2+X3^2)", 4, F7))
     with pytest.raises(IntegrityError, match="a plane lies on the surface"):
-        _lines_in_cells([x.f] + x.partials)
+        _lines_in_cells([x.f] + x.partials, F7.size)
 
 
 def test_is_smooth_field_op_count(monkeypatch):
