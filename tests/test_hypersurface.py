@@ -846,7 +846,7 @@ def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
     first row (cyclic), a gcd of degree 3 (Fermat) and gcds of degrees 1
     and 2.  The search scans one value per Frobenius orbit of the second
     row's first free coordinate; the last three surfaces have orbits of
-    lines of lengths 3 to 6."""
+    lines longer than 2."""
     seen = _spy_line_search(monkeypatch)
     lines, work, ext = lines_on_cubic_surface(x)
     monkeypatch.undo()
@@ -884,10 +884,9 @@ def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
     """The premise of the orbit-reduced search: x -> x^q, with F_q the
     surface's field, maps the lines that the two-row scan finds over the
     line field F_{q^k} onto themselves, and the lengths of its orbits
-    have least common multiple k, so for k > 2 some orbit is longer
-    than 2.  Every conjugate the search builds has
-    the rows and Plücker coordinates that `LineP3.from_raw` gives for the
-    conjugated rows."""
+    have least common multiple k, so for k > 2 some orbit is longer than
+    2.  Every conjugate the search builds has the rows and Plücker
+    coordinates that `LineP3.from_raw` gives for the conjugated rows."""
     built, conjugate = [], LineP3.conjugate
 
     def spy_conjugate(line, e):
