@@ -7,6 +7,7 @@ usage error; 3 = a scan budget or extension cap was exhausted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -15,15 +16,18 @@ from . import __version__
 from .errors import (ExtensionCapExceeded, FieldError, IntegrityError,
                      ParseError, ScanBudgetExceeded)
 from .fields import make_field, parse_field_spec, format_field_spec
-from .poly import parse_binary_form, parse_poly, scalar_from_string
+from .poly import (compose_with_curve, parse_binary_form, parse_poly,
+                   scalar_from_string)
 from .hypersurface import (Hyperplane, Hypersurface, ProjPoint,
                            eckardt_points, is_smooth,
-                           lines_on_cubic_surface, DEFAULT_EXT_CAP,
+                           lines_on_cubic_surface, plane_section,
+                           tangent_hyperplane, DEFAULT_EXT_CAP,
                            DEFAULT_LINE_FIELD_CAP)
 from .sheafp1 import is_very_free_splitting, splitting_type
 from .constructions import (AllEckardtError, build_very_free_curve,
                             fermat_char2_curve, find_nodal_section,
-                            make_curve, nodal_surface_form,
+                            make_curve, nodal_section_curve,
+                            nodal_surface_form,
                             normal_form_surface, pullback_tangent,
                             sample_admissible_completion,
                             six_point_diagonal, standard_nodal_parametrization,
@@ -274,7 +278,6 @@ def run_verify_paper(seed=0, progress=None):
     nf7 = nodal_surface_form(F7)
     x7 = normal_form_surface(nf7)
     pt = ProjPoint(F7, [1, 0, 0, 0])
-    from .hypersurface import tangent_hyperplane, plane_section
     plane = tangent_hyperplane(x7, pt)
     note("tangent plane at (1:0:0:0) is X3 = 0",
          "X3 = 0 est l'equation du plan",
@@ -283,7 +286,6 @@ def run_verify_paper(seed=0, progress=None):
     note("tangent section is X0 X1 X2 + X1^3 + X2^3",
          "X0 q(X1, X2) + c(X1, X2) = 0",
          section == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7), str(section))
-    from .poly import compose_with_curve
     comp = compose_with_curve(section, standard_nodal_parametrization(F7))
     note("nodal parametrization lies on the section",
          "(U:V) -> (-U^3-V^3 : U^2 V : U V^2)", comp.is_zero())
@@ -353,9 +355,8 @@ def run_verify_paper(seed=0, progress=None):
         "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3", 4, F7))
     linesC, workC, extC = lines_on_cubic_surface(clebsch)
     repC = eckardt_points(clebsch.map_field(workC), linesC)
-    import itertools as it
     perm = set()
-    for i, j in it.combinations(range(5), 2):
+    for i, j in itertools.combinations(range(5), 2):
         v = [F7.zero] * 5
         v[i], v[j] = F7.one, F7.scalar(-1)
         perm.add(ProjPoint(F7, v[:4]).map_field(workC))
@@ -366,7 +367,6 @@ def run_verify_paper(seed=0, progress=None):
          f"{len(repC.eckardt)} Eckardt points")
 
     # pipelines
-    from .constructions import nodal_section_curve
     resF = find_nodal_section(fermat7)
     curveF = nodal_section_curve(resF)
     note("two-line-point pipeline yields a very free nodal section "

@@ -19,13 +19,15 @@ forms and divide one by a curve component.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError
 from .fields import FieldSpec, UPoly, check_field, check_raw, cube_root, \
-    embed, join_field, make_field
+    embed, format_field_spec, join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
@@ -42,7 +44,8 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
-                   gcd_bin, map_curve, parse_poly, substitute_linear_map)
+                   gcd_bin, map_curve, parse_poly, poly_to_string,
+                   substitute_linear_map)
 from .sheafp1 import (MonadP1, SplittingType, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
                       splitting_type, validate_monad)
@@ -115,8 +118,6 @@ class CurveOnX:
         return self.components[0].degree
 
     def to_json(self):
-        from .fields import format_field_spec
-        from .poly import poly_to_string
         return {"components": [[h.field.rstr(c) for c in h.coeffs]
                                for h in self.components],
                 "degree": self.degree,
@@ -731,8 +732,7 @@ def six_point_diagonal(points) -> SixPointResult:
     F = points[0].field
     if len(set(points)) != 6:
         raise ValueError("the six points must be distinct")
-    import itertools as it
-    for (i, j, k) in it.combinations(range(6), 3):
+    for (i, j, k) in itertools.combinations(range(6), 3):
         rows = [points[t].coords for t in (i, j, k)]
         if linalg.det(F, rows) == F.rzero:
             raise ValueError(f"points {i}, {j}, {k} are collinear")
@@ -740,7 +740,7 @@ def six_point_diagonal(points) -> SixPointResult:
         raise ValueError("the six points lie on a conic")
 
     lines = {}
-    for (i, j) in it.combinations(range(6), 2):
+    for (i, j) in itertools.combinations(range(6), 2):
         lines[(i, j)] = plane_line_through(points[i], points[j])
     conics = [_five_point_conic([p for t, p in enumerate(points) if t != i])
               for i in range(6)]
@@ -772,7 +772,7 @@ def six_point_diagonal(points) -> SixPointResult:
         connecting lines, so it is not tried."""
         yield from (d for d in diagonals if not p45.contains(d))
         candidates.update(_cross(lines[ij], lines[kl]) for ij, kl
-                          in it.combinations(sorted(lines), 2)
+                          in itertools.combinations(sorted(lines), 2)
                           if not set(ij) & set(kl))
         yield from sorted(candidates.difference(diagonals),
                           key=lambda p: p.sort_key())
@@ -1045,14 +1045,12 @@ def sample_admissible_completion(field, rng):
     A is a Scalar, as `nodal_surface_form` takes it."""
     def coeff():
         if field.is_rational:
-            from fractions import Fraction
             return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
         return rng.randrange(field.size)
 
-    import itertools as it
     while True:
         q_terms = {}
-        for combo in it.combinations_with_replacement(range(3), 2):
+        for combo in itertools.combinations_with_replacement(range(3), 2):
             e = [0, 0, 0]
             for i in combo:
                 e[i] += 1

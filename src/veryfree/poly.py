@@ -18,11 +18,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+from fractions import Fraction
 
 from . import linalg
 from .errors import ParseError
 from .fields import (FieldSpec, Scalar, UPoly, check_field, check_raw,
-                     embed)
+                     embed, find_roots)
 
 
 class MultiPoly:
@@ -318,7 +319,6 @@ class _PolyParser:
                         "rational literals are only allowed over Q", dpos)
                 if d == 0:
                     raise ParseError("zero denominator", dpos)
-                from fractions import Fraction
                 return MultiPoly.constant(self.field, self.nvars,
                                           Fraction(n, d))
             return MultiPoly.constant(self.field, self.nvars, n)
@@ -735,7 +735,6 @@ def binary_roots(f: BinaryForm, max_ext: int):
     Returns [(u, v, ext_degree, multiplicity)] with (u, v) normalized
     raw values of F_{q^ext}.
     """
-    from .fields import find_roots
     if f.is_zero():
         raise ValueError("roots of the zero form")
     F = f.field

@@ -13,14 +13,14 @@ h^0(E(l)) = sum_j h^0(O(l - t_j)) - h^0(O(a+l)) + h^1(O(a+l)) - rank M_l,
 where M_l multiplies by the f_j and is the Serre dual of
 H^1(O(a+l)) -> H^1(K(l)).
 
-Either end of the monad may be absent (alpha = None / beta = None); the
-middle cohomology is then a quotient or subsheaf of the direct sum.
+Both ends are required: a cokernel or a kernel alone is written as a
+monad with a killed summand, one that beta maps onto O(c) or onto which
+alpha maps O(a) isomorphically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
 
 from . import linalg
 from .errors import IntegrityError, MonadError, ScanBudgetExceeded
@@ -31,25 +31,19 @@ from .poly import BinaryForm, gcd_bin, binary_roots, _monic_bin
 @dataclass(frozen=True)
 class MonadP1:
     field: object
-    a: Optional[int]
+    a: int
     b: tuple
-    c: Optional[int]
-    alpha: Optional[tuple]  # alpha[i]: O(a) -> O(b_i), degree b_i - a
-    beta: Optional[tuple]   # beta[i]: O(b_i) -> O(c), degree c - b_i
+    c: int
+    alpha: tuple  # alpha[i]: O(a) -> O(b_i), degree b_i - a
+    beta: tuple   # beta[i]: O(b_i) -> O(c), degree c - b_i
 
     @property
     def rank(self):
-        return (len(self.b) - (1 if self.alpha is not None else 0)
-                - (1 if self.beta is not None else 0))
+        return len(self.b) - 2
 
     @property
     def euler_degree(self):
-        d = sum(self.b)
-        if self.alpha is not None:
-            d -= self.a
-        if self.beta is not None:
-            d -= self.c
-        return d
+        return sum(self.b) - self.a - self.c
 
 
 @dataclass(frozen=True)
@@ -99,64 +93,42 @@ class MonadReport:
 
 
 def validate_monad(m: MonadP1) -> MonadReport:
-    """Check degree bookkeeping, zero composition, and both gcd invariants."""
-    failures = []
-    F = m.field
+    """Check the shape, the degree of each nonzero entry, zero composition
+    and both gcd invariants.  A zero entry's declared degree is not read:
+    `BinaryForm` equality, and so the cohomology cache, ignores it."""
     if not m.b:
         return MonadReport(False, [("shape", "empty middle term")])
-    if (m.alpha is None) != (m.a is None):
-        failures.append(("shape", "alpha and a must be given together"))
-    if (m.beta is None) != (m.c is None):
-        failures.append(("shape", "beta and c must be given together"))
+    if None in (m.a, m.c, m.alpha, m.beta):
+        return MonadReport(False, [("shape", "a monad needs both ends")])
+    failures = []
+    for name, maps, wants in (("alpha", m.alpha, [bi - m.a for bi in m.b]),
+                              ("beta", m.beta, [m.c - bi for bi in m.b])):
+        if len(maps) != len(m.b):
+            failures.append(("shape", f"{name} length differs from b"))
+            continue
+        failures += [("degrees", f"{name}[{i}] has degree {f.degree}, "
+                                 f"expected {want}")
+                     for i, (f, want) in enumerate(zip(maps, wants))
+                     if not f.is_zero() and f.degree != want]
     if failures:
         return MonadReport(False, failures)
-    if m.alpha is not None:
-        if len(m.alpha) != len(m.b):
-            failures.append(("shape", "alpha length differs from b"))
-        else:
-            for i, (f, bi) in enumerate(zip(m.alpha, m.b)):
-                want = bi - m.a
-                if not f.is_zero() and f.degree != want:
-                    failures.append(
-                        ("degrees", f"alpha[{i}] has degree {f.degree}, "
-                                    f"expected {want}"))
-                if f.is_zero() and want >= 0 and f.degree >= 0 \
-                        and f.degree != want:
-                    failures.append(
-                        ("degrees", f"zero alpha[{i}] declared at wrong degree"))
-    if m.beta is not None:
-        if len(m.beta) != len(m.b):
-            failures.append(("shape", "beta length differs from b"))
-        else:
-            for i, (f, bi) in enumerate(zip(m.beta, m.b)):
-                want = m.c - bi
-                if not f.is_zero() and f.degree != want:
-                    failures.append(
-                        ("degrees", f"beta[{i}] has degree {f.degree}, "
-                                    f"expected {want}"))
-    if failures:
-        return MonadReport(False, failures)
-    if m.alpha is not None and m.beta is not None:
-        comp = BinaryForm.zero(F, m.c - m.a)
-        for al, be in zip(m.alpha, m.beta):
-            if not al.is_zero() and not be.is_zero():
-                comp = comp + be * al
-        if not comp.is_zero():
-            failures.append(("composition", f"beta.alpha = {comp} != 0"))
-    if m.alpha is not None:
-        g = _common_gcd(m.alpha)
-        if g is None:
-            failures.append(("alpha", "alpha is identically zero"))
-        elif g.degree > 0:
-            failures.append(("alpha", "alpha not a subbundle inclusion, "
-                                      f"common root of {g} " + _root_witness(g)))
-    if m.beta is not None:
-        g = _common_gcd(m.beta)
-        if g is None:
-            failures.append(("beta", "beta is identically zero"))
-        elif g.degree > 0:
-            failures.append(("beta", "beta not surjective, "
-                                     + _root_witness(g)))
+    comp = BinaryForm.zero(m.field, m.c - m.a)
+    for al, be in zip(m.alpha, m.beta):
+        if not al.is_zero() and not be.is_zero():
+            comp = comp + be * al
+    if not comp.is_zero():
+        failures.append(("composition", f"beta.alpha = {comp} != 0"))
+    g = _common_gcd(m.alpha)
+    if g is None:
+        failures.append(("alpha", "alpha is identically zero"))
+    elif g.degree > 0:
+        failures.append(("alpha", "alpha not a subbundle inclusion, "
+                                  f"common root of {g} " + _root_witness(g)))
+    g = _common_gcd(m.beta)
+    if g is None:
+        failures.append(("beta", "beta is identically zero"))
+    elif g.degree > 0:
+        failures.append(("beta", "beta not surjective, " + _root_witness(g)))
     return MonadReport(not failures, failures)
 
 
@@ -174,16 +146,14 @@ def _common_gcd(forms):
 def _root_witness(g):
     if g.field.is_rational:
         return f"(common factor {g})"
+    # a factor of degree <= deg g has its roots within that extension
     try:
-        roots = binary_roots(g, max(1, g.degree))
+        u, v, ext, _ = binary_roots(g, g.degree)[0]
     except ScanBudgetExceeded:
         return f"(common factor {g})"
-    if roots:
-        u, v, ext, _ = roots[0]
-        K = make_field(g.field.p, g.field.k * ext)
-        return f"root ({K.rstr(u)}:{K.rstr(v)})" + (
-            f" over extension degree {ext}" if ext > 1 else "")
-    return f"(common factor {g})"
+    K = make_field(g.field.p, g.field.k * ext)
+    return f"root ({K.rstr(u)}:{K.rstr(v)})" + (
+        f" over extension degree {ext}" if ext > 1 else "")
 
 
 # -- graded machinery ----------------------------------------------------
@@ -228,10 +198,9 @@ def _multiples(field, gens, src, t):
 
 
 def _free_generators(field, row, src, tgt):
-    """Free generators of ker(row: (+) O(src_i) -> O(tgt)), or of all of
-    (+) O(src_i) when row is None: [(t_j, g_j)], g_j the raw coefficients,
-    summand by summand, of a section in degree t_j, so that the kernel is
-    (+) O(-t_j) (Grothendieck).
+    """Free generators of ker(row: (+) O(src_i) -> O(tgt)): [(t_j, g_j)],
+    g_j the raw coefficients, summand by summand, of a section in degree
+    t_j, so that the kernel is (+) O(-t_j) (Grothendieck).
 
     Found degree by degree from t = -max(src): the new generators in
     degree t are the kernel vectors that pivot after the monomial
@@ -239,9 +208,8 @@ def _free_generators(field, row, src, tgt):
     rank; the generators are then a basis exactly when -sum(t_j) is the
     kernel's degree, which is asserted.
     """
-    rows = [] if row is None else [row]
-    rank = len(src) - len(rows)
-    degree = sum(src) - (0 if row is None else tgt)
+    rank = len(src) - 1
+    degree = sum(src) - tgt
     top = max(src)
     gens = []
     # every t_j >= -top and the t_j sum to -degree, which bounds the last
@@ -250,9 +218,8 @@ def _free_generators(field, row, src, tgt):
             break
         wsrc = [s + t for s in src]
         off = _offsets(wsrc)
-        tgts = [] if row is None else [tgt + t]
-        zbasis = linalg.kernel(field, _mult_matrix(field, rows, wsrc, tgts),
-                               off[-1])
+        zbasis = linalg.kernel(field, _mult_matrix(field, [row], wsrc,
+                                                   [tgt + t]), off[-1])
         cols = _multiples(field, gens, src, t)
         n = len(cols)
         pivots = linalg.rref(field, list(zip(*cols, *zbasis)))[1]
@@ -280,14 +247,13 @@ class _Cohomology:
             raise MonadError(f"invalid monad: {report}")
         self.m = monad
         self.field = monad.field
-        row = None if monad.beta is None else [f.coeffs for f in monad.beta]
-        self.k = _free_generators(self.field, row, monad.b, monad.c)
+        self.k = _free_generators(self.field, [f.coeffs for f in monad.beta],
+                                  monad.b, monad.c)
         self._f = None
 
     def quotient_dim(self, t):
-        m = self.m
-        dim = sum(_form_dim(t - d) for d, _ in self.k)
-        return dim - (0 if m.alpha is None else _form_dim(m.a + t))
+        return (sum(_form_dim(t - d) for d, _ in self.k)
+                - _form_dim(self.m.a + t))
 
     def alpha_coordinates(self):
         """[(t_j, f_j)]: alpha = sum_j f_j g_j over the generators g_j of
@@ -308,19 +274,16 @@ class _Cohomology:
         return self._f
 
     def parts(self):
-        """Summand degrees of E: K's with no alpha, else the generator
-        degrees of E^dual = ker((f_j): (+) O(t_j) -> O(-a))."""
-        m = self.m
-        if m.alpha is None:
-            return [-d for d, _ in self.k]
+        """Summand degrees of E: the generator degrees of
+        E^dual = ker((f_j): (+) O(t_j) -> O(-a))."""
         f = self.alpha_coordinates()
         return [d for d, _ in _free_generators(
-            self.field, [fj for _, fj in f], [d for d, _ in f], -m.a)]
+            self.field, [fj for _, fj in f], [d for d, _ in f], -self.m.a)]
 
     def h0(self, t):
         m = self.m
         h = self.quotient_dim(t)
-        if m.alpha is None or t > -m.a - 2:
+        if t > -m.a - 2:
             return h
         f = self.alpha_coordinates()
         mt = _mult_matrix(self.field, [[fj for _, fj in f]],
@@ -371,16 +334,15 @@ def splitting_type(m: MonadP1) -> SplittingType:
 
     Read off two free-generator passes: K = ker(beta) = (+) O(-t_j), and
     E^dual = ker((f_j): (+) O(t_j) -> O(-a)), f_j the coordinates of
-    alpha over K's generators; with no alpha, E = K.  Rank and degree,
-    h^0 against h0_twist at every twist from -max(d_i) - 2 to
-    -min(d_i) + 1, and Riemann-Roch at the five twists after are all
-    asserted.
+    alpha over K's generators.  Rank and degree, h^0 against h0_twist
+    at every twist from -max(d_i) - 2 to -min(d_i) + 1, and Riemann-Roch
+    at the five twists after are all asserted.
     """
     rank = m.rank
     if rank <= 0:
         raise MonadError("monad has middle cohomology of rank <= 0")
-    deg_e = m.euler_degree
     s = SplittingType(tuple(_cohomology(m).parts()))
+    deg_e = m.euler_degree  # read only once _cohomology has validated m
     if s.rank != rank or s.degree != deg_e:
         raise IntegrityError(
             f"splitting {s} does not match rank {rank}, degree {deg_e}")

@@ -97,10 +97,34 @@ NODAL = "X0*X1*X2+X1^3+X2^3+X3*X0^2"
      "zero denominator"),
     (["smooth", "--field", "7^x", "--poly", FERMAT], "bad field spec"),
     (["smooth", "--field", "1", "--poly", FERMAT], "bad field spec"),
+    (["smooth", "--field", "7", "--poly", "X0-X0"],
+     "zero polynomial does not cut a hypersurface"),
+    (["smooth", "--field", "7", "--poly", "X0^2+X1^2"],
+     "hypersurface equation must be a cubic form"),
+    (["lines", "--field", "Q", "--surface", FERMAT],
+     "line enumeration needs a finite base field"),
+    (["build", "--field", "Q", "--dim", "3", "--poly", FERMAT],
+     "the constructive search needs a finite field"),
+    (["sixpoints", "--field", "11",
+      "--points", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1"], "expected six points"),
+    (["sixpoints", "--field", "11",
+      "--points", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;0:0:1"],
+     "the six points must be distinct"),
+    (["sixpoints", "--field", "11",
+      "--points", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;0:0:0"],
+     "projective point needs a nonzero coordinate"),
+    (["splitting", "--field", "7", "--surface", FERMAT, "--curve", "U;V;U"],
+     "curve needs 4 components"),
+    (["splitting", "--field", "7", "--surface", FERMAT,
+      "--curve", "1;2;3;4"], "constant curves have no tangent pullback"),
+    (["splitting", "--field", "7", "--surface", FERMAT,
+      "--curve", "U;V;U;V"], "curve does not lie on the hypersurface"),
 ], ids=["mixed-degrees", "inhomogeneous-curve", "two-coordinates",
         "end-of-input", "open-parenthesis", "close-parenthesis",
         "missing-exponent", "zero-denominator", "bad-exponent",
-        "field-one"])
+        "field-one", "zero-polynomial", "quadric", "lines-over-q",
+        "build-over-q", "five-points", "repeated-point", "zero-point",
+        "three-components", "constant-curve", "curve-off-surface"])
 def test_malformed_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run_err(capsys, *argv)
     assert code == 2 and out == ""

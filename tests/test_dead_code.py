@@ -9,7 +9,9 @@ or lambda other than `self` and `cls` must be read in its body.
 package's public re-exports.  Raw field values are the one value
 format inside the package, so no module but `fields` calls
 `Scalar(...)`.  Every parameter with a default must be set by some call
-in src/, tests/ or bench/, or it is an option nothing uses.
+in src/, tests/ or bench/, or it is an option nothing uses.  Imports sit
+at module level, where the import graph can be read at a glance; none
+is made inside a function body.
 """
 import ast
 import collections
@@ -122,6 +124,16 @@ def _scalar_calls(modules):
                  or getattr(node.func, "attr", None) == "Scalar")]
 
 
+def _local_imports(modules):
+    """`module:line` of each import inside a function body, nested
+    functions included, each once."""
+    return sorted({f"{name}:{node.lineno}" for name, tree in modules.items()
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def _callers():
     """Every module of src/, tests/ and bench/, keyed by its path."""
     return {str(path.relative_to(ROOT)): ast.parse(path.read_text(),
@@ -210,6 +222,26 @@ def test_defaulted_parameters_are_set_somewhere():
 
 def test_scalars_are_made_only_in_fields():
     assert _scalar_calls(_modules()) == []
+
+
+def test_imports_are_at_module_level():
+    assert _local_imports(_modules()) == []
+
+
+def test_import_check_catches_planted_local_imports():
+    planted = {
+        "a.py": ast.parse("import os\n"
+                          "class C:\n"
+                          "    from x import y\n"
+                          "    def m(self):\n"
+                          "        import sys\n"
+                          "        def g():\n"
+                          "            from . import z\n"
+                          "        return sys, g\n"
+                          "async def h():\n"
+                          "    import json\n"),
+    }
+    assert _local_imports(planted) == ["a.py:10", "a.py:5", "a.py:7"]
 
 
 def test_scalar_check_catches_planted_calls():

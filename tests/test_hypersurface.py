@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -798,15 +799,18 @@ def _moved(f, seed):
 
 
 def _spy_line_search(monkeypatch):
-    """Records the degree of each gcd the line search takes and each scan
-    of a cell's first row, whose free coordinates are not all the
-    coordinates after its pivot (the tangent plane at r1 holds the row)."""
+    """Records the degree of each gcd that `_partners` takes (not the
+    ones inside root finding) and each scan of a cell's first row, whose
+    free coordinates are not all the coordinates after its pivot (the
+    tangent plane at r1 holds the row)."""
     seen = {"gcd": set(), "first_rows": 0}
     gcd, row_zeros = UPoly.gcd, hypersurface._row_zeros
+    partners = hypersurface._partners.__code__
 
     def spy_gcd(a, b):
         out = gcd(a, b)
-        seen["gcd"].add(out.degree)
+        if sys._getframe(1).f_code is partners:
+            seen["gcd"].add(out.degree)
         return out
 
     def spy_row_zeros(forms, pivot, free, first):
@@ -833,10 +837,10 @@ def _seeded(field, seed):
      {1, 2}),
     ("moved F7", _moved(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]), 1),
      {1, 2}),
-    ("Fermat F2", fermat(F2), {1, 3}),
+    ("Fermat F2", fermat(F2), {3}),
     # lines over F32, F64 and F81
     ("F2 seed 17", _seeded(F2, 17), "first_rows"),
-    ("F2 seed 26", _seeded(F2, 26), {1, 2, 3}),
+    ("F2 seed 26", _seeded(F2, 26), {1, 3}),
     ("F3 seed 10", _seeded(F3, 10), {1, 2}),
 ])
 def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):

@@ -1,13 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from veryfree import linalg
-from veryfree.errors import MonadError
+from veryfree import linalg, sheafp1
+from veryfree.errors import MonadError, ScanBudgetExceeded
 from veryfree.fields import make_field
-from veryfree.poly import (BinaryForm, compose_with_curve, parse_binary_form,
-                           parse_poly, partial_derivative)
+from veryfree.poly import (BinaryForm, binary_roots, compose_with_curve,
+                           parse_binary_form, parse_poly, partial_derivative)
 from veryfree.sheafp1 import (MonadP1, SplittingType, h0_twist,
                               is_very_free_splitting, quotient_graded_dim,
                               splitting_type, validate_monad)
@@ -34,6 +35,27 @@ def oracle_monad(field, d1, d2, c=4):
     return MonadP1(field, 0, (d1, d2, 0, c), c, alpha, beta)
 
 
+def with_killed_summand(field, a, b, alpha, c):
+    """coker(alpha: O(a) -> (+) O(b_i)) as a monad: b plus a summand O(c)
+    that beta maps isomorphically onto O(c) and alpha misses, so
+    ker(beta) = (+) O(b_i) and the middle cohomology is the cokernel."""
+    z = BinaryForm.zero
+    return MonadP1(field, a, b + (c,), c, alpha + (z(field, c - a),),
+                   tuple(z(field, c - bi) for bi in b)
+                   + (BinaryForm.one(field),))
+
+
+def mirror_killed_summand(field, a, b, beta, c):
+    """ker(beta: (+) O(b_i) -> O(c)) as a monad, the mirror of
+    with_killed_summand: b plus a summand O(a) onto which alpha maps O(a)
+    isomorphically and which beta kills, so the middle cohomology is the
+    kernel."""
+    z = BinaryForm.zero
+    return MonadP1(field, a, b + (a,), c,
+                   tuple(z(field, bi - a) for bi in b)
+                   + (BinaryForm.one(field),), beta + (z(field, c - a),))
+
+
 def test_validate_nodal_monad():
     m, _, _ = nodal_monad(F7)
     assert validate_monad(m).ok
@@ -58,7 +80,7 @@ def test_validate_detects_beta_common_factor():
 def test_validate_detects_alpha_common_root():
     alpha = tuple(parse_binary_form(s, F7)
                   for s in ("U^2*V", "U*V^2", "U^3", "U^2*V"))
-    bad = MonadP1(F7, 0, (3, 3, 3, 3), None, alpha, None)
+    bad = with_killed_summand(F7, 0, (3, 3, 3, 3), alpha, 3)
     rep = validate_monad(bad)
     assert not rep.ok and any(n == "alpha" for n, _ in rep.failures)
 
@@ -70,11 +92,98 @@ def test_validate_detects_nonzero_composition():
     assert not rep.ok and any(n == "composition" for n, _ in rep.failures)
 
 
+def _broken_end(end, kind):
+    """The nodal monad (alpha of degree 3, beta of degree 6) with one end
+    cut short, given a nonzero entry of the wrong degree, or zeroed."""
+    m, _, _ = nodal_monad(F7)
+    want = 3 if end == "alpha" else 6
+    maps = {"length": getattr(m, end)[:-1],
+            "degree": (parse_binary_form(f"U^{want - 1}", F7),)
+            + getattr(m, end)[1:],
+            "zero": (BinaryForm.zero(F7, want),) * 4}[kind]
+    return replace(m, **{end: maps})
+
+
+@pytest.mark.parametrize("end", ["alpha", "beta"])
+@pytest.mark.parametrize("kind, failure", [
+    ("length", ("shape", "{end} length differs from b")),
+    ("degree", ("degrees", "{end}[0] has degree {d}, expected {want}")),
+    ("zero", ("{end}", "{end} is identically zero")),
+])
+def test_validate_names_each_failure_of_either_end(end, kind, failure):
+    want = 3 if end == "alpha" else 6
+    name, detail = (t.format(end=end, d=want - 1, want=want)
+                    for t in failure)
+    assert validate_monad(_broken_end(end, kind)).failures == [(name, detail)]
+
+
+def test_validate_refuses_an_empty_middle_term():
+    m = MonadP1(F7, 0, (), 0, (), ())
+    assert validate_monad(m).failures == [("shape", "empty middle term")]
+
+
+@pytest.mark.parametrize("end", ["alpha", "beta"])
+def test_one_ended_monad_is_refused(end):
+    """A missing end is one shape failure, and every operation refuses
+    the monad before it reads the absent end."""
+    m, _, _ = nodal_monad(F7)
+    m = replace(m, **{end: None, "a" if end == "alpha" else "c": None})
+    assert validate_monad(m).failures == [("shape",
+                                           "a monad needs both ends")]
+    for op in (splitting_type, lambda m: h0_twist(m, 0),
+               lambda m: quotient_graded_dim(m, 0)):
+        with pytest.raises(MonadError, match="a monad needs both ends"):
+            op(m)
+
+
+@pytest.mark.parametrize("first", ["declared at 0", "declared at 3"])
+def test_verdict_ignores_a_zero_entry_declared_degree(monkeypatch, first):
+    """Two monads that differ only in the declared degree of a zero alpha
+    entry compare and hash equal, so the cohomology cache treats them as
+    one; validation and the splitting agree on both, whichever runs
+    first."""
+    beta = tuple(parse_binary_form(s, F7) for s in ("U^5", "V^5"))
+    m0 = mirror_killed_summand(F7, 0, (0, 0), beta, 5)
+    m3 = replace(m0, alpha=(BinaryForm.zero(F7, 3),) + m0.alpha[1:])
+    assert m0 == m3 and hash(m0) == hash(m3)
+    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    order = (m0, m3) if first == "declared at 0" else (m3, m0)
+    assert [validate_monad(m).ok for m in order] == [True, True]
+    assert [splitting_type(m) for m in order] == [SplittingType((-5,))] * 2
+
+
+QUARTIC_F49 = "U^4+U*V^3+g*V^4"
+
+
+@pytest.mark.parametrize("field, factor", [
+    (QQ, "U^2+V^2"), (make_field(7, 2), QUARTIC_F49)],
+    ids=["over Q", "past the scan budget"])
+def test_root_witness_falls_back_to_the_common_factor(field, factor):
+    """With no roots to name, over Q or when the roots of the common
+    factor lie in a field past the scan budget (an irreducible quartic
+    over F49 has them in F_{7^8}), the witness is the factor itself."""
+    g = parse_binary_form(factor, field)
+    if not field.is_rational:
+        with pytest.raises(ScanBudgetExceeded):
+            binary_roots(g, g.degree)
+    d = g.degree + 1
+    ends = tuple(g * parse_binary_form(s, field) for s in ("U", "V"))
+    alpha_side = with_killed_summand(field, 0, (d, d), ends, d)
+    beta_side = mirror_killed_summand(field, 0, (0, 0), ends, d)
+    assert validate_monad(alpha_side).failures == [
+        ("alpha", f"alpha not a subbundle inclusion, common root of {g} "
+                  f"(common factor {g})")]
+    assert validate_monad(beta_side).failures == [
+        ("beta", f"beta not surjective, (common factor {g})")]
+
+
 def test_quotient_graded_dims():
     m, _, _ = nodal_monad(F7)
     assert quotient_graded_dim(m, -3) == 0
     assert quotient_graded_dim(m, 0) == 5
-    degenerate = MonadP1(F7, None, (2,), None, None, None)
+    # O(2) alone: the cokernel of (1, 0): O -> O + O(2)
+    degenerate = with_killed_summand(
+        F7, 0, (0, 2), (BinaryForm.one(F7), BinaryForm.zero(F7, 2)), 2)
     assert quotient_graded_dim(degenerate, 1) == 4
 
 
@@ -223,7 +332,7 @@ def test_splitting_invariant_under_graded_conjugation(make):
 def test_beta_only_monad_of_negative_degree():
     # ker((U^5, V^5): O^2 -> O(5)) = O(-5), below every summand of b
     beta = tuple(parse_binary_form(s, F7) for s in ("U^5", "V^5"))
-    m = MonadP1(F7, None, (0, 0), 5, None, beta)
+    m = mirror_killed_summand(F7, 0, (0, 0), beta, 5)
     assert validate_monad(m).ok
     assert splitting_type(m) == SplittingType((-5,))
 
@@ -263,41 +372,33 @@ def test_splitting_matches_block_monad_oracle(mk, seed):
 UV_QUADRICS = ("U^2", "V^2", "U*V")
 
 
-def quadric_alpha_monad(field):
-    """(U^2, V^2, UV): O -> O(2)^3, whose cokernel is O(3)^2; its graded
-    quotient lags h^0 at twists -3 and -2 (0 < 2 and 3 < 4)."""
+def quadric_alpha_monad(field, c):
+    """coker((U^2, V^2, UV): O -> O(2)^3) = O(3)^2 with a killed summand
+    O(c); its graded quotient lags h^0 at twists -3 and -2 (0 < 2 and
+    3 < 4)."""
     alpha = tuple(parse_binary_form(s, field) for s in UV_QUADRICS)
-    return MonadP1(field, 0, (2, 2, 2), None, alpha, None)
+    return with_killed_summand(field, 0, (2, 2, 2), alpha, c)
 
 
-def with_killed_summand(m, c):
-    """m plus a summand O(c) that beta maps isomorphically onto O(c);
-    the middle cohomology is unchanged."""
-    F = m.field
-    alpha = m.alpha + (BinaryForm.zero(F, c - m.a),)
-    beta = tuple(BinaryForm.zero(F, c - bi) for bi in m.b) \
-        + (BinaryForm.one(F),)
-    return MonadP1(F, m.a, m.b + (c,), c, alpha, beta)
-
-
-def quadric_beta_monad(field):
-    """ker((U^2, V^2, UV): O^3 -> O(2)) = O(-1)^2."""
+def quadric_beta_monad(field, a):
+    """ker((U^2, V^2, UV): O^3 -> O(2)) = O(-1)^2 with a killed summand
+    O(a)."""
     beta = tuple(parse_binary_form(s, field) for s in UV_QUADRICS)
-    return MonadP1(field, None, (0, 0, 0), 2, None, beta)
+    return mirror_killed_summand(field, a, (0, 0, 0), beta, 2)
 
 
 def _lagging_cases():
     rng = random.Random(5)
     F49 = make_field(7, 2)
-    yield quadric_alpha_monad(F7), (3, 3), True
-    yield with_killed_summand(quadric_alpha_monad(QQ), 2), (3, 3), True
+    yield quadric_alpha_monad(F7, 3), (3, 3), True
+    yield quadric_alpha_monad(QQ, 2), (3, 3), True
     for F in (F7, F49):
         for _ in range(2):
-            m = conjugate(with_killed_summand(quadric_alpha_monad(F), 2), rng)
+            m = conjugate(quadric_alpha_monad(F, 2), rng)
             assert validate_monad(m).ok
             yield m, (3, 3), True
-    yield quadric_beta_monad(F7), (-1, -1), False
-    yield quadric_beta_monad(QQ), (-1, -1), False
+    yield quadric_beta_monad(F7, 0), (-1, -1), False
+    yield quadric_beta_monad(QQ, -1), (-1, -1), False
 
 
 def test_h0_where_graded_quotient_lags():
@@ -311,47 +412,51 @@ def test_h0_where_graded_quotient_lags():
             assert (q < h0_twist(m, t)) if lags else q == h0_twist(m, t)
 
 
-def _serre_dual_h0(m, twist):
-    """h^0(E(t)) for E = coker(alpha): by Riemann-Roch and Serre duality,
-    deg E + rank (t + 1) + h^0(E^dual(-t-2)), with E^dual = ker(alpha^dual)
-    and alpha^dual: (+) S_{-b_i-t-2} -> S_{-a-t-2}, (h_i) -> sum alpha_i h_i.
+def _serre_dual_h0(a, b, alpha, twist):
+    """h^0(E(t)) for E = coker(alpha: O(a) -> (+) O(b_i)): by Riemann-Roch
+    and Serre duality, deg E + rank (t + 1) + h^0(E^dual(-t-2)), with
+    E^dual = ker(alpha^dual) and alpha^dual: (+) S_{-b_i-t-2} -> S_{-a-t-2},
+    (h_i) -> sum alpha_i h_i.
     """
-    F = m.field
-    tgt = -m.a - twist - 2
-    srcs = [-bi - twist - 2 for bi in m.b]
+    F = alpha[0].field
+    tgt = -a - twist - 2
+    srcs = [-bi - twist - 2 for bi in b]
     ncols = sum(max(0, d + 1) for d in srcs)
     rows = [[F.rzero] * ncols for _ in range(max(0, tgt + 1))]
     col = 0
-    for f, d in zip(m.alpha, srcs):
+    for f, d in zip(alpha, srcs):
         for s in range(d + 1):
             for k, c in enumerate(f.coeffs):
                 rows[k + s][col] = c
             col += 1
     h1 = len(linalg.kernel(F, rows, ncols))
-    return m.euler_degree + m.rank * (twist + 1) + h1
+    return sum(b) - a + (len(b) - 1) * (twist + 1) + h1
 
 
 @st.composite
-def alpha_only_monads(draw):
+def alpha_only_ends(draw):
+    """(a, b, alpha) of an inclusion alpha: O(a) -> (+) O(b_i)."""
     a = draw(st.integers(-2, 2))
     gaps = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
     alpha = tuple(
         BinaryForm(F7, g, [F7.from_raw(x) for x in draw(
             st.lists(st.integers(0, 6), min_size=g + 1, max_size=g + 1))])
         for g in gaps)
-    m = MonadP1(F7, a, tuple(a + g for g in gaps), None, alpha, None)
-    assume(validate_monad(m).ok)
-    return m
+    b = tuple(a + g for g in gaps)
+    assume(validate_monad(with_killed_summand(F7, a, b, alpha, max(b))).ok)
+    return a, b, alpha
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(m=alpha_only_monads(), extra=st.integers(0, 2),
+@given(ends=alpha_only_ends(), extra=st.integers(0, 2),
        seed=st.integers(0, 2**16))
-def test_h0_matches_serre_duality_oracle(m, extra, seed):
-    m2 = conjugate(with_killed_summand(m, max(m.b) + extra),
+def test_h0_matches_serre_duality_oracle(ends, extra, seed):
+    a, b, alpha = ends
+    m = with_killed_summand(F7, a, b, alpha, max(b))
+    m2 = conjugate(with_killed_summand(F7, a, b, alpha, max(b) + extra),
                    random.Random(seed))
     assert validate_monad(m2).ok
-    for twist in range(-m.a - 10, -m.a + 3):
-        want = _serre_dual_h0(m, twist)
+    for twist in range(-a - 10, -a + 3):
+        want = _serre_dual_h0(a, b, alpha, twist)
         assert h0_twist(m, twist) == want
         assert h0_twist(m2, twist) == want
