@@ -79,8 +79,7 @@ def _report_payload(command, field, checks, result):
 
 
 def cmd_splitting(args):
-    field = parse_field_spec(args.field)
-    x = Hypersurface(parse_poly(args.surface, 4, field))
+    field, x = _parse_surface(args, 4)
     curve = _parse_curve(args.curve, field)
     s = splitting_type(pullback_tangent(x, curve))
     result = {"splitting": s.to_json(),
@@ -312,7 +311,8 @@ def run_verify_paper(seed=0, progress=None):
               ProjPoint(F4, [F4.one, F4.one, F4.one]),
               ProjPoint(F4, [F4.zero, F4.one, F4.one]),
               ProjPoint(F4, [F4.one, z, F4.zero]),
-              ProjPoint(F4, [F4.one, z * z, F4.zero])]
+              ProjPoint(F4, [F4.one, F4.from_raw(F4.rmul(z.raw, z.raw)),
+                             F4.zero])]
     res4 = six_point_diagonal(forced)
     note("forced char-2 configuration admits no valid point",
          "P4 = (1:zeta:0) et P5 = (1:zeta^2:0)", res4.q is None,
@@ -390,8 +390,6 @@ def run_verify_paper(seed=0, progress=None):
 
     passed = all(c["pass"] for c in checks)
     return passed, checks, findings
-
-
 
 
 def cmd_verify_paper(args):

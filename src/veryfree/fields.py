@@ -11,7 +11,9 @@ over F_{p^k} up to `_TABLE_CAP` elements (built on the field's first
 operation), and coefficient-vector polynomial arithmetic above that.
 An op read on a field, such as `F.rmul`, is the backend function
 itself, so each raw operation is one Python call; op counters patch
-the class-level `_Op` descriptors and count through them.
+the class-level `_Op` descriptors and count through them.  These ops
+are the only field arithmetic: a `Scalar` is a raw value tagged with
+its field, as a caller hands it in, and does not compute.
 
 Every deterministic choice in this module (defining modulus, embedding,
 cube root, element enumeration) uses one ordering: coefficient vectors
@@ -182,7 +184,7 @@ class FieldSpec:
     """Q or F_{p^k}; unique instance per (p, k), see `make_field`.
 
     Raw element values are `Fraction` over Q and `int` indices over
-    finite fields; `Scalar` wraps a raw value with its field.  The
+    finite fields; `Scalar` tags a raw value with its field.  The
     arithmetic backend is chosen here, once: `radd`, `rneg`, `rsub` and
     `rmul` read on a field are its backend functions, and `rinv` and
     `rpow` are methods that call into them.
@@ -301,8 +303,11 @@ class FieldSpec:
         if isinstance(value, Fraction):
             if self.is_rational:
                 return Scalar(self, value)
-            num = self.rfrom_int(value.numerator)
             den = self.rfrom_int(value.denominator)
+            if not den:
+                raise FieldError(f"{value} has no value in {self!r}: "
+                                 f"{self.p} divides its denominator")
+            num = self.rfrom_int(value.numerator)
             return Scalar(self, self.rmul(num, self.rinv(den)))
         raise TypeError(f"cannot coerce {value!r}")
 
@@ -342,53 +347,17 @@ class FieldSpec:
 
 
 class Scalar:
-    """Immutable element of a specific field, as callers hand values to
-    the public constructors, `linear_substitute` and the parser; the
-    package itself computes on raw values.  Canonical form is unique.
-    Scalars compare but do not hash."""
+    """A raw value tagged with its field, as callers hand values to the
+    public constructors, `linear_substitute` and the parser; the tag
+    tells a raw value from an int, which reads as an integer mod p.
+    Scalars do not compute: all arithmetic goes through the field's raw
+    ops.  They compare but do not hash."""
 
     __slots__ = ("field", "raw")
 
     def __init__(self, field, raw):
         self.field = field
         self.raw = raw
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise FieldError(
-                    f"mixed-field arithmetic: {self.field!r} vs {other.field!r}")
-            return other.raw
-        if isinstance(other, int):
-            return self.field.rfrom_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.radd(self.raw, r))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.rmul(self.raw, r))
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.rmul(self.raw, self.field.rinv(r)))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.rneg(self.raw))
-
-    def __pow__(self, e):
-        return Scalar(self.field, self.field.rpow(self.raw, e))
-
-    def inverse(self):
-        return Scalar(self.field, self.field.rinv(self.raw))
 
     def __bool__(self):
         return self.raw != self.field.rzero
@@ -409,7 +378,8 @@ class Scalar:
 
 def check_field(F, obj):
     """Raw values carry no field, so an object over another field is
-    refused here, as Scalar arithmetic refuses mixed fields."""
+    refused here, as `FieldSpec.scalar` refuses a Scalar of another
+    field."""
     if obj.field is not F:
         raise FieldError(f"{obj!r} is over {obj.field!r}, not {F!r}")
 
@@ -621,10 +591,6 @@ class UPoly:
             coeffs = coeffs[:-1]
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_scalars(cls, field, scalars):
-        return cls(field, [field.scalar(s).raw for s in scalars])
 
     @property
     def degree(self):

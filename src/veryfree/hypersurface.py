@@ -1140,8 +1140,7 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                 f"(size {K.size} > {field_cap}); {last_count} lines found "
                 f"so far")
         xk = x.map_field(K)
-        lines = sorted(set(_lines_in_cells([xk.f] + xk.partials,
-                                           base.size)),
+        lines = sorted(_lines_in_cells([xk.f] + xk.partials, base.size),
                        key=lambda l: l.sort_key())
         if len(lines) > 27:
             raise IntegrityError(
@@ -1155,7 +1154,6 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
 
 @dataclass
 class EckardtReport:
-    field: object
     eckardt: list        # [(ProjPoint, (i, j, k))]
     two_line: list       # [(ProjPoint, (i, j))]
     incident_pairs: int
@@ -1209,7 +1207,7 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
                 f"smooth cubic surface")
     if pairs != 3 * len(eckardt) + len(two_line):
         raise IntegrityError("pair-count identity failed")
-    return EckardtReport(x.field, eckardt, two_line, pairs)
+    return EckardtReport(eckardt, two_line, pairs)
 
 
 def surface_points(x: Hypersurface):

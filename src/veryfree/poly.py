@@ -8,7 +8,9 @@ at index j, and `UPoly` holds raw coefficients too: one format, which
 every engine here runs on.  The constructors take Scalars or ints and
 `from_raw` takes raw values.  Substitution matrices are raw too; only
 `linear_substitute` takes Scalars or ints, and coerces them once.
-`evaluate` and `binary_roots` return raw values.
+`evaluate` and `binary_roots` return raw values.  A product takes two
+polynomials of one class; a scalar multiple is `BinaryForm.scale` of a
+raw value.
 Arithmetic and evaluation never assume that the exponents are
 non-negative, so a Laurent form in (U, V) is a MultiPoly in two
 variables (see `constructions`).
@@ -97,14 +99,11 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        F = self.field
-        if isinstance(other, MultiPoly):
-            self._check(other)
-            out = _raw_mul(F, self.terms, other.terms)
-        else:
-            c = F.scalar(other).raw
-            out = {e: F.rmul(v, c) for e, v in self.terms.items()} if c else {}
-        return MultiPoly.from_raw(F, self.nvars, out)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        self._check(other)
+        return MultiPoly.from_raw(self.field, self.nvars,
+                                  _raw_mul(self.field, self.terms, other.terms))
 
     def __pow__(self, n):
         result = MultiPoly.from_raw(self.field, self.nvars,
@@ -546,10 +545,6 @@ class BinaryForm:
         return cls.from_raw(field, 0, (field.rone,))
 
     @classmethod
-    def from_scalars(cls, field, scalars):
-        return cls(field, len(scalars) - 1, scalars)
-
-    @classmethod
     def monomial(cls, field, i, j):
         """The form U^i V^j."""
         c = [field.rzero] * (i + j + 1)
@@ -604,9 +599,9 @@ class BinaryForm:
                                    [F.rmul(x, raw) for x in self.coeffs])
 
     def __mul__(self, other):
-        F = self.field
         if not isinstance(other, BinaryForm):
-            return self.scale(F.scalar(other).raw)
+            return NotImplemented
+        F = self.field
         check_field(F, other)
         d = self.degree + other.degree
         if self.is_zero() or other.is_zero():

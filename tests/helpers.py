@@ -95,10 +95,11 @@ def spoly(f, g):
 
     def shifted(h, e, c):
         F, shift = h.field, [a - b for a, b in zip(lcm, e)]
-        return MultiPoly(F, h.nvars,
-                         {tuple(a + b for a, b in zip(t, shift)):
-                          F.from_raw(v) / F.from_raw(c)
-                          for t, v in h.terms.items()})
+        inv = F.rinv(c)
+        return MultiPoly.from_raw(F, h.nvars,
+                                  {tuple(a + b for a, b in zip(t, shift)):
+                                   F.rmul(v, inv)
+                                   for t, v in h.terms.items()})
     return shifted(f, fe, fc) - shifted(g, ge, gc)
 
 
@@ -231,9 +232,13 @@ def lines_by_row_pairing(x, K):
     return sorted(lines, key=lambda l: l.sort_key())
 
 
-def _scalar_mat_mul(K, a, b):
-    return [[sum((x * y for x, y in zip(row, col)), K.zero)
-             for col in zip(*b)] for row in a]
+def _raw_mat_mul(K, a, b):
+    def dot(row, col):
+        acc = K.rzero
+        for x, y in zip(row, col):
+            acc = K.radd(acc, K.rmul(x, y))
+        return acc
+    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 def nodal_frame_by_substitution(cub, pt):
@@ -256,43 +261,47 @@ def nodal_frame_by_substitution(cub, pt):
 
 def prenormalization_by_substitution(cub, node):
     """Oracle for `constructions._nodal_prenormalization`: the same
-    (field, raw matrix, a0, a3), in Scalar arithmetic, with the cubic
-    substituted again after each coordinate change and the coefficients
-    read off the result.  After the node moves to (1:0:0), the tangent
-    directions become Y1 and Y2 (matrix M2) and X0 -> X0 - alpha_1 X1 -
-    alpha_2 X2 absorbs the middle terms (matrix M3)."""
+    (field, raw matrix, a0, a3), in raw arithmetic, with the cubic
+    substituted again after each coordinate change (by
+    `linear_substitute`, which takes the matrices as Scalars) and the
+    coefficients read off the result.  After the node moves to (1:0:0),
+    the tangent directions become Y1 and Y2 (matrix M2) and
+    X0 -> X0 - alpha_1 X1 - alpha_2 X2 absorbs the middle terms (matrix
+    M3)."""
     F = node.field
     m1, q, _ = nodal_frame_by_substitution(cub, node)
     roots = binary_roots(q, 2)
     assert len(roots) == 2 and all(mult == 1 for *_, mult in roots)
     fields_ = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]
     K = join_field(*fields_)
-    (u1, v1), (u2, v2) = [(embed_scalar(L.from_raw(u), K),
-                           embed_scalar(L.from_raw(v), K))
+    (u1, v1), (u2, v2) = [(embed(L, u, K), embed(L, v, K))
                           for L, (u, v, _, _) in zip(fields_, roots)]
     cub_k = cub.map_field(K)
-    m1_k = [[embed_scalar(F.from_raw(x), K) for x in row] for row in m1]
-    l1l2 = (BinaryForm.from_scalars(K, [v1, -u1])
-            * BinaryForm.from_scalars(K, [v2, -u2]))
+    m1_k = [[embed(F, x, K) for x in row] for row in m1]
+    l1l2 = (BinaryForm.from_raw(K, 1, [v1, K.rneg(u1)])
+            * BinaryForm.from_raw(K, 1, [v2, K.rneg(u2)]))
     qk = q.map_field(K)
     jj = next(j for j in range(3) if l1l2.coeffs[j])
-    lam = K.from_raw(qk.coeffs[jj]) / K.from_raw(l1l2.coeffs[jj])
-    assert l1l2 * lam == qk
-    s_inv = linalg.inverse(K, [[v1.raw, (-u1).raw],
-                               [(lam * v2).raw, (-(lam * u2)).raw]])
-    m2 = [[K.one, K.zero, K.zero],
-          [K.zero, Scalar(K, s_inv[0][0]), Scalar(K, s_inv[0][1])],
-          [K.zero, Scalar(K, s_inv[1][0]), Scalar(K, s_inv[1][1])]]
-    f2 = linear_substitute(linear_substitute(cub_k, m1_k), m2)
-    alphas = [K.from_raw(f2.coefficient((0, 3 - t, t))) for t in range(4)]
+    lam = K.rmul(qk.coeffs[jj], K.rinv(l1l2.coeffs[jj]))
+    assert l1l2.scale(lam) == qk
+    s_inv = linalg.inverse(K, [[v1, K.rneg(u1)],
+                               [K.rmul(lam, v2), K.rneg(K.rmul(lam, u2))]])
+    m2 = [[K.rone, K.rzero, K.rzero],
+          [K.rzero] + s_inv[0],
+          [K.rzero] + s_inv[1]]
+
+    def scalars(m):
+        return [[K.from_raw(x) for x in row] for row in m]
+    f2 = linear_substitute(linear_substitute(cub_k, scalars(m1_k)),
+                           scalars(m2))
+    alphas = [f2.coefficient((0, 3 - t, t)) for t in range(4)]
     assert f2.coefficient((1, 1, 1)) == K.rone
-    m3 = [[K.one, -alphas[1], -alphas[2]],
-          [K.zero, K.one, K.zero],
-          [K.zero, K.zero, K.one]]
-    f3 = linear_substitute(f2, m3)
-    total = _scalar_mat_mul(K, _scalar_mat_mul(K, m1_k, m2), m3)
-    return (K, [[c.raw for c in row] for row in total],
-            f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3)))
+    m3 = [[K.rone, K.rneg(alphas[1]), K.rneg(alphas[2])],
+          [K.rzero, K.rone, K.rzero],
+          [K.rzero, K.rzero, K.rone]]
+    f3 = linear_substitute(f2, scalars(m3))
+    total = _raw_mat_mul(K, _raw_mat_mul(K, m1_k, m2), m3)
+    return (K, total, f3.coefficient((0, 3, 0)), f3.coefficient((0, 0, 3)))
 
 
 def restrict_by_kernel_basis(f, line):
@@ -332,7 +341,7 @@ def curve_to_ambient_by_forms(field, matrix, comps):
         acc = BinaryForm.zero(K, comps[0].degree)
         for h, c in zip(comps, row):
             if c:
-                acc = acc + h * embed_scalar(field.from_raw(c), K)
+                acc = acc + h.scale(embed(field, c, K))
         out.append(acc)
     return out
 

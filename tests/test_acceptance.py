@@ -254,12 +254,13 @@ def test_criterion_11_six_points():
             found += 1
             assert r.q is not None and r.certificate.passed
         z = F4.gen
+        z2 = F4.from_raw(F4.rmul(z.raw, z.raw))
         forced = [ProjPoint(F4, [F4.zero, F4.zero, F4.one]),
                   ProjPoint(F4, [F4.one, F4.zero, F4.one]),
                   ProjPoint(F4, [F4.one, F4.one, F4.one]),
                   ProjPoint(F4, [F4.zero, F4.one, F4.one]),
                   ProjPoint(F4, [F4.one, z, F4.zero]),
-                  ProjPoint(F4, [F4.one, z * z, F4.zero])]
+                  ProjPoint(F4, [F4.one, z2, F4.zero])]
         assert six_point_diagonal(forced).q is None
 
 
@@ -307,9 +308,8 @@ def test_criterion_13_property_suites():
             for i in range(4):
                 acc = BinaryForm.zero(F7, 3)
                 for j in range(4):
-                    c = F7.from_raw(inv[i][j])
-                    if c:
-                        acc = acc + curve[j] * c
+                    if inv[i][j]:
+                        acc = acc + curve[j].scale(inv[i][j])
                 h2.append(acc)
             x2 = Hypersurface(f2)
             assert splitting_type(pullback_tangent(x2, h2)).parts == base

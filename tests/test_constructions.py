@@ -154,8 +154,8 @@ def test_pullback_monad_shape_and_q_row():
 
 def test_pullback_rejects_bad_curves():
     with pytest.raises(ValueError):
-        pullback_tangent(FERMAT7, [BinaryForm.from_scalars(F7, [1, 1])] * 4)
-    const = [BinaryForm.from_scalars(F7, [1, 0, 0, 1]) for _ in range(4)]
+        pullback_tangent(FERMAT7, [BinaryForm(F7, 1, [1, 1])] * 4)
+    const = [BinaryForm(F7, 3, [1, 0, 0, 1]) for _ in range(4)]
     with pytest.raises(ValueError):
         pullback_tangent(FERMAT7, const)
 
@@ -254,12 +254,13 @@ def test_six_point_validations():
 
 def test_six_point_char2_forced_configuration():
     z = F4.gen
+    z2 = F4.from_raw(F4.rmul(z.raw, z.raw))
     pts = [ProjPoint(F4, [F4.zero, F4.zero, F4.one]),
            ProjPoint(F4, [F4.one, F4.zero, F4.one]),
            ProjPoint(F4, [F4.one, F4.one, F4.one]),
            ProjPoint(F4, [F4.zero, F4.one, F4.one]),
            ProjPoint(F4, [F4.one, z, F4.zero]),
-           ProjPoint(F4, [F4.one, z * z, F4.zero])]
+           ProjPoint(F4, [F4.one, z2, F4.zero])]
     res = six_point_diagonal(pts)
     assert res.q is None
     assert "every diagonal point lies on the line" in res.reason
@@ -274,8 +275,9 @@ def test_six_point_search_field_op_count(monkeypatch):
     P4 P5: 4 257 for the two-pass search, which certified the diagonal
     points in its second pass, and 3 864 with them skipped."""
     z = F4.gen
+    z2 = F4.from_raw(F4.rmul(z.raw, z.raw))
     pts = [ProjPoint(F4, c) for c in ([0, 0, 1], [1, 0, 1], [1, 1, 1],
-                                      [0, 1, 1], [1, z, 0], [1, z * z, 0])]
+                                      [0, 1, 1], [1, z, 0], [1, z2, 0])]
     count = count_field_ops(monkeypatch)
     res = six_point_diagonal(pts)
     assert res.q is None and res.certificate.checks[0].lhs \

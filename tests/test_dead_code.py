@@ -8,7 +8,9 @@ or lambda other than `self` and `cls` must be read in its body.
 `__init__.py` is exempt from the import check: its imports are the
 package's public re-exports.  Raw field values are the one value
 format inside the package, so no module but `fields` calls
-`Scalar(...)`.  Every parameter with a default must be set by some call
+`Scalar(...)`, and `fields.Scalar` defines no arithmetic method: a
+Scalar only hands a value in, and the field's raw ops compute.  Every
+parameter with a default must be set by some call
 in src/, tests/ or bench/, or it is an option nothing uses.  Imports sit
 at module level, where the import graph can be read at a glance; none
 is made inside a function body.
@@ -124,6 +126,27 @@ def _scalar_calls(modules):
                  or getattr(node.func, "attr", None) == "Scalar")]
 
 
+_ARITHMETIC = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__neg__", "__pow__", "inverse"}
+
+
+def _scalar_arithmetic(modules):
+    """`fields.py:line name` of each arithmetic method that the class
+    `Scalar` in fields.py defines or binds."""
+    tree = modules.get("fields.py", ast.Module(body=[]))
+    found = []
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Scalar":
+            for node in cls.body:
+                names = ([node.name] if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)) else
+                         [t.id for t in getattr(node, "targets", [])
+                          if isinstance(t, ast.Name)])
+                found += [f"fields.py:{node.lineno} {n}" for n in names
+                          if n in _ARITHMETIC]
+    return found
+
+
 def _local_imports(modules):
     """`module:line` of each import inside a function body, nested
     functions included, each once."""
@@ -224,6 +247,10 @@ def test_scalars_are_made_only_in_fields():
     assert _scalar_calls(_modules()) == []
 
 
+def test_scalars_do_not_compute():
+    assert _scalar_arithmetic(_modules()) == []
+
+
 def test_imports_are_at_module_level():
     assert _local_imports(_modules()) == []
 
@@ -258,6 +285,27 @@ def test_scalar_check_catches_planted_calls():
                           "isinstance(1, Scalar)\n"),
     }
     assert _scalar_calls(planted) == ["a.py:5", "a.py:5"]
+
+
+def test_arithmetic_check_catches_planted_scalar_methods():
+    planted = {
+        "fields.py": ast.parse("class FieldSpec:\n"
+                               "    def __mul__(self, other):\n"
+                               "        pass\n"
+                               "class Scalar:\n"
+                               "    def __eq__(self, other):\n"
+                               "        pass\n"
+                               "    def __mul__(self, other):\n"
+                               "        pass\n"
+                               "    __rmul__ = __mul__\n"
+                               "    def inverse(self):\n"
+                               "        pass\n"),
+        "a.py": ast.parse("class Scalar:\n"
+                          "    def __add__(self, other):\n"
+                          "        pass\n"),
+    }
+    assert _scalar_arithmetic(planted) == [
+        "fields.py:7 __mul__", "fields.py:9 __rmul__", "fields.py:10 inverse"]
 
 
 def test_checks_catch_planted_dead_code():

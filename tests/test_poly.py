@@ -13,9 +13,10 @@ from veryfree.constructions import (LaurentSection, _laurent,
                                     nodal_surface_form,
                                     scaled_nodal_parametrization,
                                     standard_nodal_parametrization,
-                                    verify_xi_eta)
+                                    verify_cuspidal_delta, verify_xi_eta)
 from veryfree.errors import FieldError, ParseError
-from veryfree.fields import Scalar, make_field
+from veryfree.fields import Scalar, embed, make_field
+from veryfree.hypersurface import Hyperplane, LineP3, ProjPoint
 from veryfree.poly import (BinaryForm, MultiPoly,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
@@ -32,26 +33,24 @@ F16 = make_field(2, 4)
 F7_6 = make_field(7, 6)  # past the Zech table cap: vector arithmetic
 
 
-def _random_scalar(field, rng):
+def _random_raw(field, rng):
     if field.is_rational:
-        return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return field.from_raw(rng.randrange(field.size))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(field.size)
 
 
-def _value(f, *args):
-    """f at Scalar arguments, a point of a MultiPoly or (u, v) of a binary
-    form, as a Scalar: `evaluate` takes and returns raw values."""
-    if isinstance(f, MultiPoly):
-        args = ([x.raw for x in args[0]],)
-    else:
-        args = [x.raw for x in args]
-    return f.field.from_raw(f.evaluate(*args))
+def _dot(field, xs, ys):
+    """sum x_i y_i of raw values, by the field's raw ops."""
+    acc = field.rzero
+    for x, y in zip(xs, ys):
+        acc = field.radd(acc, field.rmul(x, y))
+    return acc
 
 
 def _random_poly(field, nvars, degree, rng, density=0.5):
     """Random polynomial of total degree <= degree, any coefficients."""
-    return MultiPoly(field, nvars, {
-        e: _random_scalar(field, rng)
+    return MultiPoly.from_raw(field, nvars, {
+        e: _random_raw(field, rng)
         for e in itertools.product(range(degree + 1), repeat=nvars)
         if sum(e) <= degree and rng.random() < density})
 
@@ -130,7 +129,7 @@ def test_euler_identity():
             for i in range(4):
                 lhs = lhs + MultiPoly.variable(field, 4, i) \
                     * partial_derivative(f, i)
-            assert lhs == f * 3
+            assert lhs == MultiPoly.constant(field, 4, 3) * f
 
 
 # -- substitution -------------------------------------------------------------
@@ -195,15 +194,14 @@ def test_substitute_linear_map_matches_evaluation(field):
         nvars = 2 + case % 3
         new_nvars = nvars - case // 4
         f = _random_poly(field, nvars, 3, rng)
-        m = [[_random_scalar(field, rng) for _ in range(new_nvars)]
+        m = [[_random_raw(field, rng) for _ in range(new_nvars)]
              for _ in range(nvars)]
-        g = substitute_linear_map(f, [[c.raw for c in row] for row in m])
+        g = substitute_linear_map(f, m)
         assert g.field is field and g.nvars == new_nvars
         for _ in range(6):
-            y = [_random_scalar(field, rng) for _ in range(new_nvars)]
-            x = [sum((m[i][j] * y[j] for j in range(new_nvars)),
-                     field.zero) for i in range(nvars)]
-            assert _value(g, y) == _value(f, x)
+            y = [_random_raw(field, rng) for _ in range(new_nvars)]
+            x = [_dot(field, m[i], y) for i in range(nvars)]
+            assert g.evaluate(y) == f.evaluate(x)
         shapes.add((nvars, new_nvars))
     assert {(n, n - 1) for n in (2, 3, 4)} <= shapes
 
@@ -251,8 +249,8 @@ ENGINE_FIELDS = pytest.mark.parametrize(
 
 
 def _random_binary(field, degree, rng):
-    return BinaryForm(field, degree, [_random_scalar(field, rng)
-                                      for _ in range(degree + 1)])
+    return BinaryForm.from_raw(field, degree, [_random_raw(field, rng)
+                                               for _ in range(degree + 1)])
 
 
 @ENGINE_FIELDS
@@ -264,17 +262,17 @@ def test_compose_with_curve_matches_evaluation(field):
     for d in (1, 2, 3):
         for case in range(4):
             nvars, degree = 2 + case % 3, case
-            f = MultiPoly(field, nvars, {
-                e: _random_scalar(field, rng)
+            f = MultiPoly.from_raw(field, nvars, {
+                e: _random_raw(field, rng)
                 for e in itertools.product(range(degree + 1), repeat=nvars)
                 if sum(e) == degree})
             h = [_random_binary(field, d, rng) for _ in range(nvars)]
             g = compose_with_curve(f, h)
             assert g.field is field and g.degree == f.total_degree * d
             for _ in range(5):
-                u, v = (_random_scalar(field, rng) for _ in range(2))
-                assert _value(g, u, v) == _value(
-                    f, [_value(hi, u, v) for hi in h])
+                u, v = (_random_raw(field, rng) for _ in range(2))
+                assert g.evaluate(u, v) == f.evaluate(
+                    [hi.evaluate(u, v) for hi in h])
         zero = compose_with_curve(MultiPoly.zero(field, len(h)), h)
         assert zero.is_zero() and zero.degree == -d
         # X1^2 - X0 X2 vanishes on (a^2, ab, b^2) for linear forms a, b
@@ -295,21 +293,20 @@ def test_map_curve_matches_evaluation(field):
     for d in (1, 2, 3):
         for nrows, ncols in ((3, 3), (4, 3), (5, 4)):
             h = [_random_binary(field, d, rng) for _ in range(ncols)]
-            m = [[_random_scalar(sub, rng) for _ in range(ncols)]
+            m = [[_random_raw(sub, rng) for _ in range(ncols)]
                  for _ in range(nrows)]
-            m[rng.randrange(nrows)] = [sub.zero] * ncols
-            out = map_curve(sub, [[c.raw for c in row] for row in m], h)
+            m[rng.randrange(nrows)] = [sub.rzero] * ncols
+            out = map_curve(sub, m, h)
             assert len(out) == nrows
             assert all(g.field is field and g.degree == d for g in out)
             assert any(g.is_zero() for g in out)
             for _ in range(3):
-                u, v = (_random_scalar(field, rng) for _ in range(2))
-                vals = [_value(hj, u, v) for hj in h]
+                u, v = (_random_raw(field, rng) for _ in range(2))
+                vals = [hj.evaluate(u, v) for hj in h]
                 for g, row in zip(out, m):
-                    want = field.zero
-                    for c, x in zip(row, vals):
-                        want = want + embed_scalar(c, field) * x
-                    assert _value(g, u, v) == want
+                    want = _dot(field, [embed(sub, c, field) for c in row],
+                                vals)
+                    assert g.evaluate(u, v) == want
     with pytest.raises(ValueError):  # two columns, three components
         map_curve(sub, [[1, 1]], h[:3])
 
@@ -324,15 +321,16 @@ def test_reparametrize_matches_evaluation(field):
         for g in (_random_binary(field, degree, rng),
                   BinaryForm.zero(field, degree)):
             for singular in (False, True):
-                a, b, c = (_random_scalar(field, rng) for _ in range(3))
-                d = b * c / a if singular and a else \
-                    _random_scalar(field, rng)
-                h = g.reparametrize(a.raw, b.raw, c.raw, d.raw)
+                a, b, c = (_random_raw(field, rng) for _ in range(3))
+                d = field.rmul(field.rmul(b, c), field.rinv(a)) \
+                    if singular and a else _random_raw(field, rng)
+                h = g.reparametrize(a, b, c, d)
                 assert h.field is field and h.degree == degree
                 for _ in range(4):
-                    u, v = (_random_scalar(field, rng) for _ in range(2))
-                    assert _value(h, u, v) == _value(g, a * u + b * v,
-                                                     c * u + d * v)
+                    u, v = (_random_raw(field, rng) for _ in range(2))
+                    assert h.evaluate(u, v) == g.evaluate(
+                        _dot(field, (a, b), (u, v)),
+                        _dot(field, (c, d), (u, v)))
 
 
 # -- resultants and gcd ---------------------------------------------------------
@@ -435,19 +433,20 @@ def test_gcd_bin_matches_sympy(p):
 
 
 def _mixed_field_calls():
-    """(name, call, error): an F7 polynomial or form meets F49 values."""
+    """(name, call, error, match): an F7 polynomial or form meets F49
+    values, an F7 constructor is handed an F49 Scalar or a float, or a
+    Scalar or polynomial meets a scalar factor."""
     g = F49.gen
     f = parse_poly("X0^2+X1^2", 2, F7)
     b7 = parse_binary_form("U^2+V^2", F7)
     b49 = parse_binary_form("g*U^2+V^2", F49)
     line7 = [parse_binary_form("U", F7), parse_binary_form("V", F7)]
     line49 = [parse_binary_form("g*U", F49), parse_binary_form("V", F49)]
-    return [
+    refused = [
         ("compose_with_curve", lambda: compose_with_curve(f, line49),
          FieldError),
         ("BinaryForm +", lambda: b7 + b49, FieldError),
         ("BinaryForm *", lambda: b7 * b49, FieldError),
-        ("BinaryForm * Scalar", lambda: b7 * g, FieldError),
         ("MultiPoly.evaluate", lambda: f.evaluate([g, F49.one]), FieldError),
         ("substitute_linear_map",
          lambda: substitute_linear_map(f, [[g, F49.zero], [F49.zero, g]]),
@@ -475,29 +474,52 @@ def _mixed_field_calls():
         ("MultiPoly +", lambda: f + f.map_field(F49), ValueError),
         ("resultant_bin", lambda: resultant_bin(b7, b49), FieldError),
         ("gcd_bin", lambda: gcd_bin(b7, b49), FieldError),
+        # Scalars and polynomials do not multiply by a scalar
+        ("Scalar + Scalar", lambda: F7.one + F7.one, TypeError),
+        ("MultiPoly * int", lambda: f * 3, TypeError),
+        ("BinaryForm * Scalar", lambda: b7 * F7.one, TypeError),
     ]
+    # the F7 constructors that read values handed in
+    handed_in = [
+        ("ProjPoint", lambda x: ProjPoint(F7, [x, 0, 1])),
+        ("Hyperplane", lambda x: Hyperplane(F7, [x, 0, 0, 1])),
+        ("LineP3", lambda x: LineP3(F7, [[1, 0, x, 0], [0, 1, 0, 0]])),
+        ("MultiPoly", lambda x: MultiPoly(F7, 2, {(1, 1): x})),
+        ("BinaryForm", lambda x: BinaryForm(F7, 1, [x, 1])),
+        ("nodal_surface_form",
+         lambda x: nodal_surface_form(F7, cubic_coeff=x)),
+        ("verify_cuspidal_delta", lambda x: verify_cuspidal_delta(F7, x)),
+    ]
+    return [(name, call, error, None) for name, call, error in refused] + [
+        (f"{name} given {what}", lambda make=make, x=x: make(x), error, match)
+        for name, make in handed_in
+        for what, x, error, match in (
+            ("an F49 Scalar", g, FieldError, r"scalar of 7\^2 used in 7"),
+            ("a float", 0.5, TypeError, "cannot coerce"))]
 
 
 _MIXED = _mixed_field_calls()
 
 
-@pytest.mark.parametrize("name, call, error", _MIXED,
-                         ids=[name for name, _, _ in _MIXED])
-def test_mixed_fields_are_refused(name, call, error):
+@pytest.mark.parametrize("name, call, error, match", _MIXED,
+                         ids=[name for name, *_ in _MIXED])
+def test_mixed_fields_are_refused(name, call, error, match):
     """Raw values carry no field, so every operation that meets values
-    or forms of another field refuses them, as Scalar arithmetic does."""
-    with pytest.raises(error):
+    or forms of another field refuses them.  A constructor refuses a
+    Scalar of another field and a value it cannot read; Scalars do not
+    compute, and a polynomial multiplies only a polynomial of its
+    class."""
+    with pytest.raises(error, match=match):
         call()
 
 
-def _scalar_value(terms, point):
-    """Sum of c * prod x_i^e_i in Scalar arithmetic."""
-    F = point[0].field
-    acc = F.zero
+def _raw_value(F, terms, point):
+    """Sum of c * prod x_i^e_i of raw values, by the field's raw ops."""
+    acc = F.rzero
     for e, c in terms.items():
         for x, k in zip(point, e):
-            c = c * x**k
-        acc = acc + c
+            c = F.rmul(c, F.rpow(x, k))
+        acc = F.radd(acc, c)
     return acc
 
 
@@ -507,7 +529,7 @@ def test_polynomials_from_scalars_and_from_raw_agree(k):
     agree on equality, printing, evaluation, field maps and composition
     with a curve.  Over F49 and F_{7^6} the raw indices run past p, where
     an int read through `field.scalar` would land in the prime field.
-    Values are checked against Scalar arithmetic on the Scalar
+    Values are checked against a sum of terms in raw ops on the raw
     coefficients, the printed form against the parser."""
     F, T = make_field(7, k), make_field(7, 6)
     rng = random.Random(1700 + k)
@@ -520,8 +542,8 @@ def test_polynomials_from_scalars_and_from_raw_agree(k):
         assert a == b and a.terms == raw and str(a) == str(b)
         assert parse_poly(str(b), 3, F) == b
         pt = [rng.randrange(1, F.size) for _ in range(3)]
-        want = _scalar_value(scalars, [Scalar(F, x) for x in pt])
-        assert a.evaluate(pt) == b.evaluate(pt) == want.raw
+        want = _raw_value(F, raw, pt)
+        assert a.evaluate(pt) == b.evaluate(pt) == want
         assert a.map_field(T) == b.map_field(T) == MultiPoly(
             T, 3, {e: embed_scalar(c, T) for e, c in scalars.items()})
         rows = [[rng.randrange(1, F.size) for _ in range(3)]
@@ -531,13 +553,12 @@ def test_polynomials_from_scalars_and_from_raw_agree(k):
         assert ha == hb and [str(h) for h in ha] == [str(h) for h in hb]
         assert [parse_binary_form(str(h), F) for h in hb] == hb
         u, v = rng.randrange(1, F.size), rng.randrange(1, F.size)
-        at = [_scalar_value({(2 - j, j): Scalar(F, c)
-                             for j, c in enumerate(r)},
-                            [Scalar(F, u), Scalar(F, v)]) for r in rows]
-        assert [h.evaluate(u, v) for h in hb] == [x.raw for x in at]
+        at = [_raw_value(F, {(2 - j, j): c for j, c in enumerate(r)},
+                         [u, v]) for r in rows]
+        assert [h.evaluate(u, v) for h in hb] == at
         g = compose_with_curve(b, hb)
         assert g == compose_with_curve(a, ha)
-        assert g.evaluate(u, v) == _scalar_value(scalars, at).raw
+        assert g.evaluate(u, v) == _raw_value(F, raw, at)
         past_p |= any(c >= F.p for c in raw.values())
     assert past_p == (k > 1)
 
@@ -546,10 +567,10 @@ def test_resultant_gcd_roots_three_way_agreement():
     f5 = F5
     done = 0
     while done < 50:
-        q = BinaryForm.from_scalars(
-            f5, [f5.from_raw(rng.randrange(5)) for _ in range(3)])
-        c = BinaryForm.from_scalars(
-            f5, [f5.from_raw(rng.randrange(5)) for _ in range(4)])
+        q = BinaryForm(f5, 2, [f5.from_raw(rng.randrange(5))
+                               for _ in range(3)])
+        c = BinaryForm(f5, 3, [f5.from_raw(rng.randrange(5))
+                               for _ in range(4)])
         if q.is_zero() or c.is_zero():
             continue
         done += 1
@@ -577,13 +598,13 @@ F49 = make_field(7, 2)
 def _random_laurent(field, rng, degree=None):
     """A homogeneous Laurent form with exponents of both signs."""
     d = rng.randint(-6, 3) if degree is None else degree
-    return MultiPoly(field, 2, {(d - j, j): _random_scalar(field, rng)
-                                for j in rng.sample(range(-5, 6), 3)})
+    return MultiPoly.from_raw(field, 2, {(d - j, j): _random_raw(field, rng)
+                                         for j in rng.sample(range(-5, 6), 3)})
 
 
-def _nonzero_scalar(field, rng):
+def _nonzero_raw(field, rng):
     while True:
-        c = _random_scalar(field, rng)
+        c = _random_raw(field, rng)
         if c:
             return c
 
@@ -607,18 +628,20 @@ def test_laurent_arithmetic_and_division():
     for field in (QQ, F7, F49):
         for _ in range(20):
             a, b = _random_laurent(field, rng), _random_laurent(field, rng)
-            h = _laurent_from_binary(BinaryForm.from_scalars(
-                field, [_random_scalar(field, rng) for _ in range(4)]))
-            pt = (_nonzero_scalar(field, rng), _nonzero_scalar(field, rng))
-            va, vb, vh = (_value(g, pt) for g in (a, b, h))
-            assert _value(a * b, pt) == va * vb
-            assert _value(a * b + a, pt) == va * vb + va
+            h = _laurent_from_binary(BinaryForm.from_raw(
+                field, 3, [_random_raw(field, rng) for _ in range(4)]))
+            pt = (_nonzero_raw(field, rng), _nonzero_raw(field, rng))
+            va, vb, vh = (g.evaluate(pt) for g in (a, b, h))
+            vab = field.rmul(va, vb)
+            assert (a * b).evaluate(pt) == vab
+            assert (a * b + a).evaluate(pt) == field.radd(vab, va)
             if h.is_zero():
                 continue
             q = _laurent_quotient(a * h, h)
             assert q == a
             if vh:
-                assert _value(q, pt) == _value(a * h, pt) / vh
+                assert q.evaluate(pt) == field.rmul((a * h).evaluate(pt),
+                                                    field.rinv(vh))
     # U^3 + V^3 = (U + V)(U^2 - U V + V^2), but not the other way round
     num = _laurent(F7, 3, 0) + _laurent(F7, 0, 3)
     den = _laurent(F7, 1, 0) + _laurent(F7, 0, 1)
@@ -665,10 +688,10 @@ def test_laurent_printer_pinned():
         == "-1*U^4*V + U*V^4"
     assert _laurent_str(MultiPoly.zero(QQ, 2)) == "0"
     assert _laurent_str(_laurent(QQ, 0, 0, Fraction(5))) == "5"
-    g = F49.gen
-    assert _laurent_str(_laurent(F49, 1, -1, (g + 1).raw)
-                        + _laurent(F49, 0, 0, g.raw)
-                        + _laurent(F49, -1, 1, (-g).raw)) \
+    g = F49.gen.raw
+    assert _laurent_str(_laurent(F49, 1, -1, F49.radd(g, F49.rone))
+                        + _laurent(F49, 0, 0, g)
+                        + _laurent(F49, -1, 1, F49.rneg(g))) \
         == "(g+1)*U*V^-1 + g + 6*g*U^-1*V"
     rep = verify_xi_eta(nodal_surface_form(QQ))
     checks = {c.name: c for c in rep.checks}

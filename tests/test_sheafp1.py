@@ -207,10 +207,10 @@ def test_splitting_line_on_fermat():
     # oracle: a line on a smooth cubic surface has self-intersection -1
     # and anticanonical degree 1, forcing O(2) + O(-1)
     f = parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F7)
-    h = [BinaryForm.from_scalars(F7, [1, 0]),
-         BinaryForm.from_scalars(F7, [-1, 0]),
-         BinaryForm.from_scalars(F7, [0, 1]),
-         BinaryForm.from_scalars(F7, [0, -1])]
+    h = [BinaryForm(F7, 1, [1, 0]),
+         BinaryForm(F7, 1, [-1, 0]),
+         BinaryForm(F7, 1, [0, 1]),
+         BinaryForm(F7, 1, [0, -1])]
     assert compose_with_curve(f, h).is_zero()
     beta = tuple(compose_with_curve(partial_derivative(f, i), h)
                  for i in range(4))
