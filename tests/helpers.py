@@ -36,6 +36,14 @@ def embed_scalar(x, target):
     return Scalar(target, embed(x.field, x.raw, target))
 
 
+def raw_dot(F, xs, ys):
+    """sum x_i y_i of raw values of F, by its raw ops."""
+    acc = F.rzero
+    for x, y in zip(xs, ys):
+        acc = F.radd(acc, F.rmul(x, y))
+    return acc
+
+
 def random_form(field, nvars, degree, rng):
     terms = {}
     for combo in itertools.combinations_with_replacement(range(nvars),
@@ -215,30 +223,20 @@ def lines_by_row_pairing(x, K):
     condition is solved for."""
     xk = x.map_field(K)
     forms = [xk.f] + xk.partials
-
-    def dot(u, v):
-        acc = K.rzero
-        for a, b in zip(u, v):
-            acc = K.radd(acc, K.rmul(a, b))
-        return acc
     elements = list(K.elements())
     lines = set()
     for (i, j, free0, free1) in _cell_patterns():
         zeros1 = list(_row_zeros(forms, j, free1, elements))
         for r0, g0 in _row_zeros(forms, i, free0, elements):
             for r1, g1 in zeros1:
-                if dot(g0, r1) == K.rzero and dot(g1, r0) == K.rzero:
+                if raw_dot(K, g0, r1) == K.rzero \
+                        and raw_dot(K, g1, r0) == K.rzero:
                     lines.add(LineP3.from_raw(K, [r0, r1]))
     return sorted(lines, key=lambda l: l.sort_key())
 
 
 def _raw_mat_mul(K, a, b):
-    def dot(row, col):
-        acc = K.rzero
-        for x, y in zip(row, col):
-            acc = K.radd(acc, K.rmul(x, y))
-        return acc
-    return [[dot(row, col) for col in zip(*b)] for row in a]
+    return [[raw_dot(K, row, col) for col in zip(*b)] for row in a]
 
 
 def nodal_frame_by_substitution(cub, pt):

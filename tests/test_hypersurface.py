@@ -37,7 +37,7 @@ from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
                      divide_by_completion_inverse, embed_scalar,
                      lines_by_row_pairing, nodal_frame_by_substitution,
                      random_cubic_form, random_form, random_invertible,
-                     restrict_by_kernel_basis, sympy_chart_smooth,
+                     raw_dot, restrict_by_kernel_basis, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
 
 
@@ -507,9 +507,8 @@ def test_classify_invariance_under_plane_coordinates():
                 K = cls.singular_point.field
                 m_k = [[embed(field, c.raw, K) for c in row] for row in m]
                 at = cls.singular_point.coords
-                image = ProjPoint.from_raw(K, [
-                    functools.reduce(K.radd, map(K.rmul, m_k[i], at))
-                    for i in range(3)])
+                image = ProjPoint.from_raw(K, [raw_dot(K, m_k[i], at)
+                                               for i in range(3)])
                 if base.tag in (NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
                                 LINE_CONIC_TANGENT,
                                 THREE_LINES_CONCURRENT):

@@ -26,7 +26,7 @@ from veryfree.poly import (BinaryForm, MultiPoly,
                            substitute_linear_map, _divides, _lead)
 
 from helpers import (F2, F3, F4, F5, F7, QQ, embed_scalar, random_form,
-                     random_invertible, spoly)
+                     random_invertible, raw_dot, spoly)
 
 F9 = make_field(3, 2)
 F16 = make_field(2, 4)
@@ -37,14 +37,6 @@ def _random_raw(field, rng):
     if field.is_rational:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return rng.randrange(field.size)
-
-
-def _dot(field, xs, ys):
-    """sum x_i y_i of raw values, by the field's raw ops."""
-    acc = field.rzero
-    for x, y in zip(xs, ys):
-        acc = field.radd(acc, field.rmul(x, y))
-    return acc
 
 
 def _random_poly(field, nvars, degree, rng, density=0.5):
@@ -200,7 +192,7 @@ def test_substitute_linear_map_matches_evaluation(field):
         assert g.field is field and g.nvars == new_nvars
         for _ in range(6):
             y = [_random_raw(field, rng) for _ in range(new_nvars)]
-            x = [_dot(field, m[i], y) for i in range(nvars)]
+            x = [raw_dot(field, m[i], y) for i in range(nvars)]
             assert g.evaluate(y) == f.evaluate(x)
         shapes.add((nvars, new_nvars))
     assert {(n, n - 1) for n in (2, 3, 4)} <= shapes
@@ -304,7 +296,7 @@ def test_map_curve_matches_evaluation(field):
                 u, v = (_random_raw(field, rng) for _ in range(2))
                 vals = [hj.evaluate(u, v) for hj in h]
                 for g, row in zip(out, m):
-                    want = _dot(field, [embed(sub, c, field) for c in row],
+                    want = raw_dot(field, [embed(sub, c, field) for c in row],
                                 vals)
                     assert g.evaluate(u, v) == want
     with pytest.raises(ValueError):  # two columns, three components
@@ -329,8 +321,8 @@ def test_reparametrize_matches_evaluation(field):
                 for _ in range(4):
                     u, v = (_random_raw(field, rng) for _ in range(2))
                     assert h.evaluate(u, v) == g.evaluate(
-                        _dot(field, (a, b), (u, v)),
-                        _dot(field, (c, d), (u, v)))
+                        raw_dot(field, (a, b), (u, v)),
+                        raw_dot(field, (c, d), (u, v)))
 
 
 # -- resultants and gcd ---------------------------------------------------------
