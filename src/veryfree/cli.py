@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 = all checks passed (a computed "false" answer is still a
-successful run); 1 = a mathematical verification failed; 2 = input or
-usage error; 3 = a scan budget or extension cap was exhausted.
+Every subcommand reads its cubic with `_parse_surface` and reports with
+`_emit`, which builds the payload and prints it (JSON with --json) and
+writes it to --out.  A failure is an exception, and `main` alone turns
+it into an exit code: 0 = all checks passed (a computed "false" answer
+is still a successful run); 1 = a mathematical verification failed, or
+a cubic surface has no two-line point and no explicit curve; 2 = input
+or usage error; 3 = a scan budget or extension cap was exhausted.
 """
 from __future__ import annotations
 
@@ -39,9 +43,8 @@ USAGE_ERROR, MATH_FAIL, BUDGET_FAIL = 2, 1, 3
 
 
 def _parse_surface(args, nvars):
-    field = parse_field_spec(args.field)
-    f = parse_poly(args.surface, nvars, field)
-    return field, Hypersurface(f)
+    return Hypersurface(parse_poly(args.surface, nvars,
+                                   parse_field_spec(args.field)))
 
 
 def _parse_curve(text, field):
@@ -56,59 +59,46 @@ def _parse_curve(text, field):
     return [h.promote(d) if h.is_zero() else h for h in comps]
 
 
-def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        blob = json.dumps(payload, indent=2, sort_keys=True)
-        print(blob)
-    else:
-        for line in text_lines:
-            print(line)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _report_payload(command, field, checks, result):
-    return {"tool_version": __version__, "command": command,
-            "field": field, "checks": checks, "result": result}
+def _emit(args, field, checks, result, text_lines):
+    """Print the report (JSON with --json, else text_lines) and write its
+    JSON to --out when given."""
+    payload = {"tool_version": __version__, "command": args.command,
+               "field": field, "checks": checks, "result": result}
+    blob = json.dumps(payload, indent=2, sort_keys=True)
+    print(blob if args.json else "\n".join(text_lines))
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(blob + "\n")
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_splitting(args):
-    field, x = _parse_surface(args, 4)
-    curve = _parse_curve(args.curve, field)
+    x = _parse_surface(args, 4)
+    curve = _parse_curve(args.curve, x.field)
     s = splitting_type(pullback_tangent(x, curve))
     result = {"splitting": s.to_json(),
               "very_free": is_very_free_splitting(s)}
-    _emit(args, _report_payload("splitting", args.field, [], result),
-          [f"splitting type: {s}",
-           f"very free: {result['very_free']}"])
+    _emit(args, args.field, [], result,
+          [f"splitting type: {s}", f"very free: {result['very_free']}"])
     return 0
 
 
 def cmd_smooth(args):
-    field = parse_field_spec(args.field)
-    nvars = args.nvars
-    f = parse_poly(args.poly, nvars, field)
-    x = Hypersurface(f)
-    ans = is_smooth(x)
-    _emit(args, _report_payload("smooth", args.field, [], {"smooth": ans}),
-          [f"smooth: {ans}"])
+    ans = is_smooth(_parse_surface(args, args.nvars))
+    _emit(args, args.field, [], {"smooth": ans}, [f"smooth: {ans}"])
     return 0
 
 
 def cmd_lines(args):
-    field, x = _parse_surface(args, 4)
+    x = _parse_surface(args, 4)
     lines, work, ext = lines_on_cubic_surface(
         x, ext_cap=args.ext_cap, field_cap=args.line_field_cap)
     result = {"count": len(lines), "extension_degree": ext,
               "field": format_field_spec(work),
               "lines": [l.to_json() for l in lines]}
-    _emit(args, _report_payload("lines", args.field, [], result),
+    _emit(args, args.field, [], result,
           [f"{len(lines)} lines over {format_field_spec(work)} "
            f"(extension degree {ext})"]
           + [f"  {l.to_json()}" for l in lines])
@@ -116,14 +106,13 @@ def cmd_lines(args):
 
 
 def cmd_eckardt(args):
-    field, x = _parse_surface(args, 4)
+    x = _parse_surface(args, 4)
     lines, work, ext = lines_on_cubic_surface(
         x, ext_cap=args.ext_cap, field_cap=args.line_field_cap)
-    xw = x.map_field(work)
-    rep = eckardt_points(xw, lines)
+    rep = eckardt_points(x.map_field(work), lines)
     result = rep.to_json()
     result["extension_degree"] = ext
-    _emit(args, _report_payload("eckardt", args.field, [], result),
+    _emit(args, args.field, [], result,
           [f"Eckardt points: {len(rep.eckardt)}",
            f"two-line points: {len(rep.two_line)}",
            f"incident pairs: {rep.incident_pairs}"]
@@ -132,19 +121,17 @@ def cmd_eckardt(args):
 
 
 def cmd_construct(args):
-    field, x = _parse_surface(args, 4)
+    x = _parse_surface(args, 4)
     try:
         res = find_nodal_section(x, ext_cap=args.ext_cap,
                                  line_field_cap=args.line_field_cap)
     except AllEckardtError as e:
-        payload = _report_payload(
-            "construct", args.field, [],
-            {"found": False, "diagnosis": str(e),
-             "eckardt_count": len(e.census.eckardt)})
-        _emit(args, payload, [f"no nodal section: {e}"])
+        _emit(args, args.field, [],
+              {"found": False, "diagnosis": str(e),
+               "eckardt_count": len(e.census.eckardt)},
+              [f"no nodal section: {e}"])
         return MATH_FAIL
-    result = res.to_json()
-    _emit(args, _report_payload("construct", args.field, [], result),
+    _emit(args, args.field, [], res.to_json(),
           [f"nodal tangent section at {res.point}",
            f"plane {res.plane}",
            f"classification: {res.classification.tag} at "
@@ -154,13 +141,10 @@ def cmd_construct(args):
 
 
 def cmd_build(args):
-    field = parse_field_spec(args.field)
-    nvars = args.dim + 1
-    x = Hypersurface(parse_poly(args.poly, nvars, field))
-    curve = build_very_free_curve(x, ext_cap=args.ext_cap,
+    curve = build_very_free_curve(_parse_surface(args, args.dim + 1),
+                                  ext_cap=args.ext_cap,
                                   line_field_cap=args.line_field_cap)
-    result = curve.to_json()
-    _emit(args, _report_payload("build", args.field, [], result),
+    _emit(args, args.field, [], curve.to_json(),
           [f"curve components: "
            + "; ".join(str(h) for h in curve.components),
            f"splitting: {curve.splitting}",
@@ -172,15 +156,14 @@ def cmd_fermat2(args):
     rep = fermat_char2_report(args.ext, ext_cap=args.ext_cap,
                               line_field_cap=args.line_field_cap)
     result = rep.to_json()
-    lines = [f"points classified over F_{2**args.ext}: {rep.n_points}",
-             f"class counts: {result['class_counts']}",
-             f"trichotomy holds: {rep.trichotomy_holds}",
-             f"Eckardt census: {rep.eckardt_count} "
-             f"(reference value {result['reference_eckardt_count']}, "
-             f"match: {rep.matches_reference_count})",
-             f"two-line points: {rep.two_line_count}"]
-    _emit(args, _report_payload("fermat2", "2^" + str(args.ext), [], result),
-          lines)
+    _emit(args, f"2^{args.ext}", [], result,
+          [f"points classified over F_{2**args.ext}: {rep.n_points}",
+           f"class counts: {result['class_counts']}",
+           f"trichotomy holds: {rep.trichotomy_holds}",
+           f"Eckardt census: {rep.eckardt_count} "
+           f"(reference value {result['reference_eckardt_count']}, "
+           f"match: {rep.matches_reference_count})",
+           f"two-line points: {rep.two_line_count}"])
     return 0 if rep.trichotomy_holds else MATH_FAIL
 
 
@@ -193,26 +176,20 @@ def cmd_sixpoints(args):
             raise ParseError(f"expected x:y:z, got {chunk!r}")
         pts.append(ProjPoint(field, coords))
     res = six_point_diagonal(pts)
-    result = res.to_json()
-    if res.q is None:
-        _emit(args, _report_payload("sixpoints", args.field, [], result),
-              [f"no valid point: {res.reason}",
-               "diagonal points: "
-               + ", ".join(str(d) for d in res.diagonal_points)])
-        return MATH_FAIL
-    _emit(args, _report_payload("sixpoints", args.field, [], result),
-          [f"point: {res.q}",
-           "diagonal points: "
-           + ", ".join(str(d) for d in res.diagonal_points),
-           str(res.certificate)])
-    return 0
+    diagonal = "diagonal points: " + ", ".join(
+        str(d) for d in res.diagonal_points)
+    _emit(args, args.field, [], res.to_json(),
+          [f"no valid point: {res.reason}", diagonal] if res.q is None
+          else [f"point: {res.q}", diagonal, str(res.certificate)])
+    return MATH_FAIL if res.q is None else 0
 
 
 # -- the aggregated replay --------------------------------------------------
 
 
-def run_verify_paper(seed=0, progress=None):
-    """Every identity and census the source text states, replayed.
+def run_verify_paper(seed, progress):
+    """Every identity and census the source text states, replayed, with
+    progress(check) called as each check is recorded.
 
     Returns (all_passed, checks, findings); findings are recorded
     deviations that do not count as failures.
@@ -224,8 +201,7 @@ def run_verify_paper(seed=0, progress=None):
     def note(name, anchor, passed, details=""):
         checks.append({"name": name, "paper_anchor": anchor,
                        "pass": bool(passed), "details": str(details)})
-        if progress:
-            progress(checks[-1])
+        progress(checks[-1])
 
     def note_report(rep: VerificationReport, anchor):
         for c in rep.checks:
@@ -402,14 +378,13 @@ def cmd_verify_paper(args):
     result = {"pass": passed, "findings": findings,
               "checks_total": len(checks),
               "checks_failed": sum(1 for c in checks if not c["pass"])}
-    payload = _report_payload("verify-paper", "0,7,5,3,2", checks, result)
     width = max(len(c["name"]) for c in checks)
     text_lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] "
                   f"{c['name']:<{width}}  {c['details']}" for c in checks]
     text_lines += [f"[NOTE] {f}" for f in findings]
     text_lines.append(f"{result['checks_total'] - result['checks_failed']}/"
                       f"{result['checks_total']} checks passed")
-    _emit(args, payload, text_lines)
+    _emit(args, "0,7,5,3,2", checks, result, text_lines)
     return 0 if passed else MATH_FAIL
 
 
@@ -428,9 +403,6 @@ def build_parser():
         if field:
             sp.add_argument("--field", required=True,
                             help='field spec: "Q", "7", or "2^4"')
-        sp.add_argument("--json", action="store_true",
-                        help="emit a JSON report")
-        sp.add_argument("--out", help="also write the JSON report here")
         sp.add_argument("--ext-cap", type=int, default=DEFAULT_EXT_CAP,
                         help="largest field-extension degree searched")
         sp.add_argument("--line-field-cap", type=int,
@@ -439,8 +411,6 @@ def build_parser():
 
     sp = sub.add_parser("verify-paper",
                         help="run the full replay of the stated identities")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify_paper)
 
@@ -456,7 +426,7 @@ def build_parser():
     sp = sub.add_parser("smooth", help="smoothness of a projective "
                                        "hypersurface")
     common(sp)
-    sp.add_argument("--poly", required=True)
+    sp.add_argument("--poly", dest="surface", required=True)
     sp.add_argument("--nvars", type=int, default=4)
     sp.set_defaults(func=cmd_smooth)
 
@@ -482,7 +452,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--dim", type=int, required=True,
                     help="ambient projective dimension n")
-    sp.add_argument("--poly", required=True)
+    sp.add_argument("--poly", dest="surface", required=True)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("fermat2", help="exhaustive char-2 Fermat analysis")
@@ -497,6 +467,11 @@ def build_parser():
     sp.add_argument("--points", required=True,
                     help='six points "x:y:z;...;x:y:z"')
     sp.set_defaults(func=cmd_sixpoints)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true",
+                        help="emit a JSON report")
+        sp.add_argument("--out", help="also write the JSON report here")
     return p
 
 
@@ -544,6 +519,9 @@ def main(argv=None) -> int:
         return BUDGET_FAIL
     except IntegrityError as e:
         print(f"verification failed: {e}", file=sys.stderr)
+        return MATH_FAIL
+    except AllEckardtError as e:
+        print(f"construction failed: {e}", file=sys.stderr)
         return MATH_FAIL
 
 

@@ -473,7 +473,7 @@ def _delta_sections(field, a):
     return dv, du
 
 
-def verify_cuspidal_delta(field, alpha=0) -> VerificationReport:
+def verify_cuspidal_delta(field, alpha) -> VerificationReport:
     """Cuspidal tangent sections: the counterexample to very-freeness.
 
     For characteristic 3 the cubic X1^3 + alpha X1^2 X2 (alpha != 0)
@@ -906,15 +906,6 @@ def _walk_conic_for_node(xm, plane, conic, d_in, ext_cap):
 # -- the inductive very-free-curve builder -------------------------------------
 
 
-def _is_fermat_form(f: MultiPoly) -> bool:
-    cubes = {tuple(3 if j == i else 0 for j in range(f.nvars))
-             for i in range(f.nvars)}
-    if set(f.terms) != cubes:
-        return False
-    vals = {c for c in f.terms.values()}
-    return len(vals) == 1
-
-
 def fermat_char2_curve(field):
     """The explicit very free curve on the characteristic-2 Fermat
     surface: (U:V) -> (U^3+U^2 V : U^3+U^2 V+V^3 : U^2 V+V^3 : U V^2)."""
@@ -929,11 +920,11 @@ def build_very_free_curve(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                           ) -> CurveOnX:
     """Degree-3 very free curve on a smooth cubic hypersurface in P^n.
 
-    n = 3: nodal tangent section, normalized and parametrized (with the
-    explicit curve as the characteristic-2 Fermat fallback).  n >= 4:
-    scan hyperplanes for a smooth cubic section of one dimension less,
-    recurse, re-embed, and certify very-freeness on the hypersurface
-    itself.
+    n = 3: nodal tangent section, normalized and parametrized; in
+    characteristic 2, when no two-line point exists, the explicit
+    Fermat curve if it lies on x.  n >= 4: scan hyperplanes for a
+    smooth cubic section of one dimension less, recurse, re-embed, and
+    certify very-freeness on the hypersurface itself.
     """
     if x.field.is_rational:
         raise ValueError("the constructive search needs a finite field")
@@ -966,9 +957,12 @@ def _surface_very_free_curve(x, ext_cap, line_field_cap):
     try:
         res = find_nodal_section(x, ext_cap, line_field_cap)
     except AllEckardtError:
-        if _is_fermat_form(x.f) and x.field.p == 2:
-            return make_curve(x, fermat_char2_curve(x.field))
-        raise
+        if x.field.p != 2:
+            raise
+        curve = fermat_char2_curve(x.field)
+        if not compose_with_curve(x.f, curve).is_zero():
+            raise
+        return make_curve(x, curve)
     return nodal_section_curve(res)
 
 

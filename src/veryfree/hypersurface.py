@@ -533,7 +533,7 @@ def _zeros(forms):
         yield from _row_zeros(forms, i, range(i + 1, n), elements)
 
 
-def singular_points_scan(x: Hypersurface, ext_cap: int = 2):
+def singular_points_scan(x: Hypersurface, ext_cap: int):
     """All singular points of residue degree <= ext_cap, by exhaustive scan.
 
     A bounded cross-check for `is_smooth`, not a smoothness proof.  Each

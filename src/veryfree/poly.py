@@ -689,11 +689,6 @@ def resultant_bin(q: BinaryForm, c: BinaryForm):
     if q.is_zero() or c.is_zero():
         raise ValueError("resultant of a zero form")
     m, n = q.degree, c.degree
-    if m == 0 or n == 0:
-        # one form is a nonzero constant: no projective roots at all
-        const = (q.coeffs[0] if m == 0 else c.coeffs[0])
-        other = n if m == 0 else m
-        return F.rpow(const, other)
     z = F.rzero
     arow, brow = list(q.coeffs), list(c.coeffs)
     rows = ([[z] * i + arow + [z] * (n - 1 - i) for i in range(n)]

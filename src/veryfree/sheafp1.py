@@ -63,10 +63,10 @@ class SplittingType:
     def degree(self):
         return sum(self.parts)
 
-    def h0(self, twist=0):
+    def h0(self, twist):
         return sum(max(0, d + twist + 1) for d in self.parts)
 
-    def h1(self, twist=0):
+    def h1(self, twist):
         return sum(max(0, -d - twist - 1) for d in self.parts)
 
     def to_json(self):

@@ -5,7 +5,12 @@ import time
 
 import pytest
 
+from veryfree import cli
 from veryfree.cli import main
+from veryfree.constructions import AllEckardtError
+from veryfree.errors import (ExtensionCapExceeded, FieldError,
+                             IntegrityError, MonadError, ParseError,
+                             ScanBudgetExceeded)
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -272,7 +277,6 @@ def test_verify_paper_seed_reaches_the_drawn_completions(monkeypatch,
     right-hand side Q(-U^3-V^3, U^2 V, U V^2) of the d f / d X3 check
     differs with them; the --json payload records neither side of a
     passing check, so it is the same for both seeds."""
-    from veryfree import cli
     sample, verify = cli.sample_admissible_completion, cli.verify_xi_eta
     draws, rhs = [], []
 
@@ -344,3 +348,85 @@ def test_verify_paper_text_out_matches_json_out(tmp_path, capsys):
     code, _ = run(capsys, "verify-paper", "--json", "--out", str(json_path))
     assert code == 0
     assert text_path.read_bytes() == json_path.read_bytes()
+
+
+SIXPOINTS = "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;6:3:1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper"],
+    ["splitting", "--field", "7", "--surface", NODAL,
+     "--curve", "-U^3-V^3;U^2*V;U*V^2;0"],
+    ["smooth", "--field", "3", "--poly", FERMAT],
+    ["lines", "--field", "7", "--surface", FERMAT],
+    ["eckardt", "--field", "7", "--surface", FERMAT],
+    ["construct", "--field", "7", "--surface", FERMAT],
+    ["construct", "--field", "2", "--surface", FERMAT],
+    ["build", "--field", "7", "--dim", "3", "--poly", FERMAT],
+    ["fermat2", "--ext", "1"],
+    ["sixpoints", "--field", "11", "--points", SIXPOINTS],
+], ids=["verify-paper", "splitting", "smooth", "lines", "eckardt",
+        "construct", "construct-diagnosis", "build", "fermat2",
+        "sixpoints"])
+def test_out_file_is_the_json_stdout(tmp_path, capsys, argv):
+    """--out writes the bytes that --json prints, with or without
+    --json."""
+    json_path, text_path = tmp_path / "json.json", tmp_path / "text.json"
+    code, out = run(capsys, *argv, "--json", "--out", str(json_path))
+    assert json.loads(out)["command"] == argv[0]
+    assert json_path.read_bytes() == out.encode()
+    assert run(capsys, *argv, "--out", str(text_path))[0] == code
+    assert text_path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("cubic", [FERMAT + "+X4^3",
+                                   "X0^3+X1^2+X2^3+X3^3"],
+                         ids=["unknown-variable", "inhomogeneous"])
+def test_bad_cubic_reads_alike_in_every_subcommand(capsys, cubic):
+    runs = {run_err(capsys, *argv) for argv in (
+        ["lines", "--field", "7", "--surface", cubic],
+        ["eckardt", "--field", "7", "--surface", cubic],
+        ["construct", "--field", "7", "--surface", cubic],
+        ["splitting", "--field", "7", "--surface", cubic,
+         "--curve", "-U^3-V^3;U^2*V;U*V^2;0"],
+        ["smooth", "--field", "7", "--poly", cubic],
+        ["build", "--field", "7", "--dim", "3", "--poly", cubic])}
+    assert len(runs) == 1
+    code, out, err = runs.pop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (FieldError("planted"), 2, "error"),
+    (ParseError("planted"), 2, "error"),
+    (MonadError("planted"), 2, "error"),
+    (ScanBudgetExceeded("planted"), 3, "budget exhausted"),
+    (ExtensionCapExceeded("planted"), 3, "budget exhausted"),
+    (IntegrityError("planted"), 1, "verification failed"),
+    (AllEckardtError("planted", None), 1, "construction failed"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_failure_has_its_exit_code(monkeypatch, capsys, error, code,
+                                         prefix):
+    def fail(x):
+        raise error
+    monkeypatch.setattr(cli, "is_smooth", fail)
+    assert run_err(capsys, "smooth", "--field", "7", "--poly", FERMAT) \
+        == (code, "", f"{prefix}: planted\n")
+
+
+@pytest.mark.parametrize("field, cubic", [
+    ("2^2", "g*X0^3+X1^3+X2^3+X3^3"),
+    ("2", "X0^3+X1^3+X2^3+(X0+X3)^3"),
+], ids=["scaled-coordinate", "changed-coordinates"])
+def test_build_without_two_line_point_or_explicit_curve(capsys, field,
+                                                        cubic):
+    """Every intersection point is an Eckardt point, and the explicit
+    characteristic-2 curve does not lie on the surface."""
+    code, out, err = run_err(capsys, "build", "--field", field, "--dim", "3",
+                             "--poly", cubic)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == ("construction failed: all intersection points are "
+                   "Eckardt points; no nodal tangent section exists "
+                   "through a two-line point\n")
+

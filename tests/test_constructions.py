@@ -338,6 +338,25 @@ def test_build_char2_fermat_fallback():
     assert curve.components == tuple(fermat_char2_curve(F2))
 
 
+def test_char2_fallback_is_decided_by_the_explicit_curve():
+    """With no two-line point, characteristic 2 falls back on the
+    explicit curve exactly when it lies on the surface: it does on a
+    scaled Fermat form over F4; it does not on g X0^3 + X1^3 + X2^3 +
+    X3^3 over F4 or on a change of coordinates of the Fermat form over
+    F2, where every intersection point is an Eckardt point too."""
+    scaled = Hypersurface(parse_poly("g*(X0^3+X1^3+X2^3+X3^3)", 4, F4))
+    curve = build_very_free_curve(scaled)
+    assert curve.splitting.parts == (2, 1)
+    assert curve.components == tuple(fermat_char2_curve(F4))
+    for text, field in (("g*X0^3+X1^3+X2^3+X3^3", F4),
+                        ("X0^3+X1^3+X2^3+(X0+X3)^3", F2)):
+        x = Hypersurface(parse_poly(text, 4, field))
+        assert not compose_with_curve(
+            x.f, fermat_char2_curve(field)).is_zero()
+        with pytest.raises(AllEckardtError):
+            build_very_free_curve(x)
+
+
 def test_build_threefold_skips_singular_section():
     # smooth, but its first section in proj_points order, X0 = 0, is the
     # cone X1^3+X2^3+X3^3 with a rational vertex; the next, X0 + X4 = 0,

@@ -10,10 +10,11 @@ package's public re-exports.  Raw field values are the one value
 format inside the package, so no module but `fields` calls
 `Scalar(...)`, and `fields.Scalar` defines no arithmetic method: a
 Scalar only hands a value in, and the field's raw ops compute.  Every
-parameter with a default must be set by some call
-in src/, tests/ or bench/, or it is an option nothing uses.  Imports sit
-at module level, where the import graph can be read at a glance; none
-is made inside a function body.
+parameter with a default must be set by some call in src/, tests/ or
+bench/, or it is an option nothing uses, and left unset by some call,
+or it is a default nothing relies on.  Imports sit at module level,
+where the import graph can be read at a glance; none is made inside a
+function body.
 """
 import ast
 import collections
@@ -199,10 +200,11 @@ def _defaulted_parameters(tree):
     return found
 
 
-def _unset_options(modules, callers):
-    """`module:line function(parameter)` of each parameter with a default
-    that no call in `callers` sets, positionally or by keyword; calls
-    match by callee name, and one with *args or **kwargs sets them all."""
+def _option_calls(modules, callers):
+    """(`module:line function(parameter)`, verdicts) for each parameter
+    with a default, with one verdict per call in `callers` of that
+    callee name: True if it sets the parameter, positionally or by
+    keyword, None if it passes *args or **kwargs, else False."""
     calls = collections.defaultdict(list)
     for tree in callers.values():
         for node in ast.walk(tree):
@@ -213,14 +215,26 @@ def _unset_options(modules, callers):
                     or any(k.arg is None for k in node.keywords)
                 calls[name].append((star, len(node.args),
                                     {k.arg for k in node.keywords}))
-    unset = []
     for name, tree in modules.items():
         for callee, label, index, p in _defaulted_parameters(tree):
-            if not any(star or p.arg in keys
-                       or (index is not None and nargs > index)
-                       for star, nargs, keys in calls[callee]):
-                unset.append(f"{name}:{p.lineno} {label}({p.arg})")
-    return unset
+            yield f"{name}:{p.lineno} {label}({p.arg})", [
+                None if star else p.arg in keys
+                or (index is not None and nargs > index)
+                for star, nargs, keys in calls[callee]]
+
+
+def _unset_options(modules, callers):
+    """Each parameter with a default that no call sets: an option that
+    nothing uses."""
+    return [where for where, verdicts in _option_calls(modules, callers)
+            if all(v is False for v in verdicts)]
+
+
+def _always_set_options(modules, callers):
+    """Each parameter with a default that some call and every call sets:
+    a default that nothing relies on."""
+    return [where for where, verdicts in _option_calls(modules, callers)
+            if verdicts and all(v is True for v in verdicts)]
 
 
 def test_private_functions_are_referenced():
@@ -241,6 +255,10 @@ def test_parameters_are_read():
 
 def test_defaulted_parameters_are_set_somewhere():
     assert _unset_options(_modules(), _callers()) == []
+
+
+def test_defaults_are_relied_on_somewhere():
+    assert _always_set_options(_modules(), _callers()) == []
 
 
 def test_scalars_are_made_only_in_fields():
@@ -381,3 +399,28 @@ def test_option_check_catches_planted_unset_defaults():
     }
     assert _unset_options(planted, callers) == [
         "a.py:2 C(z)", "a.py:4 C.m(u)", "a.py:9 f(c)", "a.py:9 f(d)"]
+
+
+def test_option_check_catches_planted_defaults_every_call_sets():
+    planted = {
+        "a.py": ast.parse("class C:\n"
+                          "    def m(self, u=1, *, v=2):\n"
+                          "        pass\n"
+                          "def f(a, b=1, *, c=2):\n"
+                          "    pass\n"
+                          "def g(h=5):\n"
+                          "    pass\n"
+                          "def k(w=0):\n"
+                          "    pass\n"),
+    }
+    callers = {
+        "t.py": ast.parse("C().m(0, v=1)\n"
+                          "C().m(u=2, v=3)\n"
+                          "f(0, 1, c=2)\n"
+                          "f(0, c=3)\n"
+                          "g(1)\n"
+                          "g(**{})\n"),
+    }
+    assert _always_set_options(planted, callers) == [
+        "a.py:2 C.m(u)", "a.py:2 C.m(v)", "a.py:4 f(c)"]
+    assert _unset_options(planted, callers) == ["a.py:8 k(w)"]

@@ -336,6 +336,22 @@ def test_resultant_examples():
                          parse_binary_form("U^3", F7))
 
 
+def test_resultant_of_constant_forms():
+    """A nonzero constant c against a form of degree n gives c^n, its
+    n x n diagonal Sylvester matrix, and two constants give 1, the
+    determinant of no rows."""
+    cases = [(F7, "3", "U^3+2*U*V^2+V^3", 6), (F7, "U^2+V^2", "5", 4),
+             (F7, "3", "5", 1), (QQ, "2/3", "U^2-V^2", Fraction(4, 9)),
+             (QQ, "U^3-V^3", "-2", -8), (F4, "g", "U^2+V^2", "g+1"),
+             (F4, "g", "U^3+V^3", "1")]
+    for field, a, b, want in cases:
+        got = resultant_bin(parse_binary_form(a, field),
+                            parse_binary_form(b, field))
+        if isinstance(want, str):
+            got = str(field.from_raw(got))
+        assert got == want, (field, a, b)
+
+
 def _sylvester_oracle(a, b, p):
     """Resultant of formal degrees len(a)-1, len(b)-1 (leading coefficient
     first) over F_p: Laplace expansion along the first Sylvester column
