@@ -12,17 +12,20 @@ of its roots) unless the caller knows one: one point gives its row, two
 or three a line and conic or a triangle, and an infinite locus a
 repeated line, read at a rational point of it on the line X2 = 0.
 Point scans are bounded cross-checks only.
-Line enumeration walks the RREF cells of the Grassmannian of lines in P^3
-over growing extension fields, so each line is listed exactly once per
-field; each cell scans its smaller row, with one value per Frobenius
+Line enumeration walks the RREF cells of the Grassmannian of lines in
+P^3 over growing extension fields, so each line is listed exactly once
+per field; each cell scans its smaller row, with one value per Frobenius
 orbit in its first free coordinate, solves for the partner point on the
-other by a linear condition and a gcd, and conjugates the lines found.  One zero scan serves the
-line search, `surface_points`, `singular_points_scan` and the base point
-of a conic: a form is restricted once to a row of P^n (pivot coordinate
-1, some coordinates 0, the rest free), each prefix of free values is
-substituted once, and the last free coordinate is run through Horner's
-rule; other forms are evaluated only at the zeros found.  `_zeros` walks
-the rows X_0 = ... = X_{i-1} = 0, X_i = 1 in `proj_points` order.
+other by a linear condition and a gcd, and conjugates the lines found.
+The Eckardt census meets one pair of lines per Frobenius orbit of pairs,
+by their Plücker coordinates, and conjugates the point.  One zero scan
+serves the line search, `surface_points`, `singular_points_scan` and the
+base point of a conic: a form is restricted once to a row of P^n (pivot
+coordinate 1, some coordinates 0, the rest free), each prefix of free
+values is substituted once, and the last free coordinate is run through
+Horner's rule; other forms are evaluated only at the zeros found.
+`_zeros` walks the rows X_0 = ... = X_{i-1} = 0, X_i = 1 in
+`proj_points` order.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
@@ -183,10 +186,11 @@ class Hyperplane(_Projective):
 
 def _dot(K, u, v):
     """Raw dot product, skipping zero entries."""
-    acc = K.rzero
+    zero, add, mul = K.rzero, K.radd, K.rmul
+    acc = zero
     for a, b in zip(u, v):
-        if a != K.rzero and b != K.rzero:
-            acc = K.radd(acc, K.rmul(a, b))
+        if a != zero and b != zero:
+            acc = add(acc, mul(a, b))
     return acc
 
 
@@ -203,6 +207,56 @@ _PLANES_THROUGH_E = [
      for n, (i, j) in enumerate(itertools.combinations(range(4), 2))
      if k not in (i, j)]
     for k in range(4)]
+
+
+def _frobenius(F, values, e):
+    """The raw values raised to the power e, a power of the
+    characteristic.  That is a field automorphism, so 0 and 1 are fixed
+    and cost no operation, and a normalized point stays normalized."""
+    fixed = (F.rzero, F.rone)
+    return tuple(c if c in fixed else F.rpow(c, e) for c in values)
+
+
+def _plucker_frame(line):
+    """What `_meet` reads of a line a: its dual Plücker vector, whose dot
+    product with the Plücker vector of a line b is the pairing
+    a01 b23 - a02 b13 + a03 b12 + a12 b03 - a13 b02 + a23 b01, and its
+    planes through the coordinate points e_0, ..., e_3
+    (`_PLANES_THROUGH_E`).  Each coordinate is negated once."""
+    F = line.field
+    signed = [(c, F.rneg(c) if c != F.rzero else c) for c in line.plucker]
+    dual = tuple(signed[5 - k][k in (1, 4)] for k in range(6))
+    planes = []
+    for terms in _PLANES_THROUGH_E:
+        plane = [F.rzero] * 4
+        for l, ij, negate in terms:
+            plane[l] = signed[ij][negate]
+        planes.append(plane)
+    return dual, planes
+
+
+def _meet(F, frame, other) -> Optional[ProjPoint]:
+    """Point where the line a with `_plucker_frame` frame meets the line
+    `other`; None if they are skew, IntegrityError if they coincide.
+
+    Two lines meet iff their Plücker coordinates pair to zero.  For
+    meeting lines, the plane pi through a and e_k meets other, with rows
+    c and d, in (pi . d) c - (pi . c) d; the first k whose plane does not
+    hold other gives the point, and only coincident lines lie in all four
+    planes.
+    """
+    dual, planes = frame
+    zero = F.rzero
+    if _dot(F, dual, other.plucker) != zero:
+        return None
+    c, d = other.rows
+    for plane in planes:
+        pc, pd = _dot(F, plane, c), _dot(F, plane, d)
+        if pc != zero or pd != zero:
+            sub, mul = F.rsub, F.rmul
+            return ProjPoint.from_raw(F, [sub(mul(pd, x), mul(pc, y))
+                                          for x, y in zip(c, d)])
+    raise IntegrityError("coincident lines")
 
 
 class LineP3:
@@ -235,17 +289,13 @@ class LineP3:
     def conjugate(self, e):
         """The line with every coordinate raised to the power e, a power
         of the characteristic: rows and Plücker coordinates are mapped
-        entry by entry, by a field automorphism that fixes 0 and 1, so
-        the rows stay in RREF and no elimination is run."""
+        entry by entry (`_frobenius`), so the rows stay in RREF and no
+        elimination is run."""
         F = self.field
-        fixed = (F.rzero, F.rone)
-
-        def phi(values):
-            return tuple(c if c in fixed else F.rpow(c, e) for c in values)
         line = LineP3.__new__(LineP3)
         line.field = F
-        line.rows = tuple(phi(r) for r in self.rows)
-        line.plucker = phi(self.plucker)
+        line.rows = tuple(_frobenius(F, r, e) for r in self.rows)
+        line.plucker = _frobenius(F, self.plucker, e)
         return line
 
     def param_forms(self):
@@ -264,38 +314,9 @@ class LineP3:
 
     def meets(self, other) -> Optional[ProjPoint]:
         """Intersection point, None if skew; IntegrityError if the two
-        lines coincide.
-
-        Two lines meet iff their Plücker coordinates pair to zero:
-        p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01 = 0.
-        For meeting lines, the plane through self and the coordinate
-        point e_k (`_PLANES_THROUGH_E`) meets other, with rows c and d,
-        in (pi . d) c - (pi . c) d; the first k whose plane does not
-        hold other gives the point, and only coincident lines lie in
-        all four planes.
-        """
-        F = self.field
-        check_field(F, other)
-        pairing = F.rzero
-        for k, (x, y) in enumerate(zip(self.plucker,
-                                       reversed(other.plucker))):
-            term = F.rmul(x, y)
-            pairing = F.rsub(pairing, term) if k in (1, 4) \
-                else F.radd(pairing, term)
-        if pairing != F.rzero:
-            return None
-        c, d = other.rows
-        for terms in _PLANES_THROUGH_E:
-            plane = [F.rzero] * 4
-            for l, ij, negate in terms:
-                p = self.plucker[ij]
-                plane[l] = F.rneg(p) if negate else p
-            pc, pd = _dot(F, plane, c), _dot(F, plane, d)
-            if pc != F.rzero or pd != F.rzero:
-                return ProjPoint.from_raw(F, [
-                    F.rsub(F.rmul(pd, x), F.rmul(pc, y))
-                    for x, y in zip(c, d)])
-        raise IntegrityError("coincident lines")
+        lines coincide (`_meet` on this line's `_plucker_frame`)."""
+        check_field(self.field, other)
+        return _meet(self.field, _plucker_frame(self), other)
 
     def map_field(self, target):
         if target is self.field:
@@ -1173,24 +1194,84 @@ class EckardtReport:
         }
 
 
+def _frobenius_size(f: MultiPoly) -> Optional[int]:
+    """q = p^d for the least d dividing k such that every coefficient of
+    f, over K = F_{p^k}, is fixed by c -> c^(p^d): the size of the least
+    subfield that holds them.  None over Q and when that subfield is K,
+    where x -> x^q is the identity.  Raw values below p are the prime
+    field (`rfrom_int`), which every such map fixes."""
+    K = f.field
+    if K.is_rational:
+        return None
+    coeffs = {c for c in f.terms.values() if c >= K.p}
+    for d in range(1, K.k):
+        if K.k % d == 0 and all(K.rpow(c, K.p ** d) == c for c in coeffs):
+            return K.p ** d
+    return None
+
+
+def _frobenius_permutation(lines, q):
+    """sigma with lines[sigma[i]] = lines[i].conjugate(q); IntegrityError
+    if some conjugate is not in the list."""
+    index = {line: i for i, line in enumerate(lines)}
+    sigma = []
+    for i, line in enumerate(lines):
+        j = index.get(line.conjugate(q))
+        if j is None:
+            raise IntegrityError(f"the Frobenius conjugate of line {i} is "
+                                 f"not among the lines")
+        sigma.append(j)
+    return sigma
+
+
 def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
     """Partition of pairwise line intersections into 3-line (Eckardt) and
-    2-line points, with the counting identities asserted."""
+    2-line points, with the counting identities asserted.
+
+    x is defined over F_q (`_frobenius_size`), so x -> x^q permutes its
+    lines (sigma) and sends the point where lines i and j meet to the
+    point where sigma(i) and sigma(j) meet.  The pairs i < j are taken in
+    order, and only the first pair of each sigma-orbit of pairs is met;
+    the others get its point raised to the powers q^m, or None.  Each
+    line's `_plucker_frame` is built once, and every count below runs
+    over all 351 pairs.
+    """
     if len(lines) != 27:
         raise ValueError(f"expected the full set of 27 lines, got {len(lines)}")
-    check_field(x.field, lines[0])
+    K = x.field
+    for line in lines:
+        check_field(K, line)
+    q = _frobenius_size(x.f)
+    sigma = None if q is None else _frobenius_permutation(lines, q)
+    frames = [_plucker_frame(line) for line in lines]
+    conjugated = {}             # pair -> its point, from an earlier orbit
     by_point = {}
     meets_per_line = [0] * len(lines)
     pairs = 0
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = lines[i].meets(lines[j])
-            if pt is None:
-                continue
-            pairs += 1
-            meets_per_line[i] += 1
-            meets_per_line[j] += 1
-            by_point.setdefault(pt, set()).update((i, j))
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        if (i, j) in conjugated:
+            pt = conjugated.pop((i, j))
+        else:
+            pt = _meet(K, frames[i], lines[j])
+            # x -> x^q has order k/d on K, so the orbit closes within k
+            # steps; the bound keeps a list with a repeated line, which
+            # no permutation maps onto, to its "coincident lines"
+            a, b, conj = i, j, pt
+            for _ in range(K.k if sigma else 0):
+                a, b = sigma[a], sigma[b]
+                pair = (a, b) if a < b else (b, a)
+                if pair == (i, j):
+                    break
+                if conj is not None:
+                    conj = ProjPoint.from_raw(K, _frobenius(K, conj.coords,
+                                                            q))
+                conjugated[pair] = conj
+        if pt is None:
+            continue
+        pairs += 1
+        meets_per_line[i] += 1
+        meets_per_line[j] += 1
+        by_point.setdefault(pt, set()).update((i, j))
     for i, c in enumerate(meets_per_line):
         if c != 10:
             raise IntegrityError(f"line {i} meets {c} others, expected 10")

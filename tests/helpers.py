@@ -3,8 +3,9 @@ S-polynomial built from MultiPoly arithmetic, a field-op counter, root
 finding, cube roots and Zech tables by element scans and polynomial
 products, a two-row line search, a tangent-cone frame and a nodal
 prenormalisation by substitution, and plane-line and curve maps through
-a kernel basis, a matrix inverse and binary-form arithmetic, and the
-six-point search in two passes, diagonal points first."""
+a kernel basis, a matrix inverse and binary-form arithmetic, the
+six-point search in two passes, diagonal points first, and the Eckardt
+census over all pairs of lines."""
 import itertools
 import random
 
@@ -13,11 +14,11 @@ from veryfree.constructions import (SixPointResult, VerificationReport,
                                     _conic_row, _five_point_conic)
 from veryfree.errors import IntegrityError, ScanBudgetExceeded
 from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
-                             _prime_factors, _vector_ops, embed, join_field,
-                             make_field)
-from veryfree.hypersurface import (LineP3, ProjPoint, _cell_patterns,
-                                   _completion_matrix, _cross, _row_zeros,
-                                   plane_line_through)
+                             _prime_factors, _vector_ops, check_field, embed,
+                             join_field, make_field)
+from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
+                                   _cell_patterns, _completion_matrix,
+                                   _cross, _row_zeros, plane_line_through)
 from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
                            compose_with_curve, linear_substitute,
                            substitute_linear_map)
@@ -233,6 +234,44 @@ def lines_by_row_pairing(x, K):
                         and raw_dot(K, g1, r0) == K.rzero:
                     lines.add(LineP3.from_raw(K, [r0, r1]))
     return sorted(lines, key=lambda l: l.sort_key())
+
+
+def eckardt_points_all_pairs(x, lines):
+    """Oracle for `hypersurface.eckardt_points`: the same report, with
+    `LineP3.meets` called on each of the 351 pairs and no Frobenius
+    orbits."""
+    if len(lines) != 27:
+        raise ValueError(f"expected the full set of 27 lines, got {len(lines)}")
+    check_field(x.field, lines[0])
+    by_point = {}
+    meets_per_line = [0] * len(lines)
+    pairs = 0
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pt = lines[i].meets(lines[j])
+            if pt is None:
+                continue
+            pairs += 1
+            meets_per_line[i] += 1
+            meets_per_line[j] += 1
+            by_point.setdefault(pt, set()).update((i, j))
+    for i, c in enumerate(meets_per_line):
+        if c != 10:
+            raise IntegrityError(f"line {i} meets {c} others, expected 10")
+    eckardt, two_line = [], []
+    for pt in sorted(by_point, key=lambda p: p.sort_key()):
+        ls = tuple(sorted(by_point[pt]))
+        if len(ls) == 3:
+            eckardt.append((pt, ls))
+        elif len(ls) == 2:
+            two_line.append((pt, ls))
+        else:
+            raise IntegrityError(
+                f"{len(ls)} concurrent lines at {pt}; impossible on a "
+                f"smooth cubic surface")
+    if pairs != 3 * len(eckardt) + len(two_line):
+        raise IntegrityError("pair-count identity failed")
+    return EckardtReport(eckardt, two_line, pairs)
 
 
 def _raw_mat_mul(K, a, b):

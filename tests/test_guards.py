@@ -1,5 +1,6 @@
 """Fault injection: each consistency guard of `eckardt_points` fires when
-one meeting point of the 27 lines on Clebsch over F49 is corrupted, and
+one meeting point of the 27 lines on Clebsch over F49 is corrupted, or
+the list of lines is not permuted by x -> x^7, and
 each guard of the nodal normal form fires when one of its producers (the
 tangent directions, the tangent-cone frame, the cube roots) is.  The
 guards of `classify_plane_cubic` fire when the Groebner strata report a
@@ -14,6 +15,8 @@ refused; the generator search refuses a doubled monomial multiple and
 kernels short of a vector; the splitting is refused when h^0 is wrong
 at one twist or only past the last checked one; and the builder refuses
 a lifted curve that is not very free."""
+import itertools
+
 import pytest
 
 from veryfree import cli, constructions, hypersurface, linalg, sheafp1
@@ -37,17 +40,25 @@ def census():
     return lines, eckardt_points(CLEBSCH, lines)
 
 
-def _patch_meets(monkeypatch, lines, pair, answer):
-    """`LineP3.meets` with the answer for the lines of one index pair
-    replaced."""
-    meets = LineP3.meets
-    a, b = lines[pair[0]], lines[pair[1]]
+def _patch_meet(monkeypatch, lines, pair, answer):
+    """`hypersurface._meet`, the kernel under `LineP3.meets` and the
+    census, with the answer for the lines of one index pair replaced."""
+    meet = hypersurface._meet
+    frame, b = hypersurface._plucker_frame(lines[pair[0]]), lines[pair[1]]
 
-    def patched(self, other):
-        if (self, other) == (a, b):
+    def patched(F, fr, other):
+        if (fr, other) == (frame, b):
             return answer
-        return meets(self, other)
-    monkeypatch.setattr(LineP3, "meets", patched)
+        return meet(F, fr, other)
+    monkeypatch.setattr(hypersurface, "_meet", patched)
+
+
+def _own_orbit(lines, pairs):
+    """The pairs that x -> x^7 maps onto themselves.  Such a pair is the
+    only pair of its Frobenius orbit, so the census meets it, and a wrong
+    answer there reaches no other pair."""
+    sigma = hypersurface._frobenius_permutation(lines, 7)
+    return [(i, j) for i, j in pairs if {sigma[i], sigma[j]} == {i, j}]
 
 
 def test_census_is_consistent(census):
@@ -58,8 +69,8 @@ def test_census_is_consistent(census):
 
 def test_lost_meeting_point_breaks_the_line_count(monkeypatch, census):
     lines, rep = census
-    _, (i, j) = rep.two_line[0]
-    _patch_meets(monkeypatch, lines, (i, j), None)
+    i, j = _own_orbit(lines, [ls for _, ls in rep.two_line])[0]
+    _patch_meet(monkeypatch, lines, (i, j), None)
     with pytest.raises(IntegrityError, match=f"line {i} meets 9 others"):
         eckardt_points(CLEBSCH, lines)
 
@@ -67,8 +78,9 @@ def test_lost_meeting_point_breaks_the_line_count(monkeypatch, census):
 def test_two_line_pair_sent_to_an_eckardt_point(monkeypatch, census):
     lines, rep = census
     pt, triple = rep.eckardt[0]
-    pair = next(ls for _, ls in rep.two_line if not set(ls) & set(triple))
-    _patch_meets(monkeypatch, lines, pair, pt)
+    pair = _own_orbit(lines, [ls for _, ls in rep.two_line
+                              if not set(ls) & set(triple)])[0]
+    _patch_meet(monkeypatch, lines, pair, pt)
     with pytest.raises(IntegrityError, match="5 concurrent lines at"):
         eckardt_points(CLEBSCH, lines)
 
@@ -77,14 +89,43 @@ def test_eckardt_pair_given_another_point(monkeypatch, census):
     """Two pairs of an Eckardt triple still put all three lines at the
     point, so the concurrency check passes; only the pair count shows
     that the third pair met elsewhere.  A meeting point normalised
-    inconsistently would fail the same way."""
+    inconsistently would fail the same way.  x -> x^7 permutes the
+    three lines of the rational point, so it fixes one of their pairs."""
     lines, rep = census
-    _, (a, b, _) = rep.eckardt[0]
+    _, triple = rep.eckardt[0]
+    a, b = _own_orbit(lines, itertools.combinations(triple, 2))[0]
     elsewhere = ProjPoint(F49, [1, 2, 3, 4])
     assert all(elsewhere != p for p, _ in rep.eckardt + rep.two_line)
-    _patch_meets(monkeypatch, lines, (a, b), elsewhere)
+    _patch_meet(monkeypatch, lines, (a, b), elsewhere)
     with pytest.raises(IntegrityError, match="pair-count identity failed"):
         eckardt_points(CLEBSCH, lines)
+
+
+def test_line_list_not_closed_under_frobenius(census):
+    """A line over F49 swapped for the line X2 = X3 = 0, which is over F7
+    and not on X: the conjugate of its partner under x -> x^7 is gone."""
+    lines, _ = census
+    k = next(k for k, line in enumerate(lines) if line.conjugate(7) != line)
+    partner = lines.index(lines[k].conjugate(7))
+    swapped = list(lines)
+    swapped[k] = LineP3(F49, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert not CLEBSCH.contains(ProjPoint(F49, [1, 1, 0, 0]))
+    with pytest.raises(IntegrityError,
+                       match=f"the Frobenius conjugate of line {partner} "
+                             f"is not among the lines"):
+        eckardt_points(CLEBSCH, swapped)
+
+
+def test_repeated_line_is_coincident(census):
+    """A line over F7 listed twice, in place of another line over F7: the
+    list is still closed under x -> x^7, but x -> x^7 no longer permutes
+    it, and the census stops at the repeated pair."""
+    lines, _ = census
+    fixed = [k for k, line in enumerate(lines) if line.conjugate(7) == line]
+    repeated = list(lines)
+    repeated[fixed[1]] = lines[fixed[0]]
+    with pytest.raises(IntegrityError, match="coincident lines"):
+        eckardt_points(CLEBSCH, repeated)
 
 
 # -- the nodal normal form --------------------------------------------------

@@ -26,7 +26,8 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    surface_points, tangent_hyperplane,
                                    _cell_patterns, _completion_matrix,
                                    _cross, _dot,
-                                   _lines_in_cells, _nodal_frame,
+                                   _frobenius_size, _lines_in_cells,
+                                   _nodal_frame,
                                    _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
@@ -34,7 +35,8 @@ from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
                            parse_poly, substitute_linear_map)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
-                     divide_by_completion_inverse, embed_scalar,
+                     divide_by_completion_inverse, eckardt_points_all_pairs,
+                     embed_scalar,
                      lines_by_row_pairing, nodal_frame_by_substitution,
                      random_cubic_form, random_form, random_invertible,
                      raw_dot, restrict_by_kernel_basis, sympy_chart_smooth,
@@ -981,14 +983,85 @@ def test_eckardt_points_field_op_count(monkeypatch):
     """Raw field operations of the Eckardt census on Clebsch over F49,
     its 27 lines given: 7 539 with each meeting point built and
     normalized in Scalar arithmetic, 7 339 on raw coordinates, most of
-    them in the 351 Plücker pairings.  The bound pins the latter, so any
-    arithmetic added to the census shows."""
+    them in the 351 Plücker pairings, and 3 246 with one pairing per
+    Frobenius orbit of pairs and each line's Plücker frame built once.
+    The bounds pin the last, so any arithmetic added to the census
+    shows."""
     x = clebsch(make_field(7, 2))
     lines, _, _ = lines_on_cubic_surface(x)
     count = count_field_ops(monkeypatch)
     rep = eckardt_points(x, lines)
     assert (len(rep.eckardt), len(rep.two_line)) == (10, 105)
     assert count[0] <= 7_339
+    assert count[0] <= 3_246
+
+
+@pytest.mark.parametrize("name, x", [
+    ("Fermat F7", fermat(F7)),
+    ("Clebsch F7", clebsch(F7)),
+    ("Clebsch F49", clebsch(make_field(7, 2))),
+    *[(f"F5 seed {s}", _seeded(F5, s)) for s in F5_SURFACE_SEEDS],
+    *[(f"F7 seed {s}", _seeded(F7, s)) for s in F7_SURFACE_SEEDS],
+    ("Fermat F2", fermat(F2)),
+    ("Fermat F4", fermat(F4)),
+    ("Fermat F16", fermat(make_field(2, 4))),
+    ("F2 seed 17", _seeded(F2, 17)),
+    ("F2 seed 26", _seeded(F2, 26)),
+    ("F3 seed 10", _seeded(F3, 10)),
+    ("F4 seed 7", _seeded(F4, 7)),
+])
+def test_eckardt_points_match_all_pairs(name, x):
+    """The census by Frobenius orbits of pairs gives the report of the
+    all-pairs loop, byte for byte: over the line field F7 itself (no
+    orbits), over F49 with q = 7, on the 45-point Fermat surface in
+    characteristic 2 with lines over F4 and F16 and q = 2, on lines over
+    F32, F64 and F81, and over F64 with q = 4, where x -> x^p is not a
+    symmetry of the surface."""
+    lines, work, _ = lines_on_cubic_surface(x)
+    xw = x.map_field(work)
+    assert (eckardt_points(xw, lines).to_json()
+            == eckardt_points_all_pairs(xw, lines).to_json()), name
+
+
+F8, F49, F64 = make_field(2, 3), make_field(7, 2), make_field(2, 6)
+
+
+@pytest.mark.parametrize("field, poly, work, q", [
+    (F7, "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3", F49, 7),
+    (F49, "g*X0^3+X1^3+X2^3+X3^3", F49, None),
+    (F8, "X0^3+X1^3+X2^3+X3^3+g*X0*X1*X2", F64, 8),
+    (F4, "X0^3+X1^3+X2^3+X3^3+g*X0*X1*X2", F64, 4),
+    (F2, "X0^3+X1^3+X2^3+X3^3+X0*X1*X2", F64, 2),
+    (F7, "X0^3+X1^3+X2^3+X3^3", F7, None),
+    (QQ, "X0^3+X1^3+X2^3+X3^3", QQ, None),
+])
+def test_frobenius_size_is_the_least_subfield(field, poly, work, q):
+    """The Frobenius of the census is x -> x^q for the least subfield F_q
+    of the surface's field that holds its coefficients, read off the
+    coefficients themselves: F7 inside F49, F8 and F4 inside F64.  There
+    is none over Q, over a prime field, or when a coefficient generates
+    the surface's field, as g does F49."""
+    x = Hypersurface(parse_poly(poly, 4, field)).map_field(work)
+    assert _frobenius_size(x.f) == q
+
+
+def test_eckardt_points_without_frobenius(monkeypatch):
+    """Over F7 itself, and over F49 with a coefficient g, no line is
+    conjugated and every pair is met; a line over another field is
+    refused wherever it stands in the list."""
+    def refuse(line, e):
+        raise AssertionError("conjugated without a Frobenius")
+    x = Hypersurface(parse_poly("g*X0^3+X1^3+X2^3+X3^3", 4, F49))
+    for surface in (fermat(F7), x):
+        lines, work, ext = lines_on_cubic_surface(surface)
+        assert (work, ext) == (surface.field, 1)
+        monkeypatch.setattr(LineP3, "conjugate", refuse)
+        assert eckardt_points(surface, lines).incident_pairs == 135
+        monkeypatch.undo()
+    lines, _, _ = lines_on_cubic_surface(clebsch(F7))
+    mixed = lines[:-1] + [LineP3(F7, [[1, 0, 0, 0], [0, 1, 0, 0]])]
+    with pytest.raises(FieldError):
+        eckardt_points(clebsch(F49), mixed)
 
 
 def test_tangent_hyperplane_field_op_count(monkeypatch):
