@@ -19,7 +19,7 @@ from .hypersurface import (Hypersurface, ProjPoint, Hyperplane, LineP3,
                            classify_plane_cubic, lines_on_cubic_surface,
                            eckardt_points)
 from .constructions import (standard_nodal_parametrization,
-                            nodal_normal_form, pullback_tangent, very_free,
+                            pullback_tangent, very_free,
                             verify_xi_eta, verify_cuspidal_delta,
                             six_point_diagonal, find_nodal_section,
                             build_very_free_curve, fermat_char2_report,

@@ -26,8 +26,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError
-from .fields import FieldSpec, UPoly, check_field, check_raw, cube_root, \
-    embed, format_field_spec, join_field, make_field
+from .fields import FieldSpec, UPoly, check_field, check_raw, embed, \
+    format_field_spec, join_field, make_field
 from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            ProjPoint,
                            NODAL_INTEGRAL, CUSPIDAL_INTEGRAL,
@@ -44,8 +44,7 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
-                   gcd_bin, map_curve, parse_poly, poly_to_string,
-                   substitute_linear_map)
+                   gcd_bin, map_curve, parse_poly, poly_to_string)
 from .sheafp1 import (MonadP1, SplittingType, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
                       splitting_type, validate_monad)
@@ -561,40 +560,6 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     return K, _mat_mul(K, m1_k, m23), a0, a3
 
 
-def nodal_normal_form(cub: MultiPoly, node: ProjPoint):
-    """Change of plane coordinates bringing a nodal integral cubic to
-    X0 X1 X2 + X1^3 + X2^3 exactly, extending the field for the roots
-    the scalings require; verified by re-expansion.  Returns (K, rows):
-    the raw rows of the substitution matrix over the field K it needs,
-    of degree K.k // F.k over the cubic's field F."""
-    F = cub.field
-    if F.is_rational:
-        raise ValueError("normal forms over Q would need number fields; "
-                         "use a finite field")
-    # no point given: the Groebner strata confirm the node independently
-    cls = classify_plane_cubic(cub)
-    if cls.tag != NODAL_INTEGRAL or cls.singular_point != node:
-        raise ValueError(f"expected a nodal integral cubic with node "
-                         f"{node}, classified as {cls.tag} at "
-                         f"{cls.singular_point}")
-    K, pre, a0, a3 = _nodal_prenormalization(cub, node)
-    # scalings X1 -> s1 X1, X2 -> s2 X2, X0 -> (s1 s2)^{-1} X0 with
-    # a0 s1^3 = a3 s2^3 = 1: cube roots, extension degree <= 3
-    k2, s1 = cube_root(K, K.rinv(a0))
-    kf, s2 = cube_root(k2, k2.rinv(embed(K, a3, k2)))
-    s1 = embed(k2, s1, kf)
-    z = kf.rzero
-    m4 = [[kf.rinv(kf.rmul(s1, s2)), z, z], [z, s1, z], [z, z, s2]]
-    total = _mat_mul(kf, [[embed(K, x, kf) for x in row] for row in pre], m4)
-    final = substitute_linear_map(cub.map_field(kf), total)
-    target = MultiPoly.from_raw(kf, 3, {(1, 1, 1): kf.rone,
-                                        (0, 3, 0): kf.rone,
-                                        (0, 0, 3): kf.rone})
-    if final != target:
-        raise IntegrityError(f"normal form verification failed: {final}")
-    return kf, total
-
-
 def scaled_nodal_parametrization(field, a0, a3):
     """(U:V) -> (-a0 U^3 - a3 V^3 : U^2 V : U V^2) for raw a0, a3, the
     normalization of X0 X1 X2 + a0 X1^3 + a3 X2^3 = 0; no root
@@ -611,9 +576,9 @@ def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
     """The very free curve carried by a nodal tangent section.
 
     Uses the scaling-free parametrization of X0 X1 X2 + a0 X1^3 +
-    a3 X2^3, so only the tangent directions may extend the field; the
-    image and the splitting agree with the fully normalized route.  The
-    walk has already classified the section with no point given.
+    a3 X2^3, which takes no cube root, so only the tangent directions
+    may extend the field.  The walk has already classified the section
+    with no point given.
     """
     cls = res.classification
     if cls.tag != NODAL_INTEGRAL:

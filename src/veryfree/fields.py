@@ -16,9 +16,9 @@ are the only field arithmetic: a `Scalar` is a raw value tagged with
 its field, as a caller hands it in, and does not compute.
 
 Every deterministic choice in this module (defining modulus, embedding,
-cube root, element enumeration) uses one ordering: coefficient vectors
+element enumeration) uses one ordering: coefficient vectors
 (c_0, c_1, ..., c_{k-1}) compared lexicographically with c_0 first.
-Roots, embeddings and cube roots included, come from distinct- and
+Roots, those behind embeddings included, come from distinct- and
 equal-degree factorisation of polynomials, not from scans of a field's
 elements.
 """
@@ -820,19 +820,3 @@ def _splitter(h: UPoly, a, aid):
             trace[i] = radd(trace[i], rmul(c, a))
         a = rmul(a, a)
     return UPoly(K, trace)
-
-
-def cube_root(F: FieldSpec, x):
-    """The least root, by `lex_key`, of t^3 - x for the raw element x of
-    F, as (field, raw root): over F when x is a cube there, which always
-    holds when q != 1 mod 3 (characteristic 3 included), else over
-    F_{q^3}.  The roots come from `_field_roots`."""
-    if F.is_rational:
-        raise FieldError("cube roots are computed over finite fields only")
-    K = F
-    while True:
-        roots = _field_roots(UPoly(K, [K.rneg(embed(F, x, K)), K.rzero,
-                                       K.rzero, K.rone]))
-        if roots:
-            return K, roots[0]
-        K = make_field(F.p, F.k * 3)

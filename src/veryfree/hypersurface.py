@@ -395,8 +395,6 @@ THREE_LINES_CONCURRENT = "ThreeLinesConcurrent"
 LINE_DOUBLE_LINE = "LineDoubleLine"
 TRIPLE_LINE = "TripleLine"
 
-INTEGRAL_TAGS = (SMOOTH_CUBIC, NODAL_INTEGRAL, CUSPIDAL_INTEGRAL)
-
 
 @dataclass(frozen=True)
 class CubicSectionClass:
@@ -1211,12 +1209,13 @@ def _frobenius_size(f: MultiPoly) -> Optional[int]:
 
 
 def _frobenius_permutation(lines, q):
-    """sigma with lines[sigma[i]] = lines[i].conjugate(q); IntegrityError
-    if some conjugate is not in the list."""
-    index = {line: i for i, line in enumerate(lines)}
+    """sigma with lines[sigma[i]] = lines[i].conjugate(q), looked up by
+    the conjugated rows alone, as lines compare; IntegrityError if some
+    conjugate is not in the list."""
+    index = {line.rows: i for i, line in enumerate(lines)}
     sigma = []
     for i, line in enumerate(lines):
-        j = index.get(line.conjugate(q))
+        j = index.get(tuple(_frobenius(line.field, r, q) for r in line.rows))
         if j is None:
             raise IntegrityError(f"the Frobenius conjugate of line {i} is "
                                  f"not among the lines")

@@ -902,12 +902,6 @@ def groebner_basis(gens):
     return out
 
 
-def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
-    """Full normal form of f modulo the basis (deterministic)."""
-    rem = _normal_form(f.field, f.terms, [_entry(g) for g in basis])
-    return MultiPoly.from_raw(f.field, f.nvars, rem)
-
-
 def eliminant(basis):
     """Monic generator of I ∩ k[x_0], as a UPoly in the first variable,
     for the ideal I of a nonempty reduced Groebner basis; None when V(I)

@@ -83,12 +83,13 @@ def is_very_free_splitting(s: SplittingType) -> bool:
 
 @dataclass
 class MonadReport:
-    ok: bool
     failures: list
 
+    @property
+    def ok(self):
+        return not self.failures
+
     def __str__(self):
-        if self.ok:
-            return "ok"
         return "; ".join(f"{name}: {detail}" for name, detail in self.failures)
 
 
@@ -97,9 +98,9 @@ def validate_monad(m: MonadP1) -> MonadReport:
     and both gcd invariants.  A zero entry's declared degree is not read:
     `BinaryForm` equality, and so the cohomology cache, ignores it."""
     if not m.b:
-        return MonadReport(False, [("shape", "empty middle term")])
+        return MonadReport([("shape", "empty middle term")])
     if None in (m.a, m.c, m.alpha, m.beta):
-        return MonadReport(False, [("shape", "a monad needs both ends")])
+        return MonadReport([("shape", "a monad needs both ends")])
     failures = []
     for name, maps, wants in (("alpha", m.alpha, [bi - m.a for bi in m.b]),
                               ("beta", m.beta, [m.c - bi for bi in m.b])):
@@ -111,7 +112,7 @@ def validate_monad(m: MonadP1) -> MonadReport:
                      for i, (f, want) in enumerate(zip(maps, wants))
                      if not f.is_zero() and f.degree != want]
     if failures:
-        return MonadReport(False, failures)
+        return MonadReport(failures)
     comp = BinaryForm.zero(m.field, m.c - m.a)
     for al, be in zip(m.alpha, m.beta):
         if not al.is_zero() and not be.is_zero():
@@ -129,7 +130,7 @@ def validate_monad(m: MonadP1) -> MonadReport:
         failures.append(("beta", "beta is identically zero"))
     elif g.degree > 0:
         failures.append(("beta", "beta not surjective, " + _root_witness(g)))
-    return MonadReport(not failures, failures)
+    return MonadReport(failures)
 
 
 def _common_gcd(forms):

@@ -1,11 +1,11 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
-S-polynomial built from MultiPoly arithmetic, a field-op counter, root
-finding, cube roots and Zech tables by element scans and polynomial
-products, a two-row line search, a tangent-cone frame and a nodal
-prenormalisation by substitution, and plane-line and curve maps through
-a kernel basis, a matrix inverse and binary-form arithmetic, the
-six-point search in two passes, diagonal points first, and the Eckardt
-census over all pairs of lines."""
+S-polynomial built from MultiPoly arithmetic, a full normal form modulo
+a Groebner basis, a field-op counter, root finding and Zech tables by
+element scans and polynomial products, a two-row line search, a
+tangent-cone frame and a nodal prenormalisation by substitution, and
+plane-line and curve maps through a kernel basis, a matrix inverse and
+binary-form arithmetic, the six-point search in two passes, diagonal
+points first, and the Eckardt census over all pairs of lines."""
 import itertools
 import random
 
@@ -19,9 +19,9 @@ from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
 from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
                                    _cell_patterns, _completion_matrix,
                                    _cross, _row_zeros, plane_line_through)
-from veryfree.poly import (BinaryForm, MultiPoly, _lead, binary_roots,
-                           compose_with_curve, linear_substitute,
-                           substitute_linear_map)
+from veryfree.poly import (BinaryForm, MultiPoly, _entry, _lead,
+                           _normal_form, binary_roots, compose_with_curve,
+                           linear_substitute, substitute_linear_map)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -112,6 +112,12 @@ def spoly(f, g):
     return shifted(f, fe, fc) - shifted(g, ge, gc)
 
 
+def normal_form(f, basis):
+    """Full normal form of f modulo the basis, by `poly._normal_form`."""
+    rem = _normal_form(f.field, f.terms, [_entry(g) for g in basis])
+    return MultiPoly.from_raw(f.field, f.nvars, rem)
+
+
 def count_field_ops(monkeypatch):
     """Count every raw field operation (radd, rsub, rmul, rneg, rinv,
     rpow) until the test ends; returns a one-item list that holds the
@@ -177,24 +183,6 @@ def roots_by_scan(f, max_ext):
             remaining -= mult
         by_level[j] = here
     return found
-
-
-def cube_roots_by_scan(F):
-    """Oracle for `fields.cube_root`: each raw x of F mapped to (K, t),
-    where K is F when x is a cube in F, else F_{q^3}, and t is the first
-    element of `K.elements()`, so the least by `lex_key`, with t^3 = x.
-    The scan of K stops once every x has its root."""
-    out, K = {}, F
-    while len(out) < F.size:
-        todo = {embed(F, x, K): x for x in F.elements() if x not in out}
-        for t in K.elements():
-            if not todo:
-                break
-            x = todo.pop(K.rmul(t, K.rmul(t, t)), None)
-            if x is not None:
-                out[x] = (K, t)
-        K = make_field(F.p, 3 * F.k)
-    return out
 
 
 def zech_tables_by_multiplication(F):

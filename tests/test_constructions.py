@@ -2,26 +2,28 @@ import random
 
 import pytest
 
+from veryfree.errors import ExtensionCapExceeded, IntegrityError
 from veryfree.fields import make_field
 from veryfree.hypersurface import (Hyperplane, Hypersurface, ProjPoint,
                                    NODAL_INTEGRAL, classify_plane_cubic,
-                                   lines_on_cubic_surface,
+                                   is_smooth, lines_on_cubic_surface,
                                    plane_section, surface_points,
                                    tangent_hyperplane)
 from veryfree.poly import (BinaryForm, MultiPoly, compose_with_curve,
-                           gcd_bin, linear_substitute, parse_poly)
-from veryfree.constructions import (AllEckardtError,
+                           gcd_bin, linear_substitute, map_curve, parse_poly)
+from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     _nodal_prenormalization,
                                     build_very_free_curve,
                                     cuspidal_parametrization,
                                     curve_in_surface_coordinates,
                                     fermat_char2_curve, fermat_char2_report,
                                     find_nodal_section,
-                                    make_curve, nodal_normal_form,
-                                    nodal_section_curve, nodal_surface_form,
+                                    make_curve, nodal_section_curve,
+                                    nodal_surface_form,
                                     normal_form_surface,
                                     parametrize_conic, pullback_tangent,
                                     sample_admissible_completion,
+                                    scaled_nodal_parametrization,
                                     six_point_diagonal,
                                     standard_nodal_parametrization,
                                     verify_cuspidal_delta, verify_xi_eta,
@@ -60,49 +62,63 @@ def _scalar_rows(field, rows):
     return [[field.from_raw(c) for c in row] for row in rows]
 
 
-def test_nodal_normal_form_already_normal():
-    cub = parse_poly("X0*X1*X2+X1^3+X2^3", 3, F7)
-    node = ProjPoint(F7, [1, 0, 0])
-    K, rows = nodal_normal_form(cub, node)
-    target = parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
-    assert linear_substitute(cub.map_field(K),
-                             _scalar_rows(K, rows)) == target
+def _check_prenormalization(cub, node):
+    """`_nodal_prenormalization(cub, node)`, checked against the
+    substitution route: its matrix takes cub to X0 X1 X2 + a0 X1^3 +
+    a3 X2^3 and maps the scaled parametrization of that cubic onto cub.
+    Returns (K, matrix rows, a0, a3)."""
+    out = K, total, a0, a3 = _nodal_prenormalization(cub, node)
+    assert out == prenormalization_by_substitution(cub, node)
+    cub_k = cub.map_field(K)
+    assert linear_substitute(cub_k, _scalar_rows(K, total)) == \
+        MultiPoly.from_raw(K, 3, {(1, 1, 1): K.rone, (0, 3, 0): a0,
+                                  (0, 0, 3): a3})
+    curve = map_curve(K, total, scaled_nodal_parametrization(K, a0, a3))
+    assert compose_with_curve(cub_k, curve).is_zero()
+    return out
 
 
-def test_nodal_normal_form_with_scalings():
-    cub = parse_poly("X0*X1*X2+2*X1^3+X2^3", 3, F7)
-    node = ProjPoint(F7, [1, 0, 0])
-    K, rows = nodal_normal_form(cub, node)
-    assert K.k // F7.k <= 3
-    out = linear_substitute(cub.map_field(K), _scalar_rows(K, rows))
-    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
+def _check_swap(F, text):
+    """For X0 X1 X2 + c0 X1^3 + c3 X2^3 with its node at (1:0:0),
+    `binary_roots` lists the tangent direction (1:0) first, so the first
+    direction is X2 and the matrix swaps X1 and X2 with a sign: a0 = -c3
+    and a3 = -c0, over the cubic's own field."""
+    cub = parse_poly(text, 3, F)
+    K, total, a0, a3 = _check_prenormalization(cub, ProjPoint(F, [1, 0, 0]))
+    m = F.rneg(F.rone)
+    assert K is F and total == [[1, 0, 0], [0, 0, m], [0, m, 0]]
+    assert (a0, a3) == (F.rneg(cub.coefficient((0, 0, 3))),
+                        F.rneg(cub.coefficient((0, 3, 0))))
 
 
-def test_nodal_normal_form_swapped_directions():
-    cub = parse_poly("X0*X1*X2+X2^3+X1^3", 3, F5)
-    node = ProjPoint(F5, [1, 0, 0])
-    K, rows = nodal_normal_form(cub, node)
-    out = linear_substitute(cub.map_field(K), _scalar_rows(K, rows))
-    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, K)
+def test_nodal_prenormalization_swapped_directions():
+    _check_swap(F5, "X0*X1*X2+X2^3+X1^3")
 
 
 @pytest.mark.parametrize("text", ["X0*X1*X2+X1^3+X2^3",
                                   "X0*X1*X2+2*X1^3+X2^3",
                                   "X0*X1*X2+2*X1^3+2*X2^3"])
-def test_nodal_normal_form_in_characteristic_3(text):
-    """The scalings take cube roots, which in characteristic 3 stay in
-    the field."""
-    cub = parse_poly(text, 3, F3)
-    K, rows = nodal_normal_form(cub, ProjPoint(F3, [1, 0, 0]))
-    assert K is F3
-    out = linear_substitute(cub, _scalar_rows(F3, rows))
-    assert out == parse_poly("X0*X1*X2+X1^3+X2^3", 3, F3)
+def test_nodal_prenormalization_in_characteristic_3(text):
+    """The scaled parametrization takes no cube root, so the curve stays
+    in the field in characteristic 3 as well."""
+    _check_swap(F3, text)
 
 
-def test_nodal_normal_form_rejects_wrong_input():
-    cusp = parse_poly("X0*X2^2+X1^3", 3, F7)
-    with pytest.raises(ValueError):
-        nodal_normal_form(cusp, ProjPoint(F7, [1, 0, 0]))
+def test_nodal_section_curve_rejects_a_cusp():
+    """The tangent section of X0 X2^2 + X1^3 + X3 X0^2 at (1:0:0:0) is
+    the cusp X0 X2^2 + X1^3: the curve is refused on its class, and the
+    prenormalization finds one double tangent direction."""
+    x = Hypersurface(parse_poly("X0*X2^2+X1^3+X3*X0^2", 4, F7))
+    point = ProjPoint(F7, [1, 0, 0, 0])
+    plane = tangent_hyperplane(x, point)
+    section = plane_section(x, plane)
+    cls = classify_plane_cubic(section)
+    res = NodalSectionResult(x, point, plane, section, cls, 1)
+    with pytest.raises(ValueError, match="classified as CuspidalIntegral"):
+        nodal_section_curve(res)
+    with pytest.raises(IntegrityError,
+                       match="nodal quadric without two distinct roots"):
+        _nodal_prenormalization(section, cls.singular_point)
 
 
 def _pinned_nodal_sections():
@@ -124,18 +140,13 @@ def _pinned_nodal_sections():
 
 def test_nodal_prenormalization_matches_substitution_route():
     """The matrix and corner coefficients read off the tangent cone equal
-    those of substituting the cubic after each coordinate change, and the
-    matrix takes the cubic to X0 X1 X2 + a0 X1^3 + a3 X2^3."""
+    those of substituting the cubic after each coordinate change, the
+    matrix takes the cubic to X0 X1 X2 + a0 X1^3 + a3 X2^3, and it maps
+    the scaled parametrization onto the cubic."""
     steps = set()
     for section, node in _pinned_nodal_sections():
-        K, total, a0, a3 = _nodal_prenormalization(section, node)
-        assert (K, total, a0, a3) == prenormalization_by_substitution(
-            section, node)
+        K = _check_prenormalization(section, node)[0]
         steps.add((section.field.k, K.k))
-        cub_k = section.map_field(K)
-        assert linear_substitute(cub_k, _scalar_rows(K, total)) == \
-            MultiPoly.from_raw(K, 3, {(1, 1, 1): K.rone, (0, 3, 0): a0,
-                                      (0, 0, 3): a3})
     # tangent directions split over F7 and only over F49, on F7 sections
     assert {(1, 1), (1, 2)} <= steps
 
@@ -324,6 +335,18 @@ def test_find_nodal_section_char2_fermat_obstructed():
     assert len(exc.value.census.two_line) == 0
 
 
+def test_walk_goes_up_the_working_fields_to_the_line_field_cap():
+    """The lines of the seeded F2 surface 111 lie over F8, and no point
+    of the walked line gives a nodal section there: the walk goes on
+    over F64, and a line field cap of 8 stops it at F8."""
+    x = Hypersurface(random_cubic_form(F2, 4, 111))
+    with pytest.raises(ExtensionCapExceeded, match="nodal-section walk "
+                       "exhausted the working field sizes"):
+        find_nodal_section(x, 6, 8)
+    res = find_nodal_section(x)
+    assert res.work_ext == 6 and res.classification.tag == NODAL_INTEGRAL
+
+
 def test_build_surface_curve():
     curve = build_very_free_curve(FERMAT7)
     assert curve.very_free and curve.splitting.parts == (2, 1)
@@ -367,6 +390,20 @@ def test_build_threefold_skips_singular_section():
     comps = curve.components
     assert not comps[0].is_zero() and (comps[0] + comps[4]).is_zero()
     assert compose_with_curve(curve.surface.f, list(comps)).is_zero()
+
+
+def test_build_without_a_smooth_hyperplane_section():
+    """x0^2 y0 + x0 y0^2 + x1^2 y1 + x1 y1^2 + x2^2 y2 + x2 y2^2 over F2
+    (x = X0..X2, y = X3..X5) is smooth, as its gradient (y^2, x^2)
+    vanishes only at 0, and every F2-point of P^5 lies on it.  The
+    hyperplane a.x + b.y = 0 is its tangent hyperplane at the F2-point
+    (b, a), which it contains, so no F2-hyperplane section is smooth."""
+    x = Hypersurface(parse_poly("X0^2*X3+X0*X3^2+X1^2*X4+X1*X4^2"
+                                "+X2^2*X5+X2*X5^2", 6, F2))
+    assert is_smooth(x)
+    with pytest.raises(ExtensionCapExceeded,
+                       match="no hyperplane gives a smooth section"):
+        build_very_free_curve(x)
 
 
 def test_compose_nodal_section_curve_field_op_count(monkeypatch):

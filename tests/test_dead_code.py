@@ -14,7 +14,9 @@ parameter with a default must be set by some call in src/, tests/ or
 bench/, or it is an option nothing uses, and left unset by some call,
 or it is a default nothing relies on.  Imports sit at module level,
 where the import graph can be read at a glance; none is made inside a
-function body.
+function body.  Every top-level definition is reached by some chain of
+references from the entry points, the command line (`cli.main`) and
+the benchmark workloads, or only tests run it.
 """
 import ast
 import collections
@@ -158,6 +160,38 @@ def _local_imports(modules):
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
+def _unreached_definitions(modules, entries):
+    """`module:line name` of each top-level definition of modules (a
+    function, a class or a name an assignment binds) that no chain of
+    references reaches.  The chains start at the names read by the trees
+    of entries and by the module-level statements of modules that are
+    neither definitions nor imports, such as cli's `sys.exit(main())`; a
+    reached definition reads every name in it.  Names match by spelling
+    alone, in any module."""
+    defs = collections.defaultdict(list)
+    todo = set().union(*map(_references, entries))
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[node.name].append((name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Name):
+                            defs[t.id].append((name, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo |= _references(node).keys()
+    reached = set()
+    while todo:
+        reached |= todo
+        todo = set().union(*(_references(node) for n in todo
+                             for _, node in defs.get(n, ()))) - reached
+    return sorted(f"{name}:{node.lineno} {n}" for n, found in defs.items()
+                  if n not in reached for name, node in found)
+
+
 def _callers():
     """Every module of src/, tests/ and bench/, keyed by its path."""
     return {str(path.relative_to(ROOT)): ast.parse(path.read_text(),
@@ -235,6 +269,12 @@ def _always_set_options(modules, callers):
     a default that nothing relies on."""
     return [where for where, verdicts in _option_calls(modules, callers)
             if verdicts and all(v is True for v in verdicts)]
+
+
+def test_definitions_are_reached_from_the_entry_points():
+    workloads = ROOT / "bench" / "workloads.py"
+    assert _unreached_definitions(
+        _modules(), [ast.parse(workloads.read_text())]) == []
 
 
 def test_private_functions_are_referenced():
@@ -424,3 +464,30 @@ def test_option_check_catches_planted_defaults_every_call_sets():
     assert _always_set_options(planted, callers) == [
         "a.py:2 C.m(u)", "a.py:2 C.m(v)", "a.py:4 f(c)"]
     assert _unset_options(planted, callers) == ["a.py:8 k(w)"]
+
+
+def test_reachability_check_catches_planted_unreached_definitions():
+    planted = {
+        "a.py": ast.parse("import sys\n"
+                          "LIMIT = 3\n"
+                          "TAGS = (LIMIT,)\n"
+                          "def main():\n"
+                          "    return helper()\n"
+                          "def helper():\n"
+                          "    return LIMIT\n"
+                          "def orphan():\n"
+                          "    return orphan() + helper()\n"
+                          "class Used:\n"
+                          "    def m(self):\n"
+                          "        return b.run()\n"
+                          "if __name__ == '__main__':\n"
+                          "    sys.exit(main())\n"),
+        "b.py": ast.parse("def run():\n"
+                          "    pass\n"
+                          "class Unused:\n"
+                          "    pass\n"),
+    }
+    entries = [ast.parse("from a import Used\n"
+                         "Used().m()\n")]
+    assert _unreached_definitions(planted, entries) == [
+        "a.py:3 TAGS", "a.py:8 orphan", "b.py:3 Unused"]

@@ -8,15 +8,14 @@ from sympy import Poly, symbols
 
 from veryfree import fields
 from veryfree.errors import FieldError, ScanBudgetExceeded
-from veryfree.fields import (QQ, UPoly, cube_root, embed,
+from veryfree.fields import (QQ, UPoly, embed,
                              find_roots, join_field, make_field,
                              parse_field_spec, format_field_spec)
 from veryfree.constructions import nodal_surface_form
 from veryfree.hypersurface import Hypersurface, lines_on_cubic_surface
 from veryfree.poly import parse_poly
 
-from helpers import (F2, F3, F4, F5, F7, count_field_ops,
-                     cube_roots_by_scan, roots_by_scan,
+from helpers import (F3, F4, F5, F7, count_field_ops, roots_by_scan,
                      zech_tables_by_multiplication)
 
 
@@ -361,35 +360,6 @@ def test_find_roots_splits_instead_of_scanning(monkeypatch):
 def test_zech_tables_match_multiplication(spec):
     F = parse_field_spec(spec)
     assert fields._zech_tables(F) == zech_tables_by_multiplication(F)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_cube_root_in_characteristic_3(k):
-    """Frobenius is bijective in characteristic 3, so every element has
-    its cube root in the field itself."""
-    F = make_field(3, k)
-    for raw in F.elements():
-        K, r = cube_root(F, raw)
-        assert K is F and F.rpow(r, 3) == raw
-
-
-def test_cube_root_everywhere():
-    for field in (F7, make_field(7, 2), F2, F4, make_field(5, 1)):
-        for raw in list(field.elements())[:12]:
-            K, r = cube_root(field, raw)
-            assert K.rpow(r, 3) == embed(field, raw, K)
-
-
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
-                                 (13, 1), (2, 4), (3, 3), (7, 2)])
-def test_cube_root_is_the_least_root(p, k):
-    """`cube_root` gives the least root by `lex_key` of t^3 - x, over F
-    when x is a cube there and over F_{q^3} otherwise, as a scan of the
-    elements in `lex_key` order finds it."""
-    F = make_field(p, k)
-    for x, (K, t) in cube_roots_by_scan(F).items():
-        field, root = cube_root(F, x)
-        assert field is K and root == t, F.vector_of(x)
 
 
 @pytest.mark.parametrize("p,k", [(7, 4), (2, 8), (3, 5)])

@@ -1,8 +1,8 @@
 """Fault injection: each consistency guard of `eckardt_points` fires when
 one meeting point of the 27 lines on Clebsch over F49 is corrupted, or
 the list of lines is not permuted by x -> x^7, and
-each guard of the nodal normal form fires when one of its producers (the
-tangent directions, the tangent-cone frame, the cube roots) is.  The
+each guard of the nodal prenormalization fires when one of its producers
+(the tangent directions, the tangent-cone frame) is.  The
 guards of `classify_plane_cubic` fire when the Groebner strata report a
 wrong set of singular points, and the guards of the nodal-section walk
 when a tangent section, a conic's base point or completion, or the
@@ -21,7 +21,7 @@ import pytest
 
 from veryfree import cli, constructions, hypersurface, linalg, sheafp1
 from veryfree.errors import IntegrityError, MonadError
-from veryfree.fields import cube_root, make_field
+from veryfree.fields import make_field
 from veryfree.hypersurface import (NODAL_INTEGRAL, Hyperplane,
                                    Hypersurface, LineP3, ProjPoint,
                                    _nodal_frame, classify_plane_cubic,
@@ -128,7 +128,7 @@ def test_repeated_line_is_coincident(census):
         eckardt_points(CLEBSCH, repeated)
 
 
-# -- the nodal normal form --------------------------------------------------
+# -- the nodal prenormalization ----------------------------------------------
 
 F7 = make_field(7)
 NODAL = parse_poly("X0*X1*X2+2*X1^3+X2^3", 3, F7)
@@ -158,12 +158,6 @@ def _corner_dropped(cub, pt):
     return m, q, BinaryForm.from_raw(c.field, 3, (0,) + c.coeffs[1:])
 
 
-def _cube_root_negated(F, x):
-    """A root off by the unit -1, whose cube is -1 in F7."""
-    K, y = cube_root(F, x)
-    return K, K.rneg(y)
-
-
 @pytest.mark.parametrize("name, fault, message", [
     ("binary_roots", _one_double_root,
      "nodal quadric without two distinct roots"),
@@ -173,17 +167,15 @@ def _cube_root_negated(F, x):
      "unexpected shape after tangent normalization"),
     ("_nodal_frame", _corner_dropped,
      "unexpected shape after tangent normalization"),
-    ("cube_root", _cube_root_negated, "normal form verification failed"),
 ], ids=["double-root", "repeated-direction", "moved-direction",
-        "dropped-corner", "negated-cube-root"])
-def test_nodal_normal_form_guard_fires(monkeypatch, name, fault, message):
+        "dropped-corner"])
+def test_nodal_prenormalization_guard_fires(monkeypatch, name, fault,
+                                            message):
     """Each fault, injected where `constructions` calls the producer,
-    reaches its own guard: the classification that `nodal_normal_form`
-    runs first calls these producers through `hypersurface`, which keeps
-    the originals."""
+    reaches its own guard."""
     monkeypatch.setattr(constructions, name, fault)
     with pytest.raises(IntegrityError, match=message):
-        constructions.nodal_normal_form(NODAL, NODE)
+        constructions._nodal_prenormalization(NODAL, NODE)
 
 
 # -- the nodal-section walk -------------------------------------------------

@@ -363,6 +363,23 @@ def test_classify_refuses_singular_points_beyond_the_cap():
             assert cls.tag == tag and cls.ext_degree_used == low
 
 
+def test_classify_refuses_concurrent_lines_beyond_the_cap():
+    """X1^3 - 2 X2^3 over F7 is three lines through (1:0:0), each defined
+    over F_{7^3} only, as 2 is a cube in neither F7 nor F49: below cap 3
+    the split is refused, with the point given or found."""
+    cub = parse_poly("X1^3-2*X2^3", 3, F7)
+    node = ProjPoint(F7, [1, 0, 0])
+    for cap in (1, 2):
+        for point in ((), (node,)):
+            with pytest.raises(ExtensionCapExceeded, match="splitting the "
+                               "triple-point cubic needs extension degree "
+                               "3"):
+                classify_plane_cubic(cub, cap, *point)
+    cls = classify_plane_cubic(cub, 3)
+    assert (cls.tag, cls.singular_point, cls.ext_degree_used) == \
+        (THREE_LINES_CONCURRENT, node, 3)
+
+
 def test_classify_full_zoo():
     assert classify_plane_cubic(
         parse_poly("X0^3+X1^3+X2^3", 3, F7)).tag == SMOOTH_CUBIC
@@ -954,6 +971,15 @@ def test_lines_reject_singular_surface():
     cone = Hypersurface(parse_poly("X0^3+X1^3+X2^3", 4, F7))
     with pytest.raises(ValueError):
         lines_on_cubic_surface(cone)
+
+
+def test_line_search_stops_at_the_extension_cap():
+    """X0^3 + X1^3 + X2^3 + 2 X3^3 has no line over F7, so with extension
+    cap 1 and a field cap that F7 passes, the search ends at the cap."""
+    x = Hypersurface(parse_poly("X0^3+X1^3+X2^3+2*X3^3", 4, F7))
+    with pytest.raises(ExtensionCapExceeded, match="only 0 lines found "
+                       "within extension degree 1"):
+        lines_on_cubic_surface(x, 1, 10**6)
 
 
 def test_eckardt_census_f7_fermat():
