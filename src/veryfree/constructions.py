@@ -556,8 +556,7 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     # stay: M2 M3 with M2 = diag(1, S^-1) and M3 that shear
     z = K.rzero
     m23 = [[K.rone, K.rneg(a1), K.rneg(a2)], [z, s00, s01], [z, s10, s11]]
-    m1_k = [[embed(F, x, K) for x in row] for row in m1]
-    return K, _mat_mul(K, m1_k, m23), a0, a3
+    return K, m1, m23, a0, a3
 
 
 def scaled_nodal_parametrization(field, a0, a3):
@@ -584,25 +583,12 @@ def nodal_section_curve(res: "NodalSectionResult") -> CurveOnX:
     if cls.tag != NODAL_INTEGRAL:
         raise ValueError(f"expected a nodal integral section, classified "
                          f"as {cls.tag}")
-    kf, pre, a0, a3 = _nodal_prenormalization(res.section,
-                                               cls.singular_point)
-    h_plane = map_curve(kf, pre, scaled_nodal_parametrization(kf, a0, a3))
+    node = cls.singular_point
+    kf, m1, m23, a0, a3 = _nodal_prenormalization(res.section, node)
+    h = map_curve(kf, m23, scaled_nodal_parametrization(kf, a0, a3))
+    h_plane = map_curve(node.field, m1, h)
     return make_curve(res.surface.map_field(kf),
                       res.plane.curve_to_ambient(h_plane))
-
-
-def _mat_mul(field, a, b):
-    """Product of square raw matrices."""
-    n = len(a)
-    out = [[field.rzero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k]:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] = field.radd(out[i][j],
-                                               field.rmul(a[i][k], b[k][j]))
-    return out
 
 
 # -- conic and line curves ----------------------------------------------------
@@ -817,8 +803,17 @@ def find_nodal_section(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
         mult += 1
 
 
+def _curve_points(comps):
+    """The curve (U:V) -> (h_0 : ... : h_n) at each rational point of
+    P^1 in `proj_points` order: (1:t) with t in element order, then
+    (0:1)."""
+    F = comps[0].field
+    for u, v in proj_points(F, 1):
+        yield ProjPoint.from_raw(F, [h.evaluate(u, v) for h in comps])
+
+
 def _walk_line_for_section(xm, dm, ext_cap):
-    for y in dm.points():
+    for y in _curve_points(dm.param_forms()):
         plane = tangent_hyperplane(xm, y)
         section = plane_section(xm, plane)
         d_in = plane.line_in_plane(dm)
@@ -837,17 +832,8 @@ def _walk_line_for_section(xm, dm, ext_cap):
     return None
 
 
-def _conic_points(conic):
-    """Rational points of a smooth conic, each exactly once, in the
-    order (1:t) over the field then (0:1) on the parametrizing line."""
-    km = conic.field
-    comps = parametrize_conic(conic)
-    for u, v in [(km.rone, t) for t in km.elements()] + [(km.rzero, km.rone)]:
-        yield ProjPoint.from_raw(km, [c.evaluate(u, v) for c in comps])
-
-
 def _walk_conic_for_node(xm, plane, conic, d_in, ext_cap):
-    for pt in _conic_points(conic):
+    for pt in _curve_points(parametrize_conic(conic)):
         if d_in.contains(pt):
             continue
         x_amb = plane.to_ambient(pt)

@@ -303,21 +303,6 @@ class LineP3:
         F = self.field
         return [BinaryForm.from_raw(F, 1, (a, b)) for a, b in zip(*self.rows)]
 
-    def points(self):
-        """All rational points, (1:t) in element order then (0:1)."""
-        F = self.field
-        a, b = self.rows
-        for t in F.elements():
-            yield ProjPoint.from_raw(F, [F.radd(x, F.rmul(t, y))
-                                         for x, y in zip(a, b)])
-        yield ProjPoint.from_raw(F, b)
-
-    def meets(self, other) -> Optional[ProjPoint]:
-        """Intersection point, None if skew; IntegrityError if the two
-        lines coincide (`_meet` on this line's `_plucker_frame`)."""
-        check_field(self.field, other)
-        return _meet(self.field, _plucker_frame(self), other)
-
     def map_field(self, target):
         if target is self.field:
             return self

@@ -339,12 +339,12 @@ class _PolyParser:
         raise ParseError(f"unexpected {ch!r}", pos)
 
 
-def parse_poly(text: str, nvars: int, field: FieldSpec,
-               require_homogeneous: bool = True) -> MultiPoly:
-    """Parse a polynomial in X0..X{nvars-1} over the given field."""
+def parse_poly(text: str, nvars: int, field: FieldSpec) -> MultiPoly:
+    """Parse a homogeneous polynomial in X0..X{nvars-1} over the given
+    field."""
     lookup = {f"X{i}": i for i in range(nvars)}
     f = _PolyParser(text, field, lookup).parse()
-    if require_homogeneous and not f.is_homogeneous():
+    if not f.is_homogeneous():
         degs = sorted({sum(e) for e in f.terms})
         raise ParseError(
             f"inhomogeneous polynomial: term degrees {degs}")
@@ -541,10 +541,6 @@ class BinaryForm:
         return cls.from_raw(field, degree, (field.rzero,) * (degree + 1))
 
     @classmethod
-    def one(cls, field):
-        return cls.from_raw(field, 0, (field.rone,))
-
-    @classmethod
     def monomial(cls, field, i, j):
         """The form U^i V^j."""
         c = [field.rzero] * (i + j + 1)
@@ -556,10 +552,6 @@ class BinaryForm:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def coefficient(self, j):
-        """Coefficient of U^(degree-j) V^j."""
-        return self.coeffs[j]
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm) or self.field is not other.field:
@@ -603,17 +595,8 @@ class BinaryForm:
             return NotImplemented
         F = self.field
         check_field(F, other)
-        d = self.degree + other.degree
-        if self.is_zero() or other.is_zero():
-            return BinaryForm.zero(F, d)
-        out = [F.rzero] * (d + 1)
-        for j1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            for j2, c2 in enumerate(other.coeffs):
-                if c2:
-                    out[j1 + j2] = F.radd(out[j1 + j2], F.rmul(c1, c2))
-        return BinaryForm.from_raw(F, d, out)
+        return _binary_form(F, self.degree + other.degree, _raw_mul(
+            F, *_binary_images([self.coeffs, other.coeffs])))
 
     def promote(self, degree):
         """Reinterpret a zero form at the given degree; no-op otherwise."""

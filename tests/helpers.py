@@ -5,7 +5,9 @@ element scans and polynomial products, a two-row line search, a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic, the six-point search in two passes, diagonal
-points first, and the Eckardt census over all pairs of lines."""
+points first, the Eckardt census over all pairs of lines, and a parser
+that also takes inhomogeneous polynomials, which the package never
+needs."""
 import itertools
 import random
 
@@ -18,8 +20,9 @@ from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
                              join_field, make_field)
 from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
                                    _cell_patterns, _completion_matrix,
-                                   _cross, _row_zeros, plane_line_through)
-from veryfree.poly import (BinaryForm, MultiPoly, _entry, _lead,
+                                   _cross, _meet, _plucker_frame, _row_zeros,
+                                   plane_line_through)
+from veryfree.poly import (BinaryForm, MultiPoly, _PolyParser, _entry, _lead,
                            _normal_form, binary_roots, compose_with_curve,
                            linear_substitute, substitute_linear_map)
 
@@ -60,6 +63,12 @@ def random_form(field, nvars, degree, rng):
 
 def random_cubic_form(field, nvars, seed):
     return random_form(field, nvars, 3, random.Random(seed))
+
+
+def parse_any_poly(text, nvars, field):
+    """A polynomial in X0..X{nvars-1}, homogeneous or not: `parse_poly`
+    without its homogeneity check."""
+    return _PolyParser(text, field, {f"X{i}": i for i in range(nvars)}).parse()
 
 
 def sympy_chart_smooth(f, p):
@@ -224,10 +233,16 @@ def lines_by_row_pairing(x, K):
     return sorted(lines, key=lambda l: l.sort_key())
 
 
+def meet(a, b):
+    """Where the lines a and b meet, by the census's kernel
+    `hypersurface._meet`: None if skew, IntegrityError if equal."""
+    check_field(a.field, b)
+    return _meet(a.field, _plucker_frame(a), b)
+
+
 def eckardt_points_all_pairs(x, lines):
     """Oracle for `hypersurface.eckardt_points`: the same report, with
-    `LineP3.meets` called on each of the 351 pairs and no Frobenius
-    orbits."""
+    `meet` called on each of the 351 pairs and no Frobenius orbits."""
     if len(lines) != 27:
         raise ValueError(f"expected the full set of 27 lines, got {len(lines)}")
     check_field(x.field, lines[0])
@@ -236,7 +251,7 @@ def eckardt_points_all_pairs(x, lines):
     pairs = 0
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            pt = lines[i].meets(lines[j])
+            pt = meet(lines[i], lines[j])
             if pt is None:
                 continue
             pairs += 1

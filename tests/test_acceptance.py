@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from veryfree.fields import make_field
 from veryfree.hypersurface import (Hypersurface, ProjPoint,
                                    NODAL_INTEGRAL, eckardt_points,
                                    is_smooth, lines_on_cubic_surface,
@@ -325,9 +324,9 @@ def test_criterion_13_property_suites():
         for _ in range(20):
             d1, d2 = rng.randrange(-3, 6), rng.randrange(-3, 6)
             alpha = (BinaryForm.zero(F5, d1), BinaryForm.zero(F5, d2),
-                     BinaryForm.one(F5), BinaryForm.zero(F5, 4))
+                     BinaryForm.monomial(F5, 0, 0), BinaryForm.zero(F5, 4))
             beta = (BinaryForm.zero(F5, 4 - d1), BinaryForm.zero(F5, 4 - d2),
-                    BinaryForm.zero(F5, 4), BinaryForm.one(F5))
+                    BinaryForm.zero(F5, 4), BinaryForm.monomial(F5, 0, 0))
             m = MonadP1(F5, 0, (d1, d2, 0, 4), 4, alpha, beta)
             assert splitting_type(m).parts == tuple(sorted((d1, d2),
                                                            reverse=True))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,8 +15,8 @@ from veryfree.errors import (ExtensionCapExceeded, FieldError,
                              ScanBudgetExceeded)
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
-GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                      "golden", "verify_paper.json")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+GOLDEN = os.path.join(ROOT, "bench", "golden", "verify_paper.json")
 
 
 def run_err(capsys, *argv):
@@ -49,6 +51,26 @@ def test_splitting_json(capsys):
 def test_smooth_false_still_exits_zero(capsys):
     code, out = run(capsys, "smooth", "--field", "3", "--poly", FERMAT)
     assert code == 0 and "smooth: False" in out
+
+
+def test_main_reads_the_command_line(capsys, monkeypatch):
+    """Called with no argument, as the `veryfree` console script calls
+    it, `main` reads sys.argv."""
+    monkeypatch.setattr(sys, "argv",
+                        ["veryfree", "smooth", "--field", "7", "--poly",
+                         FERMAT])
+    assert main() == 0
+    assert "smooth: True" in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script():
+    """`python -m veryfree.cli` exits with the code `main` returns."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "veryfree.cli", "smooth", "--field", "7",
+         "--poly", FERMAT], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0 and "smooth: True" in proc.stdout
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from veryfree.errors import ExtensionCapExceeded, IntegrityError
-from veryfree.fields import make_field
-from veryfree.hypersurface import (Hyperplane, Hypersurface, ProjPoint,
-                                   NODAL_INTEGRAL, classify_plane_cubic,
-                                   is_smooth, lines_on_cubic_surface,
-                                   plane_section, surface_points,
-                                   tangent_hyperplane)
+from veryfree.fields import embed, make_field
+from veryfree.hypersurface import (Hyperplane, Hypersurface, LineP3,
+                                   ProjPoint, NODAL_INTEGRAL,
+                                   classify_plane_cubic, is_smooth,
+                                   lines_on_cubic_surface, plane_section,
+                                   surface_points, tangent_hyperplane)
 from veryfree.poly import (BinaryForm, MultiPoly, compose_with_curve,
                            gcd_bin, linear_substitute, map_curve, parse_poly)
 from veryfree.constructions import (AllEckardtError, NodalSectionResult,
-                                    _nodal_prenormalization,
+                                    _curve_points, _nodal_prenormalization,
                                     build_very_free_curve,
                                     cuspidal_parametrization,
                                     curve_in_surface_coordinates,
@@ -30,7 +30,7 @@ from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     very_free)
 
 from helpers import (F2, F3, F4, F5, F7, F11, F7_SURFACE_SEEDS, QQ,
-                     count_field_ops, curve_to_ambient_by_forms,
+                     _raw_mat_mul, count_field_ops, curve_to_ambient_by_forms,
                      general_sextuple, prenormalization_by_substitution,
                      random_cubic_form, six_point_by_two_passes)
 
@@ -64,17 +64,25 @@ def _scalar_rows(field, rows):
 
 def _check_prenormalization(cub, node):
     """`_nodal_prenormalization(cub, node)`, checked against the
-    substitution route: its matrix takes cub to X0 X1 X2 + a0 X1^3 +
-    a3 X2^3 and maps the scaled parametrization of that cubic onto cub.
-    Returns (K, matrix rows, a0, a3)."""
-    out = K, total, a0, a3 = _nodal_prenormalization(cub, node)
+    substitution route: the product of its two matrices takes cub to
+    X0 X1 X2 + a0 X1^3 + a3 X2^3 and maps the scaled parametrization of
+    that cubic onto cub, and mapping by the two in turn, as
+    `nodal_section_curve` does, gives the same curve.  Returns
+    (K, product rows, a0, a3)."""
+    K, m1, m23, a0, a3 = _nodal_prenormalization(cub, node)
+    F = cub.field
+    total = _raw_mat_mul(K, [[embed(F, x, K) for x in row] for row in m1],
+                         m23)
+    out = K, total, a0, a3
     assert out == prenormalization_by_substitution(cub, node)
     cub_k = cub.map_field(K)
     assert linear_substitute(cub_k, _scalar_rows(K, total)) == \
         MultiPoly.from_raw(K, 3, {(1, 1, 1): K.rone, (0, 3, 0): a0,
                                   (0, 0, 3): a3})
-    curve = map_curve(K, total, scaled_nodal_parametrization(K, a0, a3))
+    h = scaled_nodal_parametrization(K, a0, a3)
+    curve = map_curve(K, total, h)
     assert compose_with_curve(cub_k, curve).is_zero()
+    assert map_curve(F, m1, map_curve(K, m23, h)) == curve
     return out
 
 
@@ -445,6 +453,25 @@ def test_fermat_char2_report_field_op_count(monkeypatch):
     assert count[0] <= 200_000
 
 
+# -- the walk over P^1 ---------------------------------------------------------
+
+@pytest.mark.parametrize("F", [F7, F4], ids=["F7", "F4"])
+def test_curve_points_walk_p1_in_element_order(F):
+    """A line's points are a + t b for t in element order, then b, as
+    the nodal-section walk has always taken them; a smooth conic's are
+    its parametrization at the same points of P^1, so each of its q + 1
+    points comes once."""
+    line = LineP3(F, [[1, 0, 0, 1], [0, 1, 1, 0]])
+    a, b = line.rows
+    assert list(_curve_points(line.param_forms())) == [
+        ProjPoint.from_raw(F, [F.radd(x, F.rmul(t, y)) for x, y in zip(a, b)])
+        for t in F.elements()] + [ProjPoint.from_raw(F, b)]
+    conic = parse_poly("X0^2+X1*X2", 3, F)
+    points = list(_curve_points(parametrize_conic(conic)))
+    assert len(set(points)) == F.size + 1
+    assert all(not conic.evaluate(pt.coords) for pt in points)
+
+
 # -- anticanonical degree consistency ------------------------------------------
 
 def test_degree_splitting_consistency():
@@ -465,7 +492,7 @@ def test_degree_splitting_consistency():
     from veryfree.hypersurface import (divide_by_plane_line,
                                        _conic_singular_point)
     conic_curve = None
-    for y in line_k.points():
+    for y in _curve_points(line_k.param_forms()):
         plane = tangent_hyperplane(xk, y)
         section = plane_section(xk, plane)
         d_in = plane.line_in_plane(line_k)

