@@ -193,7 +193,7 @@ class FieldSpec:
     __slots__ = (
         "p", "k", "modulus", "size", "is_rational", "rzero", "rone",
         "_add", "_neg", "_sub", "_mul", "_inv", "_pow", "_exp",
-        "_embed_cache",
+        "_embed_cache", "_lex_cache",
     )
 
     def __init__(self, p, k, modulus):
@@ -206,6 +206,7 @@ class FieldSpec:
         self.rone = Fraction(1) if p == 0 else 1
         self._exp = None  # Zech exponent table, once built
         self._embed_cache = {}
+        self._lex_cache = {}  # raw -> vector_of(raw), filled by lex_key
         if p == 0:
             ops = (operator.add, operator.neg, operator.sub, operator.mul,
                    lambda a: 1 / a, operator.pow)
@@ -241,7 +242,13 @@ class FieldSpec:
     def lex_key(self, raw):
         """Sort key: the Fraction over Q, else the coefficient vector
         with c_0 compared first."""
-        return raw if self.is_rational else self.vector_of(raw)
+        if self.is_rational:
+            return raw
+        try:
+            return self._lex_cache[raw]
+        except KeyError:
+            key = self._lex_cache[raw] = self.vector_of(raw)
+            return key
 
     def elements(self):
         """All raw elements in canonical (coefficient-vector lex) order."""

@@ -403,12 +403,15 @@ def _on_row(g: MultiPoly, pivot: int, free) -> MultiPoly:
     (in the order given).  Terms that differ only in the pivot exponent
     merge, which never happens for a form."""
     F = g.field
+    dropped = [t for t in range(g.nvars) if t != pivot and t not in free]
     kept = {}
     for e, c in g.terms.items():
-        if any(k for t, k in enumerate(e) if t != pivot and t not in free):
-            continue
-        key = tuple(e[t] for t in free)
-        kept[key] = F.radd(kept[key], c) if key in kept else c
+        for t in dropped:
+            if e[t]:
+                break
+        else:
+            key = tuple(e[t] for t in free)
+            kept[key] = F.radd(kept[key], c) if key in kept else c
     return MultiPoly.from_raw(F, len(free), kept)
 
 
@@ -483,19 +486,34 @@ def _row_zeros(forms, pivot, free, first):
     others over the field's elements, in `itertools.product` order.  Each
     prefix of free values is set once in the restricted form; what is
     left is a polynomial in the last free coordinate, evaluated by
-    Horner.  The other forms are evaluated only at the zeros found.
+    Horner.  The other forms are evaluated only at the zeros found, term
+    by term, from one table of powers of each free value.
     """
     F = forms[0].field
-    rzero = F.rzero
+    rzero, rone = F.rzero, F.rone
     elements = list(F.elements())
     f, *others = [_on_row(g, pivot, free).terms for g in forms]
+    top = max((k for terms in others for e in terms for k in e), default=0)
 
     def values_at(vals):
+        if not others:
+            return []
+        radd, rmul = F.radd, F.rmul
+        powers = []
+        for v in vals:
+            row = [rone, v]
+            while len(row) <= top:
+                row.append(rmul(row[-1], v))
+            powers.append(row)
         out = []
         for terms in others:
-            for v in vals:
-                terms = _set_first(F, terms, v)
-            out.append(terms.get((), rzero))
+            acc = rzero
+            for e, c in terms.items():
+                for row, k in zip(powers, e):
+                    if k:
+                        c = rmul(c, row[k])
+                acc = radd(acc, c)
+            out.append(acc)
         return out
 
     def scan(terms, prefix, left, values):
@@ -982,17 +1000,18 @@ def _cell_patterns():
     return cells
 
 
-def _on_affine_line(K, terms, b0, b1):
-    """Raw bivariate terms at (s, b0 + b1 s), as a UPoly in s."""
+def _on_affine_line(K, terms, powers):
+    """Raw bivariate terms at (s, b0 + b1 s), as a UPoly in s.  powers
+    holds the UPolys 1 and b0 + b1 s and grows to the next powers as the
+    terms ask, so the forms on one line share it."""
     # a line-search hot kernel: poly._substitute_raw takes 2x as long
-    line = UPoly(K, [b0, b1])
-    powers = [UPoly(K, [K.rone])]
+    radd, rmul = K.radd, K.rmul
     out = [K.rzero] * 4
     for (ea, eb), c in terms.items():
         while len(powers) <= eb:
-            powers.append(powers[-1] * line)
-        for m, p in enumerate(powers[eb].coeffs):
-            out[ea + m] = K.radd(out[ea + m], K.rmul(c, p))
+            powers.append(powers[-1] * powers[1])
+        for m, p in enumerate(powers[eb].coeffs, ea):
+            out[m] = radd(out[m], rmul(c, p))
     return UPoly(K, out)
 
 
@@ -1033,14 +1052,15 @@ def _partners(K, i, free0, row_i, r1, g1):
     if beta == rzero:
         # the first free coordinate is fixed, the second runs
         a0 = rneg(rmul(g1[i], K.rinv(alpha)))
-        cub, quad = [UPoly(K, [_set_first(K, g, a0).get((d,), rzero)
-                               for d in range(4)]) for g in (f_i, polar)]
+        cub, quad = [UPoly(K, [t.get((d,), rzero) for d in range(4)])
+                     for t in (_set_first(K, g, a0) for g in (f_i, polar))]
         on_line = lambda s: (a0, s)
     else:
         # the first free coordinate runs, the second follows it
         binv = K.rinv(beta)
         b0, b1 = rneg(rmul(g1[i], binv)), rneg(rmul(alpha, binv))
-        cub, quad = [_on_affine_line(K, g, b0, b1) for g in (f_i, polar)]
+        powers = [UPoly(K, [K.rone]), UPoly(K, [b0, b1])]
+        cub, quad = [_on_affine_line(K, g, powers) for g in (f_i, polar)]
         on_line = lambda s: (s, K.radd(b0, rmul(b1, s)))
     common = cub.gcd(quad)
     if common.is_zero():

@@ -608,14 +608,18 @@ class BinaryForm:
                          f"{self.degree} to {degree}")
 
     def evaluate(self, u, v):
-        """Value at raw (u, v), as a raw value."""
+        """Value at raw (u, v), as a raw value: Horner's rule in v from
+        the V^d coefficient down, with a running power of u, so that at
+        u = 1 each coefficient costs one product and one sum."""
         F = self.field
         check_raw(F, (u, v))
-        acc = F.rzero
-        for j, c in enumerate(self.coeffs):
-            if c:
-                term = F.rmul(c, F.rpow(u, self.degree - j))
-                acc = F.radd(acc, F.rmul(term, F.rpow(v, j)))
+        *rest, acc = self.coeffs or (F.rzero,)
+        upow = F.rone
+        for c in reversed(rest):
+            if u != F.rone:
+                upow = F.rmul(upow, u)
+                c = F.rmul(c, upow)
+            acc = F.radd(F.rmul(acc, v), c)
         return acc
 
     def v_content(self):

@@ -5,9 +5,12 @@ element scans and polynomial products, a two-row line search, a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic, the six-point search in two passes, diagonal
-points first, the Eckardt census over all pairs of lines, and a parser
+points first, the Eckardt census over all pairs of lines, a parser
 that also takes inhomogeneous polynomials, which the package never
-needs."""
+needs, and the line search's earlier kernels: row restriction by a
+per-term generator, values at row zeros by a `_set_first` chain, a line
+substitution that builds its own powers, and binary forms evaluated by
+powers of u and v."""
 import itertools
 import random
 
@@ -21,7 +24,7 @@ from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
 from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
                                    _cell_patterns, _completion_matrix,
                                    _cross, _meet, _plucker_frame, _row_zeros,
-                                   plane_line_through)
+                                   _set_first, plane_line_through)
 from veryfree.poly import (BinaryForm, MultiPoly, _PolyParser, _entry, _lead,
                            _normal_form, binary_roots, compose_with_curve,
                            linear_substitute, substitute_linear_map)
@@ -231,6 +234,60 @@ def lines_by_row_pairing(x, K):
                         and raw_dot(K, g1, r0) == K.rzero:
                     lines.add(LineP3.from_raw(K, [r0, r1]))
     return sorted(lines, key=lambda l: l.sort_key())
+
+
+def row_restriction_by_scan(g, pivot, free):
+    """Oracle for `hypersurface._on_row`: each term is kept when every
+    coordinate off the pivot and off `free` has exponent 0, tested by a
+    generator over all coordinates."""
+    F = g.field
+    kept = {}
+    for e, c in g.terms.items():
+        if any(k for t, k in enumerate(e) if t != pivot and t not in free):
+            continue
+        key = tuple(e[t] for t in free)
+        kept[key] = F.radd(kept[key], c) if key in kept else c
+    return MultiPoly.from_raw(F, len(free), kept)
+
+
+def row_values_by_set_first(F, others, vals):
+    """Oracle for the values `_row_zeros` yields: each restricted form
+    in `others` (raw terms) with its free coordinates set to vals one at
+    a time by `_set_first`."""
+    rzero = F.rzero
+    out = []
+    for terms in others:
+        for v in vals:
+            terms = _set_first(F, terms, v)
+        out.append(terms.get((), rzero))
+    return out
+
+
+def affine_line_by_upoly(K, terms, b0, b1):
+    """Oracle for `hypersurface._on_affine_line`: raw bivariate terms at
+    (s, b0 + b1 s), as a UPoly in s, with the powers of b0 + b1 s built
+    by UPoly products for this one form."""
+    line = UPoly(K, [b0, b1])
+    powers = [UPoly(K, [K.rone])]
+    out = [K.rzero] * 4
+    for (ea, eb), c in terms.items():
+        while len(powers) <= eb:
+            powers.append(powers[-1] * line)
+        for m, p in enumerate(powers[eb].coeffs):
+            out[ea + m] = K.radd(out[ea + m], K.rmul(c, p))
+    return UPoly(K, out)
+
+
+def binary_form_by_powers(form, u, v):
+    """Oracle for `BinaryForm.evaluate`: sum of c_j u^(d-j) v^j, each
+    power by `rpow`."""
+    F = form.field
+    acc = F.rzero
+    for j, c in enumerate(form.coeffs):
+        if c:
+            term = F.rmul(c, F.rpow(u, form.degree - j))
+            acc = F.radd(acc, F.rmul(term, F.rpow(v, j)))
+    return acc
 
 
 def meet(a, b):

@@ -1,4 +1,4 @@
-"""Answer digests: the sha256 of stdout and the exit code of 40 in-process
+"""Answer digests: the sha256 of stdout and the exit code of 44 in-process
 CLI runs, compared with `tests/answer_digests.json`.
 
 The runs cover `lines`, `eckardt`, `construct` and `build --dim 3` with
@@ -7,7 +7,9 @@ The runs cover `lines`, `eckardt`, `construct` and `build --dim 3` with
 Over base fields whose raw element indices pass p, they cover `lines`
 and `eckardt --json` on Clebsch over F49 and on Fermat over F4, and
 `sixpoints` on a sextuple over F49 and on the forced configuration over
-F4, which exits 1; `sixpoints --json` also runs on a sextuple over F11.
+F4, which exits 1; `sixpoints --json` also runs on a sextuple over F11.  `lines --json`
+runs on three pinned random surfaces over F5, whose lines lie over F25,
+and on one over F4, whose lines lie over F64, where q = 4 is not p.
 A change that must keep every answer byte-identical keeps this test
 passing.  After a deliberate change of answers, rewrite the JSON with
 
@@ -28,6 +30,7 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "answer_digests.json")
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
 CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
 SEEDS = (256, 282, 365, 368, 722)
+LINE_SEEDS = (("5", 5, 1, (37, 47, 255)), ("2^2", 2, 2, (7,)))
 SIXPOINTS = (
     ("f11", "11", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;6:3:1", ["--json"]),
     ("forced4", "2^2", "0:0:1;1:0:1;1:1:1;0:1:1;1:g:0;1:g+1:0", []),
@@ -64,6 +67,12 @@ def _runs():
                                        "--surface", surface]))
         runs.append((f"eckardt {name}", ["eckardt", "--field", field,
                                          "--surface", surface, "--json"]))
+    for field, p, k, seeds in LINE_SEEDS:
+        for s in seeds:
+            surface = str(random_cubic_form(make_field(p, k), 4, s))
+            runs.append((f"lines f{p ** k}seed{s}",
+                         ["lines", "--field", field, "--surface", surface,
+                          "--json"]))
     return runs
 
 
@@ -82,7 +91,7 @@ def compute():
 def test_answer_digests_unchanged():
     with open(DIGESTS) as fh:
         recorded = json.load(fh)
-    assert len(recorded) == 40
+    assert len(recorded) == 44
     got = compute()
     assert list(got) == list(recorded)
     changed = [name for name in recorded if got[name] != recorded[name]]

@@ -8,9 +8,11 @@ from veryfree.hypersurface import (Hyperplane, Hypersurface, LineP3,
                                    ProjPoint, NODAL_INTEGRAL,
                                    classify_plane_cubic, is_smooth,
                                    lines_on_cubic_surface, plane_section,
-                                   surface_points, tangent_hyperplane)
+                                   proj_points, surface_points,
+                                   tangent_hyperplane)
 from veryfree.poly import (BinaryForm, MultiPoly, compose_with_curve,
                            gcd_bin, linear_substitute, map_curve, parse_poly)
+from veryfree import constructions
 from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     _curve_points, _nodal_prenormalization,
                                     build_very_free_curve,
@@ -30,7 +32,8 @@ from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     very_free)
 
 from helpers import (F2, F3, F4, F5, F7, F11, F7_SURFACE_SEEDS, QQ,
-                     _raw_mat_mul, count_field_ops, curve_to_ambient_by_forms,
+                     _raw_mat_mul, binary_form_by_powers, count_field_ops,
+                     curve_to_ambient_by_forms,
                      general_sextuple, prenormalization_by_substitution,
                      random_cubic_form, six_point_by_two_passes)
 
@@ -470,6 +473,35 @@ def test_curve_points_walk_p1_in_element_order(F):
     points = list(_curve_points(parametrize_conic(conic)))
     assert len(set(points)) == F.size + 1
     assert all(not conic.evaluate(pt.coords) for pt in points)
+
+
+class _RawPoint:
+    """Stands in for ProjPoint in `_curve_points`: keeps the raw values
+    unnormalized, so the walk's ops are the forms' evaluations alone."""
+
+    @staticmethod
+    def from_raw(field, raw):
+        return tuple(raw)
+
+
+@pytest.mark.parametrize("F", [F7, make_field(7, 2)], ids=["F7", "F49"])
+def test_curve_points_evaluate_by_horner(monkeypatch, F):
+    """On a line and a conic, the walk's values are the forms' values
+    by powers of u and v, and Horner's rule makes at most one product
+    and one sum per coefficient per point of P^1."""
+    monkeypatch.setattr(constructions, "ProjPoint", _RawPoint)
+    top = F.size - 1
+    lines = [LineP3.from_raw(F, rows) for rows in (
+        [[1, 0, 0, 1], [0, 1, 1, 0]], [[1, 0, top, 3], [0, 1, 5, top]])]
+    conic = parametrize_conic(parse_poly("X0^2+X1*X2", 3, F))
+    count = count_field_ops(monkeypatch)
+    for comps in [l.param_forms() for l in lines] + [conic]:
+        want = [tuple(binary_form_by_powers(h, u, v) for h in comps)
+                for u, v in proj_points(F, 1)]
+        count[0] = 0
+        assert list(_curve_points(comps)) == want
+        coefficients = sum(h.degree + 1 for h in comps)
+        assert count[0] <= 2 * coefficients * (F.size + 1)
 
 
 # -- anticanonical degree consistency ------------------------------------------

@@ -25,6 +25,26 @@ def test_make_field_prime_and_rational():
     assert QQ.is_rational
 
 
+@pytest.mark.parametrize("p, k, sample", [(2, 2, None), (2, 4, None),
+                                           (7, 2, None), (7, 6, 200)])
+def test_lex_key_is_the_coefficient_vector(p, k, sample):
+    """`lex_key` is `vector_of` on every element of F4, F16 and F49 and
+    on 200 seeded elements of F_{7^6}, when first read and when read
+    again."""
+    F = make_field(p, k)
+    if sample is None:
+        raws = list(F.elements())
+    else:
+        raws = random.Random(76).sample(range(F.size), sample)
+    for _ in range(2):
+        assert [F.lex_key(c) for c in raws] == [F.vector_of(c) for c in raws]
+
+
+def test_lex_key_over_q_is_the_fraction():
+    assert [QQ.lex_key(Fraction(n, 3)) for n in (-1, 2)] == [
+        Fraction(-1, 3), Fraction(2, 3)]
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(FieldError):
         make_field(6, 1)

@@ -27,19 +27,22 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    _cell_patterns, _completion_matrix,
                                    _cross, _dot,
                                    _frobenius_size, _lines_in_cells,
-                                   _nodal_frame,
-                                   _row_zeros,
+                                   _nodal_frame, _on_affine_line, _on_row,
+                                   _on_stratum, _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
 from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
                            parse_poly, substitute_linear_map)
 
-from helpers import (F2, F3, F4, F5, F7, F11, QQ, count_field_ops,
-                     divide_by_completion_inverse, eckardt_points_all_pairs,
+from helpers import (F2, F3, F4, F5, F7, F11, QQ, affine_line_by_upoly,
+                     count_field_ops, divide_by_completion_inverse,
+                     eckardt_points_all_pairs,
                      embed_scalar, lines_by_row_pairing, meet,
                      nodal_frame_by_substitution, parse_any_poly,
                      random_cubic_form, random_form, random_invertible,
-                     raw_dot, restrict_by_kernel_basis, sympy_chart_smooth,
+                     raw_dot, restrict_by_kernel_basis,
+                     row_restriction_by_scan, row_values_by_set_first,
+                     sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
 
 
@@ -208,6 +211,97 @@ def _brute_singular_points(x, ext_cap):
                     and pt not in prior):
                 found.append((pt, j))
     return found
+
+
+KERNEL_FIELDS = [F7, make_field(7, 2), F4, make_field(2, 4)]
+
+
+def _kernel_forms(F, seed):
+    """A seeded cubic, its four partials and a cubic plus a quadric, so
+    that the forms after the first reach exponent 3 and merge terms on
+    restriction."""
+    f = random_cubic_form(F, 4, seed)
+    rng = random.Random(seed)
+    return ([f] + [f.partial(i) for i in range(4)]
+            + [random_form(F, 4, 3, rng) + random_form(F, 4, 2, rng)])
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=["F7", "F49", "F4", "F16"])
+def test_on_row_matches_scan_oracle(F):
+    """Row restriction of seeded cubics and their partials on every cell
+    row and stratum of P^3, against the per-term generator."""
+    for seed in (1, 2, 3):
+        for g in _kernel_forms(F, seed):
+            for pivot, free in _rows_of_p3():
+                assert _on_row(g, pivot, free) == row_restriction_by_scan(
+                    g, pivot, free), (seed, str(g), pivot, free)
+            for i in range(4):
+                assert _on_stratum(g, i) == row_restriction_by_scan(
+                    g, i, range(i + 1, 4))
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=["F7", "F49", "F4", "F16"])
+def test_row_zero_values_match_set_first_chain(F):
+    """The values `_row_zeros` yields at each zero are those of the
+    restricted forms with each free coordinate set in turn; with no
+    other forms the same zeros come with no values.  Over F49 the three
+    free coordinates of the first stratum start at five values only."""
+    elements = list(F.elements())
+    zeros = 0
+    for seed in (1, 2):
+        forms = _kernel_forms(F, seed)
+        for pivot, free in _rows_of_p3():
+            first = elements if len(free) < 3 or F.size < 49 else elements[:5]
+            got = list(_row_zeros(forms, pivot, free, first))
+            others = [row_restriction_by_scan(g, pivot, free).terms
+                      for g in forms[1:]]
+            for pt, values in got:
+                assert values == row_values_by_set_first(
+                    F, others, [pt[t] for t in free]), (seed, pivot, free)
+            assert list(_row_zeros(forms[:1], pivot, free, first)) == [
+                (pt, []) for pt, _ in got]
+            zeros += len(got)
+    assert zeros
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=["F7", "F49", "F4", "F16"])
+def test_on_affine_line_shares_powers(monkeypatch, F):
+    """A cubic and a quadric on the line (s, b0 + b1 s) of each
+    two-free-coordinate cell row, with one list of powers shared, equal
+    the oracle's two calls, which build the powers each, and take no
+    more field ops; b0 or b1 may be 0."""
+    count = count_field_ops(monkeypatch)
+    rng = random.Random(33)
+    top = F.size - 1
+    forms = _kernel_forms(F, 4)
+    rows = [(i, free0) for i, j, free0, free1 in _cell_patterns()
+            if len(free0) == 2]
+    assert rows
+    for i, free0 in rows:
+        cub, quad = [_on_row(g, i, free0).terms for g in forms[:2]]
+        for b0, b1 in ((0, 1), (top, 0), (1, top),
+                       (rng.randrange(F.size), rng.randrange(1, F.size))):
+            count[0] = 0
+            want = [affine_line_by_upoly(F, g, b0, b1) for g in (cub, quad)]
+            oracle_ops, count[0] = count[0], 0
+            powers = [UPoly(F, [F.rone]), UPoly(F, [b0, b1])]
+            got = [_on_affine_line(F, g, powers) for g in (cub, quad)]
+            assert [p.coeffs for p in got] == [p.coeffs for p in want]
+            assert count[0] <= oracle_ops
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=["F7", "F49", "F4", "F16"])
+def test_point_sort_is_the_coefficient_vector_sort(F):
+    """Sorting seeded points by `sort_key` gives the order of their
+    coefficient vectors, whether or not the keys were read before."""
+    rng = random.Random(F.size)
+    for _ in range(2):
+        points = [ProjPoint.from_raw(F, [rng.randrange(F.size)
+                                         for _ in range(4)])
+                  for _ in range(60)]
+        want = sorted(points, key=lambda p: tuple(F.vector_of(c)
+                                                  for c in p.coords))
+        assert sorted(points, key=lambda p: p.sort_key()) == want
 
 
 def test_point_scans_keep_proj_points_order():
@@ -801,6 +895,32 @@ def test_line_search_field_op_count(monkeypatch):
     assert len(lines) == 27 and ext == 2
     assert count[0] <= 60_000
     assert count[0] <= 26_000
+
+
+def test_partners_restrict_each_form_once(monkeypatch):
+    """`_partners` sets a free coordinate in the cubic and in the polar
+    quadric at most once each per call, on pinned F7 surfaces whose
+    lines need F_49 and on Clebsch."""
+    per_call = []
+    partners, set_first = hypersurface._partners, hypersurface._set_first
+
+    def spy_partners(*args):
+        per_call.append(0)
+        return partners(*args)
+
+    def spy_set_first(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a comprehension
+            frame = frame.f_back
+        if frame.f_code is partners.__code__:
+            per_call[-1] += 1
+        return set_first(*args)
+    monkeypatch.setattr(hypersurface, "_partners", spy_partners)
+    monkeypatch.setattr(hypersurface, "_set_first", spy_set_first)
+    for x in [_moved(random_cubic_form(F7, 4, s), 1)
+              for s in F7_SURFACE_SEEDS] + [clebsch(F7)]:
+        lines_on_cubic_surface(x)
+    assert max(per_call) == 2
 
 
 CYCLIC = "X0^2*X1+X1^2*X2+X2^2*X3+X3^2*X0"
