@@ -8,7 +8,9 @@ stored as `fractions.Fraction` (always reduced, positive denominator).
 Each field picks one of four arithmetic backends when it is made:
 `Fraction` operators over Q, residues mod p over F_p, Zech-log tables
 over F_{p^k} up to `_TABLE_CAP` elements (built on the field's first
-operation), and coefficient-vector polynomial arithmetic above that.
+operation and laid out so that no op but a power takes a remainder or
+tests for a zero sum), and coefficient-vector polynomial arithmetic
+above that.
 An op read on a field, such as `F.rmul`, is the backend function
 itself, so each raw operation is one Python call; op counters patch
 the class-level `_Op` descriptors and count through them.  These ops
@@ -19,8 +21,8 @@ Every deterministic choice in this module (defining modulus, embedding,
 element enumeration) uses one ordering: coefficient vectors
 (c_0, c_1, ..., c_{k-1}) compared lexicographically with c_0 first.
 Roots, those behind embeddings included, come from distinct- and
-equal-degree factorisation of polynomials, not from scans of a field's
-elements.
+equal-degree factorisation of polynomials, run on raw coefficient
+lists, not from scans of a field's elements.
 """
 from __future__ import annotations
 
@@ -68,9 +70,18 @@ def _prime_ops(p):
 
 
 def _zech_ops(exp, log, zech, half):
-    """Ops on indices through the tables: exp[i] = g^i, log inverts exp,
-    g^zech[i] = 1 + g^i (-1 when that is 0), and g^half = -1."""
+    """Ops on indices through the tables: exp[i] = g^i for i < m = |F| - 1,
+    log inverts exp, g^zech[i] = 1 + g^i (-1 when that is 0), and g^half
+    = -1.  The tables are laid out again, in place, so that no op but
+    `pow` takes a remainder or tests a sentinel (Huber, IEEE Trans. Inf.
+    Theory 36, 1990): exp runs twice round the group and then through
+    2m + 1 zeros, and the log of 0 is 2m, so a sum of logs with a zero in
+    it lands in the zeros; zech, with 2m for each -1, runs twice round,
+    so a difference of logs in (-m, 2m) indexes it."""
     m = len(exp)
+    exp += exp + [0] * (2 * m + 1)
+    log[0] = 2 * m
+    zech[:] = [2 * m if d == -1 else d for d in zech] * 2
 
     def add(a, b):  # a + b = g^la (1 + g^(lb - la))
         if not b:
@@ -78,31 +89,25 @@ def _zech_ops(exp, log, zech, half):
         if not a:
             return b
         la = log[a]
-        d = zech[(log[b] - la) % m]
-        return 0 if d == -1 else exp[(la + d) % m]
-
-    def neg(a):
-        return exp[(log[a] + half) % m] if a else 0
+        return exp[la + zech[log[b] - la]]
 
     def sub(a, b):  # a - b = a + g^(lb + half)
         if not b:
             return a
         lb = log[b] + half
         if not a:
-            return exp[lb % m]
+            return exp[lb]
         la = log[a]
-        d = zech[(lb - la) % m]
-        return 0 if d == -1 else exp[(la + d) % m]
-
-    def mul(a, b):
-        return exp[(log[a] + log[b]) % m] if a and b else 0
+        return exp[la + zech[lb - la]]
 
     def pow_(a, e):
         if a == 0:
             return 0 if e else 1
         return exp[log[a] * e % m]
 
-    return add, neg, sub, mul, lambda a: exp[-log[a] % m], pow_
+    return (add, lambda a: exp[log[a] + half], sub,
+            lambda a, b: exp[log[a] + log[b]], lambda a: exp[m - log[a]],
+            pow_)
 
 
 def _vector_ops(F):
@@ -204,7 +209,7 @@ class FieldSpec:
         self.is_rational = p == 0
         self.rzero = Fraction(0) if p == 0 else 0
         self.rone = Fraction(1) if p == 0 else 1
-        self._exp = None  # Zech exponent table, once built
+        self._exp = None  # Zech exponent table, once built and laid out
         self._embed_cache = {}
         self._lex_cache = {}  # raw -> vector_of(raw), filled by lex_key
         if p == 0:
@@ -572,7 +577,7 @@ def _embedding_powers(src, target):
 def _least_modulus_root(src, target):
     """The least root, by `lex_key`, of the source modulus in the
     target."""
-    return _field_roots(UPoly(target, src.modulus))[0]
+    return _field_roots(target, src.modulus)[0]
 
 
 def join_field(*fields: FieldSpec) -> FieldSpec:
@@ -589,7 +594,9 @@ def join_field(*fields: FieldSpec) -> FieldSpec:
 
 
 class UPoly:
-    """Univariate polynomial over one field; raw coefficients, low to high."""
+    """Univariate polynomial over one field; raw coefficients, low to high.
+    The root engine below runs on the raw coefficient lists themselves,
+    low to high and stripped, with [] as zero."""
 
     __slots__ = ("field", "coeffs")
 
@@ -607,33 +614,7 @@ class UPoly:
         return not self.coeffs
 
     def __mul__(self, other):
-        F = self.field
-        radd, rmul, zero = F.radd, F.rmul, F.rzero
-        out = [zero] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
-        if other is self and F.p == 2:  # the cross terms of a square cancel
-            for i, a in enumerate(self.coeffs):
-                out[2 * i] = rmul(a, a)
-            return UPoly(F, out)
-        for i, a in enumerate(self.coeffs):
-            if a != zero:
-                for j, b in enumerate(other.coeffs):
-                    if b != zero:
-                        out[i + j] = radd(out[i + j], rmul(a, b))
-        return UPoly(F, out)
-
-    def __sub__(self, other):
-        F = self.field
-        return UPoly(F, [F.rsub(a, b) for a, b in itertools.zip_longest(
-            self.coeffs, other.coeffs, fillvalue=F.rzero)])
-
-    def scale(self, raw):
-        F = self.field
-        return UPoly(F, [F.rmul(c, raw) for c in self.coeffs])
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.field.rinv(self.coeffs[-1]))
+        return UPoly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def divmod(self, other):
         if other.is_zero():
@@ -642,24 +623,24 @@ class UPoly:
         q = _reduce(self.field, r, other.coeffs)
         return UPoly(self.field, q), UPoly(self.field, r)
 
-    def __mod__(self, other):
-        r = list(self.coeffs)
-        _reduce(self.field, r, other.coeffs)
-        return UPoly(self.field, r)
-
     def gcd(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        while b:
-            _reduce(self.field, a, b)
-            a, b = b, a
-        return UPoly(self.field, a).monic()
+        return UPoly(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
-    def map_field(self, target):
-        """Coefficientwise embedding into an extension."""
-        if target is self.field:
-            return self
-        return UPoly(target, [embed(self.field, c, target)
-                              for c in self.coeffs])
+
+def _mul(F, a, b):
+    """The product of the raw coefficient lists a and b."""
+    radd, rmul, zero = F.radd, F.rmul, F.rzero
+    out = [zero] * max(0, len(a) + len(b) - 1)
+    if a is b and F.p == 2:  # the cross terms of a square cancel
+        for i, c in enumerate(a):
+            out[2 * i] = rmul(c, c)
+        return out
+    for i, c in enumerate(a):
+        if c != zero:
+            for j, d in enumerate(b, i):
+                if d != zero:
+                    out[j] = radd(out[j], rmul(c, d))
+    return out
 
 
 def _reduce(F, r, b):
@@ -683,6 +664,39 @@ def _reduce(F, r, b):
     while r and r[-1] == zero:
         r.pop()
     return q
+
+
+def _mulmod(F, a, b, m):
+    """a * b mod m, on raw lists."""
+    r = _mul(F, a, b)
+    _reduce(F, r, m)
+    return r
+
+
+def _monic(F, a):
+    """a scaled to lead with 1; a itself when it does."""
+    if a and a[-1] != F.rone:
+        inv = F.rinv(a[-1])
+        a = [F.rmul(c, inv) for c in a]
+    return a
+
+
+def _gcd(F, a, b):
+    """The monic gcd of the stripped raw lists a and b."""
+    a, b = list(a), list(b)
+    while b:
+        _reduce(F, a, b)
+        a, b = b, a
+    return _monic(F, a)
+
+
+def _less_x(F, f, i):
+    """f - x^i for i = 0 or 1, on raw lists: one coefficient changes."""
+    f = list(f) + [F.rzero] * (i + 1 - len(f))
+    f[i] = F.rsub(f[i], F.rone)
+    while f and f[-1] == F.rzero:
+        f.pop()
+    return f
 
 
 @dataclass(frozen=True)
@@ -712,10 +726,9 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
     if base.is_rational:
         raise FieldError("find_roots requires a finite field")
     found = []
-    h = f.monic()
-    x = UPoly(base, [base.rzero, base.rone])
+    h = _monic(base, f.coeffs)
     for j in range(1, max_ext + 1):
-        if h.degree == 0:
+        if len(h) == 1:
             break
         size = base.size ** j
         if size > DEFAULT_SCAN_BUDGET:
@@ -723,67 +736,67 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
                 f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {size} "
                 f"> {DEFAULT_SCAN_BUDGET}")
         if j == 1:
-            frob, aid = _frobenius(h)       # frob = x^(q^j) mod h
+            frob, aid = _frobenius(base, h)       # frob = x^(q^j) mod h
         else:
-            frob = _powmod(frob, base.size, h)
-        g = h.gcd(frob - x)
-        if g.degree == 0:
+            frob = _powmod(base, frob, base.size, h)
+        g = _gcd(base, h, _less_x(base, frob, 1))
+        if len(g) == 1:
             continue
         K = make_field(base.p, base.k * j)
         here, mult = [], 0
-        while g.degree > 0:  # g: the level's factors of multiplicity > mult
-            h = h.divmod(g)[0]
+        while len(g) > 1:  # g: the level's factors of multiplicity > mult
+            h = _reduce(base, list(h), g)
             mult += 1
-            rest = h.gcd(g)
-            piece = g.divmod(rest)[0].map_field(K)
+            rest = _gcd(base, h, g)
+            piece = _reduce(base, list(g), rest)
+            if K is not base:
+                piece = [embed(base, c, K) for c in piece]
             here += [(r, mult) for r in _split_roots(
-                piece, aid if j == 1 else _frobenius(piece)[1])]
+                K, piece, aid if j == 1 else _frobenius(K, piece)[1])]
             g = rest
         here.sort(key=lambda rm: K.lex_key(rm[0]))
         found += [Root(r, K, j, m) for r, m in here]
     return found
 
 
-def _field_roots(f: UPoly):
-    """The distinct roots of f in its own field, in `lex_key` order, for
+def _field_roots(F, f):
+    """The distinct roots in F of the raw list f, in `lex_key` order, for
     any size of field."""
-    F = f.field
-    frob, aid = _frobenius(f)
-    g = f.gcd(frob - UPoly(F, [F.rzero, F.rone]))
-    return sorted(_split_roots(g, aid), key=F.lex_key)
+    frob, aid = _frobenius(F, f)
+    g = _gcd(F, f, _less_x(F, frob, 1))
+    return sorted(_split_roots(F, g, aid), key=F.lex_key)
 
 
-def _powmod(base: UPoly, e: int, m: UPoly) -> UPoly:
+def _powmod(F, base, e, m):
     """base^e mod m for e >= 1, by left-to-right square and multiply."""
-    base = base % m
+    base = list(base)
+    _reduce(F, base, m)
     out = base
     for bit in bin(e)[3:]:
-        out = out * out % m
+        out = _mulmod(F, out, out, m)
         if bit == "1":
-            out = out * base % m
+            out = _mulmod(F, out, base, m)
     return out
 
 
-def _frobenius(h: UPoly):
-    """x^q mod h over F_q = h.field, and the aid that
-    `_split_roots` takes for any factor of h, from the same squarings:
-    the powers x^(2^i) mod h, i < k, in characteristic 2, else
-    x^((q - 1)/2) mod h."""
-    F = h.field
-    x = UPoly(F, [F.rzero, F.rone])
+def _frobenius(F, h):
+    """x^q mod h over F = F_q, and the aid that `_split_roots` takes for
+    any factor of h, from the same squarings: the powers x^(2^i) mod h,
+    i < k, in characteristic 2, else x^((q - 1)/2) mod h."""
+    x = [F.rzero, F.rone]
     if F.p == 2:
-        chain = [x % h]
+        chain = [_powmod(F, x, 1, h)]  # x mod h
         for _ in range(F.k):
-            chain.append(chain[-1] * chain[-1] % h)
+            chain.append(_mulmod(F, chain[-1], chain[-1], h))
         return chain.pop(), chain
-    half = _powmod(x, (F.size - 1) // 2, h)
-    return half * half * x % h, half
+    half = _powmod(F, x, (F.size - 1) // 2, h)
+    return _mulmod(F, _mul(F, half, half), x, h), half
 
 
-def _split_roots(g: UPoly, aid):
-    """The roots of the monic squarefree g, all of them in its field K,
-    by Cantor-Zassenhaus equal-degree splitting into linear factors; aid
-    is `_frobenius`'s for a multiple of g.
+def _split_roots(K, g, aid):
+    """The roots of the monic squarefree g, all of them in K, by
+    Cantor-Zassenhaus equal-degree splitting into linear factors; aid is
+    `_frobenius`'s for a multiple of g.
 
     The shifts a run over K in `elements()` order: gcd(h, (x + a)^((|K| -
     1)/2) - 1) for odd |K|, and gcd(h, Tr(a x)) with the trace to F_2 in
@@ -792,7 +805,6 @@ def _split_roots(g: UPoly, aid):
     runs over every value but 1, and a -> Tr(a (r - s)) is a nonzero
     linear form.
     """
-    K = g.field
     shifts = K.elements()
     if K.p == 2:
         next(shifts)  # Tr(0 x) = 0 splits nothing
@@ -800,30 +812,32 @@ def _split_roots(g: UPoly, aid):
     while True:
         pending = []
         for h in todo:
-            if h.degree == 1:
-                roots.append(K.rneg(h.coeffs[0]))
-            elif h.degree > 1:
+            if len(h) == 2:
+                roots.append(K.rneg(h[0]))
+            elif len(h) > 2:
                 pending.append(h)
         if not pending:
             return roots
         a = next(shifts)
         todo = []
         for h in pending:
-            d = h.gcd(_splitter(h, a, aid))
-            todo += [d, h.divmod(d)[0]] if 0 < d.degree < h.degree else [h]
+            d = _gcd(K, h, _splitter(K, h, a, aid))
+            todo += ([d, _reduce(K, list(h), d)] if 1 < len(d) < len(h)
+                     else [h])
 
 
-def _splitter(h: UPoly, a, aid):
+def _splitter(K, h, a, aid):
     """The polynomial whose gcd with h splits h at the shift a."""
-    K = h.field
     if K.p != 2:
-        half = aid if a == K.rzero else _powmod(UPoly(K, [a, K.rone]),
+        half = aid if a == K.rzero else _powmod(K, [a, K.rone],
                                                 (K.size - 1) // 2, h)
-        return half - UPoly(K, [K.rone])
+        return _less_x(K, half, 0)
     radd, rmul = K.radd, K.rmul
-    trace = [K.rzero] * max(len(power.coeffs) for power in aid)
+    trace = [K.rzero] * max(len(power) for power in aid)
     for power in aid:
-        for i, c in enumerate(power.coeffs):
+        for i, c in enumerate(power):
             trace[i] = radd(trace[i], rmul(c, a))
         a = rmul(a, a)
-    return UPoly(K, trace)
+    while trace and trace[-1] == K.rzero:
+        trace.pop()
+    return trace

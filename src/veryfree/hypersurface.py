@@ -44,8 +44,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import ExtensionCapExceeded, IntegrityError, ScanBudgetExceeded
-from .fields import UPoly, _field_roots, check_field, embed, find_roots, \
-    join_field, make_field, DEFAULT_SCAN_BUDGET
+from .fields import UPoly, _field_roots, _gcd, check_field, embed, \
+    find_roots, join_field, make_field, DEFAULT_SCAN_BUDGET
 from .poly import (BinaryForm, MultiPoly, binary_roots, eliminant, gcd_bin,
                    groebner_basis, is_unit_ideal, map_curve,
                    partial_derivative, resultant_bin, substitute_linear_map)
@@ -1062,16 +1062,16 @@ def _partners(K, i, free0, row_i, r1, g1):
         powers = [UPoly(K, [K.rone]), UPoly(K, [b0, b1])]
         cub, quad = [_on_affine_line(K, g, powers) for g in (f_i, polar)]
         on_line = lambda s: (s, K.radd(b0, rmul(b1, s)))
-    common = cub.gcd(quad)
-    if common.is_zero():
+    common = _gcd(K, cub.coeffs, quad.coeffs)
+    if not common:
         raise IntegrityError("a plane lies on the surface; it cannot be "
                              "smooth")
-    if common.degree == 0:
+    if len(common) == 1:
         return []
-    if common.degree == 1:
-        roots = [rneg(common.coeffs[0])]
+    if len(common) == 2:
+        roots = [rneg(common[0])]
     else:
-        roots = _field_roots(common)
+        roots = _field_roots(K, common)
     return [point(on_line(s)) for s in roots]
 
 

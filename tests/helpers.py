@@ -1,7 +1,8 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
 S-polynomial built from MultiPoly arithmetic, a full normal form modulo
 a Groebner basis, a field-op counter, root finding and Zech tables by
-element scans and polynomial products, a two-row line search, a
+element scans and polynomial products, root finding on UPoly objects
+(the list engine's oracle), a two-row line search, a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic, the six-point search in two passes, diagonal
@@ -17,10 +18,10 @@ import random
 from veryfree import fields, linalg
 from veryfree.constructions import (SixPointResult, VerificationReport,
                                     _conic_row, _five_point_conic)
-from veryfree.errors import IntegrityError, ScanBudgetExceeded
+from veryfree.errors import FieldError, IntegrityError, ScanBudgetExceeded
 from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
-                             _prime_factors, _vector_ops, check_field, embed,
-                             join_field, make_field)
+                             _prime_factors, _reduce, _vector_ops,
+                             check_field, embed, join_field, make_field)
 from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
                                    _cell_patterns, _completion_matrix,
                                    _cross, _meet, _plucker_frame, _row_zeros,
@@ -167,7 +168,7 @@ def roots_by_scan(f, max_ext):
             raise ScanBudgetExceeded(
                 f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {K.size} "
                 f"> {DEFAULT_SCAN_BUDGET}")
-        fK = f.map_field(K)
+        fK = UPoly(K, [embed(base, c, K) for c in f.coeffs])
         known = set()
         for jp in range(1, j):
             if j % jp == 0 and jp in by_level:
@@ -195,6 +196,223 @@ def roots_by_scan(f, max_ext):
             remaining -= mult
         by_level[j] = here
     return found
+
+
+# The root engine on UPoly objects, kept as the oracle for the engine on
+# raw coefficient lists in `fields`: the same Roots from the same steps,
+# with whole-polynomial subtraction and a scaling in every monic step.
+
+
+class ObjectUPoly:
+    """Univariate polynomial over one field; raw coefficients, low to high."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        while coeffs and coeffs[-1] == field.rzero:
+            coeffs = coeffs[:-1]
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __mul__(self, other):
+        F = self.field
+        radd, rmul, zero = F.radd, F.rmul, F.rzero
+        out = [zero] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        if other is self and F.p == 2:  # the cross terms of a square cancel
+            for i, a in enumerate(self.coeffs):
+                out[2 * i] = rmul(a, a)
+            return ObjectUPoly(F, out)
+        for i, a in enumerate(self.coeffs):
+            if a != zero:
+                for j, b in enumerate(other.coeffs):
+                    if b != zero:
+                        out[i + j] = radd(out[i + j], rmul(a, b))
+        return ObjectUPoly(F, out)
+
+    def __sub__(self, other):
+        F = self.field
+        return ObjectUPoly(F, [F.rsub(a, b) for a, b in
+                               itertools.zip_longest(self.coeffs, other.coeffs,
+                                                     fillvalue=F.rzero)])
+
+    def scale(self, raw):
+        F = self.field
+        return ObjectUPoly(F, [F.rmul(c, raw) for c in self.coeffs])
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self.scale(self.field.rinv(self.coeffs[-1]))
+
+    def divmod(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        r = list(self.coeffs)
+        q = _reduce(self.field, r, other.coeffs)
+        return ObjectUPoly(self.field, q), ObjectUPoly(self.field, r)
+
+    def __mod__(self, other):
+        r = list(self.coeffs)
+        _reduce(self.field, r, other.coeffs)
+        return ObjectUPoly(self.field, r)
+
+    def gcd(self, other):
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b:
+            _reduce(self.field, a, b)
+            a, b = b, a
+        return ObjectUPoly(self.field, a).monic()
+
+    def map_field(self, target):
+        """Coefficientwise embedding into an extension."""
+        if target is self.field:
+            return self
+        return ObjectUPoly(target, [embed(self.field, c, target)
+                              for c in self.coeffs])
+
+
+def object_find_roots(f: ObjectUPoly, max_ext: int) -> list[Root]:
+    """All roots of f over F_{p^(k*j)}, j <= max_ext, level j ascending
+    and each level's roots in `lex_key` order.
+
+    Each root appears once, in its minimal field, with multiplicity.
+    Distinct-degree factorisation over the base field F_q gives the
+    factor gcd(h, x^(q^j) - x) of the part h of f whose roots are not
+    found yet, and `_object_split_roots` splits it over F_{q^j} (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, Ch. 14).  Dividing h by that
+    factor until they are coprime gives the multiplicities.  Raises
+    ScanBudgetExceeded at the first level j with roots left to find where
+    F_{q^j} has more than DEFAULT_SCAN_BUDGET elements.
+    """
+    if f.is_zero():
+        raise ValueError("object_find_roots of the zero polynomial")
+    base = f.field
+    if base.is_rational:
+        raise FieldError("object_find_roots requires a finite field")
+    found = []
+    h = f.monic()
+    x = ObjectUPoly(base, [base.rzero, base.rone])
+    for j in range(1, max_ext + 1):
+        if h.degree == 0:
+            break
+        size = base.size ** j
+        if size > DEFAULT_SCAN_BUDGET:
+            raise ScanBudgetExceeded(
+                f"scan budget exceeded: |F_{base.p}^{base.k * j}| = {size} "
+                f"> {DEFAULT_SCAN_BUDGET}")
+        if j == 1:
+            frob, aid = _object_frobenius(h)       # frob = x^(q^j) mod h
+        else:
+            frob = _object_powmod(frob, base.size, h)
+        g = h.gcd(frob - x)
+        if g.degree == 0:
+            continue
+        K = make_field(base.p, base.k * j)
+        here, mult = [], 0
+        while g.degree > 0:  # g: the level's factors of multiplicity > mult
+            h = h.divmod(g)[0]
+            mult += 1
+            rest = h.gcd(g)
+            piece = g.divmod(rest)[0].map_field(K)
+            here += [(r, mult) for r in _object_split_roots(
+                piece, aid if j == 1 else _object_frobenius(piece)[1])]
+            g = rest
+        here.sort(key=lambda rm: K.lex_key(rm[0]))
+        found += [Root(r, K, j, m) for r, m in here]
+    return found
+
+
+def object_field_roots(f: ObjectUPoly):
+    """The distinct roots of f in its own field, in `lex_key` order, for
+    any size of field."""
+    F = f.field
+    frob, aid = _object_frobenius(f)
+    g = f.gcd(frob - ObjectUPoly(F, [F.rzero, F.rone]))
+    return sorted(_object_split_roots(g, aid), key=F.lex_key)
+
+
+def _object_powmod(base: ObjectUPoly, e: int,
+                   m: ObjectUPoly) -> ObjectUPoly:
+    """base^e mod m for e >= 1, by left-to-right square and multiply."""
+    base = base % m
+    out = base
+    for bit in bin(e)[3:]:
+        out = out * out % m
+        if bit == "1":
+            out = out * base % m
+    return out
+
+
+def _object_frobenius(h: ObjectUPoly):
+    """x^q mod h over F_q = h.field, and the aid that
+    `_object_split_roots` takes for any factor of h, from the same squarings:
+    the powers x^(2^i) mod h, i < k, in characteristic 2, else
+    x^((q - 1)/2) mod h."""
+    F = h.field
+    x = ObjectUPoly(F, [F.rzero, F.rone])
+    if F.p == 2:
+        chain = [x % h]
+        for _ in range(F.k):
+            chain.append(chain[-1] * chain[-1] % h)
+        return chain.pop(), chain
+    half = _object_powmod(x, (F.size - 1) // 2, h)
+    return half * half * x % h, half
+
+
+def _object_split_roots(g: ObjectUPoly, aid):
+    """The roots of the monic squarefree g, all of them in its field K,
+    by Cantor-Zassenhaus equal-degree splitting into linear factors; aid
+    is `_object_frobenius`'s for a multiple of g.
+
+    The shifts a run over K in `elements()` order: gcd(h, (x + a)^((|K| -
+    1)/2) - 1) for odd |K|, and gcd(h, Tr(a x)) with the trace to F_2 in
+    characteristic 2, where Tr(a x) = sum a^(2^i) x^(2^i).  Two distinct
+    roots r, s are split by some a: in odd characteristic (r + a)/(s + a)
+    runs over every value but 1, and a -> Tr(a (r - s)) is a nonzero
+    linear form.
+    """
+    K = g.field
+    shifts = K.elements()
+    if K.p == 2:
+        next(shifts)  # Tr(0 x) = 0 splits nothing
+    roots, todo = [], [g]
+    while True:
+        pending = []
+        for h in todo:
+            if h.degree == 1:
+                roots.append(K.rneg(h.coeffs[0]))
+            elif h.degree > 1:
+                pending.append(h)
+        if not pending:
+            return roots
+        a = next(shifts)
+        todo = []
+        for h in pending:
+            d = h.gcd(_object_splitter(h, a, aid))
+            todo += [d, h.divmod(d)[0]] if 0 < d.degree < h.degree else [h]
+
+
+def _object_splitter(h: ObjectUPoly, a, aid):
+    """The polynomial whose gcd with h splits h at the shift a."""
+    K = h.field
+    if K.p != 2:
+        half = aid if a == K.rzero else _object_powmod(
+            ObjectUPoly(K, [a, K.rone]), (K.size - 1) // 2, h)
+        return half - ObjectUPoly(K, [K.rone])
+    radd, rmul = K.radd, K.rmul
+    trace = [K.rzero] * max(len(power.coeffs) for power in aid)
+    for power in aid:
+        for i, c in enumerate(power.coeffs):
+            trace[i] = radd(trace[i], rmul(c, a))
+        a = rmul(a, a)
+    return ObjectUPoly(K, trace)
 
 
 def zech_tables_by_multiplication(F):

@@ -15,7 +15,8 @@ from veryfree.constructions import nodal_surface_form
 from veryfree.hypersurface import Hypersurface, lines_on_cubic_surface
 from veryfree.poly import parse_poly
 
-from helpers import (F3, F4, F5, F7, count_field_ops, roots_by_scan,
+from helpers import (F3, F4, F5, F7, ObjectUPoly, count_field_ops,
+                     object_field_roots, object_find_roots, roots_by_scan,
                      zech_tables_by_multiplication)
 
 
@@ -362,6 +363,70 @@ def test_find_roots_budget_matches_scan():
                        f"{fields.DEFAULT_SCAN_BUDGET}")
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 4), (7, 1), (7, 2)],
+                         ids=["F2", "F4", "F16", "F7", "F49"])
+def test_root_engine_matches_the_engine_on_objects(monkeypatch, p, k):
+    """Seeded polynomials of degree 1-6, squares and cubes of factors and
+    zero constant terms, with max_ext counting down from 3 (over F49,
+    level 3 is F_{7^6}, on the vector fallback): `find_roots` and
+    `_field_roots` on raw lists give the Roots and roots of the engine on
+    UPoly objects, with no more field ops."""
+    F = make_field(p, k)
+    for j in (2, 3):  # embeddings are cached: neither engine pays for them
+        embed(F, F.rone, make_field(p, k * j))
+    rng = random.Random(p * 10 + k)
+
+    def poly(deg):
+        return [rng.randrange(F.size) for _ in range(deg)] + [
+            rng.randrange(1, F.size)]
+
+    def times(*factors):
+        out = UPoly(F, [F.rone])
+        for c in factors:
+            out = out * UPoly(F, c)
+        return list(out.coeffs)
+    cases = [poly(d) for d in range(1, 7) for _ in range(4)]
+    a, b = poly(1), poly(2)
+    cases += [times(a, a), times(b, b, a), times(a, a, a, b), times(b, b, b)]
+    cases += [[0] + poly(d) for d in (0, 2, 4)]
+    count = count_field_ops(monkeypatch)
+    levels = set()
+    for n, c in enumerate(cases):
+        max_ext = 3 - n % 3
+        count[0] = 0
+        want = object_find_roots(ObjectUPoly(F, c), max_ext)
+        oracle_ops, count[0] = count[0], 0
+        assert find_roots(UPoly(F, c), max_ext) == want, c
+        assert count[0] <= oracle_ops, c
+        levels |= {r.ext_degree for r in want}
+        count[0] = 0
+        want = object_field_roots(ObjectUPoly(F, c))
+        oracle_ops, count[0] = count[0], 0
+        assert fields._field_roots(F, c) == want, c
+        assert count[0] <= oracle_ops, c
+    assert levels == {1, 2, 3}
+
+
+def test_root_engine_budget_matches_the_engine_on_objects():
+    """`ScanBudgetExceeded` fires at the same level, with the same
+    message, as in the engine on UPoly objects: at level 1 over
+    F_{2^20}, and at level 2 over F_{2^10} when roots are left to find."""
+    K = make_field(2, 10)
+    c = next(c for c in K.elements()
+             if not find_roots(UPoly(K, [c, 1, 0, 1]), 1))
+    cases = [(make_field(2, 20), [1, 1, 0, 1], 1), (K, [c, 1, 0, 1], 2),
+             (K, [0, c, 1, 0, 1], 2), (K, [5, 1], 2)]
+    outcomes = []
+    for F, coeffs, max_ext in cases:
+        out = _budget_outcome(find_roots, UPoly(F, coeffs), max_ext)
+        assert out == _budget_outcome(object_find_roots,
+                                      ObjectUPoly(F, coeffs), max_ext)
+        outcomes.append(out)
+    message = ("scan budget exceeded: |F_2^20| = 1048576 > "
+               f"{fields.DEFAULT_SCAN_BUDGET}")
+    assert outcomes == [message] * 3 + [[(5, id(K), 1, 1)]]
+
+
 def test_find_roots_splits_instead_of_scanning(monkeypatch):
     """x^2 + g + 2 over F49 has its roots in F_{7^4}: factorising and
     splitting costs under a thousand field ops, where a scan of F49 and
@@ -459,18 +524,49 @@ def test_zech_stub_builds_tables_once(monkeypatch):
     assert F.radd is not add
 
 
+def _check_zech_ops(F, values, partners):
+    """Every op of the Zech field F on each a in values, and on (a, b) for
+    each b in partners(a), against the vector fallback, with rpow at
+    exponents that wrap round the group and below zero."""
+    vadd, vneg, vsub, vmul, vinv, vpow = fields._vector_ops(F)
+    m = F.size - 1
+    for a in values:
+        assert F.rneg(a) == vneg(a)
+        if a:
+            assert F.rinv(a) == vinv(a)
+        for e in (0, 1, 2, m - 1, m, 2 * m + 3, -1, -2):
+            if a or e >= 0:
+                want = vpow(vinv(a), -e) if e < 0 else vpow(a, e)
+                assert F.rpow(a, e) == want, (a, e)
+        for b in partners(a):
+            assert F.radd(a, b) == vadd(a, b), (a, b)
+            assert F.rsub(a, b) == vsub(a, b), (a, b)
+            assert F.rmul(a, b) == vmul(a, b), (a, b)
+    assert F._exp is not None
+
+
 @pytest.mark.parametrize("spec", ["2^2", "2^3", "2^4", "3^2", "3^3", "5^2",
                                   "7^2"])
 def test_zech_ops_match_vector_ops_exhaustive(spec):
     F = parse_field_spec(spec)
-    vadd, vneg, vsub, vmul, _, _ = fields._vector_ops(F)
-    for a in F.elements():
-        assert F.rneg(a) == vneg(a)
-        for b in F.elements():
-            assert F.radd(a, b) == vadd(a, b)
-            assert F.rsub(a, b) == vsub(a, b)
-            assert F.rmul(a, b) == vmul(a, b)
-    assert F._exp is not None
+    _check_zech_ops(F, list(F.elements()), lambda a: F.elements())
+
+
+@pytest.mark.parametrize("p, k", [(7, 4), (2, 8), (3, 5)])
+def test_zech_ops_at_the_table_edges(p, k):
+    """The pairs built from 0, 1, -1, g, g^(m-1) and 20 seeded values,
+    with b = a and b = -a for each a: a sum of logs with a zero in it
+    lands in the zeros after the doubled exp table, 1 + g^i = 0 in the
+    same zeros, and differences of logs index both halves of the doubled
+    zech table."""
+    F = make_field(p, k)
+    F._ensure_tables()
+    _, vneg, _, _, _, vpow = fields._vector_ops(F)
+    g = F._exp[1]
+    rng = random.Random(p * 100 + k)
+    values = [0, 1, vneg(1), g, vpow(g, F.size - 2)] + [
+        rng.randrange(F.size) for _ in range(20)]
+    _check_zech_ops(F, values, lambda a: values + [a, vneg(a)])
 
 
 def test_op_counters_agree(monkeypatch):

@@ -933,25 +933,26 @@ def _moved(f, seed):
 
 
 def _spy_line_search(monkeypatch):
-    """Records the degree of each gcd that `_partners` takes (not the
-    ones inside root finding) and each scan of a cell's first row, whose
-    free coordinates are not all the coordinates after its pivot (the
-    tangent plane at r1 holds the row)."""
+    """Records the degree of each gcd that `_partners` takes, on raw
+    coefficient lists (root finding takes its own inside `fields`), and
+    each scan of a cell's first row, whose free coordinates are not all
+    the coordinates after its pivot (the tangent plane at r1 holds the
+    row)."""
     seen = {"gcd": set(), "first_rows": 0}
-    gcd, row_zeros = UPoly.gcd, hypersurface._row_zeros
+    gcd, row_zeros = hypersurface._gcd, hypersurface._row_zeros
     partners = hypersurface._partners.__code__
 
-    def spy_gcd(a, b):
-        out = gcd(a, b)
+    def spy_gcd(F, a, b):
+        out = gcd(F, a, b)
         if sys._getframe(1).f_code is partners:
-            seen["gcd"].add(out.degree)
+            seen["gcd"].add(len(out) - 1)
         return out
 
     def spy_row_zeros(forms, pivot, free, first):
         if tuple(free) != tuple(range(pivot + 1, 4)):
             seen["first_rows"] += 1
         return row_zeros(forms, pivot, free, first)
-    monkeypatch.setattr(UPoly, "gcd", spy_gcd)
+    monkeypatch.setattr(hypersurface, "_gcd", spy_gcd)
     monkeypatch.setattr(hypersurface, "_row_zeros", spy_row_zeros)
     return seen
 
@@ -1466,7 +1467,7 @@ def test_map_field_to_own_field_returns_the_object():
     assert x.map_field(F7) is x and x.partials is partials
     line = lines_on_cubic_surface(x)[0][0]
     for obj in (ProjPoint(F7, [1, 2, 3, 4]), Hyperplane(F7, [0, 1, 2, 3]),
-                line, line.param_forms()[0], UPoly(F7, [1, 2, 3]), x.f):
+                line, line.param_forms()[0], x.f):
         assert obj.map_field(obj.field) is obj
     K = make_field(7, 4)
     xk = x.map_field(K)
