@@ -790,7 +790,9 @@ def _frobenius(F, h):
             chain.append(_mulmod(F, chain[-1], chain[-1], h))
         return chain.pop(), chain
     half = _powmod(F, x, (F.size - 1) // 2, h)
-    return _mulmod(F, _mul(F, half, half), x, h), half
+    frob = [F.rzero] + _mul(F, half, half)  # times x: a shift
+    _reduce(F, frob, h)
+    return frob, half
 
 
 def _split_roots(K, g, aid):

@@ -12,11 +12,13 @@ of its roots) unless the caller knows one: one point gives its row, two
 or three a line and conic or a triangle, and an infinite locus a
 repeated line, read at a rational point of it on the line X2 = 0.
 Point scans are bounded cross-checks only.
-Line enumeration walks the RREF cells of the Grassmannian of lines in
-P^3 over growing extension fields, so each line is listed exactly once
-per field; each cell scans its smaller row, with one value per Frobenius
-orbit in its first free coordinate, solves for the partner point on the
-other by a linear condition and a gcd, and conjugates the lines found.
+The 27 lines come, over each extension field, from the pencil of
+planes through one line and 16 Plücker transversals.  That line, and
+the count of lines on the error paths, come from a walk over the RREF
+cells of the Grassmannian: each cell scans its smaller row, with one
+value per Frobenius orbit in its first free coordinate, solves for the
+partner point on the other by a linear condition and a gcd, and
+conjugates the lines found.
 The Eckardt census meets one pair of lines per Frobenius orbit of pairs,
 by their Plücker coordinates, and conjugates the point.  One zero scan
 serves the line search, `surface_points`, `singular_points_scan` and the
@@ -198,13 +200,16 @@ def _permutation_is_odd(perm):
     return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 1
 
 
+# the index pairs ij of the Plücker coordinates p_ij, in order
+_PAIRS = list(itertools.combinations(range(4), 2))
+
 # the plane through a line and the coordinate point e_k, from the line's
 # Plücker coordinates: det(a; b; e_k; X) has coefficient sign(i j k l) p_ij
 # at X_l for {i, j, k, l} = {0, 1, 2, 3}; per k, the triples
 # (l, index of ij among the Plücker coordinates, sign is -1)
 _PLANES_THROUGH_E = [
     [(6 - i - j - k, n, _permutation_is_odd((i, j, k, 6 - i - j - k)))
-     for n, (i, j) in enumerate(itertools.combinations(range(4), 2))
+     for n, (i, j) in enumerate(_PAIRS)
      if k not in (i, j)]
     for k in range(4)]
 
@@ -263,7 +268,8 @@ class LineP3:
     """Line in P^3 as a 2x4 matrix of raw values in reduced row echelon
     form, with the raw Plücker coordinates a_i b_j - a_j b_i of its rows
     a, b, for ij = 01, 02, 03, 12, 13, 23.  The constructor takes rows of
-    Scalars or ints, `from_raw` rows of raw values."""
+    Scalars or ints, `from_raw` rows of raw values and `from_plucker`
+    raw Plücker coordinates."""
 
     __slots__ = ("field", "rows", "plucker")
 
@@ -284,7 +290,25 @@ class LineP3:
         a, b = self.rows = tuple(tuple(r) for r in rr[:2])
         self.plucker = tuple(
             field.rsub(field.rmul(a[i], b[j]), field.rmul(a[j], b[i]))
-            for i, j in itertools.combinations(range(4), 2))
+            for i, j in _PAIRS)
+
+    @classmethod
+    def from_plucker(cls, field, p):
+        """The line with raw Plücker coordinates p, up to scale, with no
+        elimination: p scaled to make its first nonzero p_ij 1 gives the
+        RREF rows a_t = p_tj and b_t = p_it (p_ts = -p_st, p_tt = 0)."""
+        n = next(n for n, c in enumerate(p) if c != field.rzero)
+        if p[n] != field.rone:
+            inv = field.rinv(p[n])
+            p = [field.rmul(c, inv) for c in p]
+        i, j = _PAIRS[n]
+        at = lambda s, t: (p[_PAIRS.index((s, t))] if s < t else field.rzero
+                           if s == t else field.rneg(p[_PAIRS.index((t, s))]))
+        line = cls.__new__(cls)
+        line.field, line.plucker = field, tuple(p)
+        line.rows = (tuple(at(t, j) for t in range(4)),
+                     tuple(at(i, t) for t in range(4)))
+        return line
 
     def conjugate(self, e):
         """The line with every coordinate raised to the power e, a power
@@ -1089,8 +1113,8 @@ def _orbit_representatives(K, exps):
 
 def _lines_in_cells(forms, q):
     """Lines of P^3 on {f = 0}, forms = [f] + its four partials over
-    K = F_{q^k} with coefficients in F_q, each once, by the RREF cell
-    (pivots i < j) it lies in.
+    K = F_{q^k} with coefficients in F_q, yielded each once as they are
+    found, by the RREF cell (pivots i < j) they lie in.
 
     Each cell scans only its second row (pivot j), whose free
     coordinates are a subset of the first's.  A line spanned by r0 and r1
@@ -1111,7 +1135,7 @@ def _lines_in_cells(forms, q):
     K = forms[0].field
     exps = [q ** m for m in range(1, K.k) if q ** m < K.size]
     reps = _orbit_representatives(K, exps)
-    found = {}                  # an ordered set
+    found = set()
     for (i, j, free0, free1) in _cell_patterns():
         row_i = [_on_row(g, i, free0).terms for g in forms]
         zeros_i = None
@@ -1127,25 +1151,139 @@ def _lines_in_cells(forms, q):
                 line = LineP3.from_raw(K, [r0, r1])
                 if line in found:
                     continue
-                found[line] = None
+                found.add(line)
+                yield line
                 for e in exps:
                     conj = line.conjugate(e)
                     if conj == line:
                         break
-                    found[conj] = None
-    return list(found)
+                    found.add(conj)
+                    yield conj
+
+
+def _p1_roots(K, f):
+    """The roots in P^1(K) of the binary form sum f_i l^(d-i) m^i, d =
+    len(f) - 1, as raw (l, m): (1, t) for the roots t at l = 1, then
+    (0, 1) if f_d = 0; None if (0:1) is a repeated root or the form 0."""
+    g = list(UPoly(K, f).coeffs)
+    if len(g) < len(f) - 1:
+        return None
+    roots = [(K.rone, t) for t in _field_roots(K, g)]
+    return roots + [(K.rzero, K.rone)] if len(g) < len(f) else roots
+
+
+# the monomials a^i b^j of Q in `_pencil_lines`, for A, B, C, D, E, F
+_CONIC_TERMS = ((2, 0), (0, 2), (0, 0), (1, 1), (1, 0), (0, 1))
+
+
+def _pencil_lines(f: MultiPoly, line: LineP3):
+    """The 27 lines on the smooth cubic surface {f = 0} over f's field K,
+    sorted, from one line L on it; None once some line is not over K.
+
+    With L's rows r0, r1 and unit vectors e_c, e_d off its pivots, f = s Q
+    on the plane a r0 + b r1 + s (l e_c + m e_d); Q = A a^2 + B b^2 +
+    C s^2 + D ab + E as + F bs has binary forms in (l, m) as coefficients
+    and its half-discriminant 4ABC + DEF - AF^2 - BE^2 - CD^2, valid in
+    every characteristic, is a quintic with the five tritangent planes
+    as roots.  Each residual conic is two lines through the kernel P of
+    its polar matrix (the nucleus in characteristic 2; on L exactly at an
+    Eckardt point), met by a coordinate line missing P at Q's roots.  The
+    other 16 lines are the second transversals, besides L, of a pick from
+    each of the first four pairs: a 2-dimensional kernel of dual Plücker
+    rows holds p_L, and for k in it with <p_L, k> != 0 the Klein quadric
+    w meets it again at -w(k) p_L + <p_L, k> k (Vieta).
+    """
+    K = f.field
+    zero = K.rzero
+    r0, r1 = line.rows
+    pivots = [next(t for t, v in enumerate(r) if v != zero) for r in (r0, r1)]
+    c, d = (t for t in range(4) if t not in pivots)
+    units = [[K.rone if t == u else zero for t in range(4)] for u in (c, d)]
+    coeffs = {key: [zero] * (4 - sum(key)) for key in _CONIC_TERMS}
+    for (ea, eb, _, ed), v in substitute_linear_map(
+            f, list(zip(r0, r1, *units))).terms.items():
+        coeffs[ea, eb][ed] = v
+    A, B, C, D, E, F = [BinaryForm.from_raw(K, 3 - sum(key), coeffs[key])
+                        for key in _CONIC_TERMS]
+    delta = D * E * F - A * F * F - B * E * E - C * D * D
+    if K.p != 2:
+        delta = delta + (A * B * C).scale(K.rfrom_int(4))
+    planes = _p1_roots(K, list(delta.coeffs))
+    if planes is None or len(set(planes)) < len(planes):
+        raise IntegrityError("repeated tritangent plane through a line")
+    if len(planes) < 5:
+        return None
+    lines = [line]
+    for l, m in planes:
+        q = [g.evaluate(l, m) for g in (A, B, C, D, E, F)]
+        polar = linalg.kernel(K, [[K.radd(q[0], q[0]), q[3], q[4]],
+                                  [q[3], K.radd(q[1], q[1]), q[5]],
+                                  [q[4], q[5], K.radd(q[2], q[2])]], 3)
+        cut = None
+        if len(polar) == 1:
+            o = next(t for t, v in enumerate(polar[0]) if v != zero)
+            o1, o2 = (t for t in range(3) if t != o)
+            cut = _p1_roots(K, [q[o1], q[2 + o1 + o2], q[o2]])
+        if cut is None or len(cut) == 1:
+            raise IntegrityError("double-line conic in a tritangent plane")
+        if not cut:
+            return None
+        w = [zero] * 4
+        w[c], w[d] = l, m
+        frame = list(zip(r0, r1, w))
+        at_p = [_dot(K, polar[0], col) for col in frame]
+        for u, v in cut:
+            y = [zero] * 3
+            y[o1], y[o2] = u, v
+            lines.append(LineP3.from_raw(
+                K, [at_p, [_dot(K, y, col) for col in frame]]))
+    dual = _plucker_frame(line)[0]
+    picks = [[_plucker_frame(m)[0] for m in lines[i:i + 2]]
+             for i in (1, 3, 5, 7)]
+    for rows in itertools.product(*picks):
+        basis = linalg.kernel(K, list(rows), 6)
+        if len(basis) != 2:
+            raise IntegrityError(f"transversal kernel of dimension "
+                                 f"{len(basis)}, not 2")
+        k = next((k for k in basis if _dot(K, dual, k) != zero), None)
+        if k is None:
+            raise IntegrityError("the transversals of four skew lines pair "
+                                 "to zero with L")
+        pk = _dot(K, dual, k)
+        wk = K.rsub(K.radd(K.rmul(k[0], k[5]), K.rmul(k[2], k[3])),
+                    K.rmul(k[1], k[4]))
+        lines.append(LineP3.from_plucker(K, [
+            K.rsub(K.rmul(pk, a), K.rmul(wk, b))
+            for a, b in zip(k, line.plucker)]))
+    if len(set(lines)) < 27:
+        raise IntegrityError("fewer than 27 distinct lines from one pencil "
+                             "and its transversals")
+    return sorted(lines, key=lambda l: l.sort_key())
+
+
+def _most_lines(levels, q):
+    """The most lines the scans of the levels find, each run to its end
+    now; above 27 the surface is singular."""
+    most = 0
+    for xk, first, scan in levels:
+        if scan is None:
+            scan, first = _lines_in_cells([xk.f] + xk.partials, q), None
+        count = (first is not None) + sum(1 for _ in scan)
+        if count > 27:
+            raise IntegrityError(
+                f"{count} lines found; the surface cannot be smooth")
+        most = max(most, count)
+    return most
 
 
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                            field_cap: int = DEFAULT_LINE_FIELD_CAP):
-    """All 27 lines on a smooth cubic surface over F_q.
-
-    Scans the RREF cells of lines of P^3 over F_{q^k} for k = 1, 2, ...
-    until exactly 27 distinct lines appear; returns (lines, field, k).
-    Over F_{q^k} each cell scans one value per Frobenius orbit of its
-    second row's first free coordinate and adds the conjugates of the
-    lines found (`_lines_in_cells`), so the set of lines is complete and
-    more than 27 still shows a singular surface.
+    """The 27 lines on a smooth cubic surface over F_q, sorted, over the
+    least F_{q^k} that holds them: (lines, field, k).  At each level k the
+    pencil of one line L (`_pencil_lines`) gives them or shows they are
+    not all over F_{q^k}.  L is the line of the least earlier level
+    dividing k, mapped up, else the first the scan (`_lines_in_cells`)
+    yields at level k; errors count lines by the scans (`_most_lines`).
     """
     if x.n != 3:
         raise ValueError("line enumeration expects a surface in P^3")
@@ -1155,25 +1293,29 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     if not is_smooth(x):
         raise ValueError("surface is singular; the 27-line count needs "
                          "smoothness")
-    last_count = 0
+    levels = []                 # (surface over the level, L or None, scan)
     for k in range(1, ext_cap + 1):
         K = make_field(base.p, base.k * k)
         if K.size > field_cap:
             raise ScanBudgetExceeded(
                 f"line scan budget exceeded at F_{base.p}^{base.k * k} "
-                f"(size {K.size} > {field_cap}); {last_count} lines found "
-                f"so far")
+                f"(size {K.size} > {field_cap}); "
+                f"{_most_lines(levels, base.size)} lines found so far")
         xk = x.map_field(K)
-        lines = sorted(_lines_in_cells([xk.f] + xk.partials, base.size),
-                       key=lambda l: l.sort_key())
-        if len(lines) > 27:
-            raise IntegrityError(
-                f"{len(lines)} lines found; the surface cannot be smooth")
-        if len(lines) == 27:
+        first = next((line.map_field(K)
+                      for i, (_, line, _) in enumerate(levels, 1)
+                      if line is not None and k % i == 0), None)
+        scan = None
+        if first is None:
+            scan = _lines_in_cells([xk.f] + xk.partials, base.size)
+            first = next(scan, None)
+        levels.append((xk, first, scan))
+        lines = first and _pencil_lines(xk.f, first)
+        if lines:
             return lines, K, k
-        last_count = max(last_count, len(lines))
     raise ExtensionCapExceeded(
-        f"only {last_count} lines found within extension degree {ext_cap}")
+        f"only {_most_lines(levels, base.size)} lines found within "
+        f"extension degree {ext_cap}")
 
 
 @dataclass

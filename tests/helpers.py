@@ -2,7 +2,8 @@
 S-polynomial built from MultiPoly arithmetic, a full normal form modulo
 a Groebner basis, a field-op counter, root finding and Zech tables by
 element scans and polynomial products, root finding on UPoly objects
-(the list engine's oracle), a two-row line search, a
+(the list engine's oracle), a two-row line search, the line search
+that scans every level in full (the pencil's oracle), a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic, the six-point search in two passes, diagonal
@@ -18,14 +19,18 @@ import random
 from veryfree import fields, linalg
 from veryfree.constructions import (SixPointResult, VerificationReport,
                                     _conic_row, _five_point_conic)
-from veryfree.errors import FieldError, IntegrityError, ScanBudgetExceeded
+from veryfree.errors import (ExtensionCapExceeded, FieldError,
+                             IntegrityError, ScanBudgetExceeded)
 from veryfree.fields import (DEFAULT_SCAN_BUDGET, Root, Scalar, UPoly,
                              _prime_factors, _reduce, _vector_ops,
                              check_field, embed, join_field, make_field)
-from veryfree.hypersurface import (EckardtReport, LineP3, ProjPoint,
-                                   _cell_patterns, _completion_matrix,
-                                   _cross, _meet, _plucker_frame, _row_zeros,
-                                   _set_first, plane_line_through)
+from veryfree.hypersurface import (DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP,
+                                   EckardtReport, Hypersurface, LineP3,
+                                   ProjPoint, _cell_patterns,
+                                   _completion_matrix, _cross,
+                                   _lines_in_cells, _meet, _plucker_frame,
+                                   _row_zeros, _set_first, is_smooth,
+                                   plane_line_through)
 from veryfree.poly import (BinaryForm, MultiPoly, _PolyParser, _entry, _lead,
                            _normal_form, binary_roots, compose_with_curve,
                            linear_substitute, substitute_linear_map)
@@ -452,6 +457,46 @@ def lines_by_row_pairing(x, K):
                         and raw_dot(K, g1, r0) == K.rzero:
                     lines.add(LineP3.from_raw(K, [r0, r1]))
     return sorted(lines, key=lambda l: l.sort_key())
+
+
+def lines_by_level_scans(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
+                         field_cap: int = DEFAULT_LINE_FIELD_CAP):
+    """All 27 lines on a smooth cubic surface over F_q.
+
+    Scans the RREF cells of lines of P^3 over F_{q^k} for k = 1, 2, ...
+    until exactly 27 distinct lines appear; returns (lines, field, k).
+    Over F_{q^k} each cell scans one value per Frobenius orbit of its
+    second row's first free coordinate and adds the conjugates of the
+    lines found (`_lines_in_cells`), so the set of lines is complete and
+    more than 27 still shows a singular surface.
+    """
+    if x.n != 3:
+        raise ValueError("line enumeration expects a surface in P^3")
+    base = x.field
+    if base.is_rational:
+        raise ValueError("line enumeration needs a finite base field")
+    if not is_smooth(x):
+        raise ValueError("surface is singular; the 27-line count needs "
+                         "smoothness")
+    last_count = 0
+    for k in range(1, ext_cap + 1):
+        K = make_field(base.p, base.k * k)
+        if K.size > field_cap:
+            raise ScanBudgetExceeded(
+                f"line scan budget exceeded at F_{base.p}^{base.k * k} "
+                f"(size {K.size} > {field_cap}); {last_count} lines found "
+                f"so far")
+        xk = x.map_field(K)
+        lines = sorted(_lines_in_cells([xk.f] + xk.partials, base.size),
+                       key=lambda l: l.sort_key())
+        if len(lines) > 27:
+            raise IntegrityError(
+                f"{len(lines)} lines found; the surface cannot be smooth")
+        if len(lines) == 27:
+            return lines, K, k
+        last_count = max(last_count, len(lines))
+    raise ExtensionCapExceeded(
+        f"only {last_count} lines found within extension degree {ext_cap}")
 
 
 def row_restriction_by_scan(g, pivot, free):

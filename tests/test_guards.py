@@ -8,7 +8,10 @@ wrong set of singular points, and the guards of the nodal-section walk
 when a tangent section, a conic's base point or completion, or the
 nodal-frame screen is wrong.  A hyperplane section fires its guard on a
 cubic that contains the hyperplane, and the line search fires its guard
-when a 28th line is found.  The splitting guards fire when a generator
+when the scan counts a 28th line; the pencil of a line fires its guards
+on a repeated tritangent plane, a double-line conic, a transversal
+system of the wrong rank or pairing to zero with the line, and a
+transversal built twice.  The splitting guards fire when a generator
 of ker(beta) is dropped, and the sign-flip branch of `verify_xi_eta`
 answers when the generator sections are negated.  A monad of rank 0 is
 refused; the generator search refuses a doubled monomial multiple and
@@ -287,6 +290,7 @@ def test_section_by_a_contained_hyperplane():
 
 
 LINES_IN_CELLS = hypersurface._lines_in_cells
+FERMAT_F4 = Hypersurface(parse_poly(FERMAT, 4, make_field(2, 2)))
 
 
 def _line_added(forms, q):
@@ -294,19 +298,91 @@ def _line_added(forms, q):
     Fermat surface: X2^3 + X3^3 does not vanish on it."""
     K = forms[0].field
     extra = LineP3(K, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    lines = LINES_IN_CELLS(forms, q)
+    lines = list(LINES_IN_CELLS(forms, q))
     assert extra not in lines
-    return lines + [extra]
+    yield from lines + [extra]
 
 
 def test_twenty_eight_lines(monkeypatch):
-    """The 27 lines of Fermat over F4 and one more: the count shows the
-    surface cannot be smooth."""
+    """The 27 lines of Fermat over F4 and one more, counted by the scan
+    on the error path, where the pencil leaves the level incomplete: the
+    count shows the surface cannot be smooth."""
     monkeypatch.setattr(hypersurface, "_lines_in_cells", _line_added)
+    monkeypatch.setattr(hypersurface, "_pencil_lines", lambda f, line: None)
     with pytest.raises(IntegrityError, match="28 lines found; the surface "
                                              "cannot be smooth"):
-        lines_on_cubic_surface(Hypersurface(parse_poly(FERMAT, 4,
-                                                       make_field(2, 2))))
+        lines_on_cubic_surface(FERMAT_F4, 1)
+
+
+def test_repeated_tritangent_plane(monkeypatch):
+    """Each root of the pencil's quintic listed twice."""
+    roots = hypersurface._field_roots
+    monkeypatch.setattr(hypersurface, "_field_roots",
+                        lambda K, f: 2 * roots(K, f))
+    with pytest.raises(IntegrityError, match="repeated tritangent plane "
+                                             "through a line"):
+        lines_on_cubic_surface(FERMAT_F4)
+
+
+def test_double_line_conic(monkeypatch):
+    """A residual conic that meets a coordinate line in one point, as a
+    double line does: one root of each binary quadric kept."""
+    p1_roots = hypersurface._p1_roots
+
+    def one_root(K, f):
+        roots = p1_roots(K, f)
+        return roots[:1] if len(f) == 3 else roots
+    monkeypatch.setattr(hypersurface, "_p1_roots", one_root)
+    with pytest.raises(IntegrityError, match="double-line conic in a "
+                                             "tritangent plane"):
+        lines_on_cubic_surface(FERMAT_F4)
+
+
+def test_transversal_kernel_of_dimension_five(monkeypatch):
+    """Each pick of the transversal system read as L: its four rows
+    coincide."""
+    frame, seen = hypersurface._plucker_frame, []
+
+    def frame_of_l(line):
+        seen.append(line)
+        return frame(seen[0])
+    monkeypatch.setattr(hypersurface, "_plucker_frame", frame_of_l)
+    with pytest.raises(IntegrityError, match="transversal kernel of "
+                                             "dimension 5, not 2"):
+        lines_on_cubic_surface(FERMAT_F4)
+
+
+def test_transversals_pair_to_zero_with_l(monkeypatch):
+    """L's dual Plücker vector, the first one built, read as zero, so
+    <p_L, k> = 0 for every k in the kernel."""
+    frame, seen = hypersurface._plucker_frame, []
+
+    def zero_dual_for_l(line):
+        seen.append(line)
+        dual, planes = frame(line)
+        return (dual if len(seen) > 1 else (FERMAT_F4.field.rzero,) * 6,
+                planes)
+    monkeypatch.setattr(hypersurface, "_plucker_frame", zero_dual_for_l)
+    with pytest.raises(IntegrityError, match="the transversals of four "
+                                             "skew lines pair to zero with "
+                                             "L"):
+        lines_on_cubic_surface(FERMAT_F4)
+
+
+def test_transversals_repeat_a_line(monkeypatch):
+    """Every transversal built as the first one, as when Vieta's second
+    root is read as a fixed point."""
+    from_plucker, built = LineP3.from_plucker.__func__, []
+
+    def first_transversal(cls, field, p):
+        built.append(from_plucker(cls, field, p))
+        return built[0]
+    monkeypatch.setattr(LineP3, "from_plucker",
+                        classmethod(first_transversal))
+    with pytest.raises(IntegrityError, match="fewer than 27 distinct lines "
+                                             "from one pencil and its "
+                                             "transversals"):
+        lines_on_cubic_surface(FERMAT_F4)
 
 
 # -- the splitting of the pulled-back tangent bundle ------------------------

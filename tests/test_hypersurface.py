@@ -28,7 +28,7 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    _cross, _dot,
                                    _frobenius_size, _lines_in_cells,
                                    _nodal_frame, _on_affine_line, _on_row,
-                                   _on_stratum, _row_zeros,
+                                   _on_stratum, _p1_roots, _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
 from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
@@ -44,6 +44,7 @@ from helpers import (F2, F3, F4, F5, F7, F11, QQ, affine_line_by_upoly,
                      row_restriction_by_scan, row_values_by_set_first,
                      sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
+from line_corpus import compare, corpus
 
 
 def fermat(field, nvars=4):
@@ -985,23 +986,29 @@ def test_line_search_matches_row_pairing(monkeypatch, name, x, reaches):
     first row (cyclic), a gcd of degree 3 (Fermat) and gcds of degrees 1
     and 2.  The search scans one value per Frobenius orbit of the second
     row's first free coordinate; the last three surfaces have orbits of
-    lines longer than 2."""
-    seen = _spy_line_search(monkeypatch)
+    lines longer than 2.  The scan runs in full at each level up to the
+    line field's; the spies watch those scans."""
     lines, work, ext = lines_on_cubic_surface(x)
-    monkeypatch.undo()
     assert len(lines) == 27
+    seen = _spy_line_search(monkeypatch)
+    scans = [list(_lines_in_cells([xk.f] + xk.partials, x.field.size))
+             for xk in _levels(x, ext)]
+    monkeypatch.undo()
     if reaches == "first_rows":
         assert seen["first_rows"] > 0, name
     else:
         assert reaches <= seen["gcd"], (name, seen)
-    for k in range(1, ext + 1):
-        K = make_field(x.field.p, x.field.k * k)
-        xk = x.map_field(K)
-        found = _lines_in_cells([xk.f] + xk.partials, x.field.size)
+    for k, (xk, found) in enumerate(zip(_levels(x, ext), scans), 1):
         assert len(set(found)) == len(found), (name, k)
         found.sort(key=lambda l: l.sort_key())
-        assert found == lines_by_row_pairing(x, K), (name, k)
+        assert found == lines_by_row_pairing(x, xk.field), (name, k)
     assert found == lines
+
+
+def _levels(x, ext):
+    """The surface over F_{q^k} for k = 1..ext."""
+    return [x.map_field(make_field(x.field.p, x.field.k * k))
+            for k in range(1, ext + 1)]
 
 
 def _frobenius(line, e):
@@ -1024,8 +1031,10 @@ def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
     surface's field, maps the lines that the two-row scan finds over the
     line field F_{q^k} onto themselves, and the lengths of its orbits
     have least common multiple k, so for k > 2 some orbit is longer than
-    2.  Every conjugate the search builds has the rows and Plücker
-    coordinates that `LineP3.from_raw` gives for the conjugated rows."""
+    2.  Every conjugate the scan builds, at each level up to the line
+    field's, has the rows and Plücker coordinates that `LineP3.from_raw`
+    gives for the conjugated rows."""
+    lines, K, ext = lines_on_cubic_surface(x)
     built, conjugate = [], LineP3.conjugate
 
     def spy_conjugate(line, e):
@@ -1033,7 +1042,9 @@ def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
         built.append((line, e, out))
         return out
     monkeypatch.setattr(LineP3, "conjugate", spy_conjugate)
-    lines, K, ext = lines_on_cubic_surface(x)
+    for xk in _levels(x, ext):
+        for _ in _lines_in_cells([xk.f] + xk.partials, x.field.size):
+            pass
     monkeypatch.undo()
     assert ext == degree and built, name
     for line, e, out in built:
@@ -1052,12 +1063,96 @@ def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
     assert math.lcm(*lengths) == ext, (name, sorted(lengths))
 
 
+# a seeded slice of tests/line_corpus.py: characteristics 2, 3, 7 and 11,
+# Fermat over F4 (every meeting point of two lines an Eckardt point),
+# levels 1, 3, 4 and 5, and both errors with counts from levels the pencil
+# left incomplete, a level whose line came from below among them
+LINE_SLICE = [
+    ("diagonal", (2, 2), 0, 6, 4000),
+    ("random", (2, 2), 7, 6, 130),
+    ("line", (2, 1), 1, 6, 130),
+    ("random", (3, 1), 5, 6, 4000),
+    ("diagonal", (7, 1), 1, 6, 4000),
+    ("random", (3, 1), 7, 6, 4000),
+    ("line", (3, 1), 1, 2, 4000),
+    ("line", (2, 3), 2, 6, 130),
+    ("line", (11, 1), 6, 6, 130),
+]
+
+
+def test_pencil_matches_the_level_scans():
+    """The pencil of one line answers as the search that scans every
+    level in full (`helpers.lines_by_level_scans`): the same lines, rows
+    and Plücker coordinates, field and level, or the same error and
+    message."""
+    items = list(corpus(LINE_SLICE))
+    bad, kinds = compare(items)
+    assert len(items) == len(LINE_SLICE) and bad == []
+    assert kinds == {1: 1, 3: 2, 4: 1, 5: 1, "ExtensionCapExceeded": 2,
+                     "ScanBudgetExceeded": 2}
+
+
+def _count_drawn(monkeypatch):
+    """How many lines each scan gives before it is dropped or done."""
+    drawn, scan = [], hypersurface._lines_in_cells
+
+    def spy(forms, q):
+        drawn.append(0)
+        for line in scan(forms, q):
+            drawn[-1] += 1
+            yield line
+    monkeypatch.setattr(hypersurface, "_lines_in_cells", spy)
+    return drawn
+
+
+def test_line_search_draws_one_line_then_counts_only_on_error(monkeypatch):
+    """On a pinned F7 surface with lines over F7 and all 27 over F49, the
+    line search scans level 1 up to its first line and no more, and
+    level 2 takes that line.  With extension cap 1 the error finishes the
+    level-1 scan, and its count is the message's."""
+    x = Hypersurface(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]))
+    drawn = _count_drawn(monkeypatch)
+    lines, K, ext = lines_on_cubic_surface(x)
+    assert (len(lines), ext, drawn) == (27, 2, [1])
+    drawn.clear()
+    with pytest.raises(ExtensionCapExceeded) as err:
+        lines_on_cubic_surface(x, 1)
+    assert len(drawn) == 1 and drawn[0] > 1
+    assert str(err.value) == (f"only {drawn[0]} lines found within "
+                              f"extension degree 1")
+
+
+def test_p1_roots_reads_the_point_at_infinity():
+    """`_p1_roots` on binary forms over F7, coefficients from l^d down to
+    m^d: (0:1) is a root exactly when the m^d coefficient vanishes, and
+    a repeated (0:1) or the zero form gives None."""
+    assert _p1_roots(F7, [6, 0, 1]) == [(1, 1), (1, 6)]
+    assert _p1_roots(F7, [6, 1, 0]) == [(1, 1), (0, 1)]
+    assert _p1_roots(F7, [3, 0, 0]) is None
+    assert _p1_roots(F7, [0, 0, 0]) is None
+    assert _p1_roots(F7, [1, 0, 1]) == []
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=str)
+def test_line_from_plucker_matches_rref(F):
+    """`LineP3.from_plucker` on every line of P^3(F), its Plücker vector
+    scaled by a seeded unit, gives the rows and Plücker coordinates that
+    elimination gives."""
+    rng = random.Random(5)
+    units = [c for c in F.elements() if c != F.rzero]
+    for rows in _all_lines_of_p3(F):
+        line = LineP3(F, rows)
+        u = rng.choice(units)
+        got = LineP3.from_plucker(F, [F.rmul(u, c) for c in line.plucker])
+        assert (got.rows, got.plucker) == (line.rows, line.plucker)
+
+
 def test_line_search_refuses_a_plane():
     """A plane on the surface makes both restrictions to the line of
     partner points vanish: X2 = 0 lies on X2 (X0^2 + X1^2 + X3^2)."""
     x = Hypersurface(parse_poly("X2*(X0^2+X1^2+X3^2)", 4, F7))
     with pytest.raises(IntegrityError, match="a plane lies on the surface"):
-        _lines_in_cells([x.f] + x.partials, F7.size)
+        list(_lines_in_cells([x.f] + x.partials, F7.size))
 
 
 def test_is_smooth_field_op_count(monkeypatch):
