@@ -545,6 +545,8 @@ def embed(src: FieldSpec, x, target: FieldSpec):
     if target.k % src.k != 0:
         raise FieldError(f"{src!r} does not embed in {target!r}: "
                          f"{src.k} does not divide {target.k}")
+    if src.k == 1:  # F_p's raw values are its images everywhere
+        return x
     rel = target.k // src.k
     rel_factors = _prime_factors(rel)
     if len(rel_factors) > 1 or rel != rel_factors[0]:
@@ -563,13 +565,10 @@ def _embedding_powers(src, target):
     cached = src._embed_cache.get(id(target))
     if cached is not None:
         return cached
-    if src.k == 1:
-        powers = [target.rone]
-    else:
-        root = _least_modulus_root(src, target)
-        powers = [target.rone]
-        for _ in range(1, src.k):
-            powers.append(target.rmul(powers[-1], root))
+    root = _least_modulus_root(src, target)
+    powers = [target.rone]
+    for _ in range(1, src.k):
+        powers.append(target.rmul(powers[-1], root))
     src._embed_cache[id(target)] = powers
     return powers
 

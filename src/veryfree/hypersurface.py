@@ -12,8 +12,8 @@ of its roots) unless the caller knows one: one point gives its row, two
 or three a line and conic or a triangle, and an infinite locus a
 repeated line, read at a rational point of it on the line X2 = 0.
 Point scans are bounded cross-checks only.
-The 27 lines come, over each extension field, from the pencil of
-planes through one line and 16 Plücker transversals.  That line, and
+The 27 lines come from the pencil of planes through one line, built
+once over that line's field, and 16 Plücker transversals.  That line, and
 the count of lines on the error paths, come from a walk over the RREF
 cells of the Grassmannian: each cell scans its smaller row, with one
 value per Frobenius orbit in its first free coordinate, solves for the
@@ -41,6 +41,7 @@ point where two lines meet.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -328,11 +329,16 @@ class LineP3:
         return [BinaryForm.from_raw(F, 1, (a, b)) for a, b in zip(*self.rows)]
 
     def map_field(self, target):
+        """Entry by entry: an embedding keeps the rows in RREF."""
         if target is self.field:
             return self
         F = self.field
-        return LineP3.from_raw(target, [[embed(F, c, target) for c in r]
-                                        for r in self.rows])
+        line = LineP3.__new__(LineP3)
+        line.field = target
+        line.rows = tuple(tuple(embed(F, c, target) for c in r)
+                          for r in self.rows)
+        line.plucker = tuple(embed(F, c, target) for c in self.plucker)
+        return line
 
     def sort_key(self):
         return tuple(tuple(self.field.lex_key(c) for c in r)
@@ -453,10 +459,11 @@ def is_smooth(x: Hypersurface) -> bool:
     one of them.  Stratum i contributes the ideal (f, df/dX_0, ...,
     df/dX_n) restricted to it, in the n - i coordinates X_{i+1}..X_n; by
     the Nullstellensatz the stratum is singularity-free iff that ideal is
-    the unit ideal.
+    the unit ideal.  Where 3 != 0 f is left out: on the stratum, Euler's
+    relation reads 3f = df/dX_i + sum_{j>i} X_j df/dX_j.
     """
     if x._smooth is None:
-        gens_proj = [x.f] + x.partials
+        gens_proj = x.partials if x.field.p != 3 else [x.f] + x.partials
         smooth = True
         for i in range(x.n + 1):
             gens = [_on_stratum(g, i) for g in gens_proj]
@@ -1161,37 +1168,45 @@ def _lines_in_cells(forms, q):
                     yield conj
 
 
-def _p1_roots(K, f):
-    """The roots in P^1(K) of the binary form sum f_i l^(d-i) m^i, d =
-    len(f) - 1, as raw (l, m): (1, t) for the roots t at l = 1, then
-    (0, 1) if f_d = 0; None if (0:1) is a repeated root or the form 0."""
-    g = list(UPoly(K, f).coeffs)
-    if len(g) < len(f) - 1:
+def _p1_roots(K, f, max_ext):
+    """Roots of the binary form sum f_i l^(d-i) m^i, d = len(f) - 1, over
+    K's extensions of degree up to max_ext, as raw (field, l, m) in the
+    least field: (1, t) for the roots t at l = 1 (`find_roots`), then
+    (0, 1) if f_d = 0; None if a root repeats or the form is 0."""
+    g = UPoly(K, f)
+    if len(g.coeffs) < len(f) - 1:
         return None
-    roots = [(K.rone, t) for t in _field_roots(K, g)]
-    return roots + [(K.rzero, K.rone)] if len(g) < len(f) else roots
+    roots = find_roots(g, max_ext)
+    if any(r.multiplicity > 1 for r in roots):
+        return None
+    roots = [(r.field, r.field.rone, r.value) for r in roots]
+    return roots + [(K, K.rzero, K.rone)] if len(g.coeffs) < len(f) else roots
 
 
 # the monomials a^i b^j of Q in `_pencil_lines`, for A, B, C, D, E, F
 _CONIC_TERMS = ((2, 0), (0, 2), (0, 0), (1, 1), (1, 0), (0, 1))
 
 
-def _pencil_lines(f: MultiPoly, line: LineP3):
-    """The 27 lines on the smooth cubic surface {f = 0} over f's field K,
-    sorted, from one line L on it; None once some line is not over K.
+def _pencil_lines(f: MultiPoly, line: LineP3, top: int):
+    """The 27 lines on the smooth cubic surface {f = 0}, sorted, from one
+    line L on it over f's field K, and the least extension of K that holds
+    them: (lines, field); None if its degree m over K is above top.
 
     With L's rows r0, r1 and unit vectors e_c, e_d off its pivots, f = s Q
     on the plane a r0 + b r1 + s (l e_c + m e_d); Q = A a^2 + B b^2 +
     C s^2 + D ab + E as + F bs has binary forms in (l, m) as coefficients
     and its half-discriminant 4ABC + DEF - AF^2 - BE^2 - CD^2, valid in
     every characteristic, is a quintic with the five tritangent planes
-    as roots.  Each residual conic is two lines through the kernel P of
-    its polar matrix (the nucleus in characteristic 2; on L exactly at an
-    Eckardt point), met by a coordinate line missing P at Q's roots.  The
-    other 16 lines are the second transversals, besides L, of a pick from
-    each of the first four pairs: a 2-dimensional kernel of dual Plücker
-    rows holds p_L, and for k in it with <p_L, k> != 0 the Klein quadric
-    w meets it again at -w(k) p_L + <p_L, k> k (Vieta).
+    as roots, each in its least field, of degree d over K.  Each
+    residual conic is two lines through the kernel P of its polar matrix
+    (the nucleus in characteristic 2; on L exactly at an Eckardt point),
+    met by a coordinate line missing P at Q's roots, over degree d or 2d;
+    a conjugate plane over K takes the conjugate lines.  The other 16
+    are the second transversals, besides L, of a pick from each of the
+    first four pairs, so m is the lcm of the degrees of these ten, which
+    are embedded with L into degree m: a 2-dimensional kernel of dual
+    Plücker rows holds p_L, and for k in it with <p_L, k> != 0 the Klein
+    quadric w meets it again at -w(k) p_L + <p_L, k> k (Vieta).
     """
     K = f.field
     zero = K.rzero
@@ -1203,42 +1218,61 @@ def _pencil_lines(f: MultiPoly, line: LineP3):
     for (ea, eb, _, ed), v in substitute_linear_map(
             f, list(zip(r0, r1, *units))).terms.items():
         coeffs[ea, eb][ed] = v
-    A, B, C, D, E, F = [BinaryForm.from_raw(K, 3 - sum(key), coeffs[key])
-                        for key in _CONIC_TERMS]
+    forms = [BinaryForm.from_raw(K, 3 - sum(key), coeffs[key])
+             for key in _CONIC_TERMS]
+    A, B, C, D, E, F = forms
     delta = D * E * F - A * F * F - B * E * E - C * D * D
     if K.p != 2:
         delta = delta + (A * B * C).scale(K.rfrom_int(4))
-    planes = _p1_roots(K, list(delta.coeffs))
-    if planes is None or len(set(planes)) < len(planes):
+    planes = _p1_roots(K, list(delta.coeffs), top)
+    if planes is None:
         raise IntegrityError("repeated tritangent plane through a line")
     if len(planes) < 5:
         return None
-    lines = [line]
-    for l, m in planes:
-        q = [g.evaluate(l, m) for g in (A, B, C, D, E, F)]
-        polar = linalg.kernel(K, [[K.radd(q[0], q[0]), q[3], q[4]],
-                                  [q[3], K.radd(q[1], q[1]), q[5]],
-                                  [q[4], q[5], K.radd(q[2], q[2])]], 3)
+    meeting = []                # the ten lines that meet L
+    images = {}                 # conic lines of the conjugate planes
+    for Kp, l, m in planes:
+        if (Kp, m) in images:
+            meeting += images[Kp, m]
+            continue
+        q = [g.map_field(Kp).evaluate(l, m) for g in forms]
+        polar = linalg.kernel(Kp, [[Kp.radd(q[0], q[0]), q[3], q[4]],
+                                   [q[3], Kp.radd(q[1], q[1]), q[5]],
+                                   [q[4], q[5], Kp.radd(q[2], q[2])]], 3)
         cut = None
         if len(polar) == 1:
-            o = next(t for t, v in enumerate(polar[0]) if v != zero)
+            o = next(t for t, v in enumerate(polar[0]) if v != Kp.rzero)
             o1, o2 = (t for t in range(3) if t != o)
-            cut = _p1_roots(K, [q[o1], q[2 + o1 + o2], q[o2]])
+            cut = _p1_roots(Kp, [q[o1], q[2 + o1 + o2], q[o2]],
+                            2 if 2 * Kp.k <= top * K.k else 1)
         if cut is None or len(cut) == 1:
             raise IntegrityError("double-line conic in a tritangent plane")
         if not cut:
             return None
-        w = [zero] * 4
+        w = [Kp.rzero] * 4
         w[c], w[d] = l, m
-        frame = list(zip(r0, r1, w))
-        at_p = [_dot(K, polar[0], col) for col in frame]
-        for u, v in cut:
-            y = [zero] * 3
+        frame = list(zip(*line.map_field(Kp).rows, w))
+        at_p = [_dot(Kp, polar[0], col) for col in frame]
+        Kr = cut[0][0]
+        if Kr is not Kp:
+            frame = [[embed(Kp, t, Kr) for t in col] for col in frame]
+            at_p = [embed(Kp, t, Kr) for t in at_p]
+        for _, u, v in cut:
+            y = [Kr.rzero] * 3
             y[o1], y[o2] = u, v
-            lines.append(LineP3.from_raw(
-                K, [at_p, [_dot(K, y, col) for col in frame]]))
+            meeting.append(LineP3.from_raw(
+                Kr, [at_p, [_dot(Kr, y, col) for col in frame]]))
+        for e in (K.size ** i for i in range(1, Kp.k // K.k)):
+            images[Kp, Kp.rpow(m, e)] = [g.conjugate(e) for g in meeting[-2:]]
+    degree = math.lcm(*(g.field.k // K.k for g in meeting))
+    if degree > top:
+        return None
+    K = make_field(K.p, K.k * degree)
+    zero = K.rzero
+    lines = [g.map_field(K) for g in [line] + meeting]
+    line = lines[0]
     dual = _plucker_frame(line)[0]
-    picks = [[_plucker_frame(m)[0] for m in lines[i:i + 2]]
+    picks = [[_plucker_frame(g)[0] for g in lines[i:i + 2]]
              for i in (1, 3, 5, 7)]
     for rows in itertools.product(*picks):
         basis = linalg.kernel(K, list(rows), 6)
@@ -1258,16 +1292,17 @@ def _pencil_lines(f: MultiPoly, line: LineP3):
     if len(set(lines)) < 27:
         raise IntegrityError("fewer than 27 distinct lines from one pencil "
                              "and its transversals")
-    return sorted(lines, key=lambda l: l.sort_key())
+    return sorted(lines, key=lambda l: l.sort_key()), K
 
 
-def _most_lines(levels, q):
+def _most_lines(x, levels):
     """The most lines the scans of the levels find, each run to its end
     now; above 27 the surface is singular."""
-    most = 0
-    for xk, first, scan in levels:
+    most, F = 0, x.field
+    for k, first, scan in levels:
         if scan is None:
-            scan, first = _lines_in_cells([xk.f] + xk.partials, q), None
+            xk = x.map_field(make_field(F.p, F.k * k))
+            scan = _lines_in_cells([xk.f] + xk.partials, F.size)
         count = (first is not None) + sum(1 for _ in scan)
         if count > 27:
             raise IntegrityError(
@@ -1279,11 +1314,12 @@ def _most_lines(levels, q):
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                            field_cap: int = DEFAULT_LINE_FIELD_CAP):
     """The 27 lines on a smooth cubic surface over F_q, sorted, over the
-    least F_{q^k} that holds them: (lines, field, k).  At each level k the
-    pencil of one line L (`_pencil_lines`) gives them or shows they are
-    not all over F_{q^k}.  L is the line of the least earlier level
-    dividing k, mapped up, else the first the scan (`_lines_in_cells`)
-    yields at level k; errors count lines by the scans (`_most_lines`).
+    least F_{q^k} that holds them: (lines, field, k).  The scan
+    (`_lines_in_cells`) runs level by level to the first line L, and the
+    pencil of L (`_pencil_lines`) gives the least k among the multiples
+    of L's level that the caps allow, or shows there is none.  The levels
+    after L's are not scanned, but pass the same cap checks in the same
+    order; errors count lines by the scans (`_most_lines`).
     """
     if x.n != 3:
         raise ValueError("line enumeration expects a surface in P^3")
@@ -1293,28 +1329,30 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     if not is_smooth(x):
         raise ValueError("surface is singular; the 27-line count needs "
                          "smoothness")
-    levels = []                 # (surface over the level, L or None, scan)
+    q = base.size
+    levels = []                 # (level, first line, scan or None)
+    line = None
     for k in range(1, ext_cap + 1):
-        K = make_field(base.p, base.k * k)
-        if K.size > field_cap:
+        if q ** k > field_cap:
             raise ScanBudgetExceeded(
                 f"line scan budget exceeded at F_{base.p}^{base.k * k} "
-                f"(size {K.size} > {field_cap}); "
-                f"{_most_lines(levels, base.size)} lines found so far")
-        xk = x.map_field(K)
-        first = next((line.map_field(K)
-                      for i, (_, line, _) in enumerate(levels, 1)
-                      if line is not None and k % i == 0), None)
-        scan = None
-        if first is None:
-            scan = _lines_in_cells([xk.f] + xk.partials, base.size)
-            first = next(scan, None)
-        levels.append((xk, first, scan))
-        lines = first and _pencil_lines(xk.f, first)
-        if lines:
-            return lines, K, k
+                f"(size {q ** k} > {field_cap}); "
+                f"{_most_lines(x, levels)} lines found so far")
+        if line is not None:
+            levels.append((k, None, None))
+            continue
+        xk = x.map_field(make_field(base.p, base.k * k))
+        scan = _lines_in_cells([xk.f] + xk.partials, q)
+        line = next(scan, None)
+        levels.append((k, line, scan))
+        if line is not None:
+            found = _pencil_lines(xk.f, line, max(
+                j for j in range(1, ext_cap // k + 1)
+                if q ** (k * j) <= field_cap))
+            if found:
+                return (*found, found[1].k // base.k)
     raise ExtensionCapExceeded(
-        f"only {_most_lines(levels, base.size)} lines found within "
+        f"only {_most_lines(x, levels)} lines found within "
         f"extension degree {ext_cap}")
 
 

@@ -854,6 +854,8 @@ def groebner_basis(gens):
     runs against the current minimal basis only: an entry leaves it when
     a newer lead divides its own.  The reduced basis is unique, so the
     criteria and the reduction order change the cost, not the answer.
+    A constant that joins ends the run: [1] is the reduced basis of the
+    unit ideal.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -864,20 +866,24 @@ def groebner_basis(gens):
     basis = []
     pairs = []  # (lcm degree, lcm, i, j)
 
-    def add(terms):
-        rem = _normal_form(F, terms, [entries[i] for i in basis])
-        if rem:
-            entries.append(_monic(F, rem, next(iter(rem))))
-            leads.append(entries[-1][0])
-            _gm_update(leads, basis, pairs, len(entries) - 1)
+    def spairs():
+        while pairs:
+            pair = min(pairs)
+            pairs.remove(pair)
+            _, lcm, i, j = pair
+            yield _spair(F, entries[i], entries[j], lcm)
 
-    for g in sorted(gens, key=lambda g: _drl_key(_lead(g)[0])):
-        add(g.terms)
-    while pairs:
-        pair = min(pairs)
-        pairs.remove(pair)
-        _, lcm, i, j = pair
-        add(_spair(F, entries[i], entries[j], lcm))
+    ordered = sorted(gens, key=lambda g: _drl_key(_lead(g)[0]))
+    for terms in itertools.chain((g.terms for g in ordered), spairs()):
+        rem = _normal_form(F, terms, [entries[i] for i in basis])
+        if not rem:
+            continue
+        lead = next(iter(rem))
+        if not any(lead):
+            return [MultiPoly.constant(F, nvars, 1)]
+        entries.append(_monic(F, rem, lead))
+        leads.append(lead)
+        _gm_update(leads, basis, pairs, len(entries) - 1)
     # inter-reduce tails; a lead never divides a smaller monomial, so
     # each entry may stay in the list it is reduced by
     final = [entries[i] for i in basis]

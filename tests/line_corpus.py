@@ -5,9 +5,11 @@ that scans every level in full (`helpers.lines_by_level_scans`).
 
 runs the whole corpus, about 600 runs in two minutes, and prints each
 mismatch in the line list, the field, the level, the exception type or
-its message, then a summary: runs, mismatches, and how many runs ended
-at each level or in each error.  It exits 1 on a mismatch.  Every item
-is seeded and built in code:
+its message, then a summary: runs, mismatches, how many runs ended at
+each level or in each error, and how many at each pair of the level of
+the line whose pencil is built (None when the caps allow no line) and
+that outcome.  It exits 1 on a mismatch.  Every item is seeded and
+built in code:
 - random cubics over F2, F3, F4, F5, F7, F8, F9, F11 and F16;
 - cubics X0 q + X1 q' through the line X0 = X1 = 0, q and q' random
   quadrics, over the same fields;
@@ -22,6 +24,7 @@ import random
 import sys
 
 from helpers import lines_by_level_scans, random_form
+from veryfree import hypersurface
 from veryfree.fields import make_field
 from veryfree.hypersurface import (Hypersurface, is_smooth,
                                    lines_on_cubic_surface)
@@ -97,14 +100,26 @@ def outcome(search, x, ext_cap, field_cap):
 
 
 def compare(items):
-    """(mismatched names, {level or error type: runs}) over the items."""
-    bad, kinds = [], {}
-    for name, x, ext_cap, field_cap in items:
-        got = outcome(lines_on_cubic_surface, x, ext_cap, field_cap)
-        if got != outcome(lines_by_level_scans, x, ext_cap, field_cap):
-            bad.append(name)
-        kind = got[0] if isinstance(got[0], str) else got[2]
-        kinds[kind] = kinds.get(kind, 0) + 1
+    """(mismatched names, {(level of the pencil's line or None, level or
+    error type): runs}) over the items."""
+    bad, kinds, pencil_levels = [], {}, []
+    pencil = hypersurface._pencil_lines
+
+    def spy(f, line, top):
+        pencil_levels.append(line.field.k)
+        return pencil(f, line, top)
+    hypersurface._pencil_lines = spy
+    try:
+        for name, x, ext_cap, field_cap in items:
+            pencil_levels.clear()
+            got = outcome(lines_on_cubic_surface, x, ext_cap, field_cap)
+            if got != outcome(lines_by_level_scans, x, ext_cap, field_cap):
+                bad.append(name)
+            kind = (pencil_levels[0] // x.field.k if pencil_levels else None,
+                    got[0] if isinstance(got[0], str) else got[2])
+            kinds[kind] = kinds.get(kind, 0) + 1
+    finally:
+        hypersurface._pencil_lines = pencil
     return bad, kinds
 
 
@@ -113,6 +128,10 @@ if __name__ == "__main__":
     bad, kinds = compare(items)
     for name in bad:
         print("mismatch:", name)
+    outcomes = {}
+    for (_, kind), runs in kinds.items():
+        outcomes[kind] = outcomes.get(kind, 0) + runs
     print(f"{len(items)} runs, {len(bad)} mismatches, by outcome "
-          f"{dict(sorted(kinds.items(), key=str))}")
+          f"{dict(sorted(outcomes.items(), key=str))}, by (level of the "
+          f"pencil's line, outcome) {dict(sorted(kinds.items(), key=str))}")
     sys.exit(1 if bad else 0)

@@ -18,6 +18,7 @@ refused; the generator search refuses a doubled monomial multiple and
 kernels short of a vector; the splitting is refused when h^0 is wrong
 at one twist or only past the last checked one; and the builder refuses
 a lifted curve that is not very free."""
+import dataclasses
 import itertools
 
 import pytest
@@ -308,17 +309,18 @@ def test_twenty_eight_lines(monkeypatch):
     on the error path, where the pencil leaves the level incomplete: the
     count shows the surface cannot be smooth."""
     monkeypatch.setattr(hypersurface, "_lines_in_cells", _line_added)
-    monkeypatch.setattr(hypersurface, "_pencil_lines", lambda f, line: None)
+    monkeypatch.setattr(hypersurface, "_pencil_lines",
+                        lambda f, line, top: None)
     with pytest.raises(IntegrityError, match="28 lines found; the surface "
                                              "cannot be smooth"):
         lines_on_cubic_surface(FERMAT_F4, 1)
 
 
 def test_repeated_tritangent_plane(monkeypatch):
-    """Each root of the pencil's quintic listed twice."""
-    roots = hypersurface._field_roots
-    monkeypatch.setattr(hypersurface, "_field_roots",
-                        lambda K, f: 2 * roots(K, f))
+    """Each root of the pencil's quintic read as a double root."""
+    roots = hypersurface.find_roots
+    monkeypatch.setattr(hypersurface, "find_roots", lambda f, max_ext: [
+        dataclasses.replace(r, multiplicity=2) for r in roots(f, max_ext)])
     with pytest.raises(IntegrityError, match="repeated tritangent plane "
                                              "through a line"):
         lines_on_cubic_surface(FERMAT_F4)
@@ -329,8 +331,8 @@ def test_double_line_conic(monkeypatch):
     double line does: one root of each binary quadric kept."""
     p1_roots = hypersurface._p1_roots
 
-    def one_root(K, f):
-        roots = p1_roots(K, f)
+    def one_root(K, f, max_ext):
+        roots = p1_roots(K, f, max_ext)
         return roots[:1] if len(f) == 3 else roots
     monkeypatch.setattr(hypersurface, "_p1_roots", one_root)
     with pytest.raises(IntegrityError, match="double-line conic in a "

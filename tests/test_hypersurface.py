@@ -31,8 +31,9 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    _on_stratum, _p1_roots, _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
-from veryfree.poly import (MultiPoly, compose_with_curve, linear_substitute,
-                           parse_poly, substitute_linear_map)
+from veryfree.poly import (MultiPoly, compose_with_curve, is_unit_ideal,
+                           linear_substitute, parse_poly,
+                           substitute_linear_map)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, affine_line_by_upoly,
                      count_field_ops, divide_by_completion_inverse,
@@ -133,6 +134,16 @@ def test_is_smooth_matches_sympy_chart_oracle():
             assert is_smooth(Hypersurface(f)) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_is_smooth_keeps_f_in_characteristic_3():
+    """Where 3 != 0 `is_smooth` leaves f out, by Euler's relation; over
+    F3 that relation reads sum X_j df/dX_j = 0 and f stays.  On a seeded
+    smooth F3 cubic the partials alone leave the stratum X0 = 1 a
+    common zero, so the surface would read as singular without f."""
+    x = Hypersurface(random_cubic_form(F3, 4, 2))
+    assert is_smooth(x) and sympy_chart_smooth(x.f, 3)
+    assert not is_unit_ideal([_on_stratum(g, 0) for g in x.partials])
 
 
 # -- point scans ------------------------------------------------------------------
@@ -1063,10 +1074,14 @@ def test_lines_closed_under_frobenius(monkeypatch, name, x, degree):
     assert math.lcm(*lengths) == ext, (name, sorted(lengths))
 
 
-# a seeded slice of tests/line_corpus.py: characteristics 2, 3, 7 and 11,
-# Fermat over F4 (every meeting point of two lines an Eckardt point),
-# levels 1, 3, 4 and 5, and both errors with counts from levels the pencil
-# left incomplete, a level whose line came from below among them
+# a seeded slice of tests/line_corpus.py: characteristics 2, 3, 5, 7 and
+# 11, Fermat over F4 (every meeting point of two lines an Eckardt point),
+# the pencil's line at levels 1 and 3 and the lines at levels 1, 3, 4 and
+# 5; planes of degree 2, 4 and 5 over the line's field, conics split only
+# over twice the degree of their plane (the random F5 cubic: degrees 1
+# and 2), a conic left unsplit within the caps and degrees whose lcm
+# passes them (the random F8 cubic); and both errors, with counts, from
+# levels after the pencil's that were not scanned
 LINE_SLICE = [
     ("diagonal", (2, 2), 0, 6, 4000),
     ("random", (2, 2), 7, 6, 130),
@@ -1077,6 +1092,9 @@ LINE_SLICE = [
     ("line", (3, 1), 1, 2, 4000),
     ("line", (2, 3), 2, 6, 130),
     ("line", (11, 1), 6, 6, 130),
+    ("random", (5, 1), 1, 6, 4000),
+    ("line", (7, 1), 5, 6, 130),
+    ("random", (2, 3), 3, 6, 4000),
 ]
 
 
@@ -1088,8 +1106,9 @@ def test_pencil_matches_the_level_scans():
     items = list(corpus(LINE_SLICE))
     bad, kinds = compare(items)
     assert len(items) == len(LINE_SLICE) and bad == []
-    assert kinds == {1: 1, 3: 2, 4: 1, 5: 1, "ExtensionCapExceeded": 2,
-                     "ScanBudgetExceeded": 2}
+    assert kinds == {(1, 1): 1, (1, 3): 1, (1, 4): 2, (1, 5): 1, (3, 3): 1,
+                     (1, "ExtensionCapExceeded"): 2,
+                     (1, "ScanBudgetExceeded"): 4}
 
 
 def _count_drawn(monkeypatch):
@@ -1107,9 +1126,9 @@ def _count_drawn(monkeypatch):
 
 def test_line_search_draws_one_line_then_counts_only_on_error(monkeypatch):
     """On a pinned F7 surface with lines over F7 and all 27 over F49, the
-    line search scans level 1 up to its first line and no more, and
-    level 2 takes that line.  With extension cap 1 the error finishes the
-    level-1 scan, and its count is the message's."""
+    line search scans level 1 up to its first line and no more, and that
+    line's pencil gives the lines over F49.  With extension cap 1 the
+    error finishes the level-1 scan, and its count is the message's."""
     x = Hypersurface(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]))
     drawn = _count_drawn(monkeypatch)
     lines, K, ext = lines_on_cubic_surface(x)
@@ -1124,13 +1143,19 @@ def test_line_search_draws_one_line_then_counts_only_on_error(monkeypatch):
 
 def test_p1_roots_reads_the_point_at_infinity():
     """`_p1_roots` on binary forms over F7, coefficients from l^d down to
-    m^d: (0:1) is a root exactly when the m^d coefficient vanishes, and
-    a repeated (0:1) or the zero form gives None."""
-    assert _p1_roots(F7, [6, 0, 1]) == [(1, 1), (1, 6)]
-    assert _p1_roots(F7, [6, 1, 0]) == [(1, 1), (0, 1)]
-    assert _p1_roots(F7, [3, 0, 0]) is None
-    assert _p1_roots(F7, [0, 0, 0]) is None
-    assert _p1_roots(F7, [1, 0, 1]) == []
+    m^d: (0:1) is a root exactly when the m^d coefficient vanishes, a
+    root over F49 shows only with max_ext 2, in F49, and a repeated root,
+    (0:1) or not, or the zero form gives None."""
+    assert _p1_roots(F7, [6, 0, 1], 1) == [(F7, 1, 1), (F7, 1, 6)]
+    assert _p1_roots(F7, [6, 1, 0], 1) == [(F7, 1, 1), (F7, 0, 1)]
+    assert _p1_roots(F7, [3, 0, 0], 1) is None
+    assert _p1_roots(F7, [0, 0, 0], 1) is None
+    assert _p1_roots(F7, [1, 2, 1], 1) is None
+    assert _p1_roots(F7, [1, 0, 1], 1) == []
+    F49 = make_field(7, 2)
+    roots = _p1_roots(F7, [1, 0, 1], 2)
+    assert [(K, l) for K, l, _ in roots] == [(F49, 1), (F49, 1)]
+    assert all(F49.radd(F49.rmul(t, t), 1) == 0 for _, _, t in roots)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=str)

@@ -14,6 +14,7 @@ from veryfree.constructions import (LaurentSection, _laurent,
                                     scaled_nodal_parametrization,
                                     standard_nodal_parametrization,
                                     verify_cuspidal_delta, verify_xi_eta)
+from veryfree import poly
 from veryfree.errors import FieldError, ParseError
 from veryfree.fields import Scalar, embed, make_field
 from veryfree.hypersurface import Hyperplane, LineP3, ProjPoint
@@ -725,6 +726,23 @@ def test_groebner_examples():
     assert not is_unit_ideal([parse_poly("X0", 2, QQ),
                               parse_poly("X1", 2, QQ)])
     assert groebner_basis([]) == []
+
+
+def test_groebner_stops_at_a_constant_from_an_s_pair(monkeypatch):
+    """X0 X1 + 1 and X0^2 over F7: neither generator reduces to a
+    constant, the S-pair X0 (X0 X1 + 1) - X1 X0^2 = X0 joins, and the
+    S-pair X1 X0 - (X0 X1 + 1) = -1 ends the run with [1], the reduced
+    basis of the unit ideal and sympy's."""
+    gens = [parse_any_poly("X0*X1+1", 2, F7), parse_poly("X0^2", 2, F7)]
+    spairs, spair = [], poly._spair
+    monkeypatch.setattr(poly, "_spair",
+                        lambda *args: spairs.append(args) or spair(*args))
+    assert groebner_basis(gens) == [MultiPoly.constant(F7, 2, 1)]
+    assert len(spairs) == 2
+    assert is_unit_ideal(gens)
+    x0, x1 = symbols("x0:2")
+    assert groebner([x0 * x1 + 1, x0 ** 2], x0, x1, modulus=7,
+                    order="grevlex").exprs == [1]
 
 
 def test_groebner_fermat_chart_vs_scan():
