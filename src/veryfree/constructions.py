@@ -181,7 +181,10 @@ def curve_in_surface_coordinates(nf: TangentSectionNormalForm):
 
 def pullback_tangent(x: Hypersurface, curve) -> MonadP1:
     """Monad O -> (+) O(d)^(n+1) -> O(3d) presenting the pulled-back
-    tangent bundle of the hypersurface along the curve."""
+    tangent bundle of the hypersurface along the curve h, by h and the
+    (d_i f)(h).  ValueError if h is not on the hypersurface: away from
+    characteristic 3 the monad check's composition sum_i h_i (d_i f)(h)
+    is 3 f(h) (Euler), and f is composed with h only to print f(h)."""
     curve = list(curve)
     if len(curve) != x.n + 1:
         raise ValueError(f"curve needs {x.n + 1} components")
@@ -193,13 +196,16 @@ def pullback_tangent(x: Hypersurface, curve) -> MonadP1:
         raise ValueError("constant curves have no tangent pullback")
     if linalg.rank(x.field, [h.coeffs for h in curve]) < 2:
         raise ValueError("curve map is constant")
-    image = compose_with_curve(x.f, curve)
-    if not image.is_zero():
-        raise ValueError(f"curve does not lie on the hypersurface: "
-                         f"f(h) = {image}")
     beta = tuple(compose_with_curve(g, curve) for g in x.partials)
     monad = MonadP1(x.field, 0, (d,) * (x.n + 1), 3 * d, tuple(curve), beta)
-    report = validate_monad(monad)
+    report = None if x.field.p == 3 else validate_monad(monad)
+    if report is None or "composition" in dict(report.failures):
+        image = compose_with_curve(x.f, curve)
+        if not image.is_zero():
+            raise ValueError(f"curve does not lie on the hypersurface: "
+                             f"f(h) = {image}")
+    if report is None:
+        report = validate_monad(monad)
     if not report.ok:
         raise IntegrityError(f"pullback monad invalid: {report}")
     return monad

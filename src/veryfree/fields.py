@@ -744,10 +744,13 @@ def find_roots(f: UPoly, max_ext: int) -> list[Root]:
         K = make_field(base.p, base.k * j)
         here, mult = [], 0
         while len(g) > 1:  # g: the level's factors of multiplicity > mult
-            h = _reduce(base, list(h), g)
             mult += 1
-            rest = _gcd(base, h, g)
-            piece = _reduce(base, list(g), rest)
+            if len(g) == len(h):  # g = h: h is squarefree, all roots here
+                h, rest, piece = [base.rone], [base.rone], g
+            else:
+                h = _reduce(base, list(h), g)
+                rest = _gcd(base, h, g)
+                piece = _reduce(base, list(g), rest)
             if K is not base:
                 piece = [embed(base, c, K) for c in piece]
             here += [(r, mult) for r in _split_roots(

@@ -467,8 +467,14 @@ def _binary_form(F, degree, terms):
                                            for j in range(degree + 1)])
 
 
+_CURVE_IMAGES = {}
+
+
 def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
-    """f(h_0(U,V), ..., h_n(U,V)) for binary forms h_i of one degree."""
+    """f(h_0(U,V), ..., h_n(U,V)) for binary forms h_i of one degree.  The
+    image of X^e is the image of X^(e - e_i) times h_i, i the first
+    variable of X^e, and the images of the last few curves are kept, so
+    a form and its partials share them."""
     if len(curve) != f.nvars:
         raise ValueError(f"curve has {len(curve)} components, f has "
                          f"{f.nvars} variables")
@@ -480,9 +486,33 @@ def compose_with_curve(f: MultiPoly, curve) -> "BinaryForm":
     F = f.field
     for h in curve:
         check_field(F, h)
-    out = _substitute_raw(F, f.terms, _binary_images(h.coeffs for h in curve),
-                          (0,))
-    return _binary_form(F, f.total_degree * degs.pop(), out)
+    key = (F, tuple(h.coeffs for h in curve))
+    images = _binary_images(key[1])
+    memo = _CURVE_IMAGES.get(key)
+    if memo is None:
+        zero = (0,) * len(curve)
+        memo = _CURVE_IMAGES[key] = {zero: {(0,): F.rone}}
+        memo.update((zero[:i] + (1,) + zero[i + 1:], image)
+                    for i, image in enumerate(images))
+        if len(_CURVE_IMAGES) > 4:
+            _CURVE_IMAGES.pop(next(iter(_CURVE_IMAGES)))
+    radd, rmul = F.radd, F.rmul
+    degree = f.total_degree * degs.pop()
+    out = [F.rzero] * (degree + 1)
+    for e, c in f.terms.items():
+        for (j,), v in _monomial_image(F, e, images, memo).items():
+            v = rmul(c, v)
+            out[j] = radd(out[j], v) if out[j] else v
+    return BinaryForm.from_raw(F, degree, out)
+
+
+def _monomial_image(F, e, images, memo):
+    image = memo.get(e)
+    if image is None:
+        i = next(i for i, k in enumerate(e) if k)
+        image = memo[e] = _raw_mul(F, _monomial_image(
+            F, e[:i] + (e[i] - 1,) + e[i + 1:], images, memo), images[i])
+    return image
 
 
 def map_curve(field, m, curve):

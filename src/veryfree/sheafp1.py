@@ -93,10 +93,17 @@ class MonadReport:
         return "; ".join(f"{name}: {detail}" for name, detail in self.failures)
 
 
+_VALID_MONADS = {}
+
+
 def validate_monad(m: MonadP1) -> MonadReport:
     """Check the shape, the degree of each nonzero entry, zero composition
     and both gcd invariants.  A zero entry's declared degree is not read:
-    `BinaryForm` equality, and so the cohomology cache, ignores it."""
+    `BinaryForm` equality, and so the cohomology cache, ignores it.  The
+    last monads that passed are kept by value, so checking one again is
+    a lookup; a failing verdict is never kept."""
+    if m in _VALID_MONADS:
+        return MonadReport([])
     if not m.b:
         return MonadReport([("shape", "empty middle term")])
     if None in (m.a, m.c, m.alpha, m.beta):
@@ -130,6 +137,10 @@ def validate_monad(m: MonadP1) -> MonadReport:
         failures.append(("beta", "beta is identically zero"))
     elif g.degree > 0:
         failures.append(("beta", "beta not surjective, " + _root_witness(g)))
+    if not failures:
+        _VALID_MONADS[m] = True
+        if len(_VALID_MONADS) > 64:
+            _VALID_MONADS.pop(next(iter(_VALID_MONADS)))
     return MonadReport(failures)
 
 

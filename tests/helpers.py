@@ -6,8 +6,9 @@ element scans and polynomial products, root finding on UPoly objects
 that scans every level in full (the pencil's oracle), a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
-binary-form arithmetic, the six-point search in two passes, diagonal
-points first, the Eckardt census over all pairs of lines, a parser
+binary-form arithmetic, curve composition by powers of each variable,
+cold memos for the pullback path, the six-point search in two passes,
+diagonal points first, the Eckardt census over all pairs of lines, a parser
 that also takes inhomogeneous polynomials, which the package never
 needs, and the line search's earlier kernels: row restriction by a
 per-term generator, values at row zeros by a `_set_first` chain, a line
@@ -16,7 +17,7 @@ powers of u and v."""
 import itertools
 import random
 
-from veryfree import fields, linalg
+from veryfree import fields, linalg, poly, sheafp1
 from veryfree.constructions import (SixPointResult, VerificationReport,
                                     _conic_row, _five_point_conic)
 from veryfree.errors import (ExtensionCapExceeded, FieldError,
@@ -152,6 +153,32 @@ def count_field_ops(monkeypatch):
         monkeypatch.setattr(fields.FieldSpec, op,
                             counted(getattr(fields.FieldSpec, op)))
     return count
+
+
+def cold_memos(monkeypatch):
+    """Empty the cohomology cache, the validated monads and the curve
+    images for the rest of the test, as a fresh process has them."""
+    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    monkeypatch.setattr(sheafp1, "_VALID_MONADS", {})
+    monkeypatch.setattr(poly, "_CURVE_IMAGES", {})
+
+
+def compose_by_powers(f, curve):
+    """Oracle for `poly.compose_with_curve`: f(h) by `BinaryForm`
+    arithmetic, from the powers of each h_i, a product of powers per
+    monomial, with no images kept between calls."""
+    F = f.field
+    one = BinaryForm.from_raw(F, 0, (F.rone,))
+    powers = [[one, h] for h in curve]
+    out = BinaryForm.zero(F, f.total_degree * curve[0].degree)
+    for e, c in f.terms.items():
+        term = one
+        for cache, k in zip(powers, e):
+            while len(cache) <= k:
+                cache.append(cache[-1] * cache[1])
+            term = term * cache[k]
+        out = out + term.scale(c)
+    return out
 
 
 def roots_by_scan(f, max_ext):

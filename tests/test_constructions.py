@@ -12,7 +12,7 @@ from veryfree.hypersurface import (Hyperplane, Hypersurface, LineP3,
                                    tangent_hyperplane)
 from veryfree.poly import (BinaryForm, MultiPoly, compose_with_curve,
                            gcd_bin, linear_substitute, map_curve, parse_poly)
-from veryfree import constructions
+from veryfree import constructions, sheafp1
 from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     _curve_points, _nodal_prenormalization,
                                     build_very_free_curve,
@@ -30,15 +30,18 @@ from veryfree.constructions import (AllEckardtError, NodalSectionResult,
                                     standard_nodal_parametrization,
                                     verify_cuspidal_delta, verify_xi_eta,
                                     very_free)
+from veryfree.sheafp1 import splitting_type, validate_monad
 
 from helpers import (F2, F3, F4, F5, F7, F11, F7_SURFACE_SEEDS, QQ,
-                     _raw_mat_mul, binary_form_by_powers, count_field_ops,
+                     _raw_mat_mul, binary_form_by_powers, cold_memos,
+                     compose_by_powers, count_field_ops,
                      curve_to_ambient_by_forms,
                      general_sextuple, prenormalization_by_substitution,
                      random_cubic_form, six_point_by_two_passes)
 
 CLEBSCH = "X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3"
 
+F7_6 = make_field(7, 6)   # past the Zech-table cap: vector arithmetic
 FERMAT7 = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F7))
 FERMAT2 = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3", 4, F2))
 
@@ -180,6 +183,81 @@ def test_pullback_rejects_bad_curves():
     const = [BinaryForm(F7, 3, [1, 0, 0, 1]) for _ in range(4)]
     with pytest.raises(ValueError):
         pullback_tangent(FERMAT7, const)
+
+
+def _seeded_normal_form(field, seed):
+    quadric, linear, a = sample_admissible_completion(field,
+                                                      random.Random(seed))
+    nf = nodal_surface_form(field, quadric, linear, a)
+    return normal_form_surface(nf), curve_in_surface_coordinates(nf)
+
+
+@pytest.fixture(scope="module")
+def composition_inputs():
+    """(surface, curve): the nodal-section curves of the five pinned F7
+    surfaces and Clebsch, seeded normal forms over F_{7^6} and Q, the
+    characteristic-2 Fermat curve and the characteristic-3 cusp."""
+    bases = [random_cubic_form(F7, 4, s) for s in F7_SURFACE_SEEDS]
+    out = [(c.surface, list(c.components)) for c in (
+        nodal_section_curve(find_nodal_section(Hypersurface(f)))
+        for f in bases + [parse_poly(CLEBSCH, 4, F7)])]
+    out += [_seeded_normal_form(F, 7) for F in (F7_6, QQ)]
+    out.append((FERMAT2, fermat_char2_curve(F2)))
+    cusp = parse_poly("X0*X2^2+X1^3+X1^2*X2+X0^2*X3", 4, F3)
+    out.append((Hypersurface(cusp), cuspidal_parametrization(F3, 1)
+                + [BinaryForm.zero(F3, 3)]))
+    return out
+
+
+def test_compose_matches_composition_by_powers(monkeypatch,
+                                               composition_inputs):
+    """Shared monomial images give each form's composition by powers of
+    the h_i, cold and with the images that the partials, and then f,
+    left behind."""
+    cold_memos(monkeypatch)
+    for x, curve in composition_inputs:
+        forms = x.partials + [x.f]
+        for _ in range(2):
+            assert [compose_with_curve(g, curve) for g in forms] == [
+                compose_by_powers(g, curve) for g in forms]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_vector_fallback_pullback_splits(monkeypatch, seed):
+    """Over F_{7^6}, past the Zech-table cap, the seeded normal form's
+    curve splits as (2, 1) with cold memos and again with warm ones; the
+    splitting's own check of the monad is then a lookup."""
+    cold_memos(monkeypatch)
+    x, curve = _seeded_normal_form(F7_6, seed)
+    monad = pullback_tangent(x, curve)
+    assert monad in sheafp1._VALID_MONADS
+    common_gcd, calls = sheafp1._common_gcd, []
+    monkeypatch.setattr(sheafp1, "_common_gcd",
+                        lambda forms: calls.append(forms) or common_gcd(forms))
+    assert splitting_type(monad).parts == (2, 1) and calls == []
+    assert splitting_type(pullback_tangent(x, curve)).parts == (2, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, checks", [(F7, 1), (F3, 0)],
+                         ids=["euler", "composition"])
+def test_curve_off_the_surface_prints_f_of_h(monkeypatch, field, checks):
+    """Away from characteristic 3 the monad check's nonzero composition,
+    3 f(h), finds the curve off the surface; in characteristic 3, where
+    it is 0, f(h) itself does.  Both print f(h), and neither keeps a
+    verdict."""
+    cold_memos(monkeypatch)
+    calls = []
+    monkeypatch.setattr(constructions, "validate_monad",
+                        lambda m: calls.append(m) or validate_monad(m))
+    x = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3+X0*X1*X2", 4, field))
+    line = [BinaryForm(field, 1, c)
+            for c in ([1, 0], [0, 1], [0, 0], [0, 0])]
+    with pytest.raises(ValueError, match=r"^curve does not lie on the "
+                                         r"hypersurface: f\(h\) = "
+                                         r"U\^3 \+ V\^3$"):
+        pullback_tangent(x, line)
+    assert len(calls) == checks and not sheafp1._VALID_MONADS
 
 
 def test_very_free_examples():
@@ -417,17 +495,36 @@ def test_build_without_a_smooth_hyperplane_section():
         build_very_free_curve(x)
 
 
+def _nodal_section_curve_f7():
+    x = Hypersurface(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]))
+    return nodal_section_curve(find_nodal_section(x))
+
+
 def test_compose_nodal_section_curve_field_op_count(monkeypatch):
     """Composing f and its four partials with the nodal-section curve of
-    the first pinned F7 surface (over F_{7^4}): 2207 raw field operations
-    through the raw-term substitution, 2983 with `BinaryForm` products."""
-    x = Hypersurface(random_cubic_form(F7, 4, F7_SURFACE_SEEDS[0]))
-    curve = nodal_section_curve(find_nodal_section(x))
+    the first pinned F7 surface (over F_{7^4}), with no images kept: 1556
+    raw field operations with one product per monomial image, 2207 with
+    a product of powers per monomial, 2983 with `BinaryForm` products."""
+    curve = _nodal_section_curve_f7()
     forms = [curve.surface.f] + curve.surface.partials
+    cold_memos(monkeypatch)
     count = count_field_ops(monkeypatch)
     images = [compose_with_curve(g, list(curve.components)) for g in forms]
     assert count[0] <= 2500
     assert images[0].is_zero() and images[1].degree == 6
+
+
+def test_pullback_nodal_section_curve_field_op_count(monkeypatch):
+    """The tangent pullback along the same curve, with cold memos: 958
+    raw field operations, with f(h) = 0 read off the monad check's
+    composition; 2559 when f was composed too and every partial's
+    monomials were products of powers."""
+    curve = _nodal_section_curve_f7()
+    cold_memos(monkeypatch)
+    count = count_field_ops(monkeypatch)
+    monad = pullback_tangent(curve.surface, list(curve.components))
+    assert count[0] <= 1000
+    assert monad in sheafp1._VALID_MONADS
 
 
 def test_build_rejects_singular():

@@ -33,6 +33,8 @@ from veryfree.hypersurface import (NODAL_INTEGRAL, Hyperplane,
                                    lines_on_cubic_surface)
 from veryfree.poly import BinaryForm, binary_roots, parse_poly
 
+from helpers import cold_memos
+
 F49 = make_field(7, 2)
 CLEBSCH = Hypersurface(parse_poly("X0^3+X1^3+X2^3+X3^3-(X0+X1+X2+X3)^3",
                                   4, F49))
@@ -416,7 +418,7 @@ def test_dropped_generator_of_ker_beta(monkeypatch, drop, message):
             del gens[drop]
         return gens
     monad = _nodal_monad()
-    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    cold_memos(monkeypatch)
     monkeypatch.setattr(sheafp1, "_free_generators", dropping)
     with pytest.raises(IntegrityError, match=message):
         sheafp1.splitting_type(monad)
@@ -460,7 +462,7 @@ def test_dependent_monomial_multiples(monkeypatch):
     def doubled(field, gens, src, t):
         cols = multiples(field, gens, src, t)
         return cols + cols[:1]
-    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    cold_memos(monkeypatch)
     monkeypatch.setattr(sheafp1, "_multiples", doubled)
     with pytest.raises(IntegrityError, match="monomial multiples of the "
                                              "generators are dependent in "
@@ -483,7 +485,7 @@ def test_kernel_vector_dropped(monkeypatch):
     """Without the last kernel vector in each degree, the search for the
     generators of ker(beta) finds two in degree -1 and one in degree 0,
     whose degrees do not add up to ker(beta)'s."""
-    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    cold_memos(monkeypatch)
     monkeypatch.setattr(sheafp1, "linalg", _KernelDropping())
     with pytest.raises(IntegrityError, match=r"generators in degrees "
                                              r"\[-1, -1, 0\] do not span a "

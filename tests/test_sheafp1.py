@@ -13,7 +13,7 @@ from veryfree.sheafp1 import (MonadP1, SplittingType, h0_twist,
                               is_very_free_splitting, quotient_graded_dim,
                               splitting_type, validate_monad)
 
-from helpers import F5, F7, QQ, random_invertible
+from helpers import F5, F7, QQ, cold_memos, random_invertible
 
 
 def nodal_monad(field, quadric_text="X0^2"):
@@ -147,7 +147,7 @@ def test_verdict_ignores_a_zero_entry_declared_degree(monkeypatch, first):
     m0 = mirror_killed_summand(F7, 0, (0, 0), beta, 5)
     m3 = replace(m0, alpha=(BinaryForm.zero(F7, 3),) + m0.alpha[1:])
     assert m0 == m3 and hash(m0) == hash(m3)
-    monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
+    cold_memos(monkeypatch)
     order = (m0, m3) if first == "declared at 0" else (m3, m0)
     assert [validate_monad(m).ok for m in order] == [True, True]
     assert [splitting_type(m) for m in order] == [SplittingType((-5,))] * 2
@@ -277,6 +277,23 @@ def test_invalid_monad_rejected_by_operations():
     bad = MonadP1(F7, 0, (3,), 6, (one3,), (one3,))
     with pytest.raises(MonadError, match="invalid monad"):
         quotient_graded_dim(bad, 0)
+
+
+def test_an_invalid_monad_is_refused_on_every_call(monkeypatch):
+    """A failing verdict is never kept: the second check of an invalid
+    monad runs in full and refuses it again, and so does each operation."""
+    cold_memos(monkeypatch)
+    nodal, _, _ = nodal_monad(F7)
+    bad = replace(nodal, beta=nodal.beta[:3] + (nodal.beta[0],))
+    first = validate_monad(bad).failures
+    assert [name for name, _ in first] == ["beta"]
+    for _ in range(2):
+        assert validate_monad(bad).failures == first
+        with pytest.raises(MonadError, match="invalid monad: beta"):
+            splitting_type(bad)
+    assert bad not in sheafp1._VALID_MONADS
+    assert validate_monad(nodal).ok and nodal in sheafp1._VALID_MONADS
+    assert validate_monad(nodal).ok
 
 
 def test_serialization():
