@@ -44,8 +44,8 @@ from .hypersurface import (CubicSectionClass, Hyperplane, Hypersurface,
                            surface_points, tangent_hyperplane,
                            DEFAULT_EXT_CAP, DEFAULT_LINE_FIELD_CAP)
 from .poly import (BinaryForm, MultiPoly, binary_roots, compose_with_curve,
-                   gcd_bin, map_curve, parse_poly, poly_to_string)
-from .sheafp1 import (MonadP1, SplittingType, h0_twist,
+                   map_curve, parse_poly, poly_to_string)
+from .sheafp1 import (MonadP1, SplittingType, _common_gcd, h0_twist,
                       is_very_free_splitting, quotient_graded_dim,
                       splitting_type, validate_monad)
 
@@ -198,14 +198,12 @@ def pullback_tangent(x: Hypersurface, curve) -> MonadP1:
         raise ValueError("curve map is constant")
     beta = tuple(compose_with_curve(g, curve) for g in x.partials)
     monad = MonadP1(x.field, 0, (d,) * (x.n + 1), 3 * d, tuple(curve), beta)
-    report = None if x.field.p == 3 else validate_monad(monad)
-    if report is None or "composition" in dict(report.failures):
+    report = validate_monad(monad)
+    if x.field.p == 3 or "composition" in dict(report.failures):
         image = compose_with_curve(x.f, curve)
         if not image.is_zero():
             raise ValueError(f"curve does not lie on the hypersurface: "
                              f"f(h) = {image}")
-    if report is None:
-        report = validate_monad(monad)
     if not report.ok:
         raise IntegrityError(f"pullback monad invalid: {report}")
     return monad
@@ -531,16 +529,14 @@ def _nodal_prenormalization(cub: MultiPoly, node: ProjPoint):
     X0 X1 X2 + a0 X1^3 + a3 X2^3; only the tangent directions may force
     a quadratic extension.  Returns (K, matrix rows, a0, a3), raw over
     the field K of the tangent directions."""
-    F = node.field
     m1, q, c = _nodal_frame(cub, node)
     # tangent directions: q = lambda * L1 * L2 with distinct roots
     roots = binary_roots(q, 2)
     if sum(mult for (_, _, _, mult) in roots) != 2 or len(roots) != 2:
         raise IntegrityError("nodal quadric without two distinct roots")
-    fields = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]
-    K = join_field(*fields)
+    K = join_field(*(L for (L, _, _, _) in roots))
     (u1, v1), (u2, v2) = [(embed(L, u, K), embed(L, v, K))
-                          for L, (u, v, _, _) in zip(fields, roots)]
+                          for (L, u, v, _) in roots]
     qk, ck = q.map_field(K), c.map_field(K)
     # q(X1, X2) = lam * (v1 X1 - u1 X2)(v2 X1 - u2 X2)
     l1l2 = (BinaryForm.from_raw(K, 1, [v1, K.rneg(u1)])
@@ -629,10 +625,7 @@ def parametrize_conic(conic: MultiPoly):
     check = compose_with_curve(conic, comps)
     if not check.is_zero():
         raise IntegrityError("conic parametrization failed")
-    g = None
-    for comp in comps:
-        if not comp.is_zero():
-            g = comp if g is None else gcd_bin(g, comp)
+    g = _common_gcd(comps)
     if g is None or g.degree > 0:
         raise IntegrityError("conic parametrization has a base point")
     return comps

@@ -13,12 +13,14 @@ or three a line and conic or a triangle, and an infinite locus a
 repeated line, read at a rational point of it on the line X2 = 0.
 Point scans are bounded cross-checks only.
 The 27 lines come from the pencil of planes through one line, built
-once over that line's field, and 16 Plücker transversals.  That line, and
-the count of lines on the error paths, come from a walk over the RREF
-cells of the Grassmannian: each cell scans its smaller row, with one
-value per Frobenius orbit in its first free coordinate, solves for the
-partner point on the other by a linear condition and a gcd, and
-conjugates the lines found.
+once over that line's field, and 16 Plücker transversals; the pencil's
+tritangent planes and each residual conic's points on a coordinate line
+are the roots of binary forms, each in its least field, from
+`poly.binary_roots`.  That line, and the count of lines on the error
+paths, come from a walk over the RREF cells of the Grassmannian: each
+cell scans its smaller row, with one value per Frobenius orbit in its
+first free coordinate, solves for the partner point on the other by a
+linear condition and a gcd, and conjugates the lines found.
 The Eckardt census meets one pair of lines per Frobenius orbit of pairs,
 by their Plücker coordinates, and conjugates the point.  One zero scan
 serves the line search, `surface_points`, `singular_points_scan` and the
@@ -967,7 +969,7 @@ def _tangent_cone_class(cub, pt, ext_cap):
             raise ExtensionCapExceeded(
                 f"splitting the triple-point cubic needs extension degree "
                 f"{3 * level}, cap is {ext_cap}")
-        ext = level * max(e for (_, _, e, _) in roots)
+        ext = max(Kr.k for (Kr, _, _, _) in roots) // F.k
         return CubicSectionClass(THREE_LINES_CONCURRENT, pt, ext)
     tag = _integral_tag(q, c)
     if tag is not None:
@@ -1168,21 +1170,6 @@ def _lines_in_cells(forms, q):
                     yield conj
 
 
-def _p1_roots(K, f, max_ext):
-    """Roots of the binary form sum f_i l^(d-i) m^i, d = len(f) - 1, over
-    K's extensions of degree up to max_ext, as raw (field, l, m) in the
-    least field: (1, t) for the roots t at l = 1 (`find_roots`), then
-    (0, 1) if f_d = 0; None if a root repeats or the form is 0."""
-    g = UPoly(K, f)
-    if len(g.coeffs) < len(f) - 1:
-        return None
-    roots = find_roots(g, max_ext)
-    if any(r.multiplicity > 1 for r in roots):
-        return None
-    roots = [(r.field, r.field.rone, r.value) for r in roots]
-    return roots + [(K, K.rzero, K.rone)] if len(g.coeffs) < len(f) else roots
-
-
 # the monomials a^i b^j of Q in `_pencil_lines`, for A, B, C, D, E, F
 _CONIC_TERMS = ((2, 0), (0, 2), (0, 0), (1, 1), (1, 0), (0, 1))
 
@@ -1224,16 +1211,16 @@ def _pencil_lines(f: MultiPoly, line: LineP3, top: int):
     delta = D * E * F - A * F * F - B * E * E - C * D * D
     if K.p != 2:
         delta = delta + (A * B * C).scale(K.rfrom_int(4))
-    planes = _p1_roots(K, list(delta.coeffs), top)
-    if planes is None:
+    planes = None if delta.is_zero() else binary_roots(delta, top)
+    if planes is None or any(mult > 1 for *_, mult in planes):
         raise IntegrityError("repeated tritangent plane through a line")
     if len(planes) < 5:
         return None
     meeting = []                # the ten lines that meet L
     images = {}                 # conic lines of the conjugate planes
-    for Kp, l, m in planes:
-        if (Kp, m) in images:
-            meeting += images[Kp, m]
+    for Kp, l, m, _ in planes:
+        if (Kp, l) in images:
+            meeting += images[Kp, l]
             continue
         q = [g.map_field(Kp).evaluate(l, m) for g in forms]
         polar = linalg.kernel(Kp, [[Kp.radd(q[0], q[0]), q[3], q[4]],
@@ -1243,9 +1230,12 @@ def _pencil_lines(f: MultiPoly, line: LineP3, top: int):
         if len(polar) == 1:
             o = next(t for t, v in enumerate(polar[0]) if v != Kp.rzero)
             o1, o2 = (t for t in range(3) if t != o)
-            cut = _p1_roots(Kp, [q[o1], q[2 + o1 + o2], q[o2]],
-                            2 if 2 * Kp.k <= top * K.k else 1)
-        if cut is None or len(cut) == 1:
+            on_line = BinaryForm.from_raw(Kp, 2,
+                                          [q[o1], q[2 + o1 + o2], q[o2]])
+            if not on_line.is_zero():
+                cut = binary_roots(on_line,
+                                   2 if 2 * Kp.k <= top * K.k else 1)
+        if cut is None or any(mult > 1 for *_, mult in cut):
             raise IntegrityError("double-line conic in a tritangent plane")
         if not cut:
             return None
@@ -1257,13 +1247,13 @@ def _pencil_lines(f: MultiPoly, line: LineP3, top: int):
         if Kr is not Kp:
             frame = [[embed(Kp, t, Kr) for t in col] for col in frame]
             at_p = [embed(Kp, t, Kr) for t in at_p]
-        for _, u, v in cut:
+        for _, u, v, _ in cut:
             y = [Kr.rzero] * 3
             y[o1], y[o2] = u, v
             meeting.append(LineP3.from_raw(
                 Kr, [at_p, [_dot(Kr, y, col) for col in frame]]))
         for e in (K.size ** i for i in range(1, Kp.k // K.k)):
-            images[Kp, Kp.rpow(m, e)] = [g.conjugate(e) for g in meeting[-2:]]
+            images[Kp, Kp.rpow(l, e)] = [g.conjugate(e) for g in meeting[-2:]]
     degree = math.lcm(*(g.field.k // K.k for g in meeting))
     if degree > top:
         return None

@@ -737,23 +737,22 @@ def _monic_bin(f):
 
 
 def binary_roots(f: BinaryForm, max_ext: int):
-    """Projective roots of a nonzero binary form over extensions.
+    """Projective roots of a nonzero binary form over the extensions of
+    its field of degree up to max_ext.
 
-    Returns [(u, v, ext_degree, multiplicity)] with (u, v) normalized
-    raw values of F_{q^ext}.
+    Returns [(K, u, v, multiplicity)] with (u, v) normalized raw values
+    of K, the root's least field: (1:0) first, then the roots (u:1) in
+    `find_roots` order.
     """
     if f.is_zero():
         raise ValueError("roots of the zero form")
     F = f.field
-    out = []
     vc = f.v_content()
-    if vc:
-        out.append((F.rone, F.rzero, 1, vc))
+    out = [(F, F.rone, F.rzero, vc)] if vc else []
     deh = f.dehomogenize()
     if deh.degree > 0:
-        for r in find_roots(deh, max_ext):
-            out.append((r.value, r.field.rone, r.ext_degree,
-                        r.multiplicity))
+        out += [(r.field, r.value, r.field.rone, r.multiplicity)
+                for r in find_roots(deh, max_ext)]
     return out
 
 

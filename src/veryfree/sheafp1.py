@@ -16,6 +16,11 @@ H^1(O(a+l)) -> H^1(K(l)).
 Both ends are required: a cokernel or a kernel alone is written as a
 monad with a killed summand, one that beta maps onto O(c) or onto which
 alpha maps O(a) isomorphically.
+
+One memo, `_COHOMOLOGY_CACHE`, keeps the last monads that passed
+`validate_monad`, by value, each with its `_Cohomology` once an operation
+asks for one (None until then); `_cohomology` is the one place where an
+invalid monad becomes MonadError.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ from itertools import accumulate
 
 from . import linalg
 from .errors import IntegrityError, MonadError, ScanBudgetExceeded
-from .fields import make_field
 from .poly import BinaryForm, gcd_bin, binary_roots, _monic_bin
 
 
@@ -93,16 +97,16 @@ class MonadReport:
         return "; ".join(f"{name}: {detail}" for name, detail in self.failures)
 
 
-_VALID_MONADS = {}
+_COHOMOLOGY_CACHE = {}
 
 
 def validate_monad(m: MonadP1) -> MonadReport:
     """Check the shape, the degree of each nonzero entry, zero composition
     and both gcd invariants.  A zero entry's declared degree is not read:
     `BinaryForm` equality, and so the cohomology cache, ignores it.  The
-    last monads that passed are kept by value, so checking one again is
-    a lookup; a failing verdict is never kept."""
-    if m in _VALID_MONADS:
+    last monads that passed are the keys of `_COHOMOLOGY_CACHE`, so
+    checking one again is a lookup; a failing verdict is never kept."""
+    if m in _COHOMOLOGY_CACHE:
         return MonadReport([])
     if not m.b:
         return MonadReport([("shape", "empty middle term")])
@@ -138,9 +142,9 @@ def validate_monad(m: MonadP1) -> MonadReport:
     elif g.degree > 0:
         failures.append(("beta", "beta not surjective, " + _root_witness(g)))
     if not failures:
-        _VALID_MONADS[m] = True
-        if len(_VALID_MONADS) > 64:
-            _VALID_MONADS.pop(next(iter(_VALID_MONADS)))
+        _COHOMOLOGY_CACHE[m] = None
+        if len(_COHOMOLOGY_CACHE) > 64:
+            _COHOMOLOGY_CACHE.pop(next(iter(_COHOMOLOGY_CACHE)))
     return MonadReport(failures)
 
 
@@ -160,10 +164,10 @@ def _root_witness(g):
         return f"(common factor {g})"
     # a factor of degree <= deg g has its roots within that extension
     try:
-        u, v, ext, _ = binary_roots(g, g.degree)[0]
+        K, u, v, _ = binary_roots(g, g.degree)[0]
     except ScanBudgetExceeded:
         return f"(common factor {g})"
-    K = make_field(g.field.p, g.field.k * ext)
+    ext = K.k // g.field.k
     return f"root ({K.rstr(u)}:{K.rstr(v)})" + (
         f" over extension degree {ext}" if ext > 1 else "")
 
@@ -254,9 +258,6 @@ class _Cohomology:
     splitting, by the formulas in the module docstring."""
 
     def __init__(self, monad):
-        report = validate_monad(monad)
-        if not report.ok:
-            raise MonadError(f"invalid monad: {report}")
         self.m = monad
         self.field = monad.field
         self.k = _free_generators(self.field, [f.coeffs for f in monad.beta],
@@ -303,16 +304,15 @@ class _Cohomology:
         return h + _form_dim(-m.a - t - 2) - linalg.rank(self.field, mt)
 
 
-_COHOMOLOGY_CACHE = {}
-
-
 def _cohomology(m: MonadP1) -> _Cohomology:
+    """The cached `_Cohomology` of m, made once m passes validation;
+    MonadError if it does not."""
     coh = _COHOMOLOGY_CACHE.get(m)
     if coh is None:
-        coh = _Cohomology(m)
-        _COHOMOLOGY_CACHE[m] = coh
-        if len(_COHOMOLOGY_CACHE) > 64:
-            _COHOMOLOGY_CACHE.pop(next(iter(_COHOMOLOGY_CACHE)))
+        report = validate_monad(m)
+        if not report.ok:
+            raise MonadError(f"invalid monad: {report}")
+        coh = _COHOMOLOGY_CACHE[m] = _Cohomology(m)
     return coh
 
 

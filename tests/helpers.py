@@ -156,10 +156,10 @@ def count_field_ops(monkeypatch):
 
 
 def cold_memos(monkeypatch):
-    """Empty the cohomology cache, the validated monads and the curve
-    images for the rest of the test, as a fresh process has them."""
+    """Empty the cohomology cache, which holds the validated monads, and
+    the curve images for the rest of the test, as a fresh process has
+    them."""
     monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
-    monkeypatch.setattr(sheafp1, "_VALID_MONADS", {})
     monkeypatch.setattr(poly, "_CURVE_IMAGES", {})
 
 
@@ -659,10 +659,9 @@ def prenormalization_by_substitution(cub, node):
     m1, q, _ = nodal_frame_by_substitution(cub, node)
     roots = binary_roots(q, 2)
     assert len(roots) == 2 and all(mult == 1 for *_, mult in roots)
-    fields_ = [make_field(F.p, F.k * e) for (_, _, e, _) in roots]
-    K = join_field(*fields_)
+    K = join_field(*(L for (L, _, _, _) in roots))
     (u1, v1), (u2, v2) = [(embed(L, u, K), embed(L, v, K))
-                          for L, (u, v, _, _) in zip(fields_, roots)]
+                          for (L, u, v, _) in roots]
     cub_k = cub.map_field(K)
     m1_k = [[embed(F, x, K) for x in row] for row in m1]
     l1l2 = (BinaryForm.from_raw(K, 1, [v1, K.rneg(u1)])

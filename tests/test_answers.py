@@ -1,5 +1,6 @@
-"""Answer digests: the sha256 of stdout and the exit code of 44 in-process
-CLI runs, compared with `tests/answer_digests.json`.
+"""Answer digests: the sha256 of stdout and the exit code of 48 in-process
+CLI runs, and the sha256 of stderr for those that fail, compared with
+`tests/answer_digests.json`.
 
 The runs cover `lines`, `eckardt`, `construct` and `build --dim 3` with
 `--json` over F7 on Fermat, Clebsch and five pinned random surfaces,
@@ -10,6 +11,11 @@ and `eckardt --json` on Clebsch over F49 and on Fermat over F4, and
 F4, which exits 1; `sixpoints --json` also runs on a sextuple over F11.  `lines --json`
 runs on three pinned random surfaces over F5, whose lines lie over F25,
 and on one over F4, whose lines lie over F64, where q = 4 is not p.
+Four error paths are pinned by stderr: `splitting` with a curve whose
+pullback monad fails surjectivity at a root (exit 1) and with a curve
+off the surface over F3, which prints f(h) (exit 2), and `lines` on the
+seed-256 surface under `--ext-cap 1` and `--line-field-cap 48`, which
+count the lines found (exit 3).
 A change that must keep every answer byte-identical keeps this test
 passing.  After a deliberate change of answers, rewrite the JSON with
 
@@ -35,6 +41,9 @@ SIXPOINTS = (
     ("f11", "11", "0:0:1;1:0:1;1:1:1;0:1:1;2:6:1;6:3:1", ["--json"]),
     ("forced4", "2^2", "0:0:1;1:0:1;1:1:1;0:1:1;1:g:0;1:g+1:0", []),
     ("f49", "7^2", "0:0:1;1:0:1;1:1:1;0:1:1;g:2:1;3:g+1:1", ["--json"]))
+SPLITTING = (
+    ("witness", "7", "X0*X1*X2+X1^3+X2^3+X3^3", "-U^3-V^3;U^2*V;U*V^2;0"),
+    ("f3 off surface", "3", FERMAT + "+X0*X1*X2", "U;V;0;0"))
 
 
 def _surfaces():
@@ -73,6 +82,15 @@ def _runs():
             runs.append((f"lines f{p ** k}seed{s}",
                          ["lines", "--field", field, "--surface", surface,
                           "--json"]))
+    for name, field, surface, curve in SPLITTING:
+        runs.append((f"splitting {name}", ["splitting", "--field", field,
+                                           "--surface", surface,
+                                           "--curve", curve]))
+    seed256 = str(random_cubic_form(make_field(7), 4, 256))
+    for flag, cap in (("--ext-cap", "1"), ("--line-field-cap", "48")):
+        runs.append((f"lines seed256 {flag} {cap}",
+                     ["lines", "--field", "7", "--surface", seed256, flag,
+                      cap]))
     return runs
 
 
@@ -80,8 +98,11 @@ def _answer(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code,
-            "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    answer = {"exit": code,
+              "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    if code:
+        answer["stderr"] = hashlib.sha256(err.getvalue().encode()).hexdigest()
+    return answer
 
 
 def compute():
@@ -91,7 +112,7 @@ def compute():
 def test_answer_digests_unchanged():
     with open(DIGESTS) as fh:
         recorded = json.load(fh)
-    assert len(recorded) == 44
+    assert len(recorded) == 48
     got = compute()
     assert list(got) == list(recorded)
     changed = [name for name in recorded if got[name] != recorded[name]]

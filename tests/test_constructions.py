@@ -230,7 +230,7 @@ def test_vector_fallback_pullback_splits(monkeypatch, seed):
     cold_memos(monkeypatch)
     x, curve = _seeded_normal_form(F7_6, seed)
     monad = pullback_tangent(x, curve)
-    assert monad in sheafp1._VALID_MONADS
+    assert monad in sheafp1._COHOMOLOGY_CACHE
     common_gcd, calls = sheafp1._common_gcd, []
     monkeypatch.setattr(sheafp1, "_common_gcd",
                         lambda forms: calls.append(forms) or common_gcd(forms))
@@ -239,13 +239,13 @@ def test_vector_fallback_pullback_splits(monkeypatch, seed):
     assert calls == []
 
 
-@pytest.mark.parametrize("field, checks", [(F7, 1), (F3, 0)],
+@pytest.mark.parametrize("field, checks", [(F7, 1), (F3, 1)],
                          ids=["euler", "composition"])
 def test_curve_off_the_surface_prints_f_of_h(monkeypatch, field, checks):
-    """Away from characteristic 3 the monad check's nonzero composition,
-    3 f(h), finds the curve off the surface; in characteristic 3, where
-    it is 0, f(h) itself does.  Both print f(h), and neither keeps a
-    verdict."""
+    """The monad is checked once in every characteristic.  Away from
+    characteristic 3 its nonzero composition, 3 f(h), finds the curve off
+    the surface; in characteristic 3, where it is 0, f(h) itself does.
+    Both print f(h), and neither keeps a verdict."""
     cold_memos(monkeypatch)
     calls = []
     monkeypatch.setattr(constructions, "validate_monad",
@@ -257,7 +257,7 @@ def test_curve_off_the_surface_prints_f_of_h(monkeypatch, field, checks):
                                          r"hypersurface: f\(h\) = "
                                          r"U\^3 \+ V\^3$"):
         pullback_tangent(x, line)
-    assert len(calls) == checks and not sheafp1._VALID_MONADS
+    assert len(calls) == checks and not sheafp1._COHOMOLOGY_CACHE
 
 
 def test_very_free_examples():
@@ -524,7 +524,7 @@ def test_pullback_nodal_section_curve_field_op_count(monkeypatch):
     count = count_field_ops(monkeypatch)
     monad = pullback_tangent(curve.surface, list(curve.components))
     assert count[0] <= 1000
-    assert monad in sheafp1._VALID_MONADS
+    assert monad in sheafp1._COHOMOLOGY_CACHE
 
 
 def test_build_rejects_singular():

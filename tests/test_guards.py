@@ -23,7 +23,7 @@ import itertools
 
 import pytest
 
-from veryfree import cli, constructions, hypersurface, linalg, sheafp1
+from veryfree import cli, constructions, hypersurface, linalg, poly, sheafp1
 from veryfree.errors import IntegrityError, MonadError
 from veryfree.fields import make_field
 from veryfree.hypersurface import (NODAL_INTEGRAL, Hyperplane,
@@ -147,15 +147,15 @@ def _first_root_twice(q, max_ext):
 
 
 def _one_double_root(q, max_ext):
-    u, v, ext, _ = binary_roots(q, max_ext)[0]
-    return [(u, v, ext, 2)]
+    K, u, v, _ = binary_roots(q, max_ext)[0]
+    return [(K, u, v, 2)]
 
 
 def _second_root_moved(q, max_ext):
     """(1:1) in place of the second tangent direction, which is no root
     of q = X1 X2."""
-    first, (_, _, ext, mult) = binary_roots(q, max_ext)
-    return [first, (1, 1, ext, mult)]
+    first, (K, _, _, mult) = binary_roots(q, max_ext)
+    return [first, (K, 1, 1, mult)]
 
 
 def _corner_dropped(cub, pt):
@@ -320,8 +320,8 @@ def test_twenty_eight_lines(monkeypatch):
 
 def test_repeated_tritangent_plane(monkeypatch):
     """Each root of the pencil's quintic read as a double root."""
-    roots = hypersurface.find_roots
-    monkeypatch.setattr(hypersurface, "find_roots", lambda f, max_ext: [
+    roots = poly.find_roots
+    monkeypatch.setattr(poly, "find_roots", lambda f, max_ext: [
         dataclasses.replace(r, multiplicity=2) for r in roots(f, max_ext)])
     with pytest.raises(IntegrityError, match="repeated tritangent plane "
                                              "through a line"):
@@ -329,14 +329,15 @@ def test_repeated_tritangent_plane(monkeypatch):
 
 
 def test_double_line_conic(monkeypatch):
-    """A residual conic that meets a coordinate line in one point, as a
-    double line does: one root of each binary quadric kept."""
-    p1_roots = hypersurface._p1_roots
+    """A residual conic that meets a coordinate line in one double point,
+    as a double line does: the first root of each binary quadric kept,
+    read as a double root."""
+    roots = hypersurface.binary_roots
 
-    def one_root(K, f, max_ext):
-        roots = p1_roots(K, f, max_ext)
-        return roots[:1] if len(f) == 3 else roots
-    monkeypatch.setattr(hypersurface, "_p1_roots", one_root)
+    def one_double_root(f, max_ext):
+        found = roots(f, max_ext)
+        return [r[:3] + (2,) for r in found[:1]] if f.degree == 2 else found
+    monkeypatch.setattr(hypersurface, "binary_roots", one_double_root)
     with pytest.raises(IntegrityError, match="double-line conic in a "
                                              "tritangent plane"):
         lines_on_cubic_surface(FERMAT_F4)

@@ -28,7 +28,7 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    _cross, _dot,
                                    _frobenius_size, _lines_in_cells,
                                    _nodal_frame, _on_affine_line, _on_row,
-                                   _on_stratum, _p1_roots, _row_zeros,
+                                   _on_stratum, _row_zeros,
                                    _tangent_cone_class,
                                    _ternary_singular_points)
 from veryfree.poly import (MultiPoly, compose_with_curve, is_unit_ideal,
@@ -1139,23 +1139,6 @@ def test_line_search_draws_one_line_then_counts_only_on_error(monkeypatch):
     assert len(drawn) == 1 and drawn[0] > 1
     assert str(err.value) == (f"only {drawn[0]} lines found within "
                               f"extension degree 1")
-
-
-def test_p1_roots_reads_the_point_at_infinity():
-    """`_p1_roots` on binary forms over F7, coefficients from l^d down to
-    m^d: (0:1) is a root exactly when the m^d coefficient vanishes, a
-    root over F49 shows only with max_ext 2, in F49, and a repeated root,
-    (0:1) or not, or the zero form gives None."""
-    assert _p1_roots(F7, [6, 0, 1], 1) == [(F7, 1, 1), (F7, 1, 6)]
-    assert _p1_roots(F7, [6, 1, 0], 1) == [(F7, 1, 1), (F7, 0, 1)]
-    assert _p1_roots(F7, [3, 0, 0], 1) is None
-    assert _p1_roots(F7, [0, 0, 0], 1) is None
-    assert _p1_roots(F7, [1, 2, 1], 1) is None
-    assert _p1_roots(F7, [1, 0, 1], 1) == []
-    F49 = make_field(7, 2)
-    roots = _p1_roots(F7, [1, 0, 1], 2)
-    assert [(K, l) for K, l, _ in roots] == [(F49, 1), (F49, 1)]
-    assert all(F49.radd(F49.rmul(t, t), 1) == 0 for _, _, t in roots)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=str)

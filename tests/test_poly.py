@@ -18,7 +18,7 @@ from veryfree import poly
 from veryfree.errors import FieldError, ParseError
 from veryfree.fields import Scalar, embed, make_field
 from veryfree.hypersurface import Hyperplane, LineP3, ProjPoint
-from veryfree.poly import (BinaryForm, MultiPoly,
+from veryfree.poly import (BinaryForm, MultiPoly, binary_roots,
                            compose_with_curve, eliminant, gcd_bin,
                            groebner_basis, is_unit_ideal, linear_substitute,
                            map_curve,
@@ -403,6 +403,31 @@ def test_gcd_examples():
     assert g3 == parse_binary_form("U^3+V^3", F7)
 
 
+def test_binary_roots_reads_both_points_at_infinity():
+    """`binary_roots` on binary quadrics over F7, coefficients from U^2
+    down to V^2: (1:0) is a root exactly when the U^2 coefficient
+    vanishes, and comes first; (0:1) when the V^2 coefficient does; a
+    repeated root carries its multiplicity; a pair over F49 shows only
+    with max_ext 2, each root in F49; the zero form is refused."""
+    def roots(coeffs, max_ext=1):
+        return binary_roots(BinaryForm.from_raw(F7, 2, coeffs), max_ext)
+
+    assert roots([6, 0, 1]) == [(F7, 1, 1, 1), (F7, 6, 1, 1)]
+    assert roots([6, 1, 0]) == [(F7, 0, 1, 1), (F7, 1, 1, 1)]
+    assert roots([0, 1, 6]) == [(F7, 1, 0, 1), (F7, 1, 1, 1)]
+    assert roots([3, 0, 0]) == [(F7, 0, 1, 2)]
+    assert roots([0, 0, 3]) == [(F7, 1, 0, 2)]
+    assert roots([1, 2, 1]) == [(F7, 6, 1, 2)]
+    assert roots([1, 0, 1]) == []
+    F49 = make_field(7, 2)
+    pair = roots([1, 0, 1], 2)
+    assert [(K, v, m) for K, _, v, m in pair] == [(F49, F49.rone, 1)] * 2
+    assert all(F49.radd(F49.rmul(u, u), F49.rone) == F49.rzero
+               for _, u, _, _ in pair)
+    with pytest.raises(ValueError, match="roots of the zero form"):
+        roots([0, 0, 0])
+
+
 
 def _binary_to_sympy(f, p):
     u, v = symbols("u v")
@@ -585,10 +610,9 @@ def test_resultant_gcd_roots_three_way_agreement():
         res_zero = not resultant_bin(q, c)
         gcd_nonconst = gcd_bin(q, c).degree > 0
         # shared root within extension degree <= deg q * deg c
-        from veryfree.poly import binary_roots
         shared = False
-        for (u, v, ext, _) in binary_roots(q, 6):
-            cc = c.map_field(make_field(5, ext))
+        for (K, u, v, _) in binary_roots(q, 6):
+            cc = c.map_field(K)
             if not cc.evaluate(u, v):
                 shared = True
                 break

@@ -178,6 +178,22 @@ def test_root_witness_falls_back_to_the_common_factor(field, factor):
         ("beta", f"beta not surjective, (common factor {g})")]
 
 
+def test_root_witness_names_the_extension_degree():
+    """When the common factor U^2 + V^2 over F7 has its roots only in
+    F49, the witness names the least root there and the degree of F49
+    over F7."""
+    g = parse_binary_form("U^2+V^2", F7)
+    ends = tuple(g * parse_binary_form(s, F7) for s in ("U", "V"))
+    alpha_side = with_killed_summand(F7, 0, (3, 3), ends, 3)
+    beta_side = mirror_killed_summand(F7, 0, (0, 0), ends, 3)
+    root = "root (g:1) over extension degree 2"
+    assert validate_monad(alpha_side).failures == [
+        ("alpha", f"alpha not a subbundle inclusion, common root of {g} "
+                  + root)]
+    assert validate_monad(beta_side).failures == [
+        ("beta", f"beta not surjective, {root}")]
+
+
 def test_quotient_graded_dims():
     m, _, _ = nodal_monad(F7)
     assert quotient_graded_dim(m, -3) == 0
@@ -291,8 +307,8 @@ def test_an_invalid_monad_is_refused_on_every_call(monkeypatch):
         assert validate_monad(bad).failures == first
         with pytest.raises(MonadError, match="invalid monad: beta"):
             splitting_type(bad)
-    assert bad not in sheafp1._VALID_MONADS
-    assert validate_monad(nodal).ok and nodal in sheafp1._VALID_MONADS
+    assert bad not in sheafp1._COHOMOLOGY_CACHE
+    assert validate_monad(nodal).ok and nodal in sheafp1._COHOMOLOGY_CACHE
     assert validate_monad(nodal).ok
 
 
