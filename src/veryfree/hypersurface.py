@@ -29,7 +29,8 @@ coordinate 1, some coordinates 0, the rest free), each prefix of free
 values is substituted once, and the last free coordinate is run through
 Horner's rule; other forms are evaluated only at the zeros found.
 `_zeros` walks the rows X_0 = ... = X_{i-1} = 0, X_i = 1 in
-`proj_points` order.
+`proj_points` order.  Line and Eckardt censuses that pass are kept by
+value in one bounded memo, `_CENSUS_CACHE`.
 
 Points, hyperplanes and lines hold raw coordinates, normalized once, and
 the scans build them from raw values with `from_raw`; their constructors
@@ -1301,6 +1302,16 @@ def _most_lines(x, levels):
     return most
 
 
+_CENSUS_CACHE = {}
+
+
+def _remember(key, value):
+    """Keep a census that passed every check; the oldest goes past 16."""
+    _CENSUS_CACHE[key] = value
+    if len(_CENSUS_CACHE) > 16:
+        _CENSUS_CACHE.pop(next(iter(_CENSUS_CACHE)))
+
+
 def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                            field_cap: int = DEFAULT_LINE_FIELD_CAP):
     """The 27 lines on a smooth cubic surface over F_q, sorted, over the
@@ -1310,12 +1321,22 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
     of L's level that the caps allow, or shows there is none.  The levels
     after L's are not scanned, but pass the same cap checks in the same
     order; errors count lines by the scans (`_most_lines`).
+
+    `_CENSUS_CACHE` keeps the last 16 censuses that passed every check
+    (lines and Eckardt reports), lines keyed by x's field, the raw terms
+    of its cubic and both caps, so an equal surface built separately is
+    not searched again.  An error is never kept, so it is raised on
+    every call, and a hit returns a new list of the same lines.
     """
     if x.n != 3:
         raise ValueError("line enumeration expects a surface in P^3")
     base = x.field
     if base.is_rational:
         raise ValueError("line enumeration needs a finite base field")
+    key = ("lines", base, frozenset(x.f.terms.items()), ext_cap, field_cap)
+    hit = _CENSUS_CACHE.get(key)
+    if hit is not None:
+        return list(hit[0]), hit[1], hit[2]
     if not is_smooth(x):
         raise ValueError("surface is singular; the 27-line count needs "
                          "smoothness")
@@ -1340,7 +1361,9 @@ def lines_on_cubic_surface(x: Hypersurface, ext_cap: int = DEFAULT_EXT_CAP,
                 j for j in range(1, ext_cap // k + 1)
                 if q ** (k * j) <= field_cap))
             if found:
-                return (*found, found[1].k // base.k)
+                lines, K = found
+                _remember(key, (tuple(lines), K, K.k // base.k))
+                return lines, K, K.k // base.k
     raise ExtensionCapExceeded(
         f"only {_most_lines(x, levels)} lines found within "
         f"extension degree {ext_cap}")
@@ -1409,12 +1432,22 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
     the others get its point raised to the powers q^m, or None.  Each
     line's `_plucker_frame` is built once, and every count below runs
     over all 351 pairs.
+
+    A report that passes is kept in `_CENSUS_CACHE` (see
+    `lines_on_cubic_surface`), keyed by x's field, the raw terms of its
+    cubic and the lines' rows in the order given; a hit returns a new
+    report with its own lists, whose indices follow that order.
     """
     if len(lines) != 27:
         raise ValueError(f"expected the full set of 27 lines, got {len(lines)}")
     K = x.field
     for line in lines:
         check_field(K, line)
+    key = ("eckardt", K, frozenset(x.f.terms.items()),
+           tuple(line.rows for line in lines))
+    hit = _CENSUS_CACHE.get(key)
+    if hit is not None:
+        return EckardtReport(list(hit[0]), list(hit[1]), hit[2])
     q = _frobenius_size(x.f)
     sigma = None if q is None else _frobenius_permutation(lines, q)
     frames = [_plucker_frame(line) for line in lines]
@@ -1462,6 +1495,7 @@ def eckardt_points(x: Hypersurface, lines) -> EckardtReport:
                 f"smooth cubic surface")
     if pairs != 3 * len(eckardt) + len(two_line):
         raise IntegrityError("pair-count identity failed")
+    _remember(key, (tuple(eckardt), tuple(two_line), pairs))
     return EckardtReport(eckardt, two_line, pairs)
 
 

@@ -20,11 +20,13 @@ alpha maps O(a) isomorphically.
 One memo, `_COHOMOLOGY_CACHE`, keeps the last monads that passed
 `validate_monad`, by value, each with its `_Cohomology` once an operation
 asks for one (None until then); `_cohomology` is the one place where an
-invalid monad becomes MonadError.
+invalid monad becomes MonadError.  A `MonadP1` compares by value and
+keeps its hash once taken, so only its first lookup hashes its forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from . import linalg
@@ -40,6 +42,16 @@ class MonadP1:
     c: int
     alpha: tuple  # alpha[i]: O(a) -> O(b_i), degree b_i - a
     beta: tuple   # beta[i]: O(b_i) -> O(c), degree c - b_i
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The dataclass hash of the fields, taken once, since each cache
+        lookup hashes the monad and so every coefficient of its forms."""
+        return hash((self.field, self.a, self.b, self.c, self.alpha,
+                     self.beta))
 
     @property
     def rank(self):

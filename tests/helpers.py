@@ -1,13 +1,13 @@
 """Shared fixtures: deterministic random forms, pinned seeds, an
 S-polynomial built from MultiPoly arithmetic, a full normal form modulo
-a Groebner basis, a field-op counter, root finding and Zech tables by
-element scans and polynomial products, root finding on UPoly objects
-(the list engine's oracle), a two-row line search, the line search
-that scans every level in full (the pencil's oracle), a
+a Groebner basis, a field-op counter, a call recorder, root finding and
+Zech tables by element scans and polynomial products, root finding on
+UPoly objects (the list engine's oracle), a two-row line search, the line
+search that scans every level in full (the pencil's oracle), a
 tangent-cone frame and a nodal prenormalisation by substitution, and
 plane-line and curve maps through a kernel basis, a matrix inverse and
 binary-form arithmetic, curve composition by powers of each variable,
-cold memos for the pullback path, the six-point search in two passes,
+every value memo emptied, the six-point search in two passes,
 diagonal points first, the Eckardt census over all pairs of lines, a parser
 that also takes inhomogeneous polynomials, which the package never
 needs, and the line search's earlier kernels: row restriction by a
@@ -17,7 +17,7 @@ powers of u and v."""
 import itertools
 import random
 
-from veryfree import fields, linalg, poly, sheafp1
+from veryfree import fields, hypersurface, linalg, poly, sheafp1
 from veryfree.constructions import (SixPointResult, VerificationReport,
                                     _conic_row, _five_point_conic)
 from veryfree.errors import (ExtensionCapExceeded, FieldError,
@@ -155,12 +155,24 @@ def count_field_ops(monkeypatch):
     return count
 
 
+def spy_calls(monkeypatch, module, name):
+    """Record the arguments of each call of `module.<name>` until the
+    test ends; returns the list they are appended to."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def cold_memos(monkeypatch):
-    """Empty the cohomology cache, which holds the validated monads, and
-    the curve images for the rest of the test, as a fresh process has
-    them."""
+    """Empty every value memo for the rest of the test, as a fresh
+    process has them: the cohomology cache, which holds the validated
+    monads, the curve images and the line and Eckardt censuses.  Every
+    test starts this way (`conftest.py`); a test calls it again to run
+    cold after building its inputs."""
     monkeypatch.setattr(sheafp1, "_COHOMOLOGY_CACHE", {})
     monkeypatch.setattr(poly, "_CURVE_IMAGES", {})
+    monkeypatch.setattr(hypersurface, "_CENSUS_CACHE", {})
 
 
 def compose_by_powers(f, curve):

@@ -27,6 +27,7 @@ import io
 import json
 import os
 
+from veryfree import hypersurface
 from veryfree.cli import main
 from veryfree.fields import make_field
 
@@ -117,6 +118,20 @@ def test_answer_digests_unchanged():
     assert list(got) == list(recorded)
     changed = [name for name in recorded if got[name] != recorded[name]]
     assert not changed, f"answers changed: {changed}"
+
+
+def test_caps_are_part_of_the_census_key():
+    """The line census that the default run on the seed-256 surface
+    keeps does not answer the run under `--line-field-cap 48`, which
+    still exits 3 with its recorded stderr."""
+    with open(DIGESTS) as fh:
+        recorded = json.load(fh)
+    runs = dict(_runs())
+    default, capped = "lines seed256", "lines seed256 --line-field-cap 48"
+    assert _answer(runs[default]) == recorded[default]
+    assert hypersurface._CENSUS_CACHE
+    assert _answer(runs[capped]) == recorded[capped]
+    assert recorded[capped]["exit"] == 3
 
 
 if __name__ == "__main__":

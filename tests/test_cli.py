@@ -7,12 +7,14 @@ import time
 
 import pytest
 
-from veryfree import cli
+from veryfree import cli, hypersurface
 from veryfree.cli import main
 from veryfree.constructions import AllEckardtError
 from veryfree.errors import (ExtensionCapExceeded, FieldError,
                              IntegrityError, MonadError, ParseError,
                              ScanBudgetExceeded)
+
+from helpers import spy_calls
 
 FERMAT = "X0^3+X1^3+X2^3+X3^3"
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -291,6 +293,21 @@ def test_verify_paper_json_matches_golden_for_every_seed(capsys):
         code, out = run(capsys, "verify-paper", "--json", "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+def test_verify_paper_computes_each_census_once(monkeypatch, capsys):
+    """verify-paper meets the F7 Fermat surface three times (its census
+    check, its nodal section and the X4 = 0 section of the threefold) and
+    the F4 Fermat surface twice, and computes each line and Eckardt
+    census once: 4 pencils and 3 Eckardt censuses (one `_frobenius_size`
+    each), not 6 and 6, with the recorded bytes."""
+    pencils = spy_calls(monkeypatch, hypersurface, "_pencil_lines")
+    censuses = spy_calls(monkeypatch, hypersurface, "_frobenius_size")
+    code, out = run(capsys, "verify-paper", "--json", "--seed", "7")
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)["7"]
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == golden
+    assert (len(pencils), len(censuses)) == (4, 3)
 
 
 def test_verify_paper_seed_reaches_the_drawn_completions(monkeypatch,

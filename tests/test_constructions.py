@@ -209,12 +209,10 @@ def composition_inputs():
     return out
 
 
-def test_compose_matches_composition_by_powers(monkeypatch,
-                                               composition_inputs):
+def test_compose_matches_composition_by_powers(composition_inputs):
     """Shared monomial images give each form's composition by powers of
     the h_i, cold and with the images that the partials, and then f,
     left behind."""
-    cold_memos(monkeypatch)
     for x, curve in composition_inputs:
         forms = x.partials + [x.f]
         for _ in range(2):
@@ -227,7 +225,6 @@ def test_vector_fallback_pullback_splits(monkeypatch, seed):
     """Over F_{7^6}, past the Zech-table cap, the seeded normal form's
     curve splits as (2, 1) with cold memos and again with warm ones; the
     splitting's own check of the monad is then a lookup."""
-    cold_memos(monkeypatch)
     x, curve = _seeded_normal_form(F7_6, seed)
     monad = pullback_tangent(x, curve)
     assert monad in sheafp1._COHOMOLOGY_CACHE
@@ -246,7 +243,6 @@ def test_curve_off_the_surface_prints_f_of_h(monkeypatch, field, checks):
     characteristic 3 its nonzero composition, 3 f(h), finds the curve off
     the surface; in characteristic 3, where it is 0, f(h) itself does.
     Both print f(h), and neither keeps a verdict."""
-    cold_memos(monkeypatch)
     calls = []
     monkeypatch.setattr(constructions, "validate_monad",
                         lambda m: calls.append(m) or validate_monad(m))

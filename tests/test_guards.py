@@ -463,7 +463,6 @@ def test_dependent_monomial_multiples(monkeypatch):
     def doubled(field, gens, src, t):
         cols = multiples(field, gens, src, t)
         return cols + cols[:1]
-    cold_memos(monkeypatch)
     monkeypatch.setattr(sheafp1, "_multiples", doubled)
     with pytest.raises(IntegrityError, match="monomial multiples of the "
                                              "generators are dependent in "
@@ -486,7 +485,6 @@ def test_kernel_vector_dropped(monkeypatch):
     """Without the last kernel vector in each degree, the search for the
     generators of ker(beta) finds two in degree -1 and one in degree 0,
     whose degrees do not add up to ker(beta)'s."""
-    cold_memos(monkeypatch)
     monkeypatch.setattr(sheafp1, "linalg", _KernelDropping())
     with pytest.raises(IntegrityError, match=r"generators in degrees "
                                              r"\[-1, -1, 0\] do not span a "

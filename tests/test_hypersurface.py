@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
-from veryfree import linalg
-from veryfree.errors import ExtensionCapExceeded, FieldError, IntegrityError
+from veryfree import linalg, poly
+from veryfree.errors import (ExtensionCapExceeded, FieldError,
+                             IntegrityError, ScanBudgetExceeded)
 from veryfree.fields import Scalar, UPoly, embed, make_field
 from veryfree import hypersurface
 from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
@@ -15,8 +17,8 @@ from veryfree.hypersurface import (CUSPIDAL_INTEGRAL, LINE_CONIC_TANGENT,
                                    NODAL_INTEGRAL, SMOOTH_CUBIC,
                                    THREE_LINES_CONCURRENT,
                                    THREE_LINES_TRIANGLE, TRIPLE_LINE,
-                                   Hyperplane, Hypersurface, LineP3,
-                                   ProjPoint, classify_plane_cubic,
+                                   EckardtReport, Hyperplane, Hypersurface,
+                                   LineP3, ProjPoint, classify_plane_cubic,
                                    divide_by_plane_line, eckardt_points,
                                    hyperplane_section, is_smooth,
                                    lines_on_cubic_surface,
@@ -36,14 +38,14 @@ from veryfree.poly import (MultiPoly, compose_with_curve, is_unit_ideal,
                            substitute_linear_map)
 
 from helpers import (F2, F3, F4, F5, F7, F11, QQ, affine_line_by_upoly,
-                     count_field_ops, divide_by_completion_inverse,
+                     cold_memos, count_field_ops, divide_by_completion_inverse,
                      eckardt_points_all_pairs,
                      embed_scalar, lines_by_row_pairing, meet,
                      nodal_frame_by_substitution, parse_any_poly,
                      random_cubic_form, random_form, random_invertible,
                      raw_dot, restrict_by_kernel_basis,
                      row_restriction_by_scan, row_values_by_set_first,
-                     sympy_chart_smooth,
+                     spy_calls, sympy_chart_smooth,
                      F5_SURFACE_SEEDS, F7_SURFACE_SEEDS)
 from line_corpus import compare, corpus
 
@@ -1209,6 +1211,101 @@ def test_eckardt_census_f7_fermat():
     assert rep.incident_pairs == 135
     assert rep.incident_pairs == 3 * len(rep.eckardt) + len(rep.two_line)
     assert len(rep.eckardt) == 18 and len(rep.two_line) == 81
+
+
+def test_equal_surfaces_share_one_census(monkeypatch):
+    """The Fermat surface over F7, parsed and as the X4 = 0 section of the
+    Fermat threefold, is one key: its pencil runs once and its Eckardt
+    census (one `_frobenius_size` each) once, and both answers equal a
+    cold call's."""
+    pencils = spy_calls(monkeypatch, hypersurface, "_pencil_lines")
+    censuses = spy_calls(monkeypatch, hypersurface, "_frobenius_size")
+    parsed = fermat(F7)
+    section = Hypersurface(hyperplane_section(
+        fermat(F7, 5), Hyperplane(F7, [0, 0, 0, 0, 1])))
+    found = [lines_on_cubic_surface(x) for x in (parsed, section)]
+    reports = [eckardt_points(x, found[0][0]) for x in (parsed, section)]
+    assert (len(pencils), len(censuses)) == (1, 1)
+    assert found[1][0] is not found[0][0]
+    assert reports[1].eckardt is not reports[0].eckardt
+    cold_memos(monkeypatch)
+    cold = lines_on_cubic_surface(fermat(F7))
+    assert found == [cold, cold]
+    assert reports == [eckardt_points(fermat(F7), cold[0])] * 2
+    assert (len(pencils), len(censuses)) == (2, 2)
+
+
+def _double_roots(monkeypatch):
+    roots = poly.find_roots
+    monkeypatch.setattr(poly, "find_roots", lambda f, max_ext: [
+        dataclasses.replace(r, multiplicity=2) for r in roots(f, max_ext)])
+
+
+SEED256 = Hypersurface(random_cubic_form(F7, 4, 256))
+
+
+@pytest.mark.parametrize("x, caps, fault, error", [
+    (SEED256, (6, 48), None, ScanBudgetExceeded),
+    (SEED256, (1, 4000), None, ExtensionCapExceeded),
+    (fermat(F7), (6, 4000), _double_roots, IntegrityError),
+], ids=["field-cap", "ext-cap", "repeated-plane"])
+def test_a_refused_line_census_is_not_kept(monkeypatch, x, caps, fault,
+                                           error):
+    """Only a census that passed is kept, so each call raises again."""
+    if fault:
+        fault(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(error):
+            lines_on_cubic_surface(x, *caps)
+    assert not hypersurface._CENSUS_CACHE
+
+
+def test_a_refused_eckardt_census_is_not_kept():
+    """A line list not closed under x -> x^7 is refused on every call,
+    and only the lines are kept."""
+    x = clebsch(make_field(7, 2))
+    lines, _, _ = lines_on_cubic_surface(x)
+    k = next(k for k, line in enumerate(lines) if line.conjugate(7) != line)
+    lines[k] = LineP3(x.field, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match="Frobenius conjugate"):
+            eckardt_points(x, lines)
+    assert [key[0] for key in hypersurface._CENSUS_CACHE] == ["lines"]
+
+
+def test_a_census_hit_returns_copies():
+    """Mutating the lines and the report that a call returned leaves the
+    next call's answer as it was."""
+    x = fermat(F7)
+    lines, K, k = lines_on_cubic_surface(x)
+    rep = eckardt_points(x, lines)
+    want = (list(lines), list(rep.eckardt), list(rep.two_line))
+    for _ in range(2):
+        lines.reverse()
+        lines.pop()
+        rep.eckardt.clear()
+        rep.two_line.pop()
+        rep.incident_pairs = 0
+        lines, K2, k2 = lines_on_cubic_surface(x)
+        rep = eckardt_points(x, lines)
+        assert (lines, K2, k2) == (want[0], K, k)
+        assert rep == EckardtReport(want[1], want[2], 135)
+
+
+def test_a_permuted_line_list_is_its_own_census(monkeypatch):
+    """The same lines in reverse order miss, and the report's indices
+    follow the new order."""
+    x = fermat(F7)
+    lines, _, _ = lines_on_cubic_surface(x)
+    rep = eckardt_points(x, lines)
+    censuses = spy_calls(monkeypatch, hypersurface, "_frobenius_size")
+    reverse = eckardt_points(x, lines[::-1])
+    assert len(censuses) == 1
+
+    def relabel(points):
+        return [(pt, tuple(sorted(26 - i for i in ls))) for pt, ls in points]
+    assert reverse == EckardtReport(relabel(rep.eckardt),
+                                    relabel(rep.two_line), 135)
 
 
 def test_eckardt_clebsch_contains_permutation_points():

@@ -295,10 +295,9 @@ def test_invalid_monad_rejected_by_operations():
         quotient_graded_dim(bad, 0)
 
 
-def test_an_invalid_monad_is_refused_on_every_call(monkeypatch):
+def test_an_invalid_monad_is_refused_on_every_call():
     """A failing verdict is never kept: the second check of an invalid
     monad runs in full and refuses it again, and so does each operation."""
-    cold_memos(monkeypatch)
     nodal, _, _ = nodal_monad(F7)
     bad = replace(nodal, beta=nodal.beta[:3] + (nodal.beta[0],))
     first = validate_monad(bad).failures
@@ -310,6 +309,22 @@ def test_an_invalid_monad_is_refused_on_every_call(monkeypatch):
     assert bad not in sheafp1._COHOMOLOGY_CACHE
     assert validate_monad(nodal).ok and nodal in sheafp1._COHOMOLOGY_CACHE
     assert validate_monad(nodal).ok
+
+
+def test_an_equal_monad_finds_the_same_cache_entry(monkeypatch):
+    """Two monads built separately from equal forms hash and compare
+    equal and find one cohomology cache entry.  Each hashes its forms
+    once and keeps the hash, so a second lookup hashes no form."""
+    m1, m2 = nodal_monad(F7)[0], nodal_monad(F7)[0]
+    assert m1 is not m2 and m1 == m2
+    form_hash, hashed = BinaryForm.__hash__, []
+    monkeypatch.setattr(BinaryForm, "__hash__",
+                        lambda f: hashed.append(f) or form_hash(f))
+    assert hash(m1) == hash(m2) and len(hashed) == 16
+    coh = sheafp1._cohomology(m1)
+    assert sheafp1._cohomology(m2) is coh
+    assert list(sheafp1._COHOMOLOGY_CACHE) == [m1]
+    assert len(hashed) == 16
 
 
 def test_serialization():
