@@ -5,6 +5,8 @@ fields, Fractions over Q).  No pivoting heuristics: the first row with a
 nonzero entry in the current column is used, so results are
 deterministic and exact.  `_gauss_jordan` holds the only row-operation
 loop; every public routine here reads its answer off that one reduction.
+The loop makes no field operation whose value is known (a scaled pivot,
+a cleared entry) or unread (the pivot product, which only `det` forms).
 """
 from __future__ import annotations
 
@@ -15,48 +17,58 @@ def identity(field, n):
 
 
 def _gauss_jordan(field, rows):
-    """Reduce a copy of `rows`; returns (rref_rows, pivot_columns, det).
+    """Reduce a copy of `rows`; returns (rref_rows, pivot_columns,
+    pivot_values, odd).
 
-    `det` is the product of the pivots met, negated once per row swap:
-    the determinant when `rows` is square with a pivot in every column.
-    Row operations run over the nonzero support of the pivot row only.
+    `pivot_values` are the pivots as met, before scaling, and `odd` says
+    whether an odd number of row swaps was made; `det` alone multiplies
+    them.  The loop does only arithmetic whose result is read: a pivot
+    row is scaled over its nonzero support right of the pivot, and not
+    at all when the pivot is already one; the pivot entry is set to one
+    and each entry it clears is set to zero, since inv * head = 1 and
+    c - c * 1 = 0 exactly.  Raw zeros (0 and Fraction(0)) are falsy, so
+    zero tests are truthiness tests.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    z = field.rzero
+    zero, one = field.rzero, field.rone
     rmul, rsub = field.rmul, field.rsub
-    det, odd = field.rone, False
+    heads, odd = [], False
     pivots = []
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        sel = next((i for i in range(r, nrows) if m[i][col] != z), None)
+        sel = next((i for i in range(r, nrows) if m[i][col]), None)
         if sel is None:
             continue
         if sel != r:
             m[r], m[sel] = m[sel], m[r]
             odd = not odd
         prow = m[r]
-        det = rmul(det, prow[col])
-        inv = field.rinv(prow[col])
-        support = [j for j in range(col, ncols) if prow[j] != z]
-        for j in support:
-            prow[j] = rmul(inv, prow[j])
+        head = prow[col]
+        heads.append(head)
+        support = [j for j in range(col + 1, ncols) if prow[j]]
+        if head != one:
+            inv = field.rinv(head)
+            for j in support:
+                prow[j] = rmul(inv, prow[j])
+            prow[col] = one
         for i in range(nrows):
             row = m[i]
             c = row[col]
-            if i != r and c != z:
+            if i != r and c:
                 for j in support:
                     row[j] = rsub(row[j], rmul(c, prow[j]))
+                row[col] = zero
         pivots.append(col)
-    return m, pivots, (field.rneg(det) if odd else det)
+    return m, pivots, heads, odd
 
 
 def rref(field, rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m, pivots, _ = _gauss_jordan(field, rows)
+    m, pivots, _, _ = _gauss_jordan(field, rows)
     return m, pivots
 
 
@@ -101,9 +113,16 @@ def inverse(field, rows):
 
 
 def det(field, rows):
-    """Determinant: the signed pivot product of one Gauss-Jordan pass."""
-    _, pivots, d = _gauss_jordan(field, rows)
-    return d if len(pivots) == len(rows) else field.rzero
+    """Determinant: the pivots of one Gauss-Jordan pass multiplied in the
+    order met, negated once if the pass made an odd number of row swaps;
+    zero, with no product formed, when a column has no pivot."""
+    _, pivots, heads, odd = _gauss_jordan(field, rows)
+    if len(pivots) < len(rows):
+        return field.rzero
+    d = field.rone
+    for head in heads:
+        d = field.rmul(d, head)
+    return field.rneg(d) if odd else d
 
 
 class Solver:

@@ -211,7 +211,7 @@ def _mult_matrix(field, entries, src, tgt):
         for j, f in enumerate(forms):
             for s in range(_form_dim(src[j])):
                 for k, c in enumerate(f):
-                    if c != z:
+                    if c:
                         mat[rows[i] + k + s][cols[j] + s] = c
     return mat
 

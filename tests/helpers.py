@@ -12,8 +12,9 @@ diagonal points first, the Eckardt census over all pairs of lines, a parser
 that also takes inhomogeneous polynomials, which the package never
 needs, and the line search's earlier kernels: row restriction by a
 per-term generator, values at row zeros by a `_set_first` chain, a line
-substitution that builds its own powers, and binary forms evaluated by
-powers of u and v."""
+substitution that builds its own powers, binary forms evaluated by
+powers of u and v, and the Gauss-Jordan loop that computes every entry
+it touches and the pivot product on every reduction."""
 import itertools
 import random
 
@@ -97,6 +98,45 @@ def sympy_chart_smooth(f, p):
                                  order="grevlex").exprs != [1]:
             return False
     return True
+
+
+def gauss_jordan_full_rows(field, rows):
+    """Oracle for `linalg._gauss_jordan`: the loop that computes every
+    entry it touches, pivot column included, and the signed pivot
+    product on every reduction.  Returns (rref_rows, pivot_columns, det),
+    `det` being the determinant when `rows` is square with a pivot in
+    every column."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    z = field.rzero
+    rmul, rsub = field.rmul, field.rsub
+    det, odd = field.rone, False
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if m[i][col] != z), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            odd = not odd
+        prow = m[r]
+        det = rmul(det, prow[col])
+        inv = field.rinv(prow[col])
+        support = [j for j in range(col, ncols) if prow[j] != z]
+        for j in support:
+            prow[j] = rmul(inv, prow[j])
+        for i in range(nrows):
+            row = m[i]
+            c = row[col]
+            if i != r and c != z:
+                for j in support:
+                    row[j] = rsub(row[j], rmul(c, prow[j]))
+        pivots.append(col)
+    return m, pivots, (field.rneg(det) if odd else det)
 
 
 def random_invertible(field, n, rng):

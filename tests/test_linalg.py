@@ -1,5 +1,6 @@
 """Direct checks of the Gauss-Jordan routines against independent oracles:
-the Leibniz formula, matrix products and membership by rank."""
+the Leibniz formula, matrix products, membership by rank and the
+elimination loop that computes every entry it touches."""
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from veryfree import linalg
 from veryfree.fields import make_field
 
-from helpers import F7, QQ
+from helpers import F7, QQ, gauss_jordan_full_rows
 
 F16 = make_field(2, 4)
 F49 = make_field(7, 2)
@@ -229,3 +230,83 @@ def test_solver_replay_on_wide_families(field, dim, ncols, span):
         assert all(x[j] == field.rzero for j in range(ncols)
                    if j not in pivots)
     assert (outside > 0) == (cols_rank < dim)
+
+
+def full_row_reduction(field, rows):
+    """The oracle loop in `_gauss_jordan`'s return shape: its signed
+    pivot product stands as the one pivot value, with even parity, so
+    `det` returns it as it is."""
+    m, pivots, d = gauss_jordan_full_rows(field, rows)
+    return m, pivots, [d], False
+
+
+def public_answers(field, rows, ncols, targets):
+    """repr of every public answer read off one matrix, so that a value
+    of another type (an int for a Fraction) is a difference too."""
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    solver = linalg.Solver(field, cols, len(rows))
+    out = [linalg.rref(field, rows), linalg.rank(field, rows),
+           linalg.kernel(field, rows, ncols),
+           [solver.express(w) for w in targets]]
+    if len(rows) == ncols:
+        out += [linalg.det(field, rows), linalg.inverse(field, rows)]
+    return repr(out)
+
+
+def oracle_matrices(field, rng):
+    """(rows, ncols): the 0 x 4 and 3 x 0 cases, a zero matrix, then per
+    shape (square, wide, tall) a sparse matrix, a 0/1 matrix, one whose
+    rows lead with one, a square one with a zero corner (a row swap), and
+    a rank-deficient one with a zero row and a zero column."""
+    z, o = field.rzero, field.rone
+    out = [([], 4), ([[] for _ in range(3)], 0),
+           ([[z] * 4 for _ in range(3)], 4)]
+    for nrows, ncols in ((3, 3), (4, 4), (5, 5), (2, 5), (3, 7), (6, 2),
+                         (7, 4)):
+        sparse = [[sparse_elt(field, rng) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        binary = [[rng.choice((z, o)) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        monic = []
+        for row in rand_matrix(field, nrows, ncols, rng):
+            lead = next((x for x in row if x), o)
+            monic.append([field.rmul(x, field.rinv(lead)) for x in row])
+        out += [(m, ncols) for m in (sparse, binary, monic)]
+        if nrows == ncols:
+            corner = rand_matrix(field, nrows, ncols, rng)
+            corner[0][0] = z
+            out.append((corner, ncols))
+        deficient = rand_matrix(field, nrows, ncols, rng)
+        if nrows > 2:
+            deficient[-1] = combine(field, deficient[:2],
+                                    [rand_elt(field, rng) for _ in range(2)])
+        deficient[rng.randrange(nrows)] = [z] * ncols
+        zero_col = rng.randrange(ncols)
+        for row in deficient:
+            row[zero_col] = z
+        out.append((deficient, ncols))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_elimination_matches_full_row_oracle(monkeypatch, field):
+    """rref rows and pivots, rank, kernel, Solver.express, det and
+    inverse are the same raw values, of the same types, as when every
+    entry is computed; the seeded matrices meet pivots equal to one,
+    which are not scaled, and pivots that are not."""
+    rng = random.Random(107)
+    pivot_kinds = set()
+    for rows, ncols in oracle_matrices(field, rng):
+        cols = [[row[j] for row in rows] for j in range(ncols)]
+        targets = [[field.rzero] * len(rows),
+                   [sparse_elt(field, rng) for _ in rows]]
+        if cols:
+            targets += [cols[-1], combine(field, cols, [
+                rand_elt(field, rng) for _ in cols], len(rows))]
+        got = public_answers(field, rows, ncols, targets)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_gauss_jordan", full_row_reduction)
+            assert got == public_answers(field, rows, ncols, targets)
+        heads = linalg._gauss_jordan(field, rows)[2]
+        pivot_kinds.update(head == field.rone for head in heads)
+    assert pivot_kinds == {True, False}

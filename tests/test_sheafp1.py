@@ -5,6 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from veryfree import linalg, sheafp1
+from veryfree.constructions import (curve_in_surface_coordinates,
+                                    nodal_surface_form, normal_form_surface,
+                                    pullback_tangent,
+                                    sample_admissible_completion)
 from veryfree.errors import MonadError, ScanBudgetExceeded
 from veryfree.fields import make_field
 from veryfree.poly import (BinaryForm, binary_roots, compose_with_curve,
@@ -13,7 +17,8 @@ from veryfree.sheafp1 import (MonadP1, SplittingType, h0_twist,
                               is_very_free_splitting, quotient_graded_dim,
                               splitting_type, validate_monad)
 
-from helpers import F5, F7, QQ, cold_memos, random_invertible
+from helpers import (F5, F7, QQ, cold_memos, count_field_ops,
+                     random_invertible)
 
 
 def nodal_monad(field, quadric_text="X0^2"):
@@ -325,6 +330,36 @@ def test_an_equal_monad_finds_the_same_cache_entry(monkeypatch):
     assert sheafp1._cohomology(m2) is coh
     assert list(sheafp1._COHOMOLOGY_CACHE) == [m1]
     assert len(hashed) == 16
+
+
+SPLITTING_FIELDS = {"Q": QQ, "F7": F7, "F7^6": make_field(7, 6)}
+
+
+def splitting_backend_input(name):
+    """The splitting_backends benchmark's seed-7 normal form over the
+    named field: its (Q, L, A) samples are drawn in turn over Q, F7 and
+    F_{7^6} from one generator, so each is drawn after the ones before."""
+    rng = random.Random(7)
+    for key, F in SPLITTING_FIELDS.items():
+        nf = nodal_surface_form(F, *sample_admissible_completion(F, rng))
+        if key == name:
+            return normal_form_surface(nf), curve_in_surface_coordinates(nf)
+
+
+@pytest.mark.parametrize("name, bound", [("Q", 325), ("F7", 275),
+                                         ("F7^6", 325)],
+                         ids=["Q", "F7", "F7^6"])
+def test_splitting_field_op_count(monkeypatch, name, bound):
+    """Tangent pullback and splitting type of the benchmark's seed-7
+    normal forms, with cold memos: 325, 275 and 325 raw field operations
+    over Q, F7 and F_{7^6}; 630, 558 and 630 when the elimination
+    computed the pivot column, scaled pivots equal to one and formed the
+    pivot product on every reduction."""
+    x, curve = splitting_backend_input(name)
+    cold_memos(monkeypatch)
+    count = count_field_ops(monkeypatch)
+    assert splitting_type(pullback_tangent(x, curve)).parts == (2, 1)
+    assert count[0] <= bound
 
 
 def test_serialization():
